@@ -17,11 +17,18 @@ fn bench_sensing(c: &mut Criterion) {
 
     let x_f: Vec<f64> = (0..N).map(|i| ((i * 13 % 2047) as f64) - 1024.0).collect();
     let x_i: Vec<i16> = x_f.iter().map(|&v| v as i16).collect();
+    // Production decodes in f32, where an AVX2 host takes the blocked
+    // gathers; f64 takes the portable loops everywhere.
+    let x_f32: Vec<f32> = x_f.iter().map(|&v| v as f32).collect();
 
     let mut group = c.benchmark_group("sensing_apply_512");
     group.bench_function("sparse_binary_f64", |b| {
         let mut y = vec![0.0_f64; M];
         b.iter(|| sparse.apply_into(black_box(x_f.as_slice()), &mut y))
+    });
+    group.bench_function("sparse_binary_f32", |b| {
+        let mut y = vec![0.0_f32; M];
+        b.iter(|| sparse.apply_into(black_box(x_f32.as_slice()), &mut y))
     });
     group.bench_function("sparse_binary_i32_mote_path", |b| {
         b.iter(|| sparse.apply_unscaled_i32(black_box(&x_i)))
@@ -40,6 +47,11 @@ fn bench_sensing(c: &mut Criterion) {
     let y: Vec<f64> = (0..M).map(|i| (i as f64 * 0.3).sin()).collect();
     group.bench_function("sparse_binary_f64", |b| {
         let mut x = vec![0.0_f64; N];
+        b.iter(|| sparse.adjoint_into(black_box(y.as_slice()), &mut x))
+    });
+    group.bench_function("sparse_binary_f32", |b| {
+        let y: Vec<f32> = y.iter().map(|&v| v as f32).collect();
+        let mut x = vec![0.0_f32; N];
         b.iter(|| sparse.adjoint_into(black_box(y.as_slice()), &mut x))
     });
     group.bench_function("dense_gaussian_f64", |b| {

@@ -27,6 +27,11 @@ fn bench_transforms(c: &mut Criterion) {
         let mut out = vec![0.0_f32; 512];
         b.iter(|| dwt32.analyze_into(black_box(&x32), &mut out))
     });
+    group.bench_function("synthesize_f32", |b| {
+        let c32 = dwt32.analyze(&x32);
+        let mut out = vec![0.0_f32; 512];
+        b.iter(|| dwt32.synthesize_into(black_box(&c32), &mut out))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("resample_360_to_256");

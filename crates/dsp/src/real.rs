@@ -118,10 +118,17 @@ pub trait Real:
     fn floor(self) -> Self;
     /// Returns a number composed of the magnitude of `self` and the sign of `sign`.
     fn copysign(self, sign: Self) -> Self;
+
+    /// Views `s` as single-precision data when `Self` is `f32`, `None`
+    /// otherwise — how precision-generic code reaches a kernel that only
+    /// exists for `f32` without a pointer cast.
+    fn as_f32_slice(s: &[Self]) -> Option<&[f32]>;
+    /// Mutable twin of [`Real::as_f32_slice`].
+    fn as_f32_slice_mut(s: &mut [Self]) -> Option<&mut [f32]>;
 }
 
 macro_rules! impl_real {
-    ($t:ty) => {
+    ($t:ty, $as_f32:expr) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -216,12 +223,20 @@ macro_rules! impl_real {
             fn copysign(self, sign: Self) -> Self {
                 <$t>::copysign(self, sign)
             }
+            #[inline]
+            fn as_f32_slice(s: &[Self]) -> Option<&[f32]> {
+                $as_f32(s)
+            }
+            #[inline]
+            fn as_f32_slice_mut(s: &mut [Self]) -> Option<&mut [f32]> {
+                $as_f32(s)
+            }
         }
     };
 }
 
-impl_real!(f32);
-impl_real!(f64);
+impl_real!(f32, Some);
+impl_real!(f64, |_| None);
 
 /// Euclidean (ℓ2) norm of a slice.
 ///

@@ -141,16 +141,15 @@ impl<T: Real> Dwt<T> {
         assert_eq!(x.len(), self.n, "analyze_scratch: input length mismatch");
         assert_eq!(coeffs.len(), self.n, "analyze_scratch: output length mismatch");
         assert!(scratch.len() >= self.n, "analyze_scratch: scratch too short");
+        // The first level reads `x` itself; detail lands at its final
+        // position in `coeffs` and the approx half cascades back through
+        // `scratch`.
+        forward_level(x, coeffs, &self.dec_lo, &self.dec_hi);
         let mut m = self.n;
-        scratch[..m].copy_from_slice(x);
-        for level in 0..self.levels {
-            // Detail lands at its final position in `coeffs`; the approx
-            // half cascades back through `scratch`.
-            forward_level(&scratch[..m], &mut coeffs[..m], &self.dec_lo, &self.dec_hi);
+        for _ in 1..self.levels {
             m /= 2;
-            if level + 1 < self.levels {
-                scratch[..m].copy_from_slice(&coeffs[..m]);
-            }
+            scratch[..m].copy_from_slice(&coeffs[..m]);
+            forward_level(&scratch[..m], &mut coeffs[..m], &self.dec_lo, &self.dec_hi);
         }
     }
 
@@ -231,15 +230,31 @@ impl<T: Real> Dwt<T> {
     }
 }
 
+/// Outputs computed together by the fixed-length level kernels. The lanes
+/// run *across outputs* (outer-loop vectorisation): each lane still sums
+/// its own taps in filter order, so every output keeps the exact
+/// floating-point operation order of the one-at-a-time `_dyn` forms and
+/// the results are bitwise equal — only the instruction-level parallelism
+/// changes (eight independent chains instead of one serial chain).
+const LANES: usize = 8;
+
+/// Analysis outputs staged per de-interleaved tile (a multiple of
+/// [`LANES`]); bounds the stack buffers for any level size.
+const TILE: usize = 64;
+
+/// Longest filter with a fixed-length kernel.
+const MAX_FIXED_TAPS: usize = 10;
+
 /// One analysis level: `out[..m/2] = approx`, `out[m/2..] = detail`.
 ///
 /// `a[k] = Σ_j lo[j] · x[(2k + j) mod m]`, and likewise with `hi` for the
 /// detail channel. The circular index keeps the transform square.
 fn forward_level<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
-    // Dispatch on the filter length so the inner loops run over a
-    // compile-time bound: the common Daubechies lengths fully unroll and
-    // vectorize, where the dynamic-length loop stays scalar. Operation
-    // order is identical, so results are bitwise-equal to the fallback.
+    // Dispatch on the filter length so the tap loops run over a
+    // compile-time bound and unroll: the common Daubechies lengths take
+    // the across-output kernel, everything else the dynamic-length loop.
+    // Operation order per output is identical, so results are
+    // bitwise-equal to the fallback.
     match lo.len() {
         2 => forward_level_fixed::<T, 2>(x, out, lo, hi),
         4 => forward_level_fixed::<T, 4>(x, out, lo, hi),
@@ -250,33 +265,75 @@ fn forward_level<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
     }
 }
 
+/// Analysis level for an even filter length `L ≤ 10`, [`LANES`] outputs
+/// at a time.
+///
+/// Output `k` reads `x[2k + j]`, a stride-2 walk; de-interleaving a tile
+/// of `x` into its even and odd phases first turns tap `j` of `LANES`
+/// consecutive outputs into one contiguous read of phase `j mod 2` at
+/// offset `j / 2`. The accumulators start at zero and add the taps in
+/// order `j = 0..L` (the leading `0 +` keeps signed zeros identical to
+/// the scalar form). Only the trailing `L/2 − 1` outputs, whose window
+/// wraps around the period, take the scalar form.
 #[inline]
 fn forward_level_fixed<T: Real, const L: usize>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
     let m = x.len();
     debug_assert!(m.is_multiple_of(2));
+    debug_assert!(L.is_multiple_of(2) && L <= MAX_FIXED_TAPS);
     let half = m / 2;
     let lo: &[T; L] = lo.try_into().expect("filter length mismatch");
     let hi: &[T; L] = hi.try_into().expect("filter length mismatch");
-    for k in 0..half {
+    let (approx, detail) = out.split_at_mut(half);
+
+    // Outputs `k < interior` read `x[2k .. 2k + L]` without wrapping.
+    // Fewer than one chunk of them (tiny levels): all scalar.
+    let interior = (m + 2).saturating_sub(L) / 2;
+    let vectorised = if interior >= LANES { interior } else { 0 };
+    let mut even = [T::ZERO; TILE + MAX_FIXED_TAPS / 2];
+    let mut odd = [T::ZERO; TILE + MAX_FIXED_TAPS / 2];
+    for t0 in (0..vectorised).step_by(TILE) {
+        // A last tile or chunk shorter than `LANES` backs up to end flush
+        // with the interior; the overlap recomputes identical values.
+        let t0 = t0.min(interior - LANES);
+        let len = TILE.min(interior - t0);
+        let span = len + L / 2 - 1;
+        for ((pair, e), o) in x[2 * t0..2 * (t0 + span)]
+            .chunks_exact(2)
+            .zip(&mut even)
+            .zip(&mut odd)
+        {
+            *e = pair[0];
+            *o = pair[1];
+        }
+        for c in (0..len).step_by(LANES) {
+            let c = c.min(len - LANES);
+            let mut a = [T::ZERO; LANES];
+            let mut d = [T::ZERO; LANES];
+            for j in 0..L {
+                let phase = if j % 2 == 0 { &even } else { &odd };
+                let src: &[T; LANES] = phase[c + j / 2..][..LANES]
+                    .try_into()
+                    .expect("LANES-long window");
+                for w in 0..LANES {
+                    a[w] += lo[j] * src[w];
+                    d[w] += hi[j] * src[w];
+                }
+            }
+            approx[t0 + c..][..LANES].copy_from_slice(&a);
+            detail[t0 + c..][..LANES].copy_from_slice(&d);
+        }
+    }
+
+    for k in vectorised..half {
         let mut a = T::ZERO;
         let mut d = T::ZERO;
-        let base = 2 * k;
-        if base + L <= m {
-            // Fast path: no wraparound.
-            for (j, &xv) in x[base..base + L].iter().enumerate() {
-                a += lo[j] * xv;
-                d += hi[j] * xv;
-            }
-        } else {
-            for j in 0..L {
-                let idx = (base + j) % m;
-                let xv = x[idx];
-                a += lo[j] * xv;
-                d += hi[j] * xv;
-            }
+        for j in 0..L {
+            let xv = x[(2 * k + j) % m];
+            a += lo[j] * xv;
+            d += hi[j] * xv;
         }
-        out[k] = a;
-        out[half + k] = d;
+        approx[k] = a;
+        detail[k] = d;
     }
 }
 
@@ -325,7 +382,8 @@ fn inverse_level<T: Real>(approx: &[T], detail: &[T], out: &mut [T], lo: &[T], h
     }
 }
 
-/// Polyphase synthesis with `P = L/2` taps per output phase.
+/// Polyphase synthesis with `P = L/2` taps per output phase, [`LANES`]
+/// output pairs at a time.
 ///
 /// The scatter form (`out[(2k+j) mod m] += a[k]·lo[j] + d[k]·hi[j]`)
 /// makes every iteration read-modify-write a window overlapping the
@@ -334,6 +392,12 @@ fn inverse_level<T: Real>(approx: &[T], detail: &[T], out: &mut [T], lo: &[T], h
 /// `out[2t+1]` the odd taps, both from `a[t-p]`/`d[t-p]` — writes each
 /// output exactly once and needs no zeroing pass:
 /// with `j = 2p + (i mod 2)`, `(2k + j) mod m = i  ⇔  k = (t − p) mod h`.
+///
+/// For `LANES` consecutive `t` the reads `a[t − p ..]`/`d[t − p ..]` are
+/// contiguous for every `p`, so the lanes run across outputs while each
+/// output adds its taps in order `p = 0..P` exactly as
+/// [`synthesis_pair`] does. Only the first `P − 1` pairs, whose `t − p`
+/// wraps around the period, take the scalar form.
 #[inline]
 fn inverse_level_fixed<T: Real, const P: usize>(
     approx: &[T],
@@ -347,42 +411,69 @@ fn inverse_level_fixed<T: Real, const P: usize>(
     debug_assert_eq!(out.len(), half * 2);
     debug_assert_eq!(lo.len(), 2 * P);
     debug_assert_eq!(hi.len(), 2 * P);
-    let mut even = [T::ZERO; P];
-    let mut odd = [T::ZERO; P];
+    // Taps by output phase: row 0/1 the even/odd taps of `lo`, row 2/3
+    // those of `hi`.
+    let mut taps = [[T::ZERO; P]; 4];
     for p in 0..P {
-        even[p] = lo[2 * p];
-        odd[p] = lo[2 * p + 1];
+        taps[0][p] = lo[2 * p];
+        taps[1][p] = lo[2 * p + 1];
+        taps[2][p] = hi[2 * p];
+        taps[3][p] = hi[2 * p + 1];
     }
-    let mut heven = [T::ZERO; P];
-    let mut hodd = [T::ZERO; P];
-    for p in 0..P {
-        heven[p] = hi[2 * p];
-        hodd[p] = hi[2 * p + 1];
+    let [even, odd, heven, hodd] = taps;
+
+    // The first `P − 1` pairs wrap and stay scalar — as does the whole of
+    // a level too small to hold one chunk after them.
+    let head = if half >= P - 1 + LANES { P - 1 } else { half };
+    for t in 0..head {
+        let (e, o) = synthesis_pair(approx, detail, t, &taps);
+        out[2 * t] = e;
+        out[2 * t + 1] = o;
     }
-    for (t, pair) in out.chunks_exact_mut(2).enumerate() {
-        let mut e = T::ZERO;
-        let mut o = T::ZERO;
-        if t + 1 >= P {
-            // Interior: k = t − p stays in range; a/d reads are contiguous.
-            for p in 0..P {
-                let k = t - p;
-                let a = approx[k];
-                let d = detail[k];
-                e += a * even[p] + d * heven[p];
-                o += a * odd[p] + d * hodd[p];
-            }
-        } else {
-            for p in 0..P {
-                let k = (t + half - p) % half;
-                let a = approx[k];
-                let d = detail[k];
-                e += a * even[p] + d * heven[p];
-                o += a * odd[p] + d * hodd[p];
+    for t0 in (head..half).step_by(LANES) {
+        // A last chunk shorter than `LANES` backs up to end flush with
+        // the level; the overlap recomputes identical values.
+        let t0 = t0.min(half - LANES);
+        let mut e = [T::ZERO; LANES];
+        let mut o = [T::ZERO; LANES];
+        for p in 0..P {
+            let a: &[T; LANES] = approx[t0 - p..][..LANES].try_into().expect("LANES-long window");
+            let d: &[T; LANES] = detail[t0 - p..][..LANES].try_into().expect("LANES-long window");
+            for w in 0..LANES {
+                e[w] += a[w] * even[p] + d[w] * heven[p];
+                o[w] += a[w] * odd[p] + d[w] * hodd[p];
             }
         }
-        pair[0] = e;
-        pair[1] = o;
+        for (pair, (e, o)) in out[2 * t0..][..2 * LANES].chunks_exact_mut(2).zip(e.iter().zip(&o)) {
+            pair[0] = *e;
+            pair[1] = *o;
+        }
     }
+}
+
+/// Output pair `t` of a synthesis level, one tap at a time — the form
+/// the across-output kernel reproduces lane by lane, used directly where
+/// `t − p` wraps around the period.
+#[inline]
+fn synthesis_pair<T: Real, const P: usize>(
+    approx: &[T],
+    detail: &[T],
+    t: usize,
+    [even, odd, heven, hodd]: &[[T; P]; 4],
+) -> (T, T) {
+    let half = approx.len();
+    let mut e = T::ZERO;
+    let mut o = T::ZERO;
+    for p in 0..P {
+        // `(t − p) mod half`; the `P` periods keep it non-negative even
+        // for a level shorter than the filter.
+        let k = if t >= p { t - p } else { (t + P * half - p) % half };
+        let a = approx[k];
+        let d = detail[k];
+        e += a * even[p] + d * heven[p];
+        o += a * odd[p] + d * hodd[p];
+    }
+    (e, o)
 }
 
 fn inverse_level_dyn<T: Real>(approx: &[T], detail: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
@@ -594,6 +685,85 @@ mod tests {
         let y = idwt_single(&a, &d, &w);
         for (u, v) in x.iter().zip(&y) {
             assert!((u - v).abs() < 1e-10);
+        }
+    }
+
+    /// Deterministic test data with the awkward values mixed in: signed
+    /// zeros, a subnormal and an infinity among ordinary magnitudes.
+    fn awkward<T: Real>(len: usize, salt: usize) -> Vec<T> {
+        (0..len)
+            .map(|i| match (i * 7 + salt) % 23 {
+                0 => T::ZERO,
+                1 => -T::ZERO,
+                2 => T::MIN_POSITIVE * T::HALF,
+                3 if salt % 2 == 1 => T::INFINITY,
+                r => T::from_f64((r as f64 - 11.0) * 0.37 + (i as f64 * 0.61).sin()),
+            })
+            .collect()
+    }
+
+    fn same_bits<T: Real>(a: &[T], b: &[T]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(u, v)| {
+                u.to_f64().to_bits() == v.to_f64().to_bits() || (u.is_nan() && v.is_nan())
+            })
+    }
+
+    /// The across-output kernels against the one-output-at-a-time forms,
+    /// for arbitrary (not just Daubechies) taps and level sizes on both
+    /// sides of every chunk and tile boundary.
+    fn level_kernels_match_scalar_forms<T: Real>() {
+        for l in [2, 4, 6, 8, 10] {
+            let lo = awkward::<T>(l, 4);
+            let hi = awkward::<T>(l, 10);
+            for m in [l, l + 2, 14, 16, 18, 22, 30, 34, 62, 70, 126, 130, 142, 256, 1000, 1024] {
+                if m < l {
+                    continue;
+                }
+                for salt in [0, 1] {
+                    let x = awkward::<T>(m, salt);
+                    let mut fast = vec![T::ONE; m];
+                    let mut slow = vec![T::ONE; m];
+                    forward_level(&x, &mut fast, &lo, &hi);
+                    forward_level_dyn(&x, &mut slow, &lo, &hi);
+                    assert!(same_bits(&fast, &slow), "analysis L={l} m={m} salt={salt}");
+
+                    let (approx, detail) = x.split_at(m / 2);
+                    inverse_level(approx, detail, &mut fast, &lo, &hi);
+                    // Same sum per output, but the scatter form adds the
+                    // taps in the opposite order: equal only to rounding.
+                    inverse_level_dyn(approx, detail, &mut slow, &lo, &hi);
+                    if salt == 0 {
+                        for (i, (u, v)) in fast.iter().zip(&slow).enumerate() {
+                            let tol = T::from_f64(1e-4) * (T::ONE + v.abs());
+                            assert!((*u - *v).abs() <= tol, "synthesis L={l} m={m} [{i}]: {u} vs {v}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_kernels_match_scalar_forms_f32() {
+        level_kernels_match_scalar_forms::<f32>();
+    }
+
+    #[test]
+    fn level_kernels_match_scalar_forms_f64() {
+        level_kernels_match_scalar_forms::<f64>();
+    }
+
+    #[test]
+    fn level_shorter_than_the_filter_round_trips() {
+        let w = Wavelet::daubechies(5).unwrap();
+        for m in [2, 4, 6, 8] {
+            let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.9).cos() + 0.25).collect();
+            let (a, d) = dwt_single(&x, &w);
+            let y = idwt_single(&a, &d, &w);
+            for (u, v) in x.iter().zip(&y) {
+                assert!((u - v).abs() < 1e-10, "m={m}: {u} vs {v}");
+            }
         }
     }
 

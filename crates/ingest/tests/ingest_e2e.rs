@@ -82,6 +82,17 @@ fn quick_config() -> SystemConfig {
     SystemConfig::paper_default()
 }
 
+/// Waits (bounded) for server-side bookkeeping. The server answers the
+/// peer *before* it bumps the matching counter or frees the session slot,
+/// so a client that has just read its reply may look a moment too early.
+fn eventually(what: &str, condition: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while !condition() {
+        assert!(std::time::Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn frames_over_tcp_decode_and_account_exactly() {
     let config = quick_config();
@@ -143,11 +154,15 @@ fn admission_sheds_with_typed_nack_and_retry_after() {
     };
     assert_eq!(nack.code, ControlCode::Shed);
     assert_eq!(nack.retry_after_secs, 7, "NACK carries the Retry-After hint");
-    assert_eq!(stack.telemetry.ingest_shed_total(), 1);
+    eventually("shed never counted", || stack.telemetry.ingest_shed_total() == 1);
 
     let goodbye = first.finish(Duration::from_secs(5)).unwrap();
     assert_eq!(goodbye.code, ControlCode::Goodbye);
-    // Capacity freed: a retry now succeeds.
+    // Capacity freed (the slot is released just after the goodbye is
+    // written): a retry now succeeds.
+    eventually("finished session never released its slot", || {
+        stack.server.active_sessions() == 0
+    });
     let third = IngestClient::connect(addr, 2, &lanes, 0, Duration::from_secs(2)).unwrap();
     assert!(matches!(third, Connect::Accepted(_)), "released slot re-admits");
     drop(third);
@@ -178,15 +193,10 @@ fn partial_hello_is_cut_at_the_handshake_deadline() {
     );
     drop(conn);
     // The disconnect surfaced with the right taxonomy.
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    loop {
+    eventually("handshake timeout never recorded", || {
         let snap = stack.telemetry.snapshot();
-        if snap.ingest_disconnects[IngestDisconnect::HandshakeTimeout.index()].1 == 1 {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "handshake timeout never recorded");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+        snap.ingest_disconnects[IngestDisconnect::HandshakeTimeout.index()].1 == 1
+    });
     stack.server.drain();
     drop(stack.engine.join().unwrap().unwrap());
 }
@@ -209,8 +219,10 @@ fn garbage_hello_gets_bad_handshake_nack() {
     std::io::Read::read_exact(&mut conn, &mut buf).unwrap();
     let control = cs_ingest::parse_control(&buf).unwrap();
     assert_eq!(control.code, ControlCode::BadHandshake);
-    let snap = stack.telemetry.snapshot();
-    assert_eq!(snap.ingest_disconnects[IngestDisconnect::BadHandshake.index()].1, 1);
+    eventually("bad handshake never recorded", || {
+        let snap = stack.telemetry.snapshot();
+        snap.ingest_disconnects[IngestDisconnect::BadHandshake.index()].1 == 1
+    });
     stack.server.drain();
     drop(stack.engine.join().unwrap().unwrap());
 }

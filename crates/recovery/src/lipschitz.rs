@@ -7,6 +7,7 @@
 //! apply + one adjoint, the same cost as a FISTA iteration).
 
 use crate::operator::LinearOperator;
+use crate::workspace::Workspace;
 use cs_dsp::{l2_norm, Real};
 
 /// Estimates the spectral norm `‖A‖₂` of an operator.
@@ -45,10 +46,13 @@ pub fn operator_norm<T: Real, A: LinearOperator<T>>(op: &A, max_sweeps: usize) -
 
     let mut mid = vec![T::ZERO; op.rows()];
     let mut w = vec![T::ZERO; n];
+    // One workspace for all sweeps: the `_ws` products are bitwise equal
+    // to the allocating ones, without their per-call transients.
+    let mut ws = Workspace::for_operator(op);
     let mut prev_sigma = T::ZERO;
     for _ in 0..max_sweeps {
-        op.apply_into(&v, &mut mid);
-        op.adjoint_into(&mid, &mut w);
+        op.apply_into_ws(&v, &mut mid, &mut ws);
+        op.adjoint_into_ws(&mid, &mut w, &mut ws);
         let sigma_sq = l2_norm(&w); // ‖AᴴAv‖ with ‖v‖=1 → σ² estimate
         if sigma_sq == T::ZERO {
             return T::ZERO;
@@ -92,9 +96,10 @@ pub fn top_singular_pair<T: Real, A: LinearOperator<T>>(
         *x /= nv;
     }
     let mut u = vec![T::ZERO; m];
+    let mut ws = Workspace::for_operator(op);
     let mut sigma = T::ZERO;
     for _ in 0..max_sweeps {
-        op.apply_into(&v, &mut u);
+        op.apply_into_ws(&v, &mut u, &mut ws);
         let nu = l2_norm(&u);
         if nu == T::ZERO {
             return (T::ZERO, vec![T::ZERO; m]);
@@ -102,7 +107,7 @@ pub fn top_singular_pair<T: Real, A: LinearOperator<T>>(
         for x in &mut u {
             *x /= nu;
         }
-        op.adjoint_into(&u, &mut v);
+        op.adjoint_into_ws(&u, &mut v, &mut ws);
         let prev = sigma;
         sigma = l2_norm(&v);
         if sigma == T::ZERO {

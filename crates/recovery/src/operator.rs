@@ -236,37 +236,10 @@ impl<T: Real, S: Sensing<T>> LinearOperator<T> for SynthesisOperator<'_, T, S> {
         self.dwt.analyze_scratch(&ws.signal[..n], out, &mut ws.scratch[..n]);
     }
 
-    fn apply_block_into_ws(&self, x: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        let n = self.dwt.len();
-        let m = self.phi.rows();
-        assert_eq!(x.len(), n * k, "apply_block_into_ws: x length mismatch");
-        assert_eq!(out.len(), m * k, "apply_block_into_ws: out length mismatch");
-        // The Ψᵀ pass is inherently per-lane (each lane synthesizes into
-        // its own signal slot, identical to the scalar path), but the Φ
-        // pass below is the batched kernel that amortizes one index walk
-        // across all K lanes.
-        ws.ensure_cols(n * k);
-        for (l, xl) in x.chunks_exact(n).enumerate() {
-            self.dwt
-                .synthesize_scratch(xl, &mut ws.signal[l * n..(l + 1) * n], &mut ws.scratch[..n]);
-        }
-        self.phi.apply_block_into(&ws.signal[..n * k], k, out);
-    }
-
-    fn adjoint_block_into_ws(&self, y: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        let n = self.dwt.len();
-        let m = self.phi.rows();
-        assert_eq!(y.len(), m * k, "adjoint_block_into_ws: y length mismatch");
-        assert_eq!(out.len(), n * k, "adjoint_block_into_ws: out length mismatch");
-        // Per-lane, deliberately: a fused ΦᴴY pass would have to stage a
-        // K·N signal block, evicting the scratch the per-lane Ψ analysis
-        // keeps hot in L1 — measured ~18 % slower at the paper geometry
-        // than running each lane's Φᴴ gather and analysis back to back in
-        // one N-sized slot. Per-lane is also bit-identical by definition.
-        for (yl, ol) in y.chunks_exact(m).zip(out.chunks_exact_mut(n)) {
-            self.adjoint_into_ws(yl, ol, ws);
-        }
-    }
+    // No `_block_into_ws` overrides: the trait defaults run each lane's
+    // Ψᵀ→Φ (or Φᴴ→Ψ) pair back to back in one N-sized slot that stays hot
+    // in L1, and the single-lane kernels already run their vector lanes
+    // across outputs, so no index walk is left to share between lanes.
 }
 
 /// A rank-one spectral deflation preconditioner in measurement space.

@@ -64,7 +64,8 @@ pub enum BatchPenalty<'a, T: Real> {
 }
 
 /// Solves Eq. (3) for every lane staged in `ws` with one batched FISTA
-/// run, sharing the operator's index walks across lanes.
+/// run, sharing the iteration bookkeeping across lanes (the operator
+/// products themselves run lane by lane).
 ///
 /// `configs[lane]` carries each lane's λ and stopping criteria (the
 /// kernel mode and iteration caps may differ per lane too); `weights`
@@ -213,11 +214,11 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
     // data-independent and every reduction is lane-local), so the batch
     // can be solved one L1-sized tile at a time instead of streaming all
     // K lanes' iterate blocks through cache every iteration. A tile still
-    // amortizes the operator's index walks across its lanes; keeping the
-    // tile's working set L1-resident is what lets that amortization show
-    // up as wall-clock instead of being paid back in cache misses. Tile
-    // membership changes no lane's operation sequence — bit-exactness is
-    // unaffected, and the equivalence suite pins it.
+    // shares the per-iteration bookkeeping across its lanes; keeping the
+    // tile's working set L1-resident is what stops that from being paid
+    // back in cache misses. Tile membership changes no lane's operation
+    // sequence — bit-exactness is unaffected, and the equivalence suite
+    // pins it.
     let per_lane_bytes = (4 * n + 2 * m) * core::mem::size_of::<T>();
     let tile_width = (TILE_L1_BUDGET_BYTES / per_lane_bytes.max(1)).clamp(1, k);
 

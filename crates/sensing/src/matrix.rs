@@ -8,6 +8,8 @@
 //! All three are implemented here, along with the Bernoulli ±1/√N matrix the
 //! CS literature uses as a second universal ensemble.
 
+#[cfg(target_arch = "x86_64")]
+use crate::blocked::BlockedGather;
 use crate::error::SensingError;
 use crate::rng::MotePrng;
 use cs_dsp::Real;
@@ -53,39 +55,6 @@ pub trait Sensing<T: Real> {
         x
     }
 
-    /// Computes `Y = ΦX` for `k` lane-major signal blocks: lane `l`'s
-    /// signal occupies `x[l·N .. (l+1)·N]` and its measurements land in
-    /// `y[l·M .. (l+1)·M]`. The default loops [`Sensing::apply_into`] per
-    /// lane, so batched output is bit-identical to the sequential path by
-    /// construction; implementors may override to amortize index walks
-    /// across lanes, but must preserve each lane's exact operation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols() * k` or `y.len() != self.rows() * k`.
-    fn apply_block_into(&self, x: &[T], k: usize, y: &mut [T]) {
-        assert_eq!(x.len(), self.cols() * k, "apply_block_into: x length mismatch");
-        assert_eq!(y.len(), self.rows() * k, "apply_block_into: y length mismatch");
-        for (xl, yl) in x.chunks_exact(self.cols()).zip(y.chunks_exact_mut(self.rows())) {
-            self.apply_into(xl, yl);
-        }
-    }
-
-    /// Computes `X = ΦᴴY` for `k` lane-major measurement blocks (adjoint
-    /// twin of [`Sensing::apply_block_into`], same layout and bit-identity
-    /// contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != self.rows() * k` or `x.len() != self.cols() * k`.
-    fn adjoint_block_into(&self, y: &[T], k: usize, x: &mut [T]) {
-        assert_eq!(y.len(), self.rows() * k, "adjoint_block_into: y length mismatch");
-        assert_eq!(x.len(), self.cols() * k, "adjoint_block_into: x length mismatch");
-        for (yl, xl) in y.chunks_exact(self.rows()).zip(x.chunks_exact_mut(self.cols())) {
-            self.adjoint_into(yl, xl);
-        }
-    }
-
     /// Materializes Φ row-major — intended for diagnostics and tests, not
     /// for the hot path.
     fn to_dense(&self) -> Vec<T> {
@@ -120,14 +89,6 @@ impl<T: Real, S: Sensing<T> + ?Sized> Sensing<T> for &S {
 
     fn adjoint_into(&self, y: &[T], x: &mut [T]) {
         (**self).adjoint_into(y, x)
-    }
-
-    fn apply_block_into(&self, x: &[T], k: usize, y: &mut [T]) {
-        (**self).apply_block_into(x, k, y)
-    }
-
-    fn adjoint_block_into(&self, y: &[T], k: usize, x: &mut [T]) {
-        (**self).adjoint_block_into(y, k, x)
     }
 }
 
@@ -349,6 +310,12 @@ pub struct SparseBinarySensing {
     row_cols: Vec<u32>,
     /// CSR row offsets, `m + 1` entries.
     row_ptr: Vec<u32>,
+    /// The same support once more, blocked eight outputs wide for the AVX2
+    /// `f32` gathers; `None` on a CPU without AVX2, where (as for `f64`
+    /// everywhere) the portable `gather_sum` loops serve every product.
+    /// Both produce the same bits, so which one runs is not observable.
+    #[cfg(target_arch = "x86_64")]
+    blocked: Option<BlockedGather>,
 }
 
 impl SparseBinarySensing {
@@ -393,6 +360,8 @@ impl SparseBinarySensing {
             n,
             d,
             seed,
+            #[cfg(target_arch = "x86_64")]
+            blocked: BlockedGather::new(m, n, d, &col_rows, &row_cols, &row_ptr),
             col_rows,
             row_cols,
             row_ptr,
@@ -484,6 +453,12 @@ impl<T: Real> Sensing<T> for SparseBinarySensing {
     fn apply_into(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.n, "apply_into: x length mismatch");
         assert_eq!(y.len(), self.m, "apply_into: y length mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if let (Some(blocked), Some(x), Some(y)) =
+            (&self.blocked, T::as_f32_slice(x), T::as_f32_slice_mut(y))
+        {
+            return blocked.apply(x, y, self.nonzero_value() as f32);
+        }
         // CSR gather: each output element is a sequential sum over its
         // row's support — one streaming pass over `row_cols`, one write per
         // output, no scattered read-modify-writes (cache-shaped for the
@@ -500,46 +475,18 @@ impl<T: Real> Sensing<T> for SparseBinarySensing {
     fn adjoint_into(&self, y: &[T], x: &mut [T]) {
         assert_eq!(y.len(), self.m, "adjoint_into: y length mismatch");
         assert_eq!(x.len(), self.n, "adjoint_into: x length mismatch");
+        // Leading columns the blocked kernel has already produced.
+        #[allow(unused_mut)]
+        let mut done = 0;
+        #[cfg(target_arch = "x86_64")]
+        if let (Some(blocked), Some(y), Some(x)) =
+            (&self.blocked, T::as_f32_slice(y), T::as_f32_slice_mut(x))
+        {
+            done = blocked.adjoint(y, x, self.nonzero_value() as f32);
+        }
         let scale = T::from_f64(self.nonzero_value());
-        for (j, xv) in x.iter_mut().enumerate() {
+        for (j, xv) in x.iter_mut().enumerate().skip(done) {
             *xv = gather_sum(y, self.column_support(j)) * scale;
-        }
-    }
-
-    fn apply_block_into(&self, x: &[T], k: usize, y: &mut [T]) {
-        assert_eq!(x.len(), self.n * k, "apply_block_into: x length mismatch");
-        assert_eq!(y.len(), self.m * k, "apply_block_into: y length mismatch");
-        // MMV gather: walk the CSR index stream once per batch and reuse
-        // each row's support slice across the K lanes. Per lane this is the
-        // identical `gather_sum` over the identical support as the scalar
-        // `apply_into`, so the output is bit-for-bit the sequential result —
-        // only the (row, lane) visiting order changes, and each output
-        // element's reduction is self-contained.
-        let scale = T::from_f64(self.nonzero_value());
-        let mut lo = self.row_ptr[0] as usize;
-        for i in 0..self.m {
-            let hi = self.row_ptr[i + 1] as usize;
-            let support = &self.row_cols[lo..hi];
-            for lane in 0..k {
-                y[lane * self.m + i] =
-                    gather_sum(&x[lane * self.n..(lane + 1) * self.n], support) * scale;
-            }
-            lo = hi;
-        }
-    }
-
-    fn adjoint_block_into(&self, y: &[T], k: usize, x: &mut [T]) {
-        assert_eq!(y.len(), self.m * k, "adjoint_block_into: y length mismatch");
-        assert_eq!(x.len(), self.n * k, "adjoint_block_into: x length mismatch");
-        // Same amortization for the CSC direction: one column-support walk
-        // feeds all K lanes' gathers.
-        let scale = T::from_f64(self.nonzero_value());
-        for j in 0..self.n {
-            let support = self.column_support(j);
-            for lane in 0..k {
-                x[lane * self.n + j] =
-                    gather_sum(&y[lane * self.m..(lane + 1) * self.m], support) * scale;
-            }
         }
     }
 }
@@ -835,30 +782,70 @@ mod tests {
             }
         }
 
+        /// The AVX2 kernels, called directly, against `gather_sum` per
+        /// output — and the public products against a copy forced onto
+        /// the portable loops, so neither side of the comparison depends
+        /// on which kernel dispatch picks. Geometries straddle every
+        /// blocking edge: `d` not a multiple of 4, `m` and `n` not
+        /// multiples of 8, empty rows (`d = 1`), one-block matrices.
+        #[cfg(target_arch = "x86_64")]
         #[test]
-        fn prop_block_kernels_bitwise_match_scalar(
+        fn prop_blocked_gathers_bitwise_match_gather_sum(
             seed in any::<u64>(),
-            k in 1_usize..9,
+            m in 1_usize..70,
+            n_extra in 0_usize..70,
+            d_pick in 0_usize..5,
         ) {
-            let (m, n, d) = (24, 48, 6);
+            let n = m + n_extra;
+            let d = [1, 3, 6, 9, 13][d_pick].min(m);
             let phi = SparseBinarySensing::new(m, n, d, seed).unwrap();
-            let x: Vec<f64> = (0..n * k)
-                .map(|i| ((i as f64) * 0.29).sin() * 10.0)
-                .collect();
-            let mut y_block = vec![0.0_f64; m * k];
-            phi.apply_block_into(&x, k, &mut y_block);
-            for lane in 0..k {
-                let y_seq: Vec<f64> = phi.apply(&x[lane * n..(lane + 1) * n]);
-                for (a, b) in y_block[lane * m..(lane + 1) * m].iter().zip(&y_seq) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "apply lane {} diverged", lane);
+            let mut portable = phi.clone();
+            portable.blocked = None;
+            // Signed zeros, a subnormal and an infinity among the values:
+            // padding must stay an exact identity for all of them.
+            let awkward = |len: usize, salt: usize| -> Vec<f32> {
+                (0..len)
+                    .map(|i| match (i * 5 + salt) % 19 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f32::MIN_POSITIVE / 4.0,
+                        3 if salt % 2 == 1 => f32::INFINITY,
+                        r => (r as f32 - 9.0) * 1.7 + (i as f32 * 0.83).sin(),
+                    })
+                    .collect()
+            };
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            let scale = phi.nonzero_value() as f32;
+            for salt in [0, 1] {
+                let (x, y) = (awkward(n, salt), awkward(m, salt + 2));
+                let y_portable: Vec<f32> = portable.apply(&x);
+                let x_portable: Vec<f32> = portable.adjoint(&y);
+                for (i, &got) in y_portable.iter().enumerate() {
+                    let expect = gather_sum(&x, phi.row_support(i)) * scale;
+                    prop_assert!(same(got, expect), "portable row {}", i);
                 }
-            }
-            let mut x_block = vec![0.0_f64; n * k];
-            phi.adjoint_block_into(&y_block, k, &mut x_block);
-            for lane in 0..k {
-                let x_seq: Vec<f64> = phi.adjoint(&y_block[lane * m..(lane + 1) * m]);
-                for (a, b) in x_block[lane * n..(lane + 1) * n].iter().zip(&x_seq) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "adjoint lane {} diverged", lane);
+                for (j, &got) in x_portable.iter().enumerate() {
+                    let expect = gather_sum(&y, phi.column_support(j)) * scale;
+                    prop_assert!(same(got, expect), "portable column {}", j);
+                }
+                // `None` on a CPU without AVX2: nothing more to compare.
+                if let Some(blocked) = &phi.blocked {
+                    let mut y_fast = vec![f32::NAN; m];
+                    blocked.apply(&x, &mut y_fast, scale);
+                    for i in 0..m {
+                        prop_assert!(same(y_fast[i], y_portable[i]),
+                            "row {} of {}x{} d={}: {} vs {}", i, m, n, d, y_fast[i], y_portable[i]);
+                    }
+                    let mut x_fast = vec![f32::NAN; n];
+                    let done = blocked.adjoint(&y, &mut x_fast, scale);
+                    prop_assert_eq!(done, n - n % 8);
+                    for j in 0..done {
+                        prop_assert!(same(x_fast[j], x_portable[j]),
+                            "column {} of {}x{} d={}: {} vs {}", j, m, n, d, x_fast[j], x_portable[j]);
+                    }
+                    let (y_public, x_public): (Vec<f32>, Vec<f32>) = (phi.apply(&x), phi.adjoint(&y));
+                    prop_assert!(y_public.iter().zip(&y_portable).all(|(&a, &b)| same(a, b)));
+                    prop_assert!(x_public.iter().zip(&x_portable).all(|(&a, &b)| same(a, b)));
                 }
             }
         }

@@ -4,9 +4,9 @@
 #   scripts/bench_snapshot.sh            # full run, writes ./BENCH_decode.json
 #   scripts/bench_snapshot.sh --quick    # reduced samples, writes target/BENCH_decode_quick.json
 #
-# Runs the four hot-path Criterion benches (solver_iteration,
-# sensing_apply, fleet_throughput, ingest_throughput) plus a seeded
-# fleet_report pass, parses
+# Runs the five hot-path Criterion benches (solver_iteration,
+# sensing_apply, transform_throughput, fleet_throughput,
+# ingest_throughput) plus a seeded fleet_report pass, parses
 # the vendored-criterion `time: [min median mean max]` lines and the
 # report's throughput/latency summary, and emits one JSON document. The
 # `min` statistic is the one to compare across commits: these benches run
@@ -47,6 +47,7 @@ export CRITERION_MEASUREMENT_MS="$MEASURE_MS"
 bench_lines="$(
   cargo bench -p cs-bench --bench solver_iteration 2>/dev/null
   cargo bench -p cs-bench --bench sensing_apply 2>/dev/null
+  cargo bench -p cs-bench --bench transform_throughput 2>/dev/null
   cargo bench -p cs-bench --bench fleet_throughput 2>/dev/null
   cargo bench -p cs-bench --bench ingest_throughput 2>/dev/null
 )"
@@ -123,5 +124,29 @@ $bench_json
   }
 }
 EOF
+
+# ROADMAP item 1's standing anomalies, restated from this run's own rows
+# so the snapshot says whether they are still there: f32 buying nothing
+# over f64, and the workspace (`_ws`) path losing to the allocating one.
+python3 - "$OUT" <<'PY'
+import json, sys
+
+path = sys.argv[1]
+with open(path) as f:
+    doc = json.load(f)
+floor = lambda row: doc["benches"]["fista_50_iterations_cr50/matrix_free_" + row]["min_ns"]
+f32_over_f64 = floor("f32_ws") / floor("f64_ws")
+ws_over_alloc = floor("f32_ws") / floor("f32")
+doc["anomaly_check"] = {
+    "statistic": "ratio of min_ns, fista_50_iterations_cr50/matrix_free_*",
+    "f32_ws_over_f64_ws": round(f32_over_f64, 3),
+    "f32_buys_nothing_over_f64": f32_over_f64 > 0.95,
+    "f32_ws_over_f32_allocating": round(ws_over_alloc, 3),
+    "ws_slower_than_allocating": ws_over_alloc > 1.05,
+}
+with open(path, "w") as f:
+    json.dump(doc, f, indent=2, ensure_ascii=False)
+    f.write("\n")
+PY
 
 echo "wrote $OUT"

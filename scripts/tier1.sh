@@ -4,7 +4,9 @@
 #   scripts/tier1.sh
 #
 # Release build (the benches and report binaries only make sense
-# optimized), the full test suite, clippy with warnings denied, the
+# optimized), the full test suite (the root manifest's `default-members`
+# make the plain `cargo build` / `cargo test` cover every crate, not just
+# the umbrella package), clippy with warnings denied, the
 # steady-state zero-allocation guarantee under the optimizer, a quick
 # benchmark snapshot (exercises the parse + report plumbing, not the
 # committed numbers), and a short live-telemetry smoke run of the fleet
@@ -35,10 +37,13 @@ cargo test -q --release -p cs-ingest --test zero_alloc_ingest
 # degradation on a mid-stream arrhythmic morphology change.
 cargo test -q --release --test solver_priors
 
-# Batch-vs-sequential equivalence under the optimizer: bit-exactness is
-# the MMV path's contract, and fast-math-style regressions only show up
-# in release codegen.
+# Bit-exactness under the optimizer: the golden decode digest, the
+# across-output DWT and blocked-gather kernels against their per-output
+# oracles, and batch-vs-sequential equivalence. Reassociation-style
+# regressions only show up in release codegen — and so does anything
+# wrong with the `unsafe` AVX2 gathers, hence the two crates' own suites.
 cargo test -q --release --test numerical_equivalence
+cargo test -q --release -p cs-dsp -p cs-sensing
 
 # Bench regression gate: runs the quick snapshot, prints a per-row
 # min_ns delta table against the committed BENCH_decode.json, and fails

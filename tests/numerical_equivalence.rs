@@ -335,3 +335,271 @@ fn resampler_composition_consistency() {
         );
     }
 }
+
+/// FNV-1a over every reconstructed sample's bits and every iteration
+/// count of `packets` consecutive windows through one production decoder.
+fn decode_digest<T: cs_ecg_monitor::dsp::Real>(
+    samples: &[i16],
+    policy: SolverPolicy<T>,
+    warm_start: bool,
+    packets: usize,
+) -> u64 {
+    use std::sync::Arc;
+
+    let config = SystemConfig::paper_default();
+    let codebook = Arc::new(uniform_codebook(config.alphabet()).unwrap());
+    let mut encoder = Encoder::new(&config, Arc::clone(&codebook)).unwrap();
+    let mut decoder: Decoder<T> = Decoder::new(&config, codebook, policy).unwrap();
+    decoder.set_warm_start(warm_start);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut decoded = 0;
+    for window in samples.chunks_exact(config.packet_len()).take(packets) {
+        let wire = encoder.encode_packet(window).unwrap();
+        let out = decoder.decode_packet(&wire).unwrap();
+        mix(out.iterations as u64);
+        for &v in &out.samples {
+            // f32 → f64 is exact, so the widened bits identify the value.
+            mix(v.to_f64().to_bits());
+        }
+        decoded += 1;
+    }
+    assert_eq!(decoded, packets, "corpus shorter than the digest window");
+    hash
+}
+
+/// Golden digests of the production decode, committed *before* the
+/// operator-pair kernels were vectorised across outputs: the DWT levels
+/// and the Φ/Φᵀ gathers may be re-shaped freely, but every output must
+/// keep its floating-point operation order, so reconstructed bits and
+/// iteration counts may never move — on any host, whichever gather
+/// kernel its CPU selects.
+#[test]
+fn production_decode_matches_the_golden_digest() {
+    let db = SyntheticDatabase::new(DatabaseConfig {
+        num_records: 1,
+        duration_s: 34.0,
+        ..DatabaseConfig::default()
+    });
+    let record = db.record(0);
+    let adc = record.adc();
+    let samples: Vec<i16> = resample_360_to_256(&record.signal_mv(0))
+        .iter()
+        .map(|&v| adc.to_signed(adc.quantize(v)))
+        .collect();
+
+    let got = [
+        decode_digest::<f32>(&samples, SolverPolicy::default(), false, 16),
+        decode_digest::<f32>(&samples, SolverPolicy::block_prior(), true, 16),
+        decode_digest::<f64>(&samples, SolverPolicy::default(), false, 16),
+        decode_digest::<f64>(&samples, SolverPolicy::block_prior(), true, 16),
+    ];
+    let golden = [
+        0xc0f5_fc31_5180_6f3d_u64,
+        0x5da1_f020_0f29_976c,
+        0xa1c6_a0cf_f10d_355f,
+        0xe32e_8c24_c67f_30d0,
+    ];
+    assert_eq!(
+        got.map(|h| format!("{h:#018x}")),
+        golden.map(|h| format!("{h:#018x}")),
+        "decode digests [f32 cold, f32 block+warm, f64 cold, f64 block+warm]"
+    );
+}
+
+/// Bitwise equality, except that any NaN equals any NaN (an `inf − inf`
+/// has no portable payload).
+fn same_bits<T: cs_ecg_monitor::dsp::Real>(a: T, b: T) -> bool {
+    a.to_f64().to_bits() == b.to_f64().to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Seeded test vector with signed zeros and subnormals always present and
+/// infinities on request, among ordinary magnitudes.
+fn awkward_values<T: cs_ecg_monitor::dsp::Real>(len: usize, seed: u64, infinities: bool) -> Vec<T> {
+    let mut rng = MotePrng::new(seed);
+    (0..len)
+        .map(|_| match rng.next_u32() % 16 {
+            0 => T::ZERO,
+            1 => -T::ZERO,
+            2 => T::MIN_POSITIVE * T::HALF,
+            3 => -T::MIN_POSITIVE * T::from_f64(0.25),
+            4 if infinities => T::INFINITY,
+            5 if infinities => -T::INFINITY,
+            _ => T::from_f64(rng.next_gaussian() * 40.0),
+        })
+        .collect()
+}
+
+/// One analysis level, one output at a time, taps added in filter order:
+/// `a[k] = Σ_j lo[j]·x[(2k + j) mod m]` — the operation order every
+/// analysis kernel must reproduce per output.
+fn analysis_level_oracle<T: cs_ecg_monitor::dsp::Real>(x: &[T], lo: &[T], hi: &[T]) -> (Vec<T>, Vec<T>) {
+    let m = x.len();
+    (0..m / 2)
+        .map(|k| {
+            let (mut a, mut d) = (T::ZERO, T::ZERO);
+            for j in 0..lo.len() {
+                let xv = x[(2 * k + j) % m];
+                a += lo[j] * xv;
+                d += hi[j] * xv;
+            }
+            (a, d)
+        })
+        .unzip()
+}
+
+/// One synthesis level in polyphase form, one output pair at a time:
+/// `out[2t + φ] = Σ_p a[t−p]·lo[2p + φ] + d[t−p]·hi[2p + φ]`, taps added
+/// in order `p = 0, 1, …` — the per-output order of the synthesis kernel.
+fn synthesis_level_oracle<T: cs_ecg_monitor::dsp::Real>(approx: &[T], detail: &[T], lo: &[T], hi: &[T]) -> Vec<T> {
+    let half = approx.len();
+    let mut out = Vec::with_capacity(2 * half);
+    for t in 0..half {
+        for phase in 0..2 {
+            let mut acc = T::ZERO;
+            for p in 0..lo.len() / 2 {
+                let k = (t + half * lo.len() - p) % half;
+                acc += approx[k] * lo[2 * p + phase] + detail[k] * hi[2 * p + phase];
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+fn level_kernels_match_oracles<T: cs_ecg_monitor::dsp::Real>(
+    order: usize,
+    symlet: bool,
+    m: usize,
+    seed: u64,
+    infinities: bool,
+) -> Result<(), TestCaseError> {
+    use cs_ecg_monitor::dsp::wavelet::{dwt_single, idwt_single};
+
+    let wavelet = if symlet { Wavelet::symlet(order.max(2)) } else { Wavelet::daubechies(order) }.unwrap();
+    let lo: Vec<T> = wavelet.dec_lo().iter().map(|&v| T::from_f64(v)).collect();
+    let hi: Vec<T> = wavelet.dec_hi().iter().map(|&v| T::from_f64(v)).collect();
+    let m = m.max(lo.len());
+    let x = awkward_values::<T>(m, seed, infinities);
+
+    let (approx, detail) = dwt_single(&x, &wavelet);
+    let (approx_ref, detail_ref) = analysis_level_oracle(&x, &lo, &hi);
+    for k in 0..m / 2 {
+        prop_assert!(same_bits(approx[k], approx_ref[k]), "L={} m={} approx[{}]", lo.len(), m, k);
+        prop_assert!(same_bits(detail[k], detail_ref[k]), "L={} m={} detail[{}]", lo.len(), m, k);
+    }
+
+    let (a, d) = x.split_at(m / 2);
+    let back = idwt_single(a, d, &wavelet);
+    let back_ref = synthesis_level_oracle(a, d, &lo, &hi);
+    for i in 0..m {
+        prop_assert!(same_bits(back[i], back_ref[i]), "L={} m={} out[{}]", lo.len(), m, i);
+    }
+    Ok(())
+}
+
+/// `Σ src[idx]` exactly as every gather kernel must add it up per output:
+/// quads cycled over four accumulators, `(a0 + a1) + (a2 + a3)`, then the
+/// leftovers one by one.
+fn gather_sum_oracle<T: cs_ecg_monitor::dsp::Real>(src: &[T], idx: &[u32]) -> T {
+    let mut acc = [T::ZERO; 4];
+    let quads = idx.len() / 4 * 4;
+    for q in idx[..quads].chunks_exact(4) {
+        for (a, &i) in acc.iter_mut().zip(q) {
+            *a += src[i as usize];
+        }
+    }
+    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for &i in &idx[quads..] {
+        sum += src[i as usize];
+    }
+    sum
+}
+
+fn sparse_products_match_oracle<T: cs_ecg_monitor::dsp::Real>(
+    phi: &SparseBinarySensing,
+    seed: u64,
+    infinities: bool,
+) -> Result<(), TestCaseError> {
+    let (m, n) = (phi.rows(), phi.cols());
+    let scale = T::from_f64(phi.nonzero_value());
+    let x = awkward_values::<T>(n, seed, infinities);
+    let y = awkward_values::<T>(m, seed ^ 0x5bd1_e995, infinities);
+
+    // Row supports, transposed out of the public column view (columns are
+    // visited in order, so each row's list comes out ascending).
+    let mut rows = vec![Vec::new(); m];
+    for j in 0..n {
+        for &i in phi.column_support(j) {
+            rows[i as usize].push(j as u32);
+        }
+    }
+    let forward: Vec<T> = phi.apply(x.as_slice());
+    for (i, row) in rows.iter().enumerate() {
+        let expect = gather_sum_oracle(&x, row) * scale;
+        prop_assert!(same_bits(forward[i], expect), "row {} ({} ones): {} vs {}", i, row.len(), forward[i], expect);
+    }
+    let adjoint: Vec<T> = phi.adjoint(y.as_slice());
+    for (j, &got) in adjoint.iter().enumerate() {
+        let expect = gather_sum_oracle(&y, phi.column_support(j)) * scale;
+        prop_assert!(same_bits(got, expect), "column {}: {} vs {}", j, got, expect);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The across-output DWT level kernels (filter lengths 2–10) keep every
+    /// output's operation order: bitwise equal to the one-output-at-a-time
+    /// oracles at both precisions, for level sizes from `L` to 1024 —
+    /// mostly not multiples of 16 — on inputs with signed zeros,
+    /// subnormals and infinities.
+    #[test]
+    fn dwt_level_kernels_bitwise_match_per_output_oracles(
+        order in 1_usize..=5,
+        symlet in any::<bool>(),
+        half in 1_usize..=512,
+        seed in any::<u64>(),
+        infinities in any::<bool>(),
+    ) {
+        level_kernels_match_oracles::<f32>(order, symlet, 2 * half, seed, infinities)?;
+        level_kernels_match_oracles::<f64>(order, symlet, 2 * half, seed, infinities)?;
+    }
+
+    /// Φ and Φᵀ keep `gather_sum`'s order per output whichever kernel the
+    /// CPU selects (the blocked AVX2 gathers for `f32` where available,
+    /// the portable loops otherwise and for `f64`), across geometries that
+    /// straddle every blocking edge — `d mod 4 ≠ 0`, `n mod 8 ≠ 0`,
+    /// `m mod 8 ≠ 0`, empty rows — and the pair stays an exact transpose.
+    /// (`cs-sensing`'s own suite calls the AVX2 and the portable kernels
+    /// directly; they are not public.)
+    #[test]
+    fn sparse_gathers_bitwise_match_per_output_oracle(
+        seed in any::<u64>(),
+        m in 1_usize..150,
+        n_extra in 0_usize..150,
+        d_pick in 0_usize..6,
+        infinities in any::<bool>(),
+    ) {
+        let n = m + n_extra;
+        let d = [1, 2, 3, 7, 12, 13][d_pick].min(m);
+        let phi = SparseBinarySensing::new(m, n, d, seed).unwrap();
+        sparse_products_match_oracle::<f32>(&phi, seed, infinities)?;
+        sparse_products_match_oracle::<f64>(&phi, seed, infinities)?;
+
+        // ⟨Φx, y⟩ = ⟨x, Φᵀy⟩ on finite data, through the f32 kernels.
+        let mut rng = MotePrng::new(seed);
+        let x: Vec<f32> = (0..n).map(|_| rng.next_gaussian() as f32).collect();
+        let y: Vec<f32> = (0..m).map(|_| rng.next_gaussian() as f32).collect();
+        let ax: Vec<f32> = phi.apply(x.as_slice());
+        let aty: Vec<f32> = phi.adjoint(y.as_slice());
+        let lhs: f64 = ax.iter().zip(&y).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
+        let rhs: f64 = x.iter().zip(&aty).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
+        prop_assert!((lhs - rhs).abs() <= 1e-4 * (1.0 + lhs.abs()), "⟨Φx,y⟩={} vs ⟨x,Φᵀy⟩={}", lhs, rhs);
+    }
+}
