@@ -5,8 +5,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cs_dsp::wavelet::{Dwt, Wavelet};
 use cs_recovery::{
-    fista, fista_warm_batch_ws, fista_warm_ws, lambda_max, BatchWorkspace, DenseOperator,
-    FistaWorkspace, KernelMode, ShrinkageConfig, SynthesisOperator,
+    dot, fista, fista_tail, fista_warm_batch_ws, fista_warm_ws, lambda_max, squared_distance,
+    BatchWorkspace, DenseOperator, FistaWorkspace, KernelMode, ProxSpec, ShrinkageConfig,
+    SynthesisOperator,
 };
 use cs_sensing::{measurements_for_cr, Sensing, SparseBinarySensing};
 
@@ -151,5 +152,48 @@ fn bench_batched(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver, bench_batched);
+/// What surrounds the operator pair in one iteration, at the decoder's
+/// working size: the fused tail sweep (plain ℓ1 and the block prior's
+/// partition — 16 singletons, then groups of four) and the two reductions
+/// it replaced (`dot` is also the deflation projection, at M = 256).
+fn bench_iteration_tail(c: &mut Criterion) {
+    let coeffs: Vec<f32> = (0..N).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.7).collect();
+    let grad: Vec<f32> = (0..N).map(|i| ((i * 61 % 103) as f32 - 51.0) * 0.3).collect();
+    let mut groups = vec![1usize; 16];
+    groups.extend(std::iter::repeat_n(4, (N - 16) / 4));
+
+    let mut group = c.benchmark_group("fista_tail");
+    for (name, prox) in [("l1_512_f32", ProxSpec::L1), ("group_512_f32", ProxSpec::Group(&groups))] {
+        let (mut point, mut alpha, mut scratch) = (coeffs.clone(), coeffs.clone(), Vec::new());
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                // β = 0.5 and a step that keeps the iterates bounded: the
+                // sweep feeds on its own output like the solver's does.
+                fista_tail(
+                    black_box(&mut point),
+                    black_box(&grad),
+                    black_box(&mut alpha),
+                    0.01,
+                    0.5,
+                    prox,
+                    0.5,
+                    &mut scratch,
+                    KernelMode::Unrolled4,
+                )
+            })
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("reduce");
+    group.bench_function("dot_512_f32", |b| {
+        b.iter(|| dot(black_box(&coeffs), black_box(&grad), KernelMode::Unrolled4))
+    });
+    group.bench_function("step_norm_512_f32", |b| {
+        b.iter(|| squared_distance(black_box(&coeffs), black_box(&grad), KernelMode::Unrolled4))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_solver, bench_batched, bench_iteration_tail);
 criterion_main!(benches);

@@ -43,7 +43,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `unsafe` is confined to `wavelet::dispatch` (calling the AVX2
+// instantiation of the DWT level kernels after a runtime CPU check).
+#![deny(unsafe_code)]
 
 mod error;
 pub mod fir;

@@ -8,6 +8,10 @@
 //! * [`Dwt`] — a planned, matrix-free, exactly-orthonormal multi-level
 //!   transform with both analysis (`Ψᴴx`) and synthesis (`Ψα`) directions.
 
+// The wide instantiation of the DWT level kernels needs one `unsafe` call
+// per dispatch; it lives in `dispatch` and nowhere else.
+#[allow(unsafe_code)]
+mod dispatch;
 mod family;
 mod fixed_point;
 mod poly;

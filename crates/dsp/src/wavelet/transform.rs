@@ -12,6 +12,7 @@
 //! exactly orthonormal for any signal length divisible by `2^levels` whose
 //! per-level input stays at least one filter length long.
 
+use super::dispatch::{self, Isa};
 use super::family::Wavelet;
 use crate::error::DspError;
 use crate::real::Real;
@@ -47,6 +48,9 @@ pub struct Dwt<T: Real> {
     dec_hi: Vec<T>,
     n: usize,
     levels: usize,
+    /// Which instantiation of the level kernels this CPU runs, detected
+    /// once per plan.
+    isa: Isa,
 }
 
 impl<T: Real> Dwt<T> {
@@ -84,6 +88,7 @@ impl<T: Real> Dwt<T> {
             dec_hi: conv(wavelet.dec_hi()),
             n,
             levels,
+            isa: Isa::detect(),
         })
     }
 
@@ -141,16 +146,7 @@ impl<T: Real> Dwt<T> {
         assert_eq!(x.len(), self.n, "analyze_scratch: input length mismatch");
         assert_eq!(coeffs.len(), self.n, "analyze_scratch: output length mismatch");
         assert!(scratch.len() >= self.n, "analyze_scratch: scratch too short");
-        // The first level reads `x` itself; detail lands at its final
-        // position in `coeffs` and the approx half cascades back through
-        // `scratch`.
-        forward_level(x, coeffs, &self.dec_lo, &self.dec_hi);
-        let mut m = self.n;
-        for _ in 1..self.levels {
-            m /= 2;
-            scratch[..m].copy_from_slice(&coeffs[..m]);
-            forward_level(&scratch[..m], &mut coeffs[..m], &self.dec_lo, &self.dec_hi);
-        }
+        analyze_levels(self.isa, x, coeffs, scratch, &self.dec_lo, &self.dec_hi, self.levels);
     }
 
     /// Analysis transform `α = Ψᴴ x` into a caller-provided buffer.
@@ -186,25 +182,7 @@ impl<T: Real> Dwt<T> {
         assert_eq!(coeffs.len(), self.n, "synthesize_scratch: input length mismatch");
         assert_eq!(x.len(), self.n, "synthesize_scratch: output length mismatch");
         assert!(scratch.len() >= self.n, "synthesize_scratch: scratch too short");
-        let coarsest = self.n >> self.levels;
-        // The output buffer doubles as the cascade buffer: the growing
-        // approximation lives in `x[..m/2]` and each level expands it
-        // through `scratch` back into `x[..m]`.
-        x[..coarsest].copy_from_slice(&coeffs[..coarsest]);
-        let mut m = coarsest * 2;
-        while m <= self.n {
-            // The inverse of an orthonormal analysis step is its transpose,
-            // which scatters with the same (decomposition) filters.
-            inverse_level(
-                &x[..m / 2],
-                &coeffs[m / 2..m],
-                &mut scratch[..m],
-                &self.dec_lo,
-                &self.dec_hi,
-            );
-            x[..m].copy_from_slice(&scratch[..m]);
-            m *= 2;
-        }
+        synthesize_levels(self.isa, coeffs, x, scratch, &self.dec_lo, &self.dec_hi, self.levels);
     }
 
     /// Synthesis transform `x = Ψ α` into a caller-provided buffer. Because
@@ -245,23 +223,63 @@ const TILE: usize = 64;
 /// Longest filter with a fixed-length kernel.
 const MAX_FIXED_TAPS: usize = 10;
 
-/// One analysis level: `out[..m/2] = approx`, `out[m/2..] = detail`.
-///
-/// `a[k] = Σ_j lo[j] · x[(2k + j) mod m]`, and likewise with `hi` for the
-/// detail channel. The circular index keeps the transform square.
-fn forward_level<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
-    // Dispatch on the filter length so the tap loops run over a
-    // compile-time bound and unroll: the common Daubechies lengths take
-    // the across-output kernel, everything else the dynamic-length loop.
-    // Operation order per output is identical, so results are
-    // bitwise-equal to the fallback.
+/// Filter-length parameter selecting the dynamic-length level loops.
+const DYN: usize = 0;
+
+/// `levels` analysis levels of `x` into `coeffs` (pyramid order) — the
+/// body [`dispatch`] instantiates once per instruction set. The first
+/// level reads `x` itself; detail lands at its final position in `coeffs`
+/// and the approx half cascades back through `scratch` (at least
+/// `x.len() / 2` long when `levels > 1`). Each level runs the
+/// across-output kernel for filter length `L`, or the dynamic-length loop
+/// for `L = DYN`.
+#[inline(always)]
+pub(super) fn analyze_cascade<T: Real, const L: usize>(
+    x: &[T],
+    coeffs: &mut [T],
+    scratch: &mut [T],
+    lo: &[T],
+    hi: &[T],
+    levels: usize,
+) {
+    let mut m = x.len();
+    for depth in 0..levels {
+        let src: &[T] = if depth == 0 {
+            x
+        } else {
+            scratch[..m].copy_from_slice(&coeffs[..m]);
+            &scratch[..m]
+        };
+        if L == DYN {
+            forward_level_dyn(src, &mut coeffs[..m], lo, hi);
+        } else {
+            forward_level_fixed::<T, L>(src, &mut coeffs[..m], lo, hi);
+        }
+        m /= 2;
+    }
+}
+
+/// Analysis cascade for any filter: dispatches on the filter length so
+/// the tap loops run over a compile-time bound and unroll — the common
+/// Daubechies lengths take the across-output kernel (at the width the CPU
+/// offers), everything else the dynamic-length loop. Operation order per
+/// output is identical, so results are bitwise-equal to the fallback.
+fn analyze_levels<T: Real>(
+    isa: Isa,
+    x: &[T],
+    coeffs: &mut [T],
+    scratch: &mut [T],
+    lo: &[T],
+    hi: &[T],
+    levels: usize,
+) {
     match lo.len() {
-        2 => forward_level_fixed::<T, 2>(x, out, lo, hi),
-        4 => forward_level_fixed::<T, 4>(x, out, lo, hi),
-        6 => forward_level_fixed::<T, 6>(x, out, lo, hi),
-        8 => forward_level_fixed::<T, 8>(x, out, lo, hi),
-        10 => forward_level_fixed::<T, 10>(x, out, lo, hi),
-        _ => forward_level_dyn(x, out, lo, hi),
+        2 => dispatch::analyze::<T, 2>(isa, x, coeffs, scratch, lo, hi, levels),
+        4 => dispatch::analyze::<T, 4>(isa, x, coeffs, scratch, lo, hi, levels),
+        6 => dispatch::analyze::<T, 6>(isa, x, coeffs, scratch, lo, hi, levels),
+        8 => dispatch::analyze::<T, 8>(isa, x, coeffs, scratch, lo, hi, levels),
+        10 => dispatch::analyze::<T, 10>(isa, x, coeffs, scratch, lo, hi, levels),
+        _ => analyze_cascade::<T, DYN>(x, coeffs, scratch, lo, hi, levels),
     }
 }
 
@@ -275,7 +293,7 @@ fn forward_level<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
 /// order `j = 0..L` (the leading `0 +` keeps signed zeros identical to
 /// the scalar form). Only the trailing `L/2 − 1` outputs, whose window
 /// wraps around the period, take the scalar form.
-#[inline]
+#[inline(always)]
 fn forward_level_fixed<T: Real, const L: usize>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
     let m = x.len();
     debug_assert!(m.is_multiple_of(2));
@@ -366,19 +384,59 @@ fn forward_level_dyn<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
     }
 }
 
-/// One synthesis level — the exact transpose of [`forward_level`]:
-/// `x[(2k + j) mod m] += a[k]·lo[j] + d[k]·hi[j]`.
-fn inverse_level<T: Real>(approx: &[T], detail: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
-    // Even-length filters (every Daubechies family member) take the
-    // polyphase gather path with a compile-time tap count; anything else
-    // falls back to the direct scatter form.
+/// `levels` synthesis levels of `coeffs` (pyramid order) into `x` — the
+/// body [`dispatch`] instantiates once per instruction set. The output
+/// buffer doubles as the cascade buffer: the growing approximation lives
+/// in `x[..m/2]` and each level expands it through `scratch` (at least
+/// `x.len()` long) back into `x[..m]`. Each level is the exact transpose
+/// of an analysis level, `out[(2k + j) mod m] += a[k]·lo[j] + d[k]·hi[j]`
+/// with the same (decomposition) filters: the polyphase kernel with `P`
+/// taps per output phase, or the direct scatter form for `P = DYN`.
+#[inline(always)]
+pub(super) fn synthesize_cascade<T: Real, const P: usize>(
+    coeffs: &[T],
+    x: &mut [T],
+    scratch: &mut [T],
+    lo: &[T],
+    hi: &[T],
+    levels: usize,
+) {
+    let n = x.len();
+    let coarsest = n >> levels;
+    x[..coarsest].copy_from_slice(&coeffs[..coarsest]);
+    let mut m = coarsest * 2;
+    while m <= n {
+        let (approx, detail, out) = (&x[..m / 2], &coeffs[m / 2..m], &mut scratch[..m]);
+        if P == DYN {
+            inverse_level_dyn(approx, detail, out, lo, hi);
+        } else {
+            inverse_level_fixed::<T, P>(approx, detail, out, lo, hi);
+        }
+        x[..m].copy_from_slice(&scratch[..m]);
+        m *= 2;
+    }
+}
+
+/// Synthesis cascade for any filter: even lengths up to 10 (every
+/// Daubechies family member we plan) take the polyphase gather kernel with
+/// a compile-time tap count, at the width the CPU offers; anything else
+/// falls back to the direct scatter form.
+fn synthesize_levels<T: Real>(
+    isa: Isa,
+    coeffs: &[T],
+    x: &mut [T],
+    scratch: &mut [T],
+    lo: &[T],
+    hi: &[T],
+    levels: usize,
+) {
     match lo.len() {
-        2 => inverse_level_fixed::<T, 1>(approx, detail, out, lo, hi),
-        4 => inverse_level_fixed::<T, 2>(approx, detail, out, lo, hi),
-        6 => inverse_level_fixed::<T, 3>(approx, detail, out, lo, hi),
-        8 => inverse_level_fixed::<T, 4>(approx, detail, out, lo, hi),
-        10 => inverse_level_fixed::<T, 5>(approx, detail, out, lo, hi),
-        _ => inverse_level_dyn(approx, detail, out, lo, hi),
+        2 => dispatch::synthesize::<T, 1>(isa, coeffs, x, scratch, lo, hi, levels),
+        4 => dispatch::synthesize::<T, 2>(isa, coeffs, x, scratch, lo, hi, levels),
+        6 => dispatch::synthesize::<T, 3>(isa, coeffs, x, scratch, lo, hi, levels),
+        8 => dispatch::synthesize::<T, 4>(isa, coeffs, x, scratch, lo, hi, levels),
+        10 => dispatch::synthesize::<T, 5>(isa, coeffs, x, scratch, lo, hi, levels),
+        _ => synthesize_cascade::<T, DYN>(coeffs, x, scratch, lo, hi, levels),
     }
 }
 
@@ -398,7 +456,7 @@ fn inverse_level<T: Real>(approx: &[T], detail: &[T], out: &mut [T], lo: &[T], h
 /// output adds its taps in order `p = 0..P` exactly as
 /// [`synthesis_pair`] does. Only the first `P − 1` pairs, whose `t − p`
 /// wraps around the period, take the scalar form.
-#[inline]
+#[inline(always)]
 fn inverse_level_fixed<T: Real, const P: usize>(
     approx: &[T],
     detail: &[T],
@@ -454,7 +512,7 @@ fn inverse_level_fixed<T: Real, const P: usize>(
 /// Output pair `t` of a synthesis level, one tap at a time — the form
 /// the across-output kernel reproduces lane by lane, used directly where
 /// `t − p` wraps around the period.
-#[inline]
+#[inline(always)]
 fn synthesis_pair<T: Real, const P: usize>(
     approx: &[T],
     detail: &[T],
@@ -525,7 +583,7 @@ pub fn dwt_single<T: Real>(x: &[T], wavelet: &Wavelet) -> (Vec<T>, Vec<T>) {
     let lo: Vec<T> = wavelet.dec_lo().iter().map(|&v| T::from_f64(v)).collect();
     let hi: Vec<T> = wavelet.dec_hi().iter().map(|&v| T::from_f64(v)).collect();
     let mut out = vec![T::ZERO; m];
-    forward_level(x, &mut out, &lo, &hi);
+    analyze_levels(Isa::detect(), x, &mut out, &mut [], &lo, &hi, 1);
     let detail = out.split_off(m / 2);
     (out, detail)
 }
@@ -540,13 +598,15 @@ pub fn idwt_single<T: Real>(approx: &[T], detail: &[T], wavelet: &Wavelet) -> Ve
     assert!(!approx.is_empty(), "idwt_single: empty input");
     let lo: Vec<T> = wavelet.dec_lo().iter().map(|&v| T::from_f64(v)).collect();
     let hi: Vec<T> = wavelet.dec_hi().iter().map(|&v| T::from_f64(v)).collect();
-    let mut out = vec![T::ZERO; approx.len() * 2];
-    inverse_level(approx, detail, &mut out, &lo, &hi);
+    let coeffs = [approx, detail].concat();
+    let mut out = vec![T::ZERO; coeffs.len()];
+    let mut scratch = vec![T::ZERO; coeffs.len()];
+    synthesize_levels(Isa::detect(), &coeffs, &mut out, &mut scratch, &lo, &hi, 1);
     out
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::real::l2_norm;
     use proptest::prelude::*;
@@ -690,7 +750,7 @@ mod tests {
 
     /// Deterministic test data with the awkward values mixed in: signed
     /// zeros, a subnormal and an infinity among ordinary magnitudes.
-    fn awkward<T: Real>(len: usize, salt: usize) -> Vec<T> {
+    pub(in crate::wavelet) fn awkward<T: Real>(len: usize, salt: usize) -> Vec<T> {
         (0..len)
             .map(|i| match (i * 7 + salt) % 23 {
                 0 => T::ZERO,
@@ -702,7 +762,7 @@ mod tests {
             .collect()
     }
 
-    fn same_bits<T: Real>(a: &[T], b: &[T]) -> bool {
+    pub(in crate::wavelet) fn same_bits<T: Real>(a: &[T], b: &[T]) -> bool {
         a.len() == b.len()
             && a.iter().zip(b).all(|(u, v)| {
                 u.to_f64().to_bits() == v.to_f64().to_bits() || (u.is_nan() && v.is_nan())
@@ -724,12 +784,14 @@ mod tests {
                     let x = awkward::<T>(m, salt);
                     let mut fast = vec![T::ONE; m];
                     let mut slow = vec![T::ONE; m];
-                    forward_level(&x, &mut fast, &lo, &hi);
+                    let mut scratch = vec![T::ONE; m];
+                    let isa = Isa::detect();
+                    analyze_levels(isa, &x, &mut fast, &mut scratch, &lo, &hi, 1);
                     forward_level_dyn(&x, &mut slow, &lo, &hi);
                     assert!(same_bits(&fast, &slow), "analysis L={l} m={m} salt={salt}");
 
                     let (approx, detail) = x.split_at(m / 2);
-                    inverse_level(approx, detail, &mut fast, &lo, &hi);
+                    synthesize_levels(isa, &x, &mut fast, &mut scratch, &lo, &hi, 1);
                     // Same sum per output, but the scatter form adds the
                     // taps in the opposite order: equal only to rounding.
                     inverse_level_dyn(approx, detail, &mut slow, &lo, &hi);

@@ -368,7 +368,9 @@ impl<'a, T: Real, A: LinearOperator<T>> DeflatedOperator<'a, T, A> {
         if self.u.is_empty() {
             return;
         }
-        let proj: T = z.iter().zip(self.u.iter()).map(|(&a, &b)| a * b).sum();
+        // Twice per solver iteration, so the lane-parallel reduction
+        // whatever kernel mode the solver itself runs in.
+        let proj = dot(z, &self.u, KernelMode::Unrolled4);
         let gain = (self.c - T::ONE) * proj;
         for (zi, &ui) in z.iter_mut().zip(self.u.iter()) {
             *zi += gain * ui;

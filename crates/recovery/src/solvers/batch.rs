@@ -8,7 +8,8 @@
 //! * block apply/adjoint kernels compute each lane's output with the same
 //!   per-element reductions as the scalar paths (only the (row, lane)
 //!   visiting order changes, and no reduction crosses lanes);
-//! * the elementwise residual/gradient/threshold/momentum updates run on
+//! * the residual update and the iteration tail (gradient step, prox, stop
+//!   norms, restart product, momentum — one [`fista_tail`] sweep) run on
 //!   lane-contiguous slices with the same shared kernels;
 //! * the momentum scalars `t_k`/`β_k` are data-independent, so one global
 //!   sequence serves all lanes regardless of when each converges.
@@ -20,13 +21,10 @@
 //! therefore match the sequential solver bit-for-bit; the equivalence
 //! suite in `tests/numerical_equivalence.rs` pins this.
 
-use crate::kernels::{
-    group_soft_threshold, momentum_combine, soft_threshold, soft_threshold_weighted,
-    squared_distance,
-};
+use crate::kernels::{fista_tail, ProxSpec};
 use crate::lipschitz::lipschitz_constant;
 use crate::operator::LinearOperator;
-use crate::solvers::shrinkage::{gradient_restart, ShrinkageConfig};
+use crate::solvers::shrinkage::{next_momentum, ShrinkageConfig};
 use crate::workspace::BatchWorkspace;
 use cs_dsp::{l2_norm, Real};
 use cs_telemetry::{Stage, TelemetryRegistry};
@@ -34,7 +32,9 @@ use std::time::Instant;
 
 /// Per-tile iterate-block budget for the batched solver's cache-aware
 /// tiling: the number of lanes solved together is chosen so that one
-/// tile's hot per-lane buffers (α, α_prev, point, grad, y, residual) fit
+/// tile's hot per-lane buffers (α, point, grad, y, residual — sized as
+/// `4·N + 2·M` elements, the formula the budget was tuned with when a
+/// second α block was still among them) fit
 /// in roughly this many bytes, leaving the operator's index stream and
 /// the transform scratch to stream through the outer cache levels. The
 /// budget is tuned empirically (an A/B sweep on the dev host put 4-lane
@@ -177,11 +177,6 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
     // Size the iteration blocks (no-op once the workspace has seen this
     // width and geometry — the zero-alloc suite pins it).
     ws.reserve(m, n, k);
-    if let BatchPenalty::Group(sizes) = penalty {
-        if ws.group_norms.len() < sizes.len() {
-            ws.group_norms.resize(sizes.len(), T::ZERO);
-        }
-    }
 
     let l = lipschitz.unwrap_or_else(|| lipschitz_constant(op, 60));
     if l == T::ZERO {
@@ -198,6 +193,8 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
         return;
     }
     let inv_l = T::ONE / l;
+    // grad = 2·Aᴴ·residual; the 2 folds into the step, as sequentially.
+    let step = T::TWO * inv_l;
     for (lane, config) in configs.iter().enumerate() {
         let s = ws.slot_of_lane[lane];
         ws.threshold[lane] = config.lambda * inv_l;
@@ -205,9 +202,8 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
             config.residual_tolerance * l2_norm(&ws.y[s * m..(s + 1) * m]);
     }
 
-    // Seed: α from staging (warm or zeros), extrapolation point = α,
-    // α_prev = 0 — the sequential solver's exact starting state per lane.
-    ws.alpha_prev[..k * n].fill(T::ZERO);
+    // Seed: α from staging (warm or zeros), extrapolation point = α — the
+    // sequential solver's exact starting state per lane.
     ws.point[..k * n].copy_from_slice(&ws.alpha[..k * n]);
 
     // Cache-aware tiling: lanes are independent (the momentum scalars are
@@ -253,87 +249,55 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
             {
                 *r -= yi;
             }
-            // grad = 2·Aᴴ·residual; fold the 2 into the step, as sequentially.
             op.adjoint_block_into_ws(
                 &ws.residual[lo_m..lo_m + wm],
                 active,
                 &mut ws.grad[lo_n..lo_n + wn],
                 &mut ws.op_ws,
             );
-            for (p, &g) in ws.point[lo_n..lo_n + wn]
-                .iter_mut()
-                .zip(&ws.grad[lo_n..lo_n + wn])
-            {
-                *p -= T::TWO * inv_l * g;
-            }
-            // Pointer-swap α and α_prev exactly like the sequential solver
-            // — copying would add ~4 KB of traffic per lane-iteration, the
-            // dominant batch-only overhead at fleet geometry. The price is
-            // that slots outside the tile's active prefix (frozen lanes,
-            // other tiles) have their contents ping-pong between the two
-            // blocks; the per-tile epilogue below restores orientation and
-            // copies frozen finals home once, instead of per iteration.
-            std::mem::swap(&mut ws.alpha, &mut ws.alpha_prev);
-            for s in tile_start..tile_start + active {
-                let lane = ws.lane_of_slot[s];
-                let mode = configs[lane].kernel;
-                let threshold = ws.threshold[lane];
-                match penalty {
-                    BatchPenalty::L1 => soft_threshold(
-                        &ws.point[s * n..(s + 1) * n],
-                        threshold,
-                        &mut ws.alpha[s * n..(s + 1) * n],
-                        mode,
-                    ),
-                    BatchPenalty::Shared(w) => soft_threshold_weighted(
-                        &ws.point[s * n..(s + 1) * n],
-                        threshold,
-                        w,
-                        &mut ws.alpha[s * n..(s + 1) * n],
-                        mode,
-                    ),
-                    BatchPenalty::PerLane(w) => soft_threshold_weighted(
-                        &ws.point[s * n..(s + 1) * n],
-                        threshold,
-                        &w[lane * n..(lane + 1) * n],
-                        &mut ws.alpha[s * n..(s + 1) * n],
-                        mode,
-                    ),
-                    BatchPenalty::Group(sizes) => group_soft_threshold(
-                        &ws.point[s * n..(s + 1) * n],
-                        threshold,
-                        sizes,
-                        &mut ws.group_norms,
-                        &mut ws.alpha[s * n..(s + 1) * n],
-                        mode,
-                    ),
-                }
-            }
 
-            // Per-lane stopping checks, in the sequential order (step size
-            // first, then the optional residual target).
+            // Per lane, in the sequential order: the tail sweep (momentum
+            // included — the sequential loop extrapolates before its
+            // `break`, so lanes about to freeze do too), the restart
+            // fix-up on the lane's own momentum scalar, then the stopping
+            // checks (step size first, then the optional residual target).
             for s in tile_start..tile_start + active {
                 let lane = ws.lane_of_slot[s];
                 let config = &configs[lane];
-                ws.iterations[lane] = iter;
-                let mut converged = false;
-                if config.tolerance > T::ZERO {
-                    let step = squared_distance(
-                        &ws.alpha[s * n..(s + 1) * n],
-                        &ws.alpha_prev[s * n..(s + 1) * n],
-                        config.kernel,
-                    )
-                    .sqrt();
-                    let scale = l2_norm(&ws.alpha[s * n..(s + 1) * n]).max(T::ONE);
-                    if step <= config.tolerance * scale {
-                        converged = true;
-                    }
+                let lane_n = s * n..(s + 1) * n;
+                let prox = match penalty {
+                    BatchPenalty::L1 => ProxSpec::L1,
+                    BatchPenalty::Shared(w) => ProxSpec::WeightedL1(w),
+                    BatchPenalty::PerLane(w) => ProxSpec::WeightedL1(&w[lane * n..(lane + 1) * n]),
+                    BatchPenalty::Group(sizes) => ProxSpec::Group(sizes),
+                };
+                let t = ws.momentum[lane];
+                let t_next = next_momentum(t);
+                let sums = fista_tail(
+                    &mut ws.point[lane_n.clone()],
+                    &ws.grad[lane_n.clone()],
+                    &mut ws.alpha[lane_n.clone()],
+                    step,
+                    ws.threshold[lane],
+                    prox,
+                    (t - T::ONE) / t_next,
+                    &mut ws.tail_scratch,
+                    config.kernel,
+                );
+                let restarted = adaptive_restart && sums.restart > T::ZERO;
+                if restarted {
+                    ws.point[lane_n.clone()].copy_from_slice(&ws.alpha[lane_n.clone()]);
                 }
+                ws.momentum[lane] = if restarted { next_momentum(T::ONE) } else { t_next };
+
+                ws.iterations[lane] = iter;
+                let mut converged = config.tolerance > T::ZERO
+                    && sums.step_sq.sqrt() <= config.tolerance * sums.norm_sq.sqrt().max(T::ONE);
                 if !converged && config.residual_tolerance > T::ZERO {
                     // The residual block slot is free scratch here: it is
                     // recomputed from scratch next iteration (and below).
                     op.apply_into_ws(
-                        &ws.alpha[s * n..(s + 1) * n],
+                        &ws.alpha[lane_n],
                         &mut ws.residual[s * m..(s + 1) * m],
                         &mut ws.op_ws,
                     );
@@ -343,45 +307,10 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
                     {
                         *r -= yi;
                     }
-                    if l2_norm(&ws.residual[s * m..(s + 1) * m]) <= ws.residual_target[lane] {
-                        converged = true;
-                    }
+                    converged = l2_norm(&ws.residual[s * m..(s + 1) * m]) <= ws.residual_target[lane];
                 }
                 ws.converged[lane] = converged;
                 ws.freeze[s] = converged || iter >= config.max_iterations;
-            }
-
-            // Momentum over every lane active this iteration — including
-            // ones about to freeze: the sequential loop runs Eq. (5)–(6)
-            // before its `break`. The adaptive-restart test runs on each
-            // lane's own slices, in the same spot as the sequential loop
-            // (after the prox, before the extrapolation), so per-lane
-            // momentum evolves identically to the lane's private solve.
-            for s in tile_start..tile_start + active {
-                let lane = ws.lane_of_slot[s];
-                let mode = configs[lane].kernel;
-                if adaptive_restart
-                    && gradient_restart(
-                        &ws.point[s * n..(s + 1) * n],
-                        &ws.grad[s * n..(s + 1) * n],
-                        &ws.alpha[s * n..(s + 1) * n],
-                        &ws.alpha_prev[s * n..(s + 1) * n],
-                        inv_l,
-                    )
-                {
-                    ws.momentum[lane] = T::ONE;
-                }
-                let t = ws.momentum[lane];
-                let t_next = (T::ONE + (T::ONE + T::from_f64(4.0) * t * t).sqrt()) * T::HALF;
-                let beta = (t - T::ONE) / t_next;
-                momentum_combine(
-                    &ws.alpha[s * n..(s + 1) * n],
-                    &ws.alpha_prev[s * n..(s + 1) * n],
-                    beta,
-                    &mut ws.point[s * n..(s + 1) * n],
-                    mode,
-                );
-                ws.momentum[lane] = t_next;
             }
 
             // Compact: swap each freezing lane's slices to the back of the
@@ -399,29 +328,6 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
                 } else {
                     s += 1;
                 }
-            }
-        }
-
-        // Tile epilogue. First restore block orientation: the tile's loop
-        // swapped α/α_prev `iter` times; an odd count leaves every slot
-        // *outside* this tile (earlier tiles' finals, later tiles' staged
-        // seeds and zeroed α_prev) in the wrong block, so undo it with one
-        // more pointer swap.
-        let restore = iter % 2 == 1;
-        if restore {
-            std::mem::swap(&mut ws.alpha, &mut ws.alpha_prev);
-        }
-        // Then copy frozen finals home: a lane frozen at iteration f wrote
-        // its final α into the block that was `alpha` *then*; it sits in
-        // `alpha_prev` now iff the swap count since — (iter − f), plus the
-        // restore swap — is odd. (Values are untouched either way: frozen
-        // slots are outside every active-prefix loop.)
-        for s in tile_start..tile_start + tile_len {
-            let lane = ws.lane_of_slot[s];
-            let swaps_since = (iter - ws.iterations[lane]) + usize::from(restore);
-            if swaps_since % 2 == 1 {
-                ws.alpha[s * n..(s + 1) * n]
-                    .copy_from_slice(&ws.alpha_prev[s * n..(s + 1) * n]);
             }
         }
 
@@ -480,7 +386,6 @@ pub fn fista_prior_batch_ws_observed<T: Real, A: LinearOperator<T>>(
 fn swap_slots<T: Real>(ws: &mut BatchWorkspace<T>, a: usize, b: usize, m: usize, n: usize) {
     debug_assert!(a < b);
     swap_block(&mut ws.alpha, a, b, n);
-    swap_block(&mut ws.alpha_prev, a, b, n);
     swap_block(&mut ws.point, a, b, n);
     swap_block(&mut ws.y, a, b, m);
     let (lane_a, lane_b) = (ws.lane_of_slot[a], ws.lane_of_slot[b]);

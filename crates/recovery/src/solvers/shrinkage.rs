@@ -12,10 +12,8 @@
 //! momentum sequence `t_k` and converges as `O(1/k²)`. The implementation
 //! follows the paper's constant-step-size variant verbatim.
 
-use crate::kernels::{
-    group_soft_threshold, momentum_combine, soft_threshold, soft_threshold_weighted,
-    squared_distance, KernelMode,
-};
+pub use crate::kernels::ProxSpec;
+use crate::kernels::{fista_tail, momentum_combine, soft_threshold, squared_distance, KernelMode};
 use crate::lipschitz::lipschitz_constant;
 use crate::operator::LinearOperator;
 use crate::workspace::{FistaWorkspace, Workspace};
@@ -79,27 +77,6 @@ pub struct SolverResult<T: Real> {
     pub residual_norm: T,
 }
 
-/// Which proximal operator a prior-driven solve applies each iteration —
-/// the penalty side of Eq. (3), generalized.
-///
-/// `L1` is the paper's plain soft threshold. `WeightedL1` carries
-/// per-coefficient weights (support priors, subband exemptions).
-/// `Group` carries a contiguous partition of the coefficient vector and
-/// applies the group-ℓ1 prox of [`group_soft_threshold`] — size-1 groups
-/// degrade bit-exactly to the plain soft threshold, so an all-singleton
-/// partition reproduces `L1` to the bit.
-#[derive(Debug, Clone, Copy)]
-pub enum ProxSpec<'a, T: Real> {
-    /// Plain ℓ1: `λ‖α‖₁`.
-    L1,
-    /// Weighted ℓ1: `λ·Σ wᵢ|αᵢ|` (weights must be non-negative, length
-    /// `op.cols()`).
-    WeightedL1(&'a [T]),
-    /// Group ℓ1 over contiguous groups: `λ·Σ_g √|g|·‖α_g‖₂` (sizes must
-    /// tile `op.cols()` exactly).
-    Group(&'a [usize]),
-}
-
 fn validate_prox<T: Real>(cols: usize, prox: &ProxSpec<'_, T>) {
     match prox {
         ProxSpec::L1 => {}
@@ -117,25 +94,11 @@ fn validate_prox<T: Real>(cols: usize, prox: &ProxSpec<'_, T>) {
     }
 }
 
-/// O'Donoghue–Candès gradient restart test, evaluated after the in-place
-/// gradient step (`point` already holds `y_k − (2/L)·grad`): restart when
-/// `⟨y_k − α_{k+1}, α_{k+1} − α_k⟩ > 0`, i.e. when momentum points
-/// against the descent direction. Shared by the sequential and batched
-/// loops so a restarting batch lane matches its sequential solve bitwise.
+/// Eq. (5): the next term of FISTA's momentum sequence,
+/// `t_{k+1} = (1 + √(1 + 4·t_k²)) / 2`.
 #[inline]
-pub(crate) fn gradient_restart<T: Real>(
-    point: &[T],
-    grad: &[T],
-    alpha: &[T],
-    alpha_prev: &[T],
-    inv_l: T,
-) -> bool {
-    let c = T::TWO * inv_l;
-    let mut s = T::ZERO;
-    for ((&p, &g), (&a, &ap)) in point.iter().zip(grad).zip(alpha.iter().zip(alpha_prev)) {
-        s += (p + c * g - a) * (a - ap);
-    }
-    s > T::ZERO
+pub(crate) fn next_momentum<T: Real>(t: T) -> T {
+    (T::ONE + (T::ONE + T::from_f64(4.0) * t * t).sqrt()) * T::HALF
 }
 
 /// The largest useful λ: for `λ ≥ λ_max = ‖2Aᴴy‖∞` the zero vector is
@@ -378,12 +341,9 @@ pub fn fista_weighted_warm<T: Real, A: LinearOperator<T>>(
     weights: &[T],
     warm_start: Option<&[T]>,
 ) -> SolverResult<T> {
-    assert_eq!(weights.len(), op.cols(), "fista_weighted: weight length mismatch");
-    assert!(
-        weights.iter().all(|&w| w >= T::ZERO),
-        "fista_weighted: negative weight"
-    );
-    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::WeightedL1(weights), warm_start, None)
+    let prox = ProxSpec::WeightedL1(weights);
+    validate_prox(op.cols(), &prox);
+    shrinkage_loop(op, y, config, lipschitz, true, false, prox, warm_start, None)
 }
 
 /// [`fista_weighted_warm`] drawing every solve buffer from a caller-owned
@@ -401,12 +361,9 @@ pub fn fista_weighted_warm_ws<T: Real, A: LinearOperator<T>>(
     warm_start: Option<&[T]>,
     ws: &mut FistaWorkspace<T>,
 ) -> SolverResult<T> {
-    assert_eq!(weights.len(), op.cols(), "fista_weighted: weight length mismatch");
-    assert!(
-        weights.iter().all(|&w| w >= T::ZERO),
-        "fista_weighted: negative weight"
-    );
-    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::WeightedL1(weights), warm_start, Some(ws))
+    let prox = ProxSpec::WeightedL1(weights);
+    validate_prox(op.cols(), &prox);
+    shrinkage_loop(op, y, config, lipschitz, true, false, prox, warm_start, Some(ws))
 }
 
 /// [`fista_weighted_warm_ws`] timed into a telemetry registry; see
@@ -620,7 +577,7 @@ pub fn fista_backtracking<T: Real, A: LinearOperator<T>>(
             }
         }
 
-        let t_next = (T::ONE + (T::ONE + T::from_f64(4.0) * t * t).sqrt()) * T::HALF;
+        let t_next = next_momentum(t);
         let beta = (t - T::ONE) / t_next;
         momentum_combine(&alpha, &alpha_prev, beta, &mut point, mode);
         t = t_next;
@@ -677,8 +634,9 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
         };
     }
     let inv_l = T::ONE / l;
+    // grad = 2·Aᴴ·residual; the 2 is folded into the step: point − (2/L)·Aᴴr.
+    let step = T::TWO * inv_l;
     let threshold = config.lambda * inv_l;
-    let mode = config.kernel;
     let residual_target = config.residual_tolerance * l2_norm(y);
 
     let n = op.cols();
@@ -697,31 +655,26 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     };
     // The iteration buffers are taken out of the workspace so it can still
     // be lent to the operator inside the loop; all but the solution go
-    // back at the end. `clear` + `resize` preserves capacity, so a warmed
-    // workspace allocates nothing here.
+    // back at the end. `resize` preserves capacity, so a warmed workspace
+    // allocates nothing here — and writes nothing either: every buffer is
+    // fully overwritten before it is read.
     let take = |buf: &mut Vec<T>, len: usize| {
         let mut v = std::mem::take(buf);
-        v.clear();
         v.resize(len, T::ZERO);
         v
     };
     // Seed iterate and extrapolation point at the warm start (momentum
     // restarts at t₁ = 1 — FISTA's convergence bound holds from any
     // starting point, so this is safe and only the iteration count moves).
-    let mut alpha = take(&mut ws.alpha, n); // α_{k}
-    if let Some(w) = warm_start {
-        alpha.copy_from_slice(w);
+    let mut alpha = take(&mut ws.alpha, n); // α_k
+    match warm_start {
+        Some(w) => alpha.copy_from_slice(w),
+        None => alpha.fill(T::ZERO),
     }
-    let mut alpha_prev = take(&mut ws.alpha_prev, n); // α_{k-1}
     let mut point = take(&mut ws.point, n); // y_k (extrapolation point)
     point.copy_from_slice(&alpha);
     let mut grad_point = take(&mut ws.grad, n);
     let mut residual = take(&mut ws.residual, m);
-    let group_count = match prox {
-        ProxSpec::Group(sizes) => sizes.len(),
-        _ => 0,
-    };
-    let mut group_norms = take(&mut ws.group_norms, group_count);
     let mut t = T::ONE;
     let mut iterations = 0;
     let mut converged = false;
@@ -734,23 +687,37 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
         for (r, &yi) in residual.iter_mut().zip(y) {
             *r -= yi;
         }
-        // grad = 2·Aᴴ·residual; fold the 2 into the step: point − grad/L.
         op.adjoint_into_ws(&residual, &mut grad_point, &mut ws.op_ws);
-        for (p, &g) in point.iter_mut().zip(&grad_point) {
-            *p -= T::TWO * inv_l * g;
+        // Eq. (5)–(6): t_{k+1} does not depend on data, so the momentum
+        // weight is known before the sweep that applies it.
+        let t_next = next_momentum(t);
+        let beta = if accelerate { (t - T::ONE) / t_next } else { T::ZERO };
+        // α_{k+1} = prox (Eq. 4) of the gradient step — soft threshold at
+        // λ/L, optionally weighted per coefficient or grouped over a
+        // wavelet-tree partition — the stop test's norms and the
+        // extrapolation, in one sweep.
+        let sums = fista_tail(
+            &mut point,
+            &grad_point,
+            &mut alpha,
+            step,
+            threshold,
+            prox,
+            beta,
+            &mut ws.tail_scratch,
+            config.kernel,
+        );
+        // Adaptive restart keeps the weighted/group solves inside FISTA's
+        // convergence guarantees: when momentum points against the descent
+        // direction the sequence drops back to t₁ = 1, killing the
+        // oscillation a warm-started solve otherwise rides near the optimum
+        // (O'Donoghue & Candès 2015). The sweep extrapolated optimistically;
+        // a restart (β = 0, like plain ISTA) takes it back: y_{k+1} = α_{k+1}.
+        let restarted = accelerate && restart && sums.restart > T::ZERO;
+        if restarted || !accelerate {
+            point.copy_from_slice(&alpha);
         }
-        // α_k = prox (Eq. 4): soft threshold at λ/L (optionally weighted
-        // per coefficient, or grouped over a wavelet-tree partition).
-        std::mem::swap(&mut alpha_prev, &mut alpha);
-        match prox {
-            ProxSpec::L1 => soft_threshold(&point, threshold, &mut alpha, mode),
-            ProxSpec::WeightedL1(w) => {
-                soft_threshold_weighted(&point, threshold, w, &mut alpha, mode)
-            }
-            ProxSpec::Group(sizes) => {
-                group_soft_threshold(&point, threshold, sizes, &mut group_norms, &mut alpha, mode)
-            }
-        }
+        t = if restarted { next_momentum(T::ONE) } else { t_next };
 
         if config.record_objective {
             let r = op.apply(&alpha);
@@ -764,12 +731,10 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
         }
 
         // Stopping: relative step size.
-        if config.tolerance > T::ZERO {
-            let step = squared_distance(&alpha, &alpha_prev, mode).sqrt();
-            let scale = l2_norm(&alpha).max(T::ONE);
-            if step <= config.tolerance * scale {
-                converged = true;
-            }
+        if config.tolerance > T::ZERO
+            && sums.step_sq.sqrt() <= config.tolerance * sums.norm_sq.sqrt().max(T::ONE)
+        {
+            converged = true;
         }
         // Stopping: residual target (the paper's Eq. 2 criterion).
         if !converged && config.residual_tolerance > T::ZERO {
@@ -781,25 +746,6 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
                 converged = true;
             }
         }
-
-        if accelerate {
-            // Adaptive restart keeps the weighted/group solves inside
-            // FISTA's convergence guarantees: on the restart condition the
-            // momentum sequence drops back to t₁ = 1, killing the
-            // oscillation a warm-started solve otherwise rides near the
-            // optimum (O'Donoghue & Candès 2015).
-            if restart && gradient_restart(&point, &grad_point, &alpha, &alpha_prev, inv_l) {
-                t = T::ONE;
-            }
-            // Eq. (5)–(6): momentum extrapolation.
-            let t_next = (T::ONE + (T::ONE + T::from_f64(4.0) * t * t).sqrt()) * T::HALF;
-            let beta = (t - T::ONE) / t_next;
-            momentum_combine(&alpha, &alpha_prev, beta, &mut point, mode);
-            t = t_next;
-        } else {
-            point.copy_from_slice(&alpha);
-        }
-
         if converged {
             break;
         }
@@ -812,11 +758,9 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     let residual_norm = l2_norm(&residual);
     // Everything except the solution returns to the pool; the caller can
     // recycle a retired solution to close the last allocation.
-    ws.alpha_prev = alpha_prev;
     ws.point = point;
     ws.grad = grad_point;
     ws.residual = residual;
-    ws.group_norms = group_norms;
     SolverResult {
         residual_norm,
         solution: alpha,

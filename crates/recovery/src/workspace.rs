@@ -92,7 +92,7 @@ impl<T: Real> Workspace<T> {
     }
 }
 
-/// Reusable state for a whole shrinkage solve: the five iteration buffers
+/// Reusable state for a whole shrinkage solve: the four iteration buffers
 /// plus an operator [`Workspace`].
 ///
 /// One `FistaWorkspace` serves any number of consecutive solves of the
@@ -124,13 +124,13 @@ pub struct FistaWorkspace<T: Real> {
     /// Spare slot the next solve's iterate is carved from; empty after a
     /// solve until a solution is recycled.
     pub(crate) alpha: Vec<T>,
-    pub(crate) alpha_prev: Vec<T>,
     pub(crate) point: Vec<T>,
     pub(crate) grad: Vec<T>,
     pub(crate) residual: Vec<T>,
-    /// Per-group norm scratch for the block (group-ℓ1) prox; empty until
-    /// the first group solve, then sized to the group count and reused.
-    pub(crate) group_norms: Vec<T>,
+    /// Staging for the unfused iteration tail of
+    /// [`KernelMode::Scalar`](crate::KernelMode::Scalar); empty until the
+    /// first scalar-mode solve, then reused.
+    pub(crate) tail_scratch: Vec<T>,
     pub(crate) op_ws: Workspace<T>,
 }
 
@@ -145,11 +145,10 @@ impl<T: Real> FistaWorkspace<T> {
     pub fn with_dims(rows: usize, cols: usize) -> Self {
         FistaWorkspace {
             alpha: vec![T::ZERO; cols],
-            alpha_prev: vec![T::ZERO; cols],
             point: vec![T::ZERO; cols],
             grad: vec![T::ZERO; cols],
             residual: vec![T::ZERO; rows],
-            group_norms: Vec::new(),
+            tail_scratch: Vec::new(),
             op_ws: Workspace::with_dims(rows, cols),
         }
     }
@@ -231,7 +230,6 @@ pub struct BatchWorkspace<T: Real> {
     pub(crate) y: Vec<T>,
     /// Iterate block; holds each lane's solution after the solve.
     pub(crate) alpha: Vec<T>,
-    pub(crate) alpha_prev: Vec<T>,
     pub(crate) point: Vec<T>,
     pub(crate) grad: Vec<T>,
     pub(crate) residual: Vec<T>,
@@ -253,9 +251,10 @@ pub struct BatchWorkspace<T: Real> {
     /// adaptive restart every lane's sequence is identical; with it, a
     /// restarting lane resets its own `t` without disturbing batchmates.
     pub(crate) momentum: Vec<T>,
-    /// Per-group norm scratch for the block prox (shared across lanes —
-    /// the prox sweep is per-slot sequential).
-    pub(crate) group_norms: Vec<T>,
+    /// Staging for the unfused iteration tail of
+    /// [`KernelMode::Scalar`](crate::KernelMode::Scalar) lanes (shared
+    /// across lanes — the tail sweep is per-slot sequential).
+    pub(crate) tail_scratch: Vec<T>,
     /// Wall-clock time of the whole batched solve.
     pub(crate) elapsed: Duration,
     pub(crate) op_ws: Workspace<T>,
@@ -287,7 +286,6 @@ impl<T: Real> BatchWorkspace<T> {
     pub fn reserve(&mut self, rows: usize, cols: usize, k: usize) {
         grow(&mut self.y, rows * k);
         grow(&mut self.alpha, cols * k);
-        grow(&mut self.alpha_prev, cols * k);
         grow(&mut self.point, cols * k);
         grow(&mut self.grad, cols * k);
         grow(&mut self.residual, rows * k);

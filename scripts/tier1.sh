@@ -18,6 +18,12 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# `unsafe` stays where it is: two modules hold all of it (the AVX2 gather
+# kernels of cs-sensing, the wide DWT dispatch of cs-dsp), every
+# occurrence sits under a `// SAFETY:` comment, and every other crate
+# root still forbids it outright.
+scripts/unsafe_check.sh
+
 # The zero-alloc tests run in the debug suite above too, but the claim
 # that matters is about the optimized decoder, so pin them in release —
 # the sequential steady state, the batched (MMV) steady state, and the
@@ -41,9 +47,12 @@ cargo test -q --release --test solver_priors
 # across-output DWT and blocked-gather kernels against their per-output
 # oracles, and batch-vs-sequential equivalence. Reassociation-style
 # regressions only show up in release codegen — and so does anything
-# wrong with the `unsafe` AVX2 gathers, hence the two crates' own suites.
+# wrong with the `unsafe` AVX2 gathers or the wide DWT instantiation,
+# hence those crates' own suites; the lane reductions and the fused
+# iteration tail of cs-recovery differ from their oracles *only* under
+# the optimizer, hence its.
 cargo test -q --release --test numerical_equivalence
-cargo test -q --release -p cs-dsp -p cs-sensing
+cargo test -q --release -p cs-dsp -p cs-sensing -p cs-recovery
 
 # Bench regression gate: runs the quick snapshot, prints a per-row
 # min_ns delta table against the committed BENCH_decode.json, and fails
