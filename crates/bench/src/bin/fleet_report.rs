@@ -512,6 +512,16 @@ fn main() {
         &warm_cfg,
         &TelemetryRegistry::disabled(),
     );
+    // The cold run once more on the paper's verbatim schedule: the
+    // baseline the production schedule's iteration count is gated against.
+    let (_, _, _, paper_q) = run(
+        &streams,
+        &config,
+        &codebook,
+        SolverPolicy::paper(),
+        &fleet_cfg,
+        &TelemetryRegistry::disabled(),
+    );
 
     let mut cold = FleetStats::from_streams(&cold_stats);
     let warm = FleetStats::from_streams(&warm_stats);
@@ -585,11 +595,12 @@ fn main() {
         warm_report.wall_time, cold_report.wall_time
     );
 
-    // Prior-driven solve paths over the same traffic: per-mode iteration
-    // quantiles at integer resolution (the telemetry histograms' log2
-    // buckets would swallow a 20 % shift) and the fleet-wide PRD each
-    // mode reconstructs at. The summary lines under the table are the
-    // ones `scripts/bench_snapshot.sh` parses into BENCH_decode.json.
+    // Prior-driven solve paths over the same traffic, and the paper's
+    // schedule under them: per-mode iteration quantiles at integer
+    // resolution (the telemetry histograms' log2 buckets would swallow a
+    // 20 % shift) and the fleet-wide PRD each mode reconstructs at. The
+    // summary lines under the table are the ones
+    // `scripts/bench_snapshot.sh` parses into BENCH_decode.json.
     let weighted_fleet = FleetStats::from_streams(&weighted_stats);
     println!("== Solver priors ==");
     println!(
@@ -601,6 +612,7 @@ fn main() {
         ("warm", &warm_q),
         ("weighted", &weighted_q),
         ("block", &block_q),
+        ("paper", &paper_q),
     ] {
         println!(
             "{:<10} {:>8} {:>9.1} {:>8.0} {:>8.0} {:>8.2}",
@@ -623,6 +635,10 @@ fn main() {
         block_q.iterations_mean()
     );
     println!(
+        "paper mean iterations   : {:>8.1}  (cold, SolverPolicy::paper())",
+        paper_q.iterations_mean()
+    );
+    println!(
         "weighted iteration saving: {:>7.1} %  (vs warm baseline)",
         weighted_fleet.iteration_saving_vs(&warm) * 100.0
     );
@@ -630,6 +646,7 @@ fn main() {
     println!("warm PRD                : {:>8.2} %", warm_q.prd_percent());
     println!("weighted PRD            : {:>8.2} %", weighted_q.prd_percent());
     println!("block PRD               : {:>8.2} %", block_q.prd_percent());
+    println!("paper PRD               : {:>8.2} %", paper_q.prd_percent());
 
     // Robustness picture: the same patients serialized to wire frames and
     // pushed through a hostile link (burst bit errors at mean BER 1e-3,

@@ -7,22 +7,92 @@
 //! iteration budget for the shrinkage solvers, and wall time for OMP
 //! (which needs the materialized operator).
 //!
+//! A second panel calibrates the production decoder's stop rule against
+//! what it buys: relative-step tolerance × CR × prior → mean iterations,
+//! mean and worst-packet PRD on the production (adaptive) schedule.
+//!
 //! ```text
 //! cargo run --release -p cs-bench --bin solver_comparison [--full]
 //! ```
 
-use cs_bench::{banner, RunSettings};
+use cs_bench::{banner, Corpus, RunSettings};
+use cs_core::{train_codebook, packetize, Decoder, Encoder, SolverPolicy, SystemConfig};
 use cs_dsp::wavelet::{Dwt, Wavelet};
-use cs_metrics::{output_snr, Summary};
+use cs_metrics::{output_snr, prd, Summary};
 use cs_recovery::{
     amp, fista, ista, lambda_max, lipschitz_constant, omp, AmpConfig, DeflatedOperator,
     DenseOperator, KernelMode, OmpConfig, ShrinkageConfig, SynthesisOperator,
     top_singular_pair,
 };
 use cs_sensing::{measurements_for_cr, Sensing, SparseBinarySensing};
+use std::sync::Arc;
 
 const PACKET: usize = 512;
 const BUDGET: usize = 60; // tight budget so the O(1/k²) vs O(1/k) gap shows
+
+/// Decodes the whole corpus with the production `f32` decoder under
+/// `policy` and returns `(iterations, PRD %)` summaries over its packets.
+fn decode_corpus(
+    corpus: &Corpus,
+    config: &SystemConfig,
+    policy: SolverPolicy<f32>,
+    warm_start: bool,
+) -> (Summary, Summary) {
+    let mut iterations = Summary::new();
+    let mut prds = Summary::new();
+    for record in &corpus.records {
+        let training = packetize(&record.samples, PACKET).take(4).map(|p| p.to_vec());
+        let codebook = Arc::new(train_codebook(config, training).expect("training succeeds"));
+        let mut encoder = Encoder::new(config, Arc::clone(&codebook)).expect("encoder");
+        let mut decoder: Decoder<f32> = Decoder::new(config, codebook, policy).expect("decoder");
+        decoder.set_warm_start(warm_start);
+        for packet in packetize(&record.samples, PACKET) {
+            let wire = encoder.encode_packet(packet).expect("encode");
+            let decoded = decoder.decode_packet(&wire).expect("decode");
+            let x: Vec<f64> = packet.iter().map(|&v| f64::from(v)).collect();
+            let xhat: Vec<f64> = decoded.samples.iter().map(|&v| f64::from(v)).collect();
+            iterations.push(decoded.iterations as f64);
+            prds.push(prd(&x, &xhat));
+        }
+    }
+    (iterations, prds)
+}
+
+/// The stop-rule panel: what each relative-step tolerance costs and buys
+/// on the production schedule, plain ℓ1 from a cold start and the block
+/// prior warm-started, at three CRs.
+fn stop_rule_panel(corpus: &Corpus) {
+    const TOLERANCES: [f32; 5] = [5e-5, 1e-4, 2e-4, 3e-4, 5e-4];
+    println!();
+    println!("== Stop rule vs what it buys (production schedule, f32) ==");
+    println!("# cell: mean iterations / mean PRD % / worst-packet PRD %");
+    print!("{:<4} {:<11}", "CR", "solve");
+    for tolerance in TOLERANCES {
+        print!(" {:>23}", format!("tol {tolerance:.0e}"));
+    }
+    println!();
+    for cr in [30.0, 50.0, 70.0] {
+        let config = SystemConfig::builder()
+            .compression_ratio(cr)
+            .build()
+            .expect("valid config");
+        for (name, base, warm_start) in [
+            ("plain cold", SolverPolicy::default(), false),
+            ("block warm", SolverPolicy::block_prior(), true),
+        ] {
+            print!("{cr:<4.0} {name:<11}");
+            for tolerance in TOLERANCES {
+                let policy = SolverPolicy { tolerance, ..base };
+                let (iterations, prds) = decode_corpus(corpus, &config, policy, warm_start);
+                print!(
+                    " {:>23}",
+                    format!("{:.1} / {:.3} / {:.2}", iterations.mean(), prds.mean(), prds.max())
+                );
+            }
+            println!();
+        }
+    }
+}
 
 fn main() {
     let settings = RunSettings::from_args();
@@ -131,4 +201,6 @@ fn main() {
         "# FISTA − ISTA at equal budget: {:+.2} dB (acceleration gap, paper's O(1/k²) vs O(1/k))",
         fista_snr.mean() - ista_snr.mean()
     );
+
+    stop_rule_panel(&corpus);
 }

@@ -73,7 +73,7 @@ pub use baseline::{BaselinePacket, DwtThresholdCodec};
 pub use batch::{BatchDecodeWorkspace, BatchScheduler};
 pub use codebook::{train_codebook, uniform_codebook};
 pub use config::{SystemConfig, SystemConfigBuilder};
-pub use decoder::{DecodeWorkspace, DecodedPacket, Decoder, PriorMode, SolverPolicy};
+pub use decoder::{DecodeWorkspace, DecodedPacket, Decoder, PriorMode, Schedule, SolverPolicy};
 pub use encoder::Encoder;
 pub use error::PipelineError;
 pub use fleet::{

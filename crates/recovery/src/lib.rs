@@ -72,8 +72,7 @@ pub use operator::{DeflatedOperator, DenseOperator, LinearOperator, SynthesisOpe
 pub use solvers::{
     amp, debias, fista, fista_backtracking, fista_prior_batch_ws, fista_prior_batch_ws_observed,
     fista_prior_warm_ws, fista_prior_warm_ws_observed, fista_warm, fista_warm_batch_ws,
-    fista_warm_batch_ws_observed, fista_warm_observed,
-    fista_warm_ws, fista_warm_ws_observed, fista_weighted, fista_weighted_warm,
+    fista_warm_observed, fista_warm_ws, fista_warm_ws_observed, fista_weighted, fista_weighted_warm,
     fista_weighted_warm_observed, fista_weighted_warm_ws, fista_weighted_warm_ws_observed, ista,
     ista_warm, lambda_max, lambda_max_with, omp, BatchPenalty, DebiasConfig, OmpConfig, OmpResult,
     ProxSpec, ShrinkageConfig, SolverResult, AmpConfig, AmpResult,

@@ -11,8 +11,10 @@
 //! * the residual update and the iteration tail (gradient step, prox, stop
 //!   norms, restart product, momentum — one [`fista_tail`] sweep) run on
 //!   lane-contiguous slices with the same shared kernels;
-//! * the momentum scalars `t_k`/`β_k` are data-independent, so one global
-//!   sequence serves all lanes regardless of when each converges.
+//! * the schedule state — the momentum scalar `t_k` and the continuation
+//!   multiplier — is kept per lane and advanced by the sequential solver's
+//!   own helpers, so a lane restarts and leaves its ramp exactly when its
+//!   sequential solve would.
 //!
 //! Convergence is tracked per lane: a lane whose stopping criterion fires
 //! **freezes** — its slices are swapped out of the active prefix and never
@@ -24,7 +26,9 @@
 use crate::kernels::{fista_tail, ProxSpec};
 use crate::lipschitz::lipschitz_constant;
 use crate::operator::LinearOperator;
-use crate::solvers::shrinkage::{next_momentum, ShrinkageConfig};
+use crate::solvers::shrinkage::{
+    continuation_decay, continuation_start, next_momentum, ShrinkageConfig,
+};
 use crate::workspace::BatchWorkspace;
 use cs_dsp::{l2_norm, Real};
 use cs_telemetry::{Stage, TelemetryRegistry};
@@ -104,16 +108,18 @@ pub fn fista_warm_batch_ws<T: Real, A: LinearOperator<T>>(
     fista_prior_batch_ws(op, configs, penalty, false, lipschitz, ws);
 }
 
-/// The prior-driven batched solver: [`fista_warm_batch_ws`] generalized to
-/// a [`BatchPenalty`] (per-lane support weights, group shrinkage) and an
-/// optional O'Donoghue–Candès adaptive restart.
+/// The decoder's batched solver: [`fista_warm_batch_ws`] generalized to a
+/// [`BatchPenalty`] (per-lane support weights, group shrinkage) and the
+/// adaptive schedule of
+/// [`fista_prior_warm_ws`](crate::fista_prior_warm_ws) (gradient restart
+/// plus λ-continuation).
 ///
-/// Momentum is tracked per lane, and the restart test runs on each lane's
-/// own slices with the same arithmetic as the sequential
-/// [`fista_prior_warm_ws`](crate::fista_prior_warm_ws) — a restarting
-/// batch lane matches its sequential solve bit-for-bit, restart or not.
-/// With `BatchPenalty::L1`/`Shared` and `adaptive_restart = false` this is
-/// exactly the old solver (every lane's momentum sequence is the shared
+/// Momentum and the continuation multiplier are tracked per lane, and the
+/// restart test runs on each lane's own slices with the same arithmetic as
+/// the sequential solve — an adaptive batch lane matches its sequential
+/// solve bit-for-bit, whenever it restarts or leaves its ramp. With
+/// `BatchPenalty::L1`/`Shared` and `adaptive = false` this is exactly
+/// [`fista_warm_batch_ws`] (every lane's momentum sequence is the shared
 /// one).
 ///
 /// # Panics
@@ -126,7 +132,7 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
     op: &A,
     configs: &[ShrinkageConfig<T>],
     penalty: BatchPenalty<'_, T>,
-    adaptive_restart: bool,
+    adaptive: bool,
     lipschitz: Option<T>,
     ws: &mut BatchWorkspace<T>,
 ) {
@@ -223,6 +229,9 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
     // across lanes (t_k is data-independent), reproducing the old shared
     // scalar bit-for-bit; with restart each lane walks its own schedule.
     ws.momentum[..k].fill(T::ONE);
+    // Likewise the λ-continuation multiplier: 1 throughout on the paper's
+    // schedule, read off each lane's own first gradient on the adaptive one.
+    ws.boost[..k].fill(T::ONE);
 
     let mut tile_start = 0;
     while tile_start < k {
@@ -271,6 +280,10 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
                     BatchPenalty::PerLane(w) => ProxSpec::WeightedL1(&w[lane * n..(lane + 1) * n]),
                     BatchPenalty::Group(sizes) => ProxSpec::Group(sizes),
                 };
+                if adaptive && iter == 1 {
+                    ws.boost[lane] = continuation_start(&ws.grad[lane_n.clone()], config.lambda);
+                }
+                let boost = ws.boost[lane];
                 let t = ws.momentum[lane];
                 let t_next = next_momentum(t);
                 let sums = fista_tail(
@@ -278,22 +291,26 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
                     &ws.grad[lane_n.clone()],
                     &mut ws.alpha[lane_n.clone()],
                     step,
-                    ws.threshold[lane],
+                    ws.threshold[lane] * boost,
                     prox,
                     (t - T::ONE) / t_next,
                     &mut ws.tail_scratch,
                     config.kernel,
                 );
-                let restarted = adaptive_restart && sums.restart > T::ZERO;
+                let restarted = adaptive && sums.restart > T::ZERO;
                 if restarted {
                     ws.point[lane_n.clone()].copy_from_slice(&ws.alpha[lane_n.clone()]);
                 }
                 ws.momentum[lane] = if restarted { next_momentum(T::ONE) } else { t_next };
+                // The stop tests wait for the lane's ramp to end.
+                let on_target = boost == T::ONE;
+                ws.boost[lane] = continuation_decay(boost);
 
                 ws.iterations[lane] = iter;
-                let mut converged = config.tolerance > T::ZERO
+                let mut converged = on_target
+                    && config.tolerance > T::ZERO
                     && sums.step_sq.sqrt() <= config.tolerance * sums.norm_sq.sqrt().max(T::ONE);
-                if !converged && config.residual_tolerance > T::ZERO {
+                if on_target && !converged && config.residual_tolerance > T::ZERO {
                     // The residual block slot is free scratch here: it is
                     // recomputed from scratch next iteration (and below).
                     op.apply_into_ws(
@@ -347,35 +364,20 @@ pub fn fista_prior_batch_ws<T: Real, A: LinearOperator<T>>(
     ws.elapsed = start.elapsed();
 }
 
-/// [`fista_warm_batch_ws`] under a [`Stage::BatchSolve`] telemetry span,
-/// with the batch width recorded into the `cs_batch_occupancy` histogram.
-pub fn fista_warm_batch_ws_observed<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    configs: &[ShrinkageConfig<T>],
-    weights: Option<&[T]>,
-    lipschitz: Option<T>,
-    ws: &mut BatchWorkspace<T>,
-    telemetry: &TelemetryRegistry,
-) {
-    let _span = telemetry.span(Stage::BatchSolve);
-    telemetry.record_batch_occupancy(ws.lanes());
-    fista_warm_batch_ws(op, configs, weights, lipschitz, ws);
-}
-
 /// [`fista_prior_batch_ws`] under a [`Stage::BatchSolve`] telemetry span,
 /// with the batch width recorded into the `cs_batch_occupancy` histogram.
 pub fn fista_prior_batch_ws_observed<T: Real, A: LinearOperator<T>>(
     op: &A,
     configs: &[ShrinkageConfig<T>],
     penalty: BatchPenalty<'_, T>,
-    adaptive_restart: bool,
+    adaptive: bool,
     lipschitz: Option<T>,
     ws: &mut BatchWorkspace<T>,
     telemetry: &TelemetryRegistry,
 ) {
     let _span = telemetry.span(Stage::BatchSolve);
     telemetry.record_batch_occupancy(ws.lanes());
-    fista_prior_batch_ws(op, configs, penalty, adaptive_restart, lipschitz, ws);
+    fista_prior_batch_ws(op, configs, penalty, adaptive, lipschitz, ws);
 }
 
 /// Swaps two block slots across every lane-striped buffer (iterates *and*
@@ -409,6 +411,7 @@ mod tests {
     use crate::workspace::FistaWorkspace;
     use crate::KernelMode;
     use cs_sensing::MotePrng;
+    use proptest::prelude::*;
 
     fn instance(m: usize, n: usize, seed: u64) -> (DenseOperator<f64>, Vec<Vec<f64>>) {
         let mut rng = MotePrng::new(seed);
@@ -616,6 +619,61 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The adaptive schedule is per-lane state: lanes whose λ spreads
+        /// over three decades start at different `boost₁` (one of them at
+        /// 1: no ramp), leave their ramps at different iterations, restart
+        /// on their own, and still match their sequential solves
+        /// bit-for-bit under every penalty.
+        #[test]
+        fn prop_adaptive_batch_matches_adaptive_sequential(
+            seed in 1_u64..10_000,
+            fractions in proptest::collection::vec(-3.0_f64..0.0, 4),
+            warm_mask in 0_u8..16,
+            group in any::<bool>(),
+        ) {
+            use crate::solvers::shrinkage::{fista_prior_warm_ws, ProxSpec};
+            let (op, ys) = instance(24, 48, seed);
+            let mut fractions = fractions;
+            fractions[0] = 0.0; // λ = λ_max/5 ≥ ζ·λ_max: this lane never ramps
+            let configs: Vec<ShrinkageConfig<f64>> = fractions
+                .iter()
+                .zip(&ys)
+                .map(|(&f, y)| ShrinkageConfig {
+                    tolerance: 1e-6,
+                    max_iterations: 300,
+                    ..ShrinkageConfig::new(0.2 * 10f64.powf(f) * lambda_max(&op, y))
+                })
+                .collect();
+            let warm: Vec<f64> = (0..48).map(|i| (i as f64 * 0.4).cos() * 0.2).collect();
+            let warm_of = |lane: usize| (warm_mask >> lane & 1 == 1).then_some(&warm[..]);
+            let sizes = vec![4_usize; 12];
+            let mut bws = BatchWorkspace::for_operator(&op, 4);
+            bws.begin(op.rows(), op.cols());
+            for (lane, y) in ys.iter().take(4).enumerate() {
+                bws.stage_lane(y, warm_of(lane));
+            }
+            let penalty = if group { BatchPenalty::Group(&sizes) } else { BatchPenalty::L1 };
+            fista_prior_batch_ws(&op, &configs, penalty, true, Some(9.0), &mut bws);
+
+            let mut ws = FistaWorkspace::for_operator(&op);
+            let mut iteration_counts = Vec::new();
+            for (lane, y) in ys.iter().take(4).enumerate() {
+                let prox = if group { ProxSpec::Group(&sizes) } else { ProxSpec::L1 };
+                let seq = fista_prior_warm_ws(
+                    &op, y, &configs[lane], Some(9.0), prox, true, warm_of(lane), &mut ws,
+                );
+                assert_lane_matches(&bws, lane, &seq, &format!("adaptive lane {lane}"));
+                iteration_counts.push(seq.iterations);
+                ws.recycle_solution(seq.solution);
+            }
+            iteration_counts.dedup();
+            prop_assert!(iteration_counts.len() > 1, "lanes stopped in lockstep");
+        }
+    }
+
     #[test]
     fn group_batch_matches_group_sequential() {
         use crate::solvers::shrinkage::{fista_prior_warm_ws, ProxSpec};
@@ -775,10 +833,11 @@ mod tests {
         bws.begin(op.rows(), op.cols());
         bws.stage_lane(&ys[0], None);
         bws.stage_lane(&ys[1], None);
-        fista_warm_batch_ws_observed(
+        fista_prior_batch_ws_observed(
             &op,
             &[cfg.clone(), cfg],
-            None,
+            BatchPenalty::L1,
+            false,
             Some(9.0),
             &mut bws,
             &telemetry,

@@ -9,8 +9,7 @@ mod shrinkage;
 
 pub use amp::{amp, AmpConfig, AmpResult};
 pub use batch::{
-    fista_prior_batch_ws, fista_prior_batch_ws_observed, fista_warm_batch_ws,
-    fista_warm_batch_ws_observed, BatchPenalty,
+    fista_prior_batch_ws, fista_prior_batch_ws_observed, fista_warm_batch_ws, BatchPenalty,
 };
 pub use debias::{debias, DebiasConfig};
 pub use omp::{omp, OmpConfig, OmpResult};

@@ -10,7 +10,10 @@
 //! soft threshold. ISTA converges as `O(1/k)` and is "notoriously slow";
 //! FISTA (Beck & Teboulle 2009, the paper's algorithm box) adds the
 //! momentum sequence `t_k` and converges as `O(1/k²)`. The implementation
-//! follows the paper's constant-step-size variant verbatim.
+//! follows the paper's constant-step-size variant verbatim; the decoder's
+//! entry point, [`fista_prior_warm_ws`], can additionally walk the same
+//! iteration on an adaptive schedule (gradient restart plus
+//! λ-continuation) that reaches the same minimiser in far fewer iterations.
 
 pub use crate::kernels::ProxSpec;
 use crate::kernels::{fista_tail, momentum_combine, soft_threshold, squared_distance, KernelMode};
@@ -101,6 +104,46 @@ pub(crate) fn next_momentum<T: Real>(t: T) -> T {
     (T::ONE + (T::ONE + T::from_f64(4.0) * t * t).sqrt()) * T::HALF
 }
 
+/// `‖v‖∞`.
+fn inf_norm<T: Real>(v: &[T]) -> T {
+    v.iter().fold(T::ZERO, |m, &x| m.max(x.abs()))
+}
+
+/// Continuation start ζ: an adaptive solve opens at `ζ · 2‖g₁‖∞`, a
+/// fixed fraction of the λ above which its own starting point would not
+/// move (`2‖g₁‖∞` is λ_max at a cold start).
+const CONTINUATION_START: f64 = 0.1;
+/// Continuation decay ρ: the threshold multiplier shrinks by this factor
+/// per iteration until it reaches the target λ.
+const CONTINUATION_DECAY: f64 = 0.9;
+
+/// The λ-continuation multiplier an adaptive solve starts from, read off
+/// the gradient `g₁ = Aᴴ(A·α₀ − y)` its first iteration computes anyway:
+/// `max(1, ζ·2‖g₁‖∞ / λ)` (fixed-point continuation, Hale–Yin–Zhang 2008,
+/// with SpaRSA's data-adaptive start, Wright–Nowak–Figueiredo 2009).
+/// `2‖g₁‖∞` measures how far `α₀` is from optimal in units of λ — λ_max at
+/// zero, ≈ λ at the minimiser — so a good warm seed shortens the ramp by
+/// itself and a perfect one skips it. The start is not capped at the cold
+/// one (that would take `Aᴴy`, a second adjoint), so a seed further from
+/// optimal than zero ramps *longer* than a cold start: a bad seed costs
+/// more than no seed, and keeping such seeds out is the caller's job. An
+/// all-zero gradient gives 1; λ = 0 or an overflowing ratio gives ∞ or
+/// NaN, which also mean no continuation.
+pub(crate) fn continuation_start<T: Real>(first_grad: &[T], lambda: T) -> T {
+    let boost = T::from_f64(CONTINUATION_START) * T::TWO * inf_norm(first_grad) / lambda;
+    if boost.is_finite() {
+        boost.max(T::ONE)
+    } else {
+        T::ONE
+    }
+}
+
+/// One step down the geometric ramp: `max(1, ρ·boost)`.
+#[inline]
+pub(crate) fn continuation_decay<T: Real>(boost: T) -> T {
+    (T::from_f64(CONTINUATION_DECAY) * boost).max(T::ONE)
+}
+
 /// The largest useful λ: for `λ ≥ λ_max = ‖2Aᴴy‖∞` the zero vector is
 /// optimal. Decoders typically use a small fraction of this.
 ///
@@ -113,9 +156,7 @@ pub(crate) fn next_momentum<T: Real>(t: T) -> T {
 /// assert_eq!(lambda_max(&op, &[2.0]), 12.0); // |2·(−3)·2|
 /// ```
 pub fn lambda_max<T: Real, A: LinearOperator<T>>(op: &A, y: &[T]) -> T {
-    let g = op.adjoint(y);
-    let inf = g.iter().fold(T::ZERO, |m, &v| m.max(v.abs()));
-    T::TWO * inf
+    T::TWO * inf_norm(&op.adjoint(y))
 }
 
 /// Non-allocating [`lambda_max`]: the gradient lands in the caller's
@@ -133,8 +174,7 @@ pub fn lambda_max_with<T: Real, A: LinearOperator<T>>(
     ws: &mut Workspace<T>,
 ) -> T {
     op.adjoint_into_ws(y, grad, ws);
-    let inf = grad.iter().fold(T::ZERO, |m, &v| m.max(v.abs()));
-    T::TWO * inf
+    T::TWO * inf_norm(grad)
 }
 
 /// Solves Eq. (3) with plain ISTA (the `O(1/k)` baseline the paper cites
@@ -406,18 +446,26 @@ pub fn fista_weighted_warm_observed<T: Real, A: LinearOperator<T>>(
     fista_weighted_warm(op, y, config, lipschitz, weights, warm_start)
 }
 
-/// Prior-driven FISTA: warm-started, workspace-backed, with a pluggable
-/// proximal operator ([`ProxSpec`]) and optional adaptive gradient
-/// restart.
+/// The decoder's FISTA: warm-started, workspace-backed, with a pluggable
+/// proximal operator ([`ProxSpec`]) and a choice of schedule.
 ///
-/// This is the entry point the fleet decoder's support-weighted and
-/// block-sparse modes use. `ProxSpec::L1` with `adaptive_restart = false`
-/// is exactly [`fista_warm_ws`] (bitwise); `ProxSpec::WeightedL1` with
-/// restart off is exactly [`fista_weighted_warm_ws`]. Restart applies the
-/// O'Donoghue–Candès gradient test each iteration and resets the momentum
-/// sequence when it fires — a few extra flops per iteration that pay for
-/// themselves many times over on warm-started solves, whose momentum
-/// otherwise oscillates around the nearby optimum.
+/// `adaptive = false` is the paper's constant-step schedule: `ProxSpec::L1`
+/// is then exactly [`fista_warm_ws`] (bitwise) and `ProxSpec::WeightedL1`
+/// exactly [`fista_weighted_warm_ws`]. `adaptive = true` reaches the same
+/// minimiser of the same objective in far fewer iterations, two ways:
+///
+/// * **gradient restart** (O'Donoghue & Candès 2015): when the momentum
+///   points against the descent direction the sequence drops back to
+///   `t₁ = 1`, killing the ripples that otherwise keep the stop test from
+///   firing near the optimum — the test is one of the sums the iteration's
+///   tail sweep returns anyway;
+/// * **λ-continuation**: iteration `k` thresholds at `(λ/L)·boost_k`, with
+///   `boost₁ = max(1, ζ·2‖g₁‖∞/λ)` read off the first gradient and
+///   `boost_{k+1} = max(1, ρ·boost_k)`. The early iterates are then sparse
+///   fits at a large λ instead of a dense least-squares fit at a tiny one.
+///   Neither stop test fires before `boost` has reached 1 — until then the
+///   step is not a step of the target problem — so a cap below the ramp
+///   length returns `converged = false` with the iterate it has.
 ///
 /// # Panics
 ///
@@ -431,12 +479,12 @@ pub fn fista_prior_warm_ws<T: Real, A: LinearOperator<T>>(
     config: &ShrinkageConfig<T>,
     lipschitz: Option<T>,
     prox: ProxSpec<'_, T>,
-    adaptive_restart: bool,
+    adaptive: bool,
     warm_start: Option<&[T]>,
     ws: &mut FistaWorkspace<T>,
 ) -> SolverResult<T> {
     validate_prox(op.cols(), &prox);
-    shrinkage_loop(op, y, config, lipschitz, true, adaptive_restart, prox, warm_start, Some(ws))
+    shrinkage_loop(op, y, config, lipschitz, true, adaptive, prox, warm_start, Some(ws))
 }
 
 /// [`fista_prior_warm_ws`] timed into a telemetry registry; see
@@ -452,13 +500,13 @@ pub fn fista_prior_warm_ws_observed<T: Real, A: LinearOperator<T>>(
     config: &ShrinkageConfig<T>,
     lipschitz: Option<T>,
     prox: ProxSpec<'_, T>,
-    adaptive_restart: bool,
+    adaptive: bool,
     warm_start: Option<&[T]>,
     ws: &mut FistaWorkspace<T>,
     telemetry: &TelemetryRegistry,
 ) -> SolverResult<T> {
     let _span = telemetry.span(Stage::FistaSolve);
-    fista_prior_warm_ws(op, y, config, lipschitz, prox, adaptive_restart, warm_start, ws)
+    fista_prior_warm_ws(op, y, config, lipschitz, prox, adaptive, warm_start, ws)
 }
 
 /// Solves Eq. (3) with FISTA and **backtracking** line search (the other
@@ -608,11 +656,14 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     config: &ShrinkageConfig<T>,
     lipschitz: Option<T>,
     accelerate: bool,
-    restart: bool,
+    adaptive: bool,
     prox: ProxSpec<'_, T>,
     warm_start: Option<&[T]>,
     ws: Option<&mut FistaWorkspace<T>>,
 ) -> SolverResult<T> {
+    // Restart and continuation act on the momentum sequence: plain ISTA
+    // has none.
+    let adaptive = adaptive && accelerate;
     assert_eq!(y.len(), op.rows(), "shrinkage solver: y length mismatch");
     assert!(config.lambda >= T::ZERO, "shrinkage solver: negative lambda");
     assert!(config.max_iterations > 0, "shrinkage solver: zero iteration cap");
@@ -676,6 +727,9 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     let mut grad_point = take(&mut ws.grad, n);
     let mut residual = take(&mut ws.residual, m);
     let mut t = T::ONE;
+    // λ-continuation multiplier on the threshold; 1 throughout on the
+    // paper's schedule.
+    let mut boost = T::ONE;
     let mut iterations = 0;
     let mut converged = false;
     let mut history = Vec::new();
@@ -688,6 +742,9 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
             *r -= yi;
         }
         op.adjoint_into_ws(&residual, &mut grad_point, &mut ws.op_ws);
+        if adaptive && k == 1 {
+            boost = continuation_start(&grad_point, config.lambda);
+        }
         // Eq. (5)–(6): t_{k+1} does not depend on data, so the momentum
         // weight is known before the sweep that applies it.
         let t_next = next_momentum(t);
@@ -701,23 +758,26 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
             &grad_point,
             &mut alpha,
             step,
-            threshold,
+            threshold * boost,
             prox,
             beta,
             &mut ws.tail_scratch,
             config.kernel,
         );
-        // Adaptive restart keeps the weighted/group solves inside FISTA's
-        // convergence guarantees: when momentum points against the descent
+        // Gradient restart: when momentum points against the descent
         // direction the sequence drops back to t₁ = 1, killing the
-        // oscillation a warm-started solve otherwise rides near the optimum
-        // (O'Donoghue & Candès 2015). The sweep extrapolated optimistically;
-        // a restart (β = 0, like plain ISTA) takes it back: y_{k+1} = α_{k+1}.
-        let restarted = accelerate && restart && sums.restart > T::ZERO;
+        // oscillation FISTA otherwise rides near the optimum (O'Donoghue &
+        // Candès 2015). The sweep extrapolated optimistically; a restart
+        // (β = 0, like plain ISTA) takes it back: y_{k+1} = α_{k+1}.
+        let restarted = adaptive && sums.restart > T::ZERO;
         if restarted || !accelerate {
             point.copy_from_slice(&alpha);
         }
         t = if restarted { next_momentum(T::ONE) } else { t_next };
+        // A step taken above the target λ says nothing about convergence
+        // at the target: the stop tests wait for the ramp to end.
+        let on_target = boost == T::ONE;
+        boost = continuation_decay(boost);
 
         if config.record_objective {
             let r = op.apply(&alpha);
@@ -731,13 +791,14 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
         }
 
         // Stopping: relative step size.
-        if config.tolerance > T::ZERO
+        if on_target
+            && config.tolerance > T::ZERO
             && sums.step_sq.sqrt() <= config.tolerance * sums.norm_sq.sqrt().max(T::ONE)
         {
             converged = true;
         }
         // Stopping: residual target (the paper's Eq. 2 criterion).
-        if !converged && config.residual_tolerance > T::ZERO {
+        if on_target && !converged && config.residual_tolerance > T::ZERO {
             op.apply_into_ws(&alpha, &mut residual, &mut ws.op_ws);
             for (r, &yi) in residual.iter_mut().zip(y) {
                 *r -= yi;
@@ -975,6 +1036,53 @@ mod tests {
         let mut grad = vec![0.0; 64];
         let mut ws = Workspace::for_operator(&op);
         assert_eq!(lambda_max(&op, &y), lambda_max_with(&op, &y, &mut grad, &mut ws));
+    }
+
+    /// FNV-1a over a result's iteration count and solution bits.
+    fn digest(result: &SolverResult<f64>) -> u64 {
+        let words = std::iter::once(result.iterations as u64)
+            .chain(result.solution.iter().map(|v| v.to_bits()));
+        words.flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The entry points the figure binaries call stay the paper's verbatim
+    /// iteration: pinned before the adaptive schedule entered the loop they
+    /// share with it, so a schedule change that leaks into them moves a
+    /// digest.
+    #[test]
+    fn verbatim_entry_points_keep_their_pinned_bits() {
+        let (op, _, y) = instance(48, 96, 5, 7);
+        let cfg = ShrinkageConfig {
+            lambda: 0.01,
+            max_iterations: 400,
+            tolerance: 1e-6,
+            residual_tolerance: 0.0,
+            kernel: KernelMode::Unrolled4,
+            record_objective: false,
+        };
+        let weights: Vec<f64> = (0..96).map(|i| 0.25 + (i % 4) as f64 * 0.25).collect();
+        let seed = fista(&op, &y, &ShrinkageConfig { max_iterations: 10, ..cfg }, Some(9.0)).solution;
+        let got = [
+            digest(&ista(&op, &y, &cfg, Some(9.0))),
+            digest(&ista_warm(&op, &y, &cfg, Some(9.0), Some(&seed))),
+            digest(&fista(&op, &y, &cfg, Some(9.0))),
+            digest(&fista_warm(&op, &y, &cfg, Some(9.0), Some(&seed))),
+            digest(&fista_weighted(&op, &y, &cfg, Some(9.0), &weights)),
+        ];
+        let pinned = [
+            0x72cb_3b41_08a8_8b48_u64,
+            0x1966_4663_0927_c8ac,
+            0x3286_c62f_ee97_03bb,
+            0x5f20_6824_7730_150f,
+            0xc1ef_63dc_0bbf_aab7,
+        ];
+        assert_eq!(
+            got.map(|h| format!("{h:#018x}")),
+            pinned.map(|h| format!("{h:#018x}")),
+            "[ista, ista_warm, fista, fista_warm, fista_weighted]"
+        );
     }
 
     #[test]
@@ -1215,21 +1323,151 @@ mod prior_tests {
         assert_eq!(a.iterations, b.iterations);
     }
 
+    /// The schedule may change the path, never the answer: run to a
+    /// tolerance far below the stop rule's usual one, the adaptive and the
+    /// paper's schedule land on the same minimiser under every prox.
     #[test]
     fn restart_reaches_same_minimizer() {
         let (op, x) = instance(43, 64, 128, 6);
         let y = op.apply(&x);
-        let cfg = config();
-        let mut ws_a = FistaWorkspace::for_operator(&op);
-        let mut ws_b = FistaWorkspace::for_operator(&op);
-        let plain = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws_a);
-        let restarted =
-            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws_b);
-        assert!(restarted.converged);
-        let scale = cs_dsp::l2_norm(&plain.solution).max(1.0);
-        let dist =
-            squared_distance(&plain.solution, &restarted.solution, cfg.kernel).sqrt() / scale;
-        assert!(dist < 5e-3, "restart diverged from plain FISTA: {dist}");
+        let cfg = ShrinkageConfig { tolerance: 1e-9, max_iterations: 20_000, ..config() };
+        let weights: Vec<f64> = (0..op.cols()).map(|i| 0.25 + (i % 4) as f64 * 0.25).collect();
+        let sizes = vec![4_usize; op.cols() / 4];
+        let mut ws = FistaWorkspace::for_operator(&op);
+        for prox in [ProxSpec::L1, ProxSpec::WeightedL1(&weights), ProxSpec::Group(&sizes)] {
+            let paper = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, &mut ws);
+            let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, prox, true, None, &mut ws);
+            assert!(paper.converged && adaptive.converged, "{prox:?}");
+            let dist = squared_distance(&paper.solution, &adaptive.solution, cfg.kernel).sqrt();
+            assert!(
+                dist <= 1e-6 * cs_dsp::l2_norm(&paper.solution),
+                "{prox:?}: schedules disagree by {dist}"
+            );
+            assert!(adaptive.iterations < paper.iterations, "{prox:?}: no iteration win");
+        }
+    }
+
+    /// Iterations the ramp takes from `boost₁` down to 1.
+    fn ramp_length(boost: f64) -> usize {
+        (boost.ln() / (1.0 / CONTINUATION_DECAY).ln()).ceil() as usize
+    }
+
+    /// A cold adaptive solve at `λ = fraction · λ_max`, stop rule loose
+    /// enough that the paper's schedule quits within a few iterations.
+    fn loose_cold_solve(fraction: f64, max_iterations: usize) -> (SolverResult<f64>, usize) {
+        let (op, x) = instance(47, 64, 128, 6);
+        let y = op.apply(&x);
+        let cfg = ShrinkageConfig {
+            lambda: fraction * lambda_max(&op, &y),
+            tolerance: 0.2,
+            max_iterations,
+            ..config()
+        };
+        let mut ws = FistaWorkspace::for_operator(&op);
+        let paper = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws);
+        let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        (adaptive, paper.iterations)
+    }
+
+    #[test]
+    fn no_stop_test_fires_while_the_threshold_is_ramping() {
+        // boost₁ = ζ·λ_max/λ = 100: 44 iterations above the target λ.
+        let ramp = ramp_length(CONTINUATION_START / 1e-3);
+        assert_eq!(ramp, 44);
+        let (adaptive, paper_iterations) = loose_cold_solve(1e-3, 4000);
+        assert!(paper_iterations < ramp, "stop rule not loose enough: {paper_iterations}");
+        assert!(adaptive.converged);
+        assert!(adaptive.iterations > ramp, "stopped at {} inside the ramp", adaptive.iterations);
+
+        // The residual rule waits too.
+        let (op, x) = instance(47, 64, 128, 6);
+        let y = op.apply(&x);
+        let cfg = ShrinkageConfig {
+            lambda: 1e-3 * lambda_max(&op, &y),
+            tolerance: 0.0,
+            residual_tolerance: 0.5,
+            ..config()
+        };
+        let mut ws = FistaWorkspace::for_operator(&op);
+        let paper = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws);
+        let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        assert!(paper.converged && paper.iterations < ramp);
+        assert!(adaptive.converged && adaptive.iterations > ramp);
+    }
+
+    #[test]
+    fn cap_below_the_ramp_returns_unconverged_finite_iterate() {
+        let (adaptive, _) = loose_cold_solve(1e-3, 20);
+        assert_eq!(adaptive.iterations, 20);
+        assert!(!adaptive.converged);
+        assert!(adaptive.solution.iter().all(|v| v.is_finite()));
+        assert!(adaptive.solution.iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn degenerate_problems_neither_divide_by_zero_nor_ramp() {
+        let (op, x) = instance(48, 64, 128, 6);
+        let y = op.apply(&x);
+        let mut ws = FistaWorkspace::for_operator(&op);
+        let loose = ShrinkageConfig { tolerance: 0.2, ..config() };
+
+        // λ = 0: nothing to continue towards; the loose stop rule fires at once.
+        let cfg = ShrinkageConfig { lambda: 0.0, ..loose };
+        let r = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        assert!(r.converged && r.iterations < 10, "λ = 0 ran {} iterations", r.iterations);
+        assert!(r.solution.iter().all(|v| v.is_finite()));
+
+        // y = 0: the first gradient is zero, and so is the answer.
+        let zeros = vec![0.0; op.rows()];
+        let r = fista_prior_warm_ws(&op, &zeros, &loose, None, ProxSpec::L1, true, None, &mut ws);
+        assert!(r.converged);
+        assert_eq!(r.iterations, 1);
+        assert!(r.solution.iter().all(|&v| v == 0.0));
+
+        // A zero operator returns before the first gradient exists.
+        let null = DenseOperator::from_row_major(4, 8, vec![0.0; 32], KernelMode::Unrolled4);
+        let mut ws = FistaWorkspace::for_operator(&null);
+        let r =
+            fista_prior_warm_ws(&null, &[1.0; 4], &loose, None, ProxSpec::L1, true, None, &mut ws);
+        assert!(r.converged);
+        assert_eq!(r.iterations, 0);
+        assert!(r.solution.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn the_seed_sets_the_length_of_its_own_ramp() {
+        let (op, x) = instance(49, 64, 128, 6);
+        let y = op.apply(&x);
+        let cfg = ShrinkageConfig { lambda: 1e-3 * lambda_max(&op, &y), ..config() };
+        let mut ws = FistaWorkspace::for_operator(&op);
+        let cold = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        assert!(cold.converged);
+
+        // At the minimiser 2‖g‖∞ ≈ λ: boost₁ = 1, no ramp, a handful of
+        // iterations.
+        let seed = cold.solution.clone();
+        let rewarm =
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, Some(&seed), &mut ws);
+        assert!(rewarm.converged);
+        assert!(rewarm.iterations <= 5, "perfect seed took {} iterations", rewarm.iterations);
+
+        // A seed ten times too large is further from optimal than zero is,
+        // so it ramps longer than a cold start (81 vs 56 iterations here) —
+        // but the harm is bounded, where the paper's schedule pays three
+        // times its cold count for the same seed (906 vs 307).
+        let inflated: Vec<f64> = seed.iter().map(|&v| 10.0 * v).collect();
+        let bad =
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, Some(&inflated), &mut ws);
+        let paper_bad =
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, Some(&inflated), &mut ws);
+        assert!(bad.converged);
+        assert!(
+            bad.iterations <= 2 * cold.iterations && bad.iterations < paper_bad.iterations,
+            "10× seed took {} iterations vs cold {} (paper's schedule: {})",
+            bad.iterations,
+            cold.iterations,
+            paper_bad.iterations
+        );
     }
 
     #[test]

@@ -251,6 +251,9 @@ pub struct BatchWorkspace<T: Real> {
     /// adaptive restart every lane's sequence is identical; with it, a
     /// restarting lane resets its own `t` without disturbing batchmates.
     pub(crate) momentum: Vec<T>,
+    /// Per-lane λ-continuation multipliers on `threshold` (lane-indexed);
+    /// all ones on the paper's schedule.
+    pub(crate) boost: Vec<T>,
     /// Staging for the unfused iteration tail of
     /// [`KernelMode::Scalar`](crate::KernelMode::Scalar) lanes (shared
     /// across lanes — the tail sweep is per-slot sequential).
@@ -308,6 +311,7 @@ impl<T: Real> BatchWorkspace<T> {
         grow(&mut self.residual_target, k);
         grow(&mut self.threshold, k);
         grow(&mut self.momentum, k);
+        grow(&mut self.boost, k);
         self.op_ws.ensure(rows, cols * k);
     }
 

@@ -38,14 +38,16 @@ cargo test -q --release -p cs-core --test zero_alloc_prior_batch
 # and the decode-queue handoff costs exactly one buffer per frame.
 cargo test -q --release -p cs-ingest --test zero_alloc_ingest
 
-# Prior-driven solver guarantees under the optimizer: the ≥ 20 %
-# iteration win across the CR sweep at equal-or-better PRD, and bounded
-# degradation on a mid-stream arrhythmic morphology change.
+# Prior-driven solver guarantees under the optimizer: equal-or-better PRD
+# across the CR sweep at no more iterations than the plain warm solve
+# (fewer, for the block prior), and bounded degradation on a mid-stream
+# arrhythmic morphology change.
 cargo test -q --release --test solver_priors
 
-# Bit-exactness under the optimizer: the golden decode digest, the
-# across-output DWT and blocked-gather kernels against their per-output
-# oracles, and batch-vs-sequential equivalence. Reassociation-style
+# Bit-exactness under the optimizer: the golden decode digest (production
+# and `SolverPolicy::paper()`), the production schedule against the
+# paper's, the across-output DWT and blocked-gather kernels against their
+# per-output oracles, and batch-vs-sequential equivalence. Reassociation-style
 # regressions only show up in release codegen — and so does anything
 # wrong with the `unsafe` AVX2 gathers or the wide DWT instantiation,
 # hence those crates' own suites; the lane reductions and the fused

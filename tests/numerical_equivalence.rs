@@ -2,7 +2,7 @@
 //! workspace has a slow, obviously-correct counterpart, and these tests
 //! pin them together.
 
-use cs_ecg_monitor::system::DecodedPacket;
+use cs_ecg_monitor::system::{DecodedPacket, Schedule};
 use cs_ecg_monitor::dsp::wavelet::{Dwt, Wavelet};
 use cs_ecg_monitor::prelude::*;
 use cs_ecg_monitor::recovery::{
@@ -360,12 +360,22 @@ fn decode_windows<T: cs_ecg_monitor::dsp::Real>(
     warm_start: bool,
     packets: usize,
 ) -> Vec<DecodedPacket<T>> {
+    decode_windows_at(&SystemConfig::paper_default(), samples, policy, warm_start, packets)
+}
+
+/// [`decode_windows`] at any geometry.
+fn decode_windows_at<T: cs_ecg_monitor::dsp::Real>(
+    config: &SystemConfig,
+    samples: &[i16],
+    policy: SolverPolicy<T>,
+    warm_start: bool,
+    packets: usize,
+) -> Vec<DecodedPacket<T>> {
     use std::sync::Arc;
 
-    let config = SystemConfig::paper_default();
     let codebook = Arc::new(uniform_codebook(config.alphabet()).unwrap());
-    let mut encoder = Encoder::new(&config, Arc::clone(&codebook)).unwrap();
-    let mut decoder: Decoder<T> = Decoder::new(&config, codebook, policy).unwrap();
+    let mut encoder = Encoder::new(config, Arc::clone(&codebook)).unwrap();
+    let mut decoder: Decoder<T> = Decoder::new(config, codebook, policy).unwrap();
     decoder.set_warm_start(warm_start);
     let decoded: Vec<_> = samples
         .chunks_exact(config.packet_len())
@@ -406,19 +416,32 @@ fn decode_digest<T: cs_ecg_monitor::dsp::Real>(
 /// so reconstructed bits and iteration counts may not move — on any host,
 /// whichever kernels its CPU selects.
 ///
-/// Pinned twice. First before the operator pair was vectorised across
-/// outputs:
+/// Pinned three times. First before the operator pair was vectorised
+/// across outputs:
 ///
 /// ```text
 /// 0xc0f5_fc31_5180_6f3d  0x5da1_f020_0f29_976c  0xa1c6_a0cf_f10d_355f  0xe32e_8c24_c67f_30d0
 /// ```
 ///
-/// and again when the iteration's reductions went lane-parallel (the stop
+/// again when the iteration's reductions went lane-parallel (the stop
 /// test's two norms, the deflation projection, the restart product): the
 /// three scalars per iteration changed summation order, so the stop
 /// decision moves by an iteration on a few packets and the last bits of
-/// the samples with it. `scalar_and_optimized_kernels_decode_alike` below
-/// is the evidence that nothing else moved.
+/// the samples with it (`scalar_and_optimized_kernels_decode_alike` below
+/// is the evidence that nothing else moved):
+///
+/// ```text
+/// 0x9666_f6b0_f9b4_5111  0x193c_3575_e55e_ce2a  0x50ec_d868_429d_9b92  0x164f_f83a_bb31_c31d
+/// ```
+///
+/// and a third time when production moved to the adaptive schedule
+/// (gradient restart on every solve, λ-continuation): a different path to
+/// the same minimiser, so all four production digests moved —
+/// `adaptive_schedule_matches_the_paper_schedule` below bounds by how
+/// much. The two `SolverPolicy::paper()` digests are the previous "default
+/// cold" constants, unchanged: the verbatim arm did not move a bit. (The
+/// previous block + warm constants were restart without continuation,
+/// which neither schedule runs any more.)
 #[test]
 fn production_decode_matches_the_golden_digest() {
     let samples = digest_corpus();
@@ -427,18 +450,160 @@ fn production_decode_matches_the_golden_digest() {
         decode_digest::<f32>(&samples, SolverPolicy::block_prior(), true, 16),
         decode_digest::<f64>(&samples, SolverPolicy::default(), false, 16),
         decode_digest::<f64>(&samples, SolverPolicy::block_prior(), true, 16),
+        decode_digest::<f32>(&samples, SolverPolicy::paper(), false, 16),
+        decode_digest::<f64>(&samples, SolverPolicy::paper(), false, 16),
     ];
     let golden = [
-        0x9666_f6b0_f9b4_5111_u64,
-        0x193c_3575_e55e_ce2a,
+        0xc17e_574d_2408_667f_u64,
+        0x388b_6275_fbd2_1e65,
+        0x2510_75d6_7cd9_9c1e,
+        0x88d1_1d32_ebaa_8f8e,
+        0x9666_f6b0_f9b4_5111,
         0x50ec_d868_429d_9b92,
-        0x164f_f83a_bb31_c31d,
     ];
     assert_eq!(
         got.map(|h| format!("{h:#018x}")),
         golden.map(|h| format!("{h:#018x}")),
-        "decode digests [f32 cold, f32 block+warm, f64 cold, f64 block+warm]"
+        "decode digests [f32 cold, f32 block+warm, f64 cold, f64 block+warm, \
+         f32 paper cold, f64 paper cold]"
     );
+}
+
+/// 34 s riddled with PVCs (wide, high-amplitude ectopic beats): the
+/// morphology the sinus digest corpus does not have.
+fn pvc_corpus() -> Vec<i16> {
+    let mut arrhythmic = EcgModelConfig::default();
+    arrhythmic.rhythm.pvc_probability = 0.45;
+    let (signal, beats) = EcgModel::new(arrhythmic, 0xC5ED).synthesize(34.0);
+    assert!(beats.iter().filter(|b| b.beat == BeatType::Pvc).count() >= 10);
+    resample_360_to_256(&signal).iter().map(|&v| (v * 400.0) as i16).collect()
+}
+
+/// PRD of one decoded packet against the window it encodes.
+fn packet_prd<T: cs_ecg_monitor::dsp::Real>(window: &[i16], out: &DecodedPacket<T>) -> f64 {
+    let original: Vec<f64> = window.iter().map(|&v| f64::from(v)).collect();
+    let decoded: Vec<f64> = out.samples.iter().map(|v| v.to_f64()).collect();
+    prd(&original, &decoded)
+}
+
+/// What the schedule may cost and must buy in one cell of the grid below.
+#[derive(Clone, Copy)]
+struct ScheduleGates {
+    /// Production iterations over the verbatim arm's, at most.
+    iteration_share: f64,
+    /// Relative mean-PRD drift allowed (or 0.05 points, whichever is more).
+    mean_prd_drift: f64,
+}
+
+/// The rule: plain cold pays at most 0.6 of the verbatim iterations
+/// (measured 0.37–0.56 outside the exception), block prior + warm start at
+/// most 0.5 of the same prior under the paper's schedule, which has no
+/// restart (measured 0.27–0.44), and the mean PRD of the sixteen packets
+/// stays within max(0.05 points, 1 %) of the verbatim arm's (measured
+/// ≤ 0.5 % in 13 of the 22 cells, up to 0.93 % in seven more).
+const COLD: ScheduleGates = ScheduleGates { iteration_share: 0.6, mean_prd_drift: 0.01 };
+const BLOCK_WARM: ScheduleGates = ScheduleGates { iteration_share: 0.5, mean_prd_drift: 0.01 };
+
+/// The three cells that miss the rule, each held to its own measured
+/// figure instead of loosening the rule for the other nineteen.
+fn schedule_gates(record: &str, cr: f64, cold: bool) -> ScheduleGates {
+    let rule = if cold { COLD } else { BLOCK_WARM };
+    match (record, cold) {
+        // The easiest cell: 75.9 vs 121.6 iterations, share 0.625 — half
+        // of its 76 iterations are the ~38-iteration ramp.
+        ("sinus", true) if cr == 30.0 => ScheduleGates { iteration_share: 0.65, ..rule },
+        // 7.644 vs 7.561 % mean PRD, +1.09 % (+0.083 points).
+        ("sinus", true) if cr == 80.0 => ScheduleGates { mean_prd_drift: 0.012, ..rule },
+        // 6.806 vs 6.896 %, −1.30 % (−0.089 points): production the lower.
+        ("pvc", false) if cr == 75.0 => ScheduleGates { mean_prd_drift: 0.014, ..rule },
+        _ => rule,
+    }
+}
+
+/// One cell of the schedule differential: the same 16 packets through the
+/// production schedule and through the paper's verbatim one — plain ℓ1
+/// from a cold start (`cold`), or the block prior warm-started. The two are
+/// 5·10⁻⁵-converged iterates of one flat objective, so they differ — by
+/// about 1 % of PRD on the mean packet and up to ~11 % on the worst —
+/// but not systematically: the mean PRD may drift and the iterations must
+/// fall as `gates` says, a single packet may move by max(0.3 points,
+/// 12 %), every packet must converge, and no cold packet may take more
+/// iterations than verbatim.
+fn schedules_decode_alike<T: cs_ecg_monitor::dsp::Real>(
+    label: &str,
+    config: &SystemConfig,
+    samples: &[i16],
+    cold: bool,
+    gates: ScheduleGates,
+) {
+    let policy = if cold { SolverPolicy::<T>::default() } else { SolverPolicy::block_prior() };
+    assert_eq!(policy.schedule, Schedule::Adaptive);
+    let paper = SolverPolicy { schedule: Schedule::Paper, ..policy };
+    let fast = decode_windows_at(config, samples, policy, !cold, 16);
+    let slow = decode_windows_at(config, samples, paper, !cold, 16);
+    let (mut prd_fast_sum, mut prd_slow_sum) = (0.0, 0.0);
+    let (mut it_fast, mut it_slow) = (0, 0);
+    let windows = samples.chunks_exact(config.packet_len());
+    for (k, ((fast, slow), window)) in fast.iter().zip(&slow).zip(windows).enumerate() {
+        let (prd_fast, prd_slow) = (packet_prd(window, fast), packet_prd(window, slow));
+        assert!(
+            (prd_fast - prd_slow).abs() <= (0.12 * prd_slow).max(0.3),
+            "{label} packet {k}: PRD {prd_fast:.4} % adaptive vs {prd_slow:.4} % paper"
+        );
+        assert!(fast.converged && slow.converged, "{label} packet {k}: not converged");
+        assert!(
+            !cold || fast.iterations <= slow.iterations,
+            "{label} packet {k}: {} iterations adaptive vs {} paper",
+            fast.iterations,
+            slow.iterations
+        );
+        prd_fast_sum += prd_fast;
+        prd_slow_sum += prd_slow;
+        it_fast += fast.iterations;
+        it_slow += slow.iterations;
+    }
+    let (prd_fast, prd_slow) = (prd_fast_sum / 16.0, prd_slow_sum / 16.0);
+    assert!(
+        (prd_fast - prd_slow).abs() <= (gates.mean_prd_drift * prd_slow).max(0.05),
+        "{label}: mean PRD {prd_fast:.4} % adaptive vs {prd_slow:.4} % paper"
+    );
+    assert!(
+        it_fast as f64 <= gates.iteration_share * it_slow as f64,
+        "{label}: {it_fast} iterations adaptive vs {it_slow} paper (share {})",
+        gates.iteration_share
+    );
+}
+
+/// [`schedules_decode_alike`] for the production `f32` decoder at CR
+/// 30–80 % on one record, plain cold and block prior + warm start.
+fn schedules_decode_alike_across_the_cr_sweep(record: &str, samples: &[i16]) {
+    for cr in [30.0, 50.0, 62.5, 75.0, 80.0] {
+        let config = SystemConfig::builder().compression_ratio(cr).build().unwrap();
+        for cold in [true, false] {
+            let label = format!("f32 CR {cr} {record} {}", if cold { "cold" } else { "block+warm" });
+            schedules_decode_alike::<f32>(&label, &config, samples, cold, schedule_gates(record, cr, cold));
+        }
+    }
+}
+
+/// The schedule may change the path, never the answer: the production
+/// decode against `SolverPolicy::paper()` on the digest's sinus record, at
+/// the reference precision at the paper geometry and across the CR sweep
+/// at the production one.
+#[test]
+fn adaptive_schedule_matches_the_paper_schedule() {
+    let sinus = digest_corpus();
+    let config = SystemConfig::paper_default();
+    schedules_decode_alike::<f64>("f64 cold", &config, &sinus, true, COLD);
+    schedules_decode_alike::<f64>("f64 block+warm", &config, &sinus, false, BLOCK_WARM);
+    schedules_decode_alike_across_the_cr_sweep("sinus", &sinus);
+}
+
+/// The same sweep on a PVC-laden record (its own test: the two halves of
+/// the grid run side by side).
+#[test]
+fn adaptive_schedule_matches_the_paper_schedule_on_pvcs() {
+    schedules_decode_alike_across_the_cr_sweep("pvc", &pvc_corpus());
 }
 
 /// The differential behind the re-pinned digest: the same 16 packets
@@ -453,9 +618,7 @@ fn kernels_decode_alike<T: cs_ecg_monitor::dsp::Real>(samples: &[i16], policy: S
     let fast = decode_windows(samples, policy, warm_start, 16);
     let slow = decode_windows(samples, scalar, warm_start, 16);
     for (k, ((fast, slow), window)) in fast.iter().zip(&slow).zip(samples.chunks_exact(n)).enumerate() {
-        let original: Vec<f64> = window.iter().map(|&v| f64::from(v)).collect();
-        let widen = |out: &DecodedPacket<T>| out.samples.iter().map(|v| v.to_f64()).collect::<Vec<_>>();
-        let (prd_fast, prd_slow) = (prd(&original, &widen(fast)), prd(&original, &widen(slow)));
+        let (prd_fast, prd_slow) = (packet_prd(window, fast), packet_prd(window, slow));
         assert!(
             (prd_fast - prd_slow).abs() <= 0.01,
             "packet {k}: PRD {prd_fast:.4} % optimized vs {prd_slow:.4} % scalar"

@@ -1,9 +1,15 @@
 //! Prior-driven solver guarantees across the system: the support-weighted
-//! FISTA path must break the warm-start iteration ceiling (≥ 20 % fewer
-//! mean iterations) at equal-or-better PRD across the paper's CR sweep,
-//! and must degrade gracefully — bounded, not catastrophic — when the
-//! beat morphology changes mid-stream (the prior's support estimate goes
-//! stale for exactly one window).
+//! FISTA path must hold equal-or-better PRD across the paper's CR sweep at
+//! no more iterations than the plain warm solve, the block prior must hold
+//! quality at fewer, and the support prior must degrade gracefully —
+//! bounded, not catastrophic — when the beat morphology changes mid-stream
+//! (its support estimate goes stale for exactly one window).
+//!
+//! With every solve on the same adaptive schedule the support prior and
+//! the plain warm solve run neck and neck on iterations (75.7 vs 78.8 at
+//! CR 50 %) — the ≥ 20 % win once pinned here was the gradient restart
+//! that only the prior modes switched on — so the prior is held to its
+//! PRD and to not costing iterations.
 //!
 //! CI runs this suite in release (`solver-priors` job): iteration counts
 //! are what the real-time budget pays for, and the release-codegen
@@ -63,14 +69,14 @@ fn prepare(record: &Record) -> Vec<i16> {
     at_256.iter().map(|&v| adc.to_signed(adc.quantize(v))).collect()
 }
 
-/// The headline guarantee, swept over the paper's operating range:
-/// CR 50 % (m = 256), 62.5 % (m = 192), 75 % (m = 128) at n = 512. At
-/// every point the support-weighted prior must solve in at most 80 % of
-/// the warm baseline's mean iterations without giving up reconstruction
-/// quality (≤ +0.5 pp PRD; in practice it *improves* PRD, since the
-/// reduced shrinkage on the true support deblurs the estimate).
+/// Swept over the paper's operating range: CR 50 % (m = 256), 62.5 %
+/// (m = 192), 75 % (m = 128) at n = 512. At every point the
+/// support-weighted prior must not give up reconstruction quality
+/// (≤ +0.5 pp PRD; in practice it *improves* PRD, since the reduced
+/// shrinkage on the true support deblurs the estimate) and must not solve
+/// slower than the plain warm baseline (≤ 1.05 × its mean iterations).
 #[test]
-fn weighted_prior_breaks_the_iteration_ceiling_across_the_cr_sweep() {
+fn weighted_prior_holds_quality_at_no_more_iterations_across_the_cr_sweep() {
     let db = SyntheticDatabase::new(DatabaseConfig {
         num_records: 1,
         duration_s: 20.0,
@@ -88,8 +94,8 @@ fn weighted_prior_breaks_the_iteration_ceiling_across_the_cr_sweep() {
         let (warm_it, warm_prd) = results[0];
         let (weighted_it, weighted_prd) = results[1];
         assert!(
-            weighted_it <= 0.8 * warm_it,
-            "CR {cr}: weighted mean iterations {weighted_it:.1} > 80 % of warm {warm_it:.1}"
+            weighted_it <= 1.05 * warm_it,
+            "CR {cr}: weighted mean iterations {weighted_it:.1} > 105 % of warm {warm_it:.1}"
         );
         assert!(
             weighted_prd <= warm_prd + 0.5,
@@ -135,7 +141,7 @@ fn block_prior_holds_quality_at_fewer_iterations() {
 /// weight floor and the adaptive restart must bound the damage: on
 /// every window of the transition region the weighted PRD may exceed
 /// the unweighted warm PRD by at most 1 pp, and over the whole record
-/// the weighted path must still win on iterations.
+/// the weighted path must not solve slower than the plain one.
 #[test]
 fn support_prior_survives_arrhythmic_morphology_change() {
     let n = 512;
@@ -204,7 +210,7 @@ fn support_prior_survives_arrhythmic_morphology_change() {
         );
     }
     assert!(
-        (weighted_iters as f64) < 0.9 * warm_iters as f64,
+        weighted_iters as f64 <= 1.05 * warm_iters as f64,
         "weighted {weighted_iters} iterations vs warm {warm_iters} across the chaos record"
     );
 }
