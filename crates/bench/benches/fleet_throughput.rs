@@ -45,15 +45,8 @@ fn bench_fleet(c: &mut Criterion) {
         let streams: Vec<FleetStream<'_>> =
             leads.iter().map(|l| FleetStream::single(l)).collect();
         group.throughput(Throughput::Elements((nstreams * FRAMES) as u64));
-        for (label, warm, batch, solver) in [
-            ("cold", false, 1, SolverPolicy::default()),
-            ("warm", true, 1, SolverPolicy::default()),
-            ("batch", true, nstreams, SolverPolicy::default()),
-            ("weighted", true, 1, SolverPolicy::support_prior()),
-        ] {
-            let fleet =
-                FleetConfig { warm_start: warm, batch, ..FleetConfig::default() };
-            let policy = solver;
+        for (label, warm) in [("cold", false), ("warm", true)] {
+            let fleet = FleetConfig { warm_start: warm, ..FleetConfig::default() };
             group.bench_with_input(
                 BenchmarkId::new(format!("fleet_{label}"), nstreams),
                 &streams,

@@ -5,9 +5,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cs_dsp::wavelet::{Dwt, Wavelet};
 use cs_recovery::{
-    dot, fista, fista_tail, fista_warm_batch_ws, fista_warm_ws, lambda_max, squared_distance,
-    BatchWorkspace, DenseOperator, FistaWorkspace, KernelMode, ProxSpec, ShrinkageConfig,
-    SynthesisOperator,
+    dot, fista, fista_prior_warm_ws, fista_tail, lambda_max, squared_distance, DenseOperator,
+    FistaWorkspace, KernelMode, ProxSpec, ShrinkageConfig, SynthesisOperator,
 };
 use cs_sensing::{measurements_for_cr, Sensing, SparseBinarySensing};
 
@@ -68,7 +67,16 @@ fn bench_solver(c: &mut Criterion) {
     let mut ws32 = FistaWorkspace::for_operator(&op32);
     group.bench_function("matrix_free_f32_ws", |b| {
         b.iter(|| {
-            let r = fista_warm_ws(&op32, black_box(&y32), &cfg32, Some(60.0), None, &mut ws32);
+            let r = fista_prior_warm_ws(
+                &op32,
+                black_box(&y32),
+                &cfg32,
+                Some(60.0),
+                ProxSpec::L1,
+                false,
+                None,
+                &mut ws32,
+            );
             ws32.recycle_solution(r.solution);
             r.residual_norm
         })
@@ -76,78 +84,22 @@ fn bench_solver(c: &mut Criterion) {
     let mut ws64 = FistaWorkspace::for_operator(&op64);
     group.bench_function("matrix_free_f64_ws", |b| {
         b.iter(|| {
-            let r = fista_warm_ws(&op64, black_box(&y64), &cfg64, Some(60.0), None, &mut ws64);
+            let r = fista_prior_warm_ws(
+                &op64,
+                black_box(&y64),
+                &cfg64,
+                Some(60.0),
+                ProxSpec::L1,
+                false,
+                None,
+                &mut ws64,
+            );
             ws64.recycle_solution(r.solution);
             r.residual_norm
         })
     });
     group.bench_function("dense_f32", |b| {
         b.iter(|| fista(&dense32, black_box(&y32), &cfg32, Some(60.0)))
-    });
-    group.finish();
-}
-
-/// The MMV payoff in isolation: eight independent solves one after the
-/// other vs the same eight fused into one K-wide batch. Both run the same
-/// fixed iteration budget (tolerance 0), so the delta is purely the fused
-/// operator walks — the CSR/CSC support structure streamed once per batch
-/// iteration instead of once per lane iteration.
-fn bench_batched(c: &mut Criterion) {
-    const K: usize = 8;
-    let m = measurements_for_cr(N, 50.0);
-    let phi = SparseBinarySensing::new(m, N, 12, 3).expect("valid Φ");
-    let wavelet = Wavelet::daubechies(4).expect("db4");
-    let dwt: Dwt<f32> = Dwt::new(&wavelet, N, 5).expect("plan");
-    let op = SynthesisOperator::new(&phi, &dwt);
-
-    let ys: Vec<Vec<f32>> = (0..K)
-        .map(|k| {
-            let x: Vec<f32> = (0..N)
-                .map(|i| {
-                    let t = i as f32 / N as f32;
-                    800.0 * (-((t - 0.4 + k as f32 * 0.01) * 30.0).powi(2)).exp()
-                        + 50.0 * (t * 11.0).sin()
-                })
-                .collect();
-            phi.apply(x.as_slice())
-        })
-        .collect();
-    let cfgs: Vec<ShrinkageConfig<f32>> = ys
-        .iter()
-        .map(|y| ShrinkageConfig {
-            lambda: 0.01 * lambda_max(&op, y),
-            max_iterations: ITERS,
-            tolerance: 0.0,
-            residual_tolerance: 0.0,
-            kernel: KernelMode::Unrolled4,
-            record_objective: false,
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("batched_fista");
-    let mut ws = FistaWorkspace::for_operator(&op);
-    group.bench_function("sequential_8", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f32;
-            for (y, cfg) in ys.iter().zip(&cfgs) {
-                let r = fista_warm_ws(&op, black_box(y), cfg, Some(60.0), None, &mut ws);
-                acc += r.residual_norm;
-                ws.recycle_solution(r.solution);
-            }
-            acc
-        })
-    });
-    let mut bws = BatchWorkspace::for_operator(&op, K);
-    group.bench_function("batch_8", |b| {
-        use cs_recovery::LinearOperator;
-        b.iter(|| {
-            bws.begin(op.rows(), op.cols());
-            for y in &ys {
-                bws.stage_lane(black_box(y.as_slice()), None);
-            }
-            fista_warm_batch_ws(&op, &cfgs, None, Some(60.0), &mut bws);
-            (0..K).map(|lane| bws.residual_norm(lane)).sum::<f32>()
-        })
     });
     group.finish();
 }
@@ -195,5 +147,5 @@ fn bench_iteration_tail(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver, bench_batched, bench_iteration_tail);
+criterion_group!(benches, bench_solver, bench_iteration_tail);
 criterion_main!(benches);

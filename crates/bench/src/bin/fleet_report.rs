@@ -494,16 +494,8 @@ fn main() {
         &warm_cfg,
         &TelemetryRegistry::disabled(),
     );
-    // The prior-driven runs decode the same traffic warm-started, with
-    // the support-weighted and block-sparse proximal steps respectively.
-    let (_, weighted_stats, _, weighted_q) = run(
-        &streams,
-        &config,
-        &codebook,
-        SolverPolicy::support_prior(),
-        &warm_cfg,
-        &TelemetryRegistry::disabled(),
-    );
+    // The prior-driven run decodes the same traffic warm-started, with
+    // the block-sparse proximal step.
     let (_, _block_stats, _, block_q) = run(
         &streams,
         &config,
@@ -601,7 +593,6 @@ fn main() {
     // 20 % shift) and the fleet-wide PRD each mode reconstructs at. The
     // summary lines under the table are the ones
     // `scripts/bench_snapshot.sh` parses into BENCH_decode.json.
-    let weighted_fleet = FleetStats::from_streams(&weighted_stats);
     println!("== Solver priors ==");
     println!(
         "{:<10} {:>8} {:>9} {:>8} {:>8} {:>8}",
@@ -610,7 +601,6 @@ fn main() {
     for (name, q) in [
         ("cold", &cold_q),
         ("warm", &warm_q),
-        ("weighted", &weighted_q),
         ("block", &block_q),
         ("paper", &paper_q),
     ] {
@@ -625,12 +615,6 @@ fn main() {
         );
     }
     println!(
-        "weighted mean iterations : {:>7.1}  ({} of {} packets warm-started)",
-        weighted_q.iterations_mean(),
-        weighted_fleet.warm_started,
-        weighted_fleet.packets()
-    );
-    println!(
         "block mean iterations   : {:>8.1}",
         block_q.iterations_mean()
     );
@@ -638,13 +622,8 @@ fn main() {
         "paper mean iterations   : {:>8.1}  (cold, SolverPolicy::paper())",
         paper_q.iterations_mean()
     );
-    println!(
-        "weighted iteration saving: {:>7.1} %  (vs warm baseline)",
-        weighted_fleet.iteration_saving_vs(&warm) * 100.0
-    );
     println!("cold PRD                : {:>8.2} %", cold_q.prd_percent());
     println!("warm PRD                : {:>8.2} %", warm_q.prd_percent());
-    println!("weighted PRD            : {:>8.2} %", weighted_q.prd_percent());
     println!("block PRD               : {:>8.2} %", block_q.prd_percent());
     println!("paper PRD               : {:>8.2} %", paper_q.prd_percent());
 

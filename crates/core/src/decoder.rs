@@ -7,7 +7,6 @@
 //! samples. The decoder is generic over `f32`/`f64`, which is how Fig. 6's
 //! precision comparison is produced from a single implementation.
 
-use crate::batch::BatchDecodeWorkspace;
 use crate::config::SystemConfig;
 use crate::error::PipelineError;
 use crate::packet::{EncodedPacket, PacketKind};
@@ -15,10 +14,9 @@ use cs_codec::{symbol_to_value, BitReader, Codebook, DiffConfig, DiffDecoder};
 use cs_dsp::wavelet::{Dwt, Wavelet};
 use cs_dsp::Real;
 use cs_recovery::{
-    fista_prior_batch_ws_observed, fista_prior_warm_ws_observed, lambda_max_with,
-    lipschitz_constant, top_singular_pair, BatchPenalty, DeflatedOperator, FistaWorkspace,
-    KernelMode, LinearOperator, ProxSpec, ShrinkageConfig, SpectralCache, SpectralEstimate,
-    SynthesisOperator,
+    fista_prior_warm_ws, lambda_max_with, lipschitz_constant, top_singular_pair, DeflatedOperator,
+    FistaWorkspace, KernelMode, LinearOperator, ProxSpec, ShrinkageConfig, SpectralCache,
+    SpectralEstimate, SynthesisOperator,
 };
 use cs_sensing::SparseBinarySensing;
 use cs_telemetry::{SolveTrace, SolverMode, Stage, TelemetryRegistry};
@@ -36,16 +34,6 @@ pub enum PriorMode {
     /// Plain Eq. (3).
     #[default]
     None,
-    /// Support-weighted ℓ1: each window's estimated support (the
-    /// magnitude-thresholded coefficients of the *previous* solution)
-    /// pays a reduced weight, off-support coefficients full weight
-    /// (Polanía et al., arXiv:1405.4201). Safeguards: weights never reach
-    /// zero ([`SolverPolicy::support_floor`]), the prior is only applied
-    /// when the β-safeguarded warm seed was accepted (a morphology break
-    /// rejects the seed *and* the prior together), and every
-    /// [`SolverPolicy::support_refresh`]-th window solves unweighted to
-    /// re-estimate the support from scratch.
-    Support,
     /// Block-sparse group-ℓ1 over wavelet-tree groups: detail subbands
     /// shrink in blocks of [`SolverPolicy::block_size`], the coarse
     /// approximation band coefficient-wise (Zhang et al.,
@@ -90,30 +78,12 @@ pub struct SolverPolicy<T: Real> {
     /// [`cs_recovery::DeflatedOperator`]); `1.0` disables. Sparse binary
     /// sensing needs this to reach Gaussian-parity convergence (Fig. 2).
     pub deflation_factor: T,
-    /// Whether the ℓ1 penalty also shrinks the coarse approximation
-    /// subband (`true`, the default, is the paper's plain Eq. 3). Setting
-    /// `false` exempts that non-sparse band from shrinkage — a common
-    /// CS-ECG refinement, measurably neutral on this corpus because the
-    /// data-adaptive λ and the spectral deflation already absorb the
-    /// baseline bias (see the `probe` history in EXPERIMENTS.md).
-    pub penalize_approximation: bool,
     /// Which prior drives the proximal step (default [`PriorMode::None`]).
     pub prior: PriorMode,
     /// How the solver walks to the minimiser (default
     /// [`Schedule::Adaptive`]; [`SolverPolicy::paper`] selects the verbatim
     /// one).
     pub schedule: Schedule,
-    /// Support membership cut for [`PriorMode::Support`]: coefficient `i`
-    /// is on-support when `|αᵢ| ≥ support_threshold · max|α|` of the
-    /// previous window's solution.
-    pub support_threshold: T,
-    /// ℓ1 weight paid by on-support coefficients (off-support pay 1).
-    /// Strictly positive — a zero floor would let a stale support lock
-    /// coefficients on forever.
-    pub support_floor: T,
-    /// Solve unweighted every this-many weighted windows, re-estimating
-    /// the support from an unbiased solution.
-    pub support_refresh: usize,
     /// Detail-subband group width for [`PriorMode::Block`] (the coarse
     /// approximation band always shrinks coefficient-wise).
     pub block_size: usize,
@@ -128,12 +98,8 @@ impl<T: Real> Default for SolverPolicy<T> {
             kernel: KernelMode::Unrolled4,
             residual_tolerance: T::ZERO,
             deflation_factor: T::from_f64(0.15),
-            penalize_approximation: true,
             prior: PriorMode::None,
             schedule: Schedule::Adaptive,
-            support_threshold: T::from_f64(0.05),
-            support_floor: T::from_f64(0.25),
-            support_refresh: 16,
             block_size: 4,
         }
     }
@@ -150,14 +116,6 @@ impl<T: Real> SolverPolicy<T> {
         }
     }
 
-    /// The default policy with the support-weighted prior enabled.
-    pub fn support_prior() -> Self {
-        SolverPolicy {
-            prior: PriorMode::Support,
-            ..SolverPolicy::default()
-        }
-    }
-
     /// The default policy with the block-sparse wavelet-tree prior
     /// enabled.
     pub fn block_prior() -> Self {
@@ -165,51 +123,6 @@ impl<T: Real> SolverPolicy<T> {
             prior: PriorMode::Block,
             ..SolverPolicy::default()
         }
-    }
-}
-
-/// Per-lane support prior: the ℓ1 weight vector estimated from the
-/// previous window's solution, plus the refresh bookkeeping.
-#[derive(Debug, Clone, Default)]
-struct SupportPrior<T: Real> {
-    /// Per-coefficient weights (support → floor, rest → 1, multiplied by
-    /// the decoder's static subband weights). Valid only while `ready`.
-    weights: Vec<T>,
-    /// Weighted solves since the last unweighted refresh.
-    since_refresh: usize,
-    /// Whether `weights` reflect a decoded window.
-    ready: bool,
-}
-
-impl<T: Real> SupportPrior<T> {
-    /// Re-estimates the weights from a freshly decoded solution.
-    /// Steady-state allocation-free: the weight buffer keeps its
-    /// capacity.
-    fn refresh_from(&mut self, solution: &[T], threshold: T, floor: T, static_weights: &[T]) {
-        let max = solution.iter().fold(T::ZERO, |m, &v| m.max(v.abs()));
-        if max == T::ZERO {
-            // An all-zero window carries no support information.
-            self.ready = false;
-            return;
-        }
-        let cut = threshold * max;
-        self.weights.clear();
-        self.weights.extend(solution.iter().enumerate().map(|(i, &v)| {
-            let stat = static_weights.get(i).copied().unwrap_or(T::ONE);
-            if v.abs() >= cut {
-                stat * floor
-            } else {
-                stat
-            }
-        }));
-        self.ready = true;
-    }
-
-    /// Drops the prior — the stream no longer continues from the window
-    /// it was estimated on.
-    fn reset(&mut self) {
-        self.ready = false;
-        self.since_refresh = 0;
     }
 }
 
@@ -367,11 +280,6 @@ pub struct Decoder<T: Real> {
     /// Top measurement-space singular direction of `ΦΨᵀ` (empty when
     /// deflation is disabled).
     deflation_u: Vec<T>,
-    /// Per-coefficient ℓ1 weights (empty ⇒ unweighted).
-    penalty_weights: Vec<T>,
-    /// Support prior estimated from the previous window (only maintained
-    /// under [`PriorMode::Support`]).
-    prior: SupportPrior<T>,
     /// Wavelet-tree group partition (empty unless [`PriorMode::Block`]).
     groups: Vec<usize>,
     policy: SolverPolicy<T>,
@@ -459,41 +367,8 @@ impl<T: Real> Decoder<T> {
                 config.alphabet()
             )));
         }
-        match policy.prior {
-            PriorMode::None => {}
-            PriorMode::Support => {
-                let thr = policy.support_threshold.to_f64();
-                let floor = policy.support_floor.to_f64();
-                if !(0.0..1.0).contains(&thr) {
-                    return Err(PipelineError::InvalidConfig(format!(
-                        "support_threshold {thr} outside [0, 1)"
-                    )));
-                }
-                if !(floor > 0.0 && floor <= 1.0) {
-                    return Err(PipelineError::InvalidConfig(format!(
-                        "support_floor {floor} outside (0, 1]"
-                    )));
-                }
-                if policy.support_refresh == 0 {
-                    return Err(PipelineError::InvalidConfig(
-                        "support_refresh must be at least 1".into(),
-                    ));
-                }
-            }
-            PriorMode::Block => {
-                if policy.block_size == 0 {
-                    return Err(PipelineError::InvalidConfig(
-                        "block_size must be at least 1".into(),
-                    ));
-                }
-                if !policy.penalize_approximation {
-                    // The group prox has no per-coefficient zero weights,
-                    // so the subband exemption cannot compose with it.
-                    return Err(PipelineError::InvalidConfig(
-                        "block prior requires penalize_approximation".into(),
-                    ));
-                }
-            }
+        if policy.prior == PriorMode::Block && policy.block_size == 0 {
+            return Err(PipelineError::InvalidConfig("block_size must be at least 1".into()));
         }
         let phi = SparseBinarySensing::new(
             config.measurements(),
@@ -537,15 +412,6 @@ impl<T: Real> Decoder<T> {
             reference_interval: config.reference_interval(),
             alphabet: config.alphabet(),
         });
-        let penalty_weights = if policy.penalize_approximation {
-            Vec::new()
-        } else {
-            // Exempt the coarse approximation subband from shrinkage.
-            let coarsest = config.packet_len() >> config.levels();
-            (0..config.packet_len())
-                .map(|i| if i < coarsest { T::ZERO } else { T::ONE })
-                .collect()
-        };
         let groups = if policy.prior == PriorMode::Block {
             wavelet_tree_groups(config.packet_len(), config.levels(), policy.block_size)
         } else {
@@ -559,8 +425,6 @@ impl<T: Real> Decoder<T> {
             codebook,
             lipschitz,
             deflation_u,
-            penalty_weights,
-            prior: SupportPrior::default(),
             groups,
             policy,
             warm: None,
@@ -708,136 +572,6 @@ impl<T: Real> Decoder<T> {
         ws: &mut DecodeWorkspace<T>,
         out: &mut DecodedPacket<T>,
     ) -> Result<(), PipelineError> {
-        let n = self.config.packet_len();
-        let (cfg, warm_started) = self.prepare_solve(packet, ws)?;
-        let op = SynthesisOperator::new(&self.phi, &self.dwt);
-        let deflated = DeflatedOperator::with_direction_borrowed(
-            &op,
-            &self.deflation_u,
-            self.policy.deflation_factor,
-        );
-        let warm = if warm_started { Some(ws.seed.as_slice()) } else { None };
-        let (prox, mode) = self.select_prox(warm_started);
-        let result = fista_prior_warm_ws_observed(
-            &deflated,
-            &ws.yd,
-            &cfg,
-            Some(self.lipschitz),
-            prox,
-            self.policy.schedule == Schedule::Adaptive,
-            warm,
-            &mut ws.solve,
-            &self.telemetry,
-        );
-        self.telemetry.record_solver_iterations(mode, result.iterations);
-        if self.policy.prior == PriorMode::Support {
-            self.prior.since_refresh = if mode == SolverMode::Weighted {
-                self.prior.since_refresh + 1
-            } else {
-                0
-            };
-            self.prior.refresh_from(
-                &result.solution,
-                self.policy.support_threshold,
-                self.policy.support_floor,
-                &self.penalty_weights,
-            );
-        }
-        let (stream, channel) = self.telemetry_labels;
-        self.telemetry.record_solve(SolveTrace {
-            stream,
-            channel,
-            seq: packet.index,
-            iterations: u32::try_from(result.iterations).unwrap_or(u32::MAX),
-            residual: result.residual_norm.to_f64(),
-            solve_ns: u64::try_from(result.elapsed.as_nanos()).unwrap_or(u64::MAX),
-            warm_started,
-            converged: result.converged,
-        });
-        {
-            let _span = self.telemetry.span(Stage::WaveletSynthesis);
-            out.samples.clear();
-            out.samples.resize(n, T::ZERO);
-            self.dwt.synthesize_scratch(&result.solution, &mut out.samples, &mut ws.grad);
-        }
-        out.index = packet.index;
-        out.iterations = result.iterations;
-        out.converged = result.converged;
-        out.solve_time = result.elapsed;
-        out.warm_started = warm_started;
-        out.residual_norm = result.residual_norm;
-        out.concealed = false;
-
-        // Retain the estimate for loss concealment. Copied, not moved:
-        // the solution vector continues into the warm-start ping-pong
-        // below. One allocation on the first retained window, then
-        // steady-state free.
-        if self.concealment {
-            match &mut self.conceal {
-                Some(c) if c.len() == result.solution.len() => {
-                    c.copy_from_slice(&result.solution)
-                }
-                c => *c = Some(result.solution.clone()),
-            }
-        }
-
-        // Ping-pong the solution vectors: the new estimate replaces the
-        // warm seed and the retired seed's storage returns to the solver
-        // pool — a closed loop with no allocation.
-        if self.warm_start {
-            match self.warm.replace(result.solution) {
-                Some(old) => ws.solve.recycle_solution(old),
-                // First packet of a warm stream: the cycle needs two
-                // solution buffers in flight (one retained as the seed,
-                // one in the pool), so mint the second now — the last
-                // setup-time allocation.
-                None => ws.solve.recycle_solution(vec![T::ZERO; n]),
-            }
-        } else {
-            ws.solve.recycle_solution(result.solution);
-        }
-        Ok(())
-    }
-
-    /// Picks the proximal operator (and its telemetry mode label) for one
-    /// solve. The support prior only applies when the β-safeguarded warm
-    /// seed was accepted — a rejected seed means the windows decorrelated,
-    /// exactly when the previous support would mislead — and is suspended
-    /// on the periodic unweighted refresh tick.
-    fn select_prox(&self, warm_started: bool) -> (ProxSpec<'_, T>, SolverMode) {
-        match self.policy.prior {
-            PriorMode::Block => (ProxSpec::Group(&self.groups), SolverMode::Block),
-            PriorMode::Support
-                if warm_started
-                    && self.prior.ready
-                    && self.prior.since_refresh < self.policy.support_refresh =>
-            {
-                (ProxSpec::WeightedL1(&self.prior.weights), SolverMode::Weighted)
-            }
-            _ => {
-                let mode = if warm_started { SolverMode::Warm } else { SolverMode::Cold };
-                if self.penalty_weights.is_empty() {
-                    (ProxSpec::L1, mode)
-                } else {
-                    (ProxSpec::WeightedL1(&self.penalty_weights), mode)
-                }
-            }
-        }
-    }
-
-    /// The per-lane front half of a decode — everything before the
-    /// solver: entropy decode, redundancy reinsertion, measurement
-    /// scaling and deflation, the data-adaptive λ, and the safeguarded
-    /// warm seed. On success `ws.yd` holds the deflated measurements,
-    /// `ws.seed` the β-rescaled warm seed when the returned flag is set,
-    /// and the returned config is ready for the solver. Shared verbatim
-    /// by the sequential and batched paths, which is what keeps them
-    /// bit-identical up to the solve.
-    fn prepare_solve(
-        &mut self,
-        packet: &EncodedPacket,
-        ws: &mut DecodeWorkspace<T>,
-    ) -> Result<(ShrinkageConfig<T>, bool), PipelineError> {
         let m = self.config.measurements();
         let n = self.config.packet_len();
 
@@ -932,9 +666,8 @@ impl<T: Real> Decoder<T> {
                     let cold_objective = ws.yd.iter().fold(T::ZERO, |acc, &y| acc + y * y);
                     let residual = cold_objective - beta * beta * aw_aw;
                     let mut l1 = T::ZERO;
-                    for (i, &wi) in w.iter().enumerate() {
-                        let weight = self.penalty_weights.get(i).copied().unwrap_or(T::ONE);
-                        l1 += weight * (beta * wi).abs();
+                    for &wi in w {
+                        l1 += (beta * wi).abs();
                     }
                     if residual + lam * l1 < T::from_f64(0.5) * cold_objective {
                         ws.seed.clear();
@@ -944,169 +677,85 @@ impl<T: Real> Decoder<T> {
                 }
             }
         }
-        Ok((cfg, warm_started))
-    }
-
-    /// Stages one wire packet into a batched solve: runs the scalar front
-    /// half (entropy decode through the warm safeguard) for this lane and
-    /// appends its measurements, warm seed, and solver configuration to
-    /// `batch`. Returns the lane index to hand back to
-    /// [`Decoder::finish_batch_lane`] once [`Decoder::solve_batch`] has
-    /// run. Lanes staged into one batch must be pairwise-distinct
-    /// `(stream, lead)` decoders of identical configuration — the fleet's
-    /// [`BatchScheduler`](crate::BatchScheduler) guarantees both.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Decoder::decode_packet_with`]; on error nothing
-    /// is staged.
-    pub fn begin_batch_lane(
-        &mut self,
-        packet: &EncodedPacket,
-        batch: &mut BatchDecodeWorkspace<T>,
-    ) -> Result<usize, PipelineError> {
-        let (cfg, warm_started) = self.prepare_solve(packet, &mut batch.scalar)?;
-        let warm = if warm_started { Some(batch.scalar.seed.as_slice()) } else { None };
-        let lane = batch.solve.stage_lane(&batch.scalar.yd, warm);
-        batch.configs.push(cfg);
-        batch.warm_started.push(warm_started);
-        // Under the support prior every lane stages a weight vector (the
-        // batch penalty is uniform per-lane weighted; an all-ones or
-        // static fallback is bit-identical to the lane's unweighted
-        // solve), and remembers whether its prior actually drove it.
-        if self.policy.prior == PriorMode::Support {
-            let (prox, mode) = self.select_prox(warm_started);
-            let used_prior = mode == SolverMode::Weighted;
-            match prox {
-                ProxSpec::WeightedL1(w) => batch.lane_weights.extend_from_slice(w),
-                _ => {
-                    let n = self.config.packet_len();
-                    batch.lane_weights.extend(std::iter::repeat_n(T::ONE, n));
-                }
-            }
-            batch.prior_used.push(used_prior);
-        } else {
-            batch.prior_used.push(false);
-        }
-        Ok(lane)
-    }
-
-    /// Solves every lane staged in `batch` with one K-wide MMV FISTA
-    /// sweep over this decoder's operator. Any staged lane's decoder may
-    /// issue the call — decoders of one configuration share bit-identical
-    /// operators, Lipschitz constants, and penalty weights by
-    /// construction. Per-column convergence masks freeze each lane at its
-    /// own stopping point, so every lane's solution, iteration count, and
-    /// residual are bit-for-bit what its sequential solve would produce.
-    pub fn solve_batch(&self, batch: &mut BatchDecodeWorkspace<T>) {
-        let op = SynthesisOperator::new(&self.phi, &self.dwt);
-        let deflated = DeflatedOperator::with_direction_borrowed(
-            &op,
-            &self.deflation_u,
-            self.policy.deflation_factor,
-        );
-        let penalty = match self.policy.prior {
-            PriorMode::None if self.penalty_weights.is_empty() => BatchPenalty::L1,
-            PriorMode::None => BatchPenalty::Shared(&self.penalty_weights),
-            PriorMode::Support => BatchPenalty::PerLane(&batch.lane_weights),
-            PriorMode::Block => BatchPenalty::Group(&self.groups),
+        let warm = if warm_started { Some(ws.seed.as_slice()) } else { None };
+        let (prox, mode) = self.select_prox(warm_started);
+        let result = {
+            let _span = self.telemetry.span(Stage::FistaSolve);
+            fista_prior_warm_ws(
+                &deflated,
+                &ws.yd,
+                &cfg,
+                Some(self.lipschitz),
+                prox,
+                self.policy.schedule == Schedule::Adaptive,
+                warm,
+                &mut ws.solve,
+            )
         };
-        fista_prior_batch_ws_observed(
-            &deflated,
-            &batch.configs,
-            penalty,
-            self.policy.schedule == Schedule::Adaptive,
-            Some(self.lipschitz),
-            &mut batch.solve,
-            &self.telemetry,
-        );
-    }
-
-    /// The per-lane back half of a batched decode: journals the solve
-    /// trace, synthesizes the samples into `out`, and retains the lane's
-    /// estimate for concealment and warm starts. `lane` is the index
-    /// [`Decoder::begin_batch_lane`] returned and `index` the wire
-    /// sequence number. Per-lane `solve_time` is the batch's wall clock
-    /// divided by its occupancy — an attribution convention, since the
-    /// lanes genuinely ran fused.
-    pub fn finish_batch_lane(
-        &mut self,
-        lane: usize,
-        index: u64,
-        batch: &mut BatchDecodeWorkspace<T>,
-        out: &mut DecodedPacket<T>,
-    ) {
-        let n = self.config.packet_len();
-        let occupancy = u32::try_from(batch.solve.lanes().max(1)).unwrap_or(u32::MAX);
-        let share = batch.solve.elapsed() / occupancy;
-        let warm_started = batch.warm_started[lane];
-        let iterations = batch.solve.iterations(lane);
-        let converged = batch.solve.converged(lane);
-        let residual_norm = batch.solve.residual_norm(lane);
-        let mode = match self.policy.prior {
-            PriorMode::Block => SolverMode::Block,
-            PriorMode::Support if batch.prior_used[lane] => SolverMode::Weighted,
-            _ if warm_started => SolverMode::Warm,
-            _ => SolverMode::Cold,
-        };
-        self.telemetry.record_solver_iterations(mode, iterations);
-        if self.policy.prior == PriorMode::Support {
-            self.prior.since_refresh = if mode == SolverMode::Weighted {
-                self.prior.since_refresh + 1
-            } else {
-                0
-            };
-            self.prior.refresh_from(
-                batch.solve.solution(lane),
-                self.policy.support_threshold,
-                self.policy.support_floor,
-                &self.penalty_weights,
-            );
-        }
+        self.telemetry.record_solver_iterations(mode, result.iterations);
         let (stream, channel) = self.telemetry_labels;
         self.telemetry.record_solve(SolveTrace {
             stream,
             channel,
-            seq: index,
-            iterations: u32::try_from(iterations).unwrap_or(u32::MAX),
-            residual: residual_norm.to_f64(),
-            solve_ns: u64::try_from(share.as_nanos()).unwrap_or(u64::MAX),
+            seq: packet.index,
+            iterations: u32::try_from(result.iterations).unwrap_or(u32::MAX),
+            residual: result.residual_norm.to_f64(),
+            solve_ns: u64::try_from(result.elapsed.as_nanos()).unwrap_or(u64::MAX),
             warm_started,
-            converged,
+            converged: result.converged,
         });
         {
             let _span = self.telemetry.span(Stage::WaveletSynthesis);
             out.samples.clear();
             out.samples.resize(n, T::ZERO);
-            self.dwt.synthesize_scratch(
-                batch.solve.solution(lane),
-                &mut out.samples,
-                &mut batch.scalar.grad,
-            );
+            self.dwt.synthesize_scratch(&result.solution, &mut out.samples, &mut ws.grad);
         }
-        out.index = index;
-        out.iterations = iterations;
-        out.converged = converged;
-        out.solve_time = share;
+        out.index = packet.index;
+        out.iterations = result.iterations;
+        out.converged = result.converged;
+        out.solve_time = result.elapsed;
         out.warm_started = warm_started;
-        out.residual_norm = residual_norm;
+        out.residual_norm = result.residual_norm;
         out.concealed = false;
 
-        // The batch workspace owns the solution block, so retention
-        // copies out of it instead of the sequential path's ping-pong of
-        // owned vectors. One allocation per lane on its first retained
-        // window, then steady-state free.
-        let solution = batch.solve.solution(lane);
+        // Retain the estimate for loss concealment. Copied, not moved:
+        // the solution vector continues into the warm-start ping-pong
+        // below. One allocation on the first retained window, then
+        // steady-state free.
         if self.concealment {
             match &mut self.conceal {
-                Some(c) if c.len() == solution.len() => c.copy_from_slice(solution),
-                c => *c = Some(solution.to_vec()),
+                Some(c) if c.len() == result.solution.len() => {
+                    c.copy_from_slice(&result.solution)
+                }
+                c => *c = Some(result.solution.clone()),
             }
         }
+
+        // Ping-pong the solution vectors: the new estimate replaces the
+        // warm seed and the retired seed's storage returns to the solver
+        // pool — a closed loop with no allocation.
         if self.warm_start {
-            match &mut self.warm {
-                Some(w) if w.len() == solution.len() => w.copy_from_slice(solution),
-                w => *w = Some(solution.to_vec()),
+            match self.warm.replace(result.solution) {
+                Some(old) => ws.solve.recycle_solution(old),
+                // First packet of a warm stream: the cycle needs two
+                // solution buffers in flight (one retained as the seed,
+                // one in the pool), so mint the second now — the last
+                // setup-time allocation.
+                None => ws.solve.recycle_solution(vec![T::ZERO; n]),
+            }
+        } else {
+            ws.solve.recycle_solution(result.solution);
+        }
+        Ok(())
+    }
+
+    /// Picks the proximal operator (and its telemetry mode label) for one
+    /// solve.
+    fn select_prox(&self, warm_started: bool) -> (ProxSpec<'_, T>, SolverMode) {
+        match self.policy.prior {
+            PriorMode::Block => (ProxSpec::Group(&self.groups), SolverMode::Block),
+            PriorMode::None => {
+                (ProxSpec::L1, if warm_started { SolverMode::Warm } else { SolverMode::Cold })
             }
         }
     }
@@ -1119,9 +768,6 @@ impl<T: Real> Decoder<T> {
     pub fn desynchronize(&mut self) {
         self.diff.desynchronize();
         self.warm = None;
-        // The support prior was estimated on a window the stream no
-        // longer continues from.
-        self.prior.reset();
     }
 
     /// Re-synthesizes a lost window from the last retained coefficient
@@ -1261,32 +907,6 @@ mod tests {
         assert!(mean_abs < 2.0, "precision gap {mean_abs} counts");
     }
 
-    #[test]
-    fn weighted_policy_decodes_comparably() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(Codebook::from_counts(&vec![1; 512], 512).unwrap());
-        let mut enc = Encoder::new(&config, Arc::clone(&cb)).unwrap();
-        let mut plain: Decoder<f64> =
-            Decoder::new(&config, Arc::clone(&cb), SolverPolicy::default()).unwrap();
-        let weighted_policy = SolverPolicy {
-            penalize_approximation: false,
-            ..SolverPolicy::default()
-        };
-        let mut weighted: Decoder<f64> = Decoder::new(&config, cb, weighted_policy).unwrap();
-
-        let x = synthetic_packet(512, 0.0);
-        let wire = enc.encode_packet(&x).unwrap();
-        let a = plain.decode_packet(&wire).unwrap();
-        let b = weighted.decode_packet(&wire).unwrap();
-        let xf: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        let prd = |r: &[f64]| {
-            let num: f64 = xf.iter().zip(r).map(|(u, v)| (u - v) * (u - v)).sum();
-            (num / xf.iter().map(|u| u * u).sum::<f64>()).sqrt() * 100.0
-        };
-        // Both policies must produce clinically comparable output.
-        assert!((prd(&a.samples) - prd(&b.samples)).abs() < 5.0);
-    }
-
     /// Streams `count` windows of a slowly drifting beat through both
     /// decoders and returns (total iterations, worst PRD) per decoder.
     fn stream_windows(
@@ -1315,41 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn support_prior_policy_matches_plain_quality() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(Codebook::from_counts(&vec![1; 512], 512).unwrap());
-        let mut enc = Encoder::new(&config, Arc::clone(&cb)).unwrap();
-        let mut plain: Decoder<f64> =
-            Decoder::new(&config, Arc::clone(&cb), SolverPolicy::default()).unwrap();
-        let mut prior: Decoder<f64> =
-            Decoder::new(&config, cb, SolverPolicy::support_prior()).unwrap();
-        plain.set_warm_start(true);
-        prior.set_warm_start(true);
-        prior.set_telemetry(TelemetryRegistry::new());
-
-        let totals = stream_windows(&mut enc, &mut [&mut plain, &mut prior], 6);
-        let (plain_iters, plain_prd) = totals[0];
-        let (prior_iters, prior_prd) = totals[1];
-        assert!(prior_prd < plain_prd + 3.0, "prior PRD {prior_prd} vs plain {plain_prd}");
-        // The prior path must not cost materially more iterations than
-        // the warm baseline (the solver_priors suite pins the same across
-        // the CR sweep).
-        assert!(
-            prior_iters <= plain_iters + plain_iters / 10,
-            "prior {prior_iters} iterations vs plain {plain_iters}"
-        );
-        // Weighted solves actually happened and were labelled as such.
-        let snap = prior.telemetry().snapshot();
-        let weighted = snap
-            .solver_iterations
-            .iter()
-            .find(|(m, _)| *m == SolverMode::Weighted)
-            .map(|(_, h)| h.count())
-            .unwrap();
-        assert!(weighted > 0, "no weighted-mode solves recorded");
-    }
-
-    #[test]
     fn block_prior_policy_matches_plain_quality() {
         let config = SystemConfig::paper_default();
         let cb = Arc::new(Codebook::from_counts(&vec![1; 512], 512).unwrap());
@@ -1368,53 +953,15 @@ mod tests {
     }
 
     #[test]
-    fn desynchronize_drops_the_support_prior() {
-        let config = SystemConfig::builder().reference_interval(2).build().unwrap();
-        let cb = Arc::new(
-            Codebook::from_counts(&vec![1; config.alphabet()], config.alphabet()).unwrap(),
-        );
-        let mut enc = Encoder::new(&config, Arc::clone(&cb)).unwrap();
-        let mut dec: Decoder<f64> =
-            Decoder::new(&config, cb, SolverPolicy::support_prior()).unwrap();
-        dec.set_warm_start(true);
-        let x = synthetic_packet(512, 0.0);
-        let _ = dec.decode_packet(&enc.encode_packet(&x).unwrap()).unwrap();
-        assert!(dec.prior.ready);
-        dec.desynchronize();
-        assert!(!dec.prior.ready);
-        assert_eq!(dec.prior.since_refresh, 0);
-    }
-
-    #[test]
     fn prior_policy_validation_rejects_bad_parameters() {
         let config = SystemConfig::paper_default();
         let cb = Arc::new(Codebook::from_counts(&vec![1; 512], 512).unwrap());
-        let bad = [
-            SolverPolicy {
-                support_threshold: 1.5,
-                ..SolverPolicy::support_prior()
-            },
-            SolverPolicy {
-                support_floor: 0.0,
-                ..SolverPolicy::support_prior()
-            },
-            SolverPolicy {
-                support_refresh: 0,
-                ..SolverPolicy::support_prior()
-            },
-            SolverPolicy {
-                block_size: 0,
-                ..SolverPolicy::block_prior()
-            },
-            SolverPolicy {
-                penalize_approximation: false,
-                ..SolverPolicy::block_prior()
-            },
-        ];
-        for policy in bad {
-            let dec: Result<Decoder<f64>, _> = Decoder::new(&config, Arc::clone(&cb), policy);
-            assert!(dec.is_err(), "policy {policy:?} should be rejected");
-        }
+        let policy = SolverPolicy {
+            block_size: 0,
+            ..SolverPolicy::block_prior()
+        };
+        let dec: Result<Decoder<f64>, _> = Decoder::new(&config, cb, policy);
+        assert!(dec.is_err(), "policy {policy:?} should be rejected");
     }
 
     #[test]

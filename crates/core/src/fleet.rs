@@ -38,7 +38,6 @@
 //!   highly correlated), cutting iterations without moving the solution.
 //!   With warm starts off the fleet is bit-exact with `run_streaming`.
 
-use crate::batch::{BatchDecodeWorkspace, BatchScheduler};
 use crate::config::SystemConfig;
 use crate::decoder::{DecodeWorkspace, DecodedPacket, Decoder, SolverPolicy};
 use crate::error::PipelineError;
@@ -59,14 +58,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long a batched worker holding a *partial* batch waits for
-/// batchmates before solving what it has. Bounded per round (not per
-/// slot), so it caps the extra latency any single window can see; it is
-/// far below a window's real-time budget (2 s of signal at the paper's
-/// geometry) and well under one solve, yet long enough for contending
-/// producer threads to get scheduled and top the batch up.
-const BATCH_LINGER: Duration = Duration::from_micros(2500);
 
 /// Shape of the worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,19 +82,6 @@ pub struct FleetConfig {
     /// Test hook: panic inside the decode of `(stream, wire seq)` once,
     /// to exercise the supervisor. `None` in production.
     pub chaos_panic: Option<(usize, u64)>,
-    /// MMV batch width K: how many pairwise-distinct `(stream, lead)`
-    /// lanes a worker may fuse into one K-wide batched FISTA sweep.
-    /// `1` (the default; `0` behaves the same) decodes sequentially —
-    /// exactly the pre-batching path. Above 1, each worker groups its
-    /// backlog with a [`BatchScheduler`](crate::BatchScheduler) and
-    /// solves up to K lanes per sweep; per-column convergence masks keep
-    /// every lane's samples, iteration count, and residual bit-for-bit
-    /// identical to the sequential decode, so with warm starts off the
-    /// whole fleet output is bit-exact at any width. (With warm starts
-    /// on, only the cross-lead sibling seeding heuristic shifts: a
-    /// batched lead is seeded from lead 0's *previous* frame, since the
-    /// current frame solves fused with it.)
-    pub batch: usize,
 }
 
 impl Default for FleetConfig {
@@ -115,7 +93,6 @@ impl Default for FleetConfig {
             reorder_window: DEFAULT_REORDER_WINDOW,
             solve_budget: None,
             chaos_panic: None,
-            batch: 1,
         }
     }
 }
@@ -414,13 +391,9 @@ where
     let cache: SpectralCache<T> = SpectralCache::new();
     let stalls = AtomicU64::new(0);
 
-    // One bounded queue per worker: this is where backpressure lives. A
-    // batched worker's queue must hold a full batch (or the backpressure
-    // itself caps occupancy below the solve width) plus the next wave
-    // arriving while the current batch solves.
-    let job_depth = fleet.channel_capacity.max(2 * fleet.batch);
+    // One bounded queue per worker: this is where backpressure lives.
     let (job_txs, job_rxs): (Vec<_>, Vec<_>) = (0..workers)
-        .map(|_| crossbeam::channel::bounded::<Job>(job_depth))
+        .map(|_| crossbeam::channel::bounded::<Job>(fleet.channel_capacity))
         .unzip();
     // Results fan in; sized so the collector lagging one frame across the
     // whole fleet does not stall workers.
@@ -446,12 +419,6 @@ where
             let telemetry = telemetry.clone();
             let fleet = *fleet;
             worker_handles.push(scope.spawn(move || {
-                if fleet.batch.max(1) > 1 {
-                    return batched_fleet_worker(
-                        worker_id, config, codebook, policy, &fleet, cache, telemetry, jobs,
-                        results,
-                    );
-                }
                 let mut lanes: HashMap<(usize, u8), Decoder<T>> = HashMap::new();
                 // One decode workspace per worker, shared by every lane
                 // this worker serves: after the first packet, the steady
@@ -739,199 +706,6 @@ where
     })
 }
 
-/// The batched analogue of the sequential decode worker: drains the
-/// worker's backlog through a [`BatchScheduler`], runs every staged
-/// lane's scalar front half, fuses the solves into one K-wide MMV FISTA
-/// sweep, and scatters the per-lane results back to the collector. A
-/// partial backlog solves at partial occupancy rather than waiting — the
-/// batch width rides the queue depth, so latency is never traded for
-/// occupancy.
-#[allow(clippy::too_many_arguments)]
-fn batched_fleet_worker<T: Real>(
-    worker_id: usize,
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    cache: &SpectralCache<T>,
-    telemetry: TelemetryRegistry,
-    jobs: crossbeam::channel::Receiver<Job>,
-    results: crossbeam::channel::Sender<FleetMsg<T>>,
-) {
-    let width = fleet.batch.max(1);
-    let mut lanes: HashMap<(usize, u8), Decoder<T>> = HashMap::new();
-    let mut ws = BatchDecodeWorkspace::for_config(config, width);
-    let mut sched: BatchScheduler<Job> = BatchScheduler::new(width);
-    let mut batch: Vec<Job> = Vec::with_capacity(width);
-    let mut staged: Vec<usize> = Vec::with_capacity(width);
-    let mut sibling_buf: Vec<T> = Vec::new();
-    // Queue wait is measured at receive time — the batch linger that
-    // follows is accounted separately, so the two pressures (upstream
-    // backlog vs. deliberate batching delay) stay distinguishable.
-    let note_queue_wait = |job: &Job| {
-        if telemetry.is_enabled() {
-            telemetry.record_stage_ns(
-                Stage::QueueWait,
-                telemetry.now_ns().saturating_sub(job.captured_ns),
-            );
-        }
-    };
-    'rounds: loop {
-        // Fill policy: block only when nothing at all is held (a lone
-        // straggler stream still decodes, at occupancy 1, instead of
-        // waiting forever for batchmates), but give a *partial* batch a
-        // bounded linger before solving it. The linger matters most when
-        // producers and workers contend for the same cores: producers
-        // only get scheduled while the worker sleeps, so draining
-        // immediately would lock the engine into low-occupancy rounds
-        // that forfeit the MMV amortization. One deadline bounds the
-        // whole round — a straggler pays at most BATCH_LINGER extra
-        // latency, never per-slot.
-        let mut linger_deadline: Option<Instant> = None;
-        loop {
-            // Full when `width` *distinct* lanes are assemblable (a lane's
-            // second window can't ride with its first); the raw-count
-            // bound caps held memory when one stream floods ahead.
-            if sched.distinct_held(|j| (j.stream, j.packet.channel)) >= width
-                || sched.held_len() >= 2 * width
-            {
-                break;
-            }
-            match jobs.try_recv() {
-                Ok(job) => {
-                    note_queue_wait(&job);
-                    sched.push(job);
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => {
-                    if sched.is_idle() {
-                        match jobs.recv() {
-                            Ok(job) => {
-                                note_queue_wait(&job);
-                                sched.push(job);
-                            }
-                            Err(_) => break 'rounds,
-                        }
-                    } else {
-                        let deadline =
-                            *linger_deadline.get_or_insert_with(|| Instant::now() + BATCH_LINGER);
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match jobs.recv_timeout(deadline - now) {
-                            Ok(job) => {
-                                note_queue_wait(&job);
-                                sched.push(job);
-                            }
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => break,
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                }
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    if sched.is_idle() {
-                        break 'rounds;
-                    }
-                    break;
-                }
-            }
-        }
-        // One linger record per round that actually lingered: how long
-        // this partial batch deliberately waited for batchmates.
-        if telemetry.is_enabled() {
-            if let Some(deadline) = linger_deadline {
-                let lingered = Instant::now().saturating_duration_since(deadline - BATCH_LINGER);
-                telemetry.record_stage_ns(
-                    Stage::BatchLinger,
-                    u64::try_from(lingered.as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
-        }
-        sched.drain_into(&mut batch, |j| (j.stream, j.packet.channel));
-        if batch.is_empty() {
-            break;
-        }
-        ws.begin();
-        staged.clear();
-        for job in &batch {
-            // Cross-lead warm start, as in the sequential worker. The
-            // fused solve means lead 0's estimate is the previous
-            // frame's, not this frame's — one window staler, same heart.
-            let sibling = fleet.warm_start
-                && job.packet.channel > 0
-                && lanes
-                    .get(&(job.stream, 0))
-                    .and_then(|d| d.last_estimate())
-                    .map(|est| {
-                        sibling_buf.clear();
-                        sibling_buf.extend_from_slice(est);
-                    })
-                    .is_some();
-            let decoder = match lanes.entry((job.stream, job.packet.channel)) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(v) => {
-                    match Decoder::with_cache(config, Arc::clone(&codebook), policy, cache) {
-                        Ok(mut d) => {
-                            d.set_warm_start(fleet.warm_start);
-                            d.set_telemetry(telemetry.clone());
-                            d.set_telemetry_labels(
-                                u32::try_from(job.stream).unwrap_or(u32::MAX),
-                                job.packet.channel,
-                            );
-                            v.insert(d)
-                        }
-                        Err(e) => {
-                            let _ = results.send(FleetMsg::Failed {
-                                stream: Some(job.stream),
-                                cause: e.to_string(),
-                            });
-                            return;
-                        }
-                    }
-                }
-            };
-            if sibling {
-                decoder.seed(&sibling_buf);
-            }
-            match decoder.begin_batch_lane(&job.packet.packet, &mut ws) {
-                Ok(lane) => staged.push(lane),
-                Err(e) => {
-                    let _ = results.send(FleetMsg::Failed {
-                        stream: Some(job.stream),
-                        cause: e.to_string(),
-                    });
-                    return;
-                }
-            }
-        }
-        // Any staged lane's decoder can drive the fused solve — same
-        // configuration means a bit-identical operator.
-        let key = (batch[0].stream, batch[0].packet.channel);
-        lanes.get(&key).expect("lane staged").solve_batch(&mut ws);
-        for (job, &lane) in batch.iter().zip(&staged) {
-            let decoder = lanes
-                .get_mut(&(job.stream, job.packet.channel))
-                .expect("lane staged");
-            let mut decoded = DecodedPacket::default();
-            decoder.finish_batch_lane(lane, job.packet.packet.index, &mut ws, &mut decoded);
-            telemetry.record_worker_packet(worker_id);
-            let emitted_ns = if telemetry.is_enabled() { telemetry.now_ns() } else { 0 };
-            let msg = FleetMsg::Decoded {
-                stream: job.stream,
-                seq: job.seq,
-                channel: job.packet.channel,
-                worker: worker_id,
-                captured_ns: job.captured_ns,
-                emitted_ns,
-                packet: decoded,
-            };
-            if results.send(msg).is_err() {
-                return; // collector hung up
-            }
-        }
-    }
-}
-
 /// A unit of wire-feed work: one frame exactly as it came off the link,
 /// stamped with its arrival time (registry-monotonic nanoseconds; `0`
 /// when telemetry is disabled).
@@ -991,45 +765,9 @@ struct WireWorker<'e, T: Real> {
     emit_seq: HashMap<usize, u64>,
     scratch: DecodeWorkspace<T>,
     results: crossbeam::channel::Sender<WireMsg<T>>,
-    /// K-wide solve buffers for the batched mode (`fleet.batch > 1`).
-    batch: BatchDecodeWorkspace<T>,
-    /// Lanes staged into the current batch, in stage order.
-    staged: Vec<(usize, u8)>,
-    /// Emissions deferred until the current batch flushes, in worker
-    /// order — decoded windows and concealment placeholders interleave
-    /// here exactly as the sequential worker would have emitted them.
-    pending: Vec<PendingEmit>,
-}
-
-/// One deferred emission from a batched wire worker.
-#[derive(Debug, Clone, Copy)]
-struct PendingEmit {
-    stream: usize,
-    channel: u8,
-    captured_ns: u64,
-    kind: PendingKind,
-}
-
-/// What a deferred emission resolves to at flush time.
-#[derive(Debug, Clone, Copy)]
-enum PendingKind {
-    /// A staged lane to finish: synthesize from the fused solve and emit
-    /// a decoded window.
-    Finish { lane: usize, index: u64 },
-    /// A concealment placeholder (loss/desync/quarantine). The lane's
-    /// DPCM/warm state was already adjusted when the event arrived; only
-    /// the emission waits, so it keeps its slot in the stream's order.
-    Conceal { seq: u64, outcome: PacketOutcome },
 }
 
 impl<T: Real> WireWorker<'_, T> {
-    /// Lanes currently staged for the next batched solve. The worker
-    /// loop's linger policy keys off this: a non-empty partial batch is
-    /// worth waiting (briefly) to top up.
-    fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Validates one arrived frame and advances its lane. Returns `false`
     /// when the collector hung up (shutdown).
     fn ingest(&mut self, stream: usize, bytes: &[u8], captured_ns: u64) -> bool {
@@ -1099,46 +837,21 @@ impl<T: Real> WireWorker<'_, T> {
         events: Vec<SequencedEvent<(EncodedPacket, u64)>>,
         fallback_captured: u64,
     ) -> bool {
-        let batched = self.fleet.batch.max(1) > 1;
         for event in events {
             let alive = match event {
                 SequencedEvent::Deliver(seq, (packet, captured_ns)) => {
-                    if batched {
-                        self.stage_supervised(stream, channel, seq, packet, captured_ns)
-                    } else {
-                        self.decode_supervised(stream, channel, seq, packet, captured_ns)
-                    }
+                    self.decode_supervised(stream, channel, seq, packet, captured_ns)
                 }
                 SequencedEvent::Lost(seq) => {
                     self.counters.add_concealed_loss();
                     self.telemetry.record_fault(FaultKind::ConcealedLoss);
-                    if batched {
-                        // A real loss desynchronizes the DPCM loop *now*
-                        // (later delivers in this batch must see it); the
-                        // placeholder emission waits its turn in the
-                        // batch's ordered pending list.
-                        if let Some(d) = self.lanes.get_mut(&(stream, channel)) {
-                            d.desynchronize();
-                        }
-                        self.pending.push(PendingEmit {
-                            stream,
-                            channel,
-                            captured_ns: fallback_captured,
-                            kind: PendingKind::Conceal {
-                                seq,
-                                outcome: ConcealmentReason::Loss.into(),
-                            },
-                        });
-                        true
-                    } else {
-                        self.conceal_slot(
-                            stream,
-                            channel,
-                            seq,
-                            ConcealmentReason::Loss.into(),
-                            fallback_captured,
-                        )
-                    }
+                    self.conceal_slot(
+                        stream,
+                        channel,
+                        seq,
+                        ConcealmentReason::Loss.into(),
+                        fallback_captured,
+                    )
                 }
                 SequencedEvent::Resync { .. } => {
                     self.counters.add_resync();
@@ -1153,187 +866,6 @@ impl<T: Real> WireWorker<'_, T> {
                 return false;
             }
         }
-        true
-    }
-
-    /// Batched analogue of [`WireWorker::decode_supervised`]: runs the
-    /// lane's scalar front half under panic supervision and stages its
-    /// solve into the current batch; the fused K-wide solve and every
-    /// emission happen at the next [`WireWorker::flush_batch`]. A panic
-    /// restarts the worker's decoders exactly as in the sequential path —
-    /// but lanes already staged keep their solve blocks (staging copied
-    /// everything they need out of the decoder), so one poisoned lane
-    /// never takes its batchmates down with it.
-    fn stage_supervised(
-        &mut self,
-        stream: usize,
-        channel: u8,
-        wire_seq: u64,
-        packet: EncodedPacket,
-        captured_ns: u64,
-    ) -> bool {
-        // One window per lane per batch: a lane's second window depends
-        // on its first, so it flushes the batch and leads the next one.
-        if self.staged.contains(&(stream, channel)) && !self.flush_batch() {
-            return false;
-        }
-        if self.lane(stream, channel).is_err() {
-            return false; // construction failure already reported
-        }
-        let chaos = self.fleet.chaos_panic == Some((stream, wire_seq))
-            && !self.chaos_fired.swap(true, Ordering::Relaxed);
-        let attempt = {
-            let decoder = self.lanes.get_mut(&(stream, channel)).expect("lane exists");
-            let batch = &mut self.batch;
-            catch_unwind(AssertUnwindSafe(|| {
-                if chaos {
-                    panic!("chaos: injected decode panic");
-                }
-                decoder.begin_batch_lane(&packet, batch)
-            }))
-        };
-        match attempt {
-            Ok(Ok(lane)) => {
-                self.counters.add_decoded();
-                self.telemetry.record_worker_packet(self.worker_id);
-                self.staged.push((stream, channel));
-                self.pending.push(PendingEmit {
-                    stream,
-                    channel,
-                    captured_ns,
-                    kind: PendingKind::Finish { lane, index: wire_seq },
-                });
-                if self.staged.len() >= self.fleet.batch.max(1) {
-                    self.flush_batch()
-                } else {
-                    true
-                }
-            }
-            Ok(Err(PipelineError::Codec(CodecError::MissingReference))) => {
-                self.counters.add_concealed_desync();
-                self.telemetry.record_fault(FaultKind::ConcealedDesync);
-                self.pending.push(PendingEmit {
-                    stream,
-                    channel,
-                    captured_ns,
-                    kind: PendingKind::Conceal {
-                        seq: wire_seq,
-                        outcome: ConcealmentReason::Desync.into(),
-                    },
-                });
-                true
-            }
-            Ok(Err(e)) => {
-                self.counters.add_quarantined();
-                self.telemetry.record_fault(FaultKind::Quarantined);
-                self.quarantine.lock().expect("quarantine lock").push(QuarantineRecord {
-                    stream,
-                    channel: Some(channel),
-                    seq: Some(wire_seq),
-                    bytes: packet.to_bytes_tagged(channel),
-                    cause: e.to_string(),
-                });
-                if let Some(d) = self.lanes.get_mut(&(stream, channel)) {
-                    d.desynchronize();
-                }
-                self.pending.push(PendingEmit {
-                    stream,
-                    channel,
-                    captured_ns,
-                    kind: PendingKind::Conceal {
-                        seq: wire_seq,
-                        outcome: PacketOutcome::Quarantined,
-                    },
-                });
-                true
-            }
-            Err(panic) => {
-                // Supervisor, batched flavor: quarantine the offender and
-                // restart the worker's decoders and scalar scratch. The
-                // batchmates' staged measurement/seed blocks live in the
-                // solve workspace and survive untouched; their finishes
-                // rebuild lane decoders lazily, so they still emit
-                // decoded windows from this very batch.
-                let cause = panic_message(&panic);
-                self.counters.add_worker_restart();
-                self.telemetry.record_fault(FaultKind::WorkerRestart);
-                self.counters.add_quarantined();
-                self.telemetry.record_fault(FaultKind::Quarantined);
-                self.quarantine.lock().expect("quarantine lock").push(QuarantineRecord {
-                    stream,
-                    channel: Some(channel),
-                    seq: Some(wire_seq),
-                    bytes: packet.to_bytes_tagged(channel),
-                    cause: format!("panic: {cause}"),
-                });
-                self.lanes.clear();
-                self.scratch = DecodeWorkspace::for_config(self.config);
-                self.batch.replace_scalar(self.config);
-                self.pending.push(PendingEmit {
-                    stream,
-                    channel,
-                    captured_ns,
-                    kind: PendingKind::Conceal {
-                        seq: wire_seq,
-                        outcome: PacketOutcome::Quarantined,
-                    },
-                });
-                true
-            }
-        }
-    }
-
-    /// Solves the staged lanes (if any) with one fused sweep, then
-    /// replays the pending emissions in worker order. Returns `false`
-    /// when the collector hung up.
-    fn flush_batch(&mut self) -> bool {
-        if !self.staged.is_empty() {
-            let (stream, channel) = self.staged[0];
-            // Rebuilds the driver lane if a mid-batch restart cleared it;
-            // a fresh decoder of the same configuration is bit-identical.
-            if self.lane(stream, channel).is_err() {
-                return false;
-            }
-            let decoder = self.lanes.get(&(stream, channel)).expect("lane exists");
-            decoder.solve_batch(&mut self.batch);
-        }
-        let mut i = 0;
-        while i < self.pending.len() {
-            let PendingEmit { stream, channel, captured_ns, kind } = self.pending[i];
-            i += 1;
-            let alive = match kind {
-                PendingKind::Finish { lane, index } => {
-                    if self.lane(stream, channel).is_err() {
-                        return false;
-                    }
-                    let mut out = DecodedPacket::default();
-                    {
-                        let decoder =
-                            self.lanes.get_mut(&(stream, channel)).expect("lane exists");
-                        decoder.finish_batch_lane(lane, index, &mut self.batch, &mut out);
-                    }
-                    if let Some(budget) = self.fleet.solve_budget {
-                        if !out.converged && out.iterations >= budget {
-                            self.counters.add_deadline_degraded();
-                            self.telemetry.record_fault(FaultKind::DeadlineDegraded);
-                        }
-                    }
-                    self.emit(stream, channel, PacketOutcome::Decoded, captured_ns, out)
-                }
-                PendingKind::Conceal { seq, outcome } => {
-                    self.conceal_slot(stream, channel, seq, outcome, captured_ns)
-                }
-            };
-            if !alive {
-                self.pending.clear();
-                self.staged.clear();
-                self.batch.begin();
-                return false;
-            }
-        }
-        self.pending.clear();
-        self.staged.clear();
-        self.batch.begin();
         true
     }
 
@@ -1807,11 +1339,8 @@ where
     let quarantine = Mutex::new(QuarantineRing::default());
     let chaos_fired = AtomicBool::new(false);
 
-    // As in the raw engine: a batched worker's queue must hold a full
-    // batch plus the wave arriving while the current batch solves.
-    let job_depth = fleet.channel_capacity.max(2 * fleet.batch);
     let (job_txs, job_rxs): (Vec<_>, Vec<_>) = (0..workers)
-        .map(|_| crossbeam::channel::bounded::<WireJob>(job_depth))
+        .map(|_| crossbeam::channel::bounded::<WireJob>(fleet.channel_capacity))
         .unzip();
     // Result buffering scales with the expected fleet width; a source
     // that never announced one (min_streams == 0) gets a worker-scaled
@@ -1849,94 +1378,15 @@ where
                 seqs: HashMap::new(),
                 emit_seq: HashMap::new(),
                 scratch: DecodeWorkspace::for_config(config),
-                batch: BatchDecodeWorkspace::for_config(config, fleet.batch.max(1)),
-                staged: Vec::with_capacity(fleet.batch.max(1)),
-                pending: Vec::with_capacity(2 * fleet.batch.max(1)),
                 results,
             };
-            let batched = fleet.batch.max(1) > 1;
             worker_handles.push(scope.spawn(move || {
-                if batched {
-                    // Backlog-driven batching: drain whatever is queued;
-                    // when the queue runs dry with frames staged, linger
-                    // briefly (bounded, one deadline per partial batch)
-                    // so contending producers can top the batch up, then
-                    // flush. Latency floor = one linger, not a full batch.
-                    let mut linger_deadline: Option<Instant> = None;
-                    loop {
-                        match jobs.try_recv() {
-                            Ok(WireJob { stream, captured_ns, bytes }) => {
-                                if !worker.ingest(stream, &bytes, captured_ns) {
-                                    return;
-                                }
-                                if worker.staged_len() == 0 {
-                                    // Ingest auto-flushed a full batch (or
-                                    // staged nothing): the next partial
-                                    // batch gets a fresh linger budget.
-                                    linger_deadline = None;
-                                }
-                            }
-                            Err(crossbeam::channel::TryRecvError::Empty) => {
-                                if worker.staged_len() > 0 {
-                                    let deadline = *linger_deadline
-                                        .get_or_insert_with(|| Instant::now() + BATCH_LINGER);
-                                    let now = Instant::now();
-                                    if now < deadline {
-                                        if let Ok(WireJob { stream, captured_ns, bytes }) =
-                                            jobs.recv_timeout(deadline - now)
-                                        {
-                                            if !worker.ingest(stream, &bytes, captured_ns) {
-                                                return;
-                                            }
-                                            if worker.staged_len() == 0 {
-                                                linger_deadline = None;
-                                            }
-                                            continue;
-                                        }
-                                    }
-                                }
-                                // The partial batch is done waiting: record
-                                // how long it deliberately lingered before
-                                // solving below occupancy.
-                                if worker.telemetry.is_enabled() {
-                                    if let Some(deadline) = linger_deadline {
-                                        let lingered = Instant::now()
-                                            .saturating_duration_since(deadline - BATCH_LINGER);
-                                        worker.telemetry.record_stage_ns(
-                                            Stage::BatchLinger,
-                                            u64::try_from(lingered.as_nanos()).unwrap_or(u64::MAX),
-                                        );
-                                    }
-                                }
-                                linger_deadline = None;
-                                if !worker.flush_batch() {
-                                    return;
-                                }
-                                match jobs.recv() {
-                                    Ok(WireJob { stream, captured_ns, bytes }) => {
-                                        if !worker.ingest(stream, &bytes, captured_ns) {
-                                            return;
-                                        }
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                            Err(crossbeam::channel::TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    if !worker.flush_batch() {
+                for WireJob { stream, captured_ns, bytes } in jobs.iter() {
+                    if !worker.ingest(stream, &bytes, captured_ns) {
                         return;
                     }
-                    worker.flush(); // reassembler tails stage through the batched path
-                    worker.flush_batch();
-                } else {
-                    for WireJob { stream, captured_ns, bytes } in jobs.iter() {
-                        if !worker.ingest(stream, &bytes, captured_ns) {
-                            return;
-                        }
-                    }
-                    worker.flush();
                 }
+                worker.flush();
             }));
         }
 

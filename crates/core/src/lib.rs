@@ -52,7 +52,6 @@
 
 mod adaptive;
 mod baseline;
-mod batch;
 mod codebook;
 mod config;
 mod decoder;
@@ -70,7 +69,6 @@ pub use adaptive::{
     TierController,
 };
 pub use baseline::{BaselinePacket, DwtThresholdCodec};
-pub use batch::{BatchDecodeWorkspace, BatchScheduler};
 pub use codebook::{train_codebook, uniform_codebook};
 pub use config::{SystemConfig, SystemConfigBuilder};
 pub use decoder::{DecodeWorkspace, DecodedPacket, Decoder, PriorMode, Schedule, SolverPolicy};

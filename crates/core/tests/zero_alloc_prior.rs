@@ -2,13 +2,9 @@
 //!
 //! The prior analogue of `zero_alloc.rs`: a counting global allocator
 //! wraps the system allocator; after the first packet has warmed a
-//! worker's [`DecodeWorkspace`] — including the support prior's weight
-//! buffer and the group-prox norm scratch — every further
-//! `decode_packet_with` under [`SolverPolicy::support_prior`] and
-//! [`SolverPolicy::block_prior`] must perform **zero** heap allocations.
-//! The support prior re-estimates its weight vector after *every*
-//! window, so this pins that `refresh_from` reuses its buffer rather
-//! than rebuilding it.
+//! worker's [`DecodeWorkspace`] — including the group-prox norm scratch —
+//! every further `decode_packet_with` under [`SolverPolicy::block_prior`]
+//! must perform **zero** heap allocations.
 //!
 //! This lives in its own integration-test binary with a single `#[test]`
 //! so no concurrent test can pollute the allocation counter.
@@ -64,70 +60,42 @@ fn steady_state_prior_decode_allocates_nothing() {
     );
     let registry = TelemetryRegistry::new();
 
-    // One decoder per prior mode, both warm-started so the support
-    // decoder actually takes the weighted path from packet 1 on (the
-    // prior is only consulted once a warm seed is accepted).
-    let mut decoders: Vec<Decoder<f32>> =
-        [SolverPolicy::support_prior(), SolverPolicy::block_prior()]
-            .into_iter()
-            .map(|policy| {
-                let mut d = Decoder::new(&config, Arc::clone(&codebook), policy).unwrap();
-                d.set_warm_start(true);
-                d.set_telemetry(registry.clone());
-                d
-            })
-            .collect();
+    let mut decoder: Decoder<f32> =
+        Decoder::new(&config, Arc::clone(&codebook), SolverPolicy::block_prior()).unwrap();
+    decoder.set_warm_start(true);
+    decoder.set_telemetry(registry.clone());
 
-    // Pre-encode one stream per decoder (each decoder owns its DPCM
-    // chain) so the measured loop is nothing but decode.
-    let wires: Vec<Vec<_>> = (0..decoders.len())
-        .map(|lane| {
-            let mut encoder = Encoder::new(&config, Arc::clone(&codebook)).unwrap();
-            (0..6)
-                .map(|k| {
-                    let phase = k as f64 * 0.002 + lane as f64 * 0.0007;
-                    encoder.encode_packet(&synthetic_packet(512, phase)).unwrap()
-                })
-                .collect()
-        })
+    // Pre-encode the stream so the measured loop is nothing but decode.
+    let mut encoder = Encoder::new(&config, codebook).unwrap();
+    let stream: Vec<_> = (0..6)
+        .map(|k| encoder.encode_packet(&synthetic_packet(512, k as f64 * 0.002)).unwrap())
         .collect();
 
     let mut ws = DecodeWorkspace::for_config(&config);
     let mut out = DecodedPacket::default();
 
-    for (decoder, stream) in decoders.iter_mut().zip(&wires) {
-        // Packet 0 warms every buffer: the solve workspace, the group
-        // norm scratch, and the support prior's weight vector
-        // (allocations allowed here only).
-        decoder.decode_packet_with(&stream[0], &mut ws, &mut out).unwrap();
+    // Packet 0 warms every buffer: the solve workspace and the group
+    // norm scratch (allocations allowed here only).
+    decoder.decode_packet_with(&stream[0], &mut ws, &mut out).unwrap();
 
-        for wire in &stream[1..] {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            decoder.decode_packet_with(wire, &mut ws, &mut out).unwrap();
-            let after = ALLOCATIONS.load(Ordering::Relaxed);
-            assert_eq!(
-                after - before,
-                0,
-                "steady-state {:?} decode of packet {} allocated {} times",
-                decoder.policy().prior,
-                out.index,
-                after - before
-            );
-            assert_eq!(out.samples.len(), 512);
-            assert!(out.warm_started, "steady state must be warm-started");
-        }
+    for wire in &stream[1..] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        decoder.decode_packet_with(wire, &mut ws, &mut out).unwrap();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state block-prior decode of packet {} allocated {} times",
+            out.index,
+            after - before
+        );
+        assert_eq!(out.samples.len(), 512);
+        assert!(out.warm_started, "steady state must be warm-started");
     }
 
-    // The weighted path really ran: the support decoder recorded
-    // weighted-mode solves into the live registry.
+    // The group path really ran: the decoder recorded block-mode solves
+    // into the live registry.
     let snap = registry.snapshot();
-    let weighted = snap
-        .solver_iterations
-        .iter()
-        .find(|(m, _)| m.name() == "weighted")
-        .map(|(_, h)| h.count())
-        .unwrap();
-    assert!(weighted > 0, "support decoder never took the weighted path");
     let block = snap
         .solver_iterations
         .iter()

@@ -10,7 +10,9 @@
 //!   [`DenseOperator`] as the explicit-matrix baseline;
 //! * [`fista`] / [`ista`] — the accelerated `O(1/k²)` solver and its
 //!   `O(1/k)` predecessor, generic over `f32`/`f64` (Fig. 6's precision
-//!   study runs the *same* code at both widths);
+//!   study runs the *same* code at both widths), and
+//!   [`fista_prior_warm_ws`], the same loop's general form: warm start,
+//!   caller-owned workspace, pluggable prox, optional adaptive schedule;
 //! * [`omp`] — the greedy baseline from the related-work comparison;
 //! * [`KernelMode`] — scalar vs unrolled/branch-free inner loops, the
 //!   portable analogue of the paper's NEON vectorization (§IV-B2);
@@ -62,7 +64,7 @@ mod solvers;
 mod workspace;
 
 pub use cache::{SpectralCache, SpectralEstimate};
-pub use workspace::{BatchWorkspace, FistaWorkspace, Workspace};
+pub use workspace::{FistaWorkspace, Workspace};
 pub use kernels::{
     axpy, dot, fista_tail, group_soft_threshold, momentum_combine, soft_threshold,
     soft_threshold_weighted, squared_distance, KernelMode, TailSums,
@@ -70,10 +72,7 @@ pub use kernels::{
 pub use lipschitz::{lipschitz_constant, operator_norm, top_singular_pair};
 pub use operator::{DeflatedOperator, DenseOperator, LinearOperator, SynthesisOperator};
 pub use solvers::{
-    amp, debias, fista, fista_backtracking, fista_prior_batch_ws, fista_prior_batch_ws_observed,
-    fista_prior_warm_ws, fista_prior_warm_ws_observed, fista_warm, fista_warm_batch_ws,
-    fista_warm_observed, fista_warm_ws, fista_warm_ws_observed, fista_weighted, fista_weighted_warm,
-    fista_weighted_warm_observed, fista_weighted_warm_ws, fista_weighted_warm_ws_observed, ista,
-    ista_warm, lambda_max, lambda_max_with, omp, BatchPenalty, DebiasConfig, OmpConfig, OmpResult,
-    ProxSpec, ShrinkageConfig, SolverResult, AmpConfig, AmpResult,
+    amp, debias, fista, fista_backtracking, fista_prior_warm_ws, ista, lambda_max, lambda_max_with,
+    omp, AmpConfig, AmpResult, DebiasConfig, OmpConfig, OmpResult, ProxSpec, ShrinkageConfig,
+    SolverResult,
 };

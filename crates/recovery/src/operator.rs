@@ -64,40 +64,6 @@ pub trait LinearOperator<T: Real> {
         self.adjoint_into(y, out);
     }
 
-    /// `out = A·X` for `k` lane-major input blocks: lane `l`'s input
-    /// occupies `x[l·N .. (l+1)·N]` and its output lands in
-    /// `out[l·M .. (l+1)·M]`. The default loops
-    /// [`LinearOperator::apply_into_ws`] per lane, so every implementor is
-    /// bit-identical to the sequential path by construction; overrides may
-    /// amortize shared structure across lanes but must preserve each lane's
-    /// exact floating-point operation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    fn apply_block_into_ws(&self, x: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        assert_eq!(x.len(), self.cols() * k, "apply_block_into_ws: x length mismatch");
-        assert_eq!(out.len(), self.rows() * k, "apply_block_into_ws: out length mismatch");
-        for (xl, ol) in x.chunks_exact(self.cols()).zip(out.chunks_exact_mut(self.rows())) {
-            self.apply_into_ws(xl, ol, ws);
-        }
-    }
-
-    /// `out = Aᴴ·Y` for `k` lane-major measurement blocks (adjoint twin of
-    /// [`LinearOperator::apply_block_into_ws`], same layout and bit-identity
-    /// contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    fn adjoint_block_into_ws(&self, y: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        assert_eq!(y.len(), self.rows() * k, "adjoint_block_into_ws: y length mismatch");
-        assert_eq!(out.len(), self.cols() * k, "adjoint_block_into_ws: out length mismatch");
-        for (yl, ol) in y.chunks_exact(self.rows()).zip(out.chunks_exact_mut(self.cols())) {
-            self.adjoint_into_ws(yl, ol, ws);
-        }
-    }
-
     /// Allocating wrapper around [`LinearOperator::apply_into`].
     fn apply(&self, x: &[T]) -> Vec<T> {
         let mut out = vec![T::ZERO; self.rows()];
@@ -136,14 +102,6 @@ impl<T: Real, A: LinearOperator<T> + ?Sized> LinearOperator<T> for &A {
 
     fn adjoint_into_ws(&self, y: &[T], out: &mut [T], ws: &mut Workspace<T>) {
         (**self).adjoint_into_ws(y, out, ws)
-    }
-
-    fn apply_block_into_ws(&self, x: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        (**self).apply_block_into_ws(x, k, out, ws)
-    }
-
-    fn adjoint_block_into_ws(&self, y: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        (**self).adjoint_block_into_ws(y, k, out, ws)
     }
 }
 
@@ -235,11 +193,6 @@ impl<T: Real, S: Sensing<T>> LinearOperator<T> for SynthesisOperator<'_, T, S> {
         self.phi.adjoint_into(y, &mut ws.signal[..n]);
         self.dwt.analyze_scratch(&ws.signal[..n], out, &mut ws.scratch[..n]);
     }
-
-    // No `_block_into_ws` overrides: the trait defaults run each lane's
-    // Ψᵀ→Φ (or Φᴴ→Ψ) pair back to back in one N-sized slot that stays hot
-    // in L1, and the single-lane kernels already run their vector lanes
-    // across outputs, so no index walk is left to share between lanes.
 }
 
 /// A rank-one spectral deflation preconditioner in measurement space.
@@ -421,34 +374,6 @@ impl<T: Real, A: LinearOperator<T>> LinearOperator<T> for DeflatedOperator<'_, T
         yp.extend_from_slice(y);
         self.deflect(&mut yp);
         self.inner.adjoint_into_ws(&yp, out, ws);
-        ws.measure = yp;
-    }
-
-    fn apply_block_into_ws(&self, x: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        self.inner.apply_block_into_ws(x, k, out, ws);
-        let m = self.inner.rows();
-        for ol in out.chunks_exact_mut(m).take(k) {
-            self.deflect(ol);
-        }
-    }
-
-    fn adjoint_block_into_ws(&self, y: &[T], k: usize, out: &mut [T], ws: &mut Workspace<T>) {
-        if self.u.is_empty() {
-            self.inner.adjoint_block_into_ws(y, k, out, ws);
-            return;
-        }
-        let m = self.inner.rows();
-        assert_eq!(y.len(), m * k, "adjoint_block_into_ws: y length mismatch");
-        // Stage all K deflected measurement lanes in the workspace's
-        // measurement buffer (grown once, then reused), exactly as the
-        // scalar path stages one.
-        let mut yp = std::mem::take(&mut ws.measure);
-        yp.clear();
-        yp.extend_from_slice(y);
-        for yl in yp.chunks_exact_mut(m) {
-            self.deflect(yl);
-        }
-        self.inner.adjoint_block_into_ws(&yp, k, out, ws);
         ws.measure = yp;
     }
 }
@@ -660,38 +585,6 @@ mod tests {
         let mut yp = vec![0.0; 64];
         deflated.transform_measurements_into(&y, &mut yp);
         assert_eq!(yp, deflated.transform_measurements(&y));
-    }
-
-    #[test]
-    fn block_paths_bitwise_match_scalar_lanes() {
-        let (phi, dwt) = setup();
-        let a = SynthesisOperator::new(&phi, &dwt);
-        let u: Vec<f64> = {
-            let raw: Vec<f64> = (0..64).map(|i| ((i as f64) * 0.41).cos() + 0.3).collect();
-            let norm = raw.iter().map(|v| v * v).sum::<f64>().sqrt();
-            raw.iter().map(|v| v / norm).collect()
-        };
-        let deflated = DeflatedOperator::with_direction_borrowed(&a, &u, 0.15);
-        for k in [1_usize, 2, 4, 8] {
-            let x: Vec<f64> = (0..128 * k).map(|i| (i as f64 * 0.07).sin()).collect();
-            let y: Vec<f64> = (0..64 * k).map(|i| (i as f64 * 0.13).cos()).collect();
-            let mut ws_block = Workspace::new();
-            let mut ws_seq = Workspace::new();
-            let mut out_m = vec![0.0; 64 * k];
-            let mut out_n = vec![0.0; 128 * k];
-            let mut seq_m = vec![0.0; 64];
-            let mut seq_n = vec![0.0; 128];
-            deflated.apply_block_into_ws(&x, k, &mut out_m, &mut ws_block);
-            for l in 0..k {
-                deflated.apply_into_ws(&x[l * 128..(l + 1) * 128], &mut seq_m, &mut ws_seq);
-                assert_eq!(&out_m[l * 64..(l + 1) * 64], &seq_m[..], "apply lane {l} (k={k})");
-            }
-            deflated.adjoint_block_into_ws(&y, k, &mut out_n, &mut ws_block);
-            for l in 0..k {
-                deflated.adjoint_into_ws(&y[l * 64..(l + 1) * 64], &mut seq_n, &mut ws_seq);
-                assert_eq!(&out_n[l * 128..(l + 1) * 128], &seq_n[..], "adjoint lane {l} (k={k})");
-            }
-        }
     }
 
     #[test]

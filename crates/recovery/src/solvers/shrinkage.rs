@@ -21,7 +21,6 @@ use crate::lipschitz::lipschitz_constant;
 use crate::operator::LinearOperator;
 use crate::workspace::{FistaWorkspace, Workspace};
 use cs_dsp::{l1_norm, l2_norm, Real};
-use cs_telemetry::{Stage, TelemetryRegistry};
 use std::time::{Duration, Instant};
 
 /// Configuration shared by the shrinkage solvers.
@@ -100,7 +99,7 @@ fn validate_prox<T: Real>(cols: usize, prox: &ProxSpec<'_, T>) {
 /// Eq. (5): the next term of FISTA's momentum sequence,
 /// `t_{k+1} = (1 + √(1 + 4·t_k²)) / 2`.
 #[inline]
-pub(crate) fn next_momentum<T: Real>(t: T) -> T {
+fn next_momentum<T: Real>(t: T) -> T {
     (T::ONE + (T::ONE + T::from_f64(4.0) * t * t).sqrt()) * T::HALF
 }
 
@@ -129,7 +128,7 @@ const CONTINUATION_DECAY: f64 = 0.9;
 /// more than no seed, and keeping such seeds out is the caller's job. An
 /// all-zero gradient gives 1; λ = 0 or an overflowing ratio gives ∞ or
 /// NaN, which also mean no continuation.
-pub(crate) fn continuation_start<T: Real>(first_grad: &[T], lambda: T) -> T {
+fn continuation_start<T: Real>(first_grad: &[T], lambda: T) -> T {
     let boost = T::from_f64(CONTINUATION_START) * T::TWO * inf_norm(first_grad) / lambda;
     if boost.is_finite() {
         boost.max(T::ONE)
@@ -140,7 +139,7 @@ pub(crate) fn continuation_start<T: Real>(first_grad: &[T], lambda: T) -> T {
 
 /// One step down the geometric ramp: `max(1, ρ·boost)`.
 #[inline]
-pub(crate) fn continuation_decay<T: Real>(boost: T) -> T {
+fn continuation_decay<T: Real>(boost: T) -> T {
     (T::from_f64(CONTINUATION_DECAY) * boost).max(T::ONE)
 }
 
@@ -196,29 +195,6 @@ pub fn ista<T: Real, A: LinearOperator<T>>(
     shrinkage_loop(op, y, config, lipschitz, false, false, ProxSpec::L1, None, None)
 }
 
-/// [`ista`] with an explicit starting point.
-///
-/// `warm_start` seeds the iteration at the given coefficient vector
-/// instead of zero — the fleet decoder passes packet *k*'s solution when
-/// solving packet *k+1*, which on correlated consecutive packets lands the
-/// solver inside the basin where the stopping tolerance fires after a
-/// handful of iterations (Polanía et al., arXiv:1405.4201, observe the
-/// same effect for wireless ECG CS). `None` is exactly [`ista`].
-///
-/// # Panics
-///
-/// Panics under [`ista`]'s conditions, or if the warm-start length is not
-/// `op.cols()`.
-pub fn ista_warm<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    warm_start: Option<&[T]>,
-) -> SolverResult<T> {
-    shrinkage_loop(op, y, config, lipschitz, false, false, ProxSpec::L1, warm_start, None)
-}
-
 /// Solves Eq. (3) with FISTA (constant step size), the paper's decoder.
 ///
 /// # Panics
@@ -256,202 +232,35 @@ pub fn fista<T: Real, A: LinearOperator<T>>(
     shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::L1, None, None)
 }
 
-/// [`fista`] with an explicit starting point.
+/// The decoder's FISTA, and the general form of the loop: an explicit
+/// starting point, a caller-owned workspace, a pluggable proximal operator
+/// ([`ProxSpec`]) and a choice of schedule.
 ///
 /// `warm_start` seeds both the iterate and the momentum extrapolation
-/// point at the given vector (momentum itself restarts at `t₁ = 1`, which
-/// keeps the `O(1/k²)` guarantee — FISTA's bound holds for any starting
-/// point). `None` is exactly [`fista`]. The solution is the minimizer of
-/// the same convex objective, so warm and cold starts agree to within the
-/// stopping tolerance; only the iteration count changes.
+/// point at the given vector — the fleet decoder passes packet *k*'s
+/// solution when solving packet *k+1*, which on correlated consecutive
+/// packets lands the solver inside the basin where the stopping tolerance
+/// fires after a handful of iterations (Polanía et al., arXiv:1405.4201,
+/// observe the same effect for wireless ECG CS). Momentum itself restarts
+/// at `t₁ = 1`, which keeps the `O(1/k²)` guarantee — FISTA's bound holds
+/// for any starting point — and the solution is the minimizer of the same
+/// convex objective, so warm and cold starts agree to within the stopping
+/// tolerance; only the iteration count changes.
 ///
-/// # Panics
+/// Every solve buffer is drawn from `ws`, so a solve that has seen its
+/// geometry before performs **zero heap allocations** (the solution vector
+/// is carved from the workspace's recycled slot and moves out in the
+/// result).
 ///
-/// Panics under [`ista`]'s conditions, or if the warm-start length is not
-/// `op.cols()`.
-pub fn fista_warm<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    warm_start: Option<&[T]>,
-) -> SolverResult<T> {
-    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::L1, warm_start, None)
-}
-
-/// [`fista_warm`] drawing every solve buffer from a caller-owned
-/// [`FistaWorkspace`], so a solve that has seen its geometry before
-/// performs **zero heap allocations** (the solution vector is carved from
-/// the workspace's recycled slot and moves out in the result).
+/// `ProxSpec::L1` is Eq. (3). `ProxSpec::WeightedL1` solves
+/// `min_α ‖Aα − y‖² + λ·Σ wᵢ|αᵢ|`, where a zero weight exempts its
+/// coefficient from shrinkage entirely; `ProxSpec::Group` puts the ℓ2,1
+/// norm over a partition of the coefficients in place of the ℓ1 norm.
 ///
-/// Produces a bitwise-identical [`SolverResult::solution`] to
-/// [`fista_warm`]: the buffers start from the same values and the
-/// floating-point operation sequence is unchanged.
-///
-/// # Panics
-///
-/// Same conditions as [`fista_warm`].
-pub fn fista_warm_ws<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    warm_start: Option<&[T]>,
-    ws: &mut FistaWorkspace<T>,
-) -> SolverResult<T> {
-    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::L1, warm_start, Some(ws))
-}
-
-/// [`fista_warm_ws`] timed into a telemetry registry; see
-/// [`fista_warm_observed`].
-///
-/// # Panics
-///
-/// Same conditions as [`fista_warm`].
-pub fn fista_warm_ws_observed<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    warm_start: Option<&[T]>,
-    ws: &mut FistaWorkspace<T>,
-    telemetry: &TelemetryRegistry,
-) -> SolverResult<T> {
-    let _span = telemetry.span(Stage::FistaSolve);
-    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::L1, warm_start, Some(ws))
-}
-
-/// [`fista_warm`] timed into a telemetry registry: the whole solve runs
-/// under a [`Stage::FistaSolve`] span, so its wall-clock latency lands in
-/// the registry's per-stage histogram. With the disabled registry this is
-/// [`fista_warm`] plus one atomic load.
-///
-/// The caller still owns journal publication (iteration count, residual,
-/// stream/channel labels) — only the caller knows the labels; see
-/// `cs_core::Decoder`.
-///
-/// # Panics
-///
-/// Same conditions as [`fista_warm`].
-pub fn fista_warm_observed<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    warm_start: Option<&[T]>,
-    telemetry: &TelemetryRegistry,
-) -> SolverResult<T> {
-    let _span = telemetry.span(Stage::FistaSolve);
-    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::L1, warm_start, None)
-}
-
-/// FISTA with per-coefficient penalty weights: solves
-/// `min_α ‖Aα − y‖² + λ·Σ wᵢ|αᵢ|`.
-///
-/// Zero weights exempt coefficients from shrinkage entirely — the CS-ECG
-/// use case is `w = 0` on the coarse approximation subband, whose
-/// coefficients are large and non-sparse, so an unweighted ℓ1 penalty
-/// biases the reconstructed baseline (see `SolverPolicy` in `cs-core`).
-///
-/// # Panics
-///
-/// Panics under [`ista`]'s conditions, or if `weights.len() != op.cols()`
-/// or any weight is negative.
-pub fn fista_weighted<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    weights: &[T],
-) -> SolverResult<T> {
-    fista_weighted_warm(op, y, config, lipschitz, weights, None)
-}
-
-/// [`fista_weighted`] with an explicit starting point (see [`fista_warm`]).
-///
-/// # Panics
-///
-/// Panics under [`fista_weighted`]'s conditions, or if the warm-start
-/// length is not `op.cols()`.
-pub fn fista_weighted_warm<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    weights: &[T],
-    warm_start: Option<&[T]>,
-) -> SolverResult<T> {
-    let prox = ProxSpec::WeightedL1(weights);
-    validate_prox(op.cols(), &prox);
-    shrinkage_loop(op, y, config, lipschitz, true, false, prox, warm_start, None)
-}
-
-/// [`fista_weighted_warm`] drawing every solve buffer from a caller-owned
-/// [`FistaWorkspace`]; see [`fista_warm_ws`].
-///
-/// # Panics
-///
-/// Same conditions as [`fista_weighted_warm`].
-pub fn fista_weighted_warm_ws<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    weights: &[T],
-    warm_start: Option<&[T]>,
-    ws: &mut FistaWorkspace<T>,
-) -> SolverResult<T> {
-    let prox = ProxSpec::WeightedL1(weights);
-    validate_prox(op.cols(), &prox);
-    shrinkage_loop(op, y, config, lipschitz, true, false, prox, warm_start, Some(ws))
-}
-
-/// [`fista_weighted_warm_ws`] timed into a telemetry registry; see
-/// [`fista_warm_observed`].
-///
-/// # Panics
-///
-/// Same conditions as [`fista_weighted_warm`].
-#[allow(clippy::too_many_arguments)]
-pub fn fista_weighted_warm_ws_observed<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    weights: &[T],
-    warm_start: Option<&[T]>,
-    ws: &mut FistaWorkspace<T>,
-    telemetry: &TelemetryRegistry,
-) -> SolverResult<T> {
-    let _span = telemetry.span(Stage::FistaSolve);
-    fista_weighted_warm_ws(op, y, config, lipschitz, weights, warm_start, ws)
-}
-
-/// [`fista_weighted_warm`] timed into a telemetry registry; see
-/// [`fista_warm_observed`].
-///
-/// # Panics
-///
-/// Same conditions as [`fista_weighted_warm`].
-pub fn fista_weighted_warm_observed<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    weights: &[T],
-    warm_start: Option<&[T]>,
-    telemetry: &TelemetryRegistry,
-) -> SolverResult<T> {
-    let _span = telemetry.span(Stage::FistaSolve);
-    fista_weighted_warm(op, y, config, lipschitz, weights, warm_start)
-}
-
-/// The decoder's FISTA: warm-started, workspace-backed, with a pluggable
-/// proximal operator ([`ProxSpec`]) and a choice of schedule.
-///
-/// `adaptive = false` is the paper's constant-step schedule: `ProxSpec::L1`
-/// is then exactly [`fista_warm_ws`] (bitwise) and `ProxSpec::WeightedL1`
-/// exactly [`fista_weighted_warm_ws`]. `adaptive = true` reaches the same
+/// `adaptive = false` is the paper's constant-step schedule: with
+/// `ProxSpec::L1` and no warm start it is exactly [`fista`] (bitwise —
+/// the buffers start from the same values and the floating-point
+/// operation sequence is unchanged). `adaptive = true` reaches the same
 /// minimiser of the same objective in far fewer iterations, two ways:
 ///
 /// * **gradient restart** (O'Donoghue & Candès 2015): when the momentum
@@ -469,9 +278,9 @@ pub fn fista_weighted_warm_observed<T: Real, A: LinearOperator<T>>(
 ///
 /// # Panics
 ///
-/// Panics under [`fista_warm_ws`]'s conditions, or if the prox spec is
-/// inconsistent with `op.cols()` (weight length / group tiling) or
-/// carries a negative weight.
+/// Panics under [`ista`]'s conditions, if the warm-start length is not
+/// `op.cols()`, or if the prox spec is inconsistent with `op.cols()`
+/// (weight length / group tiling) or carries a negative weight.
 #[allow(clippy::too_many_arguments)]
 pub fn fista_prior_warm_ws<T: Real, A: LinearOperator<T>>(
     op: &A,
@@ -485,28 +294,6 @@ pub fn fista_prior_warm_ws<T: Real, A: LinearOperator<T>>(
 ) -> SolverResult<T> {
     validate_prox(op.cols(), &prox);
     shrinkage_loop(op, y, config, lipschitz, true, adaptive, prox, warm_start, Some(ws))
-}
-
-/// [`fista_prior_warm_ws`] timed into a telemetry registry; see
-/// [`fista_warm_observed`].
-///
-/// # Panics
-///
-/// Same conditions as [`fista_prior_warm_ws`].
-#[allow(clippy::too_many_arguments)]
-pub fn fista_prior_warm_ws_observed<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    lipschitz: Option<T>,
-    prox: ProxSpec<'_, T>,
-    adaptive: bool,
-    warm_start: Option<&[T]>,
-    ws: &mut FistaWorkspace<T>,
-    telemetry: &TelemetryRegistry,
-) -> SolverResult<T> {
-    let _span = telemetry.span(Stage::FistaSolve);
-    fista_prior_warm_ws(op, y, config, lipschitz, prox, adaptive, warm_start, ws)
 }
 
 /// Solves Eq. (3) with FISTA and **backtracking** line search (the other
@@ -1003,11 +790,16 @@ mod tests {
         };
         let mut ws = FistaWorkspace::for_operator(&op);
         // Three consecutive solves reusing the workspace, each checked
-        // bitwise against the allocating path (incl. warm-started ones).
+        // bitwise against a solve that allocates its own (incl.
+        // warm-started ones).
         let mut warm: Option<Vec<f64>> = None;
         for _ in 0..3 {
-            let plain = fista_warm(&op, &y, &cfg, None, warm.as_deref());
-            let with_ws = fista_warm_ws(&op, &y, &cfg, None, warm.as_deref(), &mut ws);
+            let seed = warm.as_deref();
+            let mut fresh = FistaWorkspace::new();
+            let plain =
+                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, &mut fresh);
+            let with_ws =
+                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, &mut ws);
             assert_eq!(plain.solution, with_ws.solution, "solutions not bitwise equal");
             assert_eq!(plain.iterations, with_ws.iterations);
             assert_eq!(plain.converged, with_ws.converged);
@@ -1023,9 +815,11 @@ mod tests {
         let (op, _, y) = instance(48, 96, 5, 37);
         let cfg = ShrinkageConfig::new(1e-3);
         let weights: Vec<f64> = (0..96).map(|i| if i < 12 { 0.0 } else { 1.0 }).collect();
-        let mut ws = FistaWorkspace::new(); // grows on first use
-        let plain = fista_weighted_warm(&op, &y, &cfg, None, &weights, None);
-        let with_ws = fista_weighted_warm_ws(&op, &y, &cfg, None, &weights, None, &mut ws);
+        let prox = ProxSpec::WeightedL1(&weights);
+        let mut grown = FistaWorkspace::new(); // grows on first use
+        let mut sized = FistaWorkspace::for_operator(&op);
+        let plain = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, &mut grown);
+        let with_ws = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, &mut sized);
         assert_eq!(plain.solution, with_ws.solution);
         assert_eq!(plain.iterations, with_ws.iterations);
     }
@@ -1064,12 +858,17 @@ mod tests {
         };
         let weights: Vec<f64> = (0..96).map(|i| 0.25 + (i % 4) as f64 * 0.25).collect();
         let seed = fista(&op, &y, &ShrinkageConfig { max_iterations: 10, ..cfg }, Some(9.0)).solution;
+        let l = Some(9.0);
+        let seeded = Some(&seed[..]);
+        let weighted = ProxSpec::WeightedL1(&weights);
+        let mut ws = FistaWorkspace::new();
         let got = [
-            digest(&ista(&op, &y, &cfg, Some(9.0))),
-            digest(&ista_warm(&op, &y, &cfg, Some(9.0), Some(&seed))),
-            digest(&fista(&op, &y, &cfg, Some(9.0))),
-            digest(&fista_warm(&op, &y, &cfg, Some(9.0), Some(&seed))),
-            digest(&fista_weighted(&op, &y, &cfg, Some(9.0), &weights)),
+            digest(&ista(&op, &y, &cfg, l)),
+            // Warm-started ISTA has no public entry point; the loop runs it.
+            digest(&shrinkage_loop(&op, &y, &cfg, l, false, false, ProxSpec::L1, seeded, None)),
+            digest(&fista(&op, &y, &cfg, l)),
+            digest(&fista_prior_warm_ws(&op, &y, &cfg, l, ProxSpec::L1, false, seeded, &mut ws)),
+            digest(&fista_prior_warm_ws(&op, &y, &cfg, l, weighted, false, None, &mut ws)),
         ];
         let pinned = [
             0x72cb_3b41_08a8_8b48_u64,
@@ -1081,7 +880,7 @@ mod tests {
         assert_eq!(
             got.map(|h| format!("{h:#018x}")),
             pinned.map(|h| format!("{h:#018x}")),
-            "[ista, ista_warm, fista, fista_warm, fista_weighted]"
+            "[ista, ista warm, fista, fista warm, fista weighted]"
         );
     }
 
@@ -1150,7 +949,9 @@ mod warm_start_tests {
         let y = op.apply(&x1);
         let cfg = config();
         let cold = fista(&op, &y, &cfg, None);
-        let warm_none = fista_warm(&op, &y, &cfg, None, None);
+        let mut ws = FistaWorkspace::new();
+        let warm_none =
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws);
         assert_eq!(cold.solution, warm_none.solution);
         assert_eq!(cold.iterations, warm_none.iterations);
     }
@@ -1161,7 +962,9 @@ mod warm_start_tests {
         let y = op.apply(&x1);
         let cfg = config();
         let cold = fista(&op, &y, &cfg, None);
-        let rewarm = fista_warm(&op, &y, &cfg, None, Some(&cold.solution));
+        let mut ws = FistaWorkspace::new();
+        let seed = Some(&cold.solution[..]);
+        let rewarm = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, &mut ws);
         assert!(rewarm.converged);
         assert!(
             rewarm.iterations <= 3,
@@ -1181,7 +984,9 @@ mod warm_start_tests {
         };
         let prior = ista(&op, &y1, &cfg, None);
         let cold = ista(&op, &y2, &cfg, None);
-        let warm = ista_warm(&op, &y2, &cfg, None, Some(&prior.solution));
+        // No public entry point seeds ISTA; the loop itself can.
+        let seed = Some(&prior.solution[..]);
+        let warm = shrinkage_loop(&op, &y2, &cfg, None, false, false, ProxSpec::L1, seed, None);
         assert!(warm.iterations <= cold.iterations);
         for (a, b) in cold.solution.iter().zip(&warm.solution) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -1194,7 +999,9 @@ mod warm_start_tests {
         let (op, x1, _) = correlated_pair(3, 0.0);
         let y = op.apply(&x1);
         let bad = vec![0.0; 7];
-        let _ = fista_warm(&op, &y, &config(), None, Some(&bad));
+        let mut ws = FistaWorkspace::new();
+        let _ =
+            fista_prior_warm_ws(&op, &y, &config(), None, ProxSpec::L1, false, Some(&bad), &mut ws);
     }
 
     proptest! {
@@ -1214,7 +1021,10 @@ mod warm_start_tests {
             let cfg = config();
             let prior = fista(&op, &y1, &cfg, None);
             let cold = fista(&op, &y2, &cfg, None);
-            let warm = fista_warm(&op, &y2, &cfg, None, Some(&prior.solution));
+            let mut ws = FistaWorkspace::new();
+            let warm = fista_prior_warm_ws(
+                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&prior.solution), &mut ws,
+            );
             prop_assert!(
                 warm.iterations <= cold.iterations,
                 "warm {} > cold {} (seed {seed}, drift {drift})",
@@ -1231,9 +1041,8 @@ mod warm_start_tests {
             );
         }
 
-        /// The workspace-reusing solver is bit-for-bit the allocating
-        /// path, cold and warm, across consecutive reuses of one
-        /// workspace.
+        /// A reused workspace is bit-for-bit a fresh one per solve, cold
+        /// and warm, across consecutive reuses.
         #[test]
         fn prop_workspace_fista_bitwise_identical(seed in 1_u64..10_000) {
             let (op, x1, x2) = correlated_pair(seed, 0.01);
@@ -1241,11 +1050,16 @@ mod warm_start_tests {
             let y2 = op.apply(&x2);
             let cfg = config();
             let mut ws = FistaWorkspace::for_operator(&op);
-            let a1 = fista_warm(&op, &y1, &cfg, None, None);
-            let b1 = fista_warm_ws(&op, &y1, &cfg, None, None, &mut ws);
+            let a1 = fista(&op, &y1, &cfg, None);
+            let b1 = fista_prior_warm_ws(&op, &y1, &cfg, None, ProxSpec::L1, false, None, &mut ws);
             prop_assert_eq!(&a1.solution, &b1.solution);
-            let a2 = fista_warm(&op, &y2, &cfg, None, Some(&a1.solution));
-            let b2 = fista_warm_ws(&op, &y2, &cfg, None, Some(&b1.solution), &mut ws);
+            let mut fresh = FistaWorkspace::new();
+            let a2 = fista_prior_warm_ws(
+                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&a1.solution), &mut fresh,
+            );
+            let b2 = fista_prior_warm_ws(
+                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&b1.solution), &mut ws,
+            );
             prop_assert_eq!(a2.solution, b2.solution);
         }
     }
@@ -1285,19 +1099,6 @@ mod prior_tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn prior_l1_no_restart_is_exactly_fista_warm_ws() {
-        let (op, x) = instance(41, 64, 128, 6);
-        let y = op.apply(&x);
-        let cfg = config();
-        let mut ws_a = FistaWorkspace::for_operator(&op);
-        let mut ws_b = FistaWorkspace::for_operator(&op);
-        let a = fista_warm_ws(&op, &y, &cfg, None, None, &mut ws_a);
-        let b = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws_b);
-        assert_eq!(bits(&a.solution), bits(&b.solution));
-        assert_eq!(a.iterations, b.iterations);
     }
 
     #[test]
@@ -1513,9 +1314,11 @@ mod prior_tests {
         let free = x.iter().position(|&v| v != 0.0).unwrap();
         weights[free] = 0.0;
         let mut ws = FistaWorkspace::for_operator(&op);
-        let crushed = fista_weighted_warm_ws(&op, &y, &cfg, None, &ones, None, &mut ws);
+        let all = ProxSpec::WeightedL1(&ones);
+        let crushed = fista_prior_warm_ws(&op, &y, &cfg, None, all, false, None, &mut ws);
         assert!(crushed.solution.iter().all(|&v| v == 0.0));
-        let freed = fista_weighted_warm_ws(&op, &y, &cfg, None, &weights, None, &mut ws);
+        let spared = ProxSpec::WeightedL1(&weights);
+        let freed = fista_prior_warm_ws(&op, &y, &cfg, None, spared, false, None, &mut ws);
         assert!(
             freed.solution[free] != 0.0,
             "zero-weight coordinate was shrunk away"
@@ -1575,9 +1378,11 @@ mod prior_tests {
             let ones = vec![1.0; op.cols()];
             let mut ws_a = FistaWorkspace::for_operator(&op);
             let mut ws_b = FistaWorkspace::for_operator(&op);
-            let plain = fista_warm_ws(&op, &y, &cfg, None, None, &mut ws_a);
-            let weighted =
-                fista_weighted_warm_ws(&op, &y, &cfg, None, &ones, None, &mut ws_b);
+            let plain =
+                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws_a);
+            let weighted = fista_prior_warm_ws(
+                &op, &y, &cfg, None, ProxSpec::WeightedL1(&ones), false, None, &mut ws_b,
+            );
             prop_assert_eq!(bits(&plain.solution), bits(&weighted.solution));
             prop_assert_eq!(plain.iterations, weighted.iterations);
         }
@@ -1596,7 +1401,9 @@ mod prior_tests {
             let free = x.iter().position(|&v| v != 0.0).unwrap();
             weights[free] = 0.0;
             let mut ws = FistaWorkspace::for_operator(&op);
-            let sol = fista_weighted_warm_ws(&op, &y, &cfg, None, &weights, None, &mut ws);
+            let sol = fista_prior_warm_ws(
+                &op, &y, &cfg, None, ProxSpec::WeightedL1(&weights), false, None, &mut ws,
+            );
             prop_assert!(sol.solution[free] != 0.0);
             for (i, &v) in sol.solution.iter().enumerate() {
                 if i != free {

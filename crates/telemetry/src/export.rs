@@ -123,22 +123,8 @@ pub fn prometheus(snap: &TelemetrySnapshot) -> String {
             );
         }
     }
-    // Batch occupancy only appears once a batched solve has run, so
-    // sequential deployments export no empty family.
-    if snap.batch_occupancy.count() > 0 {
-        out.push_str("# HELP cs_batch_occupancy Lanes per batched FISTA solve\n");
-        out.push_str("# TYPE cs_batch_occupancy histogram\n");
-        write_histogram(
-            &mut out,
-            "cs_batch_occupancy",
-            "",
-            &snap.batch_occupancy,
-            |u| u.to_string(),
-            |s| s.to_string(),
-        );
-    }
     // Per-mode solver iteration histograms: only modes that have solved
-    // appear, so an unweighted deployment exports cold/warm only.
+    // appear, so a deployment without the block prior exports cold/warm only.
     if snap.solver_iterations.iter().any(|(_, h)| h.count() > 0) {
         out.push_str("# HELP cs_solver_iterations FISTA iterations per solve by solver mode\n");
         out.push_str("# TYPE cs_solver_iterations histogram\n");
@@ -404,10 +390,10 @@ fn stage_json(name: &str, hist: &HistogramSnapshot, out: &mut String) {
 /// Record schema (stable keys, in order): `uptime_s` (seconds since
 /// registry creation), `ts_unix_s` (absolute wall-clock seconds since
 /// the Unix epoch at snapshot time), `stages`, `worker_packets`,
-/// `faults`, `archive`, optional `batch_occupancy`, optional
-/// `solver_iterations` (per-mode iteration stats), `e2e` (per-patient
-/// end-to-end latency), `slo` (per-patient health, freshness, burn
-/// rates, lane watermarks), optional `ingest` (socket-session lifecycle,
+/// `faults`, `archive`, optional `solver_iterations` (per-mode
+/// iteration stats), `e2e` (per-patient end-to-end latency), `slo`
+/// (per-patient health, freshness, burn rates, lane watermarks),
+/// optional `ingest` (socket-session lifecycle,
 /// present once a session was admitted or shed), optional `clinical`
 /// (beat classes, alarm counters, concealment suppressions, QRS score —
 /// present once the clinical layer has recorded anything), `scrapes`
@@ -469,16 +455,6 @@ pub fn json_line(snap: &TelemetrySnapshot) -> String {
         let _ = write!(out, "\"{}\":{count}", op.name());
     }
     out.push('}');
-    if snap.batch_occupancy.count() > 0 {
-        let hist = &snap.batch_occupancy;
-        let _ = write!(
-            out,
-            ",\"batch_occupancy\":{{\"count\":{},\"mean\":{:.2},\"max\":{}}}",
-            hist.count(),
-            hist.mean_ns(),
-            hist.max_ns()
-        );
-    }
     if snap.solver_iterations.iter().any(|(_, h)| h.count() > 0) {
         out.push_str(",\"solver_iterations\":{");
         let mut first = true;
@@ -808,45 +784,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_occupancy_exported_in_both_formats() {
-        let reg = sample_registry();
-        for lanes in [4, 4, 2, 8] {
-            reg.record_batch_occupancy(lanes);
-        }
-        let text = reg.prometheus();
-        assert!(text.contains("# TYPE cs_batch_occupancy histogram"));
-        assert!(text.contains("cs_batch_occupancy_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("cs_batch_occupancy_count 4"));
-        assert!(text.contains("cs_batch_occupancy_sum 18"));
-        let line = reg.json_line();
-        assert!(line.contains("\"batch_occupancy\":{\"count\":4,\"mean\":4.50,\"max\":8}"));
-        let open = line.matches('{').count();
-        let close = line.matches('}').count();
-        assert_eq!(open, close);
-        // Without any batched solve, neither format mentions occupancy.
-        let off = sample_registry();
-        assert!(!off.prometheus().contains("cs_batch_occupancy"));
-        assert!(!off.json_line().contains("batch_occupancy"));
-    }
-
-    #[test]
     fn solver_iterations_exported_in_both_formats() {
         let reg = sample_registry();
         reg.record_solver_iterations(crate::SolverMode::Warm, 200);
         reg.record_solver_iterations(crate::SolverMode::Warm, 300);
-        reg.record_solver_iterations(crate::SolverMode::Weighted, 120);
+        reg.record_solver_iterations(crate::SolverMode::Block, 120);
         let text = reg.prometheus();
         assert!(text.contains("# TYPE cs_solver_iterations histogram"));
         assert!(text.contains("cs_solver_iterations_bucket{mode=\"warm\",le=\"+Inf\"} 2"));
         assert!(text.contains("cs_solver_iterations_count{mode=\"warm\"} 2"));
         assert!(text.contains("cs_solver_iterations_sum{mode=\"warm\"} 500"));
-        assert!(text.contains("cs_solver_iterations_count{mode=\"weighted\"} 1"));
+        assert!(text.contains("cs_solver_iterations_count{mode=\"block\"} 1"));
         // Modes that never solved export no series.
         assert!(!text.contains("mode=\"cold\""));
-        assert!(!text.contains("mode=\"block\""));
         let line = reg.json_line();
         assert!(line.contains("\"solver_iterations\":{\"warm\":{\"count\":2,\"mean\":250.0,"));
-        assert!(line.contains("\"weighted\":{\"count\":1,\"mean\":120.0,"));
+        assert!(line.contains("\"block\":{\"count\":1,\"mean\":120.0,"));
         let open = line.matches('{').count();
         let close = line.matches('}').count();
         assert_eq!(open, close);

@@ -1,9 +1,9 @@
 //! The solver-mode taxonomy for per-mode iteration accounting.
 //!
-//! The prior-driven decoder can solve a packet four different ways; the
-//! registry keeps one iteration histogram per mode so the iteration
-//! savings of the support-weighted and block-sparse paths stay visible
-//! next to the cold/warm baselines (`cs_solver_iterations{mode=…}`).
+//! The decoder can solve a packet three different ways; the registry
+//! keeps one iteration histogram per mode so the iteration savings of the
+//! block-sparse path stay visible next to the cold/warm baselines
+//! (`cs_solver_iterations{mode=…}`).
 //! Like [`Stage`](crate::Stage), the set is closed and array-indexed.
 
 /// How the decoder solved a packet.
@@ -13,22 +13,18 @@ pub enum SolverMode {
     Cold,
     /// Warm-started FISTA from the previous window's estimate.
     Warm,
-    /// Support-weighted FISTA: warm seed plus per-coefficient ℓ1 weights
-    /// estimated from the previous window's support.
-    Weighted,
     /// Block-sparse FISTA: the group prox over wavelet-tree groups.
     Block,
 }
 
 impl SolverMode {
     /// Number of modes (the registry's per-mode array length).
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     /// Every mode, in escalation order.
     pub const ALL: [SolverMode; SolverMode::COUNT] = [
         SolverMode::Cold,
         SolverMode::Warm,
-        SolverMode::Weighted,
         SolverMode::Block,
     ];
 
@@ -44,7 +40,6 @@ impl SolverMode {
         match self {
             SolverMode::Cold => "cold",
             SolverMode::Warm => "warm",
-            SolverMode::Weighted => "weighted",
             SolverMode::Block => "block",
         }
     }

@@ -41,10 +41,6 @@ struct Inner {
     workers: [AtomicU64; MAX_WORKERS],
     faults: [AtomicU64; FaultKind::COUNT],
     archive: [AtomicU64; ArchiveOp::COUNT],
-    /// Batched-solve width distribution (raw lane counts, not durations):
-    /// occupancy `k` records the value `k`, so the histogram's mean is the
-    /// fleet's average batch fill.
-    batch_occupancy: Histogram,
     /// Per-solver-mode iteration counts (raw iterations, not durations):
     /// a solve of `k` iterations records the value `k` into its mode's
     /// histogram, so means/percentiles read directly as iterations.
@@ -150,7 +146,6 @@ impl TelemetryRegistry {
                 workers: std::array::from_fn(|_| AtomicU64::new(0)),
                 faults: std::array::from_fn(|_| AtomicU64::new(0)),
                 archive: std::array::from_fn(|_| AtomicU64::new(0)),
-                batch_occupancy: Histogram::new(),
                 solver_iterations: std::array::from_fn(|_| Histogram::new()),
                 journal: Journal::new(capacity),
                 e2e: std::array::from_fn(|_| Histogram::new()),
@@ -267,19 +262,6 @@ impl TelemetryRegistry {
     /// The running count for one archive operation.
     pub fn archive_count(&self, op: ArchiveOp) -> u64 {
         self.inner.archive[op.index()].load(Ordering::Relaxed)
-    }
-
-    /// Records the lane occupancy of one batched solve (no-op when
-    /// disabled). The histogram stores raw widths, not durations.
-    pub fn record_batch_occupancy(&self, lanes: usize) {
-        if self.is_enabled() {
-            self.inner.batch_occupancy.record_ns(lanes as u64);
-        }
-    }
-
-    /// The live batched-solve occupancy histogram.
-    pub fn batch_occupancy(&self) -> &Histogram {
-        &self.inner.batch_occupancy
     }
 
     /// Records the iteration count of one solve against its mode's
@@ -558,7 +540,6 @@ impl TelemetryRegistry {
             worker_packets: self.worker_packets(MAX_WORKERS),
             faults: FaultKind::ALL.map(|k| (k, self.fault_count(k))),
             archive_ops: ArchiveOp::ALL.map(|o| (o, self.archive_count(o))),
-            batch_occupancy: self.inner.batch_occupancy.snapshot(),
             solver_iterations: SolverMode::ALL
                 .map(|m| (m, self.inner.solver_iterations[m.index()].snapshot())),
             journal_len: self.inner.journal.len(),
@@ -617,8 +598,6 @@ pub struct TelemetrySnapshot {
     pub faults: [(FaultKind, u64); FaultKind::COUNT],
     /// Per-op archive counts, in [`ArchiveOp::ALL`] order.
     pub archive_ops: [(ArchiveOp, u64); ArchiveOp::COUNT],
-    /// Batched-solve lane-occupancy distribution (raw widths).
-    pub batch_occupancy: HistogramSnapshot,
     /// Per-mode solver iteration distributions (raw iteration counts), in
     /// [`SolverMode::ALL`] order.
     pub solver_iterations: [(SolverMode, HistogramSnapshot); SolverMode::COUNT],
@@ -815,22 +794,6 @@ mod tests {
         off.set_enabled(false);
         off.record_fault(FaultKind::Duplicate);
         assert_eq!(off.fault_count(FaultKind::Duplicate), 0);
-    }
-
-    #[test]
-    fn batch_occupancy_records_raw_widths() {
-        let reg = TelemetryRegistry::new();
-        reg.record_batch_occupancy(4);
-        reg.record_batch_occupancy(8);
-        assert_eq!(reg.batch_occupancy().count(), 2);
-        let snap = reg.snapshot();
-        assert_eq!(snap.batch_occupancy.count(), 2);
-        assert_eq!(snap.batch_occupancy.sum_ns(), 12);
-
-        let off = TelemetryRegistry::new();
-        off.set_enabled(false);
-        off.record_batch_occupancy(4);
-        assert_eq!(off.batch_occupancy().count(), 0);
     }
 
     #[test]

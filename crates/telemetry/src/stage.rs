@@ -30,10 +30,6 @@ pub enum Stage {
     /// per-solve iteration count and final residual additionally land in
     /// the event journal.
     FistaSolve,
-    /// Coordinator: one K-wide batched (MMV) FISTA solve amortizing the
-    /// operator's index walks across grouped lanes; the batch width
-    /// additionally lands in the `cs_batch_occupancy` histogram.
-    BatchSolve,
     /// Coordinator: the inverse wavelet transform `x̂ = Ψᵀα` back to
     /// samples.
     WaveletSynthesis,
@@ -57,10 +53,6 @@ pub enum Stage {
     /// packetize/ingest and the moment a worker dequeued it — queue
     /// pressure, as distinct from solver cost.
     QueueWait,
-    /// Fleet: time a staged lane waited for batchmates under the bounded
-    /// partial-batch linger before the fused MMV solve fired (zero on the
-    /// sequential path).
-    BatchLinger,
     /// Collector: time between a worker finishing a packet and the
     /// in-order collector delivering it to the consumer — reorder-buffer
     /// dwell plus collector queueing.
@@ -69,7 +61,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the registry's per-stage array length).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 15;
 
     /// Every stage, in wire order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -80,7 +72,6 @@ impl Stage {
         Stage::HuffmanDecode,
         Stage::DiffDecode,
         Stage::FistaSolve,
-        Stage::BatchSolve,
         Stage::WaveletSynthesis,
         Stage::Reassembly,
         Stage::IngestValidate,
@@ -88,7 +79,6 @@ impl Stage {
         Stage::ArchiveAppend,
         Stage::ArchiveReplay,
         Stage::QueueWait,
-        Stage::BatchLinger,
         Stage::EmitDeliver,
     ];
 
@@ -109,7 +99,6 @@ impl Stage {
             Stage::HuffmanDecode => "huffman_decode",
             Stage::DiffDecode => "diff_decode",
             Stage::FistaSolve => "fista_solve",
-            Stage::BatchSolve => "batch_solve",
             Stage::WaveletSynthesis => "wavelet_synthesis",
             Stage::Reassembly => "reassembly",
             Stage::IngestValidate => "ingest_validate",
@@ -117,7 +106,6 @@ impl Stage {
             Stage::ArchiveAppend => "archive_append",
             Stage::ArchiveReplay => "archive_replay",
             Stage::QueueWait => "queue_wait",
-            Stage::BatchLinger => "batch_linger",
             Stage::EmitDeliver => "emit_deliver",
         }
     }

@@ -241,9 +241,9 @@ fn validate(text: &str) {
 // ---------------------------------------------------------------------
 
 /// A registry with every family populated: stages, workers, faults,
-/// archive ops, batch occupancy, traced emissions (e2e + SLO, one
-/// deadline miss so the burn-rate gauges are non-zero), scrapes, and a
-/// second render so the self-observation histogram appears.
+/// archive ops, traced emissions (e2e + SLO, one deadline miss so the
+/// burn-rate gauges are non-zero), scrapes, and a second render so the
+/// self-observation histogram appears.
 fn populated_registry() -> TelemetryRegistry {
     let registry = TelemetryRegistry::with_slo_config(SloConfig {
         deadline: Duration::from_millis(1),
@@ -262,7 +262,6 @@ fn populated_registry() -> TelemetryRegistry {
     for op in ArchiveOp::ALL {
         registry.record_archive_op(op);
     }
-    registry.record_batch_occupancy(4);
     registry.record_solve(SolveTrace { iterations: 12, solve_ns: 5_000, ..SolveTrace::default() });
     for patient in 0..2u32 {
         for seq in 0..4 {
@@ -292,7 +291,6 @@ fn populated_scrape_conforms() {
     for family in [
         "cs_stage_latency_ns",
         "cs_stage_latency_quantile_ns",
-        "cs_batch_occupancy",
         "cs_worker_packets_total",
         "cs_fault_total",
         "cs_archive_total",

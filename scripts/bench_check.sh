@@ -140,8 +140,7 @@ if (v := fleet("block_mean_iterations", "warm_mean_iterations",
 print("\nbench_check: fleet solver iterations "
       f"(advisory drift band ±{ITER_DRIFT_PCT:.0f} %; baseline invariant is hard)")
 for field in ("cold_mean_iterations", "warm_mean_iterations",
-              "weighted_mean_iterations", "block_mean_iterations",
-              "paper_mean_iterations"):
+              "block_mean_iterations", "paper_mean_iterations"):
     b, c = base_fleet.get(field), cur_fleet.get(field)
     if b is None or c is None:
         print(f"  {field:<26} baseline={b} current={c}  (incomparable)")

@@ -26,46 +26,43 @@ scripts/unsafe_check.sh
 
 # The zero-alloc tests run in the debug suite above too, but the claim
 # that matters is about the optimized decoder, so pin them in release —
-# the sequential steady state, the batched (MMV) steady state, and the
-# prior-driven (support-weighted / group-prox) steady states.
+# the plain steady state and the prior-driven (group-prox) one.
 cargo test -q --release -p cs-core --test zero_alloc
-cargo test -q --release -p cs-core --test zero_alloc_batch
 cargo test -q --release -p cs-core --test zero_alloc_prior
-cargo test -q --release -p cs-core --test zero_alloc_prior_batch
 
 # The ingest transport path makes the same claim one layer down: after
 # session setup, deframe + validate + control encode allocate nothing,
 # and the decode-queue handoff costs exactly one buffer per frame.
 cargo test -q --release -p cs-ingest --test zero_alloc_ingest
 
-# Prior-driven solver guarantees under the optimizer: equal-or-better PRD
-# across the CR sweep at no more iterations than the plain warm solve
-# (fewer, for the block prior), and bounded degradation on a mid-stream
-# arrhythmic morphology change.
+# Prior-driven solver guarantees under the optimizer: the block prior
+# holds PRD against the plain warm solve at fewer iterations.
 cargo test -q --release --test solver_priors
 
 # Bit-exactness under the optimizer: the golden decode digest (production
 # and `SolverPolicy::paper()`), the production schedule against the
-# paper's, the across-output DWT and blocked-gather kernels against their
-# per-output oracles, and batch-vs-sequential equivalence. Reassociation-style
-# regressions only show up in release codegen — and so does anything
-# wrong with the `unsafe` AVX2 gathers or the wide DWT instantiation,
-# hence those crates' own suites; the lane reductions and the fused
-# iteration tail of cs-recovery differ from their oracles *only* under
-# the optimizer, hence its.
+# paper's, and the across-output DWT and blocked-gather kernels against
+# their per-output oracles. Reassociation-style regressions only show up
+# in release codegen — and so does anything wrong with the `unsafe` AVX2
+# gathers or the wide DWT instantiation, hence those crates' own suites;
+# the lane reductions and the fused iteration tail of cs-recovery differ
+# from their oracles *only* under the optimizer, hence its.
 cargo test -q --release --test numerical_equivalence
 cargo test -q --release -p cs-dsp -p cs-sensing -p cs-recovery
+
+# The coordinator's wall-clock gate (in-budget iterations > the paper's
+# 2000) only means something for optimized code; the debug suite above
+# skips that one clause.
+cargo test -q --release --test platform_reports
 
 # Bench regression gate: runs the quick snapshot, prints a per-row
 # min_ns delta table against the committed BENCH_decode.json, and fails
 # only on a gross (>40 %) regression — see scripts/bench_check.sh.
 scripts/bench_check.sh
 
-# The quick snapshot doubles as the batched-bench smoke: fail if the
-# MMV benches stopped producing rows (a silent rename would otherwise
-# leave the committed baseline comparing against nothing).
-grep -q '"fleet_throughput/fleet_batch/8"' target/BENCH_decode_quick.json
-grep -q '"batched_fista/batch_8"' target/BENCH_decode_quick.json
+# The quick snapshot doubles as a bench smoke: fail if the ingest bench
+# stopped producing rows (a silent rename would otherwise leave the
+# committed baseline comparing against nothing).
 grep -q '"ingest_throughput/deframe/1400B"' target/BENCH_decode_quick.json
 
 # Telemetry smoke: one tiny fleet (~2 s of signal) with the live

@@ -351,53 +351,6 @@ fn worker_panic_recovered_by_supervisor() {
     assert_eq!(snapshot.fault(FaultKind::Quarantined), 1);
 }
 
-/// A lane that panics while being staged into an MMV batch must not
-/// poison its batchmates: the offender is quarantined and the worker's
-/// decoders restart, but every other lane staged into that same batch
-/// still emits a decoded window — their solve blocks were already copied
-/// into the batch workspace, and lanes staged after the restart rebuild
-/// their decoders lazily.
-#[test]
-fn batched_lane_panic_does_not_poison_batchmates() {
-    let config = SystemConfig::paper_default();
-    // One window per stream (2 s of signal), so every frame is a DPCM
-    // reference: whatever order the four lanes land in the batch relative
-    // to the panic, the post-restart decoders need no prior state and the
-    // outcome is fully deterministic.
-    let traffic = fleet_traffic(&config, 4, 2.0, 1);
-    for frames in &traffic {
-        assert_eq!(frames.len(), 1, "expected exactly one window per stream");
-    }
-    let fleet = FleetConfig {
-        workers: 1,
-        batch: 4,
-        chaos_panic: Some((2, 0)),
-        ..FleetConfig::default()
-    };
-    let registry = TelemetryRegistry::new();
-    let (f, emitted) = run_chaos_fleet(&config, &traffic, &fleet, &registry);
-
-    assert_eq!(f.worker_restarts, 1);
-    assert_eq!(f.quarantined, 1);
-    assert_eq!(f.decoded, 3, "all batchmates of the poisoned lane must decode");
-    for (stream, _, outcome) in &emitted {
-        if *stream == 2 {
-            assert!(
-                matches!(outcome, PacketOutcome::Quarantined),
-                "poisoned lane must surface as quarantined, got {outcome:?}"
-            );
-        } else {
-            assert!(
-                matches!(outcome, PacketOutcome::Decoded),
-                "stream {stream} poisoned by a batchmate: {outcome:?}"
-            );
-        }
-    }
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.fault(FaultKind::WorkerRestart), 1);
-    assert_eq!(snapshot.fault(FaultKind::Quarantined), 1);
-}
-
 /// A decoder built with a different reference interval than the encoder
 /// still never panics (it may reject or mis-track — configuration
 /// mismatch is an operator error the system must survive).

@@ -5,10 +5,7 @@
 use cs_ecg_monitor::system::{DecodedPacket, Schedule};
 use cs_ecg_monitor::dsp::wavelet::{Dwt, Wavelet};
 use cs_ecg_monitor::prelude::*;
-use cs_ecg_monitor::recovery::{
-    fista_warm_batch_ws, fista_warm_ws, lambda_max, BatchWorkspace, DenseOperator,
-    FistaWorkspace, LinearOperator,
-};
+use cs_ecg_monitor::recovery::DenseOperator;
 use cs_ecg_monitor::sensing::MotePrng;
 use proptest::prelude::*;
 
@@ -158,137 +155,6 @@ fn fista_identical_on_matrix_free_and_dense() {
     let b = fista(&dense, &y, &cfg, Some(40.0));
     for (u, v) in a.solution.iter().zip(&b.solution) {
         assert!((u - v).abs() < 1e-7, "{u} vs {v}");
-    }
-}
-
-/// Builds `k` lanes of CS measurements (plus warm seeds on odd lanes) for
-/// the production matrix-free geometry, at either precision.
-#[allow(clippy::type_complexity)]
-fn batch_lanes<T: cs_ecg_monitor::dsp::Real>(
-    phi: &SparseBinarySensing,
-    n: usize,
-    k: usize,
-    seed: u64,
-) -> Vec<(Vec<T>, Option<Vec<T>>)> {
-    let mut rng = MotePrng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-    (0..k)
-        .map(|lane| {
-            let x: Vec<T> = (0..n)
-                .map(|_| T::from_f64(rng.next_gaussian() * 50.0))
-                .collect();
-            let y: Vec<T> = phi.apply(x.as_slice());
-            // Odd lanes warm-start from a small pseudo-previous-window
-            // iterate, so the harness covers warm recycling too.
-            let warm = (lane % 2 == 1).then(|| {
-                (0..n)
-                    .map(|_| T::from_f64(rng.next_gaussian() * 0.05))
-                    .collect()
-            });
-            (y, warm)
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Batched MMV FISTA must reproduce the sequential solver **bit-for-bit**,
-    /// lane by lane: same solution bits, same iteration count, same
-    /// convergence flag, same residual norm — across random sensing seeds,
-    /// geometries, warm seeds, and K ∈ {1, 2, 4, 8}. K = 1 runs exactly the
-    /// sequential operation order, so the batch of one *is* the sequential
-    /// path.
-    #[test]
-    fn batched_fista_bitwise_matches_sequential_f64(
-        seed in any::<u64>(),
-        k_idx in 0_usize..4,
-        small in any::<bool>(),
-    ) {
-        let k = [1_usize, 2, 4, 8][k_idx];
-        let n = if small { 64 } else { 128 };
-        let m = n / 2;
-        let wavelet = Wavelet::daubechies(4).unwrap();
-        let dwt: Dwt<f64> = Dwt::new(&wavelet, n, 3).unwrap();
-        let phi = SparseBinarySensing::new(m, n, 6, seed).unwrap();
-        let op = SynthesisOperator::new(&phi, &dwt);
-        let lanes = batch_lanes::<f64>(&phi, n, k, seed);
-        // Data-adaptive λ per lane, like the production decoder.
-        let configs: Vec<ShrinkageConfig<f64>> = lanes
-            .iter()
-            .map(|(y, _)| ShrinkageConfig {
-                lambda: 0.02 * lambda_max(&op, y),
-                max_iterations: 80,
-                tolerance: 1e-4,
-                ..ShrinkageConfig::new(0.0)
-            })
-            .collect();
-
-        let mut bws = BatchWorkspace::for_operator(&op, k);
-        bws.begin(op.rows(), op.cols());
-        for (y, warm) in &lanes {
-            bws.stage_lane(y, warm.as_deref());
-        }
-        fista_warm_batch_ws(&op, &configs, None, Some(40.0), &mut bws);
-
-        let mut ws = FistaWorkspace::for_operator(&op);
-        for (lane, (y, warm)) in lanes.iter().enumerate() {
-            let seq = fista_warm_ws(&op, y, &configs[lane], Some(40.0), warm.as_deref(), &mut ws);
-            prop_assert_eq!(bws.iterations(lane), seq.iterations, "lane {} iterations", lane);
-            prop_assert_eq!(bws.converged(lane), seq.converged, "lane {} converged", lane);
-            prop_assert_eq!(
-                bws.residual_norm(lane).to_bits(),
-                seq.residual_norm.to_bits(),
-                "lane {} residual norm", lane
-            );
-            for (i, (a, b)) in bws.solution(lane).iter().zip(&seq.solution).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "K={} lane {} coeff {}", k, lane, i);
-            }
-            ws.recycle_solution(seq.solution);
-        }
-    }
-}
-
-/// The f32 batched path is bit-identical too — there is no divergence to
-/// bound: batching never reassociates a reduction across lanes (each
-/// output element's gather, threshold, and momentum arithmetic is the
-/// same instruction sequence on the same lane-contiguous data the scalar
-/// solver uses), so the usual MMV drift source — fused cross-column
-/// accumulation — structurally cannot occur at either precision.
-#[test]
-fn batched_fista_bitwise_matches_sequential_f32() {
-    for (k, seed) in [(1_usize, 11_u64), (2, 22), (4, 33), (8, 44)] {
-        let n = 128;
-        let wavelet = Wavelet::daubechies(4).unwrap();
-        let dwt: Dwt<f32> = Dwt::new(&wavelet, n, 3).unwrap();
-        let phi = SparseBinarySensing::new(64, n, 6, seed).unwrap();
-        let op = SynthesisOperator::new(&phi, &dwt);
-        let lanes = batch_lanes::<f32>(&phi, n, k, seed);
-        let configs: Vec<ShrinkageConfig<f32>> = lanes
-            .iter()
-            .map(|(y, _)| ShrinkageConfig {
-                lambda: 0.02 * lambda_max(&op, y),
-                max_iterations: 80,
-                tolerance: 1e-3,
-                ..ShrinkageConfig::new(0.0)
-            })
-            .collect();
-
-        let mut bws = BatchWorkspace::for_operator(&op, k);
-        bws.begin(op.rows(), op.cols());
-        for (y, warm) in &lanes {
-            bws.stage_lane(y, warm.as_deref());
-        }
-        fista_warm_batch_ws(&op, &configs, None, Some(40.0), &mut bws);
-
-        let mut ws = FistaWorkspace::for_operator(&op);
-        for (lane, (y, warm)) in lanes.iter().enumerate() {
-            let seq = fista_warm_ws(&op, y, &configs[lane], Some(40.0), warm.as_deref(), &mut ws);
-            assert_eq!(bws.iterations(lane), seq.iterations, "K={k} lane {lane} iterations");
-            for (i, (a, b)) in bws.solution(lane).iter().zip(&seq.solution).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "K={k} lane {lane} coeff {i}");
-            }
-            ws.recycle_solution(seq.solution);
-        }
     }
 }
 
@@ -442,6 +308,10 @@ fn decode_digest<T: cs_ecg_monitor::dsp::Real>(
 /// cold" constants, unchanged: the verbatim arm did not move a bit. (The
 /// previous block + warm constants were restart without continuation,
 /// which neither schedule runs any more.)
+///
+/// The last two — plain ℓ1 with a warm start, the arm
+/// `FleetConfig::warm_start` runs — were pinned before the solver's entry
+/// points were collapsed to one, so the warm safeguard is covered too.
 #[test]
 fn production_decode_matches_the_golden_digest() {
     let samples = digest_corpus();
@@ -452,6 +322,8 @@ fn production_decode_matches_the_golden_digest() {
         decode_digest::<f64>(&samples, SolverPolicy::block_prior(), true, 16),
         decode_digest::<f32>(&samples, SolverPolicy::paper(), false, 16),
         decode_digest::<f64>(&samples, SolverPolicy::paper(), false, 16),
+        decode_digest::<f32>(&samples, SolverPolicy::default(), true, 16),
+        decode_digest::<f64>(&samples, SolverPolicy::default(), true, 16),
     ];
     let golden = [
         0xc17e_574d_2408_667f_u64,
@@ -460,12 +332,14 @@ fn production_decode_matches_the_golden_digest() {
         0x88d1_1d32_ebaa_8f8e,
         0x9666_f6b0_f9b4_5111,
         0x50ec_d868_429d_9b92,
+        0x6316_6301_7ade_661f,
+        0x0856_36c7_807b_9177,
     ];
     assert_eq!(
         got.map(|h| format!("{h:#018x}")),
         golden.map(|h| format!("{h:#018x}")),
         "decode digests [f32 cold, f32 block+warm, f64 cold, f64 block+warm, \
-         f32 paper cold, f64 paper cold]"
+         f32 paper cold, f64 paper cold, f32 l1+warm, f64 l1+warm]"
     );
 }
 

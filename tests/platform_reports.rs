@@ -61,7 +61,12 @@ fn coordinator_report_from_real_solves() {
     // This host is far faster than an iPhone 3GS: real-time must hold and
     // the in-budget iteration count must dwarf the paper's 2000.
     assert!(report.real_time);
-    assert!(report.max_iterations_in_budget > 2000);
+    // A wall-clock quantity: an unoptimised iteration takes ~0.5 ms, which
+    // puts a debug build on the threshold itself. `scripts/tier1.sh` runs
+    // this file in release, where the clause means something.
+    if !cfg!(debug_assertions) {
+        assert!(report.max_iterations_in_budget > 2000);
+    }
     assert!(report.cpu_usage_percent < 60.0);
 }
 

@@ -51,18 +51,14 @@ fn observed_fleet_populates_every_stage() {
     for stage in Stage::ALL {
         // IngestValidate and Concealment belong to the wire-feed path
         // (`run_fleet_wire`); the archive stages only fire when a durable
-        // sink or replay source is attached; BatchSolve and BatchLinger
-        // fire only on the MMV path (`FleetConfig::batch > 1`, pinned
-        // below). The sequential in-process fleet never enters any of
-        // them.
+        // sink or replay source is attached. The in-process fleet never
+        // enters any of them.
         if matches!(
             stage,
             Stage::IngestValidate
                 | Stage::Concealment
                 | Stage::ArchiveAppend
                 | Stage::ArchiveReplay
-                | Stage::BatchSolve
-                | Stage::BatchLinger
         ) {
             assert_eq!(snapshot.stage(stage).count(), 0, "stage {stage} is not in-process");
             continue;
@@ -115,52 +111,6 @@ fn observed_fleet_populates_every_stage() {
     let line = registry.json_line();
     assert!(line.contains("\"stages\"") && !line.contains('\n'));
     assert!(line.contains("\"slo\":[") && line.contains("\"health\":\"healthy\""));
-}
-
-/// A batched fleet run solves through `Stage::BatchSolve` (one span per
-/// fused sweep, never the per-lane `FistaSolve` stage) and accounts for
-/// every packet exactly once in the `cs_batch_occupancy` histogram.
-#[test]
-fn observed_batched_fleet_records_batch_spans() {
-    let (config, codebook) = setup();
-    let inputs: Vec<Vec<i16>> = (0..3).map(|s| ecg_like(2, s as f64 * 0.03)).collect();
-    let streams: Vec<FleetStream<'_>> =
-        inputs.iter().map(|i| FleetStream::single(i)).collect();
-    let packets = 6u64;
-
-    let registry = TelemetryRegistry::new();
-    let fleet = FleetConfig { batch: 3, ..FleetConfig::default() };
-    let report = run_fleet_observed::<f32, _>(
-        &config,
-        Arc::clone(&codebook),
-        &streams,
-        SolverPolicy::default(),
-        &fleet,
-        &registry,
-        |_| {},
-    )
-    .unwrap();
-    assert_eq!(report.packets_decoded as u64, packets);
-
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.stage(Stage::FistaSolve).count(), 0, "MMV path bypasses FistaSolve");
-    let sweeps = snapshot.stage(Stage::BatchSolve).count();
-    assert!(sweeps >= 1, "at least one fused sweep");
-    // Realized widths depend on arrival interleaving, but the histogram
-    // must hold one entry per sweep and sum to the packet count: every
-    // packet solved in exactly one batch.
-    let occupancy = registry.batch_occupancy().snapshot();
-    assert_eq!(occupancy.count(), sweeps);
-    assert_eq!(occupancy.sum_ns(), packets);
-    assert!(registry.prometheus().contains("cs_batch_occupancy_count"));
-    // Trace context survives the batched path: queue wait is measured at
-    // every receive, and the collector still emits one SLO record per
-    // packet (linger rounds depend on arrival interleaving, so only the
-    // per-packet invariants are pinned).
-    assert_eq!(snapshot.stage(Stage::QueueWait).count(), packets);
-    assert_eq!(snapshot.stage(Stage::EmitDeliver).count(), packets);
-    let slo = registry.slo_snapshot();
-    assert_eq!(slo.patients.iter().map(|p| p.emits).sum::<u64>(), packets);
 }
 
 /// Observation must not perturb the numbers: the observed stream decode
