@@ -4,7 +4,7 @@
 //! *service* must keep the signal. The cheap thing to keep is the
 //! **compressed representation**: encoded wire frames are already CR
 //! ≈ 50 %+ smaller than raw samples, and the supervised fleet decoder
-//! ([`cs_core::run_fleet_wire`]) can re-derive samples, concealment and
+//! ([`cs_core::run_fleet`]) can re-derive samples, concealment and
 //! fault accounting from them at any time. So this crate stores exactly
 //! the bytes that crossed the wire and decodes on read.
 //!
@@ -24,7 +24,7 @@
 //!   reopening a cleanly closed archive scans nothing and
 //!   [`Archive::replay_range`] seeks without walking every record.
 //! * **Write-before-decode**: [`ArchiveSink`] plugs into
-//!   [`cs_core::run_fleet_wire_archived`] ahead of frame validation, so
+//!   [`cs_core::run_fleet`] ahead of frame validation, so
 //!   even traffic the pipeline rejects is preserved byte-for-byte under
 //!   the reserved [`QUARANTINE_LANE`].
 //! * **Retention** is [`Archive::compact`] (keep the newest N segments);

@@ -184,7 +184,7 @@ impl Archive {
 
     /// Reassembles one patient's full archived session as a datagram
     /// list in original encode order — ready to feed back through
-    /// `run_fleet_wire` as `traffic[stream]`.
+    /// `run_fleet` as `FleetSource::Frames`' `traffic[stream]`.
     ///
     /// Real lanes are merged by `(seq, lane)`: the encoder emits every
     /// lane's frame for window *n* before any frame of window *n + 1*,

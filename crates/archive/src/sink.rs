@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Write-before-decode sink for `run_fleet_wire_archived`.
+/// Write-before-decode sink for [`cs_core::run_fleet`].
 ///
 /// Each frame is given a light parse to learn its lane and sequence
 /// number for placement. Frames that don't parse — exactly the traffic

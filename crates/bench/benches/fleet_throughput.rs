@@ -2,13 +2,17 @@
 //! stream through the paper's single-coordinator pipeline vs 2/4/8
 //! concurrent streams through the worker pool, plus the warm-start
 //! variant. On a multi-core host the fleet figures scale with the worker
-//! count; on one core they document the engine's overhead.
+//! count; on one core they document the engine's overhead. The fleet
+//! rows run the one supervised engine over `FleetSource::Leads`, so they
+//! include framing, frame parse and reassembly (the single-stream row
+//! hands `EncodedPacket`s across a channel and does none of the three).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cs_core::{
-    run_fleet, run_streaming, uniform_codebook, FleetConfig, FleetStream, SolverPolicy,
-    SystemConfig,
+    run_fleet, run_streaming, uniform_codebook, FleetConfig, FleetSource, FleetStream,
+    SolverPolicy, SystemConfig,
 };
+use cs_telemetry::TelemetryRegistry;
 use std::sync::Arc;
 
 const N: usize = 512;
@@ -27,6 +31,7 @@ fn bench_fleet(c: &mut Criterion) {
     let config = SystemConfig::paper_default();
     let codebook = Arc::new(uniform_codebook(config.alphabet()).expect("codebook"));
     let policy: SolverPolicy<f32> = SolverPolicy::default();
+    let telemetry = TelemetryRegistry::disabled();
 
     let mut group = c.benchmark_group("fleet_throughput");
 
@@ -34,8 +39,15 @@ fn bench_fleet(c: &mut Criterion) {
     let single = ecg_like(0.0);
     group.bench_function("single_stream", |b| {
         b.iter(|| {
-            run_streaming::<f32, _>(&config, Arc::clone(&codebook), &single, policy, |_| {})
-                .expect("streaming run")
+            run_streaming::<f32, _>(
+                &config,
+                Arc::clone(&codebook),
+                &single,
+                policy,
+                &telemetry,
+                |_| {},
+            )
+            .expect("streaming run")
         })
     });
 
@@ -55,9 +67,11 @@ fn bench_fleet(c: &mut Criterion) {
                         run_fleet::<f32, _>(
                             &config,
                             Arc::clone(&codebook),
-                            streams,
+                            FleetSource::Leads(streams),
                             policy,
                             &fleet,
+                            &telemetry,
+                            None,
                             |_| {},
                         )
                         .expect("fleet run")

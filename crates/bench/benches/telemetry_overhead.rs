@@ -15,7 +15,7 @@
 //! cargo bench -p cs-bench --bench telemetry_overhead
 //! ```
 
-use cs_core::{run_streaming_observed, uniform_codebook, SolverPolicy, SystemConfig};
+use cs_core::{run_streaming, uniform_codebook, SolverPolicy, SystemConfig};
 use cs_telemetry::{TelemetryRegistry, TraceContext};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,7 +45,7 @@ fn round(
 ) -> f64 {
     let started = Instant::now();
     for _ in 0..ITERS_PER_ROUND {
-        run_streaming_observed::<f32, _>(
+        run_streaming::<f32, _>(
             config,
             Arc::clone(codebook),
             samples,

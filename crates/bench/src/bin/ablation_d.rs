@@ -1,6 +1,6 @@
 //! Ablation of the sparse-binary column weight `d` (DESIGN.md ✦).
 //!
-//! §IV-A2: "d = 12 was identified as the minimum value that [strikes] the
+//! §IV-A2: "d = 12 was identified as the minimum value that \[strikes\] the
 //! optimal trade-off between execution time (a 2-second vector is now
 //! CS-sampled in 82 ms) and (signal) recovery/reconstruction error."
 //! This binary sweeps `d` at CR 50 and prints both sides of the trade:

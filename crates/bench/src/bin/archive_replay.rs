@@ -27,8 +27,8 @@
 use cs_archive::{Archive, ArchiveConfig, ArchiveSink};
 use cs_bench::{banner, RunSettings};
 use cs_core::{
-    packetize, run_fleet_wire, run_fleet_wire_archived, train_codebook, FleetConfig,
-    MultiChannelEncoder, SolverPolicy, SystemConfig, QUARANTINE_LANE,
+    packetize, run_fleet, train_codebook, FleetConfig, FleetSource, FleetStream, SolverPolicy,
+    SystemConfig, QUARANTINE_LANE,
 };
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, Record, SyntheticDatabase};
 use cs_metrics::try_prd;
@@ -94,32 +94,21 @@ fn main() {
     if let Some(target) = record_into {
         // Record the session: live encode → archive sink → decode,
         // discarding the live output. Everything below reads disk.
-        let traffic: Vec<Vec<Vec<u8>>> = patients
+        let streams: Vec<FleetStream<'_>> = patients
             .iter()
-            .map(|(lead0, lead1)| {
-                let mut enc = MultiChannelEncoder::new(&config, Arc::clone(&codebook), 2)
-                    .expect("wire encoder");
-                let mut frames = Vec::new();
-                for w in 0..lead0.len().min(lead1.len()) / n {
-                    let leads = [&lead0[w * n..(w + 1) * n], &lead1[w * n..(w + 1) * n]];
-                    for packet in enc.encode_frame(&leads).expect("wire encode") {
-                        frames.push(packet.to_bytes());
-                    }
-                }
-                frames
-            })
+            .map(|(lead0, lead1)| FleetStream { leads: vec![lead0, lead1] })
             .collect();
         let sink = Mutex::new(
             ArchiveSink::create(&target, ArchiveConfig::default()).expect("archive sink"),
         );
-        run_fleet_wire_archived::<f32, _>(
+        run_fleet::<f32, _>(
             &config,
             Arc::clone(&codebook),
-            &traffic,
+            FleetSource::Leads(&streams),
             SolverPolicy::default(),
             &fleet,
             &TelemetryRegistry::disabled(),
-            &sink,
+            Some(&sink),
             |_| {},
         )
         .expect("recording run");
@@ -169,13 +158,14 @@ fn main() {
     let mut decoded: BTreeMap<(usize, u8), BTreeMap<u64, Vec<f32>>> = BTreeMap::new();
     let decoded_cell = Mutex::new(&mut decoded);
     let started = Instant::now();
-    let report = run_fleet_wire::<f32, _>(
+    let report = run_fleet::<f32, _>(
         &config,
         Arc::clone(&codebook),
-        &traffic,
+        FleetSource::Frames(&traffic),
         SolverPolicy::default(),
         &fleet,
         &registry,
+        None,
         |p| {
             decoded_cell
                 .lock()

@@ -1,7 +1,8 @@
 //! Seeded chaos soak: fleet decode under a hostile wire.
 //!
-//! Drives the wire-feed fleet engine ([`run_fleet_wire`]) with traffic
-//! that has been mangled by the [`LossyLink`] fault injector — burst bit
+//! Drives the fleet engine ([`run_fleet`] over [`FleetSource::Frames`])
+//! with traffic that has been mangled by the
+//! [`LossyLink`](cs_platform::LossyLink) fault injector — burst bit
 //! errors (Gilbert–Elliott), drops, duplicates, reordering, truncation —
 //! and checks the robustness invariants round after round until the time
 //! budget is spent:
@@ -34,8 +35,8 @@
 
 use cs_archive::{Archive, ArchiveConfig, ArchiveSink};
 use cs_core::{
-    parse_frame, run_fleet_wire, run_fleet_wire_archived, uniform_codebook, FleetConfig,
-    FleetReport, MultiChannelEncoder, PacketOutcome, SolverPolicy, SystemConfig, QUARANTINE_LANE,
+    parse_frame, run_fleet, uniform_codebook, FleetConfig, FleetReport, FleetSource, FrameSink,
+    MultiChannelEncoder, PacketOutcome, SolverPolicy, SystemConfig, QUARANTINE_LANE,
 };
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, SyntheticDatabase};
 use cs_telemetry::TelemetryRegistry;
@@ -296,27 +297,16 @@ fn round(
                 ));
             }
     };
-    let report = match &sink {
-        Some(sink) => run_fleet_wire_archived::<f32, _>(
-            config,
-            cb,
-            &traffic,
-            SolverPolicy::default(),
-            &fleet,
-            registry,
-            sink,
-            on_packet,
-        ),
-        None => run_fleet_wire::<f32, _>(
-            config,
-            cb,
-            &traffic,
-            SolverPolicy::default(),
-            &fleet,
-            registry,
-            on_packet,
-        ),
-    }
+    let report = run_fleet::<f32, _>(
+        config,
+        cb,
+        FleetSource::Frames(&traffic),
+        SolverPolicy::default(),
+        &fleet,
+        registry,
+        sink.as_ref().map(|sink| sink as &Mutex<dyn FrameSink>),
+        on_packet,
+    )
     .map_err(|e| format!("fleet run failed: {e}"))?;
 
     if let (Some(sink), Some(root)) = (sink, &archive_root) {

@@ -35,8 +35,8 @@ use cs_archive::Archive;
 use cs_bench::{banner, RunSettings};
 use cs_clinical::{ClinicalConfig, ClinicalEngine, ClinicalEvent};
 use cs_core::{
-    packetize, run_fleet_observed, run_fleet_wire, run_streaming, train_codebook, FleetConfig,
-    FleetReport, FleetStream, MultiChannelEncoder, SolverPolicy, SystemConfig,
+    packetize, run_fleet, run_streaming, train_codebook, FleetConfig, FleetReport, FleetSource,
+    FleetStream, MultiChannelEncoder, SolverPolicy, SystemConfig,
 };
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, Record, SyntheticDatabase};
 use cs_metrics::{exact_percentile, worker_imbalance, FleetStats, StreamStats};
@@ -111,13 +111,14 @@ fn run(
     let mut quality = RunQuality::default();
     let n = config.packet_len();
     let deadline = telemetry.slo_config().deadline;
-    let report = run_fleet_observed::<f32, _>(
+    let report = run_fleet::<f32, _>(
         config,
         Arc::clone(codebook),
-        streams,
+        FleetSource::Leads(streams),
         policy,
         fleet,
         telemetry,
+        None,
         |p| {
             stats[p.stream].record(
                 p.packet.iterations,
@@ -353,13 +354,14 @@ fn replay_report(
         .collect();
     let mut stats = vec![StreamStats::new(); traffic.len()];
     let deadline = registry.slo_config().deadline;
-    let wire_report = run_fleet_wire::<f32, _>(
+    let wire_report = run_fleet::<f32, _>(
         config,
         Arc::clone(codebook),
-        &traffic,
+        FleetSource::Frames(&traffic),
         SolverPolicy::default(),
         &FleetConfig { warm_start: true, ..FleetConfig::default() },
         &registry,
+        None,
         |p| {
             stats[p.stream].record(
                 p.packet.iterations,
@@ -466,6 +468,7 @@ fn main() {
             Arc::clone(&codebook),
             lead0,
             SolverPolicy::default(),
+            &TelemetryRegistry::disabled(),
             |_| {},
         )
         .expect("streaming run");
@@ -672,13 +675,14 @@ fn main() {
         clinical.set_ground_truth(stream, truth.clone(), 13); // ±50 ms
     }
     let mut events = Vec::new();
-    let wire_report = run_fleet_wire::<f32, _>(
+    let wire_report = run_fleet::<f32, _>(
         &config,
         Arc::clone(&codebook),
-        &traffic,
+        FleetSource::Frames(&traffic),
         SolverPolicy::default(),
         &FleetConfig { warm_start: true, ..fleet_cfg },
         &registry,
+        None,
         |p| clinical.on_packet(p, &mut events),
     )
     .expect("wire fleet run");

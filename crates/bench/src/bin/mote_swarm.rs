@@ -39,7 +39,7 @@
 //! reporting only (the server prints its own accounting at drain).
 
 use cs_core::{
-    run_fleet_wire_stream, uniform_codebook, Encoder, FleetConfig, FleetPacket, FleetReport,
+    run_fleet, uniform_codebook, Encoder, FleetConfig, FleetPacket, FleetReport, FleetSource,
     SolverPolicy, SystemConfig, WireFrame,
 };
 use cs_ingest::{Connect, ControlCode, IngestClient, IngestConfig, IngestServer, LaneResume};
@@ -405,13 +405,14 @@ fn main() -> ExitCode {
         let order = Arc::clone(&order);
         let fleet = FleetConfig { workers: settings.workers, ..FleetConfig::default() };
         std::thread::spawn(move || {
-            run_fleet_wire_stream::<f32, _>(
+            run_fleet::<f32, _>(
                 &config,
                 codebook,
-                source,
+                FleetSource::Channel(source),
                 SolverPolicy::default(),
                 &fleet,
                 &telemetry,
+                None,
                 move |packet| order.observe(packet),
             )
         })

@@ -6,8 +6,8 @@
 //!
 //! ```ignore
 //! let mut events = Vec::new();
-//! run_fleet_wire_stream::<f64, _>(&config, codebook, rx, policy, &fleet, &telemetry,
-//!     |pkt| engine.on_packet(pkt, &mut events))?;
+//! run_fleet::<f64, _>(&config, codebook, FleetSource::Channel(rx), policy, &fleet, &telemetry,
+//!     None, |pkt| engine.on_packet(pkt, &mut events))?;
 //! ```
 //!
 //! Every lead runs its own [`StreamingQrsDetector`] (detection quality

@@ -4,29 +4,48 @@
 //! single-patient coordinator (§IV-B1): one producer, one consumer, one
 //! bounded 3-packet buffer. A monitoring *service* — a ward server or a
 //! telehealth backend — decodes many such patients at once, each with the
-//! clinical norm of several leads. [`run_fleet`] generalizes the streaming
-//! pipeline to that setting:
+//! clinical norm of several leads. [`run_fleet`] is that service, and like
+//! the paper's coordinator it has exactly one path: frames come off a
+//! link, are decoded, and are delivered. There is one engine and three
+//! sources ([`FleetSource`]), each of which only *produces*
+//! [`WireFrame`]s:
 //!
-//! * **One producer thread per stream** plays the role of each patient's
-//!   mote, encoding multi-lead frames into tagged
-//!   [`ChannelPacket`]s.
-//! * **M decode workers** each own a bounded input queue (the per-worker
-//!   analogue of the paper's 3-packet shared buffer). Streams are assigned
-//!   to workers by *stream affinity* (`worker = stream mod M`): a stream's
-//!   differencing state and warm-start estimate are inherently sequential,
-//!   so all of its packets must visit the same worker, in order.
-//! * **A collector** on the calling thread reassembles results per stream
-//!   by sequence number and emits them strictly in order, so downstream
-//!   consumers observe exactly the per-patient order `run_streaming`
-//!   would deliver.
-//! * **Backpressure** is explicit: producers first `try_send`; a full
-//!   queue counts one stall before the blocking send (radio buffering, in
-//!   hardware terms).
-//! * **Shutdown** is by channel-disconnect cascade. Any worker decode
-//!   error (or a producer encode error) reaches the collector, which
-//!   stops consuming; dropping the result channel wakes blocked workers,
-//!   whose exits wake blocked producers. Worker panics are detected at
-//!   join and surface as [`PipelineError::Fleet`].
+//! * [`FleetSource::Leads`] — raw multi-lead samples. One producer thread
+//!   per stream plays that patient's mote: it encodes each synchronized
+//!   frame and transmits the tagged wire frames.
+//! * [`FleetSource::Frames`] — materialized traffic (a lossy-link capture,
+//!   an archive replay), one producer thread per stream replaying its
+//!   arrival order.
+//! * [`FleetSource::Channel`] — a live transport (the socket ingest layer)
+//!   feeding frames as they arrive.
+//!
+//! Behind the source the engine never branches on who called it:
+//!
+//! * **A dispatcher** drains the frame source, appends each frame to the
+//!   optional [`FrameSink`] (write-before-decode), stamps its arrival and
+//!   hands it to a worker by *stream affinity* (`worker = stream mod M`):
+//!   a stream's reassembly, differencing state and warm-start estimate
+//!   are inherently sequential, so all of its frames must visit the same
+//!   worker, in order.
+//! * **M supervised decode workers** each own a bounded input queue (the
+//!   per-worker analogue of the paper's 3-packet shared buffer). A worker
+//!   validates each frame, reassembles its `(stream, lane)` sequence, and
+//!   decodes under panic supervision; corruption, loss, duplication,
+//!   reordering and a poisoned decoder all become [`PacketOutcome`]s and
+//!   [`FleetReport::faults`] counts, never run-ending failures.
+//! * **A collector** on the calling thread reorders results per stream and
+//!   emits them strictly in order, so downstream consumers observe
+//!   exactly the per-patient order `run_streaming` would deliver.
+//! * **Backpressure** is explicit: the dispatcher first `try_send`s; a
+//!   full queue counts one stall before the blocking send (radio
+//!   buffering, in hardware terms).
+//! * **Shutdown** is by channel-disconnect cascade. When the source
+//!   closes the dispatcher returns, the worker queues disconnect and the
+//!   workers flush their reassembly tails. The two things no concealment
+//!   can paper over — a decoder that cannot be constructed, a sink that
+//!   cannot persist — reach the collector as a failure; it stops
+//!   consuming, and dropping the result channel wakes blocked workers,
+//!   whose exits wake the dispatcher and, through it, the producers.
 //!
 //! Two fleet-wide optimizations ride on this topology:
 //!
@@ -35,7 +54,8 @@
 //!   decoder of a configuration pays it;
 //! * optional **warm starts** seed each packet's FISTA solve with the
 //!   previous packet's coefficients (consecutive 2-second ECG windows are
-//!   highly correlated), cutting iterations without moving the solution.
+//!   highly correlated) and each sibling lead's with lead 0's solution of
+//!   the same frame, cutting iterations without moving the solution.
 //!   With warm starts off the fleet is bit-exact with `run_streaming`.
 
 use crate::config::SystemConfig;
@@ -45,7 +65,7 @@ use crate::ingest::{
     ConcealmentReason, FaultCounters, FaultStats, PacketOutcome, PushReject, QuarantineRecord,
     QuarantineRing, Reassembler, SequencedEvent, DEFAULT_REORDER_WINDOW,
 };
-use crate::multichannel::{ChannelPacket, MultiChannelEncoder};
+use crate::multichannel::MultiChannelEncoder;
 use crate::packet::{parse_frame, EncodedPacket};
 use crate::stream::SHARED_BUFFER_PACKETS;
 use cs_codec::{Codebook, CodecError};
@@ -71,13 +91,13 @@ pub struct FleetConfig {
     /// `false` (the default) keeps per-stream output bit-exact with
     /// [`run_streaming`](crate::stream::run_streaming).
     pub warm_start: bool,
-    /// Reorder window per (stream, lane) for the wire-feed path: how many
-    /// out-of-order frames to buffer before declaring the gap lost.
+    /// Reorder window per (stream, lane): how many out-of-order frames to
+    /// buffer before declaring the gap lost.
     pub reorder_window: usize,
-    /// Per-solve FISTA iteration deadline for the wire-feed path. A solve
-    /// that hits the budget is emitted best-effort (and counted as
-    /// deadline-degraded) instead of stalling its lane. `None` leaves the
-    /// solver policy's own cap in force.
+    /// Per-solve FISTA iteration deadline. A solve that hits the budget is
+    /// emitted best-effort (and counted as deadline-degraded) instead of
+    /// stalling its lane. `None` leaves the solver policy's own cap in
+    /// force.
     pub solve_budget: Option<usize>,
     /// Test hook: panic inside the decode of `(stream, wire seq)` once,
     /// to exercise the supervisor. `None` in production.
@@ -131,13 +151,15 @@ pub struct FleetPacket<T: Real> {
     pub stream: usize,
     /// Lead index within the stream.
     pub channel: u8,
-    /// How this window was produced. Always
-    /// [`PacketOutcome::Decoded`] on the raw/encoded paths; the wire-feed
-    /// path additionally emits concealed and quarantined windows.
+    /// How this window was produced: decoded from received bytes,
+    /// concealed, or a quarantine placeholder.
     pub outcome: PacketOutcome,
-    /// End-to-end latency from capture (packetize/arrival time at the
-    /// producer) to in-order emission by the collector. `None` when the
-    /// run's [`TelemetryRegistry`] is disabled — stamping is gated on the
+    /// End-to-end latency from capture to in-order emission by the
+    /// collector. Capture is the frame's arrival at the dispatcher — the
+    /// moment it came off the link — whatever the source: a
+    /// [`FleetSource::Leads`] frame arrives straight after its producer's
+    /// ~10 µs encode, not at packetize time. `None` when the run's
+    /// [`TelemetryRegistry`] is disabled — stamping is gated on the
     /// registry so the fast path stays a single relaxed load.
     pub e2e: Option<Duration>,
     /// The reconstruction and its solver statistics.
@@ -170,7 +192,7 @@ pub struct FleetReport {
     pub worker_packets: Vec<usize>,
     /// Total packets delivered across all streams.
     pub packets_decoded: usize,
-    /// Times a producer found its worker's queue full and had to block.
+    /// Times the dispatcher found a worker's queue full and had to block.
     pub backpressure_stalls: u64,
     /// Distinct spectral configurations computed (cache misses).
     pub spectral_misses: u64,
@@ -184,529 +206,14 @@ pub struct FleetReport {
     pub total_decode_time: Duration,
     /// Longest single solve anywhere in the fleet.
     pub max_decode_time: Duration,
-    /// Ingest/supervision accounting. All zeros on the raw/encoded paths
-    /// (they see no wire); populated by [`run_fleet_wire`].
+    /// Ingest/supervision accounting.
     pub faults: FaultStats,
     /// Quarantined frames held for postmortem, oldest first (bounded;
     /// see [`QuarantineRing`]).
     pub quarantine: Vec<QuarantineRecord>,
 }
 
-impl FleetReport {
-    /// Whether the fleet as a whole kept up with real time: the run
-    /// finished within one packet period per *frame* (packets arrive
-    /// concurrently across streams, so the budget is per frame, not per
-    /// packet).
-    pub fn real_time(&self) -> bool {
-        let frames = self
-            .streams
-            .iter()
-            .map(|s| s.packets)
-            .max()
-            .unwrap_or(0);
-        self.wall_time <= self.packet_period * (frames as u32).max(1)
-    }
-
-    /// Mean FISTA iterations per packet across the fleet.
-    pub fn mean_iterations(&self) -> f64 {
-        if self.packets_decoded == 0 {
-            return 0.0;
-        }
-        let total: u64 = self.streams.iter().map(|s| s.total_iterations).sum();
-        total as f64 / self.packets_decoded as f64
-    }
-}
-
-/// A unit of decode work: one tagged wire packet with its global
-/// per-stream sequence number and capture timestamp (registry-monotonic
-/// nanoseconds at packetize time; `0` when telemetry is disabled).
-struct Job {
-    stream: usize,
-    seq: u64,
-    captured_ns: u64,
-    packet: ChannelPacket,
-}
-
-/// What workers (and erroring producers) send the collector. `captured_ns`
-/// rides from the producer's stamp; `emitted_ns` is stamped when the
-/// worker hands the window to the result channel, so the collector can
-/// split reorder-buffer dwell from upstream time.
-enum FleetMsg<T: Real> {
-    Decoded {
-        stream: usize,
-        seq: u64,
-        channel: u8,
-        worker: usize,
-        captured_ns: u64,
-        emitted_ns: u64,
-        packet: DecodedPacket<T>,
-    },
-    Failed {
-        stream: Option<usize>,
-        cause: String,
-    },
-}
-
-/// What each producer thread feeds from.
-enum Feed<'a> {
-    /// Raw leads, encoded on the producer thread (the mote's role).
-    Raw(&'a FleetStream<'a>),
-    /// Pre-encoded wire packets, replayed as-is. This path exists so
-    /// tests can inject corrupt or reordered traffic.
-    Encoded(&'a [ChannelPacket]),
-}
-
-/// Decodes many multi-lead streams concurrently over a worker pool.
-///
-/// `on_packet` observes every decoded packet grouped per stream in
-/// arrival order (frame-major, lead-minor) — the same order
-/// [`run_streaming`](crate::stream::run_streaming) delivers for each
-/// stream individually.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::InvalidConfig`] for an empty fleet or a
-/// stream with no leads, and [`PipelineError::Fleet`] when any worker
-/// fails or panics; construction and decode errors propagate with their
-/// stream attribution.
-pub fn run_fleet<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    streams: &[FleetStream<'_>],
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    if streams.iter().any(|s| s.leads.is_empty()) {
-        return Err(PipelineError::InvalidConfig(
-            "fleet stream with zero leads".into(),
-        ));
-    }
-    let feeds: Vec<Feed<'_>> = streams.iter().map(Feed::Raw).collect();
-    fleet_engine(
-        config,
-        codebook,
-        feeds,
-        policy,
-        fleet,
-        &TelemetryRegistry::disabled(),
-        on_packet,
-    )
-}
-
-/// [`run_fleet`] recording live telemetry: every producer encode stage,
-/// worker decode stage, FISTA solve, and collector reassembly lands in
-/// `telemetry`'s histograms while the fleet runs, per-worker packet
-/// counts accumulate, and each solve journals a trace labelled with its
-/// `(stream, channel, seq)`. Pass [`TelemetryRegistry::disabled`] to get
-/// exactly [`run_fleet`] (one atomic load per span).
-///
-/// # Errors
-///
-/// Same contract as [`run_fleet`].
-pub fn run_fleet_observed<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    streams: &[FleetStream<'_>],
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    telemetry: &TelemetryRegistry,
-    on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    if streams.iter().any(|s| s.leads.is_empty()) {
-        return Err(PipelineError::InvalidConfig(
-            "fleet stream with zero leads".into(),
-        ));
-    }
-    let feeds: Vec<Feed<'_>> = streams.iter().map(Feed::Raw).collect();
-    fleet_engine(config, codebook, feeds, policy, fleet, telemetry, on_packet)
-}
-
-/// Like [`run_fleet`], but replays pre-encoded wire traffic instead of
-/// encoding raw samples. Packets are delivered to the decoder in slice
-/// order, so corrupting or dropping an element exercises the fleet's
-/// error path deterministically.
-///
-/// # Errors
-///
-/// Same contract as [`run_fleet`].
-pub fn run_fleet_encoded<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    streams: &[Vec<ChannelPacket>],
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    let feeds: Vec<Feed<'_>> = streams.iter().map(|s| Feed::Encoded(s)).collect();
-    fleet_engine(
-        config,
-        codebook,
-        feeds,
-        policy,
-        fleet,
-        &TelemetryRegistry::disabled(),
-        on_packet,
-    )
-}
-
-fn fleet_engine<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    feeds: Vec<Feed<'_>>,
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    telemetry: &TelemetryRegistry,
-    mut on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    if feeds.is_empty() {
-        return Err(PipelineError::InvalidConfig("empty fleet".into()));
-    }
-    if fleet.channel_capacity == 0 {
-        return Err(PipelineError::InvalidConfig(
-            "fleet channel capacity must be positive".into(),
-        ));
-    }
-    let workers = fleet.effective_workers();
-    let n = config.packet_len();
-    let packet_period = Duration::from_secs_f64(n as f64 / 256.0);
-    let nstreams = feeds.len();
-
-    let cache: SpectralCache<T> = SpectralCache::new();
-    let stalls = AtomicU64::new(0);
-
-    // One bounded queue per worker: this is where backpressure lives.
-    let (job_txs, job_rxs): (Vec<_>, Vec<_>) = (0..workers)
-        .map(|_| crossbeam::channel::bounded::<Job>(fleet.channel_capacity))
-        .unzip();
-    // Results fan in; sized so the collector lagging one frame across the
-    // whole fleet does not stall workers.
-    let (res_tx, res_rx) =
-        crossbeam::channel::bounded::<FleetMsg<T>>(fleet.channel_capacity * nstreams);
-
-    let mut summaries = vec![StreamSummary::default(); nstreams];
-    let mut worker_packets = vec![0usize; workers];
-    let mut packets_decoded = 0usize;
-    let mut total_decode = Duration::ZERO;
-    let mut max_decode = Duration::ZERO;
-    let mut failure: Option<PipelineError> = None;
-    let started = Instant::now();
-
-    let mut worker_panicked = false;
-    std::thread::scope(|scope| {
-        // --- Decode workers -------------------------------------------
-        let mut worker_handles = Vec::with_capacity(workers);
-        for (worker_id, jobs) in job_rxs.into_iter().enumerate() {
-            let results = res_tx.clone();
-            let codebook = Arc::clone(&codebook);
-            let cache = &cache;
-            let telemetry = telemetry.clone();
-            let fleet = *fleet;
-            worker_handles.push(scope.spawn(move || {
-                let mut lanes: HashMap<(usize, u8), Decoder<T>> = HashMap::new();
-                // One decode workspace per worker, shared by every lane
-                // this worker serves: after the first packet, the steady
-                // state decodes without heap allocation (the outgoing
-                // DecodedPacket is the one per-packet allocation left —
-                // it crosses the channel by ownership).
-                let mut scratch = DecodeWorkspace::for_config(config);
-                let mut sibling_buf: Vec<T> = Vec::new();
-                for Job { stream, seq, captured_ns, packet } in jobs.iter() {
-                    // Queue wait: time from packetize to dequeue — pure
-                    // queue pressure, as distinct from solver cost.
-                    if telemetry.is_enabled() {
-                        telemetry.record_stage_ns(
-                            Stage::QueueWait,
-                            telemetry.now_ns().saturating_sub(captured_ns),
-                        );
-                    }
-                    // Cross-lead warm start: sibling leads observe the
-                    // same heart over the same window, so lead 0's
-                    // solution for this frame is the best available seed
-                    // for the other leads (stream affinity guarantees it
-                    // was decoded just before). The decoder's safeguard
-                    // still rejects it if it does not beat a cold start.
-                    let sibling = fleet.warm_start
-                        && packet.channel > 0
-                        && lanes
-                            .get(&(stream, 0))
-                            .and_then(|d| d.last_estimate())
-                            .map(|est| {
-                                sibling_buf.clear();
-                                sibling_buf.extend_from_slice(est);
-                            })
-                            .is_some();
-                    let decoder = match lanes.entry((stream, packet.channel)) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(v) => {
-                            match Decoder::with_cache(
-                                config,
-                                Arc::clone(&codebook),
-                                policy,
-                                cache,
-                            ) {
-                                Ok(mut d) => {
-                                    d.set_warm_start(fleet.warm_start);
-                                    d.set_telemetry(telemetry.clone());
-                                    d.set_telemetry_labels(
-                                        u32::try_from(stream).unwrap_or(u32::MAX),
-                                        packet.channel,
-                                    );
-                                    v.insert(d)
-                                }
-                                Err(e) => {
-                                    let _ = results.send(FleetMsg::Failed {
-                                        stream: Some(stream),
-                                        cause: e.to_string(),
-                                    });
-                                    return;
-                                }
-                            }
-                        }
-                    };
-                    if sibling {
-                        decoder.seed(&sibling_buf);
-                    }
-                    let mut decoded = DecodedPacket::default();
-                    match decoder.decode_packet_with(&packet.packet, &mut scratch, &mut decoded) {
-                        Ok(()) => {
-                            telemetry.record_worker_packet(worker_id);
-                            let emitted_ns =
-                                if telemetry.is_enabled() { telemetry.now_ns() } else { 0 };
-                            let msg = FleetMsg::Decoded {
-                                stream,
-                                seq,
-                                channel: packet.channel,
-                                worker: worker_id,
-                                captured_ns,
-                                emitted_ns,
-                                packet: decoded,
-                            };
-                            if results.send(msg).is_err() {
-                                return; // collector hung up
-                            }
-                        }
-                        Err(e) => {
-                            let _ = results.send(FleetMsg::Failed {
-                                stream: Some(stream),
-                                cause: e.to_string(),
-                            });
-                            return;
-                        }
-                    }
-                }
-            }));
-        }
-
-        // --- Producers: one per stream --------------------------------
-        for (stream, feed) in feeds.into_iter().enumerate() {
-            let jobs = job_txs[stream % workers].clone();
-            let results = res_tx.clone();
-            let codebook = Arc::clone(&codebook);
-            let stalls = &stalls;
-            let telemetry = telemetry.clone();
-            scope.spawn(move || {
-                let send = |seq: u64, captured_ns: u64, packet: ChannelPacket| -> bool {
-                    let mut job = Job { stream, seq, captured_ns, packet };
-                    match jobs.try_send(job) {
-                        Ok(()) => true,
-                        Err(crossbeam::channel::TrySendError::Full(back)) => {
-                            stalls.fetch_add(1, Ordering::Relaxed);
-                            job = back;
-                            jobs.send(job).is_ok()
-                        }
-                        Err(crossbeam::channel::TrySendError::Disconnected(_)) => false,
-                    }
-                };
-                match feed {
-                    Feed::Encoded(packets) => {
-                        for (seq, packet) in packets.iter().enumerate() {
-                            let captured_ns =
-                                if telemetry.is_enabled() { telemetry.now_ns() } else { 0 };
-                            if !send(seq as u64, captured_ns, packet.clone()) {
-                                return;
-                            }
-                        }
-                    }
-                    Feed::Raw(input) => {
-                        let channels = input.leads.len();
-                        let mut encoder =
-                            match MultiChannelEncoder::new(config, codebook, channels) {
-                                Ok(mut enc) => {
-                                    enc.set_telemetry(telemetry.clone());
-                                    enc
-                                }
-                                Err(e) => {
-                                    let _ = results.send(FleetMsg::Failed {
-                                        stream: Some(stream),
-                                        cause: e.to_string(),
-                                    });
-                                    return;
-                                }
-                            };
-                        let frames = input
-                            .leads
-                            .iter()
-                            .map(|lead| lead.len() / n)
-                            .min()
-                            .unwrap_or(0);
-                        for frame in 0..frames {
-                            // Packetize time: one stamp per frame, shared
-                            // by its leads — they leave the mote together.
-                            let captured_ns =
-                                if telemetry.is_enabled() { telemetry.now_ns() } else { 0 };
-                            let window: Vec<&[i16]> = input
-                                .leads
-                                .iter()
-                                .map(|lead| &lead[frame * n..(frame + 1) * n])
-                                .collect();
-                            let tagged = match encoder.encode_frame(&window) {
-                                Ok(t) => t,
-                                Err(e) => {
-                                    let _ = results.send(FleetMsg::Failed {
-                                        stream: Some(stream),
-                                        cause: e.to_string(),
-                                    });
-                                    return;
-                                }
-                            };
-                            for (ch, packet) in tagged.into_iter().enumerate() {
-                                let seq = (frame * channels + ch) as u64;
-                                if !send(seq, captured_ns, packet) {
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        // The collector must see the channel close once workers and
-        // producers finish.
-        drop(res_tx);
-        drop(job_txs);
-
-        // --- Collector: per-stream in-order reassembly -----------------
-        // Pending slot: (channel, packet, captured_ns, emitted_ns).
-        type PendingSlot<T> = (u8, DecodedPacket<T>, u64, u64);
-        let mut pending: Vec<BTreeMap<u64, PendingSlot<T>>> =
-            (0..nstreams).map(|_| BTreeMap::new()).collect();
-        let mut next_seq = vec![0u64; nstreams];
-        for msg in res_rx.iter() {
-            match msg {
-                FleetMsg::Decoded {
-                    stream,
-                    seq,
-                    channel,
-                    worker,
-                    captured_ns,
-                    emitted_ns,
-                    packet,
-                } => {
-                    let _span = telemetry.span(Stage::Reassembly);
-                    worker_packets[worker] += 1;
-                    pending[stream].insert(seq, (channel, packet, captured_ns, emitted_ns));
-                    while let Some((channel, packet, captured_ns, emitted_ns)) =
-                        pending[stream].remove(&next_seq[stream])
-                    {
-                        let seq = next_seq[stream];
-                        next_seq[stream] += 1;
-                        let summary = &mut summaries[stream];
-                        summary.packets += 1;
-                        summary.total_decode_time += packet.solve_time;
-                        summary.max_decode_time = summary.max_decode_time.max(packet.solve_time);
-                        summary.total_iterations += packet.iterations as u64;
-                        summary.warm_started += usize::from(packet.warm_started);
-                        packets_decoded += 1;
-                        total_decode += packet.solve_time;
-                        max_decode = max_decode.max(packet.solve_time);
-                        // Emit-deliver dwell (worker send → in-order
-                        // emission), then the end-to-end record that
-                        // feeds per-patient histograms and the SLO engine.
-                        let mut e2e = None;
-                        if telemetry.is_enabled() {
-                            telemetry.record_stage_ns(
-                                Stage::EmitDeliver,
-                                telemetry.now_ns().saturating_sub(emitted_ns),
-                            );
-                            e2e = telemetry
-                                .record_emit(&TraceContext::new(
-                                    u32::try_from(stream).unwrap_or(u32::MAX),
-                                    channel,
-                                    seq,
-                                    captured_ns,
-                                ))
-                                .map(|rec| Duration::from_nanos(rec.e2e_ns));
-                        }
-                        let delivered = FleetPacket {
-                            stream,
-                            channel,
-                            outcome: PacketOutcome::Decoded,
-                            e2e,
-                            packet,
-                        };
-                        on_packet(&delivered);
-                    }
-                }
-                FleetMsg::Failed { stream, cause } => {
-                    failure = Some(PipelineError::Fleet { stream, cause });
-                    break;
-                }
-            }
-        }
-        // Wake any worker blocked on a full result queue so the
-        // disconnect cascade can finish before we join.
-        drop(res_rx);
-        for handle in worker_handles {
-            if handle.join().is_err() {
-                worker_panicked = true;
-            }
-        }
-    });
-
-    if worker_panicked {
-        return Err(PipelineError::Fleet {
-            stream: None,
-            cause: "worker panicked".into(),
-        });
-    }
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(FleetReport {
-        streams: summaries,
-        workers,
-        worker_packets,
-        packets_decoded,
-        backpressure_stalls: stalls.into_inner(),
-        spectral_misses: cache.misses(),
-        spectral_hits: cache.hits(),
-        packet_period,
-        wall_time: started.elapsed(),
-        total_decode_time: total_decode,
-        max_decode_time: max_decode,
-        faults: FaultStats::default(),
-        quarantine: Vec::new(),
-    })
-}
-
-/// A unit of wire-feed work: one frame exactly as it came off the link,
+/// A unit of decode work: one frame exactly as it came off the link,
 /// stamped with its arrival time (registry-monotonic nanoseconds; `0`
 /// when telemetry is disabled).
 struct WireJob {
@@ -715,11 +222,11 @@ struct WireJob {
     bytes: Vec<u8>,
 }
 
-/// What wire-feed workers send the collector. Unlike [`FleetMsg`], every
-/// window reaches the collector as an `Emit` — faults are absorbed into
-/// outcomes, not run-ending failures. `Failed` remains only for
-/// construction errors (bad configuration), which no amount of
-/// concealment can paper over.
+/// What workers and the dispatcher send the collector. Every window
+/// reaches it as an `Emit` — faults are absorbed into outcomes, not
+/// run-ending failures. `Failed` remains only for what no amount of
+/// concealment can paper over: a decoder that cannot be constructed (bad
+/// configuration) and an archive sink that cannot persist.
 enum WireMsg<T: Real> {
     Emit {
         stream: usize,
@@ -742,11 +249,10 @@ enum WireMsg<T: Real> {
     },
 }
 
-/// Per-worker state for the supervised wire-feed path. Streams keep
-/// worker affinity, so every structure here is only ever touched by its
-/// owning worker thread; the cross-thread surfaces are the shared
-/// [`FaultCounters`] (atomics) and the quarantine ring (mutex, cold
-/// path).
+/// Per-worker state of the supervised engine. Streams keep worker
+/// affinity, so every structure here is only ever touched by its owning
+/// worker thread; the cross-thread surfaces are the shared
+/// [`FaultCounters`] (atomics) and the quarantine ring (mutex, cold path).
 struct WireWorker<'e, T: Real> {
     worker_id: usize,
     config: &'e SystemConfig,
@@ -764,6 +270,8 @@ struct WireWorker<'e, T: Real> {
     seqs: HashMap<(usize, u8), Reassembler<(EncodedPacket, u64)>>,
     emit_seq: HashMap<usize, u64>,
     scratch: DecodeWorkspace<T>,
+    /// Lead 0's estimate, copied out for a sibling lead's cross-lead seed.
+    sibling: Vec<T>,
     results: crossbeam::channel::Sender<WireMsg<T>>,
 }
 
@@ -789,7 +297,7 @@ impl<T: Real> WireWorker<'_, T> {
             Err(e) => {
                 self.counters.add_frame_reject();
                 self.telemetry.record_fault(FaultKind::FrameRejected);
-                self.quarantine.lock().expect("quarantine lock").push(QuarantineRecord {
+                self.hold(QuarantineRecord {
                     stream,
                     channel: None,
                     seq: None,
@@ -881,6 +389,19 @@ impl<T: Real> WireWorker<'_, T> {
         if self.lane(stream, channel).is_err() {
             return false; // construction failure already reported
         }
+        // Cross-lead warm start: sibling leads observe the same heart over
+        // the same window, so lead 0's solution for this frame is the best
+        // available seed for the other leads (stream affinity guarantees
+        // it was decoded just before). The decoder's safeguard still
+        // rejects it if it does not beat a cold start.
+        if self.fleet.warm_start && channel > 0 {
+            if let Some(estimate) = self.lanes.get(&(stream, 0)).and_then(|d| d.last_estimate()) {
+                self.sibling.clear();
+                self.sibling.extend_from_slice(estimate);
+                let decoder = self.lanes.get_mut(&(stream, channel)).expect("lane exists");
+                decoder.seed(&self.sibling);
+            }
+        }
         let chaos = self.fleet.chaos_panic == Some((stream, wire_seq))
             && !self.chaos_fired.swap(true, Ordering::Relaxed);
         let mut decoded = DecodedPacket::default();
@@ -927,7 +448,7 @@ impl<T: Real> WireWorker<'_, T> {
                 // emit a flagged placeholder to keep emission contiguous.
                 self.counters.add_quarantined();
                 self.telemetry.record_fault(FaultKind::Quarantined);
-                self.quarantine.lock().expect("quarantine lock").push(QuarantineRecord {
+                self.hold(QuarantineRecord {
                     stream,
                     channel: Some(channel),
                     seq: Some(wire_seq),
@@ -950,7 +471,7 @@ impl<T: Real> WireWorker<'_, T> {
                 self.telemetry.record_fault(FaultKind::WorkerRestart);
                 self.counters.add_quarantined();
                 self.telemetry.record_fault(FaultKind::Quarantined);
-                self.quarantine.lock().expect("quarantine lock").push(QuarantineRecord {
+                self.hold(QuarantineRecord {
                     stream,
                     channel: Some(channel),
                     seq: Some(wire_seq),
@@ -986,6 +507,14 @@ impl<T: Real> WireWorker<'_, T> {
             decoder.conceal_packet_with(wire_seq, &mut self.scratch, &mut out);
         }
         self.emit(stream, channel, outcome, captured_ns, out)
+    }
+
+    /// Holds one offending frame for postmortem.
+    fn hold(&self, record: QuarantineRecord) {
+        // Unreachable: the ring is private to this run and this `push` —
+        // which cannot panic — is its only critical section, so no thread
+        // can die holding the lock.
+        self.quarantine.lock().expect("quarantine lock").push(record);
     }
 
     /// Ensures the lane decoder exists; reports construction errors.
@@ -1080,12 +609,13 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 
 /// A durable destination for wire frames, fed *before* decode.
 ///
-/// `run_fleet_wire_archived` calls [`FrameSink::append_frame`] with every
-/// arrived frame — exactly the bytes the link delivered, including frames
-/// the ingest path will go on to reject — so the archive preserves
-/// quarantinable traffic for post-mortem. An append error fails the run
-/// loudly ([`PipelineError::Fleet`]): silently dropping durability is
-/// worse than stopping.
+/// [`run_fleet`] calls [`FrameSink::append_frame`] with every arrived
+/// frame — exactly the bytes the link delivered, including frames the
+/// ingest path will go on to reject — so the archive preserves
+/// quarantinable traffic for post-mortem and the archived session replays
+/// through [`FleetSource::Frames`] to the same decoded output. An append
+/// error fails the run loudly ([`PipelineError::Fleet`]): silently
+/// dropping durability is worse than stopping.
 ///
 /// Implemented by `cs_archive::ArchiveSink`; kept as a trait here so
 /// `cs-core` does not depend on the storage crate.
@@ -1096,9 +626,7 @@ pub trait FrameSink: Send {
 }
 
 /// One raw frame addressed to a fleet stream, exactly as a transport
-/// delivered it — the unit of work a streaming frame source hands
-/// [`run_fleet_wire_stream`]. The slice-based [`run_fleet_wire`] adapts
-/// its materialized traffic into the same type internally.
+/// delivered it — the one thing every [`FleetSource`] produces.
 #[derive(Debug, Clone)]
 pub struct WireFrame {
     /// Dense fleet stream index. A socket ingest layer maps patient ids
@@ -1109,50 +637,36 @@ pub struct WireFrame {
     pub bytes: Vec<u8>,
 }
 
-/// Decodes wire traffic delivered by a streaming frame source — a
-/// channel of [`WireFrame`]s in transport arrival order — across the
-/// fleet, surviving corruption, loss, duplication, reordering and worker
-/// panics.
-///
-/// This is the socket-facing form of [`run_fleet_wire`]: the engine
-/// consumes frames as they arrive instead of materialized per-stream
-/// slices, so a TCP ingest layer can feed long-lived sessions without
-/// buffering them whole. Frames for one stream must be sent in that
-/// stream's arrival order (interleaving across streams is arbitrary).
-/// The run ends — flushing every staged reassembly tail — when all
-/// senders for `source` have been dropped, so a graceful drain is
-/// "stop feeding, drop the sender, join the engine".
-///
-/// # Errors
-///
-/// Returns [`PipelineError::InvalidConfig`] for zero channel capacity,
-/// and [`PipelineError::Fleet`] only for construction failures — wire
-/// damage never fails the run.
-pub fn run_fleet_wire_stream<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    source: crossbeam::channel::Receiver<WireFrame>,
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    telemetry: &TelemetryRegistry,
-    on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    wire_engine_stream(config, codebook, source, 0, policy, fleet, telemetry, None, on_packet)
+/// Where a fleet run's frames come from. Every source only *produces*
+/// [`WireFrame`]s into the one supervised engine — see the module docs.
+pub enum FleetSource<'a> {
+    /// Raw multi-lead samples, one [`FleetStream`] per patient. One
+    /// producer thread per stream does the mote's real job: it encodes
+    /// each synchronized frame ([`MultiChannelEncoder::encode_frame`]) and
+    /// transmits the tagged wire frames, lead-minor.
+    Leads(&'a [FleetStream<'a>]),
+    /// Materialized wire traffic: `traffic[stream]` is that stream's
+    /// arrival sequence of raw frames (see [`crate::parse_frame`] for the
+    /// format), damage included. One producer thread per stream replays
+    /// it, so per-stream order is preserved while streams interleave
+    /// arbitrarily — exactly what a live transport delivers.
+    Frames(&'a [Vec<Vec<u8>>]),
+    /// A live transport: frames in arrival order, for a socket ingest
+    /// layer that feeds long-lived sessions without buffering them whole.
+    /// Frames for one stream must be sent in that stream's arrival order
+    /// (interleaving across streams is arbitrary), and streams may appear
+    /// mid-run. The run ends — flushing every staged reassembly tail —
+    /// when all senders have been dropped, so a graceful drain is "stop
+    /// feeding, drop the sender, join the engine".
+    Channel(crossbeam::channel::Receiver<WireFrame>),
 }
 
-/// [`run_fleet_wire_stream`] with a durable archive sink on the ingest
-/// path: every arrived frame is appended **before** any worker interprets
-/// a byte of it (write-before-decode), matching
-/// [`run_fleet_wire_archived`].
+/// [`run_fleet`] over a [`FleetSource::Channel`] with the archive sink
+/// required: the form the end-to-end benchmark names.
 ///
 /// # Errors
 ///
-/// Same contract as [`run_fleet_wire_stream`], plus
-/// [`PipelineError::Fleet`] when the sink reports an I/O failure.
+/// Same contract as [`run_fleet`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_fleet_wire_stream_archived<T, F>(
     config: &SystemConfig,
@@ -1168,11 +682,10 @@ where
     T: Real,
     F: FnMut(&FleetPacket<T>) + Send,
 {
-    wire_engine_stream(
+    run_fleet(
         config,
         codebook,
-        source,
-        0,
+        FleetSource::Channel(source),
         policy,
         fleet,
         telemetry,
@@ -1181,132 +694,67 @@ where
     )
 }
 
-/// Decodes wire traffic — frames exactly as a lossy link delivered them —
-/// across the fleet, surviving corruption, loss, duplication, reordering
-/// and worker panics.
-///
-/// `traffic[stream]` is that stream's arrival sequence of raw frames
-/// (see [`crate::parse_frame`] for the format). Unlike
-/// [`run_fleet_encoded`], a damaged frame does not end the run: every
-/// window that can be attributed to a (stream, lane, sequence) slot is
-/// emitted exactly once with a [`PacketOutcome`] explaining how it was
-/// produced, and per-stream emission order is preserved. Unattributable
-/// frames (framing/CRC rejects) are counted in
-/// [`FleetReport::faults`] and quarantined.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::InvalidConfig`] for an empty fleet or zero
-/// channel capacity, and [`PipelineError::Fleet`] only for construction
-/// failures — wire damage never fails the run.
-pub fn run_fleet_wire<T, F>(
+/// The mote's role for one [`FleetSource::Leads`] stream: encodes every
+/// whole frame of `input` and transmits its wire frames, lead-minor.
+fn transmit_leads(
     config: &SystemConfig,
     codebook: Arc<Codebook>,
-    traffic: &[Vec<Vec<u8>>],
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    telemetry: &TelemetryRegistry,
-    on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    wire_engine(config, codebook, traffic, policy, fleet, telemetry, None, on_packet)
-}
-
-/// [`run_fleet_wire`] with a durable archive sink on the ingest path.
-///
-/// Every arrived frame is appended to `sink` **before** it is handed to
-/// a decode worker (write-before-decode), so even frames the supervised
-/// pipeline rejects, conceals, or quarantines are preserved byte-for-byte
-/// and the archived session replays through `run_fleet_wire` to the same
-/// decoded output.
-///
-/// # Errors
-///
-/// Same contract as [`run_fleet_wire`], plus [`PipelineError::Fleet`]
-/// when the sink reports an I/O failure.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_wire_archived<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    traffic: &[Vec<Vec<u8>>],
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    telemetry: &TelemetryRegistry,
-    sink: &Mutex<dyn FrameSink>,
-    on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    wire_engine(config, codebook, traffic, policy, fleet, telemetry, Some(sink), on_packet)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn wire_engine<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<Codebook>,
-    traffic: &[Vec<Vec<u8>>],
-    policy: SolverPolicy<T>,
-    fleet: &FleetConfig,
-    telemetry: &TelemetryRegistry,
-    sink: Option<&Mutex<dyn FrameSink>>,
-    on_packet: F,
-) -> Result<FleetReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&FleetPacket<T>) + Send,
-{
-    if traffic.is_empty() {
-        return Err(PipelineError::InvalidConfig("empty fleet".into()));
-    }
-    if fleet.channel_capacity == 0 {
-        return Err(PipelineError::InvalidConfig(
-            "fleet channel capacity must be positive".into(),
-        ));
-    }
-    let nstreams = traffic.len();
-    // The slice path is a thin adapter over the streaming engine: one
-    // producer thread per stream replays that stream's arrival order
-    // into the shared feed, so per-stream order is preserved while
-    // streams interleave arbitrarily — exactly what a live transport
-    // delivers.
-    let (feed_tx, feed_rx) =
-        crossbeam::channel::bounded::<WireFrame>(fleet.channel_capacity * nstreams);
-    let mut engine = None;
-    std::thread::scope(|scope| {
-        for (stream, frames) in traffic.iter().enumerate() {
-            let feed = feed_tx.clone();
-            scope.spawn(move || {
-                for bytes in frames {
-                    if feed.send(WireFrame { stream, bytes: bytes.clone() }).is_err() {
-                        return; // engine hung up (failure path)
-                    }
-                }
-            });
+    telemetry: TelemetryRegistry,
+    stream: usize,
+    input: &FleetStream<'_>,
+    feed: crossbeam::channel::Sender<WireFrame>,
+) -> Result<(), PipelineError> {
+    let n = config.packet_len();
+    let mut encoder = MultiChannelEncoder::new(config, codebook, input.leads.len())?;
+    encoder.set_telemetry(telemetry);
+    let frames = input.leads.iter().map(|lead| lead.len() / n).min().unwrap_or(0);
+    for frame in 0..frames {
+        let window: Vec<&[i16]> =
+            input.leads.iter().map(|lead| &lead[frame * n..(frame + 1) * n]).collect();
+        for packet in encoder.encode_frame(&window)? {
+            if feed.send(WireFrame { stream, bytes: packet.to_bytes() }).is_err() {
+                return Ok(()); // engine hung up (failure path)
+            }
         }
-        drop(feed_tx);
-        engine = Some(wire_engine_stream(
-            config, codebook, feed_rx, nstreams, policy, fleet, telemetry, sink, on_packet,
-        ));
-    });
-    engine.expect("streaming engine ran")
+    }
+    Ok(())
 }
 
-/// The supervised wire-decode engine over a streaming frame source.
+/// Decodes many multi-lead streams concurrently over a supervised worker
+/// pool, surviving corruption, loss, duplication, reordering and worker
+/// panics on the way in.
 ///
-/// `min_streams` pre-sizes the per-stream collector state (and the
-/// report's `streams` vector); indices at or above it grow the state on
-/// first sight, so a socket transport can introduce patients mid-run.
+/// Every window that can be attributed to a (stream, lane, sequence) slot
+/// is emitted exactly once with a [`PacketOutcome`] explaining how it was
+/// produced. `on_packet` observes them grouped per stream in arrival
+/// order (frame-major, lead-minor on clean traffic) — the same order
+/// [`run_streaming`](crate::stream::run_streaming) delivers for each
+/// stream individually. Unattributable frames (framing/CRC rejects) are
+/// counted in [`FleetReport::faults`] and quarantined.
+///
+/// With a live `telemetry` registry every encode and decode stage, FISTA
+/// solve and collector reassembly lands in its histograms while the fleet
+/// runs, per-worker packet counts accumulate, and each solve journals a
+/// trace labelled with its `(stream, channel, seq)`; pass
+/// [`TelemetryRegistry::disabled`] for one atomic load per span.
+///
+/// With a `sink`, every arrived frame is appended to it **before** any
+/// worker interprets a byte of it (write-before-decode), so even frames
+/// the pipeline rejects, conceals or quarantines are preserved
+/// byte-for-byte.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::InvalidConfig`] for zero channel capacity, an
+/// empty [`FleetSource::Leads`] / [`FleetSource::Frames`] fleet or a
+/// stream with no leads, and [`PipelineError::Fleet`] when an encoder or
+/// decoder cannot be constructed or the sink reports an I/O failure —
+/// wire damage never fails the run.
 #[allow(clippy::too_many_arguments)]
-fn wire_engine_stream<T, F>(
+pub fn run_fleet<T, F>(
     config: &SystemConfig,
     codebook: Arc<Codebook>,
-    source: crossbeam::channel::Receiver<WireFrame>,
-    min_streams: usize,
+    source: FleetSource<'_>,
     policy: SolverPolicy<T>,
     fleet: &FleetConfig,
     telemetry: &TelemetryRegistry,
@@ -1322,6 +770,54 @@ where
             "fleet channel capacity must be positive".into(),
         ));
     }
+
+    // --- Source: a frame feed, and the producers that fill it ----------
+    let slice_feed = |nstreams: usize| {
+        if nstreams == 0 {
+            return Err(PipelineError::InvalidConfig("empty fleet".into()));
+        }
+        Ok(crossbeam::channel::bounded::<WireFrame>(fleet.channel_capacity * nstreams))
+    };
+    let mut producers: Vec<Box<dyn FnOnce() -> Result<(), PipelineError> + Send + '_>> =
+        Vec::new();
+    // `min_streams` pre-sizes the per-stream collector state (and the
+    // report's `streams` vector); a channel announces no width, and
+    // indices at or above it grow the state on first sight.
+    let (source, min_streams) = match source {
+        FleetSource::Channel(feed) => (feed, 0),
+        FleetSource::Leads(streams) => {
+            if streams.iter().any(|s| s.leads.is_empty()) {
+                return Err(PipelineError::InvalidConfig(
+                    "fleet stream with zero leads".into(),
+                ));
+            }
+            let (feed, source) = slice_feed(streams.len())?;
+            for (stream, input) in streams.iter().enumerate() {
+                let (feed, codebook, telemetry) =
+                    (feed.clone(), Arc::clone(&codebook), telemetry.clone());
+                producers.push(Box::new(move || {
+                    transmit_leads(config, codebook, telemetry, stream, input, feed)
+                }));
+            }
+            (source, streams.len())
+        }
+        FleetSource::Frames(traffic) => {
+            let (feed, source) = slice_feed(traffic.len())?;
+            for (stream, frames) in traffic.iter().enumerate() {
+                let feed = feed.clone();
+                producers.push(Box::new(move || {
+                    for bytes in frames {
+                        if feed.send(WireFrame { stream, bytes: bytes.clone() }).is_err() {
+                            break; // engine hung up (failure path)
+                        }
+                    }
+                    Ok(())
+                }));
+            }
+            (source, traffic.len())
+        }
+    };
+
     let workers = fleet.effective_workers();
     let n = config.packet_len();
     let packet_period = Duration::from_secs_f64(n as f64 / 256.0);
@@ -1358,6 +854,8 @@ where
 
     let mut worker_panicked = false;
     std::thread::scope(|scope| {
+        let producers: Vec<_> = producers.into_iter().map(|p| scope.spawn(p)).collect();
+
         // --- Supervised decode workers ---------------------------------
         let mut worker_handles = Vec::with_capacity(workers);
         for (worker_id, jobs) in job_rxs.into_iter().enumerate() {
@@ -1378,6 +876,7 @@ where
                 seqs: HashMap::new(),
                 emit_seq: HashMap::new(),
                 scratch: DecodeWorkspace::for_config(config),
+                sibling: Vec::new(),
                 results,
             };
             worker_handles.push(scope.spawn(move || {
@@ -1404,21 +903,26 @@ where
                     // storage before any worker interprets a byte of it,
                     // so even traffic the pipeline will reject survives
                     // for post-mortem replay.
+                    // The sink's mutex is the caller's: one poisoned by a
+                    // panic elsewhere is a sink that cannot persist, not a
+                    // reason to take the engine down with it.
                     if let Some(sink) = sink {
-                        let appended = sink
-                            .lock()
-                            .expect("archive sink lock")
-                            .append_frame(stream, &bytes);
-                        if let Err(e) = appended {
+                        let appended = match sink.lock() {
+                            Ok(mut sink) => {
+                                sink.append_frame(stream, &bytes).map_err(|e| e.to_string())
+                            }
+                            Err(_) => Err("poisoned".into()),
+                        };
+                        if let Err(cause) = appended {
                             let _ = results.send(WireMsg::Failed {
                                 stream: Some(stream),
-                                cause: format!("archive sink: {e}"),
+                                cause: format!("archive sink: {cause}"),
                             });
                             return;
                         }
                     }
-                    // Arrival stamp: the wire path's "capture" is the
-                    // moment the frame came off the link.
+                    // Arrival stamp: "capture" is the moment the frame
+                    // came off the link.
                     let captured_ns =
                         if telemetry.is_enabled() { telemetry.now_ns() } else { 0 };
                     // Stream affinity: one worker owns a stream's lanes
@@ -1508,10 +1012,22 @@ where
                 }
             }
         }
+        // Wake any worker blocked on a full result queue so the
+        // disconnect cascade can finish before we join.
         drop(res_rx);
         for handle in worker_handles {
             if handle.join().is_err() {
                 worker_panicked = true;
+            }
+        }
+        // The workers are gone, so the dispatcher has hung up (or is about
+        // to, on its next frame) and no producer can stay blocked.
+        for (stream, producer) in producers.into_iter().enumerate() {
+            if let Err(e) = producer.join().expect("producer thread panicked") {
+                failure.get_or_insert(PipelineError::Fleet {
+                    stream: Some(stream),
+                    cause: e.to_string(),
+                });
             }
         }
     });
@@ -1538,10 +1054,8 @@ where
         total_decode_time: total_decode,
         max_decode_time: max_decode,
         faults: counters.snapshot(),
-        quarantine: quarantine
-            .into_inner()
-            .expect("quarantine lock")
-            .into_records(),
+        // Unreachable, as in `WireWorker::hold`: nothing can poison it.
+        quarantine: quarantine.into_inner().expect("quarantine lock").into_records(),
     })
 }
 
@@ -1560,55 +1074,47 @@ mod tests {
             .collect()
     }
 
+    /// One default-policy run on the paper's configuration, no telemetry,
+    /// no sink.
+    fn run<T: Real>(
+        source: FleetSource<'_>,
+        fleet: &FleetConfig,
+        on_packet: impl FnMut(&FleetPacket<T>) + Send,
+    ) -> Result<FleetReport, PipelineError> {
+        run_fleet(
+            &SystemConfig::paper_default(),
+            Arc::new(uniform_codebook(512).unwrap()),
+            source,
+            SolverPolicy::default(),
+            fleet,
+            &TelemetryRegistry::disabled(),
+            None,
+            on_packet,
+        )
+    }
+
     #[test]
     fn empty_fleet_rejected() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
-        let err = run_fleet::<f64, _>(
-            &config,
-            cb,
-            &[],
-            SolverPolicy::default(),
-            &FleetConfig::default(),
-            |_| {},
-        )
-        .unwrap_err();
-        assert!(matches!(err, PipelineError::InvalidConfig(_)));
+        for source in [FleetSource::Leads(&[]), FleetSource::Frames(&[])] {
+            let err = run::<f64>(source, &FleetConfig::default(), |_| {}).unwrap_err();
+            assert!(matches!(err, PipelineError::InvalidConfig(_)));
+        }
     }
 
     #[test]
     fn zero_lead_stream_rejected() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
         let streams = [FleetStream { leads: vec![] }];
-        let err = run_fleet::<f64, _>(
-            &config,
-            cb,
-            &streams,
-            SolverPolicy::default(),
-            &FleetConfig::default(),
-            |_| {},
-        )
-        .unwrap_err();
+        let err = run::<f64>(FleetSource::Leads(&streams), &FleetConfig::default(), |_| {})
+            .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidConfig(_)));
     }
 
     #[test]
     fn zero_capacity_rejected() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
         let samples = ecg_like(1, 512, 0.0);
         let streams = [FleetStream::single(&samples)];
         let fleet = FleetConfig { channel_capacity: 0, ..FleetConfig::default() };
-        let err = run_fleet::<f64, _>(
-            &config,
-            cb,
-            &streams,
-            SolverPolicy::default(),
-            &fleet,
-            |_| {},
-        )
-        .unwrap_err();
+        let err = run::<f64>(FleetSource::Leads(&streams), &fleet, |_| {}).unwrap_err();
         assert!(matches!(err, PipelineError::InvalidConfig(_)));
     }
 
@@ -1622,21 +1128,14 @@ mod tests {
 
     #[test]
     fn small_fleet_decodes_and_shares_spectral_setup() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
         let s0 = ecg_like(2, 512, 0.0);
         let s1 = ecg_like(2, 512, 0.05);
         let streams = [FleetStream::single(&s0), FleetStream::single(&s1)];
         let fleet = FleetConfig { workers: 2, ..FleetConfig::default() };
         let mut seen: Vec<(usize, u64)> = Vec::new();
-        let report = run_fleet::<f32, _>(
-            &config,
-            Arc::clone(&cb),
-            &streams,
-            SolverPolicy::default(),
-            &fleet,
-            |p| seen.push((p.stream, p.packet.index)),
-        )
+        let report = run::<f32>(FleetSource::Leads(&streams), &fleet, |p| {
+            seen.push((p.stream, p.packet.index))
+        })
         .unwrap();
         assert_eq!(report.packets_decoded, 4);
         assert_eq!(report.streams[0].packets, 2);
@@ -1652,37 +1151,29 @@ mod tests {
         }
     }
 
-    /// Encodes one single-lead stream into wire frames.
-    fn wire_frames(config: &SystemConfig, samples: &[i16]) -> Vec<Vec<u8>> {
-        let cb = Arc::new(uniform_codebook(512).unwrap());
-        let mut enc = MultiChannelEncoder::new(config, cb, 1).unwrap();
-        let n = config.packet_len();
-        (0..samples.len() / n)
-            .map(|f| {
-                let frame = enc.encode_frame(&[&samples[f * n..(f + 1) * n]]).unwrap();
-                frame[0].to_bytes()
-            })
-            .collect()
+    /// Encodes one stream into wire frames, frame-major and lead-minor.
+    fn wire_frames(leads: &[&[i16]]) -> Vec<Vec<u8>> {
+        let (feed, frames) = crossbeam::channel::unbounded();
+        transmit_leads(
+            &SystemConfig::paper_default(),
+            Arc::new(uniform_codebook(512).unwrap()),
+            TelemetryRegistry::disabled(),
+            0,
+            &FleetStream { leads: leads.to_vec() },
+            feed,
+        )
+        .unwrap();
+        frames.iter().map(|frame| frame.bytes).collect()
     }
 
     #[test]
     fn clean_wire_traffic_all_decodes() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
-        let samples = ecg_like(3, 512, 0.0);
-        let traffic = vec![wire_frames(&config, &samples)];
+        let traffic = vec![wire_frames(&[&ecg_like(3, 512, 0.0)])];
         let fleet = FleetConfig { workers: 1, ..FleetConfig::default() };
         let mut outcomes = Vec::new();
-        let report = run_fleet_wire::<f32, _>(
-            &config,
-            cb,
-            &traffic,
-            SolverPolicy::default(),
-            &fleet,
-            &TelemetryRegistry::disabled(),
-            |p| outcomes.push(p.outcome),
-        )
-        .unwrap();
+        let report =
+            run::<f32>(FleetSource::Frames(&traffic), &fleet, |p| outcomes.push(p.outcome))
+                .unwrap();
         assert_eq!(report.packets_decoded, 3);
         assert!(outcomes.iter().all(|&o| o == PacketOutcome::Decoded));
         assert_eq!(report.faults.frames, 3);
@@ -1694,24 +1185,20 @@ mod tests {
 
     #[test]
     fn dropped_frame_is_concealed_not_fatal() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
-        let samples = ecg_like(4, 512, 0.0);
-        let mut frames = wire_frames(&config, &samples);
-        frames.remove(1); // lose the second window
+        let (lead0, lead1) = (ecg_like(4, 512, 0.0), ecg_like(4, 512, 0.01));
+        let mut frames = wire_frames(&[&lead0, &lead1]);
+        frames.remove(2); // lose lead 0's second window
         let traffic = vec![frames];
         let fleet = FleetConfig { workers: 1, ..FleetConfig::default() };
         let mut seen = Vec::new();
-        let report = run_fleet_wire::<f32, _>(
-            &config,
-            cb,
-            &traffic,
-            SolverPolicy::default(),
-            &fleet,
-            &TelemetryRegistry::disabled(),
-            |p| seen.push((p.packet.index, p.outcome, p.packet.concealed)),
-        )
+        let mut sibling = Vec::new();
+        let report = run::<f32>(FleetSource::Frames(&traffic), &fleet, |p| match p.channel {
+            0 => seen.push((p.packet.index, p.outcome, p.packet.concealed)),
+            _ => sibling.push(p.outcome),
+        })
         .unwrap();
+        // The loss is isolated to its lane: lead 1 decodes every window.
+        assert_eq!(sibling, [PacketOutcome::Decoded; 4]);
         // All four slots are emitted, in wire order, with the gap flagged.
         assert_eq!(seen.len(), 4);
         assert_eq!(
@@ -1732,24 +1219,12 @@ mod tests {
 
     #[test]
     fn corrupt_frame_is_rejected_at_ingest() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
-        let samples = ecg_like(2, 512, 0.0);
-        let mut frames = wire_frames(&config, &samples);
+        let mut frames = wire_frames(&[&ecg_like(2, 512, 0.0)]);
         let mid = frames[1].len() / 2;
         frames[1][mid] ^= 0xFF; // burst damage in the payload
         let traffic = vec![frames];
         let fleet = FleetConfig { workers: 1, ..FleetConfig::default() };
-        let report = run_fleet_wire::<f32, _>(
-            &config,
-            cb,
-            &traffic,
-            SolverPolicy::default(),
-            &fleet,
-            &TelemetryRegistry::disabled(),
-            |_| {},
-        )
-        .unwrap();
+        let report = run::<f32>(FleetSource::Frames(&traffic), &fleet, |_| {}).unwrap();
         assert_eq!(report.faults.frame_rejects, 1);
         assert_eq!(report.quarantine.len(), 1);
         assert!(report.quarantine[0].cause.contains("CRC"));
@@ -1760,23 +1235,14 @@ mod tests {
 
     #[test]
     fn streaming_source_matches_slice_path() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
-        let s0 = ecg_like(3, 512, 0.0);
-        let s1 = ecg_like(3, 512, 0.05);
-        let traffic = vec![wire_frames(&config, &s0), wire_frames(&config, &s1)];
+        let traffic =
+            vec![wire_frames(&[&ecg_like(3, 512, 0.0)]), wire_frames(&[&ecg_like(3, 512, 0.05)])];
         let fleet = FleetConfig { workers: 2, ..FleetConfig::default() };
 
         let mut slice_seen: Vec<(usize, u64)> = Vec::new();
-        run_fleet_wire::<f32, _>(
-            &config,
-            Arc::clone(&cb),
-            &traffic,
-            SolverPolicy::default(),
-            &fleet,
-            &TelemetryRegistry::disabled(),
-            |p| slice_seen.push((p.stream, p.packet.index)),
-        )
+        run::<f32>(FleetSource::Frames(&traffic), &fleet, |p| {
+            slice_seen.push((p.stream, p.packet.index))
+        })
         .unwrap();
 
         // Stream 1 only starts sending after stream 0 finishes: the
@@ -1793,15 +1259,9 @@ mod tests {
                     }
                 }
             });
-            run_fleet_wire_stream::<f32, _>(
-                &config,
-                Arc::clone(&cb),
-                rx,
-                SolverPolicy::default(),
-                &fleet,
-                &TelemetryRegistry::disabled(),
-                |p| stream_seen.push((p.stream, p.packet.index)),
-            )
+            run::<f32>(FleetSource::Channel(rx), &fleet, |p| {
+                stream_seen.push((p.stream, p.packet.index))
+            })
         })
         .unwrap();
 
@@ -1819,26 +1279,16 @@ mod tests {
 
     #[test]
     fn injected_panic_is_supervised() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(uniform_codebook(512).unwrap());
-        let samples = ecg_like(3, 512, 0.0);
-        let traffic = vec![wire_frames(&config, &samples)];
+        let traffic = vec![wire_frames(&[&ecg_like(3, 512, 0.0)])];
         let fleet = FleetConfig {
             workers: 1,
             chaos_panic: Some((0, 1)),
             ..FleetConfig::default()
         };
         let mut outcomes = Vec::new();
-        let report = run_fleet_wire::<f32, _>(
-            &config,
-            cb,
-            &traffic,
-            SolverPolicy::default(),
-            &fleet,
-            &TelemetryRegistry::disabled(),
-            |p| outcomes.push(p.outcome),
-        )
-        .unwrap();
+        let report =
+            run::<f32>(FleetSource::Frames(&traffic), &fleet, |p| outcomes.push(p.outcome))
+                .unwrap();
         assert_eq!(report.faults.worker_restarts, 1);
         assert_eq!(report.faults.quarantined, 1);
         assert_eq!(outcomes.len(), 3, "every slot still emitted");

@@ -19,13 +19,17 @@
 //!   returning per-packet CR/PRD/SNR and solver statistics.
 //! * [`run_streaming`] — the two-thread producer–consumer structure of the
 //!   iPhone app, with the 6-second shared buffer.
-//! * [`run_fleet`] — the multi-patient generalization: N multi-lead
-//!   streams fanned over M decode workers with per-stream in-order
-//!   delivery, shared spectral setup and optional warm-started FISTA.
-//! * `*_observed` variants ([`evaluate_stream_observed`],
-//!   [`run_streaming_observed`], [`run_fleet_observed`]) — the same
-//!   pipelines recording per-stage latency histograms, worker counters
-//!   and solve traces into a `cs_telemetry::TelemetryRegistry`.
+//! * [`run_fleet`] — the multi-patient generalization, and like the
+//!   paper's coordinator it has one path: one supervised engine (frames in,
+//!   M decode workers, per-stream in-order delivery, shared spectral setup,
+//!   optional warm-started FISTA, optional write-before-decode
+//!   [`FrameSink`]) fed by one of three [`FleetSource`]s — raw leads,
+//!   materialized wire frames, or a live channel.
+//!
+//! `run_streaming` and `run_fleet` take a
+//! `cs_telemetry::TelemetryRegistry` and record per-stage latency
+//! histograms, worker counters and solve traces into it; the disabled
+//! registry costs one atomic load per span.
 //!
 //! ## Quickstart
 //!
@@ -75,8 +79,7 @@ pub use decoder::{DecodeWorkspace, DecodedPacket, Decoder, PriorMode, Schedule, 
 pub use encoder::Encoder;
 pub use error::PipelineError;
 pub use fleet::{
-    run_fleet, run_fleet_encoded, run_fleet_observed, run_fleet_wire, run_fleet_wire_archived,
-    run_fleet_wire_stream, run_fleet_wire_stream_archived, FleetConfig, FleetPacket, FleetReport,
+    run_fleet, run_fleet_wire_stream_archived, FleetConfig, FleetPacket, FleetReport, FleetSource,
     FleetStream, FrameSink, StreamSummary, WireFrame,
 };
 pub use ingest::{
@@ -84,13 +87,10 @@ pub use ingest::{
     QuarantineRing, Reassembler, SequencedEvent, DEFAULT_QUARANTINE_CAPACITY,
     DEFAULT_REORDER_WINDOW, MAX_LOSS_BURST,
 };
-pub use multichannel::{ChannelPacket, MultiChannelDecoder, MultiChannelEncoder};
+pub use multichannel::{ChannelPacket, MultiChannelEncoder};
 pub use packet::{
     crc16, parse_frame, EncodedPacket, FrameInfo, PacketKind, FRAME_MAGIC, FRAME_VERSION,
     HEADER_BYTES, QUARANTINE_LANE, TRAILER_BYTES,
 };
-pub use pipeline::{
-    evaluate_stream, evaluate_stream_observed, packetize, train_and_evaluate, PacketReport,
-    StreamReport,
-};
-pub use stream::{run_streaming, run_streaming_observed, StreamingReport, SHARED_BUFFER_PACKETS};
+pub use pipeline::{evaluate_stream, packetize, train_and_evaluate, PacketReport, StreamReport};
+pub use stream::{run_streaming, StreamingReport, SHARED_BUFFER_PACKETS};

@@ -8,12 +8,10 @@
 //! Wire packets gain a one-byte lane tag.
 
 use crate::config::SystemConfig;
-use crate::decoder::{DecodedPacket, Decoder, SolverPolicy};
 use crate::encoder::Encoder;
 use crate::error::PipelineError;
 use crate::packet::EncodedPacket;
 use cs_codec::Codebook;
-use cs_dsp::Real;
 use std::sync::Arc;
 
 /// A wire packet tagged with its lead index.
@@ -136,66 +134,10 @@ impl MultiChannelEncoder {
     }
 }
 
-/// Decoder for a fixed number of leads.
-#[derive(Debug)]
-pub struct MultiChannelDecoder<T: Real> {
-    lanes: Vec<Decoder<T>>,
-}
-
-impl<T: Real> MultiChannelDecoder<T> {
-    /// Builds `channels` decoder lanes sharing one codebook and policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::InvalidConfig`] for zero channels and
-    /// propagates per-lane construction failures.
-    pub fn new(
-        config: &SystemConfig,
-        codebook: Arc<Codebook>,
-        policy: SolverPolicy<T>,
-        channels: usize,
-    ) -> Result<Self, PipelineError> {
-        if channels == 0 {
-            return Err(PipelineError::InvalidConfig("zero channels".into()));
-        }
-        let lanes = (0..channels)
-            .map(|_| Decoder::new(config, Arc::clone(&codebook), policy))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MultiChannelDecoder { lanes })
-    }
-
-    /// Decodes a tagged packet, returning the lead index with the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::MalformedPacket`] for an unknown lane and
-    /// propagates decode failures.
-    pub fn decode(
-        &mut self,
-        packet: &ChannelPacket,
-    ) -> Result<(usize, DecodedPacket<T>), PipelineError> {
-        let ch = packet.channel as usize;
-        let lane = self.lanes.get_mut(ch).ok_or_else(|| {
-            PipelineError::MalformedPacket(format!("unknown channel {ch}"))
-        })?;
-        Ok((ch, lane.decode_packet(&packet.packet)?))
-    }
-
-    /// Signals loss on one lead only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel is out of range.
-    pub fn desynchronize_channel(&mut self, channel: usize) {
-        self.lanes[channel].desynchronize();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codebook::uniform_codebook;
-    use cs_metrics::prd;
 
     fn lead(phase: f64) -> Vec<i16> {
         (0..512)
@@ -206,32 +148,15 @@ mod tests {
             .collect()
     }
 
-    fn setup(channels: usize) -> (MultiChannelEncoder, MultiChannelDecoder<f64>) {
+    fn setup(channels: usize) -> MultiChannelEncoder {
         let config = SystemConfig::paper_default();
         let cb = Arc::new(uniform_codebook(512).unwrap());
-        (
-            MultiChannelEncoder::new(&config, Arc::clone(&cb), channels).unwrap(),
-            MultiChannelDecoder::new(&config, cb, SolverPolicy::default(), channels).unwrap(),
-        )
-    }
-
-    #[test]
-    fn two_leads_round_trip_independently() {
-        let (mut enc, mut dec) = setup(2);
-        let l0 = lead(0.0);
-        let l1 = lead(0.1);
-        let packets = enc.encode_frame(&[&l0, &l1]).unwrap();
-        for p in &packets {
-            let (ch, out) = dec.decode(p).unwrap();
-            let truth = if ch == 0 { &l0 } else { &l1 };
-            let x: Vec<f64> = truth.iter().map(|&v| v as f64).collect();
-            assert!(prd(&x, &out.samples) < 25.0, "lead {ch}");
-        }
+        MultiChannelEncoder::new(&config, cb, channels).unwrap()
     }
 
     #[test]
     fn wire_round_trip_with_lane_tag() {
-        let (mut enc, _) = setup(3);
+        let mut enc = setup(3);
         let l = lead(0.0);
         let packets = enc.encode_frame(&[&l, &l, &l]).unwrap();
         for p in &packets {
@@ -241,37 +166,17 @@ mod tests {
     }
 
     #[test]
-    fn per_lead_loss_is_isolated() {
-        let (mut enc, mut dec) = setup(2);
-        let l = lead(0.0);
-        let f1 = enc.encode_frame(&[&l, &l]).unwrap();
-        for p in &f1 {
-            dec.decode(p).unwrap();
-        }
-        dec.desynchronize_channel(0);
-        let f2 = enc.encode_frame(&[&l, &l]).unwrap();
-        assert!(dec.decode(&f2[0]).is_err(), "lead 0 must reject its delta");
-        assert!(dec.decode(&f2[1]).is_ok(), "lead 1 unaffected");
-    }
-
-    #[test]
     fn frame_shape_validated() {
-        let (mut enc, mut dec) = setup(2);
+        let mut enc = setup(2);
         let l = lead(0.0);
         assert!(enc.encode_frame(&[&l]).is_err());
-        let packets = enc.encode_frame(&[&l, &l]).unwrap();
-        let mut rogue = packets[0].clone();
-        rogue.channel = 9;
-        assert!(dec.decode(&rogue).is_err());
+        assert_eq!(enc.encode_frame(&[&l, &l]).unwrap().len(), 2);
     }
 
     #[test]
     fn zero_channels_rejected() {
         let config = SystemConfig::paper_default();
         let cb = Arc::new(uniform_codebook(512).unwrap());
-        assert!(MultiChannelEncoder::new(&config, Arc::clone(&cb), 0).is_err());
-        assert!(
-            MultiChannelDecoder::<f64>::new(&config, cb, SolverPolicy::default(), 0).is_err()
-        );
+        assert!(MultiChannelEncoder::new(&config, cb, 0).is_err());
     }
 }

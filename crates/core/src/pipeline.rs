@@ -106,36 +106,8 @@ pub fn evaluate_stream<T: Real>(
     samples: &[i16],
     policy: SolverPolicy<T>,
 ) -> Result<StreamReport, PipelineError> {
-    evaluate_stream_observed(
-        config,
-        codebook,
-        samples,
-        policy,
-        &cs_telemetry::TelemetryRegistry::disabled(),
-    )
-}
-
-/// [`evaluate_stream`] recording live telemetry: every encode and decode
-/// stage of the round trip lands in `telemetry`'s histograms. Pass
-/// [`TelemetryRegistry::disabled`] to get exactly [`evaluate_stream`]
-/// (one atomic load per span).
-///
-/// [`TelemetryRegistry::disabled`]: cs_telemetry::TelemetryRegistry::disabled
-///
-/// # Errors
-///
-/// Same contract as [`evaluate_stream`].
-pub fn evaluate_stream_observed<T: Real>(
-    config: &SystemConfig,
-    codebook: Arc<cs_codec::Codebook>,
-    samples: &[i16],
-    policy: SolverPolicy<T>,
-    telemetry: &cs_telemetry::TelemetryRegistry,
-) -> Result<StreamReport, PipelineError> {
     let mut encoder = Encoder::new(config, Arc::clone(&codebook))?;
     let mut decoder: Decoder<T> = Decoder::new(config, codebook, policy)?;
-    encoder.set_telemetry(telemetry.clone());
-    decoder.set_telemetry(telemetry.clone());
     let original_bits = config.original_packet_bits();
 
     let mut reports = Vec::new();

@@ -42,44 +42,17 @@ pub struct StreamingReport {
 /// shared buffer, pushing the given sample stream through.
 ///
 /// The consumer applies `on_packet` to every decoded packet (the display
-/// thread's role).
+/// thread's role). Producer encode stages and consumer decode stages land
+/// in `telemetry`'s histograms while the stream runs; pass
+/// [`TelemetryRegistry::disabled`] for one atomic load per span.
+///
+/// [`TelemetryRegistry::disabled`]: cs_telemetry::TelemetryRegistry::disabled
 ///
 /// # Errors
 ///
 /// Propagates construction errors; decode errors abort the consumer and
 /// surface here.
 pub fn run_streaming<T, F>(
-    config: &SystemConfig,
-    codebook: Arc<cs_codec::Codebook>,
-    samples: &[i16],
-    policy: SolverPolicy<T>,
-    on_packet: F,
-) -> Result<StreamingReport, PipelineError>
-where
-    T: Real,
-    F: FnMut(&DecodedPacket<T>) + Send,
-{
-    run_streaming_observed(
-        config,
-        codebook,
-        samples,
-        policy,
-        &cs_telemetry::TelemetryRegistry::disabled(),
-        on_packet,
-    )
-}
-
-/// [`run_streaming`] recording live telemetry: producer encode stages and
-/// consumer decode stages land in `telemetry`'s histograms while the
-/// stream runs. Pass [`TelemetryRegistry::disabled`] to get exactly
-/// [`run_streaming`] (one atomic load per span).
-///
-/// [`TelemetryRegistry::disabled`]: cs_telemetry::TelemetryRegistry::disabled
-///
-/// # Errors
-///
-/// Same contract as [`run_streaming`].
-pub fn run_streaming_observed<T, F>(
     config: &SystemConfig,
     codebook: Arc<cs_codec::Codebook>,
     samples: &[i16],
@@ -174,6 +147,7 @@ mod tests {
             cb,
             &samples,
             SolverPolicy::default(),
+            &cs_telemetry::TelemetryRegistry::disabled(),
             |p| seen.push(p.index),
         )
         .unwrap();
@@ -190,9 +164,15 @@ mod tests {
         let config = SystemConfig::paper_default();
         let cb = Arc::new(uniform_codebook(512).unwrap());
         let samples = ecg_like(3, 512);
-        let report =
-            run_streaming::<f32, _>(&config, cb, &samples, SolverPolicy::default(), |_| {})
-                .unwrap();
+        let report = run_streaming::<f32, _>(
+            &config,
+            cb,
+            &samples,
+            SolverPolicy::default(),
+            &cs_telemetry::TelemetryRegistry::disabled(),
+            |_| {},
+        )
+        .unwrap();
         assert!(
             report.real_time,
             "max decode {:?} exceeded period {:?}",

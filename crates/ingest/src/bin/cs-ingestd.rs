@@ -1,7 +1,7 @@
 //! cs-ingestd — the socket ingest service in front of a live decode fleet.
 //!
-//! Binds the ingest listener, spins up the streaming wire engine
-//! ([`run_fleet_wire_stream`]) with a worker pool, and serves telemetry
+//! Binds the ingest listener, spins up the fleet engine ([`run_fleet`]
+//! over a [`FleetSource::Channel`]) with a worker pool, and serves telemetry
 //! (`/metrics`, `/healthz`, `/tracez`) next door. Runs until stdin
 //! closes or a line reading `drain` arrives, then drains gracefully:
 //! stop accepting, see every session out, flush the engine's staged
@@ -23,8 +23,8 @@
 
 use cs_archive::{ArchiveConfig, ArchiveSink};
 use cs_core::{
-    run_fleet_wire_stream, run_fleet_wire_stream_archived, uniform_codebook, FleetConfig,
-    SolverPolicy, SystemConfig, WireFrame,
+    run_fleet, uniform_codebook, FleetConfig, FleetSource, FrameSink, SolverPolicy, SystemConfig,
+    WireFrame,
 };
 use cs_ingest::{IngestConfig, IngestServer};
 use cs_telemetry::{MetricsServer, TelemetryRegistry};
@@ -118,26 +118,17 @@ fn main() -> ExitCode {
         let telemetry = telemetry.clone();
         let fleet = FleetConfig { workers: settings.workers, ..FleetConfig::default() };
         let sink = sink.clone();
-        std::thread::spawn(move || match &sink {
-            Some(sink) => run_fleet_wire_stream_archived::<f32, _>(
+        std::thread::spawn(move || {
+            run_fleet::<f32, _>(
                 &config,
                 codebook,
-                source,
+                FleetSource::Channel(source),
                 SolverPolicy::default(),
                 &fleet,
                 &telemetry,
-                &**sink,
+                sink.as_deref().map(|sink| sink as &Mutex<dyn FrameSink>),
                 |_packet| {},
-            ),
-            None => run_fleet_wire_stream::<f32, _>(
-                &config,
-                codebook,
-                source,
-                SolverPolicy::default(),
-                &fleet,
-                &telemetry,
-                |_packet| {},
-            ),
+            )
         })
     };
 

@@ -7,7 +7,7 @@
 //! ([`cs_core::parse_frame`] format), and [`Deframer`] reassembles
 //! records from arbitrary read chunks without allocating: the caller
 //! reads straight into [`Deframer::spare`], commits what arrived, and
-//! drains complete records with [`Deframer::next`].
+//! drains complete records with [`Deframer::next_frame`].
 //!
 //! Damage policy mirrors the fleet engine's: a record whose *frame* is
 //! corrupt is still yielded — the engine's CRC check counts and
@@ -91,8 +91,9 @@ impl Deframer {
     }
 
     /// Writable tail to read socket bytes into. Compacts pending bytes
-    /// to the buffer front first, so after draining [`next`](Self::next)
-    /// the spare is always at least a maximal record wide.
+    /// to the buffer front first, so after draining
+    /// [`next_frame`](Self::next_frame) the spare is always at least a
+    /// maximal record wide.
     pub fn spare(&mut self) -> &mut [u8] {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);

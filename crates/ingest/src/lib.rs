@@ -1,7 +1,7 @@
 //! # cs-ingest — the socket-fed front door of the CS-ECG fleet
 //!
-//! Everything between a mote's TCP socket and
-//! [`cs_core::run_fleet_wire_stream`]: a supervised listener
+//! Everything between a mote's TCP socket and [`cs_core::run_fleet`]'s
+//! [`FleetSource::Channel`](cs_core::FleetSource::Channel): a supervised listener
 //! ([`IngestServer`]), per-connection sessions with a versioned
 //! handshake and hard lifecycle budgets, an allocation-free incremental
 //! record deframer ([`Deframer`]) that survives arbitrary read splits
@@ -19,7 +19,7 @@
 //! ## Wiring it up
 //!
 //! ```no_run
-//! use cs_core::{run_fleet_wire_stream, uniform_codebook, FleetConfig, SolverPolicy,
+//! use cs_core::{run_fleet, uniform_codebook, FleetConfig, FleetSource, SolverPolicy,
 //!               SystemConfig, WireFrame};
 //! use cs_ingest::{IngestConfig, IngestServer};
 //! use cs_telemetry::TelemetryRegistry;
@@ -33,9 +33,9 @@
 //! let engine = {
 //!     let (config, codebook, telemetry) = (config.clone(), Arc::clone(&codebook), telemetry.clone());
 //!     std::thread::spawn(move || {
-//!         run_fleet_wire_stream::<f32, _>(
-//!             &config, codebook, source, SolverPolicy::default(),
-//!             &FleetConfig::default(), &telemetry, |_packet| {},
+//!         run_fleet::<f32, _>(
+//!             &config, codebook, FleetSource::Channel(source), SolverPolicy::default(),
+//!             &FleetConfig::default(), &telemetry, None, |_packet| {},
 //!         )
 //!     })
 //! };

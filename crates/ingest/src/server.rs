@@ -3,7 +3,7 @@
 //! One [`IngestServer`] owns the accept loop and the shared state every
 //! session thread leans on: the admission controller, the patient→slot
 //! directory, the drain flag, and the cloneable feed sender into
-//! [`cs_core::run_fleet_wire_stream`]. Sessions are one thread per
+//! [`cs_core::run_fleet`]'s channel source. Sessions are one thread per
 //! connection (the [`cs_telemetry::MetricsServer`] pattern scaled up
 //! with supervision): each is tracked from accept to join, so a
 //! [`drain`](IngestServer::drain) can stop the listener, let every

@@ -8,7 +8,7 @@
 //! file stays test-suite-fast.
 
 use cs_core::{
-    run_fleet_wire_stream, uniform_codebook, Encoder, FleetConfig, FleetReport, SolverPolicy,
+    run_fleet, uniform_codebook, Encoder, FleetConfig, FleetReport, FleetSource, SolverPolicy,
     SystemConfig, WireFrame,
 };
 use cs_ingest::{Connect, ControlCode, IngestClient, IngestConfig, IngestServer, LaneResume};
@@ -60,13 +60,14 @@ fn stack(config: &SystemConfig, ingest: IngestConfig) -> Stack {
         let emitted = Arc::clone(&emitted);
         std::thread::spawn(move || {
             let fleet = FleetConfig { workers: 2, ..FleetConfig::default() };
-            run_fleet_wire_stream::<f32, _>(
+            run_fleet::<f32, _>(
                 &config,
                 codebook,
-                source,
+                FleetSource::Channel(source),
                 SolverPolicy::default(),
                 &fleet,
                 &telemetry,
+                None,
                 move |_packet| {
                     emitted.fetch_add(1, Ordering::Relaxed);
                 },

@@ -85,13 +85,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let fleet = FleetConfig { warm_start, ..FleetConfig::default() };
         let mut stats = vec![StreamStats::new(); patients];
         let mut worst_prd = vec![0.0_f64; patients];
-        let report = run_fleet_observed::<f32, _>(
+        let report = run_fleet::<f32, _>(
             &config,
             Arc::clone(&codebook),
-            &streams,
+            FleetSource::Leads(&streams),
             SolverPolicy::default(),
             &fleet,
             &registry,
+            None,
             |p| {
                 stats[p.stream].record(
                     p.packet.iterations,

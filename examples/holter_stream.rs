@@ -36,6 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Arc::clone(&codebook),
             &samples,
             SolverPolicy::default(),
+            &TelemetryRegistry::disabled(),
             |decoded| {
                 solves.push(cs_ecg_monitor::platform::SolveSample {
                     iterations: decoded.iterations,

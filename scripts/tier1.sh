@@ -18,6 +18,10 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# Intra-doc links are the only check that a renamed or deleted item is
+# gone from the prose too.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # `unsafe` stays where it is: two modules hold all of it (the AVX2 gather
 # kernels of cs-sensing, the wide DWT dispatch of cs-dsp), every
 # occurrence sits under a `// SAFETY:` comment, and every other crate

@@ -77,10 +77,9 @@ pub mod prelude {
     };
     pub use cs_codec::Codebook;
     pub use cs_core::{
-        evaluate_stream, packetize, run_fleet, run_fleet_observed, run_fleet_wire,
-        run_fleet_wire_archived, run_streaming, run_streaming_observed, train_and_evaluate,
-        train_codebook, uniform_codebook, AdaptiveDecoder, AdaptiveEncoder, ClinicalFeedback,
-        Decoder, Encoder, FidelitySchedule, FidelityTier, FleetConfig, FleetStream, PacketOutcome,
+        evaluate_stream, packetize, run_fleet, run_streaming, train_and_evaluate, train_codebook,
+        uniform_codebook, AdaptiveDecoder, AdaptiveEncoder, ClinicalFeedback, Decoder, Encoder,
+        FidelitySchedule, FidelityTier, FleetConfig, FleetSource, FleetStream, PacketOutcome,
         SolverPolicy, SystemConfig, TierController,
     };
     pub use cs_dsp::wavelet::{Dwt, Wavelet, WaveletFamily};

@@ -5,7 +5,7 @@
 
 use cs_ecg_monitor::archive::{Archive, ArchiveConfig, ArchiveSink, ArchiveWriter, FsyncPolicy};
 use cs_ecg_monitor::prelude::*;
-use cs_ecg_monitor::system::MultiChannelEncoder;
+use cs_ecg_monitor::system::{FrameSink, MultiChannelEncoder};
 use cs_ecg_monitor::telemetry::TelemetryRegistry;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -72,27 +72,16 @@ fn run_and_capture(
         assert!(prev.is_none(), "duplicate emission for one window");
     };
     let registry = TelemetryRegistry::disabled();
-    match sink {
-        Some(sink) => run_fleet_wire_archived::<f32, _>(
-            config,
-            cb,
-            traffic,
-            SolverPolicy::default(),
-            fleet,
-            &registry,
-            sink,
-            capture,
-        ),
-        None => run_fleet_wire::<f32, _>(
-            config,
-            cb,
-            traffic,
-            SolverPolicy::default(),
-            fleet,
-            &registry,
-            capture,
-        ),
-    }
+    run_fleet::<f32, _>(
+        config,
+        cb,
+        FleetSource::Frames(traffic),
+        SolverPolicy::default(),
+        fleet,
+        &registry,
+        sink.map(|sink| sink as &Mutex<dyn FrameSink>),
+        capture,
+    )
     .expect("fleet run failed");
     captured.into_inner().unwrap()
 }

@@ -213,13 +213,14 @@ fn run_chaos_fleet(
     let cb = Arc::new(uniform_codebook(config.alphabet()).unwrap());
     let last_index = Mutex::new(HashMap::<(usize, u8), u64>::new());
     let emitted = Mutex::new(Vec::new());
-    let report = run_fleet_wire::<f32, _>(
+    let report = run_fleet::<f32, _>(
         config,
         cb,
-        traffic,
+        FleetSource::Frames(traffic),
         SolverPolicy::default(),
         fleet,
         registry,
+        None,
         |p| {
             let mut last = last_index.lock().unwrap();
             if let Some(&prev) = last.get(&(p.stream, p.channel)) {

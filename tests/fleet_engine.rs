@@ -1,10 +1,12 @@
 //! Integration tests for the fleet decode engine: bit-exactness against
-//! the single-stream pipeline, per-stream ordering, warm-start iteration
-//! savings, and failure propagation without deadlock.
+//! the single-stream pipeline and against the golden `Leads` digests,
+//! per-stream ordering, warm-start iteration savings, and sink-failure
+//! propagation without deadlock.
 
+use cs_core::{DecodedPacket, FleetPacket, FleetReport, FrameSink, MultiChannelEncoder, PipelineError};
+use cs_ecg_monitor::dsp::Real;
 use cs_ecg_monitor::prelude::*;
-use cs_core::{run_fleet_encoded, ChannelPacket, DecodedPacket, MultiChannelEncoder, PipelineError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const N: usize = 512;
@@ -24,6 +26,26 @@ fn setup() -> (SystemConfig, Arc<Codebook>) {
     (config, codebook)
 }
 
+/// One default-policy run on the paper's configuration, no telemetry.
+fn run<T: Real>(
+    source: FleetSource<'_>,
+    fleet: &FleetConfig,
+    sink: Option<&Mutex<dyn FrameSink>>,
+    on_packet: impl FnMut(&FleetPacket<T>) + Send,
+) -> Result<FleetReport, PipelineError> {
+    let (config, codebook) = setup();
+    run_fleet(
+        &config,
+        codebook,
+        source,
+        SolverPolicy::default(),
+        fleet,
+        &TelemetryRegistry::disabled(),
+        sink,
+        on_packet,
+    )
+}
+
 /// Every stream decoded by the fleet must be bit-exact against the same
 /// stream pushed through the paper's single-stream `run_streaming`
 /// pipeline (warm starts off — that is the documented equivalence).
@@ -41,6 +63,7 @@ fn fleet_output_bit_exact_vs_run_streaming() {
             Arc::clone(&codebook),
             input,
             SolverPolicy::default(),
+            &TelemetryRegistry::disabled(),
             |p| packets.push(p.samples.clone()),
         )
         .unwrap();
@@ -52,14 +75,9 @@ fn fleet_output_bit_exact_vs_run_streaming() {
         inputs.iter().map(|i| FleetStream::single(i)).collect();
     let fleet = FleetConfig { workers: 2, ..FleetConfig::default() };
     let mut fleet_out: Vec<Vec<Vec<f64>>> = vec![Vec::new(); inputs.len()];
-    let report = run_fleet::<f64, _>(
-        &config,
-        codebook,
-        &streams,
-        SolverPolicy::default(),
-        &fleet,
-        |p| fleet_out[p.stream].push(p.packet.samples.clone()),
-    )
+    let report = run::<f64>(FleetSource::Leads(&streams), &fleet, None, |p| {
+        fleet_out[p.stream].push(p.packet.samples.clone())
+    })
     .unwrap();
 
     assert_eq!(report.packets_decoded, 12);
@@ -77,7 +95,6 @@ fn fleet_output_bit_exact_vs_run_streaming() {
 /// when streams outnumber workers and interleave arbitrarily.
 #[test]
 fn per_stream_order_is_preserved() {
-    let (config, codebook) = setup();
     let inputs: Vec<Vec<i16>> = (0..5).map(|s| ecg_like(3, s as f64 * 0.02)).collect();
     let streams: Vec<FleetStream<'_>> = inputs
         .iter()
@@ -85,14 +102,9 @@ fn per_stream_order_is_preserved() {
         .collect();
     let fleet = FleetConfig { workers: 2, channel_capacity: 1, ..FleetConfig::default() };
     let mut seen: Vec<Vec<(u64, u8)>> = vec![Vec::new(); inputs.len()];
-    let report = run_fleet::<f32, _>(
-        &config,
-        codebook,
-        &streams,
-        SolverPolicy::default(),
-        &fleet,
-        |p| seen[p.stream].push((p.packet.index, p.channel)),
-    )
+    let report = run::<f32>(FleetSource::Leads(&streams), &fleet, None, |p| {
+        seen[p.stream].push((p.packet.index, p.channel))
+    })
     .unwrap();
 
     assert_eq!(report.packets_decoded, 5 * 3 * 2);
@@ -101,8 +113,8 @@ fn per_stream_order_is_preserved() {
     for (stream, order) in seen.iter().enumerate() {
         assert_eq!(order, &expected, "stream {stream} out of order");
     }
-    // With tiny queues and more streams than workers, producers must have
-    // hit backpressure at least once.
+    // With tiny queues and more streams than workers, the dispatcher must
+    // have hit backpressure at least once.
     assert!(report.backpressure_stalls > 0, "expected backpressure stalls");
 }
 
@@ -111,7 +123,6 @@ fn per_stream_order_is_preserved() {
 /// change the packet count or ordering.
 #[test]
 fn warm_start_reduces_mean_iterations() {
-    let (config, codebook) = setup();
     let inputs: Vec<Vec<i16>> = (0..2).map(|s| ecg_like(3, s as f64 * 0.03)).collect();
     let streams: Vec<FleetStream<'_>> = inputs
         .iter()
@@ -121,14 +132,9 @@ fn warm_start_reduces_mean_iterations() {
     let run = |warm_start: bool| {
         let fleet = FleetConfig { workers: 1, warm_start, ..FleetConfig::default() };
         let mut iterations = Vec::new();
-        let report = run_fleet::<f64, _>(
-            &config,
-            Arc::clone(&codebook),
-            &streams,
-            SolverPolicy::default(),
-            &fleet,
-            |p| iterations.push(p.packet.iterations),
-        )
+        let report = run::<f64>(FleetSource::Leads(&streams), &fleet, None, |p| {
+            iterations.push(p.packet.iterations)
+        })
         .unwrap();
         (report, iterations)
     };
@@ -147,77 +153,81 @@ fn warm_start_reduces_mean_iterations() {
     );
 }
 
-/// A corrupt packet mid-traffic must abort the run with a stream-attributed
-/// fleet error — and the run must terminate (no deadlocked producers or
-/// workers) even with minimal queue capacity.
-#[test]
-fn decode_error_propagates_and_run_terminates() {
-    let (config, codebook) = setup();
-    let mut encoder = MultiChannelEncoder::new(&config, Arc::clone(&codebook), 1).unwrap();
-    let samples = ecg_like(4, 0.0);
-    let mut packets: Vec<ChannelPacket> = samples
-        .chunks_exact(N)
-        .map(|chunk| encoder.encode_frame(&[chunk]).unwrap().remove(0))
-        .collect();
-    // Truncate one payload: parsing runs out of bits and decode errors.
-    packets[2].packet.payload.truncate(2);
+/// A sink whose third append fails, or whose mutex a dead thread poisoned.
+struct FailingSink {
+    appended: usize,
+}
 
-    let streams = vec![packets.clone(), packets.clone()];
-    let fleet = FleetConfig { workers: 2, channel_capacity: 1, ..FleetConfig::default() };
-    let err = run_fleet_encoded::<f32, _>(
-        &config,
-        codebook,
-        &streams,
-        SolverPolicy::default(),
-        &fleet,
-        |_| {},
-    )
-    .unwrap_err();
-    match err {
-        PipelineError::Fleet { stream, cause } => {
-            assert!(stream.is_some(), "error must carry stream attribution");
-            assert!(!cause.is_empty());
+impl FrameSink for FailingSink {
+    fn append_frame(&mut self, _stream: usize, _bytes: &[u8]) -> std::io::Result<()> {
+        self.appended += 1;
+        if self.appended == 3 {
+            return Err(std::io::Error::other("disk full"));
         }
-        other => panic!("expected Fleet error, got {other}"),
+        Ok(())
     }
 }
 
-/// Deterministic replay: the encoded-traffic path and the raw-samples
-/// path must produce identical reconstructions.
+/// The one run-ending path left: a sink that cannot persist must abort the
+/// run with a stream-attributed fleet error — and the run must terminate
+/// (no deadlocked producer, dispatcher or worker) even with minimal queue
+/// capacity. A sink mutex poisoned by its owner is the same failure, not
+/// a panic inside the engine.
+#[test]
+fn decode_error_propagates_and_run_terminates() {
+    let inputs: Vec<Vec<i16>> = (0..2).map(|s| ecg_like(4, s as f64 * 0.03)).collect();
+    let streams: Vec<FleetStream<'_>> =
+        inputs.iter().map(|i| FleetStream::single(i)).collect();
+    let fleet = FleetConfig { workers: 2, channel_capacity: 1, ..FleetConfig::default() };
+
+    let failing = Mutex::new(FailingSink { appended: 0 });
+    let poisoned = Mutex::new(FailingSink { appended: 0 });
+    let _ = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let _held = poisoned.lock().unwrap();
+                panic!("sink owner dies holding the lock");
+            })
+            .join()
+    });
+    assert!(poisoned.is_poisoned());
+
+    for (sink, expected) in [(&failing, "archive sink: disk full"), (&poisoned, "archive sink: poisoned")] {
+        let err = run::<f32>(FleetSource::Leads(&streams), &fleet, Some(sink), |_| {})
+            .unwrap_err();
+        match err {
+            PipelineError::Fleet { stream, cause } => {
+                assert!(stream.is_some(), "error must carry stream attribution");
+                assert_eq!(cause, expected);
+            }
+            other => panic!("expected Fleet error, got {other}"),
+        }
+    }
+    assert_eq!(failing.lock().unwrap().appended, 3, "nothing is appended after the failure");
+}
+
+/// Deterministic replay: the same stream as pre-encoded wire frames and
+/// as raw leads must produce identical reconstructions.
 #[test]
 fn encoded_path_matches_raw_path() {
     let (config, codebook) = setup();
     let samples = ecg_like(2, 0.0);
-    let mut encoder = MultiChannelEncoder::new(&config, Arc::clone(&codebook), 1).unwrap();
-    let packets: Vec<ChannelPacket> = samples
+    let mut encoder = MultiChannelEncoder::new(&config, codebook, 1).unwrap();
+    let frames: Vec<Vec<u8>> = samples
         .chunks_exact(N)
-        .map(|chunk| encoder.encode_frame(&[chunk]).unwrap().remove(0))
+        .map(|chunk| encoder.encode_frame(&[chunk]).unwrap().remove(0).to_bytes())
         .collect();
 
     let fleet = FleetConfig { workers: 1, ..FleetConfig::default() };
 
     let mut raw_out: Vec<DecodedPacket<f64>> = Vec::new();
     let streams = [FleetStream::single(&samples)];
-    run_fleet::<f64, _>(
-        &config,
-        Arc::clone(&codebook),
-        &streams,
-        SolverPolicy::default(),
-        &fleet,
-        |p| raw_out.push(p.packet.clone()),
-    )
-    .unwrap();
+    run::<f64>(FleetSource::Leads(&streams), &fleet, None, |p| raw_out.push(p.packet.clone()))
+        .unwrap();
 
     let mut enc_out: Vec<DecodedPacket<f64>> = Vec::new();
-    run_fleet_encoded::<f64, _>(
-        &config,
-        codebook,
-        &[packets],
-        SolverPolicy::default(),
-        &fleet,
-        |p| enc_out.push(p.packet.clone()),
-    )
-    .unwrap();
+    run::<f64>(FleetSource::Frames(&[frames]), &fleet, None, |p| enc_out.push(p.packet.clone()))
+        .unwrap();
 
     assert_eq!(raw_out.len(), enc_out.len());
     for (a, b) in raw_out.iter().zip(&enc_out) {
@@ -229,20 +239,11 @@ fn encoded_path_matches_raw_path() {
 /// per-stream summaries.
 #[test]
 fn report_accounting_is_consistent() {
-    let (config, codebook) = setup();
     let inputs: Vec<Vec<i16>> = (0..3).map(|s| ecg_like(2, s as f64 * 0.01)).collect();
     let streams: Vec<FleetStream<'_>> =
         inputs.iter().map(|i| FleetStream::single(i)).collect();
     let fleet = FleetConfig { workers: 3, ..FleetConfig::default() };
-    let report = run_fleet::<f32, _>(
-        &config,
-        codebook,
-        &streams,
-        SolverPolicy::default(),
-        &fleet,
-        |_| {},
-    )
-    .unwrap();
+    let report = run::<f32>(FleetSource::Leads(&streams), &fleet, None, |_| {}).unwrap();
 
     let per_stream: usize = report.streams.iter().map(|s| s.packets).sum();
     assert_eq!(per_stream, report.packets_decoded);
@@ -255,4 +256,65 @@ fn report_accounting_is_consistent() {
     assert!(report.packet_period == Duration::from_secs(2));
     assert_eq!(report.spectral_misses, 1);
     assert_eq!(report.spectral_hits as usize, inputs.len() - 1);
+}
+
+/// FNV-1a over `(stream, channel, index, iterations, warm_started,
+/// samples.to_bits())` of a 2-stream × 2-lead × 3-frame `Leads` run:
+/// streams in index order (they interleave arbitrarily on the wire), each
+/// stream in emission order.
+fn leads_digest<T: Real>(workers: usize, warm_start: bool) -> u64 {
+    let inputs: Vec<[Vec<i16>; 2]> = (0..2)
+        .map(|s| [ecg_like(3, s as f64 * 0.03), ecg_like(3, s as f64 * 0.03 + 0.01)])
+        .collect();
+    let streams: Vec<FleetStream<'_>> = inputs
+        .iter()
+        .map(|[a, b]| FleetStream { leads: vec![a, b] })
+        .collect();
+    let fleet = FleetConfig { workers, warm_start, ..FleetConfig::default() };
+    let mut words: Vec<Vec<u64>> = vec![Vec::new(); inputs.len()];
+    let report = run::<T>(FleetSource::Leads(&streams), &fleet, None, |p| {
+        let w = &mut words[p.stream];
+        w.extend([
+            p.stream as u64,
+            u64::from(p.channel),
+            p.packet.index,
+            p.packet.iterations as u64,
+            u64::from(p.packet.warm_started),
+        ]);
+        // f32 → f64 is exact, so the widened bits identify the value.
+        w.extend(p.packet.samples.iter().map(|v| v.to_f64().to_bits()));
+    })
+    .unwrap();
+    assert_eq!(report.packets_decoded, 2 * 2 * 3);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in words.iter().flatten().flat_map(|w| w.to_le_bytes()) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The raw-leads source must decode to the same bits whichever engine
+/// carries it: these constants were made on the in-process job engine
+/// (before it was replaced by the supervised wire engine) and have not
+/// moved since. Stream affinity makes the worker count invisible.
+#[test]
+fn leads_source_matches_the_golden_digests() {
+    for workers in [1, 2] {
+        let got = [
+            leads_digest::<f32>(workers, false),
+            leads_digest::<f32>(workers, true),
+            leads_digest::<f64>(workers, false),
+            leads_digest::<f64>(workers, true),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x047c_da96_d229_51a2,
+                0x7bee_12d1_3377_16ad,
+                0xb44a_a746_6cf8_2c9f,
+                0x455f_bd04_a893_deaa,
+            ],
+            "workers {workers}: {got:#018x?}"
+        );
+    }
 }

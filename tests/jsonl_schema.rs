@@ -249,13 +249,14 @@ fn json_line_round_trips_the_documented_schema() {
     let streams: Vec<FleetStream<'_>> = inputs.iter().map(|i| FleetStream::single(i)).collect();
 
     let registry = TelemetryRegistry::new();
-    run_fleet_observed::<f32, _>(
+    run_fleet::<f32, _>(
         &config,
         Arc::clone(&codebook),
-        &streams,
+        FleetSource::Leads(&streams),
         SolverPolicy::default(),
         &FleetConfig::default(),
         &registry,
+        None,
         |_| {},
     )
     .unwrap();

@@ -56,13 +56,14 @@ fn healthz_flips_to_503_when_a_lane_stalls() {
     let codebook = Arc::new(uniform_codebook(config.alphabet()).unwrap());
     let inputs: Vec<Vec<i16>> = (0..2).map(|s| ecg_like(2, s as f64 * 0.03)).collect();
     let streams: Vec<FleetStream<'_>> = inputs.iter().map(|i| FleetStream::single(i)).collect();
-    run_fleet_observed::<f32, _>(
+    run_fleet::<f32, _>(
         &config,
         Arc::clone(&codebook),
-        &streams,
+        FleetSource::Leads(&streams),
         SolverPolicy::default(),
         &FleetConfig::default(),
         &registry,
+        None,
         |_| {},
     )
     .unwrap();

@@ -1,7 +1,7 @@
-//! End-to-end observability: the `*_observed` pipelines must populate a
-//! live telemetry registry with exactly one span per stage per packet,
-//! per-worker counters that sum to the packet count, and a solve trace
-//! per decode — while changing nothing about the reconstruction itself.
+//! End-to-end observability: the pipelines must populate a live
+//! telemetry registry with exactly one span per stage per packet,
+//! per-worker counters that sum to the packet count, and a solve trace per
+//! decode — while changing nothing about the reconstruction itself.
 
 use cs_ecg_monitor::prelude::*;
 use std::sync::Arc;
@@ -35,13 +35,14 @@ fn observed_fleet_populates_every_stage() {
 
     let registry = TelemetryRegistry::new();
     let fleet = FleetConfig { workers: 2, ..FleetConfig::default() };
-    let report = run_fleet_observed::<f32, _>(
+    let report = run_fleet::<f32, _>(
         &config,
         Arc::clone(&codebook),
-        &streams,
+        FleetSource::Leads(&streams),
         SolverPolicy::default(),
         &fleet,
         &registry,
+        None,
         |_| {},
     )
     .unwrap();
@@ -49,18 +50,12 @@ fn observed_fleet_populates_every_stage() {
 
     let snapshot = registry.snapshot();
     for stage in Stage::ALL {
-        // IngestValidate and Concealment belong to the wire-feed path
-        // (`run_fleet_wire`); the archive stages only fire when a durable
-        // sink or replay source is attached. The in-process fleet never
-        // enters any of them.
-        if matches!(
-            stage,
-            Stage::IngestValidate
-                | Stage::Concealment
-                | Stage::ArchiveAppend
-                | Stage::ArchiveReplay
-        ) {
-            assert_eq!(snapshot.stage(stage).count(), 0, "stage {stage} is not in-process");
+        // Concealment only fires on damaged traffic, and the archive
+        // stages when a durable sink or replay source is attached. Every
+        // other stage — frame validation included: a `Leads` frame crosses
+        // the same wire as any other — records once per packet.
+        if matches!(stage, Stage::Concealment | Stage::ArchiveAppend | Stage::ArchiveReplay) {
+            assert_eq!(snapshot.stage(stage).count(), 0, "stage {stage} on a clean, untapped run");
             continue;
         }
         assert_eq!(
@@ -126,13 +121,14 @@ fn observation_does_not_change_reconstruction() {
         Arc::clone(&codebook),
         &samples,
         SolverPolicy::default(),
+        &TelemetryRegistry::disabled(),
         |p| plain.push(p.samples.clone()),
     )
     .unwrap();
 
     let registry = TelemetryRegistry::new();
     let mut observed = Vec::new();
-    run_streaming_observed::<f64, _>(
+    run_streaming::<f64, _>(
         &config,
         codebook,
         &samples,
@@ -150,17 +146,16 @@ fn observation_does_not_change_reconstruction() {
     );
 }
 
-/// The default (unobserved) pipelines route through the process-wide
-/// disabled registry, which must stay empty no matter how much traffic
-/// passes through it.
+/// The process-wide disabled registry must stay empty no matter how
+/// much traffic passes through it.
 #[test]
 fn disabled_registry_records_nothing() {
     let (config, codebook) = setup();
     let samples = ecg_like(2, 0.01);
-    run_streaming::<f32, _>(&config, codebook, &samples, SolverPolicy::default(), |_| {})
+    let disabled = TelemetryRegistry::disabled();
+    run_streaming::<f32, _>(&config, codebook, &samples, SolverPolicy::default(), &disabled, |_| {})
         .unwrap();
 
-    let disabled = TelemetryRegistry::disabled();
     assert!(!disabled.is_enabled());
     let snapshot = disabled.snapshot();
     for stage in Stage::ALL {
