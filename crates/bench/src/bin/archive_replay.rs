@@ -33,7 +33,7 @@ use cs_core::{
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, Record, SyntheticDatabase};
 use cs_metrics::try_prd;
 use cs_platform::{ArchiveCapacityModel, SyncCadence};
-use cs_telemetry::{ArchiveOp, TelemetryRegistry};
+use cs_telemetry::{ArchiveOp, FamilyId, TelemetryRegistry};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -243,7 +243,7 @@ fn main() {
         "archive ops             : {}",
         ArchiveOp::ALL
             .iter()
-            .map(|&op| format!("{op}={}", snapshot.archive(op)))
+            .map(|&op| format!("{op}={}", snapshot.count(FamilyId::Archive, op)))
             .collect::<Vec<_>>()
             .join("  ")
     );

@@ -38,7 +38,7 @@ use cs_ecg_data::{
     resample_360_to_256, score_detections, AdcModel, BeatAnnotation, BeatType, EcgModel,
     EcgModelConfig, QrsDetectorConfig,
 };
-use cs_telemetry::{AlarmKind, TelemetryRegistry};
+use cs_telemetry::{AlarmKind, FamilyId, TelemetryRegistry};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -393,7 +393,7 @@ fn run_closed_loop(
         final_tier: controller.tier(0),
         routine_bits_per_window: per_window(bits[FidelityTier::Routine.index()]),
         diagnostic_bits_per_window: per_window(bits[FidelityTier::Diagnostic.index()]),
-        suppressed: telemetry.snapshot().alarms_suppressed,
+        suppressed: telemetry.snapshot().total(FamilyId::AlarmSuppressed),
     })
 }
 

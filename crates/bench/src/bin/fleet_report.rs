@@ -196,16 +196,17 @@ fn fault_panel(header: &str, wire_report: &FleetReport) {
 /// per-patient rhythm picture — all from the live registry the clinical
 /// engine recorded into while the wire fleet decoded.
 fn alarm_panel(registry: &TelemetryRegistry, engine: &ClinicalEngine, events: &[ClinicalEvent]) {
-    use cs_telemetry::{AlarmKind, BeatClass};
+    use cs_telemetry::{AlarmKind, BeatClass, FamilyId};
+    let snap = registry.snapshot();
     println!("== Clinical alarms (streaming analysis on decoded windows) ==");
     let census: Vec<String> = BeatClass::ALL
         .iter()
-        .filter(|&&c| registry.beat_count(c) > 0)
-        .map(|&c| format!("{} {}", registry.beat_count(c), c.name()))
+        .filter(|&&c| snap.count(FamilyId::Beat, c) > 0)
+        .map(|&c| format!("{} {}", snap.count(FamilyId::Beat, c), c.name()))
         .collect();
     println!(
         "beats classified        : {:>6}  ({})",
-        BeatClass::ALL.iter().map(|&c| registry.beat_count(c)).sum::<u64>(),
+        snap.total(FamilyId::Beat),
         census.join(", ")
     );
     println!(
@@ -220,17 +221,16 @@ fn alarm_panel(registry: &TelemetryRegistry, engine: &ClinicalEngine, events: &[
         println!(
             "{:<14} {:>7} {:>8} {:>7} {:>10}",
             kind.name(),
-            registry.alarm_raised_count(kind),
-            registry.alarm_cleared_count(kind),
-            registry.alarm_active_count(kind),
+            snap.count(FamilyId::AlarmRaised, kind),
+            snap.count(FamilyId::AlarmCleared, kind),
+            snap.count(FamilyId::AlarmActive, kind),
             transitions
         );
     }
     println!(
         "suppressed evaluations  : {:>6}  (beats inside concealed windows)",
-        registry.alarm_suppressed_total()
+        snap.total(FamilyId::AlarmSuppressed)
     );
-    let snap = registry.snapshot();
     match (snap.qrs_sensitivity(), snap.qrs_ppv()) {
         (Some(sens), Some(ppv)) => println!(
             "QRS sens / PPV          : {:>6.1} % / {:.1} %  (±50 ms vs all annotations; beats lost to concealed windows count as misses)",

@@ -44,7 +44,7 @@ use cs_core::{
 };
 use cs_ingest::{Connect, ControlCode, IngestClient, IngestConfig, IngestServer, LaneResume};
 use cs_platform::{TcpChaosProxy, TcpChaosSpec};
-use cs_telemetry::{MetricsServer, TelemetryRegistry, MAX_PATIENTS};
+use cs_telemetry::{FamilyId, IngestState, MetricsServer, TelemetryRegistry, MAX_PATIENTS};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -518,13 +518,15 @@ fn main() -> ExitCode {
 
     // 3. Telemetry balance: gauge at zero, one typed disconnect per session.
     let snap = telemetry.snapshot();
-    for (state, live) in snap.ingest_sessions {
+    for state in IngestState::ALL {
+        let live = snap.count(FamilyId::IngestSessions, state);
         if live != 0 {
             violations.push(format!("session gauge leaked: {live} stuck in {state:?}"));
         }
     }
-    let disconnects: u64 = snap.ingest_disconnects.iter().map(|&(_, n)| n).sum();
-    let accounted_sessions = snap.ingest_accepted + snap.ingest_shed;
+    let disconnects = snap.total(FamilyId::IngestDisconnects);
+    let accounted_sessions =
+        snap.total(FamilyId::IngestAccepted) + snap.total(FamilyId::IngestShed);
     if disconnects != accounted_sessions {
         violations.push(format!(
             "{disconnects} disconnects recorded for {accounted_sessions} sessions"
@@ -552,7 +554,7 @@ fn main() -> ExitCode {
     let p99_ms = (0..MAX_PATIENTS)
         .map(|p| telemetry.e2e(p))
         .filter(|h| h.count() > 0)
-        .map(|h| h.quantile(0.99))
+        .map(|h| h.snapshot().quantile(0.99))
         .max()
         .unwrap_or(0) as f64
         / 1e6;

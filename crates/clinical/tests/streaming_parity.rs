@@ -15,7 +15,7 @@ use cs_ecg_data::{
     detect_r_peaks, resample_360_to_256, score_detections, AdcModel, BeatAnnotation, EcgModel,
     EcgModelConfig, QrsDetectorConfig,
 };
-use cs_telemetry::{AlarmKind, AlarmSeverity, TelemetryRegistry};
+use cs_telemetry::{AlarmKind, AlarmSeverity, FamilyId, TelemetryRegistry};
 
 /// Synthesizes an arrhythmic record, round-trips it through the CS
 /// pipeline at `cr`, and returns `(reconstruction, truth @256 Hz)`.
@@ -136,9 +136,9 @@ fn engine_raises_tachycardia_and_closes_the_fidelity_loop() {
 
     // Telemetry saw the same story.
     let snap = telemetry.snapshot();
-    assert_eq!(snap.alarm(AlarmKind::Tachycardia).raised, 1);
-    assert_eq!(snap.alarm(AlarmKind::Tachycardia).cleared, 1);
-    assert_eq!(snap.alarm(AlarmKind::Tachycardia).active, 0);
+    assert_eq!(snap.count(FamilyId::AlarmRaised, AlarmKind::Tachycardia), 1);
+    assert_eq!(snap.count(FamilyId::AlarmCleared, AlarmKind::Tachycardia), 1);
+    assert_eq!(snap.count(FamilyId::AlarmActive, AlarmKind::Tachycardia), 0);
 }
 
 #[test]
@@ -167,10 +167,10 @@ fn concealed_windows_suppress_alarms_but_keep_continuity() {
         "no alarm may fire across a concealed gap: {events:?}"
     );
     let snap = telemetry.snapshot();
-    assert_eq!(snap.alarm(AlarmKind::Asystole).raised, 0);
-    assert_eq!(snap.alarms_suppressed, 3, "one suppression per concealed window");
+    assert_eq!(snap.count(FamilyId::AlarmRaised, AlarmKind::Asystole), 0);
+    assert_eq!(snap.total(FamilyId::AlarmSuppressed), 3, "one suppression per concealed window");
     // The beat stream kept flowing after the gap.
-    assert!(snap.beats.iter().map(|&(_, c)| c).sum::<u64>() > 50);
+    assert!(snap.total(FamilyId::Beat) > 50);
 }
 
 #[test]

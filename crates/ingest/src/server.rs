@@ -18,7 +18,7 @@ use cs_telemetry::TelemetryRegistry;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Session-lifecycle and admission policy knobs.
@@ -85,9 +85,31 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Fresh shared state: nothing admitted, nothing seen, not draining.
+    pub fn new(
+        config: IngestConfig,
+        telemetry: TelemetryRegistry,
+        feed: crossbeam::channel::Sender<WireFrame>,
+    ) -> Self {
+        Shared {
+            admission: AdmissionController::new(config.max_sessions, config.shed_backlog),
+            config,
+            telemetry,
+            feed,
+            drain: AtomicBool::new(false),
+            slots: Mutex::new(HashMap::new()),
+            sessions_served: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        }
+    }
+
     /// Dense slot for a patient, allocating the next one on first sight.
     pub fn slot(&self, patient: u32) -> usize {
-        let mut slots = self.slots.lock().expect("slot directory lock");
+        // A poisoned lock is recovered, not propagated: the map has no
+        // multi-step invariant a panicking holder could have broken, and
+        // one dead session thread must not take every later session down.
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         let next = slots.len();
         *slots.entry(patient).or_insert(next)
     }
@@ -134,17 +156,7 @@ impl IngestServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            admission: AdmissionController::new(config.max_sessions, config.shed_backlog),
-            config,
-            telemetry,
-            feed,
-            drain: AtomicBool::new(false),
-            slots: Mutex::new(HashMap::new()),
-            sessions_served: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(config, telemetry, feed));
         let stop = Arc::new(AtomicBool::new(false));
         let sessions = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
@@ -181,7 +193,7 @@ impl IngestServer {
         self.stop_accept();
         // The accept thread is joined, so no new handles can appear.
         let handles = {
-            let mut sessions = self.sessions.lock().expect("session table lock");
+            let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *sessions)
         };
         for handle in handles {
@@ -190,7 +202,7 @@ impl IngestServer {
         let shared = &self.shared;
         DrainSummary {
             sessions: shared.sessions_served.load(Ordering::Relaxed),
-            patients: shared.slots.lock().expect("slot directory lock").len() as u64,
+            patients: shared.slots.lock().unwrap_or_else(PoisonError::into_inner).len() as u64,
             frames: shared.frames.load(Ordering::Relaxed),
             bytes: shared.bytes.load(Ordering::Relaxed),
             sheds: shared.admission.shed_total(),
@@ -234,8 +246,33 @@ fn accept_loop(
             .name("cs-ingest-session".into())
             .spawn(move || session::run(stream, &session_shared));
         match handle {
-            Ok(handle) => sessions.lock().expect("session table lock").push(handle),
+            Ok(handle) => sessions.lock().unwrap_or_else(PoisonError::into_inner).push(handle),
             Err(_) => continue, // spawn failure: the connection just closes
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slot_directory_survives_a_poisoned_lock() {
+        let (feed, _frames) = crossbeam::channel::bounded(1);
+        let telemetry = TelemetryRegistry::disabled();
+        let shared = Arc::new(Shared::new(IngestConfig::default(), telemetry, feed));
+        assert_eq!(shared.slot(7), 0);
+        // A session thread dies holding the directory.
+        let holder = Arc::clone(&shared);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.slots.lock().unwrap();
+            panic!("session thread panics while holding the slot directory");
+        })
+        .join();
+        assert!(died.is_err() && shared.slots.is_poisoned());
+        // Later sessions still resolve: a known patient keeps its slot, a
+        // new one gets the next.
+        assert_eq!(shared.slot(7), 0);
+        assert_eq!(shared.slot(9), 1);
     }
 }

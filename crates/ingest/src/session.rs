@@ -3,7 +3,7 @@
 //! Runs on its own thread (spawned by the accept loop) and owns the
 //! connection end to end. Every exit path records exactly one
 //! [`IngestDisconnect`] reason and keeps the
-//! [`cs_ingest_sessions`](cs_telemetry::TelemetryRegistry::ingest_sessions)
+//! [`cs_ingest_sessions`](cs_telemetry::FamilyId::IngestSessions)
 //! gauge balanced, so the live session table is always reconstructible
 //! from telemetry alone.
 //!

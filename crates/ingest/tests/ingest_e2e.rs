@@ -12,7 +12,7 @@ use cs_core::{
     SystemConfig, WireFrame,
 };
 use cs_ingest::{Connect, ControlCode, IngestClient, IngestConfig, IngestServer, LaneResume};
-use cs_telemetry::{IngestDisconnect, IngestState, TelemetryRegistry};
+use cs_telemetry::{FamilyId, IngestDisconnect, IngestState, TelemetryRegistry};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,10 +126,10 @@ fn frames_over_tcp_decode_and_account_exactly() {
     // Telemetry: the session gauge is balanced and the disconnect is typed.
     let snap = stack.telemetry.snapshot();
     for state in IngestState::ALL {
-        assert_eq!(snap.ingest_sessions[state.index()].1, 0, "gauge leaked for {state}");
+        assert_eq!(snap.count(FamilyId::IngestSessions, state), 0, "gauge leaked for {state}");
     }
-    assert_eq!(snap.ingest_disconnects[IngestDisconnect::ClientClosed.index()].1, 1);
-    assert_eq!(snap.ingest_frames, 4);
+    assert_eq!(snap.count(FamilyId::IngestDisconnects, IngestDisconnect::ClientClosed), 1);
+    assert_eq!(snap.total(FamilyId::IngestFrames), 4);
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn admission_sheds_with_typed_nack_and_retry_after() {
     };
     assert_eq!(nack.code, ControlCode::Shed);
     assert_eq!(nack.retry_after_secs, 7, "NACK carries the Retry-After hint");
-    eventually("shed never counted", || stack.telemetry.ingest_shed_total() == 1);
+    eventually("shed never counted", || stack.telemetry.snapshot().total(FamilyId::IngestShed) == 1);
 
     let goodbye = first.finish(Duration::from_secs(5)).unwrap();
     assert_eq!(goodbye.code, ControlCode::Goodbye);
@@ -196,7 +196,7 @@ fn partial_hello_is_cut_at_the_handshake_deadline() {
     // The disconnect surfaced with the right taxonomy.
     eventually("handshake timeout never recorded", || {
         let snap = stack.telemetry.snapshot();
-        snap.ingest_disconnects[IngestDisconnect::HandshakeTimeout.index()].1 == 1
+        snap.count(FamilyId::IngestDisconnects, IngestDisconnect::HandshakeTimeout) == 1
     });
     stack.server.drain();
     drop(stack.engine.join().unwrap().unwrap());
@@ -222,7 +222,7 @@ fn garbage_hello_gets_bad_handshake_nack() {
     assert_eq!(control.code, ControlCode::BadHandshake);
     eventually("bad handshake never recorded", || {
         let snap = stack.telemetry.snapshot();
-        snap.ingest_disconnects[IngestDisconnect::BadHandshake.index()].1 == 1
+        snap.count(FamilyId::IngestDisconnects, IngestDisconnect::BadHandshake) == 1
     });
     stack.server.drain();
     drop(stack.engine.join().unwrap().unwrap());
@@ -270,7 +270,7 @@ fn trickling_session_is_evicted_as_slow_loris() {
     let evicted = evicted.expect("server must evict the trickler");
     assert_eq!(evicted.code, ControlCode::Evicted);
     let snap = stack.telemetry.snapshot();
-    assert_eq!(snap.ingest_disconnects[IngestDisconnect::SlowLoris.index()].1, 1);
+    assert_eq!(snap.count(FamilyId::IngestDisconnects, IngestDisconnect::SlowLoris), 1);
     stack.server.drain();
     drop(stack.engine.join().unwrap().unwrap());
 }
@@ -381,8 +381,8 @@ fn graceful_drain_loses_nothing_from_wellbehaved_clients() {
     assert_eq!(report.faults.decoded as usize, sent, "zero frames lost across the drain");
     let snap = stack.telemetry.snapshot();
     assert_eq!(
-        snap.ingest_disconnects[IngestDisconnect::Drained.index()].1
-            + snap.ingest_disconnects[IngestDisconnect::ClientClosed.index()].1,
+        snap.count(FamilyId::IngestDisconnects, IngestDisconnect::Drained)
+            + snap.count(FamilyId::IngestDisconnects, IngestDisconnect::ClientClosed),
         1
     );
 }

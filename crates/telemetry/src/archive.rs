@@ -7,85 +7,22 @@
 //! increment and the exporters can always emit the full family
 //! (`cs_archive_total{op=…}`).
 
-/// A durable-store operation, in lifecycle order (write → seal → recover
-/// → read → retire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArchiveOp {
-    /// One wire frame appended to a segment.
-    Append,
-    /// One segment sealed (footer + sparse index written) at rotation or
-    /// close.
-    Seal,
-    /// One segment recovery-scanned at open (the unsealed-tail path).
-    Recover,
-    /// One torn tail record truncated during a recovery scan.
-    TornTail,
-    /// One frame yielded by a replay iterator.
-    Replay,
-    /// One segment deleted by retention compaction.
-    Compact,
-}
-
-impl ArchiveOp {
-    /// Number of operations (the registry's counter-array length).
-    pub const COUNT: usize = 6;
-
-    /// Every op, in lifecycle order.
-    pub const ALL: [ArchiveOp; ArchiveOp::COUNT] = [
-        ArchiveOp::Append,
-        ArchiveOp::Seal,
-        ArchiveOp::Recover,
-        ArchiveOp::TornTail,
-        ArchiveOp::Replay,
-        ArchiveOp::Compact,
-    ];
-
-    /// Dense index into per-op arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name, used as the Prometheus `op` label and the
-    /// JSON-Lines key.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArchiveOp::Append => "append",
-            ArchiveOp::Seal => "seal",
-            ArchiveOp::Recover => "recover",
-            ArchiveOp::TornTail => "torn_tail",
-            ArchiveOp::Replay => "replay",
-            ArchiveOp::Compact => "compact",
-        }
-    }
-}
-
-impl std::fmt::Display for ArchiveOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn indices_are_dense_and_ordered() {
-        for (i, op) in ArchiveOp::ALL.iter().enumerate() {
-            assert_eq!(op.index(), i);
-        }
-        assert_eq!(ArchiveOp::ALL.len(), ArchiveOp::COUNT);
-    }
-
-    #[test]
-    fn names_are_unique_snake_case() {
-        let mut names: Vec<&str> = ArchiveOp::ALL.iter().map(|o| o.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ArchiveOp::COUNT);
-        for n in names {
-            assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-        }
+label_set! {
+    /// A durable-store operation, in lifecycle order (write → seal → recover
+    /// → read → retire).
+    pub enum ArchiveOp("op") {
+        /// One wire frame appended to a segment.
+        Append => "append",
+        /// One segment sealed (footer + sparse index written) at rotation or
+        /// close.
+        Seal => "seal",
+        /// One segment recovery-scanned at open (the unsealed-tail path).
+        Recover => "recover",
+        /// One torn tail record truncated during a recovery scan.
+        TornTail => "torn_tail",
+        /// One frame yielded by a replay iterator.
+        Replay => "replay",
+        /// One segment deleted by retention compaction.
+        Compact => "compact",
     }
 }

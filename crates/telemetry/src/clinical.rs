@@ -7,96 +7,31 @@
 //! atomic-counter arrays — raising an alarm is one relaxed increment on
 //! the decode hot path.
 
-/// A beat class assigned by the streaming classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BeatClass {
-    /// A sinus beat: on-time RR, normal morphology.
-    Normal,
-    /// Premature ventricular contraction: early, wide, high-energy QRS.
-    Pvc,
-    /// Atrial premature contraction: early beat with normal QRS
-    /// morphology.
-    Apc,
-}
-
-impl BeatClass {
-    /// Number of beat classes (the registry's counter-array length).
-    pub const COUNT: usize = 3;
-
-    /// Every class, in classifier-priority order.
-    pub const ALL: [BeatClass; BeatClass::COUNT] =
-        [BeatClass::Normal, BeatClass::Pvc, BeatClass::Apc];
-
-    /// Dense index into per-class arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name, used as the Prometheus `class` label and
-    /// the JSON-Lines key.
-    pub fn name(self) -> &'static str {
-        match self {
-            BeatClass::Normal => "normal",
-            BeatClass::Pvc => "pvc",
-            BeatClass::Apc => "apc",
-        }
+label_set! {
+    /// A beat class assigned by the streaming classifier.
+    pub enum BeatClass("class") {
+        /// A sinus beat: on-time RR, normal morphology.
+        Normal => "normal",
+        /// Premature ventricular contraction: early, wide, high-energy QRS.
+        Pvc => "pvc",
+        /// Atrial premature contraction: early beat with normal QRS
+        /// morphology.
+        Apc => "apc",
     }
 }
 
-impl std::fmt::Display for BeatClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// An alarm condition tracked by the per-patient state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlarmKind {
-    /// A run of premature ventricular contractions in the recent beat
-    /// history.
-    PvcRun,
-    /// Sustained heart rate above the tachycardia threshold.
-    Tachycardia,
-    /// Sustained heart rate below the bradycardia threshold.
-    Bradycardia,
-    /// No detected beat for longer than the asystole timeout.
-    Asystole,
-}
-
-impl AlarmKind {
-    /// Number of alarm kinds (the registry's counter-array length).
-    pub const COUNT: usize = 4;
-
-    /// Every kind, in escalation-review order.
-    pub const ALL: [AlarmKind; AlarmKind::COUNT] = [
-        AlarmKind::PvcRun,
-        AlarmKind::Tachycardia,
-        AlarmKind::Bradycardia,
-        AlarmKind::Asystole,
-    ];
-
-    /// Dense index into per-kind arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name, used as the Prometheus `kind` label and
-    /// the JSON-Lines key.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlarmKind::PvcRun => "pvc_run",
-            AlarmKind::Tachycardia => "tachycardia",
-            AlarmKind::Bradycardia => "bradycardia",
-            AlarmKind::Asystole => "asystole",
-        }
-    }
-}
-
-impl std::fmt::Display for AlarmKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+label_set! {
+    /// An alarm condition tracked by the per-patient state machine.
+    pub enum AlarmKind("kind") {
+        /// A run of premature ventricular contractions in the recent beat
+        /// history.
+        PvcRun => "pvc_run",
+        /// Sustained heart rate above the tachycardia threshold.
+        Tachycardia => "tachycardia",
+        /// Sustained heart rate below the bradycardia threshold.
+        Bradycardia => "bradycardia",
+        /// No detected beat for longer than the asystole timeout.
+        Asystole => "asystole",
     }
 }
 
@@ -134,31 +69,6 @@ impl std::fmt::Display for AlarmSeverity {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn indices_are_dense_and_ordered() {
-        for (i, kind) in AlarmKind::ALL.iter().enumerate() {
-            assert_eq!(kind.index(), i);
-        }
-        for (i, class) in BeatClass::ALL.iter().enumerate() {
-            assert_eq!(class.index(), i);
-        }
-        assert_eq!(AlarmKind::ALL.len(), AlarmKind::COUNT);
-        assert_eq!(BeatClass::ALL.len(), BeatClass::COUNT);
-    }
-
-    #[test]
-    fn names_are_unique_snake_case() {
-        let mut names: Vec<&str> = AlarmKind::ALL.iter().map(|k| k.name()).collect();
-        names.extend(BeatClass::ALL.iter().map(|c| c.name()));
-        let total = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), total);
-        for n in names {
-            assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-        }
-    }
 
     #[test]
     fn severity_orders_by_urgency() {

@@ -1,21 +1,27 @@
 //! Exporters: Prometheus text exposition and JSON-Lines snapshots.
 //!
 //! Both render a [`TelemetrySnapshot`], so an export never holds any lock
-//! the recording paths contend on. The formats are hand-rolled and the
-//! crate stays dependency-free; label values pass through
-//! [`escape_label`] so the output stays spec-conformant even if a label
-//! set ever grows a quote, backslash, or newline (today's sets are
-//! closed snake_case identifiers, so escaping is a no-op in practice —
-//! verified by `tests/prometheus_conformance.rs`).
+//! the recording paths contend on, and both are driven by the
+//! [family table](crate::family): [`prometheus`] is one loop over
+//! [`FAMILIES`], and [`json_line`] writes every stored family's number or
+//! label map from its row, keeping hand-written writers only for the
+//! blocks with a shape of their own (`stages`, `solver_iterations`,
+//! `e2e`, `slo`, `alarms`, `qrs`, `render`, `journal`). The formats are
+//! hand-rolled and the crate stays dependency-free; every label value
+//! passes through [`escape_label`] in the one sample writer, so the
+//! output stays spec-conformant even if a label set ever grows a quote,
+//! backslash, or newline (today's sets are closed snake_case identifiers,
+//! so escaping is a no-op in practice — verified by
+//! `tests/prometheus_conformance.rs`).
 //!
 //! Rendering through [`TelemetryRegistry::prometheus`] /
 //! [`TelemetryRegistry::json_line`] is itself observed: render time
 //! lands in the `cs_exporter_render_seconds` histogram (one scrape
 //! behind, since a render can't include its own duration).
 
-use crate::histogram::{bucket_upper, HistogramSnapshot};
+use crate::family::{observed, Family, FamilyId, Layer, FAMILIES};
 use crate::registry::{TelemetryRegistry, TelemetrySnapshot};
-use crate::slo::HealthState;
+use crate::AlarmKind;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -30,375 +36,56 @@ pub fn escape_label(value: &str) -> std::borrow::Cow<'_, str> {
     if !value.contains(['\\', '"', '\n']) {
         return std::borrow::Cow::Borrowed(value);
     }
-    let mut out = String::with_capacity(value.len() + 2);
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    std::borrow::Cow::Owned(out)
+    let escaped = value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+    std::borrow::Cow::Owned(escaped)
 }
 
-/// Writes one classic histogram family (cumulative occupied buckets,
-/// `+Inf`, `_sum`, `_count`) with an optional pre-rendered label prefix
-/// like `patient="3",` and a bucket-value-to-`le` mapping.
-fn write_histogram(
-    out: &mut String,
-    family: &str,
-    labels: &str,
-    hist: &HistogramSnapshot,
-    le: impl Fn(u64) -> String,
-    sum: impl Fn(u64) -> String,
-) {
-    let mut cumulative = 0u64;
-    for (i, &c) in hist.buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        cumulative += c;
-        let _ = writeln!(
-            out,
-            "{family}_bucket{{{labels}le=\"{}\"}} {cumulative}",
-            le(bucket_upper(i))
-        );
-    }
-    let _ = writeln!(out, "{family}_bucket{{{labels}le=\"+Inf\"}} {}", hist.count());
-    // A label-free series is written bare (`x_sum 3`), not as `x_sum{}`.
-    let braces = |s: &str| {
-        if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", s.trim_end_matches(','))
-        }
-    };
-    let _ = writeln!(out, "{family}_sum{} {}", braces(labels), sum(hist.sum_ns()));
-    let _ = writeln!(out, "{family}_count{} {}", braces(labels), hist.count());
-}
-
-fn seconds(ns: u64) -> String {
-    format!("{}", ns as f64 / 1e9)
-}
-
-/// Renders a snapshot in the Prometheus text exposition format.
-///
-/// Per stage with at least one observation: a classic `histogram` family
-/// (`cs_stage_latency_ns_bucket{stage=...,le=...}` with cumulative counts
-/// at each occupied bucket's upper bound plus `+Inf`, `_sum`, `_count`)
-/// and p50/p95/p99 gauges. Plus per-worker packet counters and journal
-/// accounting gauges.
+/// Renders a snapshot in the Prometheus text exposition format: every
+/// row of [`FAMILIES`] that is present, in table order, as `# HELP`,
+/// `# TYPE` and its samples. `DESIGN.md` §7 lists the families.
 pub fn prometheus(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
-    out.push_str("# HELP cs_stage_latency_ns Per-stage pipeline latency in nanoseconds\n");
-    out.push_str("# TYPE cs_stage_latency_ns histogram\n");
-    for (stage, hist) in &snap.stages {
-        if hist.count() == 0 {
-            continue;
-        }
-        let labels = format!("stage=\"{}\",", escape_label(stage.name()));
-        write_histogram(
-            &mut out,
-            "cs_stage_latency_ns",
-            &labels,
-            hist,
-            |u| u.to_string(),
-            |s| s.to_string(),
-        );
-    }
-    out.push_str("# HELP cs_stage_latency_quantile_ns Per-stage latency quantiles (log2-bucket resolution)\n");
-    out.push_str("# TYPE cs_stage_latency_quantile_ns gauge\n");
-    for (stage, hist) in &snap.stages {
-        if hist.count() == 0 {
-            continue;
-        }
-        for (p, label) in REPORT_QUANTILES {
-            let _ = writeln!(
-                out,
-                "cs_stage_latency_quantile_ns{{stage=\"{}\",quantile=\"{}\"}} {}",
-                stage.name(),
-                label,
-                hist.quantile(p)
-            );
-        }
-    }
-    // Per-mode solver iteration histograms: only modes that have solved
-    // appear, so a deployment without the block prior exports cold/warm only.
-    if snap.solver_iterations.iter().any(|(_, h)| h.count() > 0) {
-        out.push_str("# HELP cs_solver_iterations FISTA iterations per solve by solver mode\n");
-        out.push_str("# TYPE cs_solver_iterations histogram\n");
-        for (mode, hist) in &snap.solver_iterations {
-            if hist.count() == 0 {
-                continue;
-            }
-            let labels = format!("mode=\"{}\",", escape_label(mode.name()));
-            write_histogram(
-                &mut out,
-                "cs_solver_iterations",
-                &labels,
-                hist,
-                |u| u.to_string(),
-                |s| s.to_string(),
-            );
-        }
-    }
-    out.push_str("# HELP cs_worker_packets_total Packets decoded per fleet worker\n");
-    out.push_str("# TYPE cs_worker_packets_total counter\n");
-    for (worker, &packets) in snap.worker_packets.iter().enumerate() {
-        if packets > 0 {
-            let _ = writeln!(
-                out,
-                "cs_worker_packets_total{{worker=\"{worker}\"}} {packets}"
-            );
-        }
-    }
-    out.push_str("# HELP cs_fault_total Fault and recovery events by kind\n");
-    out.push_str("# TYPE cs_fault_total counter\n");
-    // Every kind is always emitted, zero or not: a dashboard watching
-    // quarantine rates must see an explicit 0, not a missing series.
-    for (kind, count) in &snap.faults {
-        let _ = writeln!(out, "cs_fault_total{{kind=\"{}\"}} {count}", kind.name());
-    }
-    out.push_str("# HELP cs_archive_total Durable-store operations by kind\n");
-    out.push_str("# TYPE cs_archive_total counter\n");
-    // Like faults: every op is emitted explicitly, zero or not, so a
-    // dashboard watching torn-tail rates sees 0 rather than a gap.
-    for (op, count) in &snap.archive_ops {
-        let _ = writeln!(out, "cs_archive_total{{op=\"{}\"}} {count}", op.name());
-    }
-    // ── Clinical analysis families (only once the clinical layer has
-    // classified a beat, scored a detection, or touched an alarm —
-    // fleets without a clinical tap export nothing). ──
-    let clinical_active = snap.beats.iter().any(|(_, c)| *c > 0)
-        || snap.alarms.iter().any(|(_, c)| c.raised > 0)
-        || snap.alarms_suppressed > 0
-        || snap.qrs_true_positive + snap.qrs_false_positive + snap.qrs_false_negative > 0;
-    if clinical_active {
-        out.push_str("# HELP cs_beat_total Classified beats by class\n");
-        out.push_str("# TYPE cs_beat_total counter\n");
-        // Every class explicit, zero or not: a dashboard watching PVC
-        // rates must see 0, not a missing series.
-        for (class, count) in &snap.beats {
-            let _ = writeln!(out, "cs_beat_total{{class=\"{}\"}} {count}", class.name());
-        }
-        out.push_str("# HELP cs_alarm_raised_total Alarm activations by kind\n");
-        out.push_str("# TYPE cs_alarm_raised_total counter\n");
-        for (kind, counts) in &snap.alarms {
-            let _ = writeln!(
-                out,
-                "cs_alarm_raised_total{{kind=\"{}\"}} {}",
-                kind.name(),
-                counts.raised
-            );
-        }
-        out.push_str("# HELP cs_alarm_cleared_total Alarm clearances by kind\n");
-        out.push_str("# TYPE cs_alarm_cleared_total counter\n");
-        for (kind, counts) in &snap.alarms {
-            let _ = writeln!(
-                out,
-                "cs_alarm_cleared_total{{kind=\"{}\"}} {}",
-                kind.name(),
-                counts.cleared
-            );
-        }
-        out.push_str("# HELP cs_alarm_active Currently active alarms by kind\n");
-        out.push_str("# TYPE cs_alarm_active gauge\n");
-        for (kind, counts) in &snap.alarms {
-            let _ = writeln!(
-                out,
-                "cs_alarm_active{{kind=\"{}\"}} {}",
-                kind.name(),
-                counts.active
-            );
-        }
-        out.push_str(
-            "# HELP cs_alarm_suppressed_total Alarm evaluations suppressed over concealed windows\n",
-        );
-        out.push_str("# TYPE cs_alarm_suppressed_total counter\n");
-        let _ = writeln!(out, "cs_alarm_suppressed_total {}", snap.alarms_suppressed);
-        // QRS score gauges appear only once their denominators are
-        // non-zero — a ratio over nothing is a lie, not a zero.
-        if let Some(sens) = snap.qrs_sensitivity() {
-            out.push_str(
-                "# HELP cs_qrs_sensitivity Streaming QRS detection sensitivity vs annotations\n",
-            );
-            out.push_str("# TYPE cs_qrs_sensitivity gauge\n");
-            let _ = writeln!(out, "cs_qrs_sensitivity {sens}");
-        }
-        if let Some(ppv) = snap.qrs_ppv() {
-            out.push_str(
-                "# HELP cs_qrs_ppv Streaming QRS detection positive predictive value vs annotations\n",
-            );
-            out.push_str("# TYPE cs_qrs_ppv gauge\n");
-            let _ = writeln!(out, "cs_qrs_ppv {ppv}");
-        }
-    }
-    out.push_str("# HELP cs_journal_traces Event-journal accounting\n");
-    out.push_str("# TYPE cs_journal_traces gauge\n");
-    let _ = writeln!(out, "cs_journal_traces{{state=\"buffered\"}} {}", snap.journal_len);
-    let _ = writeln!(out, "cs_journal_traces{{state=\"pushed\"}} {}", snap.journal_pushed);
-    let _ = writeln!(out, "cs_journal_traces{{state=\"dropped\"}} {}", snap.journal_dropped);
-    // ── End-to-end tracing and SLO families (active patients only). ──
-    if !snap.e2e.is_empty() {
-        out.push_str(
-            "# HELP cs_e2e_latency_seconds Capture-to-emit latency per patient\n",
-        );
-        out.push_str("# TYPE cs_e2e_latency_seconds histogram\n");
-        for (patient, hist) in &snap.e2e {
-            let labels = format!("patient=\"{patient}\",");
-            write_histogram(&mut out, "cs_e2e_latency_seconds", &labels, hist, seconds, seconds);
-        }
-    }
-    if !snap.slo.patients.is_empty() {
-        out.push_str("# HELP cs_deadline_miss_total Emissions that exceeded the end-to-end deadline budget\n");
-        out.push_str("# TYPE cs_deadline_miss_total counter\n");
-        for p in &snap.slo.patients {
-            let _ = writeln!(
-                out,
-                "cs_deadline_miss_total{{patient=\"{}\"}} {}",
-                p.patient, p.deadline_misses
-            );
-        }
-        out.push_str("# HELP cs_lane_freshness_seconds Age of the newest emission per patient lane\n");
-        out.push_str("# TYPE cs_lane_freshness_seconds gauge\n");
-        for p in &snap.slo.patients {
-            for lane in &p.lanes {
-                let _ = writeln!(
-                    out,
-                    "cs_lane_freshness_seconds{{patient=\"{}\",lane=\"{}\"}} {}",
-                    p.patient,
-                    lane.lane,
-                    lane.age_ns as f64 / 1e9
-                );
-            }
-        }
-        out.push_str("# HELP cs_lane_newest_seq Newest emitted sequence number per patient lane\n");
-        out.push_str("# TYPE cs_lane_newest_seq gauge\n");
-        for p in &snap.slo.patients {
-            for lane in &p.lanes {
-                let _ = writeln!(
-                    out,
-                    "cs_lane_newest_seq{{patient=\"{}\",lane=\"{}\"}} {}",
-                    p.patient, lane.lane, lane.newest_seq
-                );
-            }
-        }
-        out.push_str("# HELP cs_slo_burn_rate Error-budget burn rate per patient and window\n");
-        out.push_str("# TYPE cs_slo_burn_rate gauge\n");
-        for p in &snap.slo.patients {
-            let _ = writeln!(
-                out,
-                "cs_slo_burn_rate{{patient=\"{}\",window=\"fast\"}} {}",
-                p.patient, p.fast_burn
-            );
-            let _ = writeln!(
-                out,
-                "cs_slo_burn_rate{{patient=\"{}\",window=\"slow\"}} {}",
-                p.patient, p.slow_burn
-            );
-        }
-        out.push_str("# HELP cs_patient_health Derived SLO health (one-hot over states)\n");
-        out.push_str("# TYPE cs_patient_health gauge\n");
-        for p in &snap.slo.patients {
-            for state in HealthState::ALL {
-                let _ = writeln!(
-                    out,
-                    "cs_patient_health{{patient=\"{}\",state=\"{}\"}} {}",
-                    p.patient,
-                    escape_label(state.name()),
-                    u64::from(p.health == state)
-                );
-            }
-        }
-    }
-    // ── Socket-ingest lifecycle (only once the ingest layer has seen a
-    // session or shed one — fleets fed in-process export nothing). ──
-    if snap.ingest_accepted > 0 || snap.ingest_shed > 0 {
-        out.push_str("# HELP cs_ingest_sessions Live ingest sessions by lifecycle state\n");
-        out.push_str("# TYPE cs_ingest_sessions gauge\n");
-        // Every state explicit, zero or not: a dashboard watching drain
-        // progress needs the 0, not a missing series.
-        for (state, count) in &snap.ingest_sessions {
-            let _ = writeln!(
-                out,
-                "cs_ingest_sessions{{state=\"{}\"}} {count}",
-                escape_label(state.name())
-            );
-        }
-        out.push_str("# HELP cs_ingest_sessions_total Sessions ever admitted to handshaking\n");
-        out.push_str("# TYPE cs_ingest_sessions_total counter\n");
-        let _ = writeln!(out, "cs_ingest_sessions_total {}", snap.ingest_accepted);
-        out.push_str("# HELP cs_ingest_shed_total Sessions refused by the admission controller\n");
-        out.push_str("# TYPE cs_ingest_shed_total counter\n");
-        let _ = writeln!(out, "cs_ingest_shed_total {}", snap.ingest_shed);
-        out.push_str("# HELP cs_ingest_disconnect_total Session terminations by reason\n");
-        out.push_str("# TYPE cs_ingest_disconnect_total counter\n");
-        for (reason, count) in &snap.ingest_disconnects {
-            let _ = writeln!(
-                out,
-                "cs_ingest_disconnect_total{{reason=\"{}\"}} {count}",
-                escape_label(reason.name())
-            );
-        }
-        out.push_str("# HELP cs_ingest_frames_total Frames accepted off ingest sockets\n");
-        out.push_str("# TYPE cs_ingest_frames_total counter\n");
-        let _ = writeln!(out, "cs_ingest_frames_total {}", snap.ingest_frames);
-        out.push_str("# HELP cs_ingest_bytes_total Wire bytes accepted off ingest sockets\n");
-        out.push_str("# TYPE cs_ingest_bytes_total counter\n");
-        let _ = writeln!(out, "cs_ingest_bytes_total {}", snap.ingest_bytes);
-    }
-    // ── Telemetry self-observation: the exporter in its own output. ──
-    out.push_str("# HELP cs_telemetry_scrapes_total HTTP scrape requests by endpoint\n");
-    out.push_str("# TYPE cs_telemetry_scrapes_total counter\n");
-    // Zeros included: a dashboard alerting on scrape starvation needs an
-    // explicit 0 series from the first render.
-    for (endpoint, count) in &snap.scrapes {
-        let _ = writeln!(
-            out,
-            "cs_telemetry_scrapes_total{{endpoint=\"{}\"}} {count}",
-            escape_label(endpoint.name())
-        );
-    }
-    if snap.render_ns.count() > 0 {
-        out.push_str("# HELP cs_exporter_render_seconds Exporter render time (lags the current render by one scrape)\n");
-        out.push_str("# TYPE cs_exporter_render_seconds histogram\n");
-        write_histogram(&mut out, "cs_exporter_render_seconds", "", &snap.render_ns, seconds, seconds);
+    for family in &FAMILIES {
+        family.write_prometheus(snap, &mut out);
     }
     out
 }
 
-fn stage_json(name: &str, hist: &HistogramSnapshot, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"stage\":\"{}\",\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1}}}",
-        name,
-        hist.count(),
-        hist.quantile(0.50),
-        hist.quantile(0.95),
-        hist.quantile(0.99),
-        hist.min_ns(),
-        hist.max_ns(),
-        hist.mean_ns()
-    );
+/// Writes `items` through `each`, comma-separated.
+pub(crate) fn joined<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+}
+
+/// Writes the generic `"key":…` entries of `layer` — its unlabelled
+/// stored families, its label maps, or (`None`) the former then the
+/// latter — comma-separated.
+fn layer_json(out: &mut String, snap: &TelemetrySnapshot, layer: Layer, labelled: Option<bool>) {
+    let wanted = move |l| labelled.is_none_or(|only| only == l);
+    let keys = |l| Family::json_keys(layer, l).filter(move |_| wanted(l));
+    joined(out, keys(false).chain(keys(true)), |out, family| family.write_json(snap, out));
 }
 
 /// Renders a snapshot as one JSON-Lines record (a single line, no
 /// trailing newline). Stages with zero observations and trailing
 /// zero-count workers are elided to keep lines scannable.
 ///
-/// Record schema (stable keys, in order): `uptime_s` (seconds since
-/// registry creation), `ts_unix_s` (absolute wall-clock seconds since
-/// the Unix epoch at snapshot time), `stages`, `worker_packets`,
-/// `faults`, `archive`, optional `solver_iterations` (per-mode
-/// iteration stats), `e2e` (per-patient end-to-end latency), `slo`
-/// (per-patient health, freshness, burn rates, lane watermarks),
-/// optional `ingest` (socket-session lifecycle,
-/// present once a session was admitted or shed), optional `clinical`
-/// (beat classes, alarm counters, concealment suppressions, QRS score —
-/// present once the clinical layer has recorded anything), `scrapes`
-/// (zero counts elided), optional `render` (exporter self-observation),
-/// `journal`.
+/// Keys, in order: `uptime_s` (seconds since registry creation),
+/// `ts_unix_s` (absolute wall-clock seconds since the Unix epoch at
+/// snapshot time), `stages`, `worker_packets`, the pipeline layer's
+/// stored families (`faults`, `archive`), optional `solver_iterations`,
+/// `e2e`, `slo`, optional `ingest` and `clinical` objects (present once
+/// their layer is active), the exporter layer's stored families
+/// (`scrapes`), optional `render`, `journal`. Which family lands under
+/// which key is the `json` column of [`FAMILIES`] (`DESIGN.md` §7).
 pub fn json_line(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     let _ = write!(
@@ -407,113 +94,66 @@ pub fn json_line(snap: &TelemetrySnapshot) -> String {
         snap.uptime.as_secs_f64(),
         snap.unix_time_s
     );
-    let mut first = true;
-    for (stage, hist) in &snap.stages {
-        if hist.count() == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        stage_json(stage.name(), hist, &mut out);
-    }
+    joined(&mut out, observed(&snap.stages), |out, (stage, hist)| {
+        let _ = write!(
+            out,
+            "{{\"stage\":\"{stage}\",\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1}}}",
+            hist.count(),
+            hist.quantile(0.50),
+            hist.quantile(0.95),
+            hist.quantile(0.99),
+            hist.min_ns(),
+            hist.max_ns(),
+            hist.mean_ns()
+        );
+    });
     out.push_str("],\"worker_packets\":[");
-    let last_active = snap
-        .worker_packets
-        .iter()
-        .rposition(|&p| p > 0)
-        .map_or(0, |i| i + 1);
-    for (i, &p) in snap.worker_packets[..last_active].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{p}");
-    }
-    out.push_str("],\"faults\":{");
-    let mut first = true;
-    for (kind, count) in &snap.faults {
-        if *count == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{count}", kind.name());
-    }
-    out.push_str("},\"archive\":{");
-    let mut first = true;
-    for (op, count) in &snap.archive_ops {
-        if *count == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{count}", op.name());
-    }
-    out.push('}');
-    if snap.solver_iterations.iter().any(|(_, h)| h.count() > 0) {
+    let last_active = snap.worker_packets.iter().rposition(|&p| p > 0).map_or(0, |i| i + 1);
+    joined(&mut out, &snap.worker_packets[..last_active], |out, packets| {
+        let _ = write!(out, "{packets}");
+    });
+    out.push_str("],");
+    layer_json(&mut out, snap, Layer::Pipeline, None);
+    if observed(&snap.solver_iterations).next().is_some() {
         out.push_str(",\"solver_iterations\":{");
-        let mut first = true;
-        for (mode, hist) in &snap.solver_iterations {
-            if hist.count() == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
+        joined(&mut out, observed(&snap.solver_iterations), |out, (mode, hist)| {
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{}}}",
-                mode.name(),
+                "\"{mode}\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{}}}",
                 hist.count(),
                 hist.mean_ns(),
                 hist.quantile(0.50),
                 hist.quantile(0.95)
             );
-        }
+        });
         out.push('}');
     }
     out.push_str(",\"e2e\":[");
-    for (i, (patient, hist)) in snap.e2e.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    joined(&mut out, &snap.e2e, |out, (patient, hist)| {
         let _ = write!(
             out,
-            "{{\"patient\":{},\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            patient,
+            "{{\"patient\":{patient},\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
             hist.count(),
             hist.quantile(0.50),
             hist.quantile(0.95),
             hist.quantile(0.99),
             hist.max_ns()
         );
-    }
+    });
     out.push_str("],\"slo\":[");
-    for (i, p) in snap.slo.patients.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    joined(&mut out, &snap.slo.patients, |out, p| {
         let _ = write!(
             out,
             "{{\"patient\":{},\"health\":\"{}\",\"emits\":{},\"deadline_misses\":{},\"freshness_s\":{:.3},\"fast_burn\":{:.3},\"slow_burn\":{:.3},\"lanes\":[",
             p.patient,
-            p.health.name(),
+            p.health,
             p.emits,
             p.deadline_misses,
             p.freshness_ns as f64 / 1e9,
             p.fast_burn,
             p.slow_burn
         );
-        for (j, lane) in p.lanes.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
+        joined(out, &p.lanes, |out, lane| {
             let _ = write!(
                 out,
                 "{{\"lane\":{},\"newest_seq\":{},\"age_s\":{:.3}}}",
@@ -521,80 +161,34 @@ pub fn json_line(snap: &TelemetrySnapshot) -> String {
                 lane.newest_seq,
                 lane.age_ns as f64 / 1e9
             );
-        }
+        });
         out.push_str("]}");
-    }
+    });
     out.push(']');
-    if snap.ingest_accepted > 0 || snap.ingest_shed > 0 {
-        let _ = write!(
-            out,
-            ",\"ingest\":{{\"accepted\":{},\"shed\":{},\"frames\":{},\"bytes\":{},\"sessions\":{{",
-            snap.ingest_accepted, snap.ingest_shed, snap.ingest_frames, snap.ingest_bytes
-        );
-        let mut first = true;
-        for (state, count) in &snap.ingest_sessions {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{count}", state.name());
-        }
-        out.push_str("},\"disconnects\":{");
-        let mut first = true;
-        for (reason, count) in &snap.ingest_disconnects {
-            if *count == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{count}", reason.name());
-        }
-        out.push_str("}}");
+    if snap.layer_active(Layer::Ingest) {
+        out.push_str(",\"ingest\":{");
+        layer_json(&mut out, snap, Layer::Ingest, None);
+        out.push('}');
     }
-    let clinical_active = snap.beats.iter().any(|(_, c)| *c > 0)
-        || snap.alarms.iter().any(|(_, c)| c.raised > 0)
-        || snap.alarms_suppressed > 0
-        || snap.qrs_true_positive + snap.qrs_false_positive + snap.qrs_false_negative > 0;
-    if clinical_active {
-        out.push_str(",\"clinical\":{\"beats\":{");
-        let mut first = true;
-        for (class, count) in &snap.beats {
-            if *count == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{count}", class.name());
-        }
-        out.push_str("},\"alarms\":{");
-        let mut first = true;
-        for (kind, counts) in &snap.alarms {
-            if counts.raised == 0 && counts.active == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
+    if snap.layer_active(Layer::Clinical) {
+        out.push_str(",\"clinical\":{");
+        layer_json(&mut out, snap, Layer::Clinical, Some(true));
+        out.push_str(",\"alarms\":{");
+        let alarms = AlarmKind::ALL.map(|kind| {
+            let of = |family| snap.count(family, kind);
+            (kind, of(FamilyId::AlarmRaised), of(FamilyId::AlarmCleared), of(FamilyId::AlarmActive))
+        });
+        let touched = alarms.iter().filter(|(_, raised, _, active)| raised + active > 0);
+        joined(&mut out, touched, |out, (kind, raised, cleared, active)| {
             let _ = write!(
                 out,
-                "\"{}\":{{\"raised\":{},\"cleared\":{},\"active\":{}}}",
-                kind.name(),
-                counts.raised,
-                counts.cleared,
-                counts.active
+                "\"{kind}\":{{\"raised\":{raised},\"cleared\":{cleared},\"active\":{active}}}"
             );
-        }
-        let _ = write!(out, "}},\"suppressed\":{}", snap.alarms_suppressed);
-        let _ = write!(
-            out,
-            ",\"qrs\":{{\"tp\":{},\"fp\":{},\"fn\":{}",
-            snap.qrs_true_positive, snap.qrs_false_positive, snap.qrs_false_negative
-        );
+        });
+        out.push_str("},");
+        layer_json(&mut out, snap, Layer::Clinical, Some(false));
+        let (tp, fp, fneg) = snap.qrs_confusion;
+        let _ = write!(out, ",\"qrs\":{{\"tp\":{tp},\"fp\":{fp},\"fn\":{fneg}");
         if let Some(sens) = snap.qrs_sensitivity() {
             let _ = write!(out, ",\"sensitivity\":{sens:.4}");
         }
@@ -603,19 +197,8 @@ pub fn json_line(snap: &TelemetrySnapshot) -> String {
         }
         out.push_str("}}");
     }
-    out.push_str(",\"scrapes\":{");
-    let mut first = true;
-    for (endpoint, count) in &snap.scrapes {
-        if *count == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{count}", endpoint.name());
-    }
-    out.push('}');
+    out.push(',');
+    layer_json(&mut out, snap, Layer::Exporter, None);
     if snap.render_ns.count() > 0 {
         let _ = write!(
             out,
@@ -844,7 +427,7 @@ mod tests {
 
         // The gauge saturates instead of wrapping on an unpaired exit.
         reg.ingest_session_exit(IngestState::Draining);
-        assert_eq!(reg.ingest_sessions(IngestState::Draining), 0);
+        assert_eq!(reg.snapshot().count(FamilyId::IngestSessions, IngestState::Draining), 0);
     }
 
     #[test]
@@ -971,7 +554,7 @@ mod tests {
         let second = reg.prometheus();
         assert!(second.contains("# TYPE cs_exporter_render_seconds histogram"));
         assert!(second.contains("cs_exporter_render_seconds_count 1"));
-        assert_eq!(reg.render_times().count(), 2);
+        assert_eq!(reg.snapshot().render_ns.count(), 2);
         let line = reg.json_line();
         assert!(line.contains("\"render\":{\"count\":2"));
     }

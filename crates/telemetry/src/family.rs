@@ -1,0 +1,506 @@
+//! The metric-family table: every family this crate exports, declared
+//! once.
+//!
+//! [`FAMILIES`] is the single description of the exposition — name, type,
+//! label keys, help, when the family is present, where it sits in a
+//! JSON-Lines record. The Prometheus exporter, the JSON exporter's label
+//! maps, the conformance validator, the JSONL schema test and the
+//! reference table in `DESIGN.md` §7 iterate it; none names a family.
+//!
+//! A row is **stored** (`stored`, `scalar`) — a counter or gauge the
+//! registry keeps itself, in cells this table lays out (`FamilyId::cells`,
+//! one per label value), so adding one is the row plus a one-line
+//! `record_*` method — or **derived** (`derived`): samples its closure
+//! computes from other snapshot state (histograms, journal, SLO engine).
+
+use crate::export::{escape_label, REPORT_QUANTILES};
+use crate::histogram::{bucket_upper, HistogramSnapshot};
+use crate::label::Label;
+use crate::registry::TelemetrySnapshot;
+use crate::slo::{HealthState, LaneWatermark, PatientSlo};
+use crate::{
+    AlarmKind, ArchiveOp, BeatClass, FaultKind, IngestDisconnect, IngestState, ScrapeEndpoint,
+};
+use std::fmt::{Display, Write as _};
+use std::ops::Range;
+
+/// The Prometheus metric type of a family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone count; the name ends in `_total`.
+    Counter,
+    /// A value that can go down.
+    Gauge,
+    /// Classic cumulative histogram (`_bucket`/`_sum`/`_count`). Bounds
+    /// and sum are written as recorded (nanoseconds, or raw iteration
+    /// counts) unless `seconds`, which converts nanoseconds to seconds.
+    Histogram {
+        /// Expose the recorded nanoseconds as seconds.
+        seconds: bool,
+    },
+}
+
+impl Kind {
+    /// The word after `# TYPE <name>`.
+    pub fn type_name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram { .. } => "histogram",
+        }
+    }
+}
+
+/// The part of the system a family reports on: decides whether its
+/// [`Presence::WhenActive`] families are exported at all
+/// ([`TelemetrySnapshot::layer_active`]) and which JSON object its keys
+/// live in ([`Layer::json_object`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// Stages, workers, faults, archive, journal — always active.
+    Pipeline,
+    /// Beats and alarms; active once `cs-clinical` has recorded anything.
+    Clinical,
+    /// End-to-end latency and per-patient SLO state; active once a
+    /// packet has been emitted.
+    Slo,
+    /// Socket-ingest sessions; active once one was admitted or shed.
+    Ingest,
+    /// The exporter observing itself — always active.
+    Exporter,
+}
+
+impl Layer {
+    /// The JSON object the layer's keys are nested in; `None` for the
+    /// record's top level.
+    pub fn json_object(self) -> Option<&'static str> {
+        match self {
+            Layer::Clinical => Some("clinical"),
+            Layer::Ingest => Some("ingest"),
+            Layer::Pipeline | Layer::Slo | Layer::Exporter => None,
+        }
+    }
+}
+
+/// When a family's `# HELP`/`# TYPE` header and samples are exported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Presence {
+    /// In every scrape, even with no sample yet.
+    Always,
+    /// Once its layer is active and it has at least one sample: a fleet
+    /// with no clinical tap exports no `cs_alarm_*` rows at all rather
+    /// than rows of zeros.
+    WhenActive,
+}
+
+/// Where a family appears in a JSON-Lines record, under its layer's
+/// [`Layer::json_object`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Json {
+    /// Written from this row by the generic writer: `"key":n` for an
+    /// unlabelled family, `"key":{"label":n,…}` for a labelled one (zero
+    /// counters elided, every gauge value kept).
+    Key(&'static str),
+    /// Part of the hand-written block at this key (`stages`, `e2e`,
+    /// `slo`, `alarms`, …), whose shape the table does not describe.
+    Within(&'static str),
+}
+
+/// One metric family: a row of [`FAMILIES`].
+#[derive(Debug, Clone, Copy)]
+pub struct Family {
+    /// The row's identifier (its index in [`FAMILIES`]).
+    pub id: FamilyId,
+    /// Metric name as exported.
+    pub name: &'static str,
+    /// Prometheus type.
+    pub kind: Kind,
+    /// Label keys on every sample, in order (a histogram's `le` aside).
+    pub labels: &'static [&'static str],
+    /// The layer the family reports on.
+    pub layer: Layer,
+    /// When the family is exported.
+    pub presence: Presence,
+    /// Where the family sits in a JSON-Lines record.
+    pub json: Json,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    source: Source,
+}
+
+/// Where a family's samples come from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Cells the registry stores, one per wire name of the family's
+    /// label set — or a single unlabelled cell when there are no names.
+    Cells(&'static [&'static str]),
+    /// Computed from the rest of the snapshot.
+    Derived(fn(&TelemetrySnapshot, &mut Samples<'_>)),
+}
+
+/// A row's label keys and its source, as the three row kinds spell them.
+type Shape = (&'static [&'static str], Source);
+
+/// A stored counter or gauge with one cell per value of the label set
+/// `L`.
+const fn stored<L: Label>() -> Shape {
+    (&[L::KEY], Source::Cells(L::NAMES))
+}
+
+/// A stored, unlabelled counter or gauge: one cell.
+const fn scalar() -> Shape {
+    (&[], Source::Cells(&[]))
+}
+
+/// A family whose samples `write` computes from the snapshot, under the
+/// given label keys.
+const fn derived(
+    labels: &'static [&'static str],
+    write: fn(&TelemetrySnapshot, &mut Samples<'_>),
+) -> Shape {
+    (labels, Source::Derived(write))
+}
+
+/// Declares [`FamilyId`] and [`FAMILIES`] together, so a row's
+/// identifier is its position by construction. Columns: name, type,
+/// layer, presence, JSON key, help, then the row's [`Shape`].
+macro_rules! families {
+    ($( $id:ident = $name:literal: $kind:expr, $layer:expr, $presence:expr, $json:expr,
+        $help:literal, $shape:expr; )+) => {
+        /// Identifies one row of [`FAMILIES`] — what a stored family's
+        /// `record_*` method and a snapshot lookup name it by.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum FamilyId {
+            $( #[doc = concat!("`", $name, "`.")] $id, )+
+        }
+
+        /// Every exported family, in exposition order.
+        pub static FAMILIES: [Family; [$($name),+].len()] = [$({
+            let (labels, source) = $shape;
+            Family {
+                id: FamilyId::$id,
+                name: $name,
+                kind: $kind,
+                labels,
+                layer: $layer,
+                presence: $presence,
+                json: $json,
+                help: $help,
+                source,
+            }
+        }),+];
+    };
+}
+
+use Json::{Key, Within};
+use Kind::{Counter, Gauge, Histogram};
+use Layer::{Clinical, Exporter, Ingest, Pipeline, Slo};
+use Presence::{Always, WhenActive};
+
+families! {
+    StageLatency = "cs_stage_latency_ns": Histogram { seconds: false }, Pipeline, Always, Within("stages"),
+        "Per-stage pipeline latency in nanoseconds",
+        derived(&["stage"], |snap, out| {
+            snap.stages.iter().for_each(|(stage, hist)| out.histogram(&[stage], hist));
+        });
+    StageQuantile = "cs_stage_latency_quantile_ns": Gauge, Pipeline, Always, Within("stages"),
+        "Per-stage latency quantiles (log2-bucket resolution)",
+        derived(&["stage", "quantile"], |snap, out| {
+            for (stage, hist) in observed(&snap.stages) {
+                for (p, quantile) in REPORT_QUANTILES {
+                    out.put(&[stage, &quantile], hist.quantile(p));
+                }
+            }
+        });
+    SolverIterations = "cs_solver_iterations": Histogram { seconds: false }, Pipeline, WhenActive,
+        Within("solver_iterations"), "FISTA iterations per solve by solver mode",
+        derived(&["mode"], |snap, out| {
+            snap.solver_iterations.iter().for_each(|(mode, hist)| out.histogram(&[mode], hist));
+        });
+    WorkerPackets = "cs_worker_packets_total": Counter, Pipeline, Always, Within("worker_packets"),
+        "Packets decoded per fleet worker",
+        derived(&["worker"], |snap, out| {
+            let busy = snap.worker_packets.iter().enumerate().filter(|(_, &packets)| packets > 0);
+            busy.for_each(|(worker, packets)| out.put(&[&worker], packets));
+        });
+    Fault = "cs_fault_total": Counter, Pipeline, Always, Key("faults"),
+        "Fault and recovery events by kind", stored::<FaultKind>();
+    Archive = "cs_archive_total": Counter, Pipeline, Always, Key("archive"),
+        "Durable-store operations by kind", stored::<ArchiveOp>();
+    Beat = "cs_beat_total": Counter, Clinical, WhenActive, Key("beats"),
+        "Classified beats by class", stored::<BeatClass>();
+    AlarmRaised = "cs_alarm_raised_total": Counter, Clinical, WhenActive, Within("alarms"),
+        "Alarm activations by kind", stored::<AlarmKind>();
+    AlarmCleared = "cs_alarm_cleared_total": Counter, Clinical, WhenActive, Within("alarms"),
+        "Alarm clearances by kind", stored::<AlarmKind>();
+    AlarmActive = "cs_alarm_active": Gauge, Clinical, WhenActive, Within("alarms"),
+        "Currently active alarms by kind", stored::<AlarmKind>();
+    AlarmSuppressed = "cs_alarm_suppressed_total": Counter, Clinical, WhenActive, Key("suppressed"),
+        "Alarm evaluations suppressed over concealed windows", scalar();
+    QrsSensitivity = "cs_qrs_sensitivity": Gauge, Clinical, WhenActive, Within("qrs"),
+        "Streaming QRS detection sensitivity vs annotations",
+        derived(&[], |snap, out| snap.qrs_sensitivity().into_iter().for_each(|r| out.put(&[], r)));
+    QrsPpv = "cs_qrs_ppv": Gauge, Clinical, WhenActive, Within("qrs"),
+        "Streaming QRS detection positive predictive value vs annotations",
+        derived(&[], |snap, out| snap.qrs_ppv().into_iter().for_each(|r| out.put(&[], r)));
+    JournalTraces = "cs_journal_traces": Gauge, Pipeline, Always, Within("journal"),
+        "Event-journal accounting",
+        derived(&["state"], |snap, out| {
+            out.put(&[&"buffered"], snap.journal_len);
+            out.put(&[&"pushed"], snap.journal_pushed);
+            out.put(&[&"dropped"], snap.journal_dropped);
+        });
+    E2eLatency = "cs_e2e_latency_seconds": Histogram { seconds: true }, Slo, WhenActive, Within("e2e"),
+        "Capture-to-emit latency per patient",
+        derived(&["patient"], |snap, out| {
+            snap.e2e.iter().for_each(|(patient, hist)| out.histogram(&[patient], hist));
+        });
+    DeadlineMiss = "cs_deadline_miss_total": Counter, Slo, WhenActive, Within("slo"),
+        "Emissions that exceeded the end-to-end deadline budget",
+        derived(&["patient"], |snap, out| {
+            snap.slo.patients.iter().for_each(|p| out.put(&[&p.patient], p.deadline_misses));
+        });
+    LaneFreshness = "cs_lane_freshness_seconds": Gauge, Slo, WhenActive, Within("slo"),
+        "Age of the newest emission per patient lane",
+        derived(&["patient", "lane"], |snap, out| {
+            for (p, lane) in lanes(snap) {
+                out.put(&[&p.patient, &lane.lane], lane.age_ns as f64 / 1e9);
+            }
+        });
+    LaneNewestSeq = "cs_lane_newest_seq": Gauge, Slo, WhenActive, Within("slo"),
+        "Newest emitted sequence number per patient lane",
+        derived(&["patient", "lane"], |snap, out| {
+            lanes(snap).for_each(|(p, lane)| out.put(&[&p.patient, &lane.lane], lane.newest_seq));
+        });
+    SloBurnRate = "cs_slo_burn_rate": Gauge, Slo, WhenActive, Within("slo"),
+        "Error-budget burn rate per patient and window",
+        derived(&["patient", "window"], |snap, out| {
+            for p in &snap.slo.patients {
+                out.put(&[&p.patient, &"fast"], p.fast_burn);
+                out.put(&[&p.patient, &"slow"], p.slow_burn);
+            }
+        });
+    PatientHealth = "cs_patient_health": Gauge, Slo, WhenActive, Within("slo"),
+        "Derived SLO health (one-hot over states)",
+        derived(&["patient", "state"], |snap, out| {
+            for p in &snap.slo.patients {
+                for state in HealthState::ALL {
+                    out.put(&[&p.patient, &state], u64::from(p.health == state));
+                }
+            }
+        });
+    IngestSessions = "cs_ingest_sessions": Gauge, Ingest, WhenActive, Key("sessions"),
+        "Live ingest sessions by lifecycle state", stored::<IngestState>();
+    IngestAccepted = "cs_ingest_sessions_total": Counter, Ingest, WhenActive, Key("accepted"),
+        "Sessions ever admitted to handshaking", scalar();
+    IngestShed = "cs_ingest_shed_total": Counter, Ingest, WhenActive, Key("shed"),
+        "Sessions refused by the admission controller", scalar();
+    IngestDisconnects = "cs_ingest_disconnect_total": Counter, Ingest, WhenActive, Key("disconnects"),
+        "Session terminations by reason", stored::<IngestDisconnect>();
+    IngestFrames = "cs_ingest_frames_total": Counter, Ingest, WhenActive, Key("frames"),
+        "Frames accepted off ingest sockets", scalar();
+    IngestBytes = "cs_ingest_bytes_total": Counter, Ingest, WhenActive, Key("bytes"),
+        "Wire bytes accepted off ingest sockets", scalar();
+    Scrapes = "cs_telemetry_scrapes_total": Counter, Exporter, Always, Key("scrapes"),
+        "HTTP scrape requests by endpoint", stored::<ScrapeEndpoint>();
+    RenderSeconds = "cs_exporter_render_seconds": Histogram { seconds: true }, Exporter, WhenActive,
+        Within("render"), "Exporter render time (lags the current render by one scrape)",
+        derived(&[], |snap, out| out.histogram(&[], &snap.render_ns));
+}
+
+/// Every lane watermark of every active patient, with its patient.
+fn lanes(snap: &TelemetrySnapshot) -> impl Iterator<Item = (&PatientSlo, &LaneWatermark)> {
+    snap.slo.patients.iter().flat_map(|p| p.lanes.iter().map(move |lane| (p, lane)))
+}
+
+/// The labelled histograms that have at least one observation.
+pub(crate) fn observed<L>(
+    histograms: &[(L, HistogramSnapshot)],
+) -> impl Iterator<Item = &(L, HistogramSnapshot)> {
+    histograms.iter().filter(|(_, hist)| hist.count() > 0)
+}
+
+/// First cell of every family, plus the total as the last entry.
+const CELL_OFFSETS: [usize; FAMILIES.len() + 1] = {
+    let mut offsets = [0; FAMILIES.len() + 1];
+    let mut i = 0;
+    while i < FAMILIES.len() {
+        let width = match FAMILIES[i].source {
+            Source::Cells([]) => 1,
+            Source::Cells(names) => names.len(),
+            Source::Derived(_) => 0,
+        };
+        offsets[i + 1] = offsets[i] + width;
+        i += 1;
+    }
+    offsets
+};
+
+/// Length of the registry's cell array: every stored family's cells.
+pub(crate) const CELLS: usize = CELL_OFFSETS[FAMILIES.len()];
+
+impl FamilyId {
+    /// The family's cells within the registry's (and a snapshot's) cell
+    /// array; empty for a derived family. A constant once inlined — the
+    /// recording path indexes a fixed offset, it does not search.
+    #[inline]
+    pub(crate) const fn cells(self) -> Range<usize> {
+        CELL_OFFSETS[self as usize]..CELL_OFFSETS[self as usize + 1]
+    }
+}
+
+impl Family {
+    /// Appends the family's Prometheus exposition — header and samples —
+    /// to `out`, or nothing when its [`Presence`] rule says it is absent.
+    pub(crate) fn write_prometheus(&self, snap: &TelemetrySnapshot, out: &mut String) {
+        let start = out.len();
+        let _ = writeln!(out, "# HELP {} {}", self.name, self.help);
+        let _ = writeln!(out, "# TYPE {} {}", self.name, self.kind.type_name());
+        let header_end = out.len();
+        let mut samples = Samples { out, family: self };
+        match self.source {
+            Source::Cells([]) => samples.put(&[], snap.total(self.id)),
+            // Every value of a closed set is written, zero or not: a
+            // dashboard watching quarantine rates must see an explicit 0,
+            // not a missing series.
+            Source::Cells(names) => {
+                for (name, count) in names.iter().zip(snap.cells(self.id)) {
+                    samples.put(&[name], count);
+                }
+            }
+            Source::Derived(write) => write(snap, &mut samples),
+        }
+        let sampled = out.len() > header_end;
+        if self.presence == Presence::WhenActive && !(sampled && snap.layer_active(self.layer)) {
+            out.truncate(start);
+        }
+    }
+
+    /// Appends `"key":value` for a stored family with a [`Json::Key`]:
+    /// a bare number when unlabelled, else a `{"label":n,…}` map that
+    /// keeps every value of a gauge and elides a counter's zeros.
+    pub(crate) fn write_json(&self, snap: &TelemetrySnapshot, out: &mut String) {
+        let (Json::Key(key), Source::Cells(names)) = (self.json, self.source) else {
+            unreachable!("{} has no generic JSON form", self.name);
+        };
+        let _ = write!(out, "\"{key}\":");
+        if names.is_empty() {
+            let _ = write!(out, "{}", snap.total(self.id));
+            return;
+        }
+        let keep_zeros = self.kind == Kind::Gauge;
+        out.push('{');
+        let kept = names.iter().zip(snap.cells(self.id)).filter(|(_, n)| keep_zeros || *n > 0);
+        crate::export::joined(out, kept, |out, (name, n)| {
+            let _ = write!(out, "\"{name}\":{n}");
+        });
+        out.push('}');
+    }
+
+    /// The stored families of `layer` that the generic JSON writer
+    /// handles, unlabelled ones or label maps, in table order.
+    pub(crate) fn json_keys(layer: Layer, labelled: bool) -> impl Iterator<Item = &'static Family> {
+        FAMILIES.iter().filter(move |f| {
+            f.layer == layer
+                && matches!(f.json, Json::Key(_))
+                && matches!(f.source, Source::Cells(names) if names.is_empty() != labelled)
+        })
+    }
+}
+
+/// Writes one family's Prometheus sample lines. Label *keys* come from
+/// the family's row, so a sample cannot carry a key its row does not
+/// declare; every label *value* is escaped here, once.
+pub(crate) struct Samples<'a> {
+    out: &'a mut String,
+    family: &'a Family,
+}
+
+impl Samples<'_> {
+    /// One sample; `values` parallel the family's label keys.
+    pub(crate) fn put(&mut self, values: &[&dyn Display], value: impl Display) {
+        self.line("", values, None, value);
+    }
+
+    /// One classic histogram series: cumulative counts at each occupied
+    /// bucket's upper bound, `+Inf`, `_sum` and `_count` — or nothing for
+    /// a histogram with no observation (an unobserved stage, solver mode
+    /// or patient exports no series at all).
+    pub(crate) fn histogram(&mut self, values: &[&dyn Display], hist: &HistogramSnapshot) {
+        if hist.count() == 0 {
+            return;
+        }
+        let seconds = self.family.kind == Kind::Histogram { seconds: true };
+        let render = |v: u64| if seconds { (v as f64 / 1e9).to_string() } else { v.to_string() };
+        let mut cumulative = 0u64;
+        for (i, &count) in hist.buckets.iter().enumerate() {
+            if count > 0 {
+                cumulative += count;
+                self.line("_bucket", values, Some(&render(bucket_upper(i))), cumulative);
+            }
+        }
+        self.line("_bucket", values, Some("+Inf"), hist.count());
+        self.line("_sum", values, None, render(hist.sum_ns()));
+        self.line("_count", values, None, hist.count());
+    }
+
+    /// `<name><suffix>{<labels>[,le]} <n>`, the one place a sample line is spelled.
+    fn line(&mut self, suffix: &str, values: &[&dyn Display], le: Option<&str>, n: impl Display) {
+        debug_assert_eq!(values.len(), self.family.labels.len(), "{}", self.family.name);
+        let _ = write!(self.out, "{}{suffix}", self.family.name);
+        let le = le.as_ref().map(|le| ("le", le as &dyn Display));
+        let labels = self.family.labels.iter().copied().zip(values.iter().copied()).chain(le);
+        let mut open = '{';
+        for (key, value) in labels {
+            let _ = write!(self.out, "{open}{key}=\"{}\"", escape_label(&value.to_string()));
+            open = ',';
+        }
+        // A label-free series is written bare (`x_sum 3`), not `x_sum{}`.
+        if open == ',' {
+            self.out.push('}');
+        }
+        let _ = writeln!(self.out, " {n}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_index_their_own_rows_and_names_are_unique() {
+        for (i, family) in FAMILIES.iter().enumerate() {
+            assert_eq!(family.id as usize, i);
+            assert!(family.name.starts_with("cs_"), "{}", family.name);
+            assert!(!family.help.is_empty());
+            assert_eq!(
+                family.kind == Kind::Counter,
+                family.name.ends_with("_total"),
+                "{}: counters, and only counters, end in _total",
+                family.name
+            );
+        }
+        let mut names: Vec<_> = FAMILIES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FAMILIES.len());
+    }
+
+    #[test]
+    fn stored_families_tile_the_cell_array() {
+        let mut next = 0;
+        for family in &FAMILIES {
+            let cells = family.id.cells();
+            assert_eq!(cells.start, next, "{}", family.name);
+            match family.source {
+                Source::Cells(names) => {
+                    assert_eq!(cells.len(), names.len().max(1), "{}", family.name);
+                    assert_eq!(family.labels.len(), usize::from(!names.is_empty()));
+                }
+                Source::Derived(_) => assert!(cells.is_empty(), "{}", family.name),
+            }
+            next = cells.end;
+        }
+        assert_eq!(next, CELLS);
+    }
+}

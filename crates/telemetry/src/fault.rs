@@ -6,96 +6,27 @@
 //! registry is a fixed atomic-counter array indexed by
 //! [`FaultKind::index`], so counting a fault is one relaxed increment.
 
-/// A fault or recovery event, in ingest order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// Frame rejected at ingest (bad magic/version, CRC mismatch,
-    /// truncation) before any payload byte was interpreted.
-    FrameRejected,
-    /// Frame dropped as a duplicate of a buffered sequence number.
-    Duplicate,
-    /// Frame arrived after its slot had already been emitted.
-    Late,
-    /// Window concealed because its frame never arrived.
-    ConcealedLoss,
-    /// Window concealed because the DPCM loop lost synchronization.
-    ConcealedDesync,
-    /// Frame quarantined after poisoning its decoder (error or panic).
-    Quarantined,
-    /// Worker restarted with a fresh workspace after a panic.
-    WorkerRestart,
-    /// Solve stopped at the iteration budget without converging.
-    DeadlineDegraded,
-    /// Gap burst too large for per-slot concealment; cursor jumped.
-    Resync,
-}
-
-impl FaultKind {
-    /// Number of fault kinds (the registry's counter-array length).
-    pub const COUNT: usize = 9;
-
-    /// Every kind, in ingest order.
-    pub const ALL: [FaultKind; FaultKind::COUNT] = [
-        FaultKind::FrameRejected,
-        FaultKind::Duplicate,
-        FaultKind::Late,
-        FaultKind::ConcealedLoss,
-        FaultKind::ConcealedDesync,
-        FaultKind::Quarantined,
-        FaultKind::WorkerRestart,
-        FaultKind::DeadlineDegraded,
-        FaultKind::Resync,
-    ];
-
-    /// Dense index into per-kind arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name, used as the Prometheus `kind` label and
-    /// the JSON-Lines key.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::FrameRejected => "frame_rejected",
-            FaultKind::Duplicate => "duplicate",
-            FaultKind::Late => "late",
-            FaultKind::ConcealedLoss => "concealed_loss",
-            FaultKind::ConcealedDesync => "concealed_desync",
-            FaultKind::Quarantined => "quarantined",
-            FaultKind::WorkerRestart => "worker_restart",
-            FaultKind::DeadlineDegraded => "deadline_degraded",
-            FaultKind::Resync => "resync",
-        }
-    }
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn indices_are_dense_and_ordered() {
-        for (i, kind) in FaultKind::ALL.iter().enumerate() {
-            assert_eq!(kind.index(), i);
-        }
-        assert_eq!(FaultKind::ALL.len(), FaultKind::COUNT);
-    }
-
-    #[test]
-    fn names_are_unique_snake_case() {
-        let mut names: Vec<&str> = FaultKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), FaultKind::COUNT);
-        for n in names {
-            assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-        }
+label_set! {
+    /// A fault or recovery event, in ingest order.
+    pub enum FaultKind("kind") {
+        /// Frame rejected at ingest (bad magic/version, CRC mismatch,
+        /// truncation) before any payload byte was interpreted.
+        FrameRejected => "frame_rejected",
+        /// Frame dropped as a duplicate of a buffered sequence number.
+        Duplicate => "duplicate",
+        /// Frame arrived after its slot had already been emitted.
+        Late => "late",
+        /// Window concealed because its frame never arrived.
+        ConcealedLoss => "concealed_loss",
+        /// Window concealed because the DPCM loop lost synchronization.
+        ConcealedDesync => "concealed_desync",
+        /// Frame quarantined after poisoning its decoder (error or panic).
+        Quarantined => "quarantined",
+        /// Worker restarted with a fresh workspace after a panic.
+        WorkerRestart => "worker_restart",
+        /// Solve stopped at the iteration budget without converging.
+        DeadlineDegraded => "deadline_degraded",
+        /// Gap burst too large for per-slot concealment; cursor jumped.
+        Resync => "resync",
     }
 }

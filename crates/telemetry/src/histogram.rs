@@ -14,10 +14,12 @@
 //! * [`Histogram`] — the shared, lock-free recorder built on `AtomicU64`
 //!   arrays. Any number of threads may [`record_ns`](Histogram::record_ns)
 //!   concurrently; merging and reading race benignly with writers (a
-//!   reader may miss in-flight increments, never sees torn values).
+//!   reader may miss in-flight increments, never sees torn values). It
+//!   answers [`count`](Histogram::count) and hands out snapshots.
 //! * [`HistogramSnapshot`] — a plain `Copy` value for aggregation and
 //!   transport: what [`Histogram::snapshot`] returns and what the
-//!   `cs-metrics` fleet statistics embed.
+//!   `cs-metrics` fleet statistics embed. The statistics — extrema, mean,
+//!   quantiles — are defined here, once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -59,6 +61,7 @@ pub fn bucket_upper(i: usize) -> u64 {
 ///     h.record_ns(ns);
 /// }
 /// assert_eq!(h.count(), 4);
+/// let h = h.snapshot();
 /// assert_eq!(h.min_ns(), 100);
 /// assert_eq!(h.max_ns(), 800_000);
 /// // p50 falls in the bucket holding 200 ns, within log2 resolution.
@@ -127,43 +130,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observations (wraps on overflow, which at nanosecond
-    /// scale means > 584 years of accumulated latency).
-    pub fn sum_ns(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        let m = self.min.load(Ordering::Relaxed);
-        if m == u64::MAX && self.count() == 0 {
-            0
-        } else {
-            m
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max_ns(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ns() as f64 / n as f64
-        }
-    }
-
-    /// The `p`-quantile (`p ∈ [0, 1]`) at bucket resolution. See
-    /// [`HistogramSnapshot::quantile`] for the exact contract.
-    pub fn quantile(&self, p: f64) -> u64 {
-        self.snapshot().quantile(p)
-    }
-
     /// A consistent-enough point-in-time copy (individual loads are
     /// atomic; the snapshot as a whole may straddle concurrent writes).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -174,7 +140,7 @@ impl Histogram {
         HistogramSnapshot {
             buckets,
             count: self.count(),
-            sum: self.sum_ns(),
+            sum: self.sum.load(Ordering::Relaxed),
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
@@ -243,7 +209,8 @@ impl HistogramSnapshot {
         self.count
     }
 
-    /// Sum of all observations.
+    /// Sum of all observations (wraps on overflow, which at nanosecond
+    /// scale means > 584 years of accumulated latency).
     pub fn sum_ns(&self) -> u64 {
         self.sum
     }
@@ -341,6 +308,7 @@ mod tests {
     fn empty_histogram_reads_zero() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
+        let h = h.snapshot();
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 0);
         assert_eq!(h.mean_ns(), 0.0);
@@ -353,6 +321,7 @@ mod tests {
         for i in 1..=1000u64 {
             h.record_ns(i);
         }
+        let h = h.snapshot();
         assert_eq!(h.quantile(0.0), 1);
         assert_eq!(h.quantile(1.0), 1000);
         let p50 = h.quantile(0.5);
@@ -370,6 +339,7 @@ mod tests {
         b.record_ns(40_000);
         a.merge(&b);
         assert_eq!(a.count(), 4);
+        let a = a.snapshot();
         assert_eq!(a.min_ns(), 5);
         assert_eq!(a.max_ns(), 40_000);
         assert_eq!(a.sum_ns(), 40_035);
@@ -466,8 +436,11 @@ mod tests {
         h.record_ns(900);
         let s = h.snapshot();
         assert_eq!(s.count(), h.count());
-        assert_eq!(s.min_ns(), h.min_ns());
-        assert_eq!(s.max_ns(), h.max_ns());
-        assert_eq!(s.quantile(0.5), h.quantile(0.5));
+        assert_eq!((s.min_ns(), s.max_ns(), s.sum_ns()), (7, 900, 907));
+        // The live recorder and the plain value bucket alike.
+        let mut plain = HistogramSnapshot::new();
+        plain.record_ns(7);
+        plain.record_ns(900);
+        assert_eq!(s, plain);
     }
 }

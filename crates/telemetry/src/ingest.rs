@@ -7,140 +7,39 @@
 //! fixed atomic array indexed by the enum, so recording costs one
 //! relaxed atomic op.
 
-/// A live ingest session's lifecycle state (`cs_ingest_sessions` gauge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IngestState {
-    /// Connection accepted, hello not yet validated.
-    Handshaking,
-    /// Handshake accepted; frames are flowing.
-    Streaming,
-    /// Server drain announced; the session is flushing and saying
-    /// goodbye.
-    Draining,
-}
-
-impl IngestState {
-    /// Number of states (the registry's gauge-array length).
-    pub const COUNT: usize = 3;
-
-    /// Every state, in lifecycle order.
-    pub const ALL: [IngestState; IngestState::COUNT] =
-        [IngestState::Handshaking, IngestState::Streaming, IngestState::Draining];
-
-    /// Dense index into per-state arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name (Prometheus `state` label).
-    pub fn name(self) -> &'static str {
-        match self {
-            IngestState::Handshaking => "handshaking",
-            IngestState::Streaming => "streaming",
-            IngestState::Draining => "draining",
-        }
+label_set! {
+    /// A live ingest session's lifecycle state (`cs_ingest_sessions` gauge).
+    pub enum IngestState("state") {
+        /// Connection accepted, hello not yet validated.
+        Handshaking => "handshaking",
+        /// Handshake accepted; frames are flowing.
+        Streaming => "streaming",
+        /// Server drain announced; the session is flushing and saying
+        /// goodbye.
+        Draining => "draining",
     }
 }
 
-impl std::fmt::Display for IngestState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Why an ingest session ended (`cs_ingest_disconnect_total` counter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IngestDisconnect {
-    /// The client closed its write side cleanly.
-    ClientClosed,
-    /// The server drained; the session flushed and said goodbye.
-    Drained,
-    /// No bytes arrived within the idle timeout.
-    IdleTimeout,
-    /// Bytes trickled below the read-rate floor (slow-loris eviction).
-    SlowLoris,
-    /// The hello never completed inside the handshake deadline.
-    HandshakeTimeout,
-    /// The hello was malformed (bad magic/version/CRC or an
-    /// out-of-range patient or lane set).
-    BadHandshake,
-    /// The admission controller refused the session (shed with a typed
-    /// NACK before any frame work was accepted).
-    Shed,
-    /// The socket failed mid-session (reset, broken pipe).
-    IoError,
-}
-
-impl IngestDisconnect {
-    /// Number of reasons (the registry's counter-array length).
-    pub const COUNT: usize = 8;
-
-    /// Every reason.
-    pub const ALL: [IngestDisconnect; IngestDisconnect::COUNT] = [
-        IngestDisconnect::ClientClosed,
-        IngestDisconnect::Drained,
-        IngestDisconnect::IdleTimeout,
-        IngestDisconnect::SlowLoris,
-        IngestDisconnect::HandshakeTimeout,
-        IngestDisconnect::BadHandshake,
-        IngestDisconnect::Shed,
-        IngestDisconnect::IoError,
-    ];
-
-    /// Dense index into per-reason arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name (Prometheus `reason` label).
-    pub fn name(self) -> &'static str {
-        match self {
-            IngestDisconnect::ClientClosed => "client_closed",
-            IngestDisconnect::Drained => "drained",
-            IngestDisconnect::IdleTimeout => "idle_timeout",
-            IngestDisconnect::SlowLoris => "slow_loris",
-            IngestDisconnect::HandshakeTimeout => "handshake_timeout",
-            IngestDisconnect::BadHandshake => "bad_handshake",
-            IngestDisconnect::Shed => "shed",
-            IngestDisconnect::IoError => "io_error",
-        }
-    }
-}
-
-impl std::fmt::Display for IngestDisconnect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn indices_are_dense_and_ordered() {
-        for (i, s) in IngestState::ALL.iter().enumerate() {
-            assert_eq!(s.index(), i);
-        }
-        for (i, r) in IngestDisconnect::ALL.iter().enumerate() {
-            assert_eq!(r.index(), i);
-        }
-    }
-
-    #[test]
-    fn names_are_unique_snake_case() {
-        let mut names: Vec<&str> = IngestState::ALL
-            .iter()
-            .map(|s| s.name())
-            .chain(IngestDisconnect::ALL.iter().map(|r| r.name()))
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), IngestState::COUNT + IngestDisconnect::COUNT);
-        for n in names {
-            assert!(n.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-        }
+label_set! {
+    /// Why an ingest session ended (`cs_ingest_disconnect_total` counter).
+    pub enum IngestDisconnect("reason") {
+        /// The client closed its write side cleanly.
+        ClientClosed => "client_closed",
+        /// The server drained; the session flushed and said goodbye.
+        Drained => "drained",
+        /// No bytes arrived within the idle timeout.
+        IdleTimeout => "idle_timeout",
+        /// Bytes trickled below the read-rate floor (slow-loris eviction).
+        SlowLoris => "slow_loris",
+        /// The hello never completed inside the handshake deadline.
+        HandshakeTimeout => "handshake_timeout",
+        /// The hello was malformed (bad magic/version/CRC or an
+        /// out-of-range patient or lane set).
+        BadHandshake => "bad_handshake",
+        /// The admission controller refused the session (shed with a typed
+        /// NACK before any frame work was accepted).
+        Shed => "shed",
+        /// The socket failed mid-session (reset, broken pipe).
+        IoError => "io_error",
     }
 }

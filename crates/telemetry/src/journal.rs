@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One solver invocation's convergence record.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveTrace {
     /// Fleet stream index (0 outside the fleet engine).
     pub stream: u32,
@@ -57,21 +57,6 @@ pub struct Journal {
     capacity: usize,
     pushed: AtomicU64,
     dropped: AtomicU64,
-}
-
-impl Default for SolveTrace {
-    fn default() -> Self {
-        SolveTrace {
-            stream: 0,
-            channel: 0,
-            seq: 0,
-            iterations: 0,
-            residual: 0.0,
-            solve_ns: 0,
-            warm_started: false,
-            converged: false,
-        }
-    }
 }
 
 impl Journal {

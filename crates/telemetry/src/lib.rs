@@ -20,7 +20,7 @@
 //!     let _span = telemetry.span(Stage::FistaSolve);
 //!     // ... solve ...
 //! }
-//! let p50 = telemetry.stage(Stage::FistaSolve).quantile(0.5);
+//! let p50 = telemetry.stage(Stage::FistaSolve).snapshot().quantile(0.5);
 //! assert!(p50 >= 1);
 //! println!("{}", telemetry.prometheus());
 //! ```
@@ -28,9 +28,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+pub mod label;
+
 pub mod archive;
 pub mod clinical;
 pub mod export;
+pub mod family;
 pub mod fault;
 pub mod histogram;
 pub mod ingest;
@@ -45,14 +49,15 @@ pub mod trace;
 pub use archive::ArchiveOp;
 pub use clinical::{AlarmKind, AlarmSeverity, BeatClass};
 pub use export::{escape_label, json_line, prometheus, Every, REPORT_QUANTILES};
+pub use family::{Family, FamilyId, Json, Kind, Layer, Presence, FAMILIES};
 pub use fault::FaultKind;
 pub use histogram::{bucket_upper, Histogram, HistogramSnapshot, BUCKETS};
 pub use ingest::{IngestDisconnect, IngestState};
 pub use journal::{Journal, SolveTrace};
+pub use label::Label;
 pub use mode::SolverMode;
 pub use registry::{
-    AlarmCounts, Span, TelemetryRegistry, TelemetrySnapshot, DEFAULT_JOURNAL_CAPACITY,
-    MAX_WORKERS,
+    Span, TelemetryRegistry, TelemetrySnapshot, DEFAULT_JOURNAL_CAPACITY, MAX_WORKERS,
 };
 pub use serve::{MetricsServer, ScrapeEndpoint};
 pub use slo::{

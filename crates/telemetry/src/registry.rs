@@ -1,21 +1,25 @@
 //! The telemetry registry and its RAII span guards.
 //!
 //! A [`TelemetryRegistry`] is a cheaply clonable handle (an `Arc`) to the
-//! shared recording state: one [`Histogram`] per [`Stage`], a fixed array
-//! of per-worker packet counters, and the bounded [`Journal`] of
-//! convergence traces. Instrumented code paths hold a registry
-//! unconditionally — the **disabled** registry is a process-wide shared
-//! handle whose every recording operation is gated on a single relaxed
-//! `AtomicBool` load, so un-observed pipelines pay one atomic load per
-//! span and nothing else (measured < 2 % of fleet throughput by the
-//! `telemetry_overhead` bench even when *enabled*).
+//! shared recording state: one [`Histogram`] per [`Stage`], one atomic
+//! cell per label value of every stored counter and gauge family (laid
+//! out by the [family table](crate::family)), a fixed array of per-worker
+//! packet counters, and the bounded [`Journal`] of convergence traces.
+//! Instrumented code paths hold a registry unconditionally — the
+//! **disabled** registry is a process-wide shared handle whose every
+//! recording operation is gated on a single relaxed `AtomicBool` load, so
+//! un-observed pipelines pay one atomic load per span and nothing else
+//! (measured < 2 % of fleet throughput by the `telemetry_overhead` bench
+//! even when *enabled*).
 
 use crate::archive::ArchiveOp;
 use crate::clinical::{AlarmKind, BeatClass};
+use crate::family::{FamilyId, Layer, CELLS, FAMILIES};
 use crate::fault::FaultKind;
-use crate::ingest::{IngestDisconnect, IngestState};
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::ingest::{IngestDisconnect, IngestState};
 use crate::journal::{Journal, SolveTrace};
+use crate::label::Label;
 use crate::mode::SolverMode;
 use crate::serve::ScrapeEndpoint;
 use crate::slo::{SloConfig, SloEngine, SloSnapshot, MAX_PATIENTS};
@@ -37,10 +41,11 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 struct Inner {
     enabled: AtomicBool,
     started: Instant,
+    /// Every stored counter and gauge family: family `f` owns
+    /// `cells[f.cells()]`, one cell per label value.
+    cells: [AtomicU64; CELLS],
     stages: [Histogram; Stage::COUNT],
     workers: [AtomicU64; MAX_WORKERS],
-    faults: [AtomicU64; FaultKind::COUNT],
-    archive: [AtomicU64; ArchiveOp::COUNT],
     /// Per-solver-mode iteration counts (raw iterations, not durations):
     /// a solve of `k` iterations records the value `k` into its mode's
     /// histogram, so means/percentiles read directly as iterations.
@@ -50,32 +55,11 @@ struct Inner {
     /// modulo [`MAX_PATIENTS`], mirroring the worker counters.
     e2e: [Histogram; MAX_PATIENTS],
     slo: SloEngine,
-    /// Self-observation: scrape hits per HTTP endpoint and exporter
-    /// render times — the telemetry layer appears in its own output.
-    scrapes: [AtomicU64; ScrapeEndpoint::COUNT],
+    /// Exporter render times — the telemetry layer in its own output.
     render: Histogram,
-    /// Socket-ingest lifecycle: live session counts per state (gauge
-    /// semantics — enter/exit), sessions ever accepted, admission sheds,
-    /// terminal disconnect reasons, and accepted frame/byte volume.
-    ingest_states: [AtomicU64; IngestState::COUNT],
-    ingest_accepted: AtomicU64,
-    ingest_shed: AtomicU64,
-    ingest_disconnects: [AtomicU64; IngestDisconnect::COUNT],
-    ingest_frames: AtomicU64,
-    ingest_bytes: AtomicU64,
-    /// Clinical analysis layer: alarms raised/cleared per kind (totals),
-    /// currently-active alarm gauges per kind, alarm evaluations
-    /// suppressed on concealed windows, classified beats per class, and
-    /// the QRS-detection confusion counts the sensitivity/PPV panels are
-    /// derived from.
-    alarms_raised: [AtomicU64; AlarmKind::COUNT],
-    alarms_cleared: [AtomicU64; AlarmKind::COUNT],
-    alarms_active: [AtomicU64; AlarmKind::COUNT],
-    alarms_suppressed: AtomicU64,
-    beats: [AtomicU64; BeatClass::COUNT],
-    qrs_true_positive: AtomicU64,
-    qrs_false_positive: AtomicU64,
-    qrs_false_negative: AtomicU64,
+    /// QRS-detection confusion counts (true positives, false positives,
+    /// false negatives) the sensitivity/PPV gauges are derived from.
+    qrs: [AtomicU64; 3],
 }
 
 /// Shared handle to the telemetry recording state.
@@ -119,53 +103,32 @@ impl Default for TelemetryRegistry {
 }
 
 impl TelemetryRegistry {
-    /// A fresh, enabled registry with the default journal capacity.
+    /// A fresh, enabled registry with the default SLO.
     pub fn new() -> Self {
-        TelemetryRegistry::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// A fresh, enabled registry whose journal holds `capacity` traces.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
-        TelemetryRegistry::with_capacity_and_slo(capacity, SloConfig::default())
+        TelemetryRegistry::with_slo_config(SloConfig::default())
     }
 
     /// A fresh, enabled registry with a custom SLO (deadline budget,
-    /// stall threshold, burn windows) and the default journal capacity.
+    /// stall threshold, burn windows). The SLO is fixed at construction
+    /// so the recording path never re-reads configuration.
     pub fn with_slo_config(slo: SloConfig) -> Self {
-        TelemetryRegistry::with_capacity_and_slo(DEFAULT_JOURNAL_CAPACITY, slo)
+        TelemetryRegistry::build(DEFAULT_JOURNAL_CAPACITY, slo)
     }
 
-    /// A fresh, enabled registry with both knobs. The SLO is fixed at
-    /// construction so the recording path never re-reads configuration.
-    pub fn with_capacity_and_slo(capacity: usize, slo: SloConfig) -> Self {
+    fn build(journal_capacity: usize, slo: SloConfig) -> Self {
         TelemetryRegistry {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(true),
                 started: Instant::now(),
+                cells: std::array::from_fn(|_| AtomicU64::new(0)),
                 stages: std::array::from_fn(|_| Histogram::new()),
                 workers: std::array::from_fn(|_| AtomicU64::new(0)),
-                faults: std::array::from_fn(|_| AtomicU64::new(0)),
-                archive: std::array::from_fn(|_| AtomicU64::new(0)),
                 solver_iterations: std::array::from_fn(|_| Histogram::new()),
-                journal: Journal::new(capacity),
+                journal: Journal::new(journal_capacity),
                 e2e: std::array::from_fn(|_| Histogram::new()),
                 slo: SloEngine::new(slo),
-                scrapes: std::array::from_fn(|_| AtomicU64::new(0)),
                 render: Histogram::new(),
-                ingest_states: std::array::from_fn(|_| AtomicU64::new(0)),
-                ingest_accepted: AtomicU64::new(0),
-                ingest_shed: AtomicU64::new(0),
-                ingest_disconnects: std::array::from_fn(|_| AtomicU64::new(0)),
-                ingest_frames: AtomicU64::new(0),
-                ingest_bytes: AtomicU64::new(0),
-                alarms_raised: std::array::from_fn(|_| AtomicU64::new(0)),
-                alarms_cleared: std::array::from_fn(|_| AtomicU64::new(0)),
-                alarms_active: std::array::from_fn(|_| AtomicU64::new(0)),
-                alarms_suppressed: AtomicU64::new(0),
-                beats: std::array::from_fn(|_| AtomicU64::new(0)),
-                qrs_true_positive: AtomicU64::new(0),
-                qrs_false_positive: AtomicU64::new(0),
-                qrs_false_negative: AtomicU64::new(0),
+                qrs: std::array::from_fn(|_| AtomicU64::new(0)),
             }),
         }
     }
@@ -177,7 +140,7 @@ impl TelemetryRegistry {
         static DISABLED: OnceLock<TelemetryRegistry> = OnceLock::new();
         DISABLED
             .get_or_init(|| {
-                let r = TelemetryRegistry::with_journal_capacity(1);
+                let r = TelemetryRegistry::build(1, SloConfig::default());
                 r.set_enabled(false);
                 r
             })
@@ -197,11 +160,32 @@ impl TelemetryRegistry {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
+    /// Adds `n` to one cell of a stored family (no-op when disabled):
+    /// the whole recording path of every counter below — one relaxed
+    /// load, one relaxed add at a fixed offset.
+    #[inline]
+    fn add(&self, family: FamilyId, index: usize, n: u64) {
+        if self.is_enabled() {
+            debug_assert!(index < family.cells().len(), "{family:?} has no cell {index}");
+            self.inner.cells[family.cells().start + index].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Decrements one gauge cell (no-op when disabled). Saturating: an
+    /// unpaired decrement (telemetry toggled mid-session or mid-episode)
+    /// clamps at zero rather than wrapping the gauge.
+    fn decrement(&self, family: FamilyId, index: usize) {
+        if self.is_enabled() {
+            let cell = &self.inner.cells[family.cells().start + index];
+            let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+        }
+    }
+
     /// Enters a timed span over `stage`; the elapsed time is recorded
     /// into the stage histogram when the guard drops.
     #[inline]
     pub fn span(&self, stage: Stage) -> Span<'_> {
-        Span::enter(self, stage)
+        Span { registry: self, stage, start: self.is_enabled().then(Instant::now) }
     }
 
     /// Records a pre-measured duration against a stage.
@@ -226,42 +210,106 @@ impl TelemetryRegistry {
 
     /// Per-worker packet counts for workers `0..n`.
     pub fn worker_packets(&self, n: usize) -> Vec<u64> {
-        self.inner.workers[..n.min(MAX_WORKERS)]
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        let workers = &self.inner.workers[..n.min(MAX_WORKERS)];
+        workers.iter().map(|w| w.load(Ordering::Relaxed)).collect()
     }
 
-    /// Counts one fault event of the given kind (no-op when disabled).
+    /// Counts one fault event of the given kind.
     pub fn record_fault(&self, kind: FaultKind) {
-        if self.is_enabled() {
-            self.inner.faults[kind.index()].fetch_add(1, Ordering::Relaxed);
-        }
+        self.add(FamilyId::Fault, kind.index(), 1);
     }
 
-    /// The running count for one fault kind.
-    pub fn fault_count(&self, kind: FaultKind) -> u64 {
-        self.inner.faults[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Counts one archive operation of the given kind (no-op when
-    /// disabled).
+    /// Counts one archive operation of the given kind.
     pub fn record_archive_op(&self, op: ArchiveOp) {
-        if self.is_enabled() {
-            self.inner.archive[op.index()].fetch_add(1, Ordering::Relaxed);
-        }
+        self.add(FamilyId::Archive, op.index(), 1);
     }
 
     /// Counts `n` archive operations at once (e.g. a replay batch).
     pub fn record_archive_ops(&self, op: ArchiveOp, n: u64) {
-        if self.is_enabled() {
-            self.inner.archive[op.index()].fetch_add(n, Ordering::Relaxed);
+        self.add(FamilyId::Archive, op.index(), n);
+    }
+
+    /// Counts one HTTP scrape against an endpoint.
+    pub fn record_scrape(&self, endpoint: ScrapeEndpoint) {
+        self.add(FamilyId::Scrapes, endpoint.index(), 1);
+    }
+
+    /// Marks one ingest session entering a lifecycle `state`. Pair with
+    /// [`TelemetryRegistry::ingest_session_exit`]; entering `Handshaking`
+    /// also counts toward the sessions-ever-accepted total.
+    pub fn ingest_session_enter(&self, state: IngestState) {
+        self.add(FamilyId::IngestSessions, state.index(), 1);
+        if state == IngestState::Handshaking {
+            self.add(FamilyId::IngestAccepted, 0, 1);
         }
     }
 
-    /// The running count for one archive operation.
-    pub fn archive_count(&self, op: ArchiveOp) -> u64 {
-        self.inner.archive[op.index()].load(Ordering::Relaxed)
+    /// Marks one ingest session leaving a lifecycle `state`.
+    pub fn ingest_session_exit(&self, state: IngestState) {
+        self.decrement(FamilyId::IngestSessions, state.index());
+    }
+
+    /// Counts one session refused by the admission controller.
+    pub fn record_ingest_shed(&self) {
+        self.add(FamilyId::IngestShed, 0, 1);
+    }
+
+    /// Counts one terminal session disconnect by reason.
+    pub fn record_ingest_disconnect(&self, reason: IngestDisconnect) {
+        self.add(FamilyId::IngestDisconnects, reason.index(), 1);
+    }
+
+    /// Counts `frames` accepted frames totalling `bytes` wire bytes off
+    /// ingest sockets.
+    pub fn record_ingest_frames(&self, frames: u64, bytes: u64) {
+        self.add(FamilyId::IngestFrames, 0, frames);
+        self.add(FamilyId::IngestBytes, 0, bytes);
+    }
+
+    /// Marks one alarm condition entering `Warning`-or-worse: bumps the
+    /// raised total and the active gauge for `kind`. Pair with
+    /// [`TelemetryRegistry::record_alarm_cleared`].
+    pub fn record_alarm_raised(&self, kind: AlarmKind) {
+        self.add(FamilyId::AlarmRaised, kind.index(), 1);
+        self.add(FamilyId::AlarmActive, kind.index(), 1);
+    }
+
+    /// Marks one alarm condition returning to `Normal`: bumps the cleared
+    /// total and decrements the active gauge.
+    pub fn record_alarm_cleared(&self, kind: AlarmKind) {
+        self.add(FamilyId::AlarmCleared, kind.index(), 1);
+        self.decrement(FamilyId::AlarmActive, kind.index());
+    }
+
+    /// Counts one alarm evaluation suppressed because the window was
+    /// concealed — concealed samples are the concealment heuristic's
+    /// output, not the patient's rhythm.
+    pub fn record_alarm_suppressed(&self) {
+        self.add(FamilyId::AlarmSuppressed, 0, 1);
+    }
+
+    /// Counts one classified beat.
+    pub fn record_beat(&self, class: BeatClass) {
+        self.add(FamilyId::Beat, class.index(), 1);
+    }
+
+    /// Accumulates a QRS-detection scoring outcome against annotated
+    /// ground truth (no-op when disabled). The exporters derive the
+    /// sensitivity (`tp / (tp + fn)`) and positive predictivity
+    /// (`tp / (tp + fp)`) panels from these totals.
+    pub fn record_qrs_score(&self, true_pos: u64, false_pos: u64, false_neg: u64) {
+        if self.is_enabled() {
+            for (cell, n) in self.inner.qrs.iter().zip([true_pos, false_pos, false_neg]) {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Accumulated `(true positives, false positives, false negatives)`
+    /// from [`TelemetryRegistry::record_qrs_score`].
+    pub fn qrs_confusion(&self) -> (u64, u64, u64) {
+        let [tp, fp, fneg] = [0, 1, 2].map(|i| self.inner.qrs[i].load(Ordering::Relaxed));
+        (tp, fp, fneg)
     }
 
     /// Records the iteration count of one solve against its mode's
@@ -270,11 +318,6 @@ impl TelemetryRegistry {
         if self.is_enabled() {
             self.inner.solver_iterations[mode.index()].record_ns(iterations as u64);
         }
-    }
-
-    /// The live per-mode iteration histogram.
-    pub fn solver_iterations(&self, mode: SolverMode) -> &Histogram {
-        &self.inner.solver_iterations[mode.index()]
     }
 
     /// Appends a convergence trace to the journal (no-op when disabled).
@@ -318,9 +361,8 @@ impl TelemetryRegistry {
         let e2e_ns = now.saturating_sub(ctx.captured_ns);
         self.inner.e2e[ctx.stream as usize % MAX_PATIENTS].record_ns(e2e_ns);
         let deadline_missed = e2e_ns > self.inner.slo.deadline_ns();
-        self.inner
-            .slo
-            .record_emit(ctx.stream as usize, ctx.lane as usize, ctx.seq, now, deadline_missed);
+        let (patient, lane) = (ctx.stream as usize, ctx.lane as usize);
+        self.inner.slo.record_emit(patient, lane, ctx.seq, now, deadline_missed);
         Some(EmitRecord { e2e_ns, deadline_missed })
     }
 
@@ -335,18 +377,6 @@ impl TelemetryRegistry {
         self.inner.slo.snapshot(self.now_ns())
     }
 
-    /// Counts one HTTP scrape against an endpoint (no-op when disabled).
-    pub fn record_scrape(&self, endpoint: ScrapeEndpoint) {
-        if self.is_enabled() {
-            self.inner.scrapes[endpoint.index()].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The running scrape count for one endpoint.
-    pub fn scrape_count(&self, endpoint: ScrapeEndpoint) -> u64 {
-        self.inner.scrapes[endpoint.index()].load(Ordering::Relaxed)
-    }
-
     /// Records one exporter render duration (no-op when disabled).
     pub fn record_render_ns(&self, ns: u64) {
         if self.is_enabled() {
@@ -354,235 +384,41 @@ impl TelemetryRegistry {
         }
     }
 
-    /// The live exporter render-time histogram.
-    pub fn render_times(&self) -> &Histogram {
-        &self.inner.render
-    }
-
-    /// Marks one ingest session entering a lifecycle `state` (no-op when
-    /// disabled). Pair with [`TelemetryRegistry::ingest_session_exit`];
-    /// entering `Handshaking` also counts toward the sessions-ever-
-    /// accepted total.
-    pub fn ingest_session_enter(&self, state: IngestState) {
-        if self.is_enabled() {
-            self.inner.ingest_states[state.index()].fetch_add(1, Ordering::Relaxed);
-            if state == IngestState::Handshaking {
-                self.inner.ingest_accepted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Marks one ingest session leaving a lifecycle `state`. Saturating:
-    /// an unpaired exit (e.g. telemetry toggled mid-session) clamps at
-    /// zero rather than wrapping the gauge.
-    pub fn ingest_session_exit(&self, state: IngestState) {
-        if self.is_enabled() {
-            let _ = self.inner.ingest_states[state.index()].fetch_update(
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-                |v| v.checked_sub(1),
-            );
-        }
-    }
-
-    /// Live ingest-session count in one lifecycle state.
-    pub fn ingest_sessions(&self, state: IngestState) -> u64 {
-        self.inner.ingest_states[state.index()].load(Ordering::Relaxed)
-    }
-
-    /// Sessions ever admitted to handshaking.
-    pub fn ingest_accepted_total(&self) -> u64 {
-        self.inner.ingest_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Counts one session refused by the admission controller (no-op
-    /// when disabled).
-    pub fn record_ingest_shed(&self) {
-        if self.is_enabled() {
-            self.inner.ingest_shed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Sessions refused by the admission controller.
-    pub fn ingest_shed_total(&self) -> u64 {
-        self.inner.ingest_shed.load(Ordering::Relaxed)
-    }
-
-    /// Counts one terminal session disconnect by reason (no-op when
-    /// disabled).
-    pub fn record_ingest_disconnect(&self, reason: IngestDisconnect) {
-        if self.is_enabled() {
-            self.inner.ingest_disconnects[reason.index()].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The running count for one disconnect reason.
-    pub fn ingest_disconnect_count(&self, reason: IngestDisconnect) -> u64 {
-        self.inner.ingest_disconnects[reason.index()].load(Ordering::Relaxed)
-    }
-
-    /// Counts `frames` accepted frames totalling `bytes` wire bytes off
-    /// ingest sockets (no-op when disabled).
-    pub fn record_ingest_frames(&self, frames: u64, bytes: u64) {
-        if self.is_enabled() {
-            self.inner.ingest_frames.fetch_add(frames, Ordering::Relaxed);
-            self.inner.ingest_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Frames accepted off ingest sockets.
-    pub fn ingest_frames_total(&self) -> u64 {
-        self.inner.ingest_frames.load(Ordering::Relaxed)
-    }
-
-    /// Wire bytes accepted off ingest sockets.
-    pub fn ingest_bytes_total(&self) -> u64 {
-        self.inner.ingest_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Marks one alarm condition entering `Warning`-or-worse: bumps the
-    /// raised total and the active gauge for `kind` (no-op when
-    /// disabled). Pair with [`TelemetryRegistry::record_alarm_cleared`].
-    pub fn record_alarm_raised(&self, kind: AlarmKind) {
-        if self.is_enabled() {
-            self.inner.alarms_raised[kind.index()].fetch_add(1, Ordering::Relaxed);
-            self.inner.alarms_active[kind.index()].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Marks one alarm condition returning to `Normal`: bumps the cleared
-    /// total and decrements the active gauge. Saturating: an unpaired
-    /// clear (telemetry toggled mid-episode) clamps the gauge at zero.
-    pub fn record_alarm_cleared(&self, kind: AlarmKind) {
-        if self.is_enabled() {
-            self.inner.alarms_cleared[kind.index()].fetch_add(1, Ordering::Relaxed);
-            let _ = self.inner.alarms_active[kind.index()].fetch_update(
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-                |v| v.checked_sub(1),
-            );
-        }
-    }
-
-    /// Alarms ever raised for one kind.
-    pub fn alarm_raised_count(&self, kind: AlarmKind) -> u64 {
-        self.inner.alarms_raised[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Alarms ever cleared for one kind.
-    pub fn alarm_cleared_count(&self, kind: AlarmKind) -> u64 {
-        self.inner.alarms_cleared[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Patients currently in `Warning`-or-worse for one kind.
-    pub fn alarm_active_count(&self, kind: AlarmKind) -> u64 {
-        self.inner.alarms_active[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Counts one alarm evaluation suppressed because the window was
-    /// concealed — concealed samples are the concealment heuristic's
-    /// output, not the patient's rhythm (no-op when disabled).
-    pub fn record_alarm_suppressed(&self) {
-        if self.is_enabled() {
-            self.inner.alarms_suppressed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Alarm evaluations suppressed on concealed windows.
-    pub fn alarm_suppressed_total(&self) -> u64 {
-        self.inner.alarms_suppressed.load(Ordering::Relaxed)
-    }
-
-    /// Counts one classified beat (no-op when disabled).
-    pub fn record_beat(&self, class: BeatClass) {
-        if self.is_enabled() {
-            self.inner.beats[class.index()].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Beats ever classified into one class.
-    pub fn beat_count(&self, class: BeatClass) -> u64 {
-        self.inner.beats[class.index()].load(Ordering::Relaxed)
-    }
-
-    /// Accumulates a QRS-detection scoring outcome against annotated
-    /// ground truth (no-op when disabled). The exporters derive the
-    /// sensitivity (`tp / (tp + fn)`) and positive predictivity
-    /// (`tp / (tp + fp)`) panels from these totals.
-    pub fn record_qrs_score(&self, true_pos: u64, false_pos: u64, false_neg: u64) {
-        if self.is_enabled() {
-            self.inner.qrs_true_positive.fetch_add(true_pos, Ordering::Relaxed);
-            self.inner.qrs_false_positive.fetch_add(false_pos, Ordering::Relaxed);
-            self.inner.qrs_false_negative.fetch_add(false_neg, Ordering::Relaxed);
-        }
-    }
-
-    /// Accumulated `(true positives, false positives, false negatives)`
-    /// from [`TelemetryRegistry::record_qrs_score`].
-    pub fn qrs_confusion(&self) -> (u64, u64, u64) {
-        (
-            self.inner.qrs_true_positive.load(Ordering::Relaxed),
-            self.inner.qrs_false_positive.load(Ordering::Relaxed),
-            self.inner.qrs_false_negative.load(Ordering::Relaxed),
-        )
-    }
-
     /// A point-in-time copy of every aggregate the registry holds — what
     /// the exporters render.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (qrs_tp, qrs_fp, qrs_fn) = self.qrs_confusion();
+        let inner = &*self.inner;
         TelemetrySnapshot {
             uptime: self.uptime(),
             unix_time_s: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map_or(0.0, |d| d.as_secs_f64()),
-            stages: Stage::ALL.map(|s| (s, self.stage(s).snapshot())),
+            cells: std::array::from_fn(|i| inner.cells[i].load(Ordering::Relaxed)),
+            stages: Stage::ALL.map(|s| (s, inner.stages[s.index()].snapshot())),
             worker_packets: self.worker_packets(MAX_WORKERS),
-            faults: FaultKind::ALL.map(|k| (k, self.fault_count(k))),
-            archive_ops: ArchiveOp::ALL.map(|o| (o, self.archive_count(o))),
             solver_iterations: SolverMode::ALL
-                .map(|m| (m, self.inner.solver_iterations[m.index()].snapshot())),
-            journal_len: self.inner.journal.len(),
-            journal_pushed: self.inner.journal.pushed(),
-            journal_dropped: self.inner.journal.dropped(),
-            e2e: self
-                .inner
-                .e2e
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.count() > 0)
-                .map(|(p, h)| (p, h.snapshot()))
+                .map(|m| (m, inner.solver_iterations[m.index()].snapshot())),
+            journal_len: inner.journal.len(),
+            journal_pushed: inner.journal.pushed(),
+            journal_dropped: inner.journal.dropped(),
+            e2e: (0..MAX_PATIENTS)
+                .map(|p| (p, inner.e2e[p].snapshot()))
+                .filter(|(_, hist)| hist.count() > 0)
                 .collect(),
             slo: self.slo_snapshot(),
-            scrapes: ScrapeEndpoint::ALL.map(|e| (e, self.scrape_count(e))),
-            render_ns: self.inner.render.snapshot(),
-            ingest_sessions: IngestState::ALL.map(|s| (s, self.ingest_sessions(s))),
-            ingest_accepted: self.ingest_accepted_total(),
-            ingest_shed: self.ingest_shed_total(),
-            ingest_disconnects: IngestDisconnect::ALL
-                .map(|r| (r, self.ingest_disconnect_count(r))),
-            ingest_frames: self.ingest_frames_total(),
-            ingest_bytes: self.ingest_bytes_total(),
-            alarms: AlarmKind::ALL.map(|k| {
-                (
-                    k,
-                    AlarmCounts {
-                        raised: self.alarm_raised_count(k),
-                        cleared: self.alarm_cleared_count(k),
-                        active: self.alarm_active_count(k),
-                    },
-                )
-            }),
-            alarms_suppressed: self.alarm_suppressed_total(),
-            beats: BeatClass::ALL.map(|c| (c, self.beat_count(c))),
-            qrs_true_positive: qrs_tp,
-            qrs_false_positive: qrs_fp,
-            qrs_false_negative: qrs_fn,
+            render_ns: inner.render.snapshot(),
+            qrs_confusion: self.qrs_confusion(),
         }
     }
 }
 
 /// A point-in-time copy of the registry's aggregates.
+///
+/// Stored counter and gauge families are read with
+/// [`count`](TelemetrySnapshot::count) and
+/// [`total`](TelemetrySnapshot::total), by [`FamilyId`]; everything with
+/// a shape of its own (histograms, the journal, the SLO state) is a
+/// public field.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Time since registry creation.
@@ -590,14 +426,12 @@ pub struct TelemetrySnapshot {
     /// Absolute wall-clock seconds since the Unix epoch at snapshot
     /// time (0.0 if the system clock predates the epoch).
     pub unix_time_s: f64,
+    /// Every stored family's cells, laid out like the registry's.
+    cells: [u64; CELLS],
     /// Per-stage latency histograms, in [`Stage::ALL`] order.
     pub stages: [(Stage, HistogramSnapshot); Stage::COUNT],
     /// Packets decoded per worker slot (length [`MAX_WORKERS`]).
     pub worker_packets: Vec<u64>,
-    /// Per-kind fault counts, in [`FaultKind::ALL`] order.
-    pub faults: [(FaultKind, u64); FaultKind::COUNT],
-    /// Per-op archive counts, in [`ArchiveOp::ALL`] order.
-    pub archive_ops: [(ArchiveOp, u64); ArchiveOp::COUNT],
     /// Per-mode solver iteration distributions (raw iteration counts), in
     /// [`SolverMode::ALL`] order.
     pub solver_iterations: [(SolverMode, HistogramSnapshot); SolverMode::COUNT],
@@ -611,89 +445,83 @@ pub struct TelemetrySnapshot {
     pub e2e: Vec<(usize, HistogramSnapshot)>,
     /// Derived per-patient SLO state at snapshot time.
     pub slo: SloSnapshot,
-    /// Per-endpoint HTTP scrape counts, in [`ScrapeEndpoint::ALL`] order.
-    pub scrapes: [(ScrapeEndpoint, u64); ScrapeEndpoint::COUNT],
     /// Exporter render-time distribution (self-observation; lags the
     /// current render by one scrape).
     pub render_ns: HistogramSnapshot,
-    /// Live ingest-session counts per lifecycle state, in
-    /// [`IngestState::ALL`] order.
-    pub ingest_sessions: [(IngestState, u64); IngestState::COUNT],
-    /// Sessions ever admitted to handshaking.
-    pub ingest_accepted: u64,
-    /// Sessions refused by the admission controller.
-    pub ingest_shed: u64,
-    /// Terminal session disconnects by reason, in
-    /// [`IngestDisconnect::ALL`] order.
-    pub ingest_disconnects: [(IngestDisconnect, u64); IngestDisconnect::COUNT],
-    /// Frames accepted off ingest sockets.
-    pub ingest_frames: u64,
-    /// Wire bytes accepted off ingest sockets.
-    pub ingest_bytes: u64,
-    /// Per-kind alarm accounting, in [`AlarmKind::ALL`] order.
-    pub alarms: [(AlarmKind, AlarmCounts); AlarmKind::COUNT],
-    /// Alarm evaluations suppressed on concealed windows.
-    pub alarms_suppressed: u64,
-    /// Classified beats per class, in [`BeatClass::ALL`] order.
-    pub beats: [(BeatClass, u64); BeatClass::COUNT],
-    /// QRS detections matching an annotated beat.
-    pub qrs_true_positive: u64,
-    /// QRS detections matching no annotated beat.
-    pub qrs_false_positive: u64,
-    /// Annotated beats no detection matched.
-    pub qrs_false_negative: u64,
-}
-
-/// Alarm totals and the live gauge for one [`AlarmKind`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AlarmCounts {
-    /// Episodes ever entering `Warning`-or-worse.
-    pub raised: u64,
-    /// Episodes ever returning to `Normal`.
-    pub cleared: u64,
-    /// Patients currently in `Warning`-or-worse.
-    pub active: u64,
+    /// QRS detections scored against annotations: `(true positives,
+    /// false positives, false negatives)`.
+    pub qrs_confusion: (u64, u64, u64),
 }
 
 impl TelemetrySnapshot {
+    /// The cells of one stored family, in label order (none for a
+    /// derived family).
+    pub(crate) fn cells(&self, family: FamilyId) -> impl Iterator<Item = u64> + '_ {
+        self.cells[family.cells()].iter().copied()
+    }
+
+    /// The value of a stored family for one label value, e.g.
+    /// `count(FamilyId::Fault, FaultKind::Late)`.
+    ///
+    /// # Panics
+    ///
+    /// If `family` is not labelled by `L`'s set.
+    pub fn count<L: Label>(&self, family: FamilyId, label: L) -> u64 {
+        let cells = family.cells();
+        let row = &FAMILIES[family as usize];
+        assert!(
+            row.labels == [L::KEY] && cells.len() == L::VALUES.len(),
+            "{} is not labelled by `{}`",
+            row.name,
+            L::KEY
+        );
+        self.cells[cells.start + label.index()]
+    }
+
+    /// The value of a stored family summed over its label values — for
+    /// an unlabelled family, its one value.
+    pub fn total(&self, family: FamilyId) -> u64 {
+        self.cells(family).sum()
+    }
+
     /// The snapshot histogram for one stage.
     pub fn stage(&self, stage: Stage) -> &HistogramSnapshot {
         &self.stages[stage.index()].1
     }
 
-    /// The snapshot count for one fault kind.
-    pub fn fault(&self, kind: FaultKind) -> u64 {
-        self.faults[kind.index()].1
-    }
-
-    /// The snapshot count for one archive operation.
-    pub fn archive(&self, op: ArchiveOp) -> u64 {
-        self.archive_ops[op.index()].1
-    }
-
-    /// The snapshot alarm accounting for one kind.
-    pub fn alarm(&self, kind: AlarmKind) -> AlarmCounts {
-        self.alarms[kind.index()].1
-    }
-
-    /// The snapshot beat count for one class.
-    pub fn beat(&self, class: BeatClass) -> u64 {
-        self.beats[class.index()].1
+    /// Whether `layer` has recorded anything — the condition under which
+    /// its `WhenActive` families are exported. A fleet fed in-process
+    /// exports no ingest rows, one without a clinical tap no alarm rows.
+    pub fn layer_active(&self, layer: Layer) -> bool {
+        let any = |families: &[FamilyId]| families.iter().any(|&f| self.total(f) > 0);
+        match layer {
+            Layer::Pipeline | Layer::Exporter => true,
+            Layer::Clinical => {
+                any(&[FamilyId::Beat, FamilyId::AlarmRaised, FamilyId::AlarmSuppressed])
+                    || self.qrs_confusion != (0, 0, 0)
+            }
+            Layer::Slo => !self.e2e.is_empty() || !self.slo.patients.is_empty(),
+            Layer::Ingest => any(&[FamilyId::IngestAccepted, FamilyId::IngestShed]),
+        }
     }
 
     /// QRS sensitivity `tp / (tp + fn)`, or `None` before any annotated
     /// beat has been scored.
     pub fn qrs_sensitivity(&self) -> Option<f64> {
-        let denom = self.qrs_true_positive + self.qrs_false_negative;
-        (denom > 0).then(|| self.qrs_true_positive as f64 / denom as f64)
+        ratio(self.qrs_confusion.0, self.qrs_confusion.2)
     }
 
     /// QRS positive predictivity `tp / (tp + fp)`, or `None` before any
     /// detection has been scored.
     pub fn qrs_ppv(&self) -> Option<f64> {
-        let denom = self.qrs_true_positive + self.qrs_false_positive;
-        (denom > 0).then(|| self.qrs_true_positive as f64 / denom as f64)
+        ratio(self.qrs_confusion.0, self.qrs_confusion.1)
     }
+}
+
+/// `hits / (hits + misses)`; `None` over an empty denominator — a ratio
+/// over nothing is a lie, not a zero.
+fn ratio(hits: u64, misses: u64) -> Option<f64> {
+    (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64)
 }
 
 /// RAII guard timing one stage execution; see
@@ -708,20 +536,6 @@ pub struct Span<'a> {
     registry: &'a TelemetryRegistry,
     stage: Stage,
     start: Option<Instant>,
-}
-
-impl<'a> Span<'a> {
-    /// Enters a span over `stage` against `registry`.
-    #[inline]
-    pub fn enter(registry: &'a TelemetryRegistry, stage: Stage) -> Self {
-        let start = registry.is_enabled().then(Instant::now);
-        Span { registry, stage, start }
-    }
-
-    /// The stage being timed.
-    pub fn stage(&self) -> Stage {
-        self.stage
-    }
 }
 
 impl Drop for Span<'_> {
@@ -784,16 +598,16 @@ mod tests {
         reg.record_fault(FaultKind::ConcealedLoss);
         reg.record_fault(FaultKind::ConcealedLoss);
         reg.record_fault(FaultKind::WorkerRestart);
-        assert_eq!(reg.fault_count(FaultKind::ConcealedLoss), 2);
-        assert_eq!(reg.fault_count(FaultKind::Quarantined), 0);
         let snap = reg.snapshot();
-        assert_eq!(snap.fault(FaultKind::ConcealedLoss), 2);
-        assert_eq!(snap.fault(FaultKind::WorkerRestart), 1);
+        assert_eq!(snap.count(FamilyId::Fault, FaultKind::ConcealedLoss), 2);
+        assert_eq!(snap.count(FamilyId::Fault, FaultKind::Quarantined), 0);
+        assert_eq!(snap.count(FamilyId::Fault, FaultKind::WorkerRestart), 1);
+        assert_eq!(snap.total(FamilyId::Fault), 3);
 
         let off = TelemetryRegistry::new();
         off.set_enabled(false);
         off.record_fault(FaultKind::Duplicate);
-        assert_eq!(off.fault_count(FaultKind::Duplicate), 0);
+        assert_eq!(off.snapshot().total(FamilyId::Fault), 0);
     }
 
     #[test]
@@ -833,8 +647,8 @@ mod tests {
         reg.record_scrape(ScrapeEndpoint::Metrics);
         reg.record_render_ns(55);
         assert_eq!(reg.e2e(0).count(), 0);
-        assert_eq!(reg.scrape_count(ScrapeEndpoint::Metrics), 0);
-        assert_eq!(reg.render_times().count(), 0);
+        assert_eq!(reg.snapshot().count(FamilyId::Scrapes, ScrapeEndpoint::Metrics), 0);
+        assert_eq!(reg.snapshot().render_ns.count(), 0);
         assert!(reg.slo_snapshot().patients.is_empty());
     }
 
@@ -868,36 +682,37 @@ mod tests {
         reg.record_beat(BeatClass::Normal);
         reg.record_qrs_score(19, 1, 1);
         let snap = reg.snapshot();
-        let tachy = snap.alarm(AlarmKind::Tachycardia);
-        assert_eq!(tachy.raised, 2);
-        assert_eq!(tachy.cleared, 1);
-        assert_eq!(tachy.active, 1);
-        assert_eq!(snap.alarm(AlarmKind::Asystole), AlarmCounts::default());
-        assert_eq!(snap.alarms_suppressed, 1);
-        assert_eq!(snap.beat(BeatClass::Pvc), 1);
-        assert_eq!(snap.beat(BeatClass::Apc), 0);
+        assert_eq!(snap.count(FamilyId::AlarmRaised, AlarmKind::Tachycardia), 2);
+        assert_eq!(snap.count(FamilyId::AlarmCleared, AlarmKind::Tachycardia), 1);
+        assert_eq!(snap.count(FamilyId::AlarmActive, AlarmKind::Tachycardia), 1);
+        for family in [FamilyId::AlarmRaised, FamilyId::AlarmCleared, FamilyId::AlarmActive] {
+            assert_eq!(snap.count(family, AlarmKind::Asystole), 0);
+        }
+        assert_eq!(snap.total(FamilyId::AlarmSuppressed), 1);
+        assert_eq!(snap.count(FamilyId::Beat, BeatClass::Pvc), 1);
+        assert_eq!(snap.count(FamilyId::Beat, BeatClass::Apc), 0);
         assert!((snap.qrs_sensitivity().unwrap() - 0.95).abs() < 1e-12);
         assert!((snap.qrs_ppv().unwrap() - 0.95).abs() < 1e-12);
 
         // An unpaired clear clamps the gauge instead of wrapping it.
         reg.record_alarm_cleared(AlarmKind::Tachycardia);
         reg.record_alarm_cleared(AlarmKind::Tachycardia);
-        assert_eq!(reg.alarm_active_count(AlarmKind::Tachycardia), 0);
+        assert_eq!(reg.snapshot().count(FamilyId::AlarmActive, AlarmKind::Tachycardia), 0);
 
         let off = TelemetryRegistry::new();
         off.set_enabled(false);
         off.record_alarm_raised(AlarmKind::Asystole);
         off.record_beat(BeatClass::Apc);
         off.record_qrs_score(1, 0, 0);
-        assert_eq!(off.alarm_raised_count(AlarmKind::Asystole), 0);
-        assert_eq!(off.beat_count(BeatClass::Apc), 0);
+        assert_eq!(off.snapshot().total(FamilyId::AlarmRaised), 0);
+        assert_eq!(off.snapshot().total(FamilyId::Beat), 0);
         assert!(off.snapshot().qrs_sensitivity().is_none());
         assert!(off.snapshot().qrs_ppv().is_none());
     }
 
     #[test]
     fn snapshot_carries_journal_accounting() {
-        let reg = TelemetryRegistry::with_journal_capacity(2);
+        let reg = TelemetryRegistry::build(2, SloConfig::default());
         for seq in 0..3 {
             reg.record_solve(SolveTrace { seq, ..SolveTrace::default() });
         }

@@ -26,45 +26,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The scrape surfaces the server counts per-request hits against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScrapeEndpoint {
-    /// `GET /metrics`.
-    Metrics,
-    /// `GET /healthz`.
-    Healthz,
-    /// `GET /tracez`.
-    Tracez,
-    /// Anything else (unknown path or method).
-    Other,
-}
-
-impl ScrapeEndpoint {
-    /// Number of endpoints (the registry's counter-array length).
-    pub const COUNT: usize = 4;
-
-    /// Every endpoint, in route order.
-    pub const ALL: [ScrapeEndpoint; ScrapeEndpoint::COUNT] = [
-        ScrapeEndpoint::Metrics,
-        ScrapeEndpoint::Healthz,
-        ScrapeEndpoint::Tracez,
-        ScrapeEndpoint::Other,
-    ];
-
-    /// Dense index into per-endpoint arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name (Prometheus `endpoint` label).
-    pub fn name(self) -> &'static str {
-        match self {
-            ScrapeEndpoint::Metrics => "metrics",
-            ScrapeEndpoint::Healthz => "healthz",
-            ScrapeEndpoint::Tracez => "tracez",
-            ScrapeEndpoint::Other => "other",
-        }
+label_set! {
+    /// The scrape surfaces the server counts per-request hits against.
+    pub enum ScrapeEndpoint("endpoint") {
+        /// `GET /metrics`.
+        Metrics => "metrics",
+        /// `GET /healthz`.
+        Healthz => "healthz",
+        /// `GET /tracez`.
+        Tracez => "tracez",
+        /// Anything else (unknown path or method).
+        Other => "other",
     }
 }
 
@@ -157,11 +129,11 @@ fn handle_connection(mut stream: TcpStream, registry: &TelemetryRegistry) -> std
     let mut buf = [0u8; 512];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
         if head.len() >= MAX_REQUEST_BYTES {
-            return respond(&mut stream, 431, "text/plain; charset=utf-8", "request too large");
+            return refuse(&mut stream, 431, "request too large");
         }
         let now = std::time::Instant::now();
         if now >= deadline {
-            return respond(&mut stream, 408, "text/plain; charset=utf-8", "request header timeout");
+            return refuse(&mut stream, 408, "request header timeout");
         }
         // Each read gets only the remaining head budget, so a client
         // trickling single bytes cannot restart the clock.
@@ -173,51 +145,51 @@ fn handle_connection(mut stream: TcpStream, registry: &TelemetryRegistry) -> std
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                return respond(
-                    &mut stream,
-                    408,
-                    "text/plain; charset=utf-8",
-                    "request header timeout",
-                );
+                return refuse(&mut stream, 408, "request header timeout");
             }
             Err(_) => return Ok(()), // reset: drop silently
         }
     }
 
-    let request_line = head
-        .split(|&b| b == b'\r')
-        .next()
-        .map(|l| String::from_utf8_lossy(l).into_owned())
-        .unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let path = path.split('?').next().unwrap_or(path);
-
-    if method != "GET" {
-        registry.record_scrape(ScrapeEndpoint::Other);
-        return respond(&mut stream, 405, "text/plain; charset=utf-8", "method not allowed");
-    }
-    match path {
-        "/metrics" => {
-            registry.record_scrape(ScrapeEndpoint::Metrics);
+    let (endpoint, refusal) = route(&head);
+    registry.record_scrape(endpoint);
+    match endpoint {
+        ScrapeEndpoint::Metrics => {
             let body = registry.prometheus();
             respond(&mut stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body)
         }
-        "/healthz" => {
-            registry.record_scrape(ScrapeEndpoint::Healthz);
+        ScrapeEndpoint::Healthz => {
             let (status, body) = healthz_body(registry);
             respond(&mut stream, status, "application/json", &body)
         }
-        "/tracez" => {
-            registry.record_scrape(ScrapeEndpoint::Tracez);
+        ScrapeEndpoint::Tracez => {
             let body = crate::trace::tracez_json(&registry.journal().peek());
             respond(&mut stream, 200, "application/json", &body)
         }
-        _ => {
-            registry.record_scrape(ScrapeEndpoint::Other);
-            respond(&mut stream, 404, "text/plain; charset=utf-8", "not found")
-        }
+        ScrapeEndpoint::Other if refusal == 405 => refuse(&mut stream, 405, "method not allowed"),
+        ScrapeEndpoint::Other => refuse(&mut stream, 404, "not found"),
+    }
+}
+
+/// Routes a request head — bytes straight off a socket, so anything at
+/// all — by its request line. `GET` on exactly `/metrics`, `/healthz` or
+/// `/tracez` (a `?query` suffix ignored) reaches that endpoint with
+/// status 200; every other head is [`ScrapeEndpoint::Other`] with the
+/// status it is refused with — 405 for a method other than `GET`, 404
+/// for an unknown path. Pure and total: no input panics.
+fn route(head: &[u8]) -> (ScrapeEndpoint, u16) {
+    let request_line = head.split(|&b| b == b'\r').next().unwrap_or_default();
+    let request_line = String::from_utf8_lossy(request_line);
+    let mut parts = request_line.split_whitespace();
+    if parts.next() != Some("GET") {
+        return (ScrapeEndpoint::Other, 405);
+    }
+    let target = parts.next().unwrap_or("");
+    match target.split('?').next().unwrap_or(target) {
+        "/metrics" => (ScrapeEndpoint::Metrics, 200),
+        "/healthz" => (ScrapeEndpoint::Healthz, 200),
+        "/tracez" => (ScrapeEndpoint::Tracez, 200),
+        _ => (ScrapeEndpoint::Other, 404),
     }
 }
 
@@ -238,6 +210,11 @@ pub fn healthz_body(registry: &TelemetryRegistry) -> (u16, String) {
         slo.count_in(crate::slo::HealthState::Stalled),
     );
     (if stalled { 503 } else { 200 }, body)
+}
+
+/// A plain-text refusal.
+fn refuse(stream: &mut TcpStream, status: u16, why: &str) -> std::io::Result<()> {
+    respond(stream, status, "text/plain; charset=utf-8", why)
 }
 
 fn respond(
@@ -267,6 +244,98 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FamilyId;
+    use proptest::prelude::*;
+
+    #[test]
+    fn route_is_exact_about_method_and_path() {
+        use ScrapeEndpoint::{Healthz, Metrics, Other, Tracez};
+        let cases: [(&[u8], (ScrapeEndpoint, u16)); 16] = [
+            (b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n", (Metrics, 200)),
+            (b"GET /healthz HTTP/1.1\r\n\r\n", (Healthz, 200)),
+            (b"GET /tracez?limit=3 HTTP/1.1\r\n\r\n", (Tracez, 200)),
+            (b"GET /metrics?x=1?y=2", (Metrics, 200)),
+            (b"GET\t/metrics", (Metrics, 200)),
+            (b"GET /metrics/ HTTP/1.1\r\n\r\n", (Other, 404)),
+            (b"GET /Metrics HTTP/1.1\r\n\r\n", (Other, 404)),
+            (b"GET metrics HTTP/1.1\r\n\r\n", (Other, 404)),
+            (b"GET  HTTP/1.1\r\n\r\n", (Other, 404)),
+            (b"GET", (Other, 404)),
+            (b"GET \r\n/metrics", (Other, 404)),
+            (b"get /metrics HTTP/1.1\r\n\r\n", (Other, 405)),
+            (b"POST /metrics HTTP/1.1\r\n\r\n", (Other, 405)),
+            (b"GET/metrics HTTP/1.1\r\n\r\n", (Other, 405)),
+            (b"\xff\xfe /metrics", (Other, 405)),
+            (b"", (Other, 405)),
+        ];
+        for (head, expected) in cases {
+            assert_eq!(route(head), expected, "{:?}", String::from_utf8_lossy(head));
+        }
+        assert_eq!(route(&[b' '; MAX_REQUEST_BYTES]), (Other, 405));
+    }
+
+    /// What must hold of any routing decision: refusals and only
+    /// refusals are `Other`, and an endpoint is reached only by a head
+    /// that says `GET` first and spells that endpoint's path.
+    fn check_route(head: &[u8]) -> Result<(ScrapeEndpoint, u16), TestCaseError> {
+        let (endpoint, status) = route(head);
+        prop_assert_eq!(endpoint == ScrapeEndpoint::Other, status != 200);
+        prop_assert!(matches!(status, 200 | 404 | 405));
+        if endpoint != ScrapeEndpoint::Other {
+            let text = String::from_utf8_lossy(head);
+            prop_assert!(text.trim_start().starts_with("GET"), "{text:?} reached {endpoint}");
+            let path = format!("/{endpoint}");
+            prop_assert!(text.contains(&path), "{text:?} reached {endpoint}");
+        }
+        Ok((endpoint, status))
+    }
+
+    proptest! {
+        /// Heads assembled from the pieces that matter — a real or a
+        /// random method, a real or a random separator, a served path
+        /// (bare, with a query, or one byte too long) or random bytes,
+        /// then anything. A well-formed head routes to its endpoint; a
+        /// damaged one is refused or at least obeys `check_route`.
+        #[test]
+        fn only_get_on_an_exact_path_reaches_an_endpoint(
+            real_method in any::<bool>(),
+            method in proptest::collection::vec(any::<u8>(), 0..8),
+            real_gap in any::<bool>(),
+            gap in proptest::collection::vec(any::<u8>(), 0..4),
+            path in 0usize..6,
+            target in proptest::collection::vec(any::<u8>(), 0..24),
+            tail in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            use ScrapeEndpoint::{Healthz, Metrics, Other, Tracez};
+            let served: [(&[u8], (ScrapeEndpoint, u16)); 5] = [
+                (b"/metrics", (Metrics, 200)),
+                (b"/healthz", (Healthz, 200)),
+                (b"/tracez", (Tracez, 200)),
+                (b"/metrics?window=5m", (Metrics, 200)),
+                (b"/metricsz", (Other, 404)),
+            ];
+            let head = [
+                if real_method { b"GET".to_vec() } else { method },
+                if real_gap { b" ".to_vec() } else { gap },
+                served.get(path).map_or(target, |(p, _)| p.to_vec()),
+                b" HTTP/1.1\r\n".to_vec(),
+                tail,
+            ]
+            .concat();
+            let routed = check_route(&head)?;
+            if let (true, true, Some((_, expected))) = (real_method, real_gap, served.get(path)) {
+                prop_assert_eq!(routed, *expected);
+            }
+        }
+
+        /// Unstructured bytes, up to the largest head the server reads.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_router(
+            head in proptest::collection::vec(any::<u8>(), 0..MAX_REQUEST_BYTES),
+        ) {
+            check_route(&head)?;
+        }
+    }
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -309,10 +378,10 @@ mod tests {
         assert_eq!(status, 404);
 
         // The server observed itself: four scrapes across the endpoints.
-        assert_eq!(registry.scrape_count(ScrapeEndpoint::Metrics), 1);
-        assert_eq!(registry.scrape_count(ScrapeEndpoint::Healthz), 1);
-        assert_eq!(registry.scrape_count(ScrapeEndpoint::Tracez), 1);
-        assert_eq!(registry.scrape_count(ScrapeEndpoint::Other), 1);
+        let scrapes = registry.snapshot();
+        for endpoint in ScrapeEndpoint::ALL {
+            assert_eq!(scrapes.count(FamilyId::Scrapes, endpoint), 1, "{endpoint}");
+        }
         let text = registry.prometheus();
         assert!(text.contains("cs_telemetry_scrapes_total{endpoint=\"metrics\"} 1"));
     }

@@ -82,35 +82,16 @@ impl Default for SloConfig {
     }
 }
 
-/// Derived per-patient health.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HealthState {
-    /// Fresh and inside the error budget.
-    Healthy,
-    /// Burning error budget at or above threshold in both windows.
-    Degraded,
-    /// No emission within [`SloConfig::stall_after`].
-    Stalled,
-}
-
-impl HealthState {
-    /// Every state, in severity order.
-    pub const ALL: [HealthState; 3] =
-        [HealthState::Healthy, HealthState::Degraded, HealthState::Stalled];
-
-    /// Stable snake_case name (Prometheus `state` label).
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Stalled => "stalled",
-        }
-    }
-}
-
-impl std::fmt::Display for HealthState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+label_set! {
+    /// Derived per-patient health, in severity order.
+    #[derive(PartialOrd, Ord)]
+    pub enum HealthState("state") {
+        /// Fresh and inside the error budget.
+        Healthy => "healthy",
+        /// Burning error budget at or above threshold in both windows.
+        Degraded => "degraded",
+        /// No emission within [`SloConfig::stall_after`].
+        Stalled => "stalled",
     }
 }
 
@@ -361,15 +342,6 @@ impl SloSnapshot {
         self.patients.iter().any(|p| p.health == HealthState::Stalled)
     }
 
-    /// The worst health across active patients (`Healthy` when none).
-    pub fn worst(&self) -> HealthState {
-        self.patients
-            .iter()
-            .map(|p| p.health)
-            .max()
-            .unwrap_or(HealthState::Healthy)
-    }
-
     /// Patients currently in `state`.
     pub fn count_in(&self, state: HealthState) -> u64 {
         self.patients.iter().filter(|p| p.health == state).count() as u64
@@ -392,7 +364,6 @@ mod tests {
         let snap = engine().snapshot(10 * S);
         assert!(snap.patients.is_empty());
         assert!(!snap.any_stalled());
-        assert_eq!(snap.worst(), HealthState::Healthy);
     }
 
     #[test]
@@ -421,7 +392,6 @@ mod tests {
         let snap = e.snapshot(32 * S);
         assert_eq!(snap.patients[0].health, HealthState::Stalled);
         assert!(snap.any_stalled());
-        assert_eq!(snap.worst(), HealthState::Stalled);
         assert_eq!(snap.count_in(HealthState::Stalled), 1);
     }
 

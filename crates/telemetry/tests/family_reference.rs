@@ -1,0 +1,45 @@
+//! `DESIGN.md` §7 carries the operator's reference for the exposition —
+//! one row per metric family: name, type, labels, when it is present,
+//! where it sits in a JSON-Lines record, help. The table is not
+//! hand-kept: this test renders it from `FAMILIES` and requires the
+//! committed rows to match, so a new row in the family table fails here
+//! until the document gains it (the failure prints the rows to paste).
+
+use cs_telemetry::{Family, Json, Kind, Layer, Presence, FAMILIES};
+
+fn reference_row(family: &Family) -> String {
+    let kind = match family.kind {
+        Kind::Histogram { seconds: true } => "histogram (s)".to_owned(),
+        kind => kind.type_name().to_owned(),
+    };
+    let labels = match family.labels {
+        [] => "—".to_owned(),
+        keys => keys.iter().map(|k| format!("`{k}`")).collect::<Vec<_>>().join(", "),
+    };
+    let present = match (family.presence, family.layer) {
+        (Presence::Always, _) => "always",
+        (Presence::WhenActive, Layer::Pipeline | Layer::Exporter) => "once observed",
+        (Presence::WhenActive, Layer::Clinical) => "clinical layer active",
+        (Presence::WhenActive, Layer::Slo) => "a packet emitted",
+        (Presence::WhenActive, Layer::Ingest) => "ingest layer active",
+    };
+    let object = family.layer.json_object().map_or(String::new(), |object| format!("{object}."));
+    let json = match family.json {
+        Json::Key(key) => format!("`{object}{key}`"),
+        Json::Within(key) => format!("`{object}{key}` †"),
+    };
+    format!("| `{}` | {kind} | {labels} | {present} | {json} | {} |", family.name, family.help)
+}
+
+#[test]
+fn design_reference_table_matches_the_family_table() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+    let design = std::fs::read_to_string(path).expect("DESIGN.md at the workspace root");
+    let committed: Vec<&str> = design.lines().filter(|line| line.starts_with("| `cs_")).collect();
+    let rendered: Vec<String> = FAMILIES.iter().map(reference_row).collect();
+    assert!(
+        committed == rendered,
+        "DESIGN.md §7's family reference is out of date; its rows should read:\n{}",
+        rendered.join("\n")
+    );
+}

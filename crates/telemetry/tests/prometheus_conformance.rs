@@ -8,11 +8,16 @@
 //! `+Inf` bucket equal to `_count`, and no series may appear twice.
 //! This test implements that checklist as a standalone validator (the
 //! crate is dependency-free, so no prometheus-parser crate) and runs
-//! the real exporter through it — populated, empty, and disabled.
+//! the real exporter through it — populated, empty, and disabled — and
+//! then holds the parsed scrape against the family table: every row of
+//! `FAMILIES` must appear with its declared type and exactly its
+//! declared label keys, and nothing undeclared may appear. No family is
+//! named here; a new row is covered the moment it is populated below.
 
 use cs_telemetry::{
-    escape_label, ArchiveOp, FaultKind, ScrapeEndpoint, SloConfig, SolveTrace, Stage,
-    TelemetryRegistry, TraceContext,
+    escape_label, AlarmKind, ArchiveOp, BeatClass, FaultKind, IngestDisconnect, IngestState,
+    Presence, ScrapeEndpoint, SloConfig, SolveTrace, SolverMode, Stage, TelemetryRegistry,
+    TraceContext, FAMILIES,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -123,8 +128,14 @@ fn family_of<'a>(name: &'a str, types: &BTreeMap<String, String>) -> &'a str {
     panic!("sample `{name}` has no preceding # TYPE metadata");
 }
 
+/// A validated exposition: declared types by family, and every sample.
+struct Exposition {
+    types: BTreeMap<String, String>,
+    samples: Vec<Sample>,
+}
+
 /// Validates a full exposition body; panics on the first violation.
-fn validate(text: &str) {
+fn validate(text: &str) -> Exposition {
     let mut helps: BTreeSet<String> = BTreeSet::new();
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut series: BTreeSet<String> = BTreeSet::new();
@@ -234,16 +245,20 @@ fn validate(text: &str) {
             assert!(sums.contains(labels), "{family}{{{labels}}}: missing _sum");
         }
     }
+    Exposition { types, samples }
 }
 
 // ---------------------------------------------------------------------
 // Exporter output under the validator.
 // ---------------------------------------------------------------------
 
-/// A registry with every family populated: stages, workers, faults,
-/// archive ops, traced emissions (e2e + SLO, one deadline miss so the
-/// burn-rate gauges are non-zero), scrapes, and a second render so the
-/// self-observation histogram appears.
+/// A registry with every row of `FAMILIES` populated: stages, solver
+/// iterations, workers, faults, archive ops, the clinical layer (beats,
+/// a raised-and-cleared alarm, a suppression, a QRS score), journal
+/// traces, traced emissions (e2e + SLO, one deadline miss so the
+/// burn-rate gauges are non-zero), an ingest session with a shed and a
+/// disconnect, scrapes, and a second render so the self-observation
+/// histogram appears.
 fn populated_registry() -> TelemetryRegistry {
     let registry = TelemetryRegistry::with_slo_config(SloConfig {
         deadline: Duration::from_millis(1),
@@ -252,6 +267,9 @@ fn populated_registry() -> TelemetryRegistry {
     for (i, stage) in Stage::ALL.iter().enumerate() {
         registry.record_stage_ns(*stage, 1_000 * (i as u64 + 1));
         registry.record_stage_ns(*stage, 900_000 * (i as u64 + 1));
+    }
+    for (i, mode) in SolverMode::ALL.iter().enumerate() {
+        registry.record_solver_iterations(*mode, 70 + 30 * i);
     }
     for w in 0..3 {
         registry.record_worker_packet(w);
@@ -262,6 +280,15 @@ fn populated_registry() -> TelemetryRegistry {
     for op in ArchiveOp::ALL {
         registry.record_archive_op(op);
     }
+    for class in BeatClass::ALL {
+        registry.record_beat(class);
+    }
+    for kind in AlarmKind::ALL {
+        registry.record_alarm_raised(kind);
+    }
+    registry.record_alarm_cleared(AlarmKind::Tachycardia);
+    registry.record_alarm_suppressed();
+    registry.record_qrs_score(19, 1, 1);
     registry.record_solve(SolveTrace { iterations: 12, solve_ns: 5_000, ..SolveTrace::default() });
     for patient in 0..2u32 {
         for seq in 0..4 {
@@ -274,6 +301,14 @@ fn populated_registry() -> TelemetryRegistry {
     std::thread::sleep(Duration::from_millis(50));
     let stale = registry.now_ns().saturating_sub(50_000_000);
     registry.record_emit(&TraceContext::new(0, 0, 4, stale));
+    for state in IngestState::ALL {
+        registry.ingest_session_enter(state);
+    }
+    registry.record_ingest_shed();
+    for reason in IngestDisconnect::ALL {
+        registry.record_ingest_disconnect(reason);
+    }
+    registry.record_ingest_frames(7, 700);
     for endpoint in ScrapeEndpoint::ALL {
         registry.record_scrape(endpoint);
     }
@@ -281,39 +316,54 @@ fn populated_registry() -> TelemetryRegistry {
     registry
 }
 
+/// The family each sample of `exposition` belongs to, with its label
+/// keys (a histogram's `le` aside), grouped by family name.
+fn label_keys_by_family(exposition: &Exposition) -> BTreeMap<&str, BTreeSet<Vec<&str>>> {
+    let mut keys: BTreeMap<&str, BTreeSet<Vec<&str>>> = BTreeMap::new();
+    for sample in &exposition.samples {
+        let family = family_of(&sample.name, &exposition.types);
+        let own = sample.labels.iter().map(|(k, _)| k.as_str());
+        let own = own.filter(|&k| !(k == "le" && exposition.types[family] == "histogram"));
+        keys.entry(family).or_default().insert(own.collect());
+    }
+    keys
+}
+
 #[test]
 fn populated_scrape_conforms() {
-    let registry = populated_registry();
-    let scrape = registry.prometheus();
-    validate(&scrape);
-    // Spot-check that validation ran over the full surface, not a
-    // degenerate scrape: every family the exporter documents is present.
-    for family in [
-        "cs_stage_latency_ns",
-        "cs_stage_latency_quantile_ns",
-        "cs_worker_packets_total",
-        "cs_fault_total",
-        "cs_archive_total",
-        "cs_journal_traces",
-        "cs_e2e_latency_seconds",
-        "cs_deadline_miss_total",
-        "cs_lane_freshness_seconds",
-        "cs_lane_newest_seq",
-        "cs_slo_burn_rate",
-        "cs_patient_health",
-        "cs_telemetry_scrapes_total",
-        "cs_exporter_render_seconds",
-    ] {
-        assert!(scrape.contains(&format!("# TYPE {family} ")), "family `{family}` missing");
+    let exposition = validate(&populated_registry().prometheus());
+    let keys = label_keys_by_family(&exposition);
+    for family in &FAMILIES {
+        assert_eq!(
+            exposition.types.get(family.name).map(String::as_str),
+            Some(family.kind.type_name()),
+            "`{}` is missing or mistyped",
+            family.name
+        );
+        let seen = keys.get(family.name).unwrap_or_else(|| panic!("`{}` has no sample", family.name));
+        let declared: BTreeSet<Vec<&str>> = BTreeSet::from([family.labels.to_vec()]);
+        assert_eq!(seen, &declared, "`{}` label keys differ from its row", family.name);
     }
+    let declared: BTreeSet<&str> = FAMILIES.iter().map(|f| f.name).collect();
+    let exported: BTreeSet<&str> = exposition.types.keys().map(String::as_str).collect();
+    assert_eq!(exported, declared, "a family is exported that the table does not declare");
 }
 
 #[test]
 fn empty_and_disabled_scrapes_conform() {
     // A fresh registry elides every zero-count series but must still
-    // emit well-formed metadata for whatever remains.
-    validate(&TelemetryRegistry::new().prometheus());
-    validate(&TelemetryRegistry::disabled().prometheus());
+    // emit well-formed metadata for whatever remains — which is exactly
+    // the rows declared `Always`, whether or not they have a sample yet.
+    for registry in [TelemetryRegistry::new(), TelemetryRegistry::disabled()] {
+        let exposition = validate(&registry.prometheus());
+        let always: BTreeSet<&str> = FAMILIES
+            .iter()
+            .filter(|f| f.presence == Presence::Always)
+            .map(|f| f.name)
+            .collect();
+        let exported: BTreeSet<&str> = exposition.types.keys().map(String::as_str).collect();
+        assert_eq!(exported, always);
+    }
 }
 
 #[test]
@@ -326,7 +376,8 @@ fn escaped_label_values_stay_parseable() {
     let text = format!(
         "# HELP t_total test\n# TYPE t_total counter\nt_total{{k=\"{escaped}\"}} 1\n"
     );
-    validate(&text);
+    let exposition = validate(&text);
+    assert_eq!(exposition.samples[0].labels, [("k".to_owned(), hostile.to_owned())]);
     assert_eq!(escape_label("plain_snake_case"), "plain_snake_case");
 }
 
@@ -354,7 +405,7 @@ fn validator_rejects_malformed_expositions() {
         ),
     ];
     for (what, text) in cases {
-        let outcome = std::panic::catch_unwind(|| validate(text));
+        let outcome = std::panic::catch_unwind(|| validate(text).samples.len());
         assert!(outcome.is_err(), "validator accepted malformed exposition: {what}");
     }
 }

@@ -17,24 +17,25 @@
 //! * `uptime_s` — seconds since the registry was created (monotonic);
 //! * `ts_unix_s` — absolute wall-clock seconds since the Unix epoch at
 //!   snapshot time, for correlating lines across hosts and restarts;
-//! * `stages` — per-stage latency quantiles (`p50_ns`/`p95_ns`/...);
-//! * `e2e` — per-patient end-to-end latency quantiles (traced runs);
+//! * `stages`, `solver_iterations`, `e2e`, `render` — latency (or
+//!   iteration) summaries: `count` plus quantiles (`p50_ns`/`p95_ns`/…);
 //! * `slo` — per-patient health: `health` (healthy/degraded/stalled),
 //!   `emits`, `deadline_misses`, `freshness_s` (age of the newest
 //!   emission), burn rates, and per-lane `{lane, newest_seq, age_s}`
 //!   freshness watermarks;
-//! * `faults`, `workers`, `journal`, `scrapes`, `render` — fault
-//!   counters, per-worker load, trace-journal and exporter
-//!   self-observation;
-//! * `clinical` — present once a clinical engine has recorded into the
-//!   registry: `beats` (classified-beat census by class), `alarms`
-//!   (per-kind `{raised, cleared, active}` counters), `suppressed`
-//!   (alarm evaluations skipped inside concealed windows) and `qrs`
-//!   (`{tp, fp, fn}` plus `sensitivity`/`ppv` once annotated beats have
-//!   been scored). Zero-count classes and kinds are elided.
+//! * `worker_packets`, `journal` — per-worker load and trace-journal
+//!   accounting;
+//! * every counter and gauge family — `faults`, `archive`, `scrapes`,
+//!   and, once their layer is active, the `ingest` and `clinical`
+//!   objects — as a number or a `{"label": n}` map under the key
+//!   DESIGN.md §7's family reference lists for it (zero counters
+//!   elided). `clinical` also carries `alarms` (per-kind
+//!   `{raised, cleared, active}`) and `qrs` (`{tp, fp, fn}` plus
+//!   `sensitivity`/`ppv` once annotated beats have been scored).
 //!
-//! The repo-level `jsonl_schema` test parses these lines back; extend
-//! it when adding fields.
+//! The repo-level `jsonl_schema` test parses these lines back and holds
+//! them to the family table; extend it when a hand-written block gains
+//! a field.
 //!
 //! ```text
 //! cargo run --release --example fleet_monitor

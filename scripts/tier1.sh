@@ -59,6 +59,13 @@ cargo test -q --release -p cs-dsp -p cs-sensing -p cs-recovery
 # skips that one clause.
 cargo test -q --release --test platform_reports
 
+# The end-to-end benchmark is a package of its own (own lock file and
+# target directory) that compiles against these crates from outside, so
+# nothing above builds it: a signature change it depends on would
+# otherwise surface only in the benchmark driver. `--smoke` runs all four
+# workloads, three passes each, with their correctness gates (~12 s).
+cargo run --release --offline --manifest-path pipebench/Cargo.toml -- --smoke
+
 # Bench regression gate: runs the quick snapshot, prints a per-row
 # min_ns delta table against the committed BENCH_decode.json, and fails
 # only on a gross (>40 %) regression — see scripts/bench_check.sh.

@@ -5,7 +5,7 @@
 use cs_ecg_monitor::platform::ChannelModel;
 use cs_ecg_monitor::prelude::*;
 use cs_ecg_monitor::system::{EncodedPacket, FaultStats, MultiChannelEncoder};
-use cs_ecg_monitor::telemetry::{FaultKind, TelemetryRegistry};
+use cs_ecg_monitor::telemetry::{FamilyId, FaultKind, TelemetryRegistry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -310,8 +310,8 @@ fn fleet_chaos_gilbert_elliott_burst_errors() {
     assert!(f.concealed() > 0);
     // The registry saw the same story the report tells.
     let snapshot = registry.snapshot();
-    assert_eq!(snapshot.fault(FaultKind::FrameRejected), f.frame_rejects);
-    assert_eq!(snapshot.fault(FaultKind::ConcealedLoss), f.concealed_loss);
+    assert_eq!(snapshot.count(FamilyId::Fault, FaultKind::FrameRejected), f.frame_rejects);
+    assert_eq!(snapshot.count(FamilyId::Fault, FaultKind::ConcealedLoss), f.concealed_loss);
 }
 
 /// A worker panic mid-decode is contained by the supervisor: the packet is
@@ -348,8 +348,8 @@ fn worker_panic_recovered_by_supervisor() {
         .iter()
         .all(|(_, _, o)| !matches!(o, PacketOutcome::Concealed(_))));
     let snapshot = registry.snapshot();
-    assert_eq!(snapshot.fault(FaultKind::WorkerRestart), 1);
-    assert_eq!(snapshot.fault(FaultKind::Quarantined), 1);
+    assert_eq!(snapshot.count(FamilyId::Fault, FaultKind::WorkerRestart), 1);
+    assert_eq!(snapshot.count(FamilyId::Fault, FaultKind::Quarantined), 1);
 }
 
 /// A decoder built with a different reference interval than the encoder

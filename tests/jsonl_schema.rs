@@ -16,8 +16,11 @@
 //!   beat census, per-kind alarm counters, suppression accounting and
 //!   the QRS confusion/accuracy figures.
 //!
-//! Extend this test whenever `examples/fleet_monitor.rs`'s schema note
-//! gains a field.
+//! Which family lands under which key is not repeated here: the last test
+//! walks `FAMILIES` and requires every row's declared key, in its layer's
+//! object, in a record with every layer active — so a new row is covered
+//! the moment it exists. Extend the hand-written tests only when a
+//! hand-written block (`stages`, `e2e`, `slo`, `alarms`, …) gains a field.
 
 use cs_ecg_monitor::prelude::*;
 use cs_ecg_monitor::telemetry::ScrapeEndpoint;
@@ -269,7 +272,7 @@ fn json_line_round_trips_the_documented_schema() {
     // Clocks: uptime is monotonic-small, ts_unix_s is absolute wall time
     // (anything past 2023 proves it is epoch-based, not uptime-based).
     let uptime = root.get("uptime_s").num();
-    assert!(uptime >= 0.0 && uptime < 3600.0, "uptime_s {uptime} not a fresh run");
+    assert!((0.0..3600.0).contains(&uptime), "uptime_s {uptime} not a fresh run");
     let ts = root.get("ts_unix_s").num();
     assert!(ts > 1.7e9, "ts_unix_s {ts} is not absolute wall-clock time");
 
@@ -394,4 +397,48 @@ fn clinical_block_round_trips_alarm_and_accuracy_fields() {
     assert_eq!(qrs.get("fn").num(), 1.0);
     assert!((qrs.get("sensitivity").num() - 0.95).abs() < 1e-9);
     assert!((qrs.get("ppv").num() - 0.95).abs() < 1e-9);
+}
+
+#[test]
+fn every_family_has_its_declared_key_in_a_fully_active_record() {
+    use cs_ecg_monitor::telemetry::{
+        AlarmKind, BeatClass, IngestDisconnect, IngestState, Json as JsonKey, SolveTrace,
+        SolverMode, Stage, TraceContext, FAMILIES,
+    };
+
+    // Every layer active: one observation of everything a family reads.
+    let registry = TelemetryRegistry::new();
+    registry.record_stage_ns(Stage::FistaSolve, 400_000);
+    registry.record_solver_iterations(SolverMode::Cold, 97);
+    registry.record_worker_packet(0);
+    registry.record_solve(SolveTrace::default());
+    registry.record_emit(&TraceContext::new(0, 0, 0, registry.now_ns()));
+    registry.record_beat(BeatClass::Normal);
+    registry.record_alarm_raised(AlarmKind::Tachycardia);
+    registry.record_alarm_suppressed();
+    registry.record_qrs_score(1, 0, 0);
+    registry.ingest_session_enter(IngestState::Handshaking);
+    registry.record_ingest_disconnect(IngestDisconnect::ClientClosed);
+    registry.record_scrape(ScrapeEndpoint::Metrics);
+    let _ = registry.json_line(); // primes `render`
+
+    let root = Parser::parse(&registry.json_line());
+    for family in &FAMILIES {
+        let object = family.layer.json_object().map_or(&root, |object| root.get(object));
+        match family.json {
+            // The generic writer's two shapes: a bare number, or a map
+            // from label value to number.
+            JsonKey::Key(key) if family.labels.is_empty() => {
+                assert!(object.get(key).num() >= 0.0, "{}", family.name);
+            }
+            JsonKey::Key(key) => match object.get(key) {
+                Json::Obj(map) => map.values().for_each(|n| assert!(n.num() >= 0.0)),
+                other => panic!("`{}`: expected a label map at `{key}`, got {other:?}", family.name),
+            },
+            // A hand-written block: present is all the table promises.
+            JsonKey::Within(key) => {
+                object.get(key);
+            }
+        }
+    }
 }
