@@ -3,7 +3,7 @@
 
 use crate::layout::{segment_path, walk_lanes};
 use crate::segment::{
-    parse_record, parse_sealed_footer, scan_segment, Footer, SEGMENT_HEADER_BYTES, TAG_FRAME,
+    parse_record, parse_sealed_footer, scan_segment, Footer, SEGMENT_HEADER_BYTES,
 };
 use crate::writer::RecoveryStats;
 use crate::QUARANTINE_LANE;
@@ -271,16 +271,15 @@ impl Iterator for Replay {
                     break; // torn tail of an unsealed segment
                 };
                 self.off = record.end;
-                if record.tag != TAG_FRAME || record.body.len() < 8 {
+                let Some((seq, frame)) = record.frame() else {
                     continue;
-                }
-                let seq = u64::from_le_bytes(record.body[0..8].try_into().unwrap());
+                };
                 if self.range.contains(&seq) {
                     self.telemetry.record_archive_op(ArchiveOp::Replay);
                     return Some(Ok(ReplayFrame {
                         seq,
                         lane: self.lane,
-                        bytes: record.body[8..].to_vec(),
+                        bytes: frame.to_vec(),
                     }));
                 }
             }

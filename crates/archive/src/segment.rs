@@ -51,6 +51,14 @@ pub const SEAL_MARKER_BYTES: usize = 8;
 /// Last four bytes of a sealed segment.
 pub const SEAL_MAGIC: [u8; 4] = *b"CSAF";
 
+/// The `N` bytes of the fixed-width little-endian field at `buf[at..]`.
+/// Every such field of the format is read through here, so a slice
+/// shorter than its layout promises is the caller's "does not parse",
+/// never a panic.
+fn field<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
+    buf.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
 /// Fixed per-segment metadata, written once at offset 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
@@ -90,15 +98,14 @@ impl SegmentHeader {
         {
             return None;
         }
-        let stored = u16::from_le_bytes([buf[22], buf[23]]);
-        if crc16(&buf[0..22]) != stored {
+        if crc16(&buf[0..22]) != u16::from_le_bytes(field(buf, 22)?) {
             return None;
         }
         Some(SegmentHeader {
-            patient: u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]),
+            patient: u32::from_le_bytes(field(buf, 5)?),
             lane: buf[9],
-            base_seq: u64::from_le_bytes(buf[10..18].try_into().unwrap()),
-            capacity: u32::from_le_bytes(buf[18..22].try_into().unwrap()),
+            base_seq: u64::from_le_bytes(field(buf, 10)?),
+            capacity: u32::from_le_bytes(field(buf, 18)?),
         })
     }
 }
@@ -143,26 +150,28 @@ pub struct Record<'a> {
 /// Parses the record starting at `off`, or `None` if the bytes there do
 /// not form a complete CRC-valid record (the torn-tail condition).
 pub fn parse_record(buf: &[u8], off: usize) -> Option<Record<'_>> {
-    let rest = buf.len().checked_sub(off)?;
-    if rest < RECORD_OVERHEAD_BYTES {
-        return None;
-    }
-    let body_len =
-        u32::from_le_bytes([buf[off + 1], buf[off + 2], buf[off + 3], buf[off + 4]]) as usize;
-    let total = RECORD_OVERHEAD_BYTES + body_len;
-    if rest < total {
-        return None;
-    }
-    let end = off + total;
-    let stored = u16::from_le_bytes([buf[end - 2], buf[end - 1]]);
-    if crc16(&buf[off..end - 2]) != stored {
+    let body_len = u32::from_le_bytes(field(buf, off.checked_add(1)?)?) as usize;
+    let end = off.checked_add(RECORD_OVERHEAD_BYTES)?.checked_add(body_len)?;
+    let framed = buf.get(off..end - 2)?;
+    if crc16(framed) != u16::from_le_bytes(field(buf, end - 2)?) {
         return None;
     }
     Some(Record {
-        tag: buf[off],
-        body: &buf[off + RECORD_PREFIX_BYTES..end - 2],
+        tag: framed[0],
+        body: &framed[RECORD_PREFIX_BYTES..],
         end,
     })
+}
+
+impl<'a> Record<'a> {
+    /// A frame record's sequence number and wire-frame bytes; `None` for
+    /// any other tag, or a body too short to hold the sequence number.
+    pub fn frame(&self) -> Option<(u64, &'a [u8])> {
+        if self.tag != TAG_FRAME {
+            return None;
+        }
+        Some((u64::from_le_bytes(field(self.body, 0)?), &self.body[8..]))
+    }
 }
 
 /// Sealed-segment summary: written as the final record so `open` never
@@ -201,25 +210,22 @@ impl Footer {
 
     /// Parses a footer body produced by [`Footer::encode`].
     pub fn parse(body: &[u8]) -> Option<Footer> {
-        if body.len() < 28 {
-            return None;
-        }
-        let index_len = u32::from_le_bytes(body[24..28].try_into().unwrap()) as usize;
-        if body.len() != 28 + index_len * 16 {
+        let index_len = u32::from_le_bytes(field(body, 24)?) as usize;
+        // The length must match before it sizes an allocation.
+        if body.len() != index_len.checked_mul(16)?.checked_add(28)? {
             return None;
         }
         let mut index = Vec::with_capacity(index_len);
-        for i in 0..index_len {
-            let at = 28 + i * 16;
+        for at in (28..body.len()).step_by(16) {
             index.push((
-                u64::from_le_bytes(body[at..at + 8].try_into().unwrap()),
-                u64::from_le_bytes(body[at + 8..at + 16].try_into().unwrap()),
+                u64::from_le_bytes(field(body, at)?),
+                u64::from_le_bytes(field(body, at + 8)?),
             ));
         }
         Some(Footer {
-            min_seq: u64::from_le_bytes(body[0..8].try_into().unwrap()),
-            max_seq: u64::from_le_bytes(body[8..16].try_into().unwrap()),
-            record_count: u64::from_le_bytes(body[16..24].try_into().unwrap()),
+            min_seq: u64::from_le_bytes(field(body, 0)?),
+            max_seq: u64::from_le_bytes(field(body, 8)?),
+            record_count: u64::from_le_bytes(field(body, 16)?),
             index,
         })
     }
@@ -258,10 +264,10 @@ pub fn parse_sealed_footer(buf: &[u8]) -> Option<(Footer, usize)> {
     if marker[4..8] != SEAL_MAGIC {
         return None;
     }
-    let footer_len = u32::from_le_bytes(marker[0..4].try_into().unwrap()) as usize;
+    let footer_len = u32::from_le_bytes(field(marker, 0)?) as usize;
     let footer_off = buf
         .len()
-        .checked_sub(SEAL_MARKER_BYTES + footer_len)
+        .checked_sub(SEAL_MARKER_BYTES.checked_add(footer_len)?)
         .filter(|&o| o >= SEGMENT_HEADER_BYTES)?;
     let record = parse_record(buf, footer_off)?;
     if record.tag != TAG_FOOTER || record.end != buf.len() - SEAL_MARKER_BYTES {
@@ -328,30 +334,27 @@ pub fn scan_segment(buf: &[u8]) -> Result<SegmentScan, SegmentError> {
     let mut footer = None;
     let mut valid_len = off;
     while let Some(record) = parse_record(buf, off) {
-        match record.tag {
-            TAG_FRAME if record.body.len() >= 8 => {
-                let seq = u64::from_le_bytes(record.body[0..8].try_into().unwrap());
-                let body_start = off + RECORD_PREFIX_BYTES;
-                frames.push((seq, body_start + 8..record.end - 2));
-                off = record.end;
-                valid_len = off;
-            }
-            TAG_FOOTER => {
-                let marker_end = record.end + SEAL_MARKER_BYTES;
-                let sealed = marker_end == buf.len()
-                    && Footer::parse(record.body).is_some()
-                    && buf[record.end..marker_end]
-                        == encode_seal_marker((record.end - off) as u32);
-                if sealed {
-                    footer = Footer::parse(record.body);
+        let Some((seq, frame)) = record.frame() else {
+            // A footer record seals the segment only with its complete
+            // marker behind it. Otherwise it — like an unknown tag or a
+            // frame body too short for its sequence number — is torn
+            // tail, dropped with everything after it.
+            let marker_end = record.end + SEAL_MARKER_BYTES;
+            if record.tag == TAG_FOOTER
+                && marker_end == buf.len()
+                && buf[record.end..marker_end] == encode_seal_marker((record.end - off) as u32)
+            {
+                footer = Footer::parse(record.body);
+                if footer.is_some() {
                     valid_len = marker_end;
                 }
-                // Torn seal: the footer record is dropped with the tail.
-                break;
             }
-            // Unknown tag or malformed frame body: treat as torn.
-            _ => break,
-        }
+            break;
+        };
+        let frame_end = record.end - 2;
+        frames.push((seq, frame_end - frame.len()..frame_end));
+        off = record.end;
+        valid_len = off;
     }
     Ok(SegmentScan {
         header,

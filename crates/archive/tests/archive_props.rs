@@ -11,9 +11,18 @@
 //!    every-single-bit-flip test) always yields exactly the complete
 //!    prefix of records — never an error, never a partial record, never
 //!    a lost complete one.
+//! 3. **Mutation**: sealed and unsealed segments with a bit flipped, cut
+//!    at every offset, extended with garbage, or with a length field
+//!    overwritten (CRC repaired, so the lie reaches the parser) scan to a
+//!    typed error or a self-consistent prefix of what was written —
+//!    never a panic.
 
+use cs_archive::segment::{
+    encode_record, encode_seal_marker, parse_sealed_footer, RECORD_PREFIX_BYTES,
+    SEAL_MARKER_BYTES, TAG_FOOTER,
+};
 use cs_archive::{
-    scan_segment, Archive, ArchiveConfig, ArchiveWriter, FsyncPolicy, SegmentError,
+    scan_segment, Archive, ArchiveConfig, ArchiveWriter, Footer, FsyncPolicy, SegmentError,
     FRAME_RECORD_OVERHEAD_BYTES, SEGMENT_HEADER_BYTES,
 };
 use proptest::prelude::*;
@@ -47,8 +56,153 @@ fn build_segment(payloads: &[Vec<u8>]) -> Vec<u8> {
     buf
 }
 
+/// Seals [`build_segment`]'s buffer the way the writer does: footer
+/// record (one index entry every second frame), then the seal marker.
+/// Returns the buffer and the offset of the footer record.
+fn build_sealed_segment(payloads: &[Vec<u8>]) -> (Vec<u8>, usize) {
+    let mut buf = build_segment(payloads);
+    let mut index = Vec::new();
+    let mut at = SEGMENT_HEADER_BYTES;
+    for (i, p) in payloads.iter().enumerate() {
+        if i > 0 && i % 2 == 0 {
+            index.push((i as u64 - 1, at as u64));
+        }
+        at += FRAME_RECORD_OVERHEAD_BYTES + p.len();
+    }
+    let footer = Footer {
+        min_seq: 0,
+        max_seq: payloads.len() as u64 - 1,
+        record_count: payloads.len() as u64,
+        index,
+    };
+    let footer_off = buf.len();
+    encode_record(TAG_FOOTER, &footer.encode(), &mut buf);
+    let footer_record_len = (buf.len() - footer_off) as u32;
+    buf.extend_from_slice(&encode_seal_marker(footer_record_len));
+    (buf, footer_off)
+}
+
+/// What any scan of any bytes must satisfy: a typed error that matches
+/// the buffer, or a prefix that is self-consistent — accounted to the
+/// byte, frames laid out record after record inside it, sealed only when
+/// the O(1) tail check agrees, and stable under the truncation a
+/// recovering writer performs. Returns the recovered `(seq, frame)`s.
+fn scan_is_sound(buf: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, TestCaseError> {
+    let sealed = parse_sealed_footer(buf);
+    let scan = match scan_segment(buf) {
+        Ok(scan) => scan,
+        Err(e) => {
+            let short = buf.len() < SEGMENT_HEADER_BYTES;
+            let expect = if short { SegmentError::TruncatedHeader } else { SegmentError::BadHeader };
+            prop_assert_eq!(e, expect);
+            return Ok(Vec::new());
+        }
+    };
+    prop_assert_eq!(scan.valid_len + scan.torn_bytes, buf.len());
+    let mut at = SEGMENT_HEADER_BYTES;
+    for (_, range) in &scan.frames {
+        prop_assert_eq!(range.start, at + RECORD_PREFIX_BYTES + 8);
+        prop_assert!(range.start <= range.end && range.end + 2 <= scan.valid_len);
+        at = range.end + 2;
+    }
+    match &scan.footer {
+        Some(footer) => {
+            prop_assert_eq!(scan.valid_len, buf.len());
+            prop_assert_eq!(sealed, Some((footer.clone(), at)));
+        }
+        None => prop_assert_eq!(scan.valid_len, at),
+    }
+    let again = scan_segment(&buf[..scan.valid_len]).expect("a recovered prefix rescans");
+    prop_assert_eq!(again.torn_bytes, 0);
+    prop_assert_eq!(&again.frames, &scan.frames);
+    prop_assert_eq!(&again.footer, &scan.footer);
+    Ok(scan.frames.iter().map(|(seq, range)| (*seq, buf[range.clone()].to_vec())).collect())
+}
+
+/// `recovered` is the first `recovered.len()` frames that were written.
+fn is_written_prefix(
+    recovered: &[(u64, Vec<u8>)],
+    payloads: &[Vec<u8>],
+) -> Result<(), TestCaseError> {
+    prop_assert!(recovered.len() <= payloads.len());
+    for (i, (seq, bytes)) in recovered.iter().enumerate() {
+        prop_assert_eq!(*seq, i as u64);
+        prop_assert_eq!(bytes, &payloads[i]);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// CRC-16 catches every single-bit error, so one flipped bit anywhere
+    /// in a sealed or unsealed segment costs at most the records from the
+    /// flip on (or the whole segment, when it lands in the header): what
+    /// survives is a prefix of what was written.
+    #[test]
+    fn a_flipped_bit_leaves_a_written_prefix(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..8),
+        seal in any::<bool>(),
+        bit in any::<usize>(),
+    ) {
+        let mut buf = if seal { build_sealed_segment(&payloads).0 } else { build_segment(&payloads) };
+        let bit = bit % (buf.len() * 8);
+        buf[bit / 8] ^= 1 << (bit % 8);
+        is_written_prefix(&scan_is_sound(&buf)?, &payloads)?;
+    }
+
+    /// A sealed segment cut at every offset, and sealed and unsealed ones
+    /// with arbitrary bytes appended: the seal no longer ends the buffer,
+    /// so the scan falls back to the record walk and recovers every frame
+    /// that is still whole.
+    #[test]
+    fn cuts_and_garbage_tails_leave_the_whole_records(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..8),
+        garbage in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let (sealed, footer_off) = build_sealed_segment(&payloads);
+        for cut in 0..sealed.len() {
+            let recovered = scan_is_sound(&sealed[..cut])?;
+            is_written_prefix(&recovered, &payloads)?;
+            if cut >= footer_off {
+                prop_assert_eq!(recovered.len(), payloads.len(), "cut {} tore only the seal", cut);
+            }
+        }
+        for mut buf in [sealed, build_segment(&payloads)] {
+            buf.extend_from_slice(&garbage);
+            let recovered = scan_is_sound(&buf)?;
+            prop_assert!(recovered.len() >= payloads.len(), "garbage tail cost a whole record");
+            is_written_prefix(&recovered[..payloads.len()], &payloads)?;
+        }
+    }
+
+    /// The two length fields a sealed tail carries, overwritten with
+    /// extremes: the footer's `index_len` (record CRC repaired, so the
+    /// footer parser itself sees the lie) and the seal marker's
+    /// `footer_len`. Neither may size an allocation or an index before it
+    /// is checked against the bytes present; every frame survives.
+    #[test]
+    fn lying_length_fields_cost_only_the_seal(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..8),
+        pick in 0_usize..6,
+        offset in any::<u32>(),
+        lie_about_footer_len in any::<bool>(),
+    ) {
+        let (mut buf, footer_off) = build_sealed_segment(&payloads);
+        let lie = [0, 1, u32::MAX, u32::MAX / 16, buf.len() as u32, offset][pick];
+        let marker_off = buf.len() - SEAL_MARKER_BYTES;
+        if lie_about_footer_len {
+            buf[marker_off..marker_off + 4].copy_from_slice(&lie.to_le_bytes());
+        } else {
+            let index_len_off = footer_off + RECORD_PREFIX_BYTES + 24;
+            buf[index_len_off..index_len_off + 4].copy_from_slice(&lie.to_le_bytes());
+            let crc = cs_core::crc16(&buf[footer_off..marker_off - 2]);
+            buf[marker_off - 2..marker_off].copy_from_slice(&crc.to_le_bytes());
+        }
+        let recovered = scan_is_sound(&buf)?;
+        prop_assert_eq!(recovered.len(), payloads.len());
+        is_written_prefix(&recovered, &payloads)?;
+    }
 
     /// Arbitrary payloads round-trip bit-for-bit through write →
     /// (optionally crash-shaped close) → open → replay, across segment

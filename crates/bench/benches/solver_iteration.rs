@@ -75,6 +75,7 @@ fn bench_solver(c: &mut Criterion) {
                 ProxSpec::L1,
                 false,
                 None,
+                None,
                 &mut ws32,
             );
             ws32.recycle_solution(r.solution);
@@ -91,6 +92,7 @@ fn bench_solver(c: &mut Criterion) {
                 Some(60.0),
                 ProxSpec::L1,
                 false,
+                None,
                 None,
                 &mut ws64,
             );

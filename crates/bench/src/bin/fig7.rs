@@ -17,7 +17,7 @@
 //! ```
 
 use cs_bench::{banner, Corpus, RunSettings};
-use cs_core::{train_and_evaluate, SolverPolicy, SystemConfig};
+use cs_core::{train_and_evaluate, SolverPolicy, StopRule, SystemConfig};
 use cs_metrics::{Summary, SweepSeries};
 use cs_recovery::KernelMode;
 
@@ -72,7 +72,7 @@ fn main() {
     // schedule this rule stops where the λ-ramp ends, 52 iterations at
     // every CR, and the trend the figure is about disappears.)
     let policy = SolverPolicy::<f32> {
-        tolerance: 0.0,
+        tolerance: StopRule::RelativeStep(0.0),
         residual_tolerance: 0.01,
         max_iterations: 2000,
         kernel: KernelMode::Unrolled4,

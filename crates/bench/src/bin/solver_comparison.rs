@@ -7,16 +7,20 @@
 //! iteration budget for the shrinkage solvers, and wall time for OMP
 //! (which needs the materialized operator).
 //!
-//! A second panel calibrates the production decoder's stop rule against
-//! what it buys: relative-step tolerance × CR × prior → mean iterations,
-//! mean and worst-packet PRD on the production (adaptive) schedule.
+//! A second panel is what the production decoder's stop rule was read
+//! off: relative-step tolerance × CR × prior → mean iterations, mean and
+//! worst-packet PRD on the production (adaptive) schedule, with the
+//! tolerance `StopRule::Calibrated` resolves to marked at each CR.
 //!
 //! ```text
 //! cargo run --release -p cs-bench --bin solver_comparison [--full]
 //! ```
 
 use cs_bench::{banner, Corpus, RunSettings};
-use cs_core::{train_codebook, packetize, Decoder, Encoder, SolverPolicy, SystemConfig};
+use cs_core::{
+    packetize, train_codebook, uniform_codebook, Decoder, Encoder, SolverPolicy, StopRule,
+    SystemConfig,
+};
 use cs_dsp::wavelet::{Dwt, Wavelet};
 use cs_metrics::{output_snr, prd, Summary};
 use cs_recovery::{
@@ -60,33 +64,39 @@ fn decode_corpus(
 
 /// The stop-rule panel: what each relative-step tolerance costs and buys
 /// on the production schedule, plain ℓ1 from a cold start and the block
-/// prior warm-started, at three CRs.
+/// prior warm-started, across the CR range. `*` marks the column
+/// [`StopRule::Calibrated`] resolves to at that CR — what ships.
 fn stop_rule_panel(corpus: &Corpus) {
-    const TOLERANCES: [f32; 5] = [5e-5, 1e-4, 2e-4, 3e-4, 5e-4];
+    const TOLERANCES: [f32; 5] = [5e-5, 1e-4, 1.5e-4, 2e-4, 3e-4];
     println!();
     println!("== Stop rule vs what it buys (production schedule, f32) ==");
-    println!("# cell: mean iterations / mean PRD % / worst-packet PRD %");
-    print!("{:<4} {:<11}", "CR", "solve");
+    println!("# cell: mean iterations / mean PRD % / worst-packet PRD %; * = shipped at that CR");
+    print!("{:<5} {:<11}", "CR", "solve");
     for tolerance in TOLERANCES {
-        print!(" {:>23}", format!("tol {tolerance:.0e}"));
+        print!(" {:>24}", format!("tol {tolerance:.1e}"));
     }
     println!();
-    for cr in [30.0, 50.0, 70.0] {
+    for cr in [30.0, 40.0, 50.0, 62.5, 70.0, 75.0, 80.0] {
         let config = SystemConfig::builder()
             .compression_ratio(cr)
             .build()
             .expect("valid config");
+        let codebook = Arc::new(uniform_codebook(config.alphabet()).expect("codebook"));
+        let shipped: f32 = Decoder::new(&config, codebook, SolverPolicy::default())
+            .expect("decoder")
+            .tolerance();
         for (name, base, warm_start) in [
             ("plain cold", SolverPolicy::default(), false),
             ("block warm", SolverPolicy::block_prior(), true),
         ] {
-            print!("{cr:<4.0} {name:<11}");
+            print!("{cr:<5} {name:<11}");
             for tolerance in TOLERANCES {
-                let policy = SolverPolicy { tolerance, ..base };
+                let policy = SolverPolicy { tolerance: StopRule::RelativeStep(tolerance), ..base };
                 let (iterations, prds) = decode_corpus(corpus, &config, policy, warm_start);
+                let mark = if tolerance == shipped { "*" } else { "" };
                 print!(
-                    " {:>23}",
-                    format!("{:.1} / {:.3} / {:.2}", iterations.mean(), prds.mean(), prds.max())
+                    " {:>24}",
+                    format!("{mark}{:.1} / {:.3} / {:.2}", iterations.mean(), prds.mean(), prds.max())
                 );
             }
             println!();

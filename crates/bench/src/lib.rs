@@ -225,12 +225,16 @@ impl<'a, S: cs_sensing::Sensing<f64>> LinearSolver<'a, S> {
         let deflated =
             DeflatedOperator::with_direction(&op, self.deflation_u.clone(), self.deflation_c);
         let yd = deflated.transform_measurements(&y);
+        let paper = cs_core::SolverPolicy::<f64>::paper();
+        let cs_core::StopRule::RelativeStep(tolerance) = paper.tolerance else {
+            unreachable!("SolverPolicy::paper() pins an explicit stop tolerance")
+        };
         let config = ShrinkageConfig {
-            lambda: 0.002 * lambda_max(&deflated, &yd),
-            max_iterations: 2000,
-            tolerance: 5e-5,
-            residual_tolerance: 0.0,
-            kernel: cs_recovery::KernelMode::Unrolled4,
+            lambda: paper.lambda_relative * lambda_max(&deflated, &yd),
+            max_iterations: paper.max_iterations,
+            tolerance,
+            residual_tolerance: paper.residual_tolerance,
+            kernel: paper.kernel,
             record_objective: false,
         };
         let result = fista(&deflated, &yd, &config, Some(self.lipschitz));

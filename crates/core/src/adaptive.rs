@@ -527,6 +527,40 @@ mod tests {
         );
     }
 
+    /// One policy, two stop tolerances: each tier's decoder resolves
+    /// `StopRule::Calibrated` at its own CR. The routine lane (CR 75 %)
+    /// keeps 5·10⁻⁵ and decodes to the bits an explicit 5·10⁻⁵ gives; the
+    /// diagnostic lane (CR 50 %) stops at 1.5·10⁻⁴, sooner.
+    #[test]
+    fn each_tier_stops_at_its_own_tolerance() {
+        use crate::decoder::StopRule;
+
+        let (mut enc, mut dec) = setup(1);
+        let [routine, diagnostic] = &dec.lanes[0];
+        assert_eq!(*routine.policy(), *diagnostic.policy());
+        assert_eq!((routine.tolerance(), diagnostic.tolerance()), (5e-5, 1.5e-4));
+
+        let explicit = |tier, tolerance| {
+            let policy = SolverPolicy { tolerance: StopRule::RelativeStep(tolerance), ..SolverPolicy::default() };
+            let cb = Arc::new(uniform_codebook(512).unwrap());
+            Decoder::<f64>::new(schedule().config(tier), cb, policy).unwrap()
+        };
+        let x = lead(0.0);
+        let p = enc.encode_packet(0, &x).unwrap();
+        let (_, out) = dec.decode(&p).unwrap();
+        let pinned = explicit(FidelityTier::Routine, 5e-5).decode_packet(&p.packet).unwrap();
+        assert_eq!((out.iterations, &out.samples), (pinned.iterations, &pinned.samples));
+
+        enc.set_tier(FidelityTier::Diagnostic);
+        let p = enc.encode_packet(0, &x).unwrap();
+        let (tier, out) = dec.decode(&p).unwrap();
+        assert_eq!(tier, FidelityTier::Diagnostic);
+        let loose = explicit(tier, 1.5e-4).decode_packet(&p.packet).unwrap();
+        let tight = explicit(tier, 5e-5).decode_packet(&p.packet).unwrap();
+        assert_eq!((out.iterations, &out.samples), (loose.iterations, &loose.samples));
+        assert!(out.iterations < tight.iterations, "{} vs {}", out.iterations, tight.iterations);
+    }
+
     #[test]
     fn returning_to_a_tier_reanchors_differencing() {
         let (mut enc, mut dec) = setup(2);

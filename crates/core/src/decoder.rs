@@ -43,8 +43,8 @@ pub enum PriorMode {
 }
 
 /// How FISTA walks to the minimiser of the packet's objective. Both
-/// schedules solve the same problem to the same tolerance; only the path,
-/// and so the iteration count, differs.
+/// schedules solve the same problem; only the path, and so the iteration
+/// count, differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// The paper's algorithm box verbatim: constant step, one momentum
@@ -57,14 +57,54 @@ pub enum Schedule {
     Adaptive,
 }
 
+/// Where the solver's walk ends: the relative step
+/// `‖α_{k+1} − α_k‖₂ ≤ tol · max(1, ‖α_{k+1}‖₂)` it stops at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StopRule<T: Real> {
+    /// The tolerance measured for the configuration's compression ratio,
+    /// resolved once when the decoder is built ([`Decoder::tolerance`]
+    /// reads it back): a CR with measurements to spare stops earlier at
+    /// equal PRD, so one policy gives each tier of an
+    /// [`AdaptiveDecoder`](crate::AdaptiveDecoder) its own figure.
+    Calibrated,
+    /// This relative step at every CR, honoured verbatim; `ZERO` disables
+    /// the test and runs `max_iterations`.
+    RelativeStep(T),
+}
+
+/// The relative step [`StopRule::Calibrated`] stands for at `config`'s CR.
+///
+/// Read off `solver_comparison`'s stop-rule panel
+/// (`results/solver_comparison.txt`: tolerance × CR 30–80 % × prior →
+/// iterations, mean and worst-packet PRD) and bounded by
+/// `tests/numerical_equivalence.rs`'s production-vs-`paper()` differential.
+/// Up to CR 50 % a step of 1.5·10⁻⁴ ends the walk 18–23 % sooner with the
+/// mean PRD at most 0.007 points above the 5·10⁻⁵ one on every panel row,
+/// and is the loosest that keeps every packet of the differential inside
+/// its bound (2·10⁻⁴ moves one CR 50 % PVC packet by 0.42 points against
+/// 0.3).
+/// From CR 62.5 % up the iterate is still drifting where a looser test
+/// fires — the panel's CR 62.5 % plain row reads +1.1 % mean PRD at
+/// 10⁻⁴ already, the differential's CR 75 % PVC cell +1.6 %, both against
+/// a 1 % line — so 5·10⁻⁵ stays. No row of either grid lies between 50 and
+/// 62.5 %, so the line sits at the last CR measured to pass.
+fn calibrated_tolerance(config: &SystemConfig) -> f64 {
+    if config.compression_ratio() <= 50.0 {
+        1.5e-4
+    } else {
+        5e-5
+    }
+}
+
 /// How the decoder chooses FISTA's parameters per packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverPolicy<T: Real> {
     /// λ as a fraction of the per-packet `λ_max` (data-adaptive
     /// regularization).
     pub lambda_relative: T,
-    /// Relative-change stopping tolerance.
-    pub tolerance: T,
+    /// Relative-change stopping tolerance (default
+    /// [`StopRule::Calibrated`]; [`SolverPolicy::paper`] pins 5·10⁻⁵).
+    pub tolerance: StopRule<T>,
     /// Hard iteration cap — the real-time budget (800 unoptimized, 2000
     /// optimized in the paper).
     pub max_iterations: usize,
@@ -93,7 +133,7 @@ impl<T: Real> Default for SolverPolicy<T> {
     fn default() -> Self {
         SolverPolicy {
             lambda_relative: T::from_f64(0.002),
-            tolerance: T::from_f64(5e-5),
+            tolerance: StopRule::Calibrated,
             max_iterations: 2000,
             kernel: KernelMode::Unrolled4,
             residual_tolerance: T::ZERO,
@@ -107,11 +147,13 @@ impl<T: Real> Default for SolverPolicy<T> {
 
 impl<T: Real> SolverPolicy<T> {
     /// The default policy on the paper's verbatim constant-step FISTA
-    /// ([`Schedule::Paper`]) — for the figure binaries, and the oracle the
-    /// production schedule is differenced against.
+    /// ([`Schedule::Paper`]), stopping at a relative step of 5·10⁻⁵ at
+    /// every CR — for the figure binaries, and the oracle the production
+    /// schedule and stop rule are differenced against.
     pub fn paper() -> Self {
         SolverPolicy {
             schedule: Schedule::Paper,
+            tolerance: StopRule::RelativeStep(T::from_f64(5e-5)),
             ..SolverPolicy::default()
         }
     }
@@ -283,6 +325,8 @@ pub struct Decoder<T: Real> {
     /// Wavelet-tree group partition (empty unless [`PriorMode::Block`]).
     groups: Vec<usize>,
     policy: SolverPolicy<T>,
+    /// `policy.tolerance` resolved for this decoder's CR.
+    tolerance: T,
     /// Previous packet's coefficient estimate, kept when warm starts are
     /// enabled. Consecutive 2-second ECG packets are highly correlated, so
     /// seeding FISTA here cuts iterations without moving the fixed point.
@@ -427,6 +471,10 @@ impl<T: Real> Decoder<T> {
             deflation_u,
             groups,
             policy,
+            tolerance: match policy.tolerance {
+                StopRule::Calibrated => T::from_f64(calibrated_tolerance(config)),
+                StopRule::RelativeStep(tolerance) => tolerance,
+            },
             warm: None,
             warm_start: false,
             conceal: None,
@@ -532,6 +580,12 @@ impl<T: Real> Decoder<T> {
         self.lipschitz
     }
 
+    /// The relative step this decoder's solves stop at: the policy's
+    /// [`StopRule`] resolved for the configuration's CR.
+    pub fn tolerance(&self) -> T {
+        self.tolerance
+    }
+
     /// Decodes one wire packet into reconstructed ECG samples.
     ///
     /// Equivalent to [`Decoder::decode_packet_with`] over a
@@ -630,7 +684,7 @@ impl<T: Real> Decoder<T> {
         let cfg = ShrinkageConfig {
             lambda: lam,
             max_iterations: self.policy.max_iterations,
-            tolerance: self.policy.tolerance,
+            tolerance: self.tolerance,
             residual_tolerance: self.policy.residual_tolerance,
             kernel: self.policy.kernel,
             record_objective: false,
@@ -689,6 +743,7 @@ impl<T: Real> Decoder<T> {
                 prox,
                 self.policy.schedule == Schedule::Adaptive,
                 warm,
+                Some(&ws.grad),
                 &mut ws.solve,
             )
         };

@@ -75,7 +75,9 @@ pub use adaptive::{
 pub use baseline::{BaselinePacket, DwtThresholdCodec};
 pub use codebook::{train_codebook, uniform_codebook};
 pub use config::{SystemConfig, SystemConfigBuilder};
-pub use decoder::{DecodeWorkspace, DecodedPacket, Decoder, PriorMode, Schedule, SolverPolicy};
+pub use decoder::{
+    DecodeWorkspace, DecodedPacket, Decoder, PriorMode, Schedule, SolverPolicy, StopRule,
+};
 pub use encoder::Encoder;
 pub use error::PipelineError;
 pub use fleet::{

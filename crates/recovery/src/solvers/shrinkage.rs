@@ -192,7 +192,7 @@ pub fn ista<T: Real, A: LinearOperator<T>>(
     config: &ShrinkageConfig<T>,
     lipschitz: Option<T>,
 ) -> SolverResult<T> {
-    shrinkage_loop(op, y, config, lipschitz, false, false, ProxSpec::L1, None, None)
+    shrinkage_loop(op, y, config, lipschitz, false, false, ProxSpec::L1, None, None, None)
 }
 
 /// Solves Eq. (3) with FISTA (constant step size), the paper's decoder.
@@ -229,7 +229,7 @@ pub fn fista<T: Real, A: LinearOperator<T>>(
     config: &ShrinkageConfig<T>,
     lipschitz: Option<T>,
 ) -> SolverResult<T> {
-    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::L1, None, None)
+    shrinkage_loop(op, y, config, lipschitz, true, false, ProxSpec::L1, None, None, None)
 }
 
 /// The decoder's FISTA, and the general form of the loop: an explicit
@@ -257,6 +257,13 @@ pub fn fista<T: Real, A: LinearOperator<T>>(
 /// coefficient from shrinkage entirely; `ProxSpec::Group` puts the ℓ2,1
 /// norm over a partition of the coefficients in place of the ℓ1 norm.
 ///
+/// `adjoint_y` hands a cold start the `Aᴴy` its caller already has
+/// ([`lambda_max_with`] leaves it in its `grad` buffer): at `α₀ = 0` the
+/// first gradient is exactly its negation, so the first iteration skips
+/// its operator pair and a `k`-iteration solve applies `k − 1` inside the
+/// loop, to the same bits. Ignored on a warm start, whose first gradient
+/// is its own.
+///
 /// `adaptive = false` is the paper's constant-step schedule: with
 /// `ProxSpec::L1` and no warm start it is exactly [`fista`] (bitwise —
 /// the buffers start from the same values and the floating-point
@@ -278,8 +285,8 @@ pub fn fista<T: Real, A: LinearOperator<T>>(
 ///
 /// # Panics
 ///
-/// Panics under [`ista`]'s conditions, if the warm-start length is not
-/// `op.cols()`, or if the prox spec is inconsistent with `op.cols()`
+/// Panics under [`ista`]'s conditions, if the warm-start or `adjoint_y`
+/// length is not `op.cols()`, or if the prox spec is inconsistent with `op.cols()`
 /// (weight length / group tiling) or carries a negative weight.
 #[allow(clippy::too_many_arguments)]
 pub fn fista_prior_warm_ws<T: Real, A: LinearOperator<T>>(
@@ -290,10 +297,12 @@ pub fn fista_prior_warm_ws<T: Real, A: LinearOperator<T>>(
     prox: ProxSpec<'_, T>,
     adaptive: bool,
     warm_start: Option<&[T]>,
+    adjoint_y: Option<&[T]>,
     ws: &mut FistaWorkspace<T>,
 ) -> SolverResult<T> {
     validate_prox(op.cols(), &prox);
-    shrinkage_loop(op, y, config, lipschitz, true, adaptive, prox, warm_start, Some(ws))
+    let cold_adjoint_y = if warm_start.is_none() { adjoint_y } else { None };
+    shrinkage_loop(op, y, config, lipschitz, true, adaptive, prox, warm_start, cold_adjoint_y, Some(ws))
 }
 
 /// Solves Eq. (3) with FISTA and **backtracking** line search (the other
@@ -446,6 +455,8 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     adaptive: bool,
     prox: ProxSpec<'_, T>,
     warm_start: Option<&[T]>,
+    // `Aᴴy`, on a cold start whose caller has it already.
+    mut cold_adjoint_y: Option<&[T]>,
     ws: Option<&mut FistaWorkspace<T>>,
 ) -> SolverResult<T> {
     // Restart and continuation act on the momentum sequence: plain ISTA
@@ -456,6 +467,9 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     assert!(config.max_iterations > 0, "shrinkage solver: zero iteration cap");
     if let Some(w) = warm_start {
         assert_eq!(w.len(), op.cols(), "shrinkage solver: warm-start length mismatch");
+    }
+    if let Some(g) = cold_adjoint_y {
+        assert_eq!(g.len(), op.cols(), "shrinkage solver: Aᴴy length mismatch");
     }
 
     let start = Instant::now();
@@ -523,12 +537,25 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
 
     for k in 1..=config.max_iterations {
         iterations = k;
-        // residual = A·point − y
-        op.apply_into_ws(&point, &mut residual, &mut ws.op_ws);
-        for (r, &yi) in residual.iter_mut().zip(y) {
-            *r -= yi;
+        match cold_adjoint_y.take() {
+            // First iteration only: at point = 0 the residual is −y and
+            // the gradient −Aᴴy; negation is exact, so these are the bits
+            // the pair below would produce (up to the sign of a zero,
+            // which the step `0 − step·g` and `‖g‖∞` both erase).
+            Some(adjoint_y) => {
+                for (g, &a) in grad_point.iter_mut().zip(adjoint_y) {
+                    *g = -a;
+                }
+            }
+            None => {
+                // residual = A·point − y
+                op.apply_into_ws(&point, &mut residual, &mut ws.op_ws);
+                for (r, &yi) in residual.iter_mut().zip(y) {
+                    *r -= yi;
+                }
+                op.adjoint_into_ws(&residual, &mut grad_point, &mut ws.op_ws);
+            }
         }
-        op.adjoint_into_ws(&residual, &mut grad_point, &mut ws.op_ws);
         if adaptive && k == 1 {
             boost = continuation_start(&grad_point, config.lambda);
         }
@@ -797,9 +824,9 @@ mod tests {
             let seed = warm.as_deref();
             let mut fresh = FistaWorkspace::new();
             let plain =
-                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, &mut fresh);
+                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, None, &mut fresh);
             let with_ws =
-                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, &mut ws);
+                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, None, &mut ws);
             assert_eq!(plain.solution, with_ws.solution, "solutions not bitwise equal");
             assert_eq!(plain.iterations, with_ws.iterations);
             assert_eq!(plain.converged, with_ws.converged);
@@ -818,8 +845,8 @@ mod tests {
         let prox = ProxSpec::WeightedL1(&weights);
         let mut grown = FistaWorkspace::new(); // grows on first use
         let mut sized = FistaWorkspace::for_operator(&op);
-        let plain = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, &mut grown);
-        let with_ws = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, &mut sized);
+        let plain = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, None, &mut grown);
+        let with_ws = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, None, &mut sized);
         assert_eq!(plain.solution, with_ws.solution);
         assert_eq!(plain.iterations, with_ws.iterations);
     }
@@ -865,10 +892,10 @@ mod tests {
         let got = [
             digest(&ista(&op, &y, &cfg, l)),
             // Warm-started ISTA has no public entry point; the loop runs it.
-            digest(&shrinkage_loop(&op, &y, &cfg, l, false, false, ProxSpec::L1, seeded, None)),
+            digest(&shrinkage_loop(&op, &y, &cfg, l, false, false, ProxSpec::L1, seeded, None, None)),
             digest(&fista(&op, &y, &cfg, l)),
-            digest(&fista_prior_warm_ws(&op, &y, &cfg, l, ProxSpec::L1, false, seeded, &mut ws)),
-            digest(&fista_prior_warm_ws(&op, &y, &cfg, l, weighted, false, None, &mut ws)),
+            digest(&fista_prior_warm_ws(&op, &y, &cfg, l, ProxSpec::L1, false, seeded, None, &mut ws)),
+            digest(&fista_prior_warm_ws(&op, &y, &cfg, l, weighted, false, None, None, &mut ws)),
         ];
         let pinned = [
             0x72cb_3b41_08a8_8b48_u64,
@@ -951,7 +978,7 @@ mod warm_start_tests {
         let cold = fista(&op, &y, &cfg, None);
         let mut ws = FistaWorkspace::new();
         let warm_none =
-            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws);
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, None, &mut ws);
         assert_eq!(cold.solution, warm_none.solution);
         assert_eq!(cold.iterations, warm_none.iterations);
     }
@@ -964,7 +991,7 @@ mod warm_start_tests {
         let cold = fista(&op, &y, &cfg, None);
         let mut ws = FistaWorkspace::new();
         let seed = Some(&cold.solution[..]);
-        let rewarm = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, &mut ws);
+        let rewarm = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, seed, None, &mut ws);
         assert!(rewarm.converged);
         assert!(
             rewarm.iterations <= 3,
@@ -986,7 +1013,7 @@ mod warm_start_tests {
         let cold = ista(&op, &y2, &cfg, None);
         // No public entry point seeds ISTA; the loop itself can.
         let seed = Some(&prior.solution[..]);
-        let warm = shrinkage_loop(&op, &y2, &cfg, None, false, false, ProxSpec::L1, seed, None);
+        let warm = shrinkage_loop(&op, &y2, &cfg, None, false, false, ProxSpec::L1, seed, None, None);
         assert!(warm.iterations <= cold.iterations);
         for (a, b) in cold.solution.iter().zip(&warm.solution) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -1001,7 +1028,7 @@ mod warm_start_tests {
         let bad = vec![0.0; 7];
         let mut ws = FistaWorkspace::new();
         let _ =
-            fista_prior_warm_ws(&op, &y, &config(), None, ProxSpec::L1, false, Some(&bad), &mut ws);
+            fista_prior_warm_ws(&op, &y, &config(), None, ProxSpec::L1, false, Some(&bad), None, &mut ws);
     }
 
     proptest! {
@@ -1023,7 +1050,7 @@ mod warm_start_tests {
             let cold = fista(&op, &y2, &cfg, None);
             let mut ws = FistaWorkspace::new();
             let warm = fista_prior_warm_ws(
-                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&prior.solution), &mut ws,
+                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&prior.solution), None, &mut ws,
             );
             prop_assert!(
                 warm.iterations <= cold.iterations,
@@ -1051,14 +1078,14 @@ mod warm_start_tests {
             let cfg = config();
             let mut ws = FistaWorkspace::for_operator(&op);
             let a1 = fista(&op, &y1, &cfg, None);
-            let b1 = fista_prior_warm_ws(&op, &y1, &cfg, None, ProxSpec::L1, false, None, &mut ws);
+            let b1 = fista_prior_warm_ws(&op, &y1, &cfg, None, ProxSpec::L1, false, None, None, &mut ws);
             prop_assert_eq!(&a1.solution, &b1.solution);
             let mut fresh = FistaWorkspace::new();
             let a2 = fista_prior_warm_ws(
-                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&a1.solution), &mut fresh,
+                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&a1.solution), None, &mut fresh,
             );
             let b2 = fista_prior_warm_ws(
-                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&b1.solution), &mut ws,
+                &op, &y2, &cfg, None, ProxSpec::L1, false, Some(&b1.solution), None, &mut ws,
             );
             prop_assert_eq!(a2.solution, b2.solution);
         }
@@ -1109,7 +1136,7 @@ mod prior_tests {
         let sizes = vec![1_usize; op.cols()];
         let mut ws_a = FistaWorkspace::for_operator(&op);
         let mut ws_b = FistaWorkspace::for_operator(&op);
-        let a = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws_a);
+        let a = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, None, &mut ws_a);
         let b = fista_prior_warm_ws(
             &op,
             &y,
@@ -1117,6 +1144,7 @@ mod prior_tests {
             None,
             ProxSpec::Group(&sizes),
             false,
+            None,
             None,
             &mut ws_b,
         );
@@ -1136,8 +1164,8 @@ mod prior_tests {
         let sizes = vec![4_usize; op.cols() / 4];
         let mut ws = FistaWorkspace::for_operator(&op);
         for prox in [ProxSpec::L1, ProxSpec::WeightedL1(&weights), ProxSpec::Group(&sizes)] {
-            let paper = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, &mut ws);
-            let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, prox, true, None, &mut ws);
+            let paper = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, None, &mut ws);
+            let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, prox, true, None, None, &mut ws);
             assert!(paper.converged && adaptive.converged, "{prox:?}");
             let dist = squared_distance(&paper.solution, &adaptive.solution, cfg.kernel).sqrt();
             assert!(
@@ -1165,8 +1193,8 @@ mod prior_tests {
             ..config()
         };
         let mut ws = FistaWorkspace::for_operator(&op);
-        let paper = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws);
-        let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        let paper = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, None, &mut ws);
+        let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, None, &mut ws);
         (adaptive, paper.iterations)
     }
 
@@ -1190,8 +1218,8 @@ mod prior_tests {
             ..config()
         };
         let mut ws = FistaWorkspace::for_operator(&op);
-        let paper = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws);
-        let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        let paper = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, None, &mut ws);
+        let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, None, &mut ws);
         assert!(paper.converged && paper.iterations < ramp);
         assert!(adaptive.converged && adaptive.iterations > ramp);
     }
@@ -1214,13 +1242,13 @@ mod prior_tests {
 
         // λ = 0: nothing to continue towards; the loose stop rule fires at once.
         let cfg = ShrinkageConfig { lambda: 0.0, ..loose };
-        let r = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        let r = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, None, &mut ws);
         assert!(r.converged && r.iterations < 10, "λ = 0 ran {} iterations", r.iterations);
         assert!(r.solution.iter().all(|v| v.is_finite()));
 
         // y = 0: the first gradient is zero, and so is the answer.
         let zeros = vec![0.0; op.rows()];
-        let r = fista_prior_warm_ws(&op, &zeros, &loose, None, ProxSpec::L1, true, None, &mut ws);
+        let r = fista_prior_warm_ws(&op, &zeros, &loose, None, ProxSpec::L1, true, None, None, &mut ws);
         assert!(r.converged);
         assert_eq!(r.iterations, 1);
         assert!(r.solution.iter().all(|&v| v == 0.0));
@@ -1229,7 +1257,7 @@ mod prior_tests {
         let null = DenseOperator::from_row_major(4, 8, vec![0.0; 32], KernelMode::Unrolled4);
         let mut ws = FistaWorkspace::for_operator(&null);
         let r =
-            fista_prior_warm_ws(&null, &[1.0; 4], &loose, None, ProxSpec::L1, true, None, &mut ws);
+            fista_prior_warm_ws(&null, &[1.0; 4], &loose, None, ProxSpec::L1, true, None, None, &mut ws);
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
         assert!(r.solution.iter().all(|&v| v == 0.0));
@@ -1241,14 +1269,14 @@ mod prior_tests {
         let y = op.apply(&x);
         let cfg = ShrinkageConfig { lambda: 1e-3 * lambda_max(&op, &y), ..config() };
         let mut ws = FistaWorkspace::for_operator(&op);
-        let cold = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, &mut ws);
+        let cold = fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, None, None, &mut ws);
         assert!(cold.converged);
 
         // At the minimiser 2‖g‖∞ ≈ λ: boost₁ = 1, no ramp, a handful of
         // iterations.
         let seed = cold.solution.clone();
         let rewarm =
-            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, Some(&seed), &mut ws);
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, Some(&seed), None, &mut ws);
         assert!(rewarm.converged);
         assert!(rewarm.iterations <= 5, "perfect seed took {} iterations", rewarm.iterations);
 
@@ -1258,9 +1286,9 @@ mod prior_tests {
         // times its cold count for the same seed (906 vs 307).
         let inflated: Vec<f64> = seed.iter().map(|&v| 10.0 * v).collect();
         let bad =
-            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, Some(&inflated), &mut ws);
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, true, Some(&inflated), None, &mut ws);
         let paper_bad =
-            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, Some(&inflated), &mut ws);
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, Some(&inflated), None, &mut ws);
         assert!(bad.converged);
         assert!(
             bad.iterations <= 2 * cold.iterations && bad.iterations < paper_bad.iterations,
@@ -1269,6 +1297,81 @@ mod prior_tests {
             cold.iterations,
             paper_bad.iterations
         );
+    }
+
+    /// Counts the operator applications a solve makes.
+    struct Counting<'a> {
+        op: &'a DenseOperator<f64>,
+        applies: std::cell::Cell<usize>,
+        adjoints: std::cell::Cell<usize>,
+    }
+
+    impl Counting<'_> {
+        /// `(applies, adjoints)` since the last call.
+        fn take(&self) -> (usize, usize) {
+            (self.applies.take(), self.adjoints.take())
+        }
+    }
+
+    impl LinearOperator<f64> for Counting<'_> {
+        fn rows(&self) -> usize {
+            self.op.rows()
+        }
+        fn cols(&self) -> usize {
+            self.op.cols()
+        }
+        fn apply_into(&self, x: &[f64], out: &mut [f64]) {
+            self.applies.set(self.applies.get() + 1);
+            self.op.apply_into(x, out);
+        }
+        fn adjoint_into(&self, y: &[f64], out: &mut [f64]) {
+            self.adjoints.set(self.adjoints.get() + 1);
+            self.op.adjoint_into(y, out);
+        }
+    }
+
+    /// A cold solve handed the `Aᴴy` that `lambda_max_with` computed makes
+    /// `k − 1` operator pairs inside its loop instead of `k` (plus the one
+    /// apply behind the reported residual), to the same bits; a warm start
+    /// ignores the hand-off.
+    #[test]
+    fn a_cold_solve_handed_adjoint_y_skips_one_operator_pair() {
+        let (op, x) = instance(50, 64, 128, 6);
+        let y = op.apply(&x);
+        let counting = Counting { op: &op, applies: Default::default(), adjoints: Default::default() };
+        let mut ws = FistaWorkspace::for_operator(&op);
+        let mut adjoint_y = vec![0.0; op.cols()];
+        let lambda_max = lambda_max_with(&counting, &y, &mut adjoint_y, ws.operator_workspace());
+        assert_eq!(counting.take(), (0, 1));
+        let cfg = ShrinkageConfig { lambda: 1e-3 * lambda_max, ..config() };
+        // Estimated here, so the power iteration is not in the counts.
+        let lipschitz = Some(lipschitz_constant(&op, 60));
+        let sizes = vec![4_usize; op.cols() / 4];
+        for (adaptive, prox) in
+            [(false, ProxSpec::L1), (true, ProxSpec::L1), (true, ProxSpec::Group(&sizes))]
+        {
+            let mut solve = |warm: Option<&[f64]>, handed: Option<&[f64]>| {
+                let result =
+                    fista_prior_warm_ws(&counting, &y, &cfg, lipschitz, prox, adaptive, warm, handed, &mut ws);
+                (result, counting.take())
+            };
+            let (plain, plain_count) = solve(None, None);
+            let (handed, handed_count) = solve(None, Some(&adjoint_y[..]));
+            let k = plain.iterations;
+            assert!(plain.converged && k > 1);
+            assert_eq!(plain_count, (k + 1, k), "{prox:?}");
+            assert_eq!(handed_count, (k, k - 1), "{prox:?}");
+            assert_eq!(handed.iterations, k, "{prox:?}");
+            assert_eq!(bits(&handed.solution), bits(&plain.solution), "{prox:?}");
+            assert_eq!(handed.residual_norm.to_bits(), plain.residual_norm.to_bits());
+
+            let seed: Vec<f64> = plain.solution.iter().map(|&v| 0.5 * v).collect();
+            let (warm, warm_count) = solve(Some(&seed[..]), None);
+            let (warm_handed, warm_handed_count) = solve(Some(&seed[..]), Some(&adjoint_y[..]));
+            assert_eq!(warm_count, (warm.iterations + 1, warm.iterations), "{prox:?}");
+            assert_eq!(warm_handed_count, warm_count, "{prox:?}");
+            assert_eq!(bits(&warm_handed.solution), bits(&warm.solution), "{prox:?}");
+        }
     }
 
     #[test]
@@ -1292,7 +1395,7 @@ mod prior_tests {
         let sizes = vec![block; n / block];
         let mut ws = FistaWorkspace::for_operator(&op);
         let sol =
-            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::Group(&sizes), false, None, &mut ws);
+            fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::Group(&sizes), false, None, None, &mut ws);
         assert!(sol.converged);
         let err = squared_distance(&sol.solution, &x, cfg.kernel).sqrt() / cs_dsp::l2_norm(&x);
         assert!(err < 0.05, "group solve missed block-sparse truth: {err}");
@@ -1315,10 +1418,10 @@ mod prior_tests {
         weights[free] = 0.0;
         let mut ws = FistaWorkspace::for_operator(&op);
         let all = ProxSpec::WeightedL1(&ones);
-        let crushed = fista_prior_warm_ws(&op, &y, &cfg, None, all, false, None, &mut ws);
+        let crushed = fista_prior_warm_ws(&op, &y, &cfg, None, all, false, None, None, &mut ws);
         assert!(crushed.solution.iter().all(|&v| v == 0.0));
         let spared = ProxSpec::WeightedL1(&weights);
-        let freed = fista_prior_warm_ws(&op, &y, &cfg, None, spared, false, None, &mut ws);
+        let freed = fista_prior_warm_ws(&op, &y, &cfg, None, spared, false, None, None, &mut ws);
         assert!(
             freed.solution[free] != 0.0,
             "zero-weight coordinate was shrunk away"
@@ -1341,6 +1444,7 @@ mod prior_tests {
             ProxSpec::WeightedL1(&w),
             false,
             None,
+            None,
             &mut ws,
         );
     }
@@ -1359,6 +1463,7 @@ mod prior_tests {
             None,
             ProxSpec::Group(&sizes),
             false,
+            None,
             None,
             &mut ws,
         );
@@ -1379,9 +1484,9 @@ mod prior_tests {
             let mut ws_a = FistaWorkspace::for_operator(&op);
             let mut ws_b = FistaWorkspace::for_operator(&op);
             let plain =
-                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws_a);
+                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, None, &mut ws_a);
             let weighted = fista_prior_warm_ws(
-                &op, &y, &cfg, None, ProxSpec::WeightedL1(&ones), false, None, &mut ws_b,
+                &op, &y, &cfg, None, ProxSpec::WeightedL1(&ones), false, None, None, &mut ws_b,
             );
             prop_assert_eq!(bits(&plain.solution), bits(&weighted.solution));
             prop_assert_eq!(plain.iterations, weighted.iterations);
@@ -1402,7 +1507,7 @@ mod prior_tests {
             weights[free] = 0.0;
             let mut ws = FistaWorkspace::for_operator(&op);
             let sol = fista_prior_warm_ws(
-                &op, &y, &cfg, None, ProxSpec::WeightedL1(&weights), false, None, &mut ws,
+                &op, &y, &cfg, None, ProxSpec::WeightedL1(&weights), false, None, None, &mut ws,
             );
             prop_assert!(sol.solution[free] != 0.0);
             for (i, &v) in sol.solution.iter().enumerate() {

@@ -113,7 +113,7 @@ impl<T: Real> Workspace<T> {
 /// let y = a.apply(&[1.0, -2.0, 0.5]);
 /// let cfg = ShrinkageConfig::new(1e-3);
 /// let mut ws = FistaWorkspace::for_operator(&a);
-/// let with_ws = fista_prior_warm_ws(&a, &y, &cfg, None, ProxSpec::L1, false, None, &mut ws);
+/// let with_ws = fista_prior_warm_ws(&a, &y, &cfg, None, ProxSpec::L1, false, None, None, &mut ws);
 /// let without = fista(&a, &y, &cfg, None);
 /// assert_eq!(with_ws.solution, without.solution); // bitwise identical
 /// ws.recycle_solution(with_ws.solution);

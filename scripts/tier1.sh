@@ -54,6 +54,11 @@ cargo test -q --release --test solver_priors
 cargo test -q --release --test numerical_equivalence
 cargo test -q --release -p cs-dsp -p cs-sensing -p cs-recovery
 
+# The committed results the stop rule was read off and shows up in
+# (solver_comparison's panel, fig6, fig7) are what this tree produces,
+# outside their host-time columns.
+scripts/results_check.sh
+
 # The coordinator's wall-clock gate (in-budget iterations > the paper's
 # 2000) only means something for optimized code; the debug suite above
 # skips that one clause.

@@ -2,7 +2,7 @@
 //! resampling → integer encoder → wire format → FISTA decoder → metrics.
 
 use cs_ecg_monitor::prelude::*;
-use cs_ecg_monitor::system::{EncodedPacket, PacketKind};
+use cs_ecg_monitor::system::{EncodedPacket, PacketKind, StopRule};
 use std::sync::Arc;
 
 /// Standard corpus-to-mote preparation used across these tests.
@@ -149,12 +149,12 @@ fn solver_policies_trade_quality_for_time() {
     let config = SystemConfig::paper_default();
     let fast = SolverPolicy::<f64> {
         max_iterations: 60,
-        tolerance: 0.0,
+        tolerance: StopRule::RelativeStep(0.0),
         ..SolverPolicy::default()
     };
     let slow = SolverPolicy::<f64> {
         max_iterations: 1500,
-        tolerance: 1e-6,
+        tolerance: StopRule::RelativeStep(1e-6),
         ..SolverPolicy::default()
     };
     let rf = train_and_evaluate::<f64>(&config, &streams[0], 2, fast).unwrap();
