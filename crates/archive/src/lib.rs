@@ -27,8 +27,7 @@
 //!   [`cs_core::run_fleet`] ahead of frame validation, so
 //!   even traffic the pipeline rejects is preserved byte-for-byte under
 //!   the reserved [`QUARANTINE_LANE`].
-//! * **Retention** is [`Archive::compact`] (keep the newest N segments);
-//!   capacity planning lives in `cs_platform`'s `ArchiveCapacityModel`.
+//! * **Retention** is [`Archive::compact`] (keep the newest N segments).
 //!
 //! ```no_run
 //! use cs_archive::{Archive, ArchiveConfig, ArchiveWriter};

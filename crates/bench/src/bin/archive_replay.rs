@@ -16,9 +16,8 @@
 //! Panels: archive geometry and recovery stats, decode-on-read fault
 //! accounting, per-stream reconstruction PRD against the deterministic
 //! corpus (via `try_prd` — sessions that diverge from the corpus print
-//! `n/a` instead of tearing down the report), stage latency quantiles
-//! including the archive spans, and the `ArchiveCapacityModel`
-//! provisioning table.
+//! `n/a` instead of tearing down the report) and stage latency quantiles
+//! including the archive spans.
 //!
 //! ```text
 //! cargo run --release -p cs-bench --bin archive_replay [--replay DIR] [--full]
@@ -32,7 +31,6 @@ use cs_core::{
 };
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, Record, SyntheticDatabase};
 use cs_metrics::try_prd;
-use cs_platform::{ArchiveCapacityModel, SyncCadence};
 use cs_telemetry::{ArchiveOp, FamilyId, TelemetryRegistry};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -246,19 +244,6 @@ fn main() {
             .map(|&op| format!("{op}={}", snapshot.count(FamilyId::Archive, op)))
             .collect::<Vec<_>>()
             .join("  ")
-    );
-
-    let model = ArchiveCapacityModel::paper_default();
-    println!("== Capacity model (paper defaults: 256 Hz, N=512, CR 50 %) ==");
-    println!("storage per patient-day : {:>8.1} MB  (raw would be {:.1} MB)",
-        model.bytes_per_day() / 1e6, model.raw_bytes_per_day() / 1e6);
-    println!("segments per day        : {:>8.2}", model.segments_per_day());
-    println!("retention per GiB       : {:>8.1} patient-days", model.days_per_gib());
-    println!(
-        "fsyncs per day          : {:>8.0} (per-record) / {:.0} (every 64) / {:.0} (seal only)",
-        model.fsyncs_per_day(SyncCadence::PerRecord),
-        model.fsyncs_per_day(SyncCadence::EveryN(64)),
-        model.fsyncs_per_day(SyncCadence::Never)
     );
 
     if settings.replay.is_none() {

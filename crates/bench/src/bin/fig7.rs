@@ -16,7 +16,7 @@
 //! cargo run --release -p cs-bench --bin fig7 [--full] [--records N] [--seconds S]
 //! ```
 
-use cs_bench::{banner, Corpus, RunSettings};
+use cs_bench::{banner, host, Corpus, RunSettings};
 use cs_core::{train_and_evaluate, SolverPolicy, StopRule, SystemConfig};
 use cs_metrics::{Summary, SweepSeries};
 use cs_recovery::KernelMode;
@@ -59,6 +59,25 @@ fn sweep(
     (iter_series, time_series)
 }
 
+/// [`SweepSeries::to_table`] for a solver-time series: the same rows with
+/// the four host-measured statistics marked as such.
+fn print_host_series(series: &SweepSeries) {
+    println!("# {}", series.name());
+    println!("#      x        mean         std         min         max    n");
+    for p in series.points() {
+        let s = &p.summary;
+        let stats = format!(
+            "{:10.4} {:11.4} {:11.4} {:11.4}",
+            s.mean(),
+            s.std_dev(),
+            s.min(),
+            s.max()
+        );
+        println!("{:8.2} {} {:3}", p.x, host(stats), s.count());
+    }
+    println!();
+}
+
 fn main() {
     let settings = RunSettings::from_args();
     banner("fig7", "Fig. 7 (iterations and time vs CR)", &settings);
@@ -90,7 +109,7 @@ fn main() {
         1.0,
     );
     println!("{}", iter_series.to_table());
-    println!("{}", time_series.to_table());
+    print_host_series(&time_series);
 
     let first = iter_series.points().first().expect("nonempty").summary.mean();
     let last = iter_series.points().last().expect("nonempty").summary.mean();
@@ -113,5 +132,5 @@ fn main() {
     );
     println!();
     println!("{}", iters.to_table());
-    println!("{}", ms.to_table());
+    print_host_series(&ms);
 }

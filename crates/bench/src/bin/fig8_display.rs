@@ -7,7 +7,7 @@
 //! cargo run --release -p cs-bench --bin fig8_display
 //! ```
 
-use cs_bench::{banner, RunSettings};
+use cs_bench::{banner, host, RunSettings};
 use cs_core::{
     packetize, train_codebook, Decoder, Encoder, SolverPolicy, SystemConfig,
 };
@@ -49,8 +49,10 @@ fn main() {
 
     println!("original (2-s packet, 512 samples @256 Hz):");
     println!("{}", render(&x));
-    println!("reconstructed at CR 50 (FISTA, {iterations} iterations, {:.2} ms):",
-        solve_time.as_secs_f64() * 1e3);
+    println!(
+        "reconstructed at CR 50 (FISTA, {iterations} iterations, {} ms):",
+        host(format!("{:.2}", solve_time.as_secs_f64() * 1e3))
+    );
     println!("{}", render(&xhat));
     println!(
         "packet PRD {:.2} %   stream mean PRD {:.2} % over {packets} packets",

@@ -11,7 +11,7 @@
 //! cargo run --release -p cs-bench --bin realtime_report [--full]
 //! ```
 
-use cs_bench::{banner, RunSettings};
+use cs_bench::{banner, host, RunSettings};
 use cs_core::{
     packetize, train_codebook, Decoder, Encoder, SolverPolicy, SystemConfig,
 };
@@ -77,20 +77,20 @@ fn main() {
 
     println!("== Coordinator (iPhone-3GS budget model) ==");
     println!(
-        "mean CPU usage          : {:>6.2} %   (paper: 17.7 % at CR 50)",
-        report.cpu_usage_percent
+        "mean CPU usage          : {:>8} %   (paper: 17.7 % at CR 50)",
+        host(format!("{:.2}", report.cpu_usage_percent))
     );
     println!(
-        "per-iteration time      : {:>9.3} µs (host)",
-        report.per_iteration.as_secs_f64() * 1e6
+        "per-iteration time      : {:>8} µs",
+        host(format!("{:.3}", report.per_iteration.as_secs_f64() * 1e6))
     );
     println!(
-        "iterations in 1-s budget: {:>6}     (paper: 2000 optimized)",
-        report.max_iterations_in_budget
+        "iterations in 1-s budget: {:>8}     (paper: 2000 optimized)",
+        host(report.max_iterations_in_budget)
     );
     println!(
-        "worst packet            : {:>6.1} % of budget",
-        report.worst_case_fraction_of_budget * 100.0
+        "worst packet            : {:>8} % of budget",
+        host(format!("{:.1}", report.worst_case_fraction_of_budget * 100.0))
     );
     println!(
         "real-time               : {}        (every packet within budget)",

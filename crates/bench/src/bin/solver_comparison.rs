@@ -16,7 +16,7 @@
 //! cargo run --release -p cs-bench --bin solver_comparison [--full]
 //! ```
 
-use cs_bench::{banner, Corpus, RunSettings};
+use cs_bench::{banner, host, Corpus, RunSettings};
 use cs_core::{
     packetize, train_codebook, uniform_codebook, Decoder, Encoder, SolverPolicy, StopRule,
     SystemConfig,
@@ -24,9 +24,8 @@ use cs_core::{
 use cs_dsp::wavelet::{Dwt, Wavelet};
 use cs_metrics::{output_snr, prd, Summary};
 use cs_recovery::{
-    amp, fista, ista, lambda_max, lipschitz_constant, omp, AmpConfig, DeflatedOperator,
+    fista, ista, lambda_max, lipschitz_constant, omp, top_singular_pair, DeflatedOperator,
     DenseOperator, KernelMode, OmpConfig, ShrinkageConfig, SynthesisOperator,
-    top_singular_pair,
 };
 use cs_sensing::{measurements_for_cr, Sensing, SparseBinarySensing};
 use std::sync::Arc;
@@ -129,12 +128,9 @@ fn main() {
     let mut fista_snr = Summary::new();
     let mut ista_snr = Summary::new();
     let mut omp_snr = Summary::new();
-    let mut amp_snr = Summary::new();
     let mut fista_ms = Summary::new();
     let mut ista_ms = Summary::new();
     let mut omp_ms = Summary::new();
-    let mut amp_ms = Summary::new();
-    let mut amp_diverged = 0usize;
 
     for p in &packets {
         let x: Vec<f64> = p.iter().map(|&v| v as f64).collect();
@@ -153,58 +149,22 @@ fn main() {
         let rf = fista(&defl, &yd, &cfg, Some(lips));
         let ri = ista(&defl, &yd, &cfg, Some(lips));
         let ro = omp(&dense, &y, &OmpConfig::new(64));
-        let ra = amp(
-            &defl,
-            &yd,
-            &AmpConfig {
-                max_iterations: BUDGET,
-                ..AmpConfig::default()
-            },
-        );
-        if ra.diverged {
-            amp_diverged += 1;
-        }
 
         fista_snr.push(output_snr(&x, &dwt.synthesize(&rf.solution)));
         ista_snr.push(output_snr(&x, &dwt.synthesize(&ri.solution)));
         omp_snr.push(output_snr(&x, &dwt.synthesize(&ro.solution)));
-        amp_snr.push(output_snr(&x, &dwt.synthesize(&ra.solution)));
         fista_ms.push(rf.elapsed.as_secs_f64() * 1e3);
         ista_ms.push(ri.elapsed.as_secs_f64() * 1e3);
         omp_ms.push(ro.elapsed.as_secs_f64() * 1e3);
-        amp_ms.push(ra.elapsed.as_secs_f64() * 1e3);
     }
 
-    println!(
-        "{:<28} {:>12} {:>14}",
-        "solver", "SNR (dB)", "time (ms/pkt)"
-    );
-    println!(
-        "{:<28} {:>12.2} {:>14.3}",
-        format!("FISTA ({BUDGET} iters)"),
-        fista_snr.mean(),
-        fista_ms.mean()
-    );
-    println!(
-        "{:<28} {:>12.2} {:>14.3}",
-        format!("ISTA ({BUDGET} iters)"),
-        ista_snr.mean(),
-        ista_ms.mean()
-    );
-    println!(
-        "{:<28} {:>12.2} {:>14.3}",
-        "OMP (greedy, ≤64 atoms)",
-        omp_snr.mean(),
-        omp_ms.mean()
-    );
-    println!(
-        "{:<28} {:>12.2} {:>14.3}",
-        format!("AMP (≤{BUDGET} iters)"),
-        amp_snr.mean(),
-        amp_ms.mean()
-    );
-    if amp_diverged > 0 {
-        println!("# AMP diverged on {amp_diverged}/{} packets (non-i.i.d. operator; see docs)", packets.len());
+    println!("{:<28} {:>12} {:>14}", "solver", "SNR (dB)", "time (ms/pkt)");
+    for (name, snr, ms) in [
+        (format!("FISTA ({BUDGET} iters)"), &fista_snr, &fista_ms),
+        (format!("ISTA ({BUDGET} iters)"), &ista_snr, &ista_ms),
+        ("OMP (greedy, ≤64 atoms)".to_owned(), &omp_snr, &omp_ms),
+    ] {
+        println!("{name:<28} {:>12.2} {:>14}", snr.mean(), host(format!("{:.3}", ms.mean())));
     }
     println!();
     println!(

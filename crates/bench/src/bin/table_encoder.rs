@@ -8,7 +8,7 @@
 //! cargo run --release -p cs-bench --bin table_encoder [--full]
 //! ```
 
-use cs_bench::{banner, RunSettings};
+use cs_bench::{banner, host, RunSettings};
 use cs_core::{packetize, train_codebook, Encoder, SystemConfig};
 use cs_platform::{encode_cost, encoder_footprint, MoteSpec};
 use std::sync::Arc;
@@ -76,8 +76,8 @@ fn main() {
     let elapsed = start.elapsed();
     println!("== Measured host encode throughput (sanity anchor) ==");
     println!(
-        "{packets} packets in {:.3} ms → {:.1} µs/packet",
-        elapsed.as_secs_f64() * 1e3,
-        elapsed.as_secs_f64() * 1e6 / packets.max(1) as f64
+        "{packets} packets in {} ms → {} µs/packet",
+        host(format!("{:.3}", elapsed.as_secs_f64() * 1e3)),
+        host(format!("{:.1}", elapsed.as_secs_f64() * 1e6 / packets.max(1) as f64))
     );
 }

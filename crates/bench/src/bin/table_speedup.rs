@@ -15,7 +15,7 @@
 //! cargo run --release -p cs-bench --bin table_speedup [--full]
 //! ```
 
-use cs_bench::{banner, RunSettings};
+use cs_bench::{banner, host, RunSettings};
 use cs_dsp::wavelet::{Dwt, Wavelet};
 use cs_recovery::{
     fista, lambda_max, DenseOperator, KernelMode, LinearOperator, ShrinkageConfig,
@@ -92,11 +92,11 @@ fn main() {
                 / samples.len() as f64
                 * 1e3;
             println!(
-                "{:<34} {:>12.3} {:>12.3} {:>10}",
+                "{:<34} {:>12} {:>12} {:>10}",
                 name,
-                mean_ms,
-                report.per_iteration.as_secs_f64() * 1e6,
-                report.max_iterations_in_budget
+                host(format!("{mean_ms:.3}")),
+                host(format!("{:.3}", report.per_iteration.as_secs_f64() * 1e6)),
+                host(report.max_iterations_in_budget)
             );
             report
         })
@@ -105,10 +105,13 @@ fn main() {
     let opt_speedup = reports[0].per_iteration.as_secs_f64() / reports[1].per_iteration.as_secs_f64();
     let mf_speedup = reports[0].per_iteration.as_secs_f64() / reports[2].per_iteration.as_secs_f64();
     println!();
-    println!("kernel-optimization speedup (dense): {opt_speedup:.2}× (paper: 2.43× at CR 50)");
-    println!("matrix-free speedup over baseline  : {mf_speedup:.2}×");
     println!(
-        "iteration-budget ratio               : {:.2}× (paper: 2000/800 = 2.5×)",
-        iteration_budget_ratio(&reports[1], &reports[0])
+        "kernel-optimization speedup (dense): {}× (paper: 2.43× at CR 50)",
+        host(format!("{opt_speedup:.2}"))
+    );
+    println!("matrix-free speedup over baseline  : {}×", host(format!("{mf_speedup:.2}")));
+    println!(
+        "iteration-budget ratio               : {}× (paper: 2000/800 = 2.5×)",
+        host(format!("{:.2}", iteration_budget_ratio(&reports[1], &reports[0])))
     );
 }

@@ -21,7 +21,8 @@
 //! This library holds what they share: deterministic corpus preparation
 //! (synthesize → resample to 256 Hz → quantize to signed counts) and a
 //! tiny argument parser so every binary supports `--records`,
-//! `--seconds` and `--full`.
+//! `--seconds` and `--full`, and [`host`], the one way a binary prints a
+//! figure that depends on the machine it ran on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -259,6 +260,15 @@ pub struct LinearSolveOutcome {
     pub iterations: usize,
     /// Solver wall time.
     pub solve_time: std::time::Duration,
+}
+
+/// Marks a figure measured on this host — a wall-clock time, or anything
+/// derived from one — by printing it in square brackets. Everything a
+/// results binary prints outside brackets is deterministic, which is what
+/// lets `scripts/results_check.sh` mask host figures with one rule and
+/// diff the rest of `results/*.txt` byte for byte.
+pub fn host(figure: impl std::fmt::Display) -> String {
+    format!("[{figure}]")
 }
 
 /// Prints the standard harness banner so outputs are self-describing.

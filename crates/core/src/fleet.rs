@@ -33,9 +33,10 @@
 //!   decodes under panic supervision; corruption, loss, duplication,
 //!   reordering and a poisoned decoder all become [`PacketOutcome`]s and
 //!   [`FleetReport::faults`] counts, never run-ending failures.
-//! * **A collector** on the calling thread reorders results per stream and
-//!   emits them strictly in order, so downstream consumers observe
-//!   exactly the per-patient order `run_streaming` would deliver.
+//! * **A collector** on the calling thread delivers results as they
+//!   arrive. A stream's windows all come from its one worker over one
+//!   FIFO channel, so downstream consumers observe exactly the
+//!   per-patient order `run_streaming` would deliver.
 //! * **Backpressure** is explicit: the dispatcher first `try_send`s; a
 //!   full queue counts one stall before the blocking send (radio
 //!   buffering, in hardware terms).
@@ -73,7 +74,7 @@ use cs_dsp::Real;
 use cs_recovery::SpectralCache;
 use cs_telemetry::{FaultKind, Stage, TelemetryRegistry, TraceContext};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -230,9 +231,6 @@ struct WireJob {
 enum WireMsg<T: Real> {
     Emit {
         stream: usize,
-        /// Dense per-stream emission sequence assigned by the worker (wire
-        /// sequence numbers have gaps where frames were lost).
-        emit_seq: u64,
         channel: u8,
         worker: usize,
         /// Arrival stamp of the frame this window came from; concealed
@@ -268,7 +266,6 @@ struct WireWorker<'e, T: Real> {
     /// Reassembler payload carries the frame's arrival stamp alongside
     /// the packet, so capture time survives reordering.
     seqs: HashMap<(usize, u8), Reassembler<(EncodedPacket, u64)>>,
-    emit_seq: HashMap<usize, u64>,
     scratch: DecodeWorkspace<T>,
     /// Lead 0's estimate, copied out for a sibling lead's cross-lead seed.
     sibling: Vec<T>,
@@ -541,8 +538,8 @@ impl<T: Real> WireWorker<'_, T> {
         Ok(())
     }
 
-    /// Sends one window to the collector under the stream's dense
-    /// emission sequence. Returns `false` when the collector hung up.
+    /// Sends one window to the collector. Returns `false` when the
+    /// collector hung up.
     fn emit(
         &mut self,
         stream: usize,
@@ -551,14 +548,10 @@ impl<T: Real> WireWorker<'_, T> {
         captured_ns: u64,
         packet: DecodedPacket<T>,
     ) -> bool {
-        let seq = self.emit_seq.entry(stream).or_insert(0);
-        let emit_seq = *seq;
-        *seq += 1;
         let emitted_ns = if self.telemetry.is_enabled() { self.telemetry.now_ns() } else { 0 };
         self.results
             .send(WireMsg::Emit {
                 stream,
-                emit_seq,
                 channel,
                 worker: self.worker_id,
                 captured_ns,
@@ -874,7 +867,6 @@ where
                 chaos_fired: &chaos_fired,
                 lanes: HashMap::new(),
                 seqs: HashMap::new(),
-                emit_seq: HashMap::new(),
                 scratch: DecodeWorkspace::for_config(config),
                 sibling: Vec::new(),
                 results,
@@ -945,16 +937,16 @@ where
         }
         drop(res_tx);
 
-        // --- Collector: per-stream in-order emission --------------------
-        type Slot<T> = (u8, PacketOutcome, DecodedPacket<T>, u64, u64);
-        let mut pending: Vec<BTreeMap<u64, Slot<T>>> =
-            (0..min_streams).map(|_| BTreeMap::new()).collect();
+        // --- Collector ---------------------------------------------------
+        // A stream's emissions all come from its one worker (`stream %
+        // workers`) over the one FIFO results channel, so they arrive in
+        // emission order; `next_seq` only numbers them (wire sequence
+        // numbers have gaps where frames were lost).
         let mut next_seq = vec![0u64; min_streams];
         for msg in res_rx.iter() {
             match msg {
                 WireMsg::Emit {
                     stream,
-                    emit_seq,
                     channel,
                     worker,
                     captured_ns,
@@ -966,45 +958,38 @@ where
                     worker_packets[worker] += 1;
                     // A streaming source can introduce streams mid-run;
                     // collector state grows on first sight.
-                    if stream >= pending.len() {
-                        pending.resize_with(stream + 1, BTreeMap::new);
+                    if stream >= next_seq.len() {
                         next_seq.resize(stream + 1, 0);
                         summaries.resize_with(stream + 1, StreamSummary::default);
                     }
-                    pending[stream]
-                        .insert(emit_seq, (channel, outcome, packet, captured_ns, emitted_ns));
-                    while let Some((channel, outcome, packet, captured_ns, emitted_ns)) =
-                        pending[stream].remove(&next_seq[stream])
-                    {
-                        let seq = next_seq[stream];
-                        next_seq[stream] += 1;
-                        let summary = &mut summaries[stream];
-                        summary.packets += 1;
-                        summary.total_decode_time += packet.solve_time;
-                        summary.max_decode_time = summary.max_decode_time.max(packet.solve_time);
-                        summary.total_iterations += packet.iterations as u64;
-                        summary.warm_started += usize::from(packet.warm_started);
-                        packets_decoded += 1;
-                        total_decode += packet.solve_time;
-                        max_decode = max_decode.max(packet.solve_time);
-                        let mut e2e = None;
-                        if telemetry.is_enabled() {
-                            telemetry.record_stage_ns(
-                                Stage::EmitDeliver,
-                                telemetry.now_ns().saturating_sub(emitted_ns),
-                            );
-                            e2e = telemetry
-                                .record_emit(&TraceContext::new(
-                                    u32::try_from(stream).unwrap_or(u32::MAX),
-                                    channel,
-                                    seq,
-                                    captured_ns,
-                                ))
-                                .map(|rec| Duration::from_nanos(rec.e2e_ns));
-                        }
-                        let delivered = FleetPacket { stream, channel, outcome, e2e, packet };
-                        on_packet(&delivered);
+                    let seq = next_seq[stream];
+                    next_seq[stream] += 1;
+                    let summary = &mut summaries[stream];
+                    summary.packets += 1;
+                    summary.total_decode_time += packet.solve_time;
+                    summary.max_decode_time = summary.max_decode_time.max(packet.solve_time);
+                    summary.total_iterations += packet.iterations as u64;
+                    summary.warm_started += usize::from(packet.warm_started);
+                    packets_decoded += 1;
+                    total_decode += packet.solve_time;
+                    max_decode = max_decode.max(packet.solve_time);
+                    let mut e2e = None;
+                    if telemetry.is_enabled() {
+                        telemetry.record_stage_ns(
+                            Stage::EmitDeliver,
+                            telemetry.now_ns().saturating_sub(emitted_ns),
+                        );
+                        e2e = telemetry
+                            .record_emit(&TraceContext::new(
+                                u32::try_from(stream).unwrap_or(u32::MAX),
+                                channel,
+                                seq,
+                                captured_ns,
+                            ))
+                            .map(|rec| Duration::from_nanos(rec.e2e_ns));
                     }
+                    let delivered = FleetPacket { stream, channel, outcome, e2e, packet };
+                    on_packet(&delivered);
                 }
                 WireMsg::Failed { stream, cause } => {
                     failure = Some(PipelineError::Fleet { stream, cause });

@@ -146,29 +146,25 @@ impl<P> Reassembler<P> {
     /// Emits everything still buffered, concealing interior gaps, and
     /// leaves the lane empty. Call at end of stream.
     pub fn flush(&mut self, out: &mut Vec<SequencedEvent<P>>) {
-        while let Some((&front, _)) = self.pending.iter().next() {
-            self.advance_to(front, out);
-            let (seq, item) = self.pending.pop_first().expect("front exists");
-            debug_assert_eq!(seq, self.next);
+        while let Some((seq, item)) = self.pending.pop_first() {
+            self.advance_to(seq, out);
             out.push(SequencedEvent::Deliver(seq, item));
-            self.next += 1;
+            self.next = seq + 1;
         }
     }
 
     /// Delivers every in-order frame, then forces losses while the
     /// buffer exceeds the reorder window.
     fn drain(&mut self, out: &mut Vec<SequencedEvent<P>>) {
-        loop {
-            match self.pending.keys().next().copied() {
-                Some(front) if front == self.next => {
-                    let (seq, item) = self.pending.pop_first().expect("front exists");
-                    out.push(SequencedEvent::Deliver(seq, item));
-                    self.next += 1;
-                }
-                Some(front) if self.pending.len() > self.window => {
-                    self.advance_to(front, out);
-                }
-                _ => break,
+        while let Some(front) = self.pending.first_entry() {
+            let seq = *front.key();
+            if seq == self.next {
+                out.push(SequencedEvent::Deliver(seq, front.remove()));
+                self.next += 1;
+            } else if self.pending.len() > self.window {
+                self.advance_to(seq, out);
+            } else {
+                break;
             }
         }
     }
@@ -479,6 +475,102 @@ mod tests {
                 SequencedEvent::Deliver(far + 1, far + 1),
             ]
         );
+    }
+
+    /// Reference model of one lane: the sorted sequence numbers it holds
+    /// and its cursor. Returns what a push delivers, oldest first.
+    fn model_push(
+        next: &mut u64,
+        held: &mut Vec<u64>,
+        window: usize,
+        seq: u64,
+    ) -> Result<Vec<u64>, PushReject> {
+        if seq < *next {
+            return Err(PushReject::Late);
+        }
+        if held.contains(&seq) {
+            return Err(PushReject::Duplicate);
+        }
+        held.push(seq);
+        held.sort_unstable();
+        let mut delivered = Vec::new();
+        while held.first().is_some_and(|&front| front == *next || held.len() > window) {
+            *next = held[0] + 1; // whatever lies below the front is given up
+            delivered.push(held.remove(0));
+        }
+        Ok(delivered)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_reassembler_matches_the_reference_model(
+            window in 0_usize..6,
+            ops in proptest::collection::vec((0_u8..6, 0_u64..64), 0..160),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut lane = Reassembler::new(window);
+            let window = window.max(1);
+            let (mut next, mut held) = (0_u64, Vec::new());
+            let mut sender = 0_u64; // the mote's own cursor
+            let mut pushed = Vec::new();
+            let mut accepted = Vec::new(); // (seq, payload) the lane took
+            let mut out = Vec::new();
+            for (payload, (kind, arg)) in (0_u64..).zip(ops) {
+                let seq = match kind {
+                    // In order.
+                    0 | 1 => { sender += 1; sender - 1 }
+                    // Dropped on the wire: never pushed.
+                    2 => { sender += 1 + arg % 3; continue }
+                    // A repeat of something sent before: duplicate or late.
+                    3 if !pushed.is_empty() => pushed[arg as usize % pushed.len()],
+                    // Ahead of the cursor, inside or beyond the window; the
+                    // sender catches up later, so these come out reordered.
+                    4 => sender + arg % 12,
+                    // Far enough ahead to force a resync.
+                    _ => { sender += MAX_LOSS_BURST + arg; sender }
+                };
+                pushed.push(seq);
+                let before = out.len();
+                let verdict = lane.push(seq, payload, &mut out);
+                let expected = model_push(&mut next, &mut held, window, seq);
+                prop_assert_eq!(verdict.err(), expected.as_ref().err().copied());
+                if verdict.is_ok() {
+                    accepted.push((seq, payload));
+                }
+                prop_assert_eq!(deliveries(&out[before..]), expected.unwrap_or_default());
+                prop_assert!(lane.pending() <= window, "lane holds {}", lane.pending());
+                prop_assert_eq!(lane.pending(), held.len());
+                prop_assert_eq!(lane.next_seq(), next);
+            }
+            lane.flush(&mut out);
+            prop_assert_eq!(lane.pending(), 0);
+
+            // The events tile [0, next_seq) with no overlap and no hole…
+            let mut cursor = 0_u64;
+            let mut delivered = Vec::new();
+            for event in out {
+                match event {
+                    SequencedEvent::Deliver(seq, payload) => {
+                        prop_assert_eq!(seq, cursor);
+                        delivered.push((seq, payload));
+                        cursor += 1;
+                    }
+                    SequencedEvent::Lost(seq) => {
+                        prop_assert_eq!(seq, cursor);
+                        cursor += 1;
+                    }
+                    SequencedEvent::Resync { from, to } => {
+                        prop_assert_eq!(from, cursor);
+                        prop_assert!(to - from > MAX_LOSS_BURST);
+                        cursor = to;
+                    }
+                }
+            }
+            prop_assert_eq!(cursor, lane.next_seq());
+            // …and every accepted frame came out exactly once, as pushed.
+            accepted.sort_unstable();
+            prop_assert_eq!(delivered, accepted);
+        }
     }
 
     #[test]

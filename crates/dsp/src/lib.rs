@@ -11,8 +11,6 @@
 //!   low-pass design, used by the rational resampler that feeds the mote
 //!   256 Hz samples.
 //! * [`window`] — Hann/Hamming/Blackman/Kaiser windows for FIR design.
-//! * [`fixed`] — saturating Q1.15 arithmetic modeling the MSP430's 16-bit,
-//!   FPU-less encoder environment.
 //! * [`Real`] — a sealed `f32`/`f64` abstraction so the whole decode path
 //!   can be instantiated at both precisions (the paper's Fig. 6 comparison
 //!   of the 64-bit Matlab reference against the 32-bit iPhone port).
@@ -49,9 +47,7 @@
 
 mod error;
 pub mod fir;
-pub mod fixed;
 mod real;
-pub mod spectrum;
 pub mod wavelet;
 pub mod window;
 

@@ -13,10 +13,8 @@
 #[allow(unsafe_code)]
 mod dispatch;
 mod family;
-mod fixed_point;
 mod poly;
 mod transform;
 
 pub use family::{Wavelet, WaveletFamily};
-pub use fixed_point::FixedDwt;
 pub use transform::{dwt_single, idwt_single, Dwt};

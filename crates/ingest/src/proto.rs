@@ -197,7 +197,13 @@ pub fn parse_hello(buf: &[u8]) -> Result<Hello, ProtoError> {
 }
 
 /// Serializes a hello (client side).
+///
+/// # Panics
+///
+/// Panics if the hello declares more than [`MAX_HELLO_LANES`] lanes: the
+/// count travels in one byte and no server would accept the record.
 pub fn encode_hello(hello: &Hello) -> Vec<u8> {
+    assert!(hello.lanes.len() <= MAX_HELLO_LANES, "encode_hello: more than {MAX_HELLO_LANES} lanes");
     let mut out = Vec::with_capacity(HELLO_FIXED_BYTES + hello.lanes.len() * HELLO_LANE_BYTES + 2);
     out.push(FRAME_MAGIC);
     out.push(HELLO_TYPE);
@@ -301,6 +307,13 @@ mod tests {
             ],
         });
         assert_eq!(parse_hello(&dup), Err(ProtoError::BadLaneSet));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 12 lanes")]
+    fn hello_with_too_many_lanes_is_refused_not_truncated() {
+        let lanes = (0..=MAX_HELLO_LANES as u8).map(|lane| LaneResume { lane, resume_from: 0 });
+        let _ = encode_hello(&Hello { patient: 1, lanes: lanes.collect() });
     }
 
     #[test]

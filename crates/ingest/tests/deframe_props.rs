@@ -9,9 +9,19 @@
 //! exactly the record it lands in (the engine's CRC rejects it);
 //! length-prefix corruption costs bounded, fully-accounted bytes and
 //! never desyncs the rest of the session.
+//!
+//! The handshake and control records (`cs_ingest::proto`) are the other
+//! bytes a socket hands this crate before any frame: the last property
+//! mutates them every way a hostile or broken peer can and requires a
+//! typed [`ProtoError`] or the original value — never a panic, never a
+//! different value.
 
 use cs_core::{crc16, parse_frame, FRAME_MAGIC, FRAME_VERSION, HEADER_BYTES};
-use cs_ingest::{encode_record, Deframer, RECORD_PREFIX_BYTES};
+use cs_ingest::{
+    encode_control, encode_hello, encode_record, hello_len, parse_control, parse_hello, Control,
+    ControlCode, Deframer, Hello, LaneResume, ProtoError, CONTROL_BYTES, HELLO_FIXED_BYTES,
+    HELLO_LANE_BYTES, MAX_HELLO_BYTES, RECORD_PREFIX_BYTES,
+};
 use proptest::prelude::*;
 
 /// Hand-assembles a valid wire frame (kind `R`, full payload bits).
@@ -174,6 +184,94 @@ proptest! {
         );
         for (record, frame) in records.iter().zip(&frames).take(victim) {
             prop_assert_eq!(record, frame, "records before the victim must be untouched");
+        }
+    }
+
+    /// Handshake and control records under mutation: arbitrary bytes, and
+    /// valid records with one bit flipped, cut short at every offset,
+    /// followed by garbage, or with the lane-count byte overwritten by
+    /// counts no session may declare.
+    #[test]
+    fn handshake_records_survive_mutation(
+        garbage in proptest::collection::vec(any::<u8>(), 0..MAX_HELLO_BYTES + 8),
+        patient in any::<u32>(),
+        resumes in proptest::collection::vec(any::<u32>(), 1..=12),
+        first_lane in any::<u8>(),
+        code_pick in 0usize..6,
+        retry_after_secs in any::<u16>(),
+        count in any::<u32>(),
+        flip_pick in any::<u16>(),
+        bit in 0u8..8,
+        tail in proptest::collection::vec(any::<u8>(), 1..300),
+    ) {
+        // Arbitrary bytes: an answer, whatever it is.
+        prop_assert_eq!(hello_len(&garbage).is_some(), garbage.len() >= HELLO_FIXED_BYTES);
+        let _ = parse_hello(&garbage);
+        let _ = parse_control(&garbage);
+
+        let hello = Hello {
+            patient,
+            lanes: (0u8..)
+                .zip(&resumes)
+                .map(|(i, &resume_from)| LaneResume { lane: first_lane.wrapping_add(i), resume_from })
+                .collect(),
+        };
+        let hello_bytes = encode_hello(&hello);
+        let hello = Ok(hello);
+        let code = [
+            ControlCode::Accept,
+            ControlCode::Shed,
+            ControlCode::BadHandshake,
+            ControlCode::Draining,
+            ControlCode::Goodbye,
+            ControlCode::Evicted,
+        ][code_pick];
+        let control = Control { code, retry_after_secs, count };
+        let mut control_bytes = [0u8; CONTROL_BYTES];
+        encode_control(control, &mut control_bytes);
+        prop_assert_eq!(&parse_hello(&hello_bytes), &hello);
+        prop_assert_eq!(parse_control(&control_bytes), Ok(control));
+
+        // One flipped bit is caught — CRC-16 sees every single-bit error,
+        // and a flipped lane count moves the record's end instead — so a
+        // parse that still succeeds may only return the original.
+        let mut flipped = hello_bytes.clone();
+        flipped[flip_pick as usize % hello_bytes.len()] ^= 1 << bit;
+        let parsed = parse_hello(&flipped);
+        prop_assert!(parsed.is_err() || parsed == hello);
+        let mut flipped = control_bytes;
+        flipped[flip_pick as usize % CONTROL_BYTES] ^= 1 << bit;
+        prop_assert!(parse_control(&flipped).is_err(), "CRC-16 sees every single-bit error");
+
+        // Cut short anywhere: `Truncated`, so an incremental reader keeps
+        // reading, and `hello_len` answers as soon as the prefix is in.
+        for cut in 0..hello_bytes.len() {
+            prop_assert_eq!(parse_hello(&hello_bytes[..cut]), Err(ProtoError::Truncated));
+            let len = hello_len(&hello_bytes[..cut]);
+            prop_assert_eq!(len, (cut >= HELLO_FIXED_BYTES).then_some(hello_bytes.len()));
+        }
+        for cut in 0..CONTROL_BYTES {
+            prop_assert_eq!(parse_control(&control_bytes[..cut]), Err(ProtoError::Truncated));
+        }
+
+        // Whatever follows a complete record is not the record's business.
+        let mut extended = hello_bytes.clone();
+        extended.extend_from_slice(&tail);
+        prop_assert_eq!(&parse_hello(&extended), &hello);
+        let mut extended = control_bytes.to_vec();
+        extended.extend_from_slice(&tail);
+        prop_assert_eq!(parse_control(&extended), Ok(control));
+
+        // A lane count no session may declare is refused whether or not
+        // the bytes it asks for ever arrive (and whatever their CRC says).
+        for lane_count in [0u8, 13, 255] {
+            let mut forged = hello_bytes.clone();
+            forged[7] = lane_count;
+            let want = HELLO_FIXED_BYTES + lane_count as usize * HELLO_LANE_BYTES + 2;
+            prop_assert_eq!(hello_len(&forged), Some(want));
+            prop_assert!(parse_hello(&forged).is_err());
+            forged.resize(want.max(forged.len()), tail[0]);
+            prop_assert!(parse_hello(&forged).is_err());
         }
     }
 }

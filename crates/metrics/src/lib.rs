@@ -31,6 +31,5 @@ mod quality;
 pub use aggregate::{exact_percentile, Summary, SweepPoint, SweepSeries};
 pub use fleet::{worker_imbalance, FleetStats, StreamStats};
 pub use quality::{
-    compression_ratio, output_snr, prd, prd_from_snr, prd_masked, prd_mean_removed, snr_from_prd,
-    try_prd, try_prd_masked, DiagnosticQuality,
+    compression_ratio, output_snr, prd, snr_from_prd, try_prd, DiagnosticQuality,
 };

@@ -83,75 +83,6 @@ pub fn try_prd(original: &[f64], reconstructed: &[f64]) -> Option<f64> {
     (den > 0.0).then(|| (num / den).sqrt() * 100.0)
 }
 
-/// PRD over the non-masked samples only.
-///
-/// Loss concealment substitutes synthetic samples for windows the wire
-/// ate; folding those into PRD would charge the *reconstruction* for the
-/// *channel*. Callers mark concealed samples in `mask` (`true` =
-/// excluded) and this computes PRD over the genuinely decoded remainder.
-/// Returns `None` when the mask excludes everything or leaves no signal
-/// energy — there is no reconstruction quality to speak of.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-///
-/// # Examples
-///
-/// ```
-/// let x = [3.0, 4.0, 100.0];
-/// let y = [3.0, 4.5, 0.0]; // third sample concealed as zero
-/// let masked = cs_metrics::prd_masked(&x, &y, &[false, false, true]).unwrap();
-/// assert!((masked - 10.0).abs() < 1e-12); // identical to prd over the first two
-/// assert_eq!(cs_metrics::prd_masked(&x, &y, &[true; 3]), None);
-/// ```
-pub fn prd_masked(original: &[f64], reconstructed: &[f64], mask: &[bool]) -> Option<f64> {
-    assert_eq!(original.len(), reconstructed.len(), "prd_masked: length mismatch");
-    assert_eq!(original.len(), mask.len(), "prd_masked: mask length mismatch");
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for ((&a, &b), &concealed) in original.iter().zip(reconstructed).zip(mask) {
-        if concealed {
-            continue;
-        }
-        num += (a - b) * (a - b);
-        den += a * a;
-    }
-    (den > 0.0).then(|| (num / den).sqrt() * 100.0)
-}
-
-/// Alias of [`prd_masked`], named for symmetry with [`try_prd`]: the
-/// masked variant has always returned `Option`, but reporting code that
-/// pairs the two reads better calling `try_prd` / `try_prd_masked`.
-pub fn try_prd_masked(original: &[f64], reconstructed: &[f64], mask: &[bool]) -> Option<f64> {
-    prd_masked(original, reconstructed, mask)
-}
-
-/// Mean-removed PRD (often written PRD₁): measures error relative to the
-/// *AC* energy of the signal, making records with large DC offsets (such as
-/// raw ADC codes) comparable.
-///
-/// # Panics
-///
-/// Panics if lengths differ or the mean-removed original has zero energy.
-pub fn prd_mean_removed(original: &[f64], reconstructed: &[f64]) -> f64 {
-    assert_eq!(
-        original.len(),
-        reconstructed.len(),
-        "prd_mean_removed: length mismatch"
-    );
-    assert!(!original.is_empty(), "prd_mean_removed: empty input");
-    let mean = original.iter().sum::<f64>() / original.len() as f64;
-    let num: f64 = original
-        .iter()
-        .zip(reconstructed)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum();
-    let den: f64 = original.iter().map(|a| (a - mean) * (a - mean)).sum();
-    assert!(den > 0.0, "prd_mean_removed: zero AC energy");
-    (num / den).sqrt() * 100.0
-}
-
 /// Signal-to-noise ratio in dB from a PRD value, per the paper:
 /// `SNR = −20·log₁₀(0.01·PRD)`.
 ///
@@ -178,12 +109,6 @@ pub fn snr_from_prd(prd: f64) -> f64 {
 /// Panics under the same conditions as [`prd`].
 pub fn output_snr(original: &[f64], reconstructed: &[f64]) -> f64 {
     snr_from_prd(prd(original, reconstructed))
-}
-
-/// The PRD value corresponding to an SNR in dB (inverse of
-/// [`snr_from_prd`]).
-pub fn prd_from_snr(snr_db: f64) -> f64 {
-    100.0 * 10f64.powf(-snr_db / 20.0)
 }
 
 /// Clinical quality bands for reconstructed ECG, following the commonly
@@ -257,7 +182,7 @@ mod tests {
     fn prd_snr_round_trip() {
         for p in [0.5, 2.0, 9.0, 31.6, 100.0] {
             let s = snr_from_prd(p);
-            assert!((prd_from_snr(s) - p).abs() < 1e-9);
+            assert!((100.0 * 10f64.powf(-s / 20.0) - p).abs() < 1e-9);
         }
     }
 
@@ -273,16 +198,6 @@ mod tests {
         let x = vec![1.0; 100];
         let y: Vec<f64> = x.iter().map(|v| v + 0.1).collect();
         assert!((prd(&x, &y) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prd_mean_removed_ignores_dc() {
-        // Raw ADC codes with a big DC offset: plain PRD is flattered by the
-        // offset, PRD1 is not.
-        let x: Vec<f64> = (0..64).map(|i| 1000.0 + (i as f64 * 0.7).sin()).collect();
-        let y: Vec<f64> = x.iter().map(|v| v + 0.05).collect();
-        assert!(prd(&x, &y) < 0.01);
-        assert!(prd_mean_removed(&x, &y) > 1.0);
     }
 
     #[test]
@@ -317,14 +232,5 @@ mod tests {
     fn try_prd_none_on_zero_energy() {
         assert_eq!(try_prd(&[0.0; 8], &[1.0; 8]), None);
         assert_eq!(try_prd(&[], &[]), None);
-    }
-
-    #[test]
-    fn try_prd_masked_delegates() {
-        let x = [3.0, 4.0, 100.0];
-        let y = [3.0, 4.5, 0.0];
-        let mask = [false, false, true];
-        assert_eq!(try_prd_masked(&x, &y, &mask), prd_masked(&x, &y, &mask));
-        assert_eq!(try_prd_masked(&x, &y, &[true; 3]), None);
     }
 }

@@ -38,14 +38,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod archive;
 mod chaos_tcp;
 mod coordinator;
 mod energy;
 mod link;
 mod mote;
 
-pub use archive::{ArchiveCapacityModel, SyncCadence};
 pub use chaos_tcp::{TcpChaosProxy, TcpChaosSpec, TcpChaosStats};
 pub use coordinator::{
     analyze_fleet, analyze_solves, iteration_budget_ratio, CoordinatorSpec, FleetCapacityReport,

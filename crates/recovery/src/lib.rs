@@ -72,7 +72,6 @@ pub use kernels::{
 pub use lipschitz::{lipschitz_constant, operator_norm, top_singular_pair};
 pub use operator::{DeflatedOperator, DenseOperator, LinearOperator, SynthesisOperator};
 pub use solvers::{
-    amp, debias, fista, fista_backtracking, fista_prior_warm_ws, ista, lambda_max, lambda_max_with,
-    omp, AmpConfig, AmpResult, DebiasConfig, OmpConfig, OmpResult, ProxSpec, ShrinkageConfig,
-    SolverResult,
+    fista, fista_prior_warm_ws, ista, lambda_max, lambda_max_with, omp, OmpConfig, OmpResult,
+    ProxSpec, ShrinkageConfig, SolverResult,
 };

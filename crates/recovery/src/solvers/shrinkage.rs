@@ -16,7 +16,7 @@
 //! λ-continuation) that reaches the same minimiser in far fewer iterations.
 
 pub use crate::kernels::ProxSpec;
-use crate::kernels::{fista_tail, momentum_combine, soft_threshold, squared_distance, KernelMode};
+use crate::kernels::{fista_tail, KernelMode};
 use crate::lipschitz::lipschitz_constant;
 use crate::operator::LinearOperator;
 use crate::workspace::{FistaWorkspace, Workspace};
@@ -303,146 +303,6 @@ pub fn fista_prior_warm_ws<T: Real, A: LinearOperator<T>>(
     validate_prox(op.cols(), &prox);
     let cold_adjoint_y = if warm_start.is_none() { adjoint_y } else { None };
     shrinkage_loop(op, y, config, lipschitz, true, adaptive, prox, warm_start, cold_adjoint_y, Some(ws))
-}
-
-/// Solves Eq. (3) with FISTA and **backtracking** line search (the other
-/// variant in Beck & Teboulle 2009). No Lipschitz constant is needed:
-/// the step is found adaptively, starting from `l0` (or 1) and doubling
-/// until the majorization condition
-/// `f(α⁺) ≤ f(y) + ⟨α⁺−y, ∇f(y)⟩ + L/2·‖α⁺−y‖²` holds.
-///
-/// Each backtrack probe costs one extra operator application, so the
-/// constant-step [`fista`] is preferred when `2‖A‖²` is known (the
-/// decoder precomputes it); backtracking wins when the spectrum is
-/// unknown or a global constant would be pessimistic.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`ista`].
-pub fn fista_backtracking<T: Real, A: LinearOperator<T>>(
-    op: &A,
-    y: &[T],
-    config: &ShrinkageConfig<T>,
-    l0: Option<T>,
-) -> SolverResult<T> {
-    assert_eq!(y.len(), op.rows(), "fista_backtracking: y length mismatch");
-    assert!(config.lambda >= T::ZERO, "fista_backtracking: negative lambda");
-    assert!(config.max_iterations > 0, "fista_backtracking: zero iteration cap");
-
-    let start = Instant::now();
-    let n = op.cols();
-    let m = op.rows();
-    let eta = T::TWO;
-    let mut l = l0.unwrap_or(T::ONE).max(T::from_f64(1e-12));
-    let mode = config.kernel;
-    let residual_target = config.residual_tolerance * l2_norm(y);
-
-    let mut alpha = vec![T::ZERO; n];
-    let mut alpha_prev = vec![T::ZERO; n];
-    let mut point = vec![T::ZERO; n];
-    let mut grad = vec![T::ZERO; n];
-    let mut candidate = vec![T::ZERO; n];
-    let mut shifted = vec![T::ZERO; n];
-    let mut residual = vec![T::ZERO; m];
-    let mut probe = vec![T::ZERO; m];
-    let mut t = T::ONE;
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut history = Vec::new();
-
-    for k in 1..=config.max_iterations {
-        iterations = k;
-        // f(point) and ∇f(point).
-        op.apply_into(&point, &mut residual);
-        for (r, &yi) in residual.iter_mut().zip(y) {
-            *r -= yi;
-        }
-        let f_point: T = residual.iter().map(|&v| v * v).sum();
-        op.adjoint_into(&residual, &mut grad);
-        for g in grad.iter_mut() {
-            *g *= T::TWO;
-        }
-
-        // Backtracking on L.
-        loop {
-            let inv_l = T::ONE / l;
-            for ((s, &p), &g) in shifted.iter_mut().zip(&point).zip(&grad) {
-                *s = p - inv_l * g;
-            }
-            soft_threshold(&shifted, config.lambda * inv_l, &mut candidate, mode);
-            // Majorization test.
-            op.apply_into(&candidate, &mut probe);
-            for (r, &yi) in probe.iter_mut().zip(y) {
-                *r -= yi;
-            }
-            let f_candidate: T = probe.iter().map(|&v| v * v).sum();
-            let mut linear = T::ZERO;
-            let mut quad = T::ZERO;
-            for ((&c, &p), &g) in candidate.iter().zip(&point).zip(&grad) {
-                let d = c - p;
-                linear += d * g;
-                quad += d * d;
-            }
-            if f_candidate <= f_point + linear + l * T::HALF * quad
-                || l >= T::from_f64(1e30)
-            {
-                break;
-            }
-            l *= eta;
-        }
-
-        std::mem::swap(&mut alpha_prev, &mut alpha);
-        alpha.copy_from_slice(&candidate);
-
-        if config.record_objective {
-            let r = op.apply(&alpha);
-            let fval: T = r
-                .iter()
-                .zip(y)
-                .map(|(&a, &b)| (a - b) * (a - b))
-                .sum::<T>()
-                + config.lambda * l1_norm(&alpha);
-            history.push(fval);
-        }
-
-        if config.tolerance > T::ZERO {
-            let step = squared_distance(&alpha, &alpha_prev, mode).sqrt();
-            if step <= config.tolerance * l2_norm(&alpha).max(T::ONE) {
-                converged = true;
-            }
-        }
-        if !converged && config.residual_tolerance > T::ZERO {
-            op.apply_into(&alpha, &mut probe);
-            for (r, &yi) in probe.iter_mut().zip(y) {
-                *r -= yi;
-            }
-            if l2_norm(&probe) <= residual_target {
-                converged = true;
-            }
-        }
-
-        let t_next = next_momentum(t);
-        let beta = (t - T::ONE) / t_next;
-        momentum_combine(&alpha, &alpha_prev, beta, &mut point, mode);
-        t = t_next;
-
-        if converged {
-            break;
-        }
-    }
-
-    op.apply_into(&alpha, &mut residual);
-    for (r, &yi) in residual.iter_mut().zip(y) {
-        *r -= yi;
-    }
-    SolverResult {
-        residual_norm: l2_norm(&residual),
-        solution: alpha,
-        iterations,
-        converged,
-        elapsed: start.elapsed(),
-        objective_history: history,
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -924,7 +784,7 @@ mod tests {
 #[cfg(test)]
 mod warm_start_tests {
     use super::*;
-    use crate::kernels::KernelMode;
+    use crate::kernels::{squared_distance, KernelMode};
     use crate::operator::DenseOperator;
     use cs_sensing::MotePrng;
     use proptest::prelude::*;
@@ -1095,7 +955,7 @@ mod warm_start_tests {
 #[cfg(test)]
 mod prior_tests {
     use super::*;
-    use crate::kernels::KernelMode;
+    use crate::kernels::{squared_distance, KernelMode};
     use crate::operator::DenseOperator;
     use cs_sensing::MotePrng;
     use proptest::prelude::*;
@@ -1516,86 +1376,5 @@ mod prior_tests {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod backtracking_tests {
-    use super::*;
-    use crate::kernels::KernelMode;
-    use crate::operator::DenseOperator;
-    use cs_sensing::MotePrng;
-
-    fn instance(seed: u64) -> (DenseOperator<f64>, Vec<f64>, Vec<f64>) {
-        let (m, n) = (48, 96);
-        let mut rng = MotePrng::new(seed);
-        let data: Vec<f64> = (0..m * n)
-            .map(|_| rng.next_gaussian() / (m as f64).sqrt())
-            .collect();
-        let op = DenseOperator::from_row_major(m, n, data, KernelMode::Unrolled4);
-        let mut truth = vec![0.0; n];
-        for idx in rng.distinct_below(5, n as u32) {
-            truth[idx as usize] = rng.next_gaussian() + 2.0;
-        }
-        let y = op.apply(&truth);
-        (op, truth, y)
-    }
-
-    #[test]
-    fn backtracking_matches_constant_step_solution() {
-        let (op, _, y) = instance(3);
-        let cfg = ShrinkageConfig {
-            lambda: 1e-3,
-            max_iterations: 3000,
-            tolerance: 1e-9,
-            residual_tolerance: 0.0,
-            kernel: KernelMode::Unrolled4,
-            record_objective: false,
-        };
-        let constant = fista(&op, &y, &cfg, None);
-        let adaptive = fista_backtracking(&op, &y, &cfg, None);
-        for (a, b) in constant.solution.iter().zip(&adaptive.solution) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn backtracking_needs_no_lipschitz_estimate() {
-        // Start from a wildly wrong L and still converge.
-        let (op, truth, y) = instance(7);
-        let cfg = ShrinkageConfig {
-            lambda: 1e-3,
-            max_iterations: 3000,
-            tolerance: 1e-8,
-            residual_tolerance: 0.0,
-            kernel: KernelMode::Unrolled4,
-            record_objective: false,
-        };
-        let r = fista_backtracking(&op, &y, &cfg, Some(1e-9));
-        let err: f64 = truth
-            .iter()
-            .zip(&r.solution)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        let scale: f64 = truth.iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!(err / scale < 0.02, "relative error {}", err / scale);
-    }
-
-    #[test]
-    fn backtracking_objective_decreases_overall() {
-        let (op, _, y) = instance(9);
-        let cfg = ShrinkageConfig {
-            lambda: 0.01,
-            max_iterations: 120,
-            tolerance: 0.0,
-            residual_tolerance: 0.0,
-            kernel: KernelMode::Unrolled4,
-            record_objective: true,
-        };
-        let r = fista_backtracking(&op, &y, &cfg, None);
-        let first = r.objective_history[2];
-        let last = *r.objective_history.last().unwrap();
-        assert!(last < first * 0.5, "objective {first} → {last}");
     }
 }

@@ -16,9 +16,7 @@
 //!
 //! Matrices are expanded deterministically from a shared seed by
 //! [`MotePrng`], so the encoder and decoder agree on Φ without transmitting
-//! it. [`estimate_isometry`] and [`mutual_coherence`] provide the empirical
-//! RIP diagnostics behind Fig. 2's "no meaningful performance difference"
-//! claim.
+//! it.
 //!
 //! ## Example
 //!
@@ -41,12 +39,10 @@
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod blocked;
-mod diagnostics;
 mod error;
 mod matrix;
 mod rng;
 
-pub use diagnostics::{estimate_isometry, mutual_coherence, IsometryEstimate};
 pub use error::SensingError;
 pub use matrix::{measurements_for_cr, DenseEnsemble, DenseSensing, Sensing, SparseBinarySensing};
 pub use rng::MotePrng;

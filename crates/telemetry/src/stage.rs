@@ -54,8 +54,8 @@ label_set! {
         /// pressure, as distinct from solver cost.
         QueueWait => "queue_wait",
         /// Collector: time between a worker finishing a packet and the
-        /// in-order collector delivering it to the consumer — reorder-buffer
-        /// dwell plus collector queueing.
+        /// collector delivering it to the consumer — the wait in the
+        /// results channel.
         EmitDeliver => "emit_deliver",
     }
 }

@@ -1,32 +1,32 @@
 #!/usr/bin/env bash
-# Results check: the committed results/*.txt that the stop rule is read
-# off and shows up in must be what the tree produces.
+# Results check: every committed results/*.txt is what the tree produces.
 #
 #   scripts/results_check.sh
 #
-# Rebuilds `solver_comparison`, `fig6` and `fig7`, runs each with the
-# settings its committed file was made with (the default quick corpus),
-# masks the host-time columns — everything else in these files is
-# deterministic: iteration counts, PRD, SNR — and diffs against results/.
-# A stale file fails the check and prints the command that refreshes it.
+# Rebuilds the binary behind each results/<name>.txt, runs it with the
+# settings the committed file was made with (the default quick corpus)
+# and diffs. Figures that depend on the host — wall-clock times and what
+# is derived from them — are printed through `cs_bench::host`, in square
+# brackets, and masked here by one rule; everything outside brackets is
+# deterministic and compared byte for byte. A stale file fails the check
+# and prints the command that refreshes it.
+#
+# EXPERIMENTS.md is held to the same files: every results/<name>.txt it
+# cites must exist, and every results binary must have a section citing
+# its file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINS=(solver_comparison fig6 fig7)
+BINS=()
+for file in results/*.txt; do
+  bin="$(basename "$file" .txt)"
+  [[ -f "crates/bench/src/bin/$bin.rs" ]] || { echo "results_check: $file has no binary" >&2; exit 1; }
+  BINS+=("$bin")
+done
 
 cargo build --release --quiet -p cs-bench "${BINS[@]/#/--bin=}"
 
-# Host times: the `time (ms/pkt)` column of solver_comparison's solver
-# table, and every row of a fig7 series whose title says "time".
-mask() {
-  awk '
-    /^$/ { timed = 0 }
-    /^# .*solver time per/ { timed = 1 }
-    timed && /^ / { printf "%8s  <host time>  %s\n", $1, $NF; next }
-    /^(FISTA|ISTA|OMP|AMP) / { sub(/ +[0-9.]+$/, " <ms>") }
-    { print }
-  '
-}
+mask() { sed -E 's/ *\[[^]]*\]/ [host]/g'; }
 
 status=0
 for bin in "${BINS[@]}"; do
@@ -36,5 +36,12 @@ for bin in "${BINS[@]}"; do
     echo "results_check: results/$bin.txt is stale — target/release/$bin > results/$bin.txt" >&2
     status=1
   fi
+  grep -q "results/$bin\.txt" EXPERIMENTS.md || {
+    echo "results_check: EXPERIMENTS.md has no section citing results/$bin.txt" >&2
+    status=1
+  }
+done
+for cited in $(grep -o 'results/[a-z0-9_]*\.txt' EXPERIMENTS.md | sort -u); do
+  [[ -f "$cited" ]] || { echo "results_check: EXPERIMENTS.md cites $cited, which does not exist" >&2; status=1; }
 done
 exit "$status"

@@ -11,7 +11,7 @@
 //! This umbrella crate re-exports the workspace so applications can depend
 //! on one name:
 //!
-//! * [`dsp`] — wavelets, FIR filtering, Q15 fixed point ([`cs_dsp`])
+//! * [`dsp`] — wavelets, FIR filtering, window design ([`cs_dsp`])
 //! * [`sensing`] — Gaussian / Bernoulli / sparse-binary Φ ([`cs_sensing`])
 //! * [`recovery`] — ISTA / FISTA / OMP solvers ([`cs_recovery`])
 //! * [`codec`] — differencing + length-limited Huffman ([`cs_codec`])
@@ -70,38 +70,27 @@ pub use cs_telemetry as telemetry;
 
 /// The most common imports for applications built on this system.
 pub mod prelude {
-    pub use cs_archive::{Archive, ArchiveConfig, ArchiveSink, ArchiveWriter, FsyncPolicy};
-    pub use cs_clinical::{
-        AlarmConfig, AlarmEngine, BeatClassifier, ClinicalConfig, ClinicalEngine, ClinicalEvent,
-        StreamingQrsDetector, TruthScorer,
-    };
+    pub use cs_clinical::StreamingQrsDetector;
     pub use cs_codec::Codebook;
     pub use cs_core::{
         evaluate_stream, packetize, run_fleet, run_streaming, train_and_evaluate, train_codebook,
-        uniform_codebook, AdaptiveDecoder, AdaptiveEncoder, ClinicalFeedback, Decoder, Encoder,
-        FidelitySchedule, FidelityTier, FleetConfig, FleetSource, FleetStream, PacketOutcome,
-        SolverPolicy, SystemConfig, TierController,
+        uniform_codebook, Decoder, Encoder, FleetConfig, FleetSource, FleetStream, PacketOutcome,
+        SolverPolicy, SystemConfig,
     };
-    pub use cs_dsp::wavelet::{Dwt, Wavelet, WaveletFamily};
     pub use cs_ecg_data::{
-        detect_r_peaks, resample_360_to_256, score_detections, AdcModel, BeatType,
-        DatabaseConfig, EcgModel, EcgModelConfig, NoiseConfig, QrsDetectorConfig, Record,
-        SyntheticDatabase,
+        resample_360_to_256, score_detections, AdcModel, BeatType, DatabaseConfig, EcgModel,
+        EcgModelConfig, QrsDetectorConfig, Record, SyntheticDatabase,
     };
     pub use cs_metrics::{
-        compression_ratio, output_snr, prd, try_prd, try_prd_masked, worker_imbalance,
-        DiagnosticQuality, FleetStats, StreamStats,
+        prd, try_prd, worker_imbalance, DiagnosticQuality, FleetStats, StreamStats,
     };
     pub use cs_platform::{
-        analyze_fleet, analyze_solves, compare_lifetime, encode_cost, encoder_footprint,
-        ArchiveCapacityModel, CoordinatorSpec, EnergyModel, FaultSpec, GilbertElliottParams,
-        LossyLink, MoteSpec, SyncCadence,
+        analyze_solves, compare_lifetime, encode_cost, encoder_footprint, CoordinatorSpec,
+        EnergyModel, FaultSpec, GilbertElliottParams, LossyLink, MoteSpec,
     };
-    pub use cs_recovery::{fista, ista, omp, KernelMode, ShrinkageConfig, SynthesisOperator};
-    pub use cs_sensing::{measurements_for_cr, DenseSensing, Sensing, SparseBinarySensing};
-    pub use cs_core::DwtThresholdCodec;
+    pub use cs_recovery::{KernelMode, SynthesisOperator};
+    pub use cs_sensing::{Sensing, SparseBinarySensing};
     pub use cs_telemetry::{
-        Every, HealthState, MetricsServer, SloConfig, SolveTrace, Stage, TelemetryRegistry,
-        TraceContext,
+        Every, HealthState, MetricsServer, SloConfig, Stage, TelemetryRegistry, TraceContext,
     };
 }
