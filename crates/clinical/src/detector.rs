@@ -7,7 +7,7 @@
 //! nor can it afford missing a beat that straddles a window boundary.
 //! This detector carries every piece of pipeline state across pushes:
 //!
-//! * the 31-tap band-pass FIR delay line (the two windowed-sinc
+//! * the 31-tap band-pass FIR's last 30 inputs (the two windowed-sinc
 //!   low-passes collapse into one difference kernel, convolution being
 //!   linear),
 //! * the 5-point derivative/squaring lookahead,
@@ -40,6 +40,16 @@ use cs_ecg_data::QrsDetectorConfig;
 const FIR_LEN: usize = 31;
 /// Samples the band-pass output lags the input.
 const FIR_DELAY: usize = (FIR_LEN - 1) / 2;
+/// Inputs the band-pass needs from before the block it filters.
+const FIR_HISTORY: usize = FIR_LEN - 1;
+/// Inputs the band-pass filters in one pass. A window of any length goes
+/// through in pieces of at most this many, so the two working buffers
+/// live in the detector and no push allocates.
+const BLOCK: usize = 64;
+/// Outputs the band-pass accumulates side by side.
+const TILE: usize = 16;
+// `band_pass` rounds a block up to whole tiles inside `BLOCK` outputs.
+const _: () = assert!(BLOCK.is_multiple_of(TILE));
 
 /// One detected R peak.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,8 +111,12 @@ pub struct StreamingQrsDetector {
     config: QrsDetectorConfig,
     /// The collapsed band-pass kernel `lp(20 Hz) − lp(5 Hz)`.
     kernel: [f64; FIR_LEN],
-    /// Input delay line, indexed by absolute input position.
-    delay: [f64; FIR_LEN + 1],
+    /// The band-pass's input line: the last [`FIR_HISTORY`] inputs fed,
+    /// then room for the block being filtered. Zero before the record
+    /// starts, which is how the offline filter reads `x[−1], x[−2], …`.
+    line: [f64; FIR_HISTORY + BLOCK],
+    /// The band-pass outputs of the block last filtered.
+    block: [f64; BLOCK],
     /// Inputs fed through the FIR, *including* flush padding.
     fed: usize,
     /// True input samples seen (the record length so far).
@@ -166,13 +180,14 @@ impl StreamingQrsDetector {
         let warmup = (2.0 * fs) as usize;
         // The deepest lookbacks: the retroactive warm-up scan reads
         // band/integrated history back to index 0 while the pipeline has
-        // advanced a couple of samples past `warmup`.
-        let history = warmup + w + 64;
+        // advanced up to a block and a couple of samples past `warmup`.
+        let history = warmup + w + BLOCK + 64;
         StreamingQrsDetector {
             refractory: (config.refractory_s * fs) as usize,
             config,
             kernel,
-            delay: [0.0; FIR_LEN + 1],
+            line: [0.0; FIR_HISTORY + BLOCK],
+            block: [0.0; BLOCK],
             fed: 0,
             seen: 0,
             band: Ring::new(history),
@@ -218,10 +233,7 @@ impl StreamingQrsDetector {
     ///
     /// Panics if called after [`StreamingQrsDetector::flush`].
     pub fn push(&mut self, x: f64, out: &mut Vec<QrsDetection>) {
-        assert!(!self.finished, "StreamingQrsDetector: push after flush");
-        self.seen += 1;
-        self.ingest(x);
-        self.scan(out, None);
+        self.push_window(&[x], out);
     }
 
     /// Feeds a window of samples (any length — windows need not align
@@ -232,14 +244,13 @@ impl StreamingQrsDetector {
     /// Panics if called after [`StreamingQrsDetector::flush`].
     pub fn push_window(&mut self, window: &[f64], out: &mut Vec<QrsDetection>) {
         assert!(!self.finished, "StreamingQrsDetector: push after flush");
-        for &x in window {
-            self.seen += 1;
-            self.ingest(x);
-            // Scan as we go: the rings only hold `history` samples, so a
-            // window larger than that would overwrite values the
-            // threshold scan has not consumed yet.
-            self.scan(out, None);
-        }
+        self.seen += window.len();
+        // Scan block by block: the rings only hold `history` samples, so
+        // a window larger than that would overwrite values the threshold
+        // scan has not consumed yet. When the scan runs does not change
+        // what it finds — it visits every index once, as soon as it is
+        // called with that index's lookahead in the rings.
+        self.ingest(window, |det| det.scan(out, None));
     }
 
     /// Ends the record: drains the FIR/derivative lookahead (with the
@@ -257,10 +268,10 @@ impl StreamingQrsDetector {
             self.dead = true;
             return;
         }
-        // Zero-pad the FIR so band values exist through index n − 1.
-        while self.band_len < n {
-            self.ingest(0.0);
-        }
+        // Zero-pad the FIR by its delay so band values exist through
+        // index n − 1.
+        self.ingest(&[0.0; FIR_DELAY], |_| {});
+        debug_assert_eq!(self.band_len, n);
         // The offline energy loop leaves the last two entries zero.
         for e in [n.saturating_sub(2), n - 1] {
             if e >= self.integrated_len {
@@ -270,26 +281,60 @@ impl StreamingQrsDetector {
         self.scan(out, Some(n));
     }
 
-    /// Pushes one value through the FIR; emits band/energy/integration
-    /// values as their dependencies complete.
-    fn ingest(&mut self, x: f64) {
+    /// Pushes `xs` through the FIR a block at a time; band, energy and
+    /// integration values appear as their dependencies complete, and
+    /// `after_block` runs once each block's have.
+    fn ingest(&mut self, xs: &[f64], mut after_block: impl FnMut(&mut Self)) {
+        for chunk in xs.chunks(BLOCK) {
+            self.band_pass(chunk);
+            for i in 0..chunk.len() {
+                self.advance(self.block[i]);
+            }
+            after_block(self);
+        }
+    }
+
+    /// Filters up to [`BLOCK`] inputs into `self.block`:
+    /// `block[i] = Σ_k kernel[k] · x[t_i − k]`, summed in ascending `k`
+    /// from `+0.0` for every output — the order a sample-at-a-time FIR
+    /// adds them in, so the values are bit-equal to one. The taps run
+    /// *outside* the outputs: a tile of [`TILE`] sums stays in registers
+    /// while each tap adds its product to all of them, one multiply-add
+    /// sweep over contiguous inputs that vectorises across outputs
+    /// without reordering any single output's sum.
+    fn band_pass(&mut self, xs: &[f64]) {
+        let len = xs.len();
+        self.line[FIR_HISTORY..FIR_HISTORY + len].copy_from_slice(xs);
+        // Whole tiles only: the last one may run past `len`, over inputs
+        // left from earlier blocks, into outputs nobody reads.
+        for (tile, out) in self.block[..len.next_multiple_of(TILE)]
+            .chunks_exact_mut(TILE)
+            .enumerate()
+        {
+            let mut acc = [0.0; TILE];
+            for (k, &coeff) in self.kernel.iter().enumerate() {
+                // kernel[k] pairs with x[t − k], `k` places up the line.
+                let lagged = &self.line[FIR_HISTORY + tile * TILE - k..][..TILE];
+                for (v, &x) in acc.iter_mut().zip(lagged) {
+                    *v += coeff * x;
+                }
+            }
+            out.copy_from_slice(&acc);
+        }
+        self.line.copy_within(len..len + FIR_HISTORY, 0);
+    }
+
+    /// Accepts the band-pass output for the next input fed; emits the
+    /// band/energy/integration values it completes.
+    fn advance(&mut self, v: f64) {
         let t = self.fed;
-        self.delay[t % (FIR_LEN + 1)] = x;
         self.fed = t + 1;
+        // band[j] = Σ_d x[j + d] · kernel[FIR_DELAY − d], d ∈ [−15, 15]:
+        // the output for input `t` is band[t − FIR_DELAY].
         if t < FIR_DELAY {
             return;
         }
-        // band[j] = Σ_d x[j + d] · kernel[FIR_DELAY − d], d ∈ [−15, 15];
-        // x before index 0 reads as zero from the never-written slots.
         let j = t - FIR_DELAY;
-        let mut v = 0.0;
-        for (k, &coeff) in self.kernel.iter().enumerate() {
-            // kernel[k] pairs with x[j + FIR_DELAY − k] = x[t − k].
-            if k > t {
-                break;
-            }
-            v += coeff * self.delay[(t - k) % (FIR_LEN + 1)];
-        }
         self.band.set(j, v);
         self.band_len = j + 1;
 
@@ -456,6 +501,46 @@ mod tests {
         }
         det.flush(&mut out);
         out.iter().map(|d| d.sample).collect()
+    }
+
+    /// The sample-at-a-time FIR `band_pass` replaced: a 32-slot ring and
+    /// one 31-tap dot product per input, skipping taps that would read
+    /// before the record.
+    fn band_pass_serial(kernel: &[f64; FIR_LEN], xs: &[f64]) -> Vec<f64> {
+        let mut delay = [0.0; FIR_LEN + 1];
+        let mut out = Vec::with_capacity(xs.len());
+        for (t, &x) in xs.iter().enumerate() {
+            delay[t % (FIR_LEN + 1)] = x;
+            let mut v = 0.0;
+            for (k, &coeff) in kernel.iter().enumerate().take(t + 1) {
+                v += coeff * delay[(t - k) % (FIR_LEN + 1)];
+            }
+            out.push(v);
+        }
+        out
+    }
+
+    #[test]
+    fn block_band_pass_is_bit_equal_to_the_serial_fir() {
+        let (signal, _) = EcgModel::new(EcgModelConfig::default(), 21).synthesize(6.0);
+        let mut det = StreamingQrsDetector::new(QrsDetectorConfig::at_360_hz());
+        let want = band_pass_serial(&det.kernel, &signal);
+        // Uneven pieces, so blocks start at every phase of the history.
+        let mut got = Vec::with_capacity(signal.len());
+        let mut rest = &signal[..];
+        for len in (1..=BLOCK).cycle() {
+            let (piece, tail) = rest.split_at(len.min(rest.len()));
+            det.band_pass(piece);
+            got.extend_from_slice(&det.block[..piece.len()]);
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(got.len(), want.len());
+        for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "band-pass output for input {t}");
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! Single `#[test]` in its own binary so no concurrent test pollutes
 //! the counter.
 
-use cs_clinical::{ClinicalConfig, ClinicalEngine};
+use cs_clinical::{ClinicalConfig, ClinicalEngine, StreamingQrsDetector};
 use cs_core::{DecodedPacket, FleetPacket, PacketOutcome, TierController};
+use cs_ecg_data::QrsDetectorConfig;
 use cs_telemetry::TelemetryRegistry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,4 +100,17 @@ fn steady_state_analysis_allocates_nothing() {
     assert!(beats > 40, "only {beats} events in the measured window");
     let (tp, _, _) = telemetry.qrs_confusion();
     assert!(tp > 40, "truth scorer matched only {tp} peaks");
+
+    // Nor does the window's length matter: the detector band-passes in
+    // fixed blocks it owns, so 2 000 samples at once — longer than any of
+    // its rings — cost no allocation either.
+    let long: Vec<f64> = (0..4).flat_map(window).take(2000).collect();
+    let mut detector = StreamingQrsDetector::new(QrsDetectorConfig::at_256_hz());
+    let mut found = Vec::with_capacity(64);
+    detector.push_window(&long, &mut found);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    detector.push_window(&long, &mut found);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "a 2 000-sample window allocated {} times", after - before);
+    assert!(found.len() > 10, "only {} detections in 4 000 samples", found.len());
 }

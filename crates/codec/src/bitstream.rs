@@ -25,9 +25,12 @@ use crate::error::CodecError;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
+    /// Whole bytes emitted so far.
     bytes: Vec<u8>,
-    /// Bits already used in the final partial byte (0..8).
-    bit_pos: u8,
+    /// The bits not yet emitted: the low `pending` bits of `acc`.
+    acc: u64,
+    /// Always below 8 between calls.
+    pending: u8,
 }
 
 impl BitWriter {
@@ -41,34 +44,33 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count` is zero or greater than 32.
+    #[inline]
     pub fn write_bits(&mut self, value: u32, count: u8) {
         assert!((1..=32).contains(&count), "write_bits: count must be 1..=32");
         debug_assert!(
             count == 32 || value < (1u32 << count),
             "write_bits: value {value} wider than {count} bits"
         );
-        for shift in (0..count).rev() {
-            let bit = (value >> shift) & 1;
-            if self.bit_pos == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= (bit as u8) << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
+        // At most 7 + 32 live bits: the shift cannot lose one.
+        let mask = (1u64 << count) - 1;
+        self.acc = (self.acc << count) | (u64::from(value) & mask);
+        self.pending += count;
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.bytes.push((self.acc >> self.pending) as u8);
         }
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.bytes.len() * 8 + self.pending as usize
     }
 
     /// Pads the final byte with zero bits and returns the buffer.
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.bytes.push((self.acc << (8 - self.pending)) as u8);
+        }
         self.bytes
     }
 }
@@ -117,16 +119,56 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `count` is zero or greater than 32.
+    #[inline]
     pub fn read_bits(&mut self, count: u8) -> Result<u32, CodecError> {
         assert!((1..=32).contains(&count), "read_bits: count must be 1..=32");
         if self.remaining_bits() < count as usize {
             return Err(CodecError::UnexpectedEndOfStream { bit: self.cursor });
         }
-        let mut acc = 0u32;
-        for _ in 0..count {
-            acc = (acc << 1) | self.read_bit()?;
+        let value = (self.window() >> (64 - u32::from(count))) as u32;
+        self.cursor += count as usize;
+        Ok(value)
+    }
+
+    /// The next 64 − (cursor mod 8) bits of the stream, left-aligned: one
+    /// big-endian 8-byte load from the cursor's byte, shifted so the
+    /// cursor's bit is bit 63. Past the end the stream reads as zeros.
+    #[inline]
+    fn window(&self) -> u64 {
+        let tail = self.bytes.get(self.cursor / 8..).unwrap_or(&[]);
+        let word = match tail.first_chunk::<8>() {
+            Some(word) => *word,
+            None => {
+                let mut word = [0u8; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                word
+            }
+        };
+        u64::from_be_bytes(word) << (self.cursor % 8)
+    }
+
+    /// The next 16 bits without consuming them, zero-padded past the end
+    /// of the stream — the Huffman decoder's table index.
+    #[inline]
+    pub(crate) fn peek_16(&self) -> u32 {
+        (self.window() >> 48) as u32
+    }
+
+    /// Consumes `count` bits a [`BitReader::peek_16`] already looked at.
+    ///
+    /// # Errors
+    ///
+    /// If fewer than `count` bits remain the reader is left exhausted and
+    /// the error names the end of the stream — what reading them one by
+    /// one would have reported.
+    #[inline]
+    pub(crate) fn consume(&mut self, count: u8) -> Result<(), CodecError> {
+        if self.remaining_bits() < count as usize {
+            self.cursor = self.bytes.len() * 8;
+            return Err(CodecError::UnexpectedEndOfStream { bit: self.cursor });
         }
-        Ok(acc)
+        self.cursor += count as usize;
+        Ok(())
     }
 }
 

@@ -9,14 +9,31 @@
 //!   Huffman tree over 512 skewed symbols can exceed 16 bits);
 //! * codewords are assigned **canonically**, so the codebook serializes as
 //!   just the 512 length bytes and both sides rebuild identical tables;
-//! * the decoder walks the canonical first-code table bit by bit, exactly
-//!   like the table-driven decoder on the iPhone.
+//! * the decoder is table-driven, like the one on the iPhone: it peeks 16
+//!   bits, and one lookup in a 2¹¹-entry `(symbol, length)` table resolves
+//!   every codeword of up to 11 bits; only the rare longer ones walk the
+//!   canonical first-code table.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
 
 /// Maximum codeword length used throughout the system (paper §IV-A2).
 pub const MAX_CODE_LEN: u8 = 16;
+
+/// Bits of the stream that index the decode table. 2¹¹ four-byte entries
+/// are 8 KB — a quarter of an L1 data cache, shared by every lane through
+/// the `Arc<Codebook>` — and a trained 512-symbol book puts all but its
+/// rarest residuals at or under 11 bits.
+const TABLE_BITS: u8 = 11;
+
+/// One decode-table slot: the symbol whose codeword is a prefix of the
+/// slot's index, or `len == 0` where that codeword is longer than
+/// [`TABLE_BITS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TableEntry {
+    symbol: u16,
+    len: u8,
+}
 
 /// A trained, canonical, length-limited Huffman codebook over a contiguous
 /// alphabet `0..alphabet_size`.
@@ -51,6 +68,8 @@ pub struct Codebook {
     count_at_len: [u32; MAX_CODE_LEN as usize + 1],
     /// Symbols sorted by (length, symbol).
     sorted_symbols: Vec<u16>,
+    /// Indexed by the next [`TABLE_BITS`] bits of the stream.
+    table: Vec<TableEntry>,
 }
 
 impl Codebook {
@@ -147,6 +166,17 @@ impl Codebook {
             next_code[len] += 1;
         }
 
+        // A codeword of ℓ ≤ TABLE_BITS bits owns the 2^(TABLE_BITS − ℓ)
+        // slots it prefixes; prefix-freedom makes the runs disjoint.
+        let mut table = vec![TableEntry::default(); 1 << TABLE_BITS];
+        for (symbol, (&code, &len)) in codes.iter().zip(lengths).enumerate() {
+            if len <= TABLE_BITS {
+                let span = 1usize << (TABLE_BITS - len);
+                let first = code as usize * span;
+                table[first..first + span].fill(TableEntry { symbol: symbol as u16, len });
+            }
+        }
+
         Ok(Codebook {
             lengths: lengths.to_vec(),
             codes,
@@ -154,6 +184,7 @@ impl Codebook {
             first_index,
             count_at_len,
             sorted_symbols: order,
+            table,
         })
     }
 
@@ -270,17 +301,47 @@ impl Codebook {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Codebook::decode`].
+    /// Same conditions as [`Codebook::decode`]. A stream that ends inside
+    /// a codeword leaves the reader exhausted.
+    #[inline]
     pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
+        let peek = r.peek_16();
+        let entry = self.table[(peek >> (MAX_CODE_LEN - TABLE_BITS)) as usize];
+        if entry.len != 0 {
+            // Zero padding past the end can only complete a codeword
+            // longer than what remains, which `consume` refuses.
+            return r.consume(entry.len).map(|()| entry.symbol);
+        }
+        for len in TABLE_BITS + 1..=MAX_CODE_LEN {
+            if let Some(symbol) = self.symbol_at(peek >> (MAX_CODE_LEN - len), len) {
+                return r.consume(len).map(|()| symbol);
+            }
+        }
+        r.consume(MAX_CODE_LEN)?;
+        Err(CodecError::InvalidCodeword)
+    }
+
+    /// The symbol whose canonical codeword is the `len`-bit `code`.
+    #[inline]
+    fn symbol_at(&self, code: u32, len: u8) -> Option<u16> {
+        let len = len as usize;
+        let offset = code.wrapping_sub(self.first_code[len]);
+        (code >= self.first_code[len] && offset < self.count_at_len[len])
+            .then(|| self.sorted_symbols[(self.first_index[len] + offset) as usize])
+    }
+
+    /// The bit-at-a-time decoder [`Codebook::decode_symbol`] replaced,
+    /// kept as the model the differential tests hold it to.
+    #[cfg(test)]
+    pub(crate) fn decode_symbol_serial(
+        &self,
+        mut read_bit: impl FnMut() -> Result<u32, CodecError>,
+    ) -> Result<u16, CodecError> {
         let mut code = 0u32;
-        for len in 1..=MAX_CODE_LEN as usize {
-            code = (code << 1) | r.read_bit()?;
-            let n = self.count_at_len[len];
-            if n > 0 {
-                let offset = code.wrapping_sub(self.first_code[len]);
-                if code >= self.first_code[len] && offset < n {
-                    return Ok(self.sorted_symbols[(self.first_index[len] + offset) as usize]);
-                }
+        for len in 1..=MAX_CODE_LEN {
+            code = (code << 1) | read_bit()?;
+            if let Some(symbol) = self.symbol_at(code, len) {
+                return Ok(symbol);
             }
         }
         Err(CodecError::InvalidCodeword)

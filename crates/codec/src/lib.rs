@@ -48,6 +48,8 @@ mod bitstream;
 mod diff;
 mod error;
 mod huffman;
+#[cfg(test)]
+mod reference;
 mod rice;
 
 pub use bitstream::{BitReader, BitWriter};

@@ -1,0 +1,229 @@
+//! The bit-at-a-time writer and reader that [`crate::bitstream`]'s
+//! word-wide ones replaced, kept as reference models together with
+//! [`Codebook::decode_symbol_serial`], and the differential properties
+//! that hold the production code to them: the same bytes out, and on any
+//! bytes in — valid, truncated, flipped, extended or plain garbage — the
+//! same symbols or the same error at the same bit, with the reader left
+//! at the same place.
+
+use crate::bitstream::{BitReader, BitWriter};
+use crate::error::CodecError;
+use crate::huffman::{Codebook, MAX_CODE_LEN};
+use proptest::prelude::*;
+
+/// The writer as it was: one bounds-checked `Vec` index per bit.
+#[derive(Default)]
+struct SerialWriter {
+    bytes: Vec<u8>,
+    /// Bits already used in the final partial byte (0..8).
+    bit_pos: u8,
+}
+
+impl SerialWriter {
+    fn write_bits(&mut self, value: u32, count: u8) {
+        for shift in (0..count).rev() {
+            if self.bit_pos == 0 {
+                self.bytes.push(0);
+            }
+            let last = self.bytes.len() - 1;
+            self.bytes[last] |= (((value >> shift) & 1) as u8) << (7 - self.bit_pos);
+            self.bit_pos = (self.bit_pos + 1) % 8;
+        }
+    }
+
+    fn bit_len(&self) -> usize {
+        self.bytes.len() * 8 - (8 - self.bit_pos as usize) % 8
+    }
+}
+
+/// The reader as it was: `read_bits` is `count` calls of `read_bit`.
+struct SerialReader<'a> {
+    bytes: &'a [u8],
+    cursor: usize,
+}
+
+impl SerialReader<'_> {
+    fn remaining_bits(&self) -> usize {
+        self.bytes.len() * 8 - self.cursor
+    }
+
+    fn read_bit(&mut self) -> Result<u32, CodecError> {
+        let byte = self.cursor / 8;
+        if byte >= self.bytes.len() {
+            return Err(CodecError::UnexpectedEndOfStream { bit: self.cursor });
+        }
+        let shift = 7 - (self.cursor % 8);
+        self.cursor += 1;
+        Ok(((self.bytes[byte] >> shift) & 1) as u32)
+    }
+
+    fn read_bits(&mut self, count: u8) -> Result<u32, CodecError> {
+        if self.remaining_bits() < count as usize {
+            return Err(CodecError::UnexpectedEndOfStream { bit: self.cursor });
+        }
+        (0..count).try_fold(0, |acc, _| Ok((acc << 1) | self.read_bit()?))
+    }
+}
+
+/// xorshift64, the generator the crate's other properties use.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A codebook over 2…512 symbols from either flat-random counts or a
+/// geometric ladder steep enough that plain Huffman would pass 16 bits,
+/// so package–merge's cap — and the decoder's long-code walk — is hit.
+fn random_codebook(rng: &mut Rng) -> Codebook {
+    let n = 2 + rng.below(511);
+    let skewed = rng.next() & 1 == 1;
+    let ratio = 2 + rng.below(3) as u32;
+    let counts: Vec<u64> = (0..n)
+        .map(|i| match skewed {
+            true => 1 + ((1u64 << 60) >> (ratio * i as u32).min(60)) + rng.next() % 3,
+            false => rng.next() % 10_000,
+        })
+        .collect();
+    Codebook::from_counts(&counts, n).expect("2..=512 symbols always fit the cap")
+}
+
+fn random_symbols(rng: &mut Rng, cb: &Codebook, count: usize) -> Vec<u16> {
+    (0..count)
+        .map(|_| rng.below(cb.alphabet_size()) as u16)
+        .collect()
+}
+
+/// Decodes `count` symbols from `bytes` both ways and compares the lot.
+fn decoders_agree(cb: &Codebook, bytes: &[u8], count: usize) -> Result<(), TestCaseError> {
+    let mut fast = BitReader::new(bytes);
+    let mut slow = SerialReader { bytes, cursor: 0 };
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    let fast_end = cb.decode_into(&mut fast, count, &mut got);
+    let slow_end = (0..count).try_for_each(|_| {
+        want.push(cb.decode_symbol_serial(|| slow.read_bit())?);
+        Ok(())
+    });
+    prop_assert_eq!(fast_end, slow_end);
+    // On error both hold the symbols decoded so far.
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn writer_matches_the_serial_writer(
+        writes in proptest::collection::vec((any::<u32>(), 1u8..=32), 0..96),
+    ) {
+        let mut fast = BitWriter::new();
+        let mut slow = SerialWriter::default();
+        for &(value, count) in &writes {
+            let value = if count == 32 { value } else { value & ((1 << count) - 1) };
+            fast.write_bits(value, count);
+            slow.write_bits(value, count);
+            prop_assert_eq!(fast.bit_len(), slow.bit_len());
+        }
+        prop_assert_eq!(fast.finish(), slow.bytes);
+    }
+
+    #[test]
+    fn huffman_encode_matches_the_serial_writer(seed in any::<u64>(), count in 0usize..400) {
+        let mut rng = Rng(seed | 1);
+        let cb = random_codebook(&mut rng);
+        let symbols = random_symbols(&mut rng, &cb, count);
+        let mut fast = BitWriter::new();
+        cb.encode(&symbols, &mut fast).unwrap();
+        let mut slow = SerialWriter::default();
+        for &s in &symbols {
+            let (code, len) = cb.codeword(s);
+            slow.write_bits(code as u32, len);
+        }
+        prop_assert_eq!(fast.bit_len(), slow.bit_len());
+        prop_assert_eq!(fast.finish(), slow.bytes);
+    }
+
+    /// Arbitrary bytes under an arbitrary interleaving of the three read
+    /// operations, carrying on past every error.
+    #[test]
+    fn reader_matches_the_serial_reader_under_any_interleaving(
+        seed in any::<u64>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+        ops in proptest::collection::vec((0u8..3, 1u8..=32), 1..160),
+    ) {
+        let cb = random_codebook(&mut Rng(seed | 1));
+        let mut fast = BitReader::new(&bytes);
+        let mut slow = SerialReader { bytes: &bytes, cursor: 0 };
+        for &(op, count) in &ops {
+            match op {
+                0 => prop_assert_eq!(fast.read_bit(), slow.read_bit()),
+                1 => prop_assert_eq!(fast.read_bits(count), slow.read_bits(count)),
+                _ => prop_assert_eq!(
+                    cb.decode_symbol(&mut fast).map(u32::from),
+                    cb.decode_symbol_serial(|| slow.read_bit()).map(u32::from)
+                ),
+            }
+            prop_assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+        }
+    }
+
+    /// A valid stream cut at every bit, with one bit flipped, and with
+    /// garbage appended (asking for more symbols than were written).
+    #[test]
+    fn decoder_matches_the_serial_decoder_on_damaged_streams(
+        seed in any::<u64>(),
+        count in 1usize..48,
+        garbage in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let mut rng = Rng(seed | 1);
+        let cb = random_codebook(&mut rng);
+        let symbols = random_symbols(&mut rng, &cb, count);
+        let mut w = BitWriter::new();
+        cb.encode(&symbols, &mut w).unwrap();
+        let bits = w.bit_len();
+        let valid = w.finish();
+        decoders_agree(&cb, &valid, count)?;
+
+        for cut in 0..bits {
+            let mut bytes = valid[..cut.div_ceil(8)].to_vec();
+            if cut % 8 != 0 {
+                bytes[cut / 8] &= 0xFF << (8 - cut % 8);
+            }
+            decoders_agree(&cb, &bytes, count)?;
+        }
+
+        let mut flipped = valid.clone();
+        let at = rng.below(bits);
+        flipped[at / 8] ^= 0x80 >> (at % 8);
+        decoders_agree(&cb, &flipped, count)?;
+
+        let mut extended = valid;
+        extended.extend_from_slice(&garbage);
+        decoders_agree(&cb, &extended, count + garbage.len())?;
+    }
+}
+
+/// The skewed arm of [`random_codebook`] reaches the cap, so the
+/// properties above do exercise the walk behind the table.
+#[test]
+fn skewed_codebooks_reach_the_length_cap() {
+    let capped = (1..64u64)
+        .filter(|&seed| random_codebook(&mut Rng(seed)).max_length() == MAX_CODE_LEN)
+        .count();
+    assert!(
+        capped >= 8,
+        "only {capped} of 63 random codebooks use 16-bit codes"
+    );
+}

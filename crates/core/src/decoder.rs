@@ -595,7 +595,9 @@ impl<T: Real> Decoder<T> {
     /// # Errors
     ///
     /// Propagates codec errors (truncated payloads, delta-before-reference
-    /// after a desync, …).
+    /// after a desync, …) and returns [`PipelineError::MalformedPacket`]
+    /// when the packet's values do not take exactly its `payload_bits`.
+    /// A refused packet leaves the differencing state as it was.
     pub fn decode_packet(
         &mut self,
         packet: &EncodedPacket,
@@ -633,6 +635,21 @@ impl<T: Real> Decoder<T> {
         // diff decoder's state vector is the measurement vector; borrow
         // it in place and scale by the 1/√d the mote never applied.
         let mut reader = BitReader::new(&packet.payload);
+        // The `m` values must take exactly the bits the packet declares:
+        // an encoder's always do, so anything else is damage — a count
+        // past the payload, a cut the padding covered, flipped bits that
+        // re-split the codewords — and is refused before it can reach
+        // the differencing state.
+        let declared_bits = |reader: &BitReader<'_>| {
+            let consumed = packet.payload.len() * 8 - reader.remaining_bits();
+            if consumed == packet.payload_bits {
+                return Ok(());
+            }
+            Err(PipelineError::MalformedPacket(format!(
+                "payload declares {} bits, its {m} values took {consumed}",
+                packet.payload_bits
+            )))
+        };
         let y_int: &[i32] = match packet.kind {
             PacketKind::Reference => {
                 {
@@ -642,6 +659,7 @@ impl<T: Real> Decoder<T> {
                         let raw = reader.read_bits(16)?;
                         ws.refvals.push(raw as u16 as i16 as i32);
                     }
+                    declared_bits(&reader)?;
                 }
                 let _span = self.telemetry.span(Stage::DiffDecode);
                 self.diff.decode_reference(&ws.refvals)?
@@ -651,6 +669,7 @@ impl<T: Real> Decoder<T> {
                     let _span = self.telemetry.span(Stage::HuffmanDecode);
                     let shift = reader.read_bits(4)? as u8;
                     self.codebook.decode_into(&mut reader, m, &mut ws.symbols)?;
+                    declared_bits(&reader)?;
                     let alphabet = self.config.alphabet();
                     ws.delta.clear();
                     for &s in &ws.symbols {

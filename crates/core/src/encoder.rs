@@ -9,7 +9,9 @@
 use crate::config::SystemConfig;
 use crate::error::PipelineError;
 use crate::packet::{EncodedPacket, PacketKind};
-use cs_codec::{value_to_symbol, BitWriter, Codebook, DiffConfig, DiffEncoder, DiffPacket};
+use cs_codec::{
+    value_to_symbol, BitWriter, CodecError, Codebook, DiffConfig, DiffEncoder, DiffPacket,
+};
 use cs_sensing::SparseBinarySensing;
 use cs_telemetry::{Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -65,8 +67,10 @@ impl Encoder {
                 config.alphabet()
             )));
         }
-        // Raw reference values are sent as 16 bits; with 11-bit samples the
-        // unscaled sums need d ≤ 32 to be representable.
+        // Raw reference values are sent as 16 bits: a row of `d` ones
+        // over 11-bit samples fills them at d = 32. (Necessary, not
+        // sufficient — rows are heavier than `d`; `encode_packet` checks
+        // the sums themselves.)
         if config.sparse_ones_per_column() > 32 {
             return Err(PipelineError::InvalidConfig(format!(
                 "d = {} overflows 16-bit reference packets (max 32)",
@@ -126,7 +130,9 @@ impl Encoder {
     /// # Errors
     ///
     /// Returns [`PipelineError::PacketLength`] if `samples` is not exactly
-    /// one packet long, and propagates codec failures.
+    /// one packet long, [`CodecError::ValueOutOfRange`] if a reference
+    /// packet's measurement does not fit its 16 bits (the next packet is
+    /// then a reference again), and propagates codec failures.
     pub fn encode_packet(&mut self, samples: &[i16]) -> Result<EncodedPacket, PipelineError> {
         if samples.len() != self.config.packet_len() {
             return Err(PipelineError::PacketLength {
@@ -152,24 +158,32 @@ impl Encoder {
         let kind = match &diff_packet {
             DiffPacket::Reference(values) => {
                 for &v in values {
-                    debug_assert!(
-                        (i16::MIN as i32..=i16::MAX as i32).contains(&v),
-                        "reference value {v} outside 16 bits"
-                    );
-                    writer.write_bits((v as i16 as u16) as u32, REFERENCE_VALUE_BITS);
+                    // A row of Φ may hold several times `d` ones, so
+                    // near-full-scale input can sum past 16 bits. Such a
+                    // window is refused, not wrapped, and the differencing
+                    // restarts: the reference it assumed was never sent.
+                    let Ok(raw) = i16::try_from(v) else {
+                        self.diff.reset();
+                        return Err(CodecError::ValueOutOfRange {
+                            value: v,
+                            alphabet: 1 << REFERENCE_VALUE_BITS,
+                        }
+                        .into());
+                    };
+                    writer.write_bits(raw as u16 as u32, REFERENCE_VALUE_BITS);
                 }
                 PacketKind::Reference
             }
             DiffPacket::Delta(block) => {
                 // 4-bit adaptive gain, then the Huffman-coded symbols.
                 writer.write_bits(block.shift as u32, 4);
+                // `new` matched the codebook's alphabet to the
+                // configured one, so every mapped symbol has a codeword.
                 let alphabet = self.config.alphabet();
-                let symbols: Vec<u16> = block
-                    .values
-                    .iter()
-                    .map(|&d| value_to_symbol(d as i32, alphabet))
-                    .collect::<Result<_, _>>()?;
-                self.codebook.encode(&symbols, &mut writer)?;
+                for &d in &block.values {
+                    let (code, len) = self.codebook.codeword(value_to_symbol(d as i32, alphabet)?);
+                    writer.write_bits(code as u32, len);
+                }
                 PacketKind::Delta
             }
         };

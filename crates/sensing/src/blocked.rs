@@ -27,9 +27,11 @@
 //! reported AVX2.
 
 use std::arch::x86_64::{
-    __m256, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_cvtepi16_epi32,
-    _mm256_i32gather_ps, _mm256_mask_i32gather_ps, _mm256_mul_ps, _mm256_set1_epi32,
-    _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm_loadu_si128,
+    __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cmpgt_epi32,
+    _mm256_cvtepi16_epi32, _mm256_i32gather_ps, _mm256_mask_i32gather_epi32,
+    _mm256_mask_i32gather_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
+    _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256,
+    _mm_loadu_si128,
 };
 
 /// Outputs per block: the `f32` lanes of a 256-bit vector.
@@ -159,6 +161,24 @@ impl BlockedGather {
         unsafe { self.apply_avx2(x, y, scale) }
     }
 
+    /// `y = Φx` in integers, unscaled — the mote's measurement. Integer
+    /// sums do not depend on their order, so walking the row tables gives
+    /// exactly what scattering each sample down its column does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n`.
+    pub(crate) fn apply_i32(&self, x: &[i16]) -> Vec<i32> {
+        assert_eq!(x.len(), self.n, "BlockedGather::apply_i32: x length mismatch");
+        // The gather loads 32-bit lanes: widen once, up front.
+        let wide: Vec<i32> = x.iter().map(|&v| i32::from(v)).collect();
+        let mut y = vec![0_i32; self.m];
+        // SAFETY: `self` exists only if `new` saw AVX2 on this CPU, and
+        // `wide.len() == x.len() == n` was asserted just above.
+        unsafe { self.apply_i32_avx2(&wide, &mut y) };
+        y
+    }
+
     /// `x[..done] = Φᵀy · scale` for the `done = n − n mod 8` columns that
     /// form whole blocks; returns `done`. The caller computes the rest.
     ///
@@ -202,6 +222,39 @@ impl BlockedGather {
             let mut lanes = [0.0_f32; LANES];
             // SAFETY: `lanes` is eight `f32`s, the 32 bytes the store writes.
             unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_mul_ps(sum, scale)) };
+            for (&row, &v) in rows.iter().zip(&lanes) {
+                y[row as usize] = v;
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `x.len()` must be `self.n`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn apply_i32_avx2(&self, x: &[i32], y: &mut [i32]) {
+        let zero = _mm256_setzero_si256();
+        let minus_one = _mm256_set1_epi32(-1);
+        let gather = |slot: &[i16]| -> __m256i {
+            debug_assert_eq!(slot.len(), LANES);
+            // SAFETY: as in `apply_avx2` — 16 readable bytes of indices,
+            // every gathered lane's index `< n = x.len()`, and a padding
+            // lane takes `zero` without touching memory.
+            unsafe {
+                let idx = _mm256_cvtepi16_epi32(_mm_loadu_si128(slot.as_ptr().cast()));
+                let live = _mm256_cmpgt_epi32(idx, minus_one);
+                _mm256_mask_i32gather_epi32::<4>(zero, x.as_ptr(), idx, live)
+            }
+        };
+        let mut slots = self.row_slots.chunks_exact(LANES);
+        for (block, rows) in self.row_blocks.iter().zip(self.row_order.chunks(LANES)) {
+            let mut sum = zero;
+            for slot in slots.by_ref().take(4 * block.quads + block.rest) {
+                sum = _mm256_add_epi32(sum, gather(slot));
+            }
+            let mut lanes = [0_i32; LANES];
+            // SAFETY: `lanes` is eight `i32`s, the 32 bytes the store writes.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), sum) };
             for (&row, &v) in rows.iter().zip(&lanes) {
                 y[row as usize] = v;
             }

@@ -417,10 +417,17 @@ impl SparseBinarySensing {
 
     /// The integer mote path: `y_i = Σ_{j : Φ_{ij} ≠ 0} x_j`, **without**
     /// the `1/√d` scale, exactly as the 16-bit encoder computes it. Sums
-    /// accumulate in `i32`, which cannot overflow for 11-bit ECG samples
-    /// and any practical `d`.
+    /// accumulate in `i32`: a row holds at most `n` ones, so
+    /// `|y_i| ≤ n · 2¹⁵` and nothing overflows for any `i16` input while
+    /// `n < 2¹⁶`. Where the AVX2 row tables exist the rows are gathered
+    /// eight at a time; otherwise each sample is scattered down its
+    /// column. Integer sums are order-free, so the two agree exactly.
     pub fn apply_unscaled_i32(&self, x: &[i16]) -> Vec<i32> {
         assert_eq!(x.len(), self.n, "apply_unscaled_i32: x length mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(blocked) = &self.blocked {
+            return blocked.apply_i32(x);
+        }
         let mut y = vec![0_i32; self.m];
         for (j, &xj) in x.iter().enumerate() {
             if xj == 0 {
@@ -846,6 +853,18 @@ mod tests {
                     let (y_public, x_public): (Vec<f32>, Vec<f32>) = (phi.apply(&x), phi.adjoint(&y));
                     prop_assert!(y_public.iter().zip(&y_portable).all(|(&a, &b)| same(a, b)));
                     prop_assert!(x_public.iter().zip(&x_portable).all(|(&a, &b)| same(a, b)));
+                    // The integer gather against the column scatter, both
+                    // ends of `i16` and exact zeros among the samples.
+                    let xi: Vec<i16> = (0..n)
+                        .map(|i| match (i * 7 + salt) % 11 {
+                            0 => i16::MIN,
+                            1 => i16::MAX,
+                            2 => 0,
+                            r => (r as i16 - 6) * 1000 + i as i16,
+                        })
+                        .collect();
+                    prop_assert_eq!(blocked.apply_i32(&xi), portable.apply_unscaled_i32(&xi));
+                    prop_assert_eq!(phi.apply_unscaled_i32(&xi), portable.apply_unscaled_i32(&xi));
                 }
             }
         }

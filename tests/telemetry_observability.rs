@@ -4,6 +4,7 @@
 //! decode — while changing nothing about the reconstruction itself.
 
 use cs_ecg_monitor::prelude::*;
+use cs_ecg_monitor::system::{DecodeWorkspace, DecodedPacket};
 use std::sync::Arc;
 
 const N: usize = 512;
@@ -144,6 +145,75 @@ fn observation_does_not_change_reconstruction() {
         3,
         "three packets solved under observation"
     );
+}
+
+/// Stage timings reconcile with the clock: over 200 packets the spans
+/// `encode_packet` and `decode_packet_with` record — sensing, diff,
+/// Huffman and packetize; Huffman decode, diff decode, solve and synthesis
+/// — add up to what a stopwatch around the calls reads, less the little
+/// DESIGN §7 names as unattributed. Ratios of sums taken in one run, so
+/// the host's speed cancels.
+#[test]
+fn stage_histograms_account_for_the_calls_that_record_them() {
+    let (config, codebook) = setup();
+    let registry = TelemetryRegistry::new();
+    let mut encoder = Encoder::new(&config, Arc::clone(&codebook)).unwrap();
+    encoder.set_telemetry(registry.clone());
+    let mut decoder: Decoder<f32> =
+        Decoder::new(&config, codebook, SolverPolicy::default()).unwrap();
+    decoder.set_telemetry(registry.clone());
+    let mut ws = DecodeWorkspace::for_config(&config);
+    let mut out = DecodedPacket::default();
+
+    const PACKETS: usize = 200;
+    let (mut encode_wall, mut decode_wall) = (0u128, 0u128);
+    for k in 0..PACKETS {
+        // The beat drifts through the window, so deltas are not all zero.
+        let window = ecg_like(1, 0.002 * k as f64);
+        let started = std::time::Instant::now();
+        let packet = encoder.encode_packet(&window).unwrap();
+        let encoded = std::time::Instant::now();
+        decoder.decode_packet_with(&packet, &mut ws, &mut out).unwrap();
+        encode_wall += (encoded - started).as_nanos();
+        decode_wall += encoded.elapsed().as_nanos();
+    }
+
+    let snapshot = registry.snapshot();
+    let attributed = |stages: [Stage; 4]| -> u128 {
+        stages
+            .iter()
+            .map(|&stage| {
+                assert_eq!(snapshot.stage(stage).count(), PACKETS as u64, "stage {stage}");
+                u128::from(snapshot.stage(stage).sum_ns())
+            })
+            .sum()
+    };
+    let encode = attributed([
+        Stage::SensingProjection,
+        Stage::DiffEncode,
+        Stage::HuffmanEncode,
+        Stage::Packetize,
+    ]);
+    let decode = attributed([
+        Stage::HuffmanDecode,
+        Stage::DiffDecode,
+        Stage::FistaSolve,
+        Stage::WaveletSynthesis,
+    ]);
+    let share = (encode + decode) as f64 / (encode_wall + decode_wall) as f64;
+    assert!(
+        (0.9..=1.0).contains(&share),
+        "the stage histograms hold {share:.3} of the {} ns the calls took",
+        encode_wall + decode_wall
+    );
+    // The solve is nine tenths of the aggregate, so each side also
+    // answers for itself. The mote's floor is lower: its four spans'
+    // own clock reads and the release of the measurement and difference
+    // vectors after the last span are a tenth of a 4 µs encode.
+    let encode_share = encode as f64 / encode_wall as f64;
+    let decode_share = decode as f64 / decode_wall as f64;
+    assert!((0.8..=1.0).contains(&encode_share), "mote stages hold {encode_share:.3}");
+    assert!((0.9..=1.0).contains(&decode_share), "decoder stages hold {decode_share:.3}");
 }
 
 /// The process-wide disabled registry must stay empty no matter how
