@@ -96,3 +96,6 @@ pub use packet::{
 };
 pub use pipeline::{evaluate_stream, packetize, train_and_evaluate, PacketReport, StreamReport};
 pub use stream::{run_streaming, StreamingReport, SHARED_BUFFER_PACKETS};
+/// Which vector-kernel arm the decoder runs on this CPU (re-exported from
+/// `cs-dsp` for services that report it).
+pub use cs_dsp::kernel_arm;

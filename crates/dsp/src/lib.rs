@@ -41,8 +41,9 @@
 //! ```
 
 #![warn(missing_docs)]
-// `unsafe` is confined to `wavelet::dispatch` (calling the AVX2
-// instantiation of the DWT level kernels after a runtime CPU check).
+// `unsafe` is confined to `wavelet::dispatch` (calling the AVX2 and
+// AVX-512 instantiations of the DWT level kernels, and of a caller's solve,
+// after a runtime CPU check).
 #![deny(unsafe_code)]
 
 mod error;
@@ -53,3 +54,4 @@ pub mod window;
 
 pub use error::DspError;
 pub use real::{dot, l1_norm, l2_norm, Real};
+pub use wavelet::dispatch::{in_arm, kernel_arm};

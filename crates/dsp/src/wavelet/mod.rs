@@ -8,10 +8,11 @@
 //! * [`Dwt`] — a planned, matrix-free, exactly-orthonormal multi-level
 //!   transform with both analysis (`Ψᴴx`) and synthesis (`Ψα`) directions.
 
-// The wide instantiation of the DWT level kernels needs one `unsafe` call
-// per dispatch; it lives in `dispatch` and nowhere else.
+// The wide instantiations of the DWT level kernels (and of a solve, via
+// `in_arm`) need one `unsafe` call per dispatch; they live in `dispatch`
+// and nowhere else.
 #[allow(unsafe_code)]
-mod dispatch;
+pub(crate) mod dispatch;
 mod family;
 mod poly;
 mod transform;

@@ -208,17 +208,21 @@ impl<T: Real> Dwt<T> {
     }
 }
 
-/// Outputs computed together by the fixed-length level kernels. The lanes
-/// run *across outputs* (outer-loop vectorisation): each lane still sums
-/// its own taps in filter order, so every output keeps the exact
-/// floating-point operation order of the one-at-a-time `_dyn` forms and
-/// the results are bitwise equal — only the instruction-level parallelism
-/// changes (eight independent chains instead of one serial chain).
-const LANES: usize = 8;
+// The fixed-length level kernels compute `LANES` outputs together — a
+// const parameter, 8 or 16, that [`dispatch`] picks per instruction set.
+// The lanes run *across outputs* (outer-loop vectorisation): each lane
+// still sums its own taps in filter order, so every output keeps the exact
+// floating-point operation order of the one-at-a-time forms and the
+// results are bitwise equal whatever `LANES` is — only the
+// instruction-level parallelism changes (`LANES` independent chains
+// instead of one serial chain).
 
-/// Analysis outputs staged per de-interleaved tile (a multiple of
-/// [`LANES`]); bounds the stack buffers for any level size.
-const TILE: usize = 64;
+/// Most lanes any instantiation runs; bounds the wrapped-prefix buffers.
+const MAX_LANES: usize = 16;
+
+/// Analysis outputs staged per de-interleaved tile (a multiple of every
+/// `LANES`); bounds the stack buffers for any level size.
+pub(super) const TILE: usize = 64;
 
 /// Longest filter with a fixed-length kernel.
 const MAX_FIXED_TAPS: usize = 10;
@@ -228,13 +232,16 @@ const DYN: usize = 0;
 
 /// `levels` analysis levels of `x` into `coeffs` (pyramid order) — the
 /// body [`dispatch`] instantiates once per instruction set. The first
-/// level reads `x` itself; detail lands at its final position in `coeffs`
-/// and the approx half cascades back through `scratch` (at least
-/// `x.len() / 2` long when `levels > 1`). Each level runs the
-/// across-output kernel for filter length `L`, or the dynamic-length loop
-/// for `L = DYN`.
+/// level reads `x` itself and every detail band lands at its final
+/// position in `coeffs`. Each approximation but the last is the next
+/// level's input and goes to `scratch`, one after the other
+/// (`n/2 + n/4 + … < n`, so `scratch` must be `x.len()` long when
+/// `levels > 1`): no level ever reads what it writes, and nothing is
+/// copied. Each level runs the across-output kernel for filter length
+/// `L`, `LANES` outputs at a time, or the dynamic-length loop for
+/// `L = DYN`.
 #[inline(always)]
-pub(super) fn analyze_cascade<T: Real, const L: usize>(
+pub(super) fn analyze_cascade<T: Real, const L: usize, const LANES: usize>(
     x: &[T],
     coeffs: &mut [T],
     scratch: &mut [T],
@@ -243,19 +250,28 @@ pub(super) fn analyze_cascade<T: Real, const L: usize>(
     levels: usize,
 ) {
     let mut m = x.len();
+    // Where this level's input starts in `scratch` (`None`: it is `x`).
+    let mut input: Option<usize> = None;
     for depth in 0..levels {
-        let src: &[T] = if depth == 0 {
-            x
+        let half = m / 2;
+        let next = input.map_or(0, |at| at + m);
+        let (before, after) = scratch.split_at_mut(next);
+        let src: &[T] = match input {
+            None => x,
+            Some(at) => &before[at..next],
+        };
+        let (approx, detail) = if depth + 1 == levels {
+            coeffs[..m].split_at_mut(half)
         } else {
-            scratch[..m].copy_from_slice(&coeffs[..m]);
-            &scratch[..m]
+            (&mut after[..half], &mut coeffs[half..m])
         };
         if L == DYN {
-            forward_level_dyn(src, &mut coeffs[..m], lo, hi);
+            forward_level_dyn(src, approx, detail, lo, hi);
         } else {
-            forward_level_fixed::<T, L>(src, &mut coeffs[..m], lo, hi);
+            forward_level_fixed::<T, L, LANES>(src, approx, detail, lo, hi);
         }
-        m /= 2;
+        input = Some(next);
+        m = half;
     }
 }
 
@@ -279,52 +295,64 @@ fn analyze_levels<T: Real>(
         6 => dispatch::analyze::<T, 6>(isa, x, coeffs, scratch, lo, hi, levels),
         8 => dispatch::analyze::<T, 8>(isa, x, coeffs, scratch, lo, hi, levels),
         10 => dispatch::analyze::<T, 10>(isa, x, coeffs, scratch, lo, hi, levels),
-        _ => analyze_cascade::<T, DYN>(x, coeffs, scratch, lo, hi, levels),
+        _ => analyze_cascade::<T, DYN, 0>(x, coeffs, scratch, lo, hi, levels),
     }
 }
 
-/// Analysis level for an even filter length `L ≤ 10`, [`LANES`] outputs
-/// at a time.
+/// Analysis level for an even filter length `L ≤ 10`, `LANES` outputs at
+/// a time.
 ///
-/// Output `k` reads `x[2k + j]`, a stride-2 walk; de-interleaving a tile
-/// of `x` into its even and odd phases first turns tap `j` of `LANES`
-/// consecutive outputs into one contiguous read of phase `j mod 2` at
-/// offset `j / 2`. The accumulators start at zero and add the taps in
-/// order `j = 0..L` (the leading `0 +` keeps signed zeros identical to
-/// the scalar form). Only the trailing `L/2 − 1` outputs, whose window
-/// wraps around the period, take the scalar form.
+/// Output `k` reads `x[(2k + j) mod m]`, a stride-2 walk around the
+/// period. De-interleaving a tile of `x`'s sample pairs — read on past the
+/// end of the level into its periodic extension, pair 0 onwards — into
+/// their even and odd phases turns tap `j` of `LANES` consecutive outputs
+/// into one contiguous read of phase `j mod 2` at offset `j / 2`, so every
+/// output, the trailing `L/2 − 1` whose window wraps included, goes
+/// through the one vector loop. The accumulators start at zero and add the
+/// taps in order `j = 0..L` (the leading `0 +` keeps signed zeros
+/// identical to the scalar form). A level shorter than one chunk computes
+/// a whole chunk over the extension and keeps its `m / 2` outputs.
 #[inline(always)]
-fn forward_level_fixed<T: Real, const L: usize>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
+fn forward_level_fixed<T: Real, const L: usize, const LANES: usize>(
+    x: &[T],
+    approx: &mut [T],
+    detail: &mut [T],
+    lo: &[T],
+    hi: &[T],
+) {
     let m = x.len();
-    debug_assert!(m.is_multiple_of(2));
+    debug_assert!(m > 0 && m.is_multiple_of(2));
     debug_assert!(L.is_multiple_of(2) && L <= MAX_FIXED_TAPS);
+    debug_assert!(LANES <= MAX_LANES && TILE.is_multiple_of(LANES));
     let half = m / 2;
+    debug_assert!(approx.len() == half && detail.len() == half);
     let lo: &[T; L] = lo.try_into().expect("filter length mismatch");
     let hi: &[T; L] = hi.try_into().expect("filter length mismatch");
-    let (approx, detail) = out.split_at_mut(half);
 
-    // Outputs `k < interior` read `x[2k .. 2k + L]` without wrapping.
-    // Fewer than one chunk of them (tiny levels): all scalar.
-    let interior = (m + 2).saturating_sub(L) / 2;
-    let vectorised = if interior >= LANES { interior } else { 0 };
     let mut even = [T::ZERO; TILE + MAX_FIXED_TAPS / 2];
     let mut odd = [T::ZERO; TILE + MAX_FIXED_TAPS / 2];
-    for t0 in (0..vectorised).step_by(TILE) {
-        // A last tile or chunk shorter than `LANES` backs up to end flush
-        // with the interior; the overlap recomputes identical values.
-        let t0 = t0.min(interior - LANES);
-        let len = TILE.min(interior - t0);
-        let span = len + L / 2 - 1;
-        for ((pair, e), o) in x[2 * t0..2 * (t0 + span)]
-            .chunks_exact(2)
-            .zip(&mut even)
-            .zip(&mut odd)
-        {
+    for t0 in (0..half).step_by(TILE) {
+        // A last tile shorter than a chunk backs up to end flush with the
+        // level; the overlap recomputes identical values.
+        let t0 = t0.min(half.saturating_sub(LANES));
+        let len = TILE.min(half - t0);
+        let width = len.max(LANES);
+        // Pairs `t0 ..` of the level, then the extension's from pair 0.
+        let span = width + L / 2 - 1;
+        let direct = span.min(half - t0);
+        let inside = x[2 * t0..2 * (t0 + direct)].chunks_exact(2);
+        for ((pair, e), o) in inside.zip(&mut even).zip(&mut odd) {
+            *e = pair[0];
+            *o = pair[1];
+        }
+        let wrapped = x.chunks_exact(2).cycle();
+        for ((pair, e), o) in wrapped.zip(&mut even[direct..span]).zip(&mut odd[direct..span]) {
             *e = pair[0];
             *o = pair[1];
         }
         for c in (0..len).step_by(LANES) {
-            let c = c.min(len - LANES);
+            // A last chunk shorter than `LANES` backs up too.
+            let c = c.min(width - LANES);
             let mut a = [T::ZERO; LANES];
             let mut d = [T::ZERO; LANES];
             for j in 0..L {
@@ -337,25 +365,18 @@ fn forward_level_fixed<T: Real, const L: usize>(x: &[T], out: &mut [T], lo: &[T]
                     d[w] += hi[j] * src[w];
                 }
             }
-            approx[t0 + c..][..LANES].copy_from_slice(&a);
-            detail[t0 + c..][..LANES].copy_from_slice(&d);
+            if len >= LANES {
+                approx[t0 + c..][..LANES].copy_from_slice(&a);
+                detail[t0 + c..][..LANES].copy_from_slice(&d);
+            } else {
+                approx.copy_from_slice(&a[..half]);
+                detail.copy_from_slice(&d[..half]);
+            }
         }
-    }
-
-    for k in vectorised..half {
-        let mut a = T::ZERO;
-        let mut d = T::ZERO;
-        for j in 0..L {
-            let xv = x[(2 * k + j) % m];
-            a += lo[j] * xv;
-            d += hi[j] * xv;
-        }
-        approx[k] = a;
-        detail[k] = d;
     }
 }
 
-fn forward_level_dyn<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
+fn forward_level_dyn<T: Real>(x: &[T], approx: &mut [T], detail: &mut [T], lo: &[T], hi: &[T]) {
     let m = x.len();
     debug_assert!(m.is_multiple_of(2));
     let half = m / 2;
@@ -379,21 +400,24 @@ fn forward_level_dyn<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
                 d += hi[j] * xv;
             }
         }
-        out[k] = a;
-        out[half + k] = d;
+        approx[k] = a;
+        detail[k] = d;
     }
 }
 
 /// `levels` synthesis levels of `coeffs` (pyramid order) into `x` — the
-/// body [`dispatch`] instantiates once per instruction set. The output
-/// buffer doubles as the cascade buffer: the growing approximation lives
-/// in `x[..m/2]` and each level expands it through `scratch` (at least
-/// `x.len()` long) back into `x[..m]`. Each level is the exact transpose
-/// of an analysis level, `out[(2k + j) mod m] += a[k]·lo[j] + d[k]·hi[j]`
-/// with the same (decomposition) filters: the polyphase kernel with `P`
-/// taps per output phase, or the direct scatter form for `P = DYN`.
+/// body [`dispatch`] instantiates once per instruction set. The first
+/// level reads the coarsest approximation from `coeffs` itself; each
+/// level's output, the next level's approximation, alternates between `x`
+/// and `scratch` (at least `x.len()` long) so that the last lands in `x`:
+/// no level ever reads what it writes, and nothing is copied. Each level
+/// is the exact transpose of an analysis level,
+/// `out[(2k + j) mod m] += a[k]·lo[j] + d[k]·hi[j]` with the same
+/// (decomposition) filters: the polyphase kernel with `P` taps per output
+/// phase, `LANES` pairs at a time, or the direct scatter form for
+/// `P = DYN`.
 #[inline(always)]
-pub(super) fn synthesize_cascade<T: Real, const P: usize>(
+pub(super) fn synthesize_cascade<T: Real, const P: usize, const LANES: usize>(
     coeffs: &[T],
     x: &mut [T],
     scratch: &mut [T],
@@ -401,18 +425,23 @@ pub(super) fn synthesize_cascade<T: Real, const P: usize>(
     hi: &[T],
     levels: usize,
 ) {
-    let n = x.len();
-    let coarsest = n >> levels;
-    x[..coarsest].copy_from_slice(&coeffs[..coarsest]);
-    let mut m = coarsest * 2;
-    while m <= n {
-        let (approx, detail, out) = (&x[..m / 2], &coeffs[m / 2..m], &mut scratch[..m]);
+    debug_assert!(levels > 0);
+    let mut m = (x.len() >> levels) * 2;
+    for level in 0..levels {
+        // Level `levels − 1` writes `x`, the one before it `scratch`, …
+        let into_x = (levels - level) % 2 == 1;
+        let (approx, out): (&[T], &mut [T]) = match (level, into_x) {
+            (0, true) => (&coeffs[..m / 2], &mut x[..m]),
+            (0, false) => (&coeffs[..m / 2], &mut scratch[..m]),
+            (_, true) => (&scratch[..m / 2], &mut x[..m]),
+            (_, false) => (&x[..m / 2], &mut scratch[..m]),
+        };
+        let detail = &coeffs[m / 2..m];
         if P == DYN {
             inverse_level_dyn(approx, detail, out, lo, hi);
         } else {
-            inverse_level_fixed::<T, P>(approx, detail, out, lo, hi);
+            inverse_level_fixed::<T, P, LANES>(approx, detail, out, lo, hi);
         }
-        x[..m].copy_from_slice(&scratch[..m]);
         m *= 2;
     }
 }
@@ -436,11 +465,11 @@ fn synthesize_levels<T: Real>(
         6 => dispatch::synthesize::<T, 3>(isa, coeffs, x, scratch, lo, hi, levels),
         8 => dispatch::synthesize::<T, 4>(isa, coeffs, x, scratch, lo, hi, levels),
         10 => dispatch::synthesize::<T, 5>(isa, coeffs, x, scratch, lo, hi, levels),
-        _ => synthesize_cascade::<T, DYN>(coeffs, x, scratch, lo, hi, levels),
+        _ => synthesize_cascade::<T, DYN, 0>(coeffs, x, scratch, lo, hi, levels),
     }
 }
 
-/// Polyphase synthesis with `P = L/2` taps per output phase, [`LANES`]
+/// Polyphase synthesis with `P = L/2` taps per output phase, `LANES`
 /// output pairs at a time.
 ///
 /// The scatter form (`out[(2k+j) mod m] += a[k]·lo[j] + d[k]·hi[j]`)
@@ -453,11 +482,13 @@ fn synthesize_levels<T: Real>(
 ///
 /// For `LANES` consecutive `t` the reads `a[t − p ..]`/`d[t − p ..]` are
 /// contiguous for every `p`, so the lanes run across outputs while each
-/// output adds its taps in order `p = 0..P` exactly as
-/// [`synthesis_pair`] does. Only the first `P − 1` pairs, whose `t − p`
-/// wraps around the period, take the scalar form.
+/// output adds its taps in order `p = 0..P` ([`synthesis_chunk`]). A chunk
+/// whose `t − p` goes negative — the first — reads a copy of its window
+/// with the `P − 1` pairs that wrap around the period as a prefix; a level
+/// shorter than one chunk takes the whole window from the periodic
+/// extension and keeps its `half` pairs.
 #[inline(always)]
-fn inverse_level_fixed<T: Real, const P: usize>(
+fn inverse_level_fixed<T: Real, const P: usize, const LANES: usize>(
     approx: &[T],
     detail: &[T],
     out: &mut [T],
@@ -469,6 +500,7 @@ fn inverse_level_fixed<T: Real, const P: usize>(
     debug_assert_eq!(out.len(), half * 2);
     debug_assert_eq!(lo.len(), 2 * P);
     debug_assert_eq!(hi.len(), 2 * P);
+    debug_assert!(LANES <= MAX_LANES);
     // Taps by output phase: row 0/1 the even/odd taps of `lo`, row 2/3
     // those of `hi`.
     let mut taps = [[T::ZERO; P]; 4];
@@ -478,58 +510,55 @@ fn inverse_level_fixed<T: Real, const P: usize>(
         taps[2][p] = hi[2 * p];
         taps[3][p] = hi[2 * p + 1];
     }
-    let [even, odd, heven, hodd] = taps;
 
-    // The first `P − 1` pairs wrap and stay scalar — as does the whole of
-    // a level too small to hold one chunk after them.
-    let head = if half >= P - 1 + LANES { P - 1 } else { half };
-    for t in 0..head {
-        let (e, o) = synthesis_pair(approx, detail, t, &taps);
-        out[2 * t] = e;
-        out[2 * t + 1] = o;
-    }
-    for t0 in (head..half).step_by(LANES) {
+    for t0 in (0..half).step_by(LANES) {
         // A last chunk shorter than `LANES` backs up to end flush with
         // the level; the overlap recomputes identical values.
-        let t0 = t0.min(half - LANES);
-        let mut e = [T::ZERO; LANES];
-        let mut o = [T::ZERO; LANES];
-        for p in 0..P {
-            let a: &[T; LANES] = approx[t0 - p..][..LANES].try_into().expect("LANES-long window");
-            let d: &[T; LANES] = detail[t0 - p..][..LANES].try_into().expect("LANES-long window");
-            for w in 0..LANES {
-                e[w] += a[w] * even[p] + d[w] * heven[p];
-                o[w] += a[w] * odd[p] + d[w] * hodd[p];
+        let t0 = t0.min(half.saturating_sub(LANES));
+        let window = LANES + P - 1;
+        let (e, o) = if t0 + 1 >= P && t0 + LANES <= half {
+            let pairs = t0 + 1 - P..t0 + LANES;
+            synthesis_chunk::<T, P, LANES>(&approx[pairs.clone()], &detail[pairs], &taps)
+        } else {
+            // Pairs `t0 − (P − 1) ..` of the periodic extension.
+            let mut a = [T::ZERO; MAX_LANES + MAX_FIXED_TAPS / 2 - 1];
+            let mut d = [T::ZERO; MAX_LANES + MAX_FIXED_TAPS / 2 - 1];
+            let mut k = (t0 + P * half - (P - 1)) % half;
+            for (a, d) in a[..window].iter_mut().zip(&mut d[..window]) {
+                *a = approx[k];
+                *d = detail[k];
+                k = if k + 1 == half { 0 } else { k + 1 };
             }
-        }
-        for (pair, (e, o)) in out[2 * t0..][..2 * LANES].chunks_exact_mut(2).zip(e.iter().zip(&o)) {
+            synthesis_chunk::<T, P, LANES>(&a[..window], &d[..window], &taps)
+        };
+        // A level shorter than one chunk keeps its `half` pairs.
+        let keep = if half >= LANES { LANES } else { half };
+        for (pair, (e, o)) in out[2 * t0..][..2 * keep].chunks_exact_mut(2).zip(e.iter().zip(&o)) {
             pair[0] = *e;
             pair[1] = *o;
         }
     }
 }
 
-/// Output pair `t` of a synthesis level, one tap at a time — the form
-/// the across-output kernel reproduces lane by lane, used directly where
-/// `t − p` wraps around the period.
+/// Output pairs `t0 .. t0 + LANES` of a synthesis level from the pairs
+/// `a`/`d` = `t0 − (P − 1) .. t0 + LANES` of its bands. Each output sums
+/// its taps in order `p = 0..P`, one lane per output.
 #[inline(always)]
-fn synthesis_pair<T: Real, const P: usize>(
-    approx: &[T],
-    detail: &[T],
-    t: usize,
+fn synthesis_chunk<T: Real, const P: usize, const LANES: usize>(
+    a: &[T],
+    d: &[T],
     [even, odd, heven, hodd]: &[[T; P]; 4],
-) -> (T, T) {
-    let half = approx.len();
-    let mut e = T::ZERO;
-    let mut o = T::ZERO;
+) -> ([T; LANES], [T; LANES]) {
+    let mut e = [T::ZERO; LANES];
+    let mut o = [T::ZERO; LANES];
     for p in 0..P {
-        // `(t − p) mod half`; the `P` periods keep it non-negative even
-        // for a level shorter than the filter.
-        let k = if t >= p { t - p } else { (t + P * half - p) % half };
-        let a = approx[k];
-        let d = detail[k];
-        e += a * even[p] + d * heven[p];
-        o += a * odd[p] + d * hodd[p];
+        // Output `t0 + w` reads pair `t0 + w − p`: offset `P − 1 − p`.
+        let a: &[T; LANES] = a[P - 1 - p..][..LANES].try_into().expect("LANES-long window");
+        let d: &[T; LANES] = d[P - 1 - p..][..LANES].try_into().expect("LANES-long window");
+        for w in 0..LANES {
+            e[w] += a[w] * even[p] + d[w] * heven[p];
+            o[w] += a[w] * odd[p] + d[w] * hodd[p];
+        }
     }
     (e, o)
 }
@@ -762,6 +791,35 @@ pub(super) mod tests {
             .collect()
     }
 
+    /// One analysis level one output at a time — the operation order
+    /// every arm of the across-output kernel reproduces lane by lane.
+    pub(in crate::wavelet) fn analysis_reference<T: Real>(x: &[T], out: &mut [T], lo: &[T], hi: &[T]) {
+        let (approx, detail) = out.split_at_mut(x.len() / 2);
+        forward_level_dyn(x, approx, detail, lo, hi);
+    }
+
+    /// One synthesis level one output pair at a time: output pair `t`
+    /// adds its taps in order `p = 0..P` from pair `(t − p) mod half` —
+    /// the operation order every arm of the polyphase kernel reproduces
+    /// lane by lane.
+    pub(in crate::wavelet) fn synthesis_reference<T: Real>(
+        approx: &[T],
+        detail: &[T],
+        lo: &[T],
+        hi: &[T],
+    ) -> Vec<T> {
+        let (half, taps) = (approx.len(), lo.len() / 2);
+        let mut out = vec![T::ZERO; 2 * half];
+        for (t, pair) in out.chunks_exact_mut(2).enumerate() {
+            for p in 0..taps {
+                let k = (t + taps * half - p) % half;
+                pair[0] += approx[k] * lo[2 * p] + detail[k] * hi[2 * p];
+                pair[1] += approx[k] * lo[2 * p + 1] + detail[k] * hi[2 * p + 1];
+            }
+        }
+        out
+    }
+
     pub(in crate::wavelet) fn same_bits<T: Real>(a: &[T], b: &[T]) -> bool {
         a.len() == b.len()
             && a.iter().zip(b).all(|(u, v)| {
@@ -787,7 +845,7 @@ pub(super) mod tests {
                     let mut scratch = vec![T::ONE; m];
                     let isa = Isa::detect();
                     analyze_levels(isa, &x, &mut fast, &mut scratch, &lo, &hi, 1);
-                    forward_level_dyn(&x, &mut slow, &lo, &hi);
+                    analysis_reference(&x, &mut slow, &lo, &hi);
                     assert!(same_bits(&fast, &slow), "analysis L={l} m={m} salt={salt}");
 
                     let (approx, detail) = x.split_at(m / 2);

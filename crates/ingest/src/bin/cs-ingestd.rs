@@ -23,8 +23,8 @@
 
 use cs_archive::{ArchiveConfig, ArchiveSink};
 use cs_core::{
-    run_fleet, uniform_codebook, FleetConfig, FleetSource, FrameSink, SolverPolicy, SystemConfig,
-    WireFrame,
+    kernel_arm, run_fleet, uniform_codebook, FleetConfig, FleetSource, FrameSink, SolverPolicy,
+    SystemConfig, WireFrame,
 };
 use cs_ingest::{IngestConfig, IngestServer};
 use cs_telemetry::{MetricsServer, TelemetryRegistry};
@@ -97,6 +97,7 @@ fn main() -> ExitCode {
         }
     };
     let telemetry = TelemetryRegistry::new();
+    telemetry.record_kernel_arm(kernel_arm());
     let (feed, source) = crossbeam::channel::bounded::<WireFrame>(settings.feed_capacity);
 
     // The archive tap, when requested, sits between deframe and decode:
@@ -152,9 +153,10 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "cs-ingestd: ingest on {}, metrics on {}; send \"drain\" or close stdin to stop",
+        "cs-ingestd: ingest on {}, metrics on {}, {} kernels; send \"drain\" or close stdin to stop",
         server.local_addr(),
-        metrics.local_addr()
+        metrics.local_addr(),
+        kernel_arm()
     );
     if let Some(root) = &settings.archive {
         eprintln!("cs-ingestd: archiving accepted frames under {}", root.display());

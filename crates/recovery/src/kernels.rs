@@ -46,8 +46,14 @@ const LANES: usize = 16;
 /// serially summed leftovers.
 #[inline(always)]
 fn fold_lanes<T: Real>(acc: &[T; LANES], tail: T) -> T {
-    let v: [T; 8] = std::array::from_fn(|w| acc[w] + acc[w + 8]);
-    let q: [T; 4] = std::array::from_fn(|w| v[w] + v[w + 4]);
+    let mut v = [T::ZERO; 8];
+    for w in 0..8 {
+        v[w] = acc[w] + acc[w + 8];
+    }
+    let mut q = [T::ZERO; 4];
+    for w in 0..4 {
+        q[w] = v[w] + v[w + 4];
+    }
     ((q[0] + q[2]) + (q[1] + q[3])) + tail
 }
 
@@ -94,6 +100,7 @@ fn reduce<T: Real>(a: &[T], b: &[T], mode: KernelMode, term: impl Fn(T, T) -> T)
 /// let b = [5.0_f32, 4.0, 3.0, 2.0, 1.0];
 /// assert_eq!(dot(&a, &b, KernelMode::Scalar), dot(&a, &b, KernelMode::Unrolled4));
 /// ```
+#[inline(always)]
 pub fn dot<T: Real>(a: &[T], b: &[T], mode: KernelMode) -> T {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     reduce(a, b, mode, |x, y| x * y)
@@ -201,8 +208,22 @@ fn quad_norm_sq<T: Real>(x: &[T]) -> T {
 /// independent, so they run as vector operations.
 #[inline(always)]
 fn quad_norms<T: Real>(u: &[T; LANES]) -> [T; LANES / QUAD] {
-    let sq: [T; LANES / QUAD] = std::array::from_fn(|q| quad_norm_sq(&u[QUAD * q..QUAD * (q + 1)]));
-    sq.map(T::sqrt)
+    let mut norms = [T::ZERO; LANES / QUAD];
+    for (norm, quad) in norms.iter_mut().zip(u.chunks_exact(QUAD)) {
+        *norm = quad_norm_sq(quad).sqrt();
+    }
+    norms
+}
+
+/// [`group_scale`] of each of four group norms at the width-[`QUAD`]
+/// threshold `tq`.
+#[inline(always)]
+fn quad_scales<T: Real>(norms: &[T; LANES / QUAD], tq: T) -> [T; LANES / QUAD] {
+    let mut scales = [T::ZERO; LANES / QUAD];
+    for (scale, &norm) in scales.iter_mut().zip(norms) {
+        *scale = group_scale(norm, tq);
+    }
+    scales
 }
 
 /// Whether `sizes[g..]` starts with four width-[`QUAD`] groups — one
@@ -276,7 +297,7 @@ pub fn group_soft_threshold<T: Real>(
                 .expect(BAD_TILING);
             let quad = quad_norms(us);
             norms[g..g + LANES / QUAD].copy_from_slice(&quad);
-            let scales = quad.map(|norm| group_scale(norm, tq));
+            let scales = quad_scales(&quad, tq);
             for (w, o) in out[start..start + LANES].iter_mut().enumerate() {
                 *o = us[w] * scales[w / QUAD];
             }
@@ -397,7 +418,11 @@ pub struct TailSums<T: Real> {
 /// Panics if the slices differ in length, `threshold` is negative, a
 /// weight vector has the wrong length, or group sizes do not tile the
 /// vector. Negative weights are the caller's to reject.
+///
+/// Always inlined: the solver runs its whole loop inside the CPU's widest
+/// instantiation, and only code inlined into it runs at that width.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub fn fista_tail<T: Real>(
     point: &mut [T],
     grad: &[T],
@@ -438,6 +463,7 @@ struct TailAcc<T: Real> {
 }
 
 impl<T: Real> TailAcc<T> {
+    #[inline(always)]
     fn new(beta: T) -> Self {
         TailAcc { lanes: [[T::ZERO; LANES]; 3], tail: [T::ZERO; 3], beta }
     }
@@ -475,10 +501,10 @@ impl<T: Real> TailAcc<T> {
         }
     }
 
+    #[inline(always)]
     fn sums(&self) -> TailSums<T> {
-        let [step_sq, norm_sq, restart] =
-            std::array::from_fn(|k| fold_lanes(&self.lanes[k], self.tail[k]));
-        TailSums { step_sq, norm_sq, restart }
+        let fold = |k: usize| fold_lanes(&self.lanes[k], self.tail[k]);
+        TailSums { step_sq: fold(0), norm_sq: fold(1), restart: fold(2) }
     }
 
     /// The sweep for a separable prox: soft threshold at `thr(i)`, whole
@@ -489,7 +515,10 @@ impl<T: Real> TailAcc<T> {
         let shrunk = |i: usize, p: T, g: T| soft_one_branchless(p - step * g, thr(i));
         for base in (0..body).step_by(LANES) {
             let (ps, gs) = (&mut point[base..base + LANES], &grad[base..base + LANES]);
-            let s: [T; LANES] = std::array::from_fn(|w| shrunk(base + w, ps[w], gs[w]));
+            let mut s = [T::ZERO; LANES];
+            for (w, s) in s.iter_mut().enumerate() {
+                *s = shrunk(base + w, ps[w], gs[w]);
+            }
             self.chunk(ps, &mut alpha[base..base + LANES], &s);
         }
         for i in body..point.len() {
@@ -513,16 +542,25 @@ impl<T: Real> TailAcc<T> {
             let range = start..start + len;
             let (ps, gs, alphas) = (&mut point[range.clone()], &grad[range.clone()], &mut alpha[range]);
             if quads {
-                let us: [T; LANES] = std::array::from_fn(|w| u(ps[w], gs[w]));
-                let scales = quad_norms(&us).map(|norm| group_scale(norm, tq));
-                let s = std::array::from_fn(|w| us[w] * scales[w / QUAD]);
+                let mut s = [T::ZERO; LANES];
+                for (w, s) in s.iter_mut().enumerate() {
+                    *s = u(ps[w], gs[w]);
+                }
+                let scales = quad_scales(&quad_norms(&s), tq);
+                for (w, s) in s.iter_mut().enumerate() {
+                    *s *= scales[w / QUAD];
+                }
                 self.chunk(ps, alphas, &s);
             } else if len == 1 {
                 let s = soft_one_branchless(u(ps[0], gs[0]), t);
                 self.one(&mut ps[0], &mut alphas[0], s);
             } else {
                 let norm_sq = if len == QUAD {
-                    quad_norm_sq(&std::array::from_fn::<T, QUAD, _>(|w| u(ps[w], gs[w])))
+                    let mut quad = [T::ZERO; QUAD];
+                    for (w, q) in quad.iter_mut().enumerate() {
+                        *q = u(ps[w], gs[w]);
+                    }
+                    quad_norm_sq(&quad)
                 } else {
                     lane_sum(ps, gs, |p, g| u(p, g) * u(p, g))
                 };

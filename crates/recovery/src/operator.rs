@@ -180,6 +180,9 @@ impl<T: Real, S: Sensing<T>> LinearOperator<T> for SynthesisOperator<'_, T, S> {
         self.dwt.analyze_into(&signal, out);
     }
 
+    // The `_ws` forms are what a solve calls per iteration: inlined into
+    // its loop, so only the DWT and Φ entry points stay calls.
+    #[inline(always)]
     fn apply_into_ws(&self, x: &[T], out: &mut [T], ws: &mut Workspace<T>) {
         let n = self.dwt.len();
         ws.ensure_cols(n);
@@ -187,6 +190,7 @@ impl<T: Real, S: Sensing<T>> LinearOperator<T> for SynthesisOperator<'_, T, S> {
         self.phi.apply_into(&ws.signal[..n], out);
     }
 
+    #[inline(always)]
     fn adjoint_into_ws(&self, y: &[T], out: &mut [T], ws: &mut Workspace<T>) {
         let n = self.dwt.len();
         ws.ensure_cols(n);
@@ -312,22 +316,40 @@ impl<'a, T: Real, A: LinearOperator<T>> DeflatedOperator<'a, T, A> {
     pub fn transform_measurements_into(&self, y: &[T], out: &mut [T]) {
         assert_eq!(y.len(), self.inner.rows(), "transform_measurements: length mismatch");
         assert_eq!(out.len(), y.len(), "transform_measurements: output length mismatch");
-        out.copy_from_slice(y);
-        self.deflect(out);
+        if self.u.is_empty() {
+            out.copy_from_slice(y);
+        } else {
+            self.deflect_into(y, out);
+        }
     }
 
     /// In-place `z ← P z`.
+    #[inline(always)]
     fn deflect(&self, z: &mut [T]) {
         if self.u.is_empty() {
             return;
         }
-        // Twice per solver iteration, so the lane-parallel reduction
-        // whatever kernel mode the solver itself runs in.
-        let proj = dot(z, &self.u, KernelMode::Unrolled4);
-        let gain = (self.c - T::ONE) * proj;
+        let gain = self.gain(z);
         for (zi, &ui) in z.iter_mut().zip(self.u.iter()) {
             *zi += gain * ui;
         }
+    }
+
+    /// `out ← P z` in one pass over `out` (a non-empty direction only).
+    #[inline(always)]
+    fn deflect_into(&self, z: &[T], out: &mut [T]) {
+        let gain = self.gain(z);
+        for ((o, &zi), &ui) in out.iter_mut().zip(z).zip(self.u.iter()) {
+            *o = zi + gain * ui;
+        }
+    }
+
+    /// `(c − 1)·⟨z, u⟩`: the multiple of `u` that `P` adds to `z`.
+    #[inline(always)]
+    fn gain(&self, z: &[T]) -> T {
+        // Twice per solver iteration, so the lane-parallel reduction
+        // whatever kernel mode the solver itself runs in.
+        (self.c - T::ONE) * dot(z, &self.u, KernelMode::Unrolled4)
     }
 }
 
@@ -356,11 +378,13 @@ impl<T: Real, A: LinearOperator<T>> LinearOperator<T> for DeflatedOperator<'_, T
         self.inner.adjoint_into(&yp, out);
     }
 
+    #[inline(always)]
     fn apply_into_ws(&self, x: &[T], out: &mut [T], ws: &mut Workspace<T>) {
         self.inner.apply_into_ws(x, out, ws);
         self.deflect(out);
     }
 
+    #[inline(always)]
     fn adjoint_into_ws(&self, y: &[T], out: &mut [T], ws: &mut Workspace<T>) {
         if self.u.is_empty() {
             self.inner.adjoint_into_ws(y, out, ws);
@@ -370,9 +394,8 @@ impl<T: Real, A: LinearOperator<T>> LinearOperator<T> for DeflatedOperator<'_, T
         // buffer; take it out so `ws` can still be lent to the inner
         // operator, then hand it back.
         let mut yp = std::mem::take(&mut ws.measure);
-        yp.clear();
-        yp.extend_from_slice(y);
-        self.deflect(&mut yp);
+        yp.resize(y.len(), T::ZERO);
+        self.deflect_into(y, &mut yp);
         self.inner.adjoint_into_ws(&yp, out, ws);
         ws.measure = yp;
     }

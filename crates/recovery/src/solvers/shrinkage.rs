@@ -315,10 +315,50 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     adaptive: bool,
     prox: ProxSpec<'_, T>,
     warm_start: Option<&[T]>,
-    // `Aᴴy`, on a cold start whose caller has it already.
-    mut cold_adjoint_y: Option<&[T]>,
+    cold_adjoint_y: Option<&[T]>,
     ws: Option<&mut FistaWorkspace<T>>,
 ) -> SolverResult<T> {
+    let solve = Solve { op, y, config, lipschitz, accelerate, adaptive, prox, warm_start, cold_adjoint_y };
+    solve.run_in(cs_dsp::kernel_arm(), ws)
+}
+
+/// One solve's inputs: everything the shrinkage loop reads except its
+/// workspace.
+struct Solve<'a, T: Real, A> {
+    op: &'a A,
+    y: &'a [T],
+    config: &'a ShrinkageConfig<T>,
+    lipschitz: Option<T>,
+    accelerate: bool,
+    adaptive: bool,
+    prox: ProxSpec<'a, T>,
+    warm_start: Option<&'a [T]>,
+    /// `Aᴴy`, on a cold start whose caller has it already.
+    cold_adjoint_y: Option<&'a [T]>,
+}
+
+impl<T: Real, A: LinearOperator<T>> Solve<'_, T, A> {
+    /// Runs the whole solve inside the instantiation of [`iterate`] for
+    /// the kernel arm `arm` ([`cs_dsp::kernel_arm`]'s vocabulary) — one
+    /// CPU dispatch per solve. Everything `iterate` inlines — the fused
+    /// tail, the group prox's square roots and divisions, the residual,
+    /// the deflection — then runs at that arm's vector width; the DWT and
+    /// Φ entry points stay calls and dispatch on their own. Every arm
+    /// performs the same IEEE operations in the same order, so the result
+    /// is bitwise the same whichever runs.
+    fn run_in(self, arm: &str, ws: Option<&mut FistaWorkspace<T>>) -> SolverResult<T> {
+        cs_dsp::in_arm(arm, #[inline(always)] move || iterate(self, ws))
+    }
+}
+
+/// The shrinkage loop itself, instantiated once per kernel arm by
+/// [`Solve::run_in`].
+#[inline(always)]
+fn iterate<T: Real, A: LinearOperator<T>>(
+    solve: Solve<'_, T, A>,
+    ws: Option<&mut FistaWorkspace<T>>,
+) -> SolverResult<T> {
+    let Solve { op, y, config, lipschitz, accelerate, adaptive, prox, warm_start, mut cold_adjoint_y } = solve;
     // Restart and continuation act on the momentum sequence: plain ISTA
     // has none.
     let adaptive = adaptive && accelerate;
@@ -393,7 +433,12 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     let mut boost = T::ONE;
     let mut iterations = 0;
     let mut converged = false;
-    let mut history = Vec::new();
+    // Sized up front, so recording stays allocation-free inside the loop.
+    let mut history = if config.record_objective {
+        vec![T::ZERO; config.max_iterations]
+    } else {
+        Vec::new()
+    };
 
     for k in 1..=config.max_iterations {
         iterations = k;
@@ -453,15 +498,18 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
         let on_target = boost == T::ONE;
         boost = continuation_decay(boost);
 
+        #[cfg(test)]
+        ws.tail_log.push(sums);
         if config.record_objective {
-            let r = op.apply(&alpha);
-            let fval: T = r
+            // `residual` is free until the next iteration's gradient.
+            op.apply_into_ws(&alpha, &mut residual, &mut ws.op_ws);
+            let fval: T = residual
                 .iter()
                 .zip(y)
                 .map(|(&a, &b)| (a - b) * (a - b))
                 .sum::<T>()
                 + config.lambda * l1_norm(&alpha);
-            history.push(fval);
+            history[k - 1] = fval;
         }
 
         // Stopping: relative step size.
@@ -486,6 +534,7 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
         }
     }
 
+    history.truncate(iterations);
     op.apply_into_ws(&alpha, &mut residual, &mut ws.op_ws);
     for (r, &yi) in residual.iter_mut().zip(y) {
         *r -= yi;
@@ -1376,5 +1425,115 @@ mod prior_tests {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod arm_tests {
+    use super::*;
+    use crate::kernels::TailSums;
+    use crate::lipschitz::top_singular_pair;
+    use crate::operator::{DeflatedOperator, SynthesisOperator};
+    use cs_dsp::wavelet::{Dwt, Wavelet};
+    use cs_sensing::{Sensing, SparseBinarySensing};
+
+    /// The decoder's geometry: 2-s packets at 256 Hz, db4 over five
+    /// levels, CR 50 % with twelve ones per column.
+    const N: usize = 512;
+    const LEVELS: usize = 5;
+
+    /// Consecutive packets of an ECG-like trace: a sharp QRS and a broad T
+    /// wave every 213 samples (72 bpm) over a slow baseline wander.
+    fn packets<T: Real>(count: usize) -> Vec<Vec<T>> {
+        let trace: Vec<f64> = (0..count * N)
+            .map(|i| {
+                let (t, phase) = (i as f64, (i % 213) as f64);
+                100.0 * (-((phase - 60.0) / 3.0).powi(2)).exp()
+                    + 25.0 * (-((phase - 130.0) / 12.0).powi(2)).exp()
+                    + 10.0 * (t * 0.01).sin()
+            })
+            .collect();
+        trace.chunks(N).map(|w| w.iter().map(|&v| T::from_f64(v)).collect()).collect()
+    }
+
+    /// Every arm's bits: the solution, the iteration count, the residual
+    /// and the three tail sums of every iteration.
+    fn fingerprint<T: Real>(result: &SolverResult<T>, sums: &[TailSums<T>]) -> Vec<u64> {
+        let bits = |v: T| v.to_f64().to_bits();
+        let head = [result.iterations as u64, u64::from(result.converged), bits(result.residual_norm)];
+        let tail = sums.iter().flat_map(|s| [bits(s.step_sq), bits(s.norm_sq), bits(s.restart)]);
+        head.into_iter().chain(result.solution.iter().map(|&v| bits(v))).chain(tail).collect()
+    }
+
+    /// The same packets, plain ℓ1 and the block prior, each lead's chain
+    /// of solves as the decoder runs it (cold with `Aᴴy` handed over, then
+    /// warm from the previous packet's solution, adaptive schedule) through
+    /// the solve loop's instantiation for every arm this CPU has. The
+    /// loop's AVX2 arm is its baseline instantiation (only the DWT levels
+    /// widen there); the DWT plan dispatches on its own, and its arms are
+    /// held to each other level by level in `cs-dsp`.
+    fn arms_solve_alike<T: Real>() {
+        let dwt = Dwt::<T>::new(&Wavelet::daubechies(4).unwrap(), N, LEVELS).unwrap();
+        let phi = SparseBinarySensing::new(N / 2, N, 12, 0xEC60).unwrap();
+        let op = SynthesisOperator::new(&phi, &dwt);
+        let (_, u) = top_singular_pair(&op, 30);
+        let deflated = DeflatedOperator::with_direction(&op, u, T::from_f64(0.15));
+        let lipschitz = Some(lipschitz_constant(&deflated, 60));
+        let approx = N >> LEVELS;
+        let sizes: Vec<usize> =
+            std::iter::repeat_n(1, approx).chain(std::iter::repeat_n(4, (N - approx) / 4)).collect();
+        let windows = packets::<T>(4);
+        for prox in [ProxSpec::L1, ProxSpec::Group(&sizes)] {
+            let mut chains: Vec<(&str, Vec<Vec<u64>>)> = Vec::new();
+            for arm in ["baseline", "avx2", "avx512"] {
+                let mut ws = FistaWorkspace::for_operator(&deflated);
+                let mut previous: Option<Vec<T>> = None;
+                let mut chain = Vec::new();
+                for x in &windows {
+                    let y = deflated.transform_measurements(&Sensing::<T>::apply(&phi, x));
+                    let mut adjoint_y = vec![T::ZERO; N];
+                    let lambda_max =
+                        lambda_max_with(&deflated, &y, &mut adjoint_y, ws.operator_workspace());
+                    let config = ShrinkageConfig {
+                        lambda: T::from_f64(0.002) * lambda_max,
+                        tolerance: T::from_f64(1.5e-4),
+                        ..ShrinkageConfig::new(T::ZERO)
+                    };
+                    let solve = Solve {
+                        op: &deflated,
+                        y: &y,
+                        config: &config,
+                        lipschitz,
+                        accelerate: true,
+                        adaptive: true,
+                        prox,
+                        warm_start: previous.as_deref(),
+                        cold_adjoint_y: previous.is_none().then_some(&adjoint_y[..]),
+                    };
+                    ws.tail_log.clear();
+                    let result = solve.run_in(arm, Some(&mut ws));
+                    assert!(result.converged && result.iterations > 1, "{arm} {prox:?}");
+                    chain.push(fingerprint(&result, &ws.tail_log));
+                    previous = Some(result.solution);
+                }
+                chains.push((arm, chain));
+            }
+            let (_, reference) = &chains[0];
+            for (arm, chain) in &chains[1..] {
+                for (k, (got, want)) in chain.iter().zip(reference).enumerate() {
+                    assert!(got == want, "{arm} vs baseline, packet {k}, {prox:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_arm_solves_the_same_packets_to_the_same_bits_f32() {
+        arms_solve_alike::<f32>();
+    }
+
+    #[test]
+    fn every_arm_solves_the_same_packets_to_the_same_bits_f64() {
+        arms_solve_alike::<f64>();
     }
 }

@@ -81,6 +81,7 @@ impl<T: Real> Workspace<T> {
     /// measurement buffer use this so they don't re-grow `measure` while a
     /// wrapper (e.g. `DeflatedOperator`'s adjoint) has temporarily taken
     /// it out.
+    #[inline]
     pub(crate) fn ensure_cols(&mut self, cols: usize) {
         if self.signal.len() < cols {
             self.signal.resize(cols, T::ZERO);
@@ -131,6 +132,10 @@ pub struct FistaWorkspace<T: Real> {
     /// first scalar-mode solve, then reused.
     pub(crate) tail_scratch: Vec<T>,
     pub(crate) op_ws: Workspace<T>,
+    /// Every iteration's tail sums, for the tests that hold the kernel
+    /// arms to the same bits.
+    #[cfg(test)]
+    pub(crate) tail_log: Vec<crate::kernels::TailSums<T>>,
 }
 
 impl<T: Real> FistaWorkspace<T> {
@@ -149,6 +154,8 @@ impl<T: Real> FistaWorkspace<T> {
             residual: vec![T::ZERO; rows],
             tail_scratch: Vec::new(),
             op_ws: Workspace::with_dims(rows, cols),
+            #[cfg(test)]
+            tail_log: Vec::new(),
         }
     }
 

@@ -24,7 +24,10 @@
 //! and protected by the fields being private to this file: every
 //! non-padding entry of `col_slots` is `< m`, every non-padding entry of
 //! `row_slots` is `< n`, and a `BlockedGather` exists only on a CPU that
-//! reported AVX2.
+//! reported AVX2. The gathers themselves are single instructions that an
+//! address sanitizer does not see into, so the tests hold every table
+//! built from adversarial input to that invariant directly
+//! (`BlockedGather::check_invariant`).
 
 use std::arch::x86_64::{
     __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cmpgt_epi32,
@@ -93,6 +96,7 @@ impl BlockedGather {
         if !is_x86_feature_detected!("avx2") || m.max(n) > i16::MAX as usize {
             return None;
         }
+        assert!(d > 0, "BlockedGather: no ones per column");
         assert_eq!(col_rows.len(), n * d, "BlockedGather: CSC length mismatch");
         assert_eq!(row_ptr.len(), m + 1, "BlockedGather: CSR offsets mismatch");
         assert!(
@@ -192,6 +196,38 @@ impl BlockedGather {
         // `y.len() == m` was asserted just above.
         unsafe { self.adjoint_avx2(y, x, scale) }
         self.n - self.n % LANES
+    }
+
+    /// The invariant the kernels' memory safety rests on, entry by entry:
+    /// the column table is whole blocks of rows `< m`, every live
+    /// row-table slot is a column `< n` and every other one is [`PAD`],
+    /// the row blocks account for every slot, and the row order is a
+    /// permutation of `0..m`.
+    #[cfg(test)]
+    pub(crate) fn check_invariant(&self) -> Result<(), String> {
+        if self.col_slots.len() != self.n / LANES * LANES * self.d {
+            let (len, n, d) = (self.col_slots.len(), self.n, self.d);
+            return Err(format!("{len} column slots for n = {n}, d = {d}"));
+        }
+        let row_ok = |r: i16| (0..self.m as i32).contains(&i32::from(r));
+        if let Some(row) = self.col_slots.iter().find(|&&r| !row_ok(r)) {
+            return Err(format!("column slot holds row {row}, outside 0..{}", self.m));
+        }
+        let live = |c: i16| (0..self.n as i32).contains(&i32::from(c));
+        if let Some(col) = self.row_slots.iter().find(|&&c| c != PAD && !live(c)) {
+            return Err(format!("row slot holds column {col}, outside 0..{}", self.n));
+        }
+        let slots: usize = self.row_blocks.iter().map(|b| LANES * (4 * b.quads + b.rest)).sum();
+        if slots != self.row_slots.len() || self.row_blocks.len() != self.m.div_ceil(LANES) {
+            let (blocks, slots) = (self.row_blocks.len(), self.row_slots.len());
+            return Err(format!("{blocks} row blocks over {slots} slots"));
+        }
+        let mut rows = self.row_order.clone();
+        rows.sort_unstable();
+        if !rows.iter().map(|&r| usize::from(r)).eq(0..self.m) {
+            return Err("row order is not a permutation of 0..m".into());
+        }
+        Ok(())
     }
 
     /// # Safety
@@ -309,4 +345,123 @@ fn lane_sums<'a>(
         sum = _mm256_add_ps(sum, gather(slot));
     }
     sum
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A CSC/CSR support of the shape [`BlockedGather::new`] takes, `d`
+    /// seeded rows per column (repeats allowed) for any `m × n`, then one
+    /// corruption: 0 none, 1 a row past `m`, 2 a column past `n`, 3 a CSC
+    /// length off by one, 4 a CSR offset table one short, 5 offsets out of
+    /// order, 6 an offset past the end.
+    fn support(m: usize, n: usize, d: usize, seed: u64, corruption: u32) -> [Vec<u32>; 3] {
+        let mut state = seed | 1;
+        let mut next = move |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below.max(1) as u64) as u32
+        };
+        let mut col_rows: Vec<u32> = (0..n * d).map(|_| next(m)).collect();
+        let mut row_ptr = vec![0_u32; m + 1];
+        for &row in col_rows.iter().filter(|&&row| (row as usize) < m) {
+            row_ptr[row as usize + 1] += 1;
+        }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let mut cursor = row_ptr.clone();
+        let mut row_cols = vec![0_u32; row_ptr[m] as usize];
+        for (j, rows) in col_rows.chunks(d.max(1)).enumerate() {
+            // With `m = 0` every row is out of range and in no row's support.
+            for &row in rows.iter().filter(|&&row| (row as usize) < m) {
+                let slot = &mut cursor[row as usize];
+                row_cols[*slot as usize] = j as u32;
+                *slot += 1;
+            }
+        }
+        let last = |v: &mut Vec<u32>| v.len().checked_sub(1).map(|i| i % 7);
+        match corruption {
+            1 => {
+                if let Some(i) = last(&mut col_rows).map(|k| k % col_rows.len()) {
+                    col_rows[i] = (m + next(3) as usize) as u32;
+                }
+            }
+            2 => {
+                if let Some(i) = last(&mut row_cols).map(|k| k % row_cols.len()) {
+                    row_cols[i] = (n + next(3) as usize) as u32;
+                }
+            }
+            3 => {
+                if col_rows.pop().is_none() {
+                    col_rows.push(0);
+                }
+            }
+            4 => {
+                row_ptr.pop();
+            }
+            5 if m >= 2 => row_ptr.swap(0, m),
+            6 => row_ptr[m] += 1 + next(4),
+            _ => {}
+        }
+        [col_rows, row_cols, row_ptr]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On adversarial input — indices out of range, inconsistent
+        /// lengths, offsets out of order or past the end, empty rows,
+        /// `d = 0`, dimensions past `i16::MAX` — the constructor refuses
+        /// (`None`) or panics, and every table it does build holds the
+        /// invariant the gathers' memory safety rests on. (The gathers are
+        /// single instructions an address sanitizer cannot see into: this
+        /// is their check.)
+        #[test]
+        fn prop_adversarial_supports_are_refused_or_sound(
+            m_pick in 0_usize..43,
+            n_pick in 0_usize..82,
+            d in 0_usize..6,
+            seed in any::<u64>(),
+            corruption in 0_u32..7,
+        ) {
+            // Mostly small, sometimes right at and just past `i16::MAX`.
+            let edge = |pick: usize, small: usize| match pick - small.min(pick) {
+                0 => pick,
+                1 => i16::MAX as usize,
+                _ => i16::MAX as usize + 1,
+            };
+            let (m, n) = (edge(m_pick, 40), edge(n_pick, 80));
+            // Past `i16::MAX` the constructor returns before reading the
+            // arrays; a token support keeps that case cheap.
+            let huge = m.max(n) > i16::MAX as usize;
+            let [col_rows, row_cols, row_ptr] = if huge {
+                [vec![0; 4], vec![0; 4], vec![0; 2]]
+            } else {
+                support(m, n, d, seed, corruption)
+            };
+            let build = || BlockedGather::new(m, n, d, &col_rows, &row_cols, &row_ptr);
+            match std::panic::catch_unwind(build) {
+                Ok(Some(table)) => {
+                    if let Err(why) = table.check_invariant() {
+                        return Err(TestCaseError::fail(why));
+                    }
+                    prop_assert!(!huge);
+                    prop_assert!(
+                        matches!(corruption, 0 | 5) || m == 0 || n == 0,
+                        "corruption {} built a table",
+                        corruption
+                    );
+                }
+                Ok(None) => prop_assert!(huge || !is_x86_feature_detected!("avx2")),
+                Err(_) => {
+                    let unsound = corruption != 0 || d == 0 || m == 0;
+                    prop_assert!(!huge && unsound, "a sound support panicked");
+                }
+            }
+        }
+    }
 }

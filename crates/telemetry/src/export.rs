@@ -81,7 +81,8 @@ fn layer_json(out: &mut String, snap: &TelemetrySnapshot, layer: Layer, labelled
 /// Keys, in order: `uptime_s` (seconds since registry creation),
 /// `ts_unix_s` (absolute wall-clock seconds since the Unix epoch at
 /// snapshot time), `stages`, `worker_packets`, the pipeline layer's
-/// stored families (`faults`, `archive`), optional `solver_iterations`,
+/// stored families (`faults`, `archive`, `kernel_arm`), optional
+/// `solver_iterations`,
 /// `e2e`, `slo`, optional `ingest` and `clinical` objects (present once
 /// their layer is active), the exporter layer's stored families
 /// (`scrapes`), optional `render`, `journal`. Which family lands under

@@ -152,6 +152,16 @@ const fn scalar() -> Shape {
     (&[], Source::Cells(&[]))
 }
 
+/// A stored counter or gauge labelled `key`, one cell per name — for a
+/// closed set whose values another crate names, so no enum declares it.
+const fn stored_names(key: &'static [&'static str; 1], names: &'static [&'static str]) -> Shape {
+    (key, Source::Cells(names))
+}
+
+/// The vector-kernel arms `cs_dsp::kernel_arm` can name: the label values
+/// of `cs_kernel_arm_info`.
+pub(crate) const KERNEL_ARMS: [&str; 3] = ["avx512", "avx2", "baseline"];
+
 /// A family whose samples `write` computes from the snapshot, under the
 /// given label keys.
 const fn derived(
@@ -227,6 +237,9 @@ families! {
         "Fault and recovery events by kind", stored::<FaultKind>();
     Archive = "cs_archive_total": Counter, Pipeline, Always, Key("archive"),
         "Durable-store operations by kind", stored::<ArchiveOp>();
+    KernelArm = "cs_kernel_arm_info": Gauge, Pipeline, Always, Key("kernel_arm"),
+        "Vector-kernel arm this host's decoder runs (1 on that arm)",
+        stored_names(&["arm"], &KERNEL_ARMS);
     Beat = "cs_beat_total": Counter, Clinical, WhenActive, Key("beats"),
         "Classified beats by class", stored::<BeatClass>();
     AlarmRaised = "cs_alarm_raised_total": Counter, Clinical, WhenActive, Within("alarms"),

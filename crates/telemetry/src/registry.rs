@@ -14,7 +14,7 @@
 
 use crate::archive::ArchiveOp;
 use crate::clinical::{AlarmKind, BeatClass};
-use crate::family::{FamilyId, Layer, CELLS, FAMILIES};
+use crate::family::{FamilyId, Layer, CELLS, FAMILIES, KERNEL_ARMS};
 use crate::fault::FaultKind;
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::ingest::{IngestDisconnect, IngestState};
@@ -227,6 +227,21 @@ impl TelemetryRegistry {
     /// Counts `n` archive operations at once (e.g. a replay batch).
     pub fn record_archive_ops(&self, op: ArchiveOp, n: u64) {
         self.add(FamilyId::Archive, op.index(), n);
+    }
+
+    /// Marks `arm` — what `cs_dsp::kernel_arm()` names: `"avx512"`,
+    /// `"avx2"` or `"baseline"` — as the vector-kernel arm this process
+    /// runs (`cs_kernel_arm_info`): its cell reads 1, the others 0. A
+    /// service sets it once at start-up; any other name is ignored.
+    pub fn record_kernel_arm(&self, arm: &str) {
+        let Some(running) = KERNEL_ARMS.iter().position(|&a| a == arm) else {
+            return;
+        };
+        if self.is_enabled() {
+            for (i, cell) in self.inner.cells[FamilyId::KernelArm.cells()].iter().enumerate() {
+                cell.store(u64::from(i == running), Ordering::Relaxed);
+            }
+        }
     }
 
     /// Counts one HTTP scrape against an endpoint.

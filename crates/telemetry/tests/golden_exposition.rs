@@ -61,6 +61,7 @@ fn golden_snapshot() -> TelemetrySnapshot {
     for (i, op) in ArchiveOp::ALL.iter().enumerate() {
         registry.record_archive_ops(*op, 10 * i as u64); // likewise
     }
+    registry.record_kernel_arm("avx2");
     for seq in 0..3 {
         registry.record_solve(SolveTrace { seq, iterations: 12, ..SolveTrace::default() });
     }

@@ -24,10 +24,18 @@ cargo clippy --workspace -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # `unsafe` stays where it is: two modules hold all of it (the AVX2 gather
-# kernels of cs-sensing, the wide DWT dispatch of cs-dsp), every
-# occurrence sits under a `// SAFETY:` comment, and every other crate
-# root still forbids it outright.
+# kernels of cs-sensing, the wide DWT and solve dispatch of cs-dsp), every
+# occurrence sits under a `// SAFETY:` comment, and every other crate root
+# still forbids it outright.
 scripts/unsafe_check.sh
+
+# The same two modules under AddressSanitizer. It needs the nightly
+# toolchain; where there is none, say so and go on (CI runs it nightly).
+if cargo +nightly --version >/dev/null 2>&1; then
+  scripts/asan_check.sh
+else
+  echo "tier1: skipping asan_check.sh: no nightly toolchain (cargo +nightly) to build -Zsanitizer=address with" >&2
+fi
 
 # The zero-alloc tests run in the debug suite above too, but the claim
 # that matters is about the optimized decoder, so pin them in release —

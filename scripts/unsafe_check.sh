@@ -4,7 +4,7 @@
 # under `tests/` are out of scope):
 #
 #   * the word occurs as code in exactly two files — the AVX2 gather
-#     kernels of cs-sensing and the wide DWT dispatch of cs-dsp;
+#     kernels of cs-sensing and the wide DWT and solve dispatch of cs-dsp;
 #   * every occurrence there is preceded, within the few lines above it
 #     (attributes and the comment's own continuation lines allowed), by a
 #     `// SAFETY:` comment — a declaration `unsafe fn` by `# Safety` docs
