@@ -1,11 +1,10 @@
 //! Criterion bench for the fleet decode engine: packets/second for one
 //! stream through the paper's single-coordinator pipeline vs 2/4/8
-//! concurrent streams through the worker pool, plus the warm-start
-//! variant. On a multi-core host the fleet figures scale with the worker
-//! count; on one core they document the engine's overhead. The fleet
-//! rows run the one supervised engine over `FleetSource::Leads`, so they
-//! include framing, frame parse and reassembly (the single-stream row
-//! hands `EncodedPacket`s across a channel and does none of the three).
+//! concurrent streams through the worker pool. On a multi-core host the
+//! fleet figures scale with the worker count; on one core they document
+//! the engine's overhead. Both rows run the same synchronous decode core
+//! behind their threads, so both include framing, frame parse and
+//! reassembly; the fleet rows add the dispatcher and collector hops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cs_core::{
@@ -57,28 +56,21 @@ fn bench_fleet(c: &mut Criterion) {
         let streams: Vec<FleetStream<'_>> =
             leads.iter().map(|l| FleetStream::single(l)).collect();
         group.throughput(Throughput::Elements((nstreams * FRAMES) as u64));
-        for (label, warm) in [("cold", false), ("warm", true)] {
-            let fleet = FleetConfig { warm_start: warm, ..FleetConfig::default() };
-            group.bench_with_input(
-                BenchmarkId::new(format!("fleet_{label}"), nstreams),
-                &streams,
-                |b, streams| {
-                    b.iter(|| {
-                        run_fleet::<f32, _>(
-                            &config,
-                            Arc::clone(&codebook),
-                            FleetSource::Leads(streams),
-                            policy,
-                            &fleet,
-                            &telemetry,
-                            None,
-                            |_| {},
-                        )
-                        .expect("fleet run")
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("fleet_cold", nstreams), &streams, |b, streams| {
+            b.iter(|| {
+                run_fleet::<f32, _>(
+                    &config,
+                    Arc::clone(&codebook),
+                    FleetSource::Leads(streams),
+                    policy,
+                    &FleetConfig::default(),
+                    &telemetry,
+                    None,
+                    |_| {},
+                )
+                .expect("fleet run")
+            })
+        });
     }
     group.finish();
 }

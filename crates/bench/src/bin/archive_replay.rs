@@ -78,7 +78,7 @@ fn main() {
         .flat_map(|(lead0, _)| packetize(lead0, n).take(3))
         .map(|p| p.to_vec());
     let codebook = Arc::new(train_codebook(&config, training).expect("training succeeds"));
-    let fleet = FleetConfig { warm_start: true, ..FleetConfig::default() };
+    let fleet = FleetConfig::default();
 
     let scratch = std::env::temp_dir().join(format!("cs-archive-replay-{}", std::process::id()));
     // `--replay DIR` on an existing directory replays it; on a missing

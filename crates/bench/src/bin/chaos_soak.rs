@@ -255,7 +255,6 @@ fn round(
     let cb = Arc::new(uniform_codebook(config.alphabet()).expect("codebook"));
     let fleet = FleetConfig {
         workers: settings.workers,
-        warm_start: true,
         solve_budget: Some(400),
         chaos_panic,
         ..FleetConfig::default()

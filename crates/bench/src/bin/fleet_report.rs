@@ -4,8 +4,8 @@
 //! Extends the single-coordinator real-time analysis (Fig. 8 / §V) to a
 //! monitoring service: throughput against the sequential single-stream
 //! decoder, worker balance, backpressure, the shared spectral cache, and
-//! the warm-start iteration saving (cold fleet vs warm fleet over the
-//! same traffic).
+//! the solver priors (plain ℓ1, the block prior and the paper's schedule
+//! over the same traffic).
 //!
 //! Every run decodes against a live [`TelemetryRegistry`]: per-stage
 //! latency quantiles and per-worker packet counters come from the
@@ -120,11 +120,7 @@ fn run(
         telemetry,
         None,
         |p| {
-            stats[p.stream].record(
-                p.packet.iterations,
-                p.packet.solve_time.as_secs_f64(),
-                p.packet.warm_started,
-            );
+            stats[p.stream].record(p.packet.iterations, p.packet.solve_time.as_secs_f64());
             if let Some(e2e) = p.e2e {
                 stats[p.stream].record_e2e(e2e.as_secs_f64(), e2e > deadline);
             }
@@ -359,15 +355,11 @@ fn replay_report(
         Arc::clone(codebook),
         FleetSource::Frames(&traffic),
         SolverPolicy::default(),
-        &FleetConfig { warm_start: true, ..FleetConfig::default() },
+        &FleetConfig::default(),
         &registry,
         None,
         |p| {
-            stats[p.stream].record(
-                p.packet.iterations,
-                p.packet.solve_time.as_secs_f64(),
-                p.packet.warm_started,
-            );
+            stats[p.stream].record(p.packet.iterations, p.packet.solve_time.as_secs_f64());
             if let Some(e2e) = p.e2e {
                 stats[p.stream].record_e2e(e2e.as_secs_f64(), e2e > deadline);
             }
@@ -488,38 +480,14 @@ fn main() {
         &fleet_cfg,
         &registry,
     );
-    let warm_cfg = FleetConfig { warm_start: true, ..fleet_cfg };
-    let (warm_report, warm_stats, _, warm_q) = run(
-        &streams,
-        &config,
-        &codebook,
-        SolverPolicy::default(),
-        &warm_cfg,
-        &TelemetryRegistry::disabled(),
-    );
-    // The prior-driven run decodes the same traffic warm-started, with
-    // the block-sparse proximal step.
-    let (_, _block_stats, _, block_q) = run(
-        &streams,
-        &config,
-        &codebook,
-        SolverPolicy::block_prior(),
-        &warm_cfg,
-        &TelemetryRegistry::disabled(),
-    );
-    // The cold run once more on the paper's verbatim schedule: the
-    // baseline the production schedule's iteration count is gated against.
-    let (_, _, _, paper_q) = run(
-        &streams,
-        &config,
-        &codebook,
-        SolverPolicy::paper(),
-        &fleet_cfg,
-        &TelemetryRegistry::disabled(),
-    );
+    // The same traffic with the block-sparse proximal step, and on the
+    // paper's verbatim schedule: the baseline the production schedule's
+    // iteration count is gated against.
+    let [block_q, paper_q] = [SolverPolicy::block_prior(), SolverPolicy::paper()].map(|policy| {
+        run(&streams, &config, &codebook, policy, &fleet_cfg, &TelemetryRegistry::disabled()).3
+    });
 
     let mut cold = FleetStats::from_streams(&cold_stats);
-    let warm = FleetStats::from_streams(&warm_stats);
     {
         let slo = registry.slo_snapshot();
         cold.set_health_counts(
@@ -564,31 +532,14 @@ fn main() {
         cold.healthy, cold.degraded, cold.stalled
     );
 
-    println!("== Warm-start FISTA ==");
+    println!("== FISTA solves ==");
     println!(
         "cold solve p50/p95/p99  : {:>8.2} / {:.2} / {:.2} ms",
         cold.solve_time_p50() * 1e3,
         cold.solve_time_p95() * 1e3,
         cold.solve_time_p99() * 1e3
     );
-    println!(
-        "cold mean iterations    : {:>8.1}",
-        cold.iterations.mean()
-    );
-    println!(
-        "warm mean iterations    : {:>8.1}  ({} of {} packets warm-started)",
-        warm.iterations.mean(),
-        warm.warm_started,
-        warm.packets()
-    );
-    println!(
-        "iteration saving        : {:>8.1} %",
-        warm.iteration_saving_vs(&cold) * 100.0
-    );
-    println!(
-        "warm wall-clock         : {:>8.2?} (vs cold {:.2?})",
-        warm_report.wall_time, cold_report.wall_time
-    );
+    println!("cold mean iterations    : {:>8.1}", cold.iterations.mean());
 
     // Prior-driven solve paths over the same traffic, and the paper's
     // schedule under them: per-mode iteration quantiles at integer
@@ -601,12 +552,7 @@ fn main() {
         "{:<10} {:>8} {:>9} {:>8} {:>8} {:>8}",
         "mode", "packets", "mean it", "p50 it", "p95 it", "PRD %"
     );
-    for (name, q) in [
-        ("cold", &cold_q),
-        ("warm", &warm_q),
-        ("block", &block_q),
-        ("paper", &paper_q),
-    ] {
+    for (name, q) in [("cold", &cold_q), ("block", &block_q), ("paper", &paper_q)] {
         println!(
             "{:<10} {:>8} {:>9.1} {:>8.0} {:>8.0} {:>8.2}",
             name,
@@ -626,7 +572,6 @@ fn main() {
         paper_q.iterations_mean()
     );
     println!("cold PRD                : {:>8.2} %", cold_q.prd_percent());
-    println!("warm PRD                : {:>8.2} %", warm_q.prd_percent());
     println!("block PRD               : {:>8.2} %", block_q.prd_percent());
     println!("paper PRD               : {:>8.2} %", paper_q.prd_percent());
 
@@ -680,7 +625,7 @@ fn main() {
         Arc::clone(&codebook),
         FleetSource::Frames(&traffic),
         SolverPolicy::default(),
-        &FleetConfig { warm_start: true, ..fleet_cfg },
+        &fleet_cfg,
         &registry,
         None,
         |p| clinical.on_packet(p, &mut events),

@@ -825,7 +825,7 @@ impl<T: Real> Decoder<T> {
 
     /// Picks the proximal operator (and its telemetry mode label) for one
     /// solve.
-    fn select_prox(&self, warm_started: bool) -> (ProxSpec<'_, T>, SolverMode) {
+    fn select_prox(&self, warm_started: bool) -> (ProxSpec<'_>, SolverMode) {
         match self.policy.prior {
             PriorMode::Block => (ProxSpec::Group(&self.groups), SolverMode::Block),
             PriorMode::None => {

@@ -27,7 +27,7 @@ pub enum PipelineError {
     Sensing(SensingError),
     /// An error bubbled up from the entropy-coding substrate.
     Codec(CodecError),
-    /// A fleet decode worker failed; the whole run is torn down.
+    /// A wire decode run failed; the whole run is torn down.
     Fleet {
         /// Stream whose packet triggered the failure, if attributable.
         stream: Option<usize>,

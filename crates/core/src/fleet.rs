@@ -6,77 +6,49 @@
 //! telehealth backend — decodes many such patients at once, each with the
 //! clinical norm of several leads. [`run_fleet`] is that service, and like
 //! the paper's coordinator it has exactly one path: frames come off a
-//! link, are decoded, and are delivered. There is one engine and three
-//! sources ([`FleetSource`]), each of which only *produces*
-//! [`WireFrame`]s:
-//!
-//! * [`FleetSource::Leads`] — raw multi-lead samples. One producer thread
-//!   per stream plays that patient's mote: it encodes each synchronized
-//!   frame and transmits the tagged wire frames.
-//! * [`FleetSource::Frames`] — materialized traffic (a lossy-link capture,
-//!   an archive replay), one producer thread per stream replaying its
-//!   arrival order.
-//! * [`FleetSource::Channel`] — a live transport (the socket ingest layer)
-//!   feeding frames as they arrive.
-//!
-//! Behind the source the engine never branches on who called it:
+//! link, are decoded, and are delivered. Its [`FleetSource`] — raw leads,
+//! materialized traffic or a live channel — only *produces*
+//! [`WireFrame`]s; behind it the engine never branches on who called it:
 //!
 //! * **A dispatcher** drains the frame source, appends each frame to the
 //!   optional [`FrameSink`] (write-before-decode), stamps its arrival and
-//!   hands it to a worker by *stream affinity* (`worker = stream mod M`):
-//!   a stream's reassembly, differencing state and warm-start estimate
-//!   are inherently sequential, so all of its frames must visit the same
-//!   worker, in order.
-//! * **M supervised decode workers** each own a bounded input queue (the
-//!   per-worker analogue of the paper's 3-packet shared buffer). A worker
-//!   validates each frame, reassembles its `(stream, lane)` sequence, and
-//!   decodes under panic supervision; corruption, loss, duplication,
-//!   reordering and a poisoned decoder all become [`PacketOutcome`]s and
-//!   [`FleetReport::faults`] counts, never run-ending failures.
+//!   hands it to a worker by *stream affinity* (`worker = stream mod M`),
+//!   so a stream's frames all visit one worker, in order.
+//! * **M decode workers** each own a bounded input queue (the per-worker
+//!   analogue of the paper's 3-packet shared buffer) and one [`WireCore`]:
+//!   a worker pushes each frame into its core and forwards the windows it
+//!   releases. Wire damage and a poisoned decoder become
+//!   [`PacketOutcome`]s and [`FleetReport::faults`] counts, merged over
+//!   the workers at join, never run-ending failures.
 //! * **A collector** on the calling thread delivers results as they
 //!   arrive. A stream's windows all come from its one worker over one
-//!   FIFO channel, so downstream consumers observe exactly the
-//!   per-patient order `run_streaming` would deliver.
+//!   FIFO channel, so each stream is observed in the order
+//!   `run_streaming` would deliver it.
 //! * **Backpressure** is explicit: the dispatcher first `try_send`s; a
-//!   full queue counts one stall before the blocking send (radio
-//!   buffering, in hardware terms).
-//! * **Shutdown** is by channel-disconnect cascade. When the source
-//!   closes the dispatcher returns, the worker queues disconnect and the
-//!   workers flush their reassembly tails. The two things no concealment
-//!   can paper over — a decoder that cannot be constructed, a sink that
-//!   cannot persist — reach the collector as a failure; it stops
-//!   consuming, and dropping the result channel wakes blocked workers,
-//!   whose exits wake the dispatcher and, through it, the producers.
+//!   full queue counts one stall before the blocking send.
+//! * **Shutdown** is by channel-disconnect cascade: when the source closes
+//!   the queues disconnect and the workers flush their cores. A decoder
+//!   that cannot be constructed or a sink that cannot persist reaches the
+//!   collector as a failure; it stops consuming, and dropping the result
+//!   channel wakes blocked workers, whose exits wake the dispatcher and,
+//!   through it, the producers.
 //!
-//! Two fleet-wide optimizations ride on this topology:
-//!
-//! * the power-iteration spectral setup (Lipschitz constant + deflation
-//!   direction) is shared through a [`SpectralCache`], so only the first
-//!   decoder of a configuration pays it;
-//! * optional **warm starts** seed each packet's FISTA solve with the
-//!   previous packet's coefficients (consecutive 2-second ECG windows are
-//!   highly correlated) and each sibling lead's with lead 0's solution of
-//!   the same frame, cutting iterations without moving the solution.
-//!   With warm starts off the fleet is bit-exact with `run_streaming`.
+//! Decoders share their power-iteration spectral setup through a
+//! [`SpectralCache`]. Every lane decodes independently of every other, so
+//! per-stream output is bit-exact with `run_streaming` at any worker count.
 
 use crate::config::SystemConfig;
-use crate::decoder::{DecodeWorkspace, DecodedPacket, Decoder, SolverPolicy};
+use crate::decoder::{DecodedPacket, SolverPolicy};
 use crate::error::PipelineError;
-use crate::ingest::{
-    ConcealmentReason, FaultCounters, FaultStats, PacketOutcome, PushReject, QuarantineRecord,
-    QuarantineRing, Reassembler, SequencedEvent, DEFAULT_REORDER_WINDOW,
-};
+use crate::ingest::{FaultStats, PacketOutcome, QuarantineRecord, QuarantineRing, DEFAULT_REORDER_WINDOW};
 use crate::multichannel::MultiChannelEncoder;
-use crate::packet::{parse_frame, EncodedPacket};
 use crate::stream::SHARED_BUFFER_PACKETS;
-use cs_codec::{Codebook, CodecError};
+use crate::wire::{Emission, WireCore};
+use cs_codec::Codebook;
 use cs_dsp::Real;
 use cs_recovery::SpectralCache;
-use cs_telemetry::{FaultKind, Stage, TelemetryRegistry, TraceContext};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use cs_telemetry::{Stage, TelemetryRegistry, TraceContext};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,10 +60,6 @@ pub struct FleetConfig {
     /// Capacity of each worker's input queue, in packets. Defaults to the
     /// paper's 3-packet shared-buffer budget.
     pub channel_capacity: usize,
-    /// Seed each FISTA solve with the previous packet's coefficients.
-    /// `false` (the default) keeps per-stream output bit-exact with
-    /// [`run_streaming`](crate::stream::run_streaming).
-    pub warm_start: bool,
     /// Reorder window per (stream, lane): how many out-of-order frames to
     /// buffer before declaring the gap lost.
     pub reorder_window: usize,
@@ -110,7 +78,6 @@ impl Default for FleetConfig {
         FleetConfig {
             workers: 0,
             channel_capacity: SHARED_BUFFER_PACKETS,
-            warm_start: false,
             reorder_window: DEFAULT_REORDER_WINDOW,
             solve_budget: None,
             chaos_panic: None,
@@ -155,13 +122,10 @@ pub struct FleetPacket<T: Real> {
     /// How this window was produced: decoded from received bytes,
     /// concealed, or a quarantine placeholder.
     pub outcome: PacketOutcome,
-    /// End-to-end latency from capture to in-order emission by the
-    /// collector. Capture is the frame's arrival at the dispatcher — the
-    /// moment it came off the link — whatever the source: a
-    /// [`FleetSource::Leads`] frame arrives straight after its producer's
-    /// ~10 µs encode, not at packetize time. `None` when the run's
-    /// [`TelemetryRegistry`] is disabled — stamping is gated on the
-    /// registry so the fast path stays a single relaxed load.
+    /// End-to-end latency from capture — the frame's arrival at the
+    /// dispatcher, whatever the source — to delivery by the collector.
+    /// `None` when the run's [`TelemetryRegistry`] is disabled: stamping
+    /// is gated on the registry so the fast path stays one relaxed load.
     pub e2e: Option<Duration>,
     /// The reconstruction and its solver statistics.
     pub packet: DecodedPacket<T>,
@@ -178,8 +142,6 @@ pub struct StreamSummary {
     pub max_decode_time: Duration,
     /// Sum of FISTA iterations.
     pub total_iterations: u64,
-    /// Packets whose solve was seeded from the previous estimate.
-    pub warm_started: usize,
 }
 
 /// Outcome of a fleet run.
@@ -214,390 +176,22 @@ pub struct FleetReport {
     pub quarantine: Vec<QuarantineRecord>,
 }
 
-/// A unit of decode work: one frame exactly as it came off the link,
-/// stamped with its arrival time (registry-monotonic nanoseconds; `0`
-/// when telemetry is disabled).
-struct WireJob {
-    stream: usize,
-    captured_ns: u64,
-    bytes: Vec<u8>,
-}
+/// A unit of decode work: the frame's arrival stamp (registry-monotonic
+/// nanoseconds; `0` when telemetry is disabled) and the frame exactly as
+/// it came off the link.
+type WireJob = (u64, WireFrame);
 
-/// What workers and the dispatcher send the collector. Every window
-/// reaches it as an `Emit` — faults are absorbed into outcomes, not
-/// run-ending failures. `Failed` remains only for what no amount of
-/// concealment can paper over: a decoder that cannot be constructed (bad
-/// configuration) and an archive sink that cannot persist.
+/// What workers and the dispatcher send the collector: every window, and
+/// the two failures no concealment can paper over — a decoder that cannot
+/// be constructed and an archive sink that cannot persist.
 enum WireMsg<T: Real> {
     Emit {
-        stream: usize,
-        channel: u8,
         worker: usize,
-        /// Arrival stamp of the frame this window came from; concealed
-        /// windows carry the stamp of the arrival that exposed the gap.
-        captured_ns: u64,
         /// When the worker handed this window to the result channel.
         emitted_ns: u64,
-        outcome: PacketOutcome,
-        packet: DecodedPacket<T>,
+        emission: Emission<T>,
     },
-    Failed {
-        stream: Option<usize>,
-        cause: String,
-    },
-}
-
-/// Per-worker state of the supervised engine. Streams keep worker
-/// affinity, so every structure here is only ever touched by its owning
-/// worker thread; the cross-thread surfaces are the shared
-/// [`FaultCounters`] (atomics) and the quarantine ring (mutex, cold path).
-struct WireWorker<'e, T: Real> {
-    worker_id: usize,
-    config: &'e SystemConfig,
-    codebook: Arc<Codebook>,
-    policy: SolverPolicy<T>,
-    fleet: FleetConfig,
-    cache: &'e SpectralCache<T>,
-    telemetry: TelemetryRegistry,
-    counters: &'e FaultCounters,
-    quarantine: &'e Mutex<QuarantineRing>,
-    chaos_fired: &'e AtomicBool,
-    lanes: HashMap<(usize, u8), Decoder<T>>,
-    /// Reassembler payload carries the frame's arrival stamp alongside
-    /// the packet, so capture time survives reordering.
-    seqs: HashMap<(usize, u8), Reassembler<(EncodedPacket, u64)>>,
-    scratch: DecodeWorkspace<T>,
-    /// Lead 0's estimate, copied out for a sibling lead's cross-lead seed.
-    sibling: Vec<T>,
-    results: crossbeam::channel::Sender<WireMsg<T>>,
-}
-
-impl<T: Real> WireWorker<'_, T> {
-    /// Validates one arrived frame and advances its lane. Returns `false`
-    /// when the collector hung up (shutdown).
-    fn ingest(&mut self, stream: usize, bytes: &[u8], captured_ns: u64) -> bool {
-        self.counters.add_frame();
-        // Queue wait: producer stamp → worker dequeue, before any
-        // validation work is charged to this frame.
-        if self.telemetry.is_enabled() {
-            self.telemetry.record_stage_ns(
-                Stage::QueueWait,
-                self.telemetry.now_ns().saturating_sub(captured_ns),
-            );
-        }
-        let parsed = {
-            let _span = self.telemetry.span(Stage::IngestValidate);
-            parse_frame(bytes)
-        };
-        let (info, payload) = match parsed {
-            Ok(p) => p,
-            Err(e) => {
-                self.counters.add_frame_reject();
-                self.telemetry.record_fault(FaultKind::FrameRejected);
-                self.hold(QuarantineRecord {
-                    stream,
-                    channel: None,
-                    seq: None,
-                    bytes: bytes.to_vec(),
-                    cause: e.to_string(),
-                });
-                return true;
-            }
-        };
-        let packet = EncodedPacket {
-            index: info.index,
-            kind: info.kind,
-            payload: payload.to_vec(),
-            payload_bits: info.payload_bits,
-        };
-        let lane = self
-            .seqs
-            .entry((stream, info.lane))
-            .or_insert_with(|| Reassembler::new(self.fleet.reorder_window));
-        let mut events = Vec::new();
-        if let Err(reject) = lane.push(info.index, (packet, captured_ns), &mut events) {
-            match reject {
-                PushReject::Duplicate => {
-                    self.counters.add_duplicate();
-                    self.telemetry.record_fault(FaultKind::Duplicate);
-                }
-                PushReject::Late => {
-                    self.counters.add_late();
-                    self.telemetry.record_fault(FaultKind::Late);
-                }
-            }
-            return true;
-        }
-        self.handle_events(stream, info.lane, events, captured_ns)
-    }
-
-    /// Emits every sequenced event for one lane. `fallback_captured` is
-    /// the stamp attributed to events with no frame of their own (a loss
-    /// is discovered by a later arrival — or by `flush` at end of input —
-    /// so the concealment inherits that trigger's capture time).
-    fn handle_events(
-        &mut self,
-        stream: usize,
-        channel: u8,
-        events: Vec<SequencedEvent<(EncodedPacket, u64)>>,
-        fallback_captured: u64,
-    ) -> bool {
-        for event in events {
-            let alive = match event {
-                SequencedEvent::Deliver(seq, (packet, captured_ns)) => {
-                    self.decode_supervised(stream, channel, seq, packet, captured_ns)
-                }
-                SequencedEvent::Lost(seq) => {
-                    self.counters.add_concealed_loss();
-                    self.telemetry.record_fault(FaultKind::ConcealedLoss);
-                    self.conceal_slot(
-                        stream,
-                        channel,
-                        seq,
-                        ConcealmentReason::Loss.into(),
-                        fallback_captured,
-                    )
-                }
-                SequencedEvent::Resync { .. } => {
-                    self.counters.add_resync();
-                    self.telemetry.record_fault(FaultKind::Resync);
-                    if let Some(d) = self.lanes.get_mut(&(stream, channel)) {
-                        d.desynchronize();
-                    }
-                    true
-                }
-            };
-            if !alive {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Decodes one in-order packet under panic supervision.
-    fn decode_supervised(
-        &mut self,
-        stream: usize,
-        channel: u8,
-        wire_seq: u64,
-        packet: EncodedPacket,
-        captured_ns: u64,
-    ) -> bool {
-        if self.lane(stream, channel).is_err() {
-            return false; // construction failure already reported
-        }
-        // Cross-lead warm start: sibling leads observe the same heart over
-        // the same window, so lead 0's solution for this frame is the best
-        // available seed for the other leads (stream affinity guarantees
-        // it was decoded just before). The decoder's safeguard still
-        // rejects it if it does not beat a cold start.
-        if self.fleet.warm_start && channel > 0 {
-            if let Some(estimate) = self.lanes.get(&(stream, 0)).and_then(|d| d.last_estimate()) {
-                self.sibling.clear();
-                self.sibling.extend_from_slice(estimate);
-                let decoder = self.lanes.get_mut(&(stream, channel)).expect("lane exists");
-                decoder.seed(&self.sibling);
-            }
-        }
-        let chaos = self.fleet.chaos_panic == Some((stream, wire_seq))
-            && !self.chaos_fired.swap(true, Ordering::Relaxed);
-        let mut decoded = DecodedPacket::default();
-        let attempt = {
-            let decoder = self.lanes.get_mut(&(stream, channel)).expect("lane exists");
-            let scratch = &mut self.scratch;
-            catch_unwind(AssertUnwindSafe(|| {
-                if chaos {
-                    panic!("chaos: injected decode panic");
-                }
-                decoder.decode_packet_with(&packet, scratch, &mut decoded)
-            }))
-        };
-        match attempt {
-            Ok(Ok(())) => {
-                self.counters.add_decoded();
-                self.telemetry.record_worker_packet(self.worker_id);
-                if let Some(budget) = self.fleet.solve_budget {
-                    if !decoded.converged && decoded.iterations >= budget {
-                        self.counters.add_deadline_degraded();
-                        self.telemetry.record_fault(FaultKind::DeadlineDegraded);
-                    }
-                }
-                self.emit(stream, channel, PacketOutcome::Decoded, captured_ns, decoded)
-            }
-            Ok(Err(PipelineError::Codec(CodecError::MissingReference))) => {
-                // The lane is desynchronized (an upstream loss ate its
-                // reference); the frame itself is healthy. Conceal until
-                // the next reference resynchronizes the DPCM loop.
-                self.counters.add_concealed_desync();
-                self.telemetry.record_fault(FaultKind::ConcealedDesync);
-                self.conceal_slot(
-                    stream,
-                    channel,
-                    wire_seq,
-                    ConcealmentReason::Desync.into(),
-                    captured_ns,
-                )
-            }
-            Ok(Err(e)) => {
-                // The frame passed the CRC but poisoned its decoder — a
-                // truncation the bit count happened to cover, or a CRC
-                // collision. Quarantine the bytes, desync the lane, and
-                // emit a flagged placeholder to keep emission contiguous.
-                self.counters.add_quarantined();
-                self.telemetry.record_fault(FaultKind::Quarantined);
-                self.hold(QuarantineRecord {
-                    stream,
-                    channel: Some(channel),
-                    seq: Some(wire_seq),
-                    bytes: packet.to_bytes_tagged(channel),
-                    cause: e.to_string(),
-                });
-                if let Some(d) = self.lanes.get_mut(&(stream, channel)) {
-                    d.desynchronize();
-                }
-                self.conceal_slot(stream, channel, wire_seq, PacketOutcome::Quarantined, captured_ns)
-            }
-            Err(panic) => {
-                // Supervisor: quarantine the offender, then restart the
-                // worker — every lane decoder and the shared workspace are
-                // replaced, since a panic mid-decode can leave either in a
-                // torn state. Streams on this worker rebuild lazily and
-                // conceal until their next reference packet.
-                let cause = panic_message(&panic);
-                self.counters.add_worker_restart();
-                self.telemetry.record_fault(FaultKind::WorkerRestart);
-                self.counters.add_quarantined();
-                self.telemetry.record_fault(FaultKind::Quarantined);
-                self.hold(QuarantineRecord {
-                    stream,
-                    channel: Some(channel),
-                    seq: Some(wire_seq),
-                    bytes: packet.to_bytes_tagged(channel),
-                    cause: format!("panic: {cause}"),
-                });
-                self.lanes.clear();
-                self.scratch = DecodeWorkspace::for_config(self.config);
-                self.conceal_slot(stream, channel, wire_seq, PacketOutcome::Quarantined, captured_ns)
-            }
-        }
-    }
-
-    /// Emits a concealed placeholder window for one sequence slot.
-    fn conceal_slot(
-        &mut self,
-        stream: usize,
-        channel: u8,
-        wire_seq: u64,
-        outcome: PacketOutcome,
-        captured_ns: u64,
-    ) -> bool {
-        if self.lane(stream, channel).is_err() {
-            return false;
-        }
-        let mut out = DecodedPacket::default();
-        {
-            let decoder = self.lanes.get_mut(&(stream, channel)).expect("lane exists");
-            if matches!(outcome, PacketOutcome::Concealed(ConcealmentReason::Loss)) {
-                // A real loss always desynchronizes the DPCM loop.
-                decoder.desynchronize();
-            }
-            decoder.conceal_packet_with(wire_seq, &mut self.scratch, &mut out);
-        }
-        self.emit(stream, channel, outcome, captured_ns, out)
-    }
-
-    /// Holds one offending frame for postmortem.
-    fn hold(&self, record: QuarantineRecord) {
-        // Unreachable: the ring is private to this run and this `push` —
-        // which cannot panic — is its only critical section, so no thread
-        // can die holding the lock.
-        self.quarantine.lock().expect("quarantine lock").push(record);
-    }
-
-    /// Ensures the lane decoder exists; reports construction errors.
-    fn lane(&mut self, stream: usize, channel: u8) -> Result<(), ()> {
-        if let Entry::Vacant(v) = self.lanes.entry((stream, channel)) {
-            match Decoder::with_cache(self.config, Arc::clone(&self.codebook), self.policy, self.cache)
-            {
-                Ok(mut d) => {
-                    d.set_warm_start(self.fleet.warm_start);
-                    d.set_concealment(true);
-                    d.set_telemetry(self.telemetry.clone());
-                    d.set_telemetry_labels(u32::try_from(stream).unwrap_or(u32::MAX), channel);
-                    v.insert(d);
-                }
-                Err(e) => {
-                    let _ = self.results.send(WireMsg::Failed {
-                        stream: Some(stream),
-                        cause: e.to_string(),
-                    });
-                    return Err(());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sends one window to the collector. Returns `false` when the
-    /// collector hung up.
-    fn emit(
-        &mut self,
-        stream: usize,
-        channel: u8,
-        outcome: PacketOutcome,
-        captured_ns: u64,
-        packet: DecodedPacket<T>,
-    ) -> bool {
-        let emitted_ns = if self.telemetry.is_enabled() { self.telemetry.now_ns() } else { 0 };
-        self.results
-            .send(WireMsg::Emit {
-                stream,
-                channel,
-                worker: self.worker_id,
-                captured_ns,
-                emitted_ns,
-                outcome,
-                packet,
-            })
-            .is_ok()
-    }
-
-    /// End of input: emits everything still buffered, concealing interior
-    /// gaps. Tail losses (frames after the last arrival) are undetectable
-    /// without an end-of-stream marker and stay unemitted.
-    fn flush(&mut self) -> bool {
-        // End-of-input concealments have no triggering arrival; their
-        // capture time is "now" (zero queue blame, honest e2e).
-        let fallback = if self.telemetry.is_enabled() { self.telemetry.now_ns() } else { 0 };
-        let keys: Vec<(usize, u8)> = self.seqs.keys().copied().collect();
-        for (stream, channel) in keys {
-            let mut events = Vec::new();
-            if let Some(lane) = self.seqs.get_mut(&(stream, channel)) {
-                lane.flush(&mut events);
-            }
-            if !self.handle_events(stream, channel, events, fallback) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-impl From<ConcealmentReason> for PacketOutcome {
-    fn from(reason: ConcealmentReason) -> Self {
-        PacketOutcome::Concealed(reason)
-    }
-}
-
-/// Renders a panic payload for the quarantine record.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".into()
-    }
+    Failed(PipelineError),
 }
 
 /// A durable destination for wire frames, fed *before* decode.
@@ -634,15 +228,12 @@ pub struct WireFrame {
 /// [`WireFrame`]s into the one supervised engine — see the module docs.
 pub enum FleetSource<'a> {
     /// Raw multi-lead samples, one [`FleetStream`] per patient. One
-    /// producer thread per stream does the mote's real job: it encodes
-    /// each synchronized frame ([`MultiChannelEncoder::encode_frame`]) and
-    /// transmits the tagged wire frames, lead-minor.
+    /// producer thread per stream plays the mote: it encodes each
+    /// synchronized frame and transmits its wire frames, lead-minor.
     Leads(&'a [FleetStream<'a>]),
-    /// Materialized wire traffic: `traffic[stream]` is that stream's
-    /// arrival sequence of raw frames (see [`crate::parse_frame`] for the
-    /// format), damage included. One producer thread per stream replays
-    /// it, so per-stream order is preserved while streams interleave
-    /// arbitrarily — exactly what a live transport delivers.
+    /// Materialized wire traffic (a lossy-link capture, an archive
+    /// replay): `traffic[stream]` is that stream's arrival sequence of raw
+    /// frames, damage included, replayed by one producer thread per stream.
     Frames(&'a [Vec<Vec<u8>>]),
     /// A live transport: frames in arrival order, for a socket ingest
     /// layer that feeds long-lived sessions without buffering them whole.
@@ -725,10 +316,9 @@ fn transmit_leads(
 /// stream individually. Unattributable frames (framing/CRC rejects) are
 /// counted in [`FleetReport::faults`] and quarantined.
 ///
-/// With a live `telemetry` registry every encode and decode stage, FISTA
-/// solve and collector reassembly lands in its histograms while the fleet
-/// runs, per-worker packet counts accumulate, and each solve journals a
-/// trace labelled with its `(stream, channel, seq)`; pass
+/// With a live `telemetry` registry every stage, solve and hand-off lands
+/// in its histograms while the fleet runs, and each solve journals a trace
+/// labelled with its `(stream, channel, seq)`; pass
 /// [`TelemetryRegistry::disabled`] for one atomic load per span.
 ///
 /// With a `sink`, every arrived frame is appended to it **before** any
@@ -812,21 +402,10 @@ where
     };
 
     let workers = fleet.effective_workers();
-    let n = config.packet_len();
-    let packet_period = Duration::from_secs_f64(n as f64 / 256.0);
-
-    // Enforce the per-solve deadline by capping FISTA's iteration budget;
-    // the solver then degrades to its best iterate instead of stalling.
-    let mut policy = policy;
-    if let Some(budget) = fleet.solve_budget {
-        policy.max_iterations = policy.max_iterations.min(budget.max(1));
-    }
+    let packet_period = Duration::from_secs_f64(config.packet_len() as f64 / 256.0);
 
     let cache: SpectralCache<T> = SpectralCache::new();
     let stalls = AtomicU64::new(0);
-    let counters = FaultCounters::default();
-    let quarantine = Mutex::new(QuarantineRing::default());
-    let chaos_fired = AtomicBool::new(false);
 
     let (job_txs, job_rxs): (Vec<_>, Vec<_>) = (0..workers)
         .map(|_| crossbeam::channel::bounded::<WireJob>(fleet.channel_capacity))
@@ -842,6 +421,8 @@ where
     let mut packets_decoded = 0usize;
     let mut total_decode = Duration::ZERO;
     let mut max_decode = Duration::ZERO;
+    let mut faults = FaultStats::default();
+    let mut quarantine = QuarantineRing::default();
     let mut failure: Option<PipelineError> = None;
     let started = Instant::now();
 
@@ -849,35 +430,48 @@ where
     std::thread::scope(|scope| {
         let producers: Vec<_> = producers.into_iter().map(|p| scope.spawn(p)).collect();
 
-        // --- Supervised decode workers ---------------------------------
+        // --- Decode workers: a queue in front of a core -----------------
         let mut worker_handles = Vec::with_capacity(workers);
-        for (worker_id, jobs) in job_rxs.into_iter().enumerate() {
-            let results = res_tx.clone();
-            let codebook = Arc::clone(&codebook);
-            let mut worker = WireWorker {
-                worker_id,
-                config,
-                codebook,
-                policy,
-                fleet: *fleet,
-                cache: &cache,
-                telemetry: telemetry.clone(),
-                counters: &counters,
-                quarantine: &quarantine,
-                chaos_fired: &chaos_fired,
-                lanes: HashMap::new(),
-                seqs: HashMap::new(),
-                scratch: DecodeWorkspace::for_config(config),
-                sibling: Vec::new(),
-                results,
-            };
+        for (worker, jobs) in job_rxs.into_iter().enumerate() {
+            let (results, telemetry) = (res_tx.clone(), telemetry.clone());
+            let mut core =
+                WireCore::new(config, Arc::clone(&codebook), policy, fleet, &cache, telemetry.clone());
             worker_handles.push(scope.spawn(move || {
-                for WireJob { stream, captured_ns, bytes } in jobs.iter() {
-                    if !worker.ingest(stream, &bytes, captured_ns) {
-                        return;
+                let now = || if telemetry.is_enabled() { telemetry.now_ns() } else { 0 };
+                let (mut jobs, mut out) = (jobs.iter(), Vec::new());
+                'run: loop {
+                    let job = jobs.next();
+                    let pushed = match &job {
+                        Some((captured_ns, WireFrame { stream, bytes })) => {
+                            // Queue wait: arrival stamp → dequeue, before
+                            // any validation work is charged to this frame.
+                            let waited = now().saturating_sub(*captured_ns);
+                            telemetry.record_stage_ns(Stage::QueueWait, waited);
+                            core.push(*stream, bytes, *captured_ns, &mut out)
+                        }
+                        // End of input: a window only the flush exposes
+                        // is captured "now" (zero queue blame, honest e2e).
+                        None => core.flush(now(), &mut out),
+                    };
+                    for emission in out.drain(..) {
+                        if emission.outcome == PacketOutcome::Decoded {
+                            telemetry.record_worker_packet(worker);
+                        }
+                        let emitted_ns = now();
+                        if results.send(WireMsg::Emit { worker, emitted_ns, emission }).is_err() {
+                            break 'run;
+                        }
+                    }
+                    match pushed {
+                        Err(e) => {
+                            let _ = results.send(WireMsg::Failed(e));
+                            break;
+                        }
+                        Ok(()) if job.is_none() => break,
+                        Ok(()) => {}
                     }
                 }
-                worker.flush();
+                (core.faults(), core.into_quarantine())
             }));
         }
 
@@ -888,7 +482,7 @@ where
             let telemetry = telemetry.clone();
             // The dispatcher owns the job senders: when the source closes
             // (every feed sender dropped) it returns, the queues
-            // disconnect, and the workers flush their reassembly tails.
+            // disconnect, and the workers flush their cores.
             scope.spawn(move || {
                 for WireFrame { stream, bytes } in source.iter() {
                     // Write-before-decode: the frame reaches durable
@@ -906,10 +500,10 @@ where
                             Err(_) => Err("poisoned".into()),
                         };
                         if let Err(cause) = appended {
-                            let _ = results.send(WireMsg::Failed {
+                            let _ = results.send(WireMsg::Failed(PipelineError::Fleet {
                                 stream: Some(stream),
                                 cause: format!("archive sink: {cause}"),
-                            });
+                            }));
                             return;
                         }
                     }
@@ -920,12 +514,10 @@ where
                     // Stream affinity: one worker owns a stream's lanes
                     // for the whole run, so reassembly state never moves.
                     let jobs = &job_txs[stream % workers];
-                    let mut job = WireJob { stream, captured_ns, bytes };
-                    match jobs.try_send(job) {
-                        Ok(()) => continue,
-                        Err(crossbeam::channel::TrySendError::Full(back)) => {
+                    match jobs.try_send((captured_ns, WireFrame { stream, bytes })) {
+                        Ok(()) => {}
+                        Err(crossbeam::channel::TrySendError::Full(job)) => {
                             stalls.fetch_add(1, Ordering::Relaxed);
-                            job = back;
                             if jobs.send(job).is_err() {
                                 return;
                             }
@@ -944,65 +536,57 @@ where
         // numbers have gaps where frames were lost).
         let mut next_seq = vec![0u64; min_streams];
         for msg in res_rx.iter() {
-            match msg {
-                WireMsg::Emit {
-                    stream,
-                    channel,
-                    worker,
-                    captured_ns,
-                    emitted_ns,
-                    outcome,
-                    packet,
-                } => {
-                    let _span = telemetry.span(Stage::Reassembly);
-                    worker_packets[worker] += 1;
-                    // A streaming source can introduce streams mid-run;
-                    // collector state grows on first sight.
-                    if stream >= next_seq.len() {
-                        next_seq.resize(stream + 1, 0);
-                        summaries.resize_with(stream + 1, StreamSummary::default);
-                    }
-                    let seq = next_seq[stream];
-                    next_seq[stream] += 1;
-                    let summary = &mut summaries[stream];
-                    summary.packets += 1;
-                    summary.total_decode_time += packet.solve_time;
-                    summary.max_decode_time = summary.max_decode_time.max(packet.solve_time);
-                    summary.total_iterations += packet.iterations as u64;
-                    summary.warm_started += usize::from(packet.warm_started);
-                    packets_decoded += 1;
-                    total_decode += packet.solve_time;
-                    max_decode = max_decode.max(packet.solve_time);
-                    let mut e2e = None;
-                    if telemetry.is_enabled() {
-                        telemetry.record_stage_ns(
-                            Stage::EmitDeliver,
-                            telemetry.now_ns().saturating_sub(emitted_ns),
-                        );
-                        e2e = telemetry
-                            .record_emit(&TraceContext::new(
-                                u32::try_from(stream).unwrap_or(u32::MAX),
-                                channel,
-                                seq,
-                                captured_ns,
-                            ))
-                            .map(|rec| Duration::from_nanos(rec.e2e_ns));
-                    }
-                    let delivered = FleetPacket { stream, channel, outcome, e2e, packet };
-                    on_packet(&delivered);
-                }
-                WireMsg::Failed { stream, cause } => {
-                    failure = Some(PipelineError::Fleet { stream, cause });
+            let (worker, emitted_ns, emission) = match msg {
+                WireMsg::Emit { worker, emitted_ns, emission } => (worker, emitted_ns, emission),
+                WireMsg::Failed(e) => {
+                    failure = Some(e);
                     break;
                 }
+            };
+            let Emission { stream, channel, outcome, captured_ns, packet } = emission;
+            let _span = telemetry.span(Stage::Reassembly);
+            worker_packets[worker] += 1;
+            // A streaming source can introduce streams mid-run; collector
+            // state grows on first sight.
+            if stream >= next_seq.len() {
+                next_seq.resize(stream + 1, 0);
+                summaries.resize_with(stream + 1, StreamSummary::default);
             }
+            let seq = next_seq[stream];
+            next_seq[stream] += 1;
+            let summary = &mut summaries[stream];
+            summary.packets += 1;
+            summary.total_decode_time += packet.solve_time;
+            summary.max_decode_time = summary.max_decode_time.max(packet.solve_time);
+            summary.total_iterations += packet.iterations as u64;
+            packets_decoded += 1;
+            total_decode += packet.solve_time;
+            max_decode = max_decode.max(packet.solve_time);
+            let mut e2e = None;
+            if telemetry.is_enabled() {
+                telemetry.record_stage_ns(
+                    Stage::EmitDeliver,
+                    telemetry.now_ns().saturating_sub(emitted_ns),
+                );
+                let label = u32::try_from(stream).unwrap_or(u32::MAX);
+                e2e = telemetry
+                    .record_emit(&TraceContext::new(label, channel, seq, captured_ns))
+                    .map(|rec| Duration::from_nanos(rec.e2e_ns));
+            }
+            on_packet(&FleetPacket { stream, channel, outcome, e2e, packet });
         }
         // Wake any worker blocked on a full result queue so the
         // disconnect cascade can finish before we join.
         drop(res_rx);
         for handle in worker_handles {
-            if handle.join().is_err() {
-                worker_panicked = true;
+            match handle.join() {
+                Ok((counts, ring)) => {
+                    faults += counts;
+                    for record in ring.into_records() {
+                        quarantine.push(record);
+                    }
+                }
+                Err(_) => worker_panicked = true,
             }
         }
         // The workers are gone, so the dispatcher has hung up (or is about
@@ -1038,9 +622,8 @@ where
         wall_time: started.elapsed(),
         total_decode_time: total_decode,
         max_decode_time: max_decode,
-        faults: counters.snapshot(),
-        // Unreachable, as in `WireWorker::hold`: nothing can poison it.
-        quarantine: quarantine.into_inner().expect("quarantine lock").into_records(),
+        faults,
+        quarantine: quarantine.into_records(),
     })
 }
 
@@ -1048,6 +631,7 @@ where
 mod tests {
     use super::*;
     use crate::codebook::uniform_codebook;
+    use crate::ingest::ConcealmentReason;
 
     fn ecg_like(npackets: usize, n: usize, phase: f64) -> Vec<i16> {
         (0..npackets * n)

@@ -14,12 +14,12 @@
 //!   true reconstruction error from concealment.
 //! * [`QuarantineRing`] — a bounded ring of offending frames kept for
 //!   postmortem; old offenders are evicted, never the pipeline stalled.
-//! * [`FaultStats`] / [`FaultCounters`] — the exact bookkeeping the
-//!   chaos tests assert over: every frame pushed at ingest is counted in
-//!   precisely one terminal bucket.
+//! * [`FaultStats`] — the exact bookkeeping the chaos tests assert over:
+//!   every frame pushed at ingest is counted in precisely one terminal
+//!   bucket.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::AddAssign;
 
 /// Default reorder window: how many out-of-order frames a lane buffers
 /// before declaring the missing sequence numbers lost.
@@ -257,9 +257,10 @@ impl Default for QuarantineRing {
     }
 }
 
-/// Snapshot of ingest/supervision accounting for one fleet run.
+/// Ingest/supervision accounting of one [`WireCore`](crate::WireCore), or
+/// of a fleet run's cores summed.
 ///
-/// Two identities hold after a run (and the chaos tests assert them):
+/// Two identities hold after a flush (and the chaos tests assert them):
 ///
 /// ```text
 /// frames == frame_rejects + duplicates + late
@@ -308,64 +309,20 @@ impl FaultStats {
     }
 }
 
-/// Shared atomic counters behind [`FaultStats`]; workers increment,
-/// the report snapshots.
-#[derive(Debug, Default)]
-pub struct FaultCounters {
-    frames: AtomicU64,
-    frame_rejects: AtomicU64,
-    duplicates: AtomicU64,
-    late: AtomicU64,
-    resyncs: AtomicU64,
-    decoded: AtomicU64,
-    concealed_loss: AtomicU64,
-    concealed_desync: AtomicU64,
-    quarantined: AtomicU64,
-    worker_restarts: AtomicU64,
-    deadline_degraded: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($field:ident => $method:ident),* $(,)?) => {
-        $(
-            #[doc = concat!("Increments `", stringify!($field), "`.")]
-            pub fn $method(&self) {
-                self.$field.fetch_add(1, Ordering::Relaxed);
-            }
-        )*
-    };
-}
-
-impl FaultCounters {
-    bump! {
-        frames => add_frame,
-        frame_rejects => add_frame_reject,
-        duplicates => add_duplicate,
-        late => add_late,
-        resyncs => add_resync,
-        decoded => add_decoded,
-        concealed_loss => add_concealed_loss,
-        concealed_desync => add_concealed_desync,
-        quarantined => add_quarantined,
-        worker_restarts => add_worker_restart,
-        deadline_degraded => add_deadline_degraded,
-    }
-
-    /// Reads every counter into an owned snapshot.
-    pub fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            frames: self.frames.load(Ordering::Relaxed),
-            frame_rejects: self.frame_rejects.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            late: self.late.load(Ordering::Relaxed),
-            resyncs: self.resyncs.load(Ordering::Relaxed),
-            decoded: self.decoded.load(Ordering::Relaxed),
-            concealed_loss: self.concealed_loss.load(Ordering::Relaxed),
-            concealed_desync: self.concealed_desync.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            deadline_degraded: self.deadline_degraded.load(Ordering::Relaxed),
-        }
+/// Sums the accounting of two cores (a fleet's workers, at join).
+impl AddAssign for FaultStats {
+    fn add_assign(&mut self, other: FaultStats) {
+        self.frames += other.frames;
+        self.frame_rejects += other.frame_rejects;
+        self.duplicates += other.duplicates;
+        self.late += other.late;
+        self.resyncs += other.resyncs;
+        self.decoded += other.decoded;
+        self.concealed_loss += other.concealed_loss;
+        self.concealed_desync += other.concealed_desync;
+        self.quarantined += other.quarantined;
+        self.worker_restarts += other.worker_restarts;
+        self.deadline_degraded += other.deadline_degraded;
     }
 }
 
@@ -592,13 +549,9 @@ mod tests {
 
     #[test]
     fn fault_counters_snapshot() {
-        let c = FaultCounters::default();
-        c.add_frame();
-        c.add_frame();
-        c.add_decoded();
-        c.add_concealed_loss();
-        c.add_quarantined();
-        let s = c.snapshot();
+        // Two cores' counts, summed the way `run_fleet` merges its workers.
+        let mut s = FaultStats { frames: 1, decoded: 1, ..FaultStats::default() };
+        s += FaultStats { frames: 1, concealed_loss: 1, quarantined: 1, ..FaultStats::default() };
         assert_eq!(s.frames, 2);
         assert_eq!(s.delivered(), 3);
         assert_eq!(s.concealed(), 1);

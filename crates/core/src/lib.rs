@@ -17,14 +17,15 @@
 //! * [`train_codebook`] — the offline Huffman training step.
 //! * [`evaluate_stream`] / [`train_and_evaluate`] — round-trip evaluation
 //!   returning per-packet CR/PRD/SNR and solver statistics.
+//! * [`WireCore`] — the one decode path behind every wire, synchronous:
+//!   frames in, windows out, each with its [`PacketOutcome`].
 //! * [`run_streaming`] — the two-thread producer–consumer structure of the
-//!   iPhone app, with the 6-second shared buffer.
-//! * [`run_fleet`] — the multi-patient generalization, and like the
-//!   paper's coordinator it has one path: one supervised engine (frames in,
-//!   M decode workers, per-stream in-order delivery, shared spectral setup,
-//!   optional warm-started FISTA, optional write-before-decode
-//!   [`FrameSink`]) fed by one of three [`FleetSource`]s — raw leads,
-//!   materialized wire frames, or a live channel.
+//!   iPhone app, a core behind the 6-second shared buffer.
+//! * [`run_fleet`] — the multi-patient generalization: M workers each
+//!   driving a core, per-stream in-order delivery, shared spectral setup
+//!   and an optional write-before-decode [`FrameSink`], fed by one of three
+//!   [`FleetSource`]s — raw leads, materialized wire frames, or a live
+//!   channel.
 //!
 //! `run_streaming` and `run_fleet` take a
 //! `cs_telemetry::TelemetryRegistry` and record per-stage latency
@@ -67,6 +68,7 @@ mod multichannel;
 mod packet;
 mod pipeline;
 mod stream;
+mod wire;
 
 pub use adaptive::{
     AdaptiveDecoder, AdaptiveEncoder, ClinicalFeedback, FidelitySchedule, FidelityTier,
@@ -85,7 +87,7 @@ pub use fleet::{
     FleetStream, FrameSink, StreamSummary, WireFrame,
 };
 pub use ingest::{
-    ConcealmentReason, FaultCounters, FaultStats, PacketOutcome, PushReject, QuarantineRecord,
+    ConcealmentReason, FaultStats, PacketOutcome, PushReject, QuarantineRecord,
     QuarantineRing, Reassembler, SequencedEvent, DEFAULT_QUARANTINE_CAPACITY,
     DEFAULT_REORDER_WINDOW, MAX_LOSS_BURST,
 };
@@ -96,6 +98,7 @@ pub use packet::{
 };
 pub use pipeline::{evaluate_stream, packetize, train_and_evaluate, PacketReport, StreamReport};
 pub use stream::{run_streaming, StreamingReport, SHARED_BUFFER_PACKETS};
+pub use wire::{Emission, WireCore};
 /// Which vector-kernel arm the decoder runs on this CPU (re-exported from
 /// `cs-dsp` for services that report it).
 pub use cs_dsp::kernel_arm;

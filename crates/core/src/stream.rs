@@ -7,14 +7,17 @@
 //! seconds — 2 s being written, 2 s being read, 2 s of display latency.
 //! [`run_streaming`] reproduces that structure with real threads and a
 //! bounded channel whose capacity is that 6-second / 3-packet budget, and
-//! reports whether the decoder kept up with real time.
+//! reports whether the decoder kept up with real time. The decoding side
+//! is the [`WireCore`] every fleet worker drives.
 
 use crate::config::SystemConfig;
-use crate::decoder::{DecodedPacket, Decoder, SolverPolicy};
+use crate::decoder::{DecodedPacket, SolverPolicy};
 use crate::encoder::Encoder;
 use crate::error::PipelineError;
-use crate::packet::EncodedPacket;
+use crate::fleet::FleetConfig;
+use crate::wire::{Emission, WireCore};
 use cs_dsp::Real;
+use cs_recovery::SpectralCache;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,7 +27,7 @@ pub const SHARED_BUFFER_PACKETS: usize = 3;
 /// Outcome of a streaming run.
 #[derive(Debug, Clone)]
 pub struct StreamingReport {
-    /// Packets that made it through the whole pipeline.
+    /// Windows delivered to the consumer, decoded or concealed.
     pub packets_delivered: usize,
     /// Total wall-clock decode time across all packets.
     pub total_decode_time: Duration,
@@ -41,17 +44,21 @@ pub struct StreamingReport {
 /// Runs encoder and decoder on separate threads connected by the bounded
 /// shared buffer, pushing the given sample stream through.
 ///
-/// The consumer applies `on_packet` to every decoded packet (the display
-/// thread's role). Producer encode stages and consumer decode stages land
-/// in `telemetry`'s histograms while the stream runs; pass
+/// The producer thread plays the mote: it encodes each packet and sends
+/// its wire frame into the buffer. The calling thread pushes each frame
+/// into a [`WireCore`] and applies `on_packet` to every window the core
+/// releases (the display thread's role), in order. A frame the core
+/// cannot decode is concealed or quarantined like on any other wire — the
+/// window is delivered flagged `concealed` — rather than ending the run.
+/// Producer encode stages and consumer decode stages land in
+/// `telemetry`'s histograms while the stream runs; pass
 /// [`TelemetryRegistry::disabled`] for one atomic load per span.
 ///
 /// [`TelemetryRegistry::disabled`]: cs_telemetry::TelemetryRegistry::disabled
 ///
 /// # Errors
 ///
-/// Propagates construction errors; decode errors abort the consumer and
-/// surface here.
+/// Propagates encoder errors and a decoder that cannot be constructed.
 pub fn run_streaming<T, F>(
     config: &SystemConfig,
     codebook: Arc<cs_codec::Codebook>,
@@ -65,61 +72,58 @@ where
     F: FnMut(&DecodedPacket<T>) + Send,
 {
     let mut encoder = Encoder::new(config, Arc::clone(&codebook))?;
-    let mut decoder: Decoder<T> = Decoder::new(config, codebook, policy)?;
     encoder.set_telemetry(telemetry.clone());
-    decoder.set_telemetry(telemetry.clone());
+    let cache = SpectralCache::new();
+    let fleet = &FleetConfig::default();
+    let mut core = WireCore::new(config, codebook, policy, fleet, &cache, telemetry.clone());
     let n = config.packet_len();
     let packet_period = Duration::from_secs_f64(n as f64 / 256.0);
 
-    let (tx, rx) = crossbeam::channel::bounded::<EncodedPacket>(SHARED_BUFFER_PACKETS);
+    let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(SHARED_BUFFER_PACKETS);
 
-    let result: Result<StreamingReport, PipelineError> = std::thread::scope(|scope| {
-        // Producer: the mote. Encodes packets and pushes them into the
-        // shared buffer, blocking when the buffer is full (back-pressure —
-        // in hardware this would be radio buffering).
+    std::thread::scope(|scope| {
+        // Producer: the mote. Encodes packets and pushes their frames into
+        // the shared buffer, blocking when the buffer is full
+        // (back-pressure — in hardware this would be radio buffering).
         let producer = scope.spawn(move || -> Result<(), PipelineError> {
             for chunk in samples.chunks_exact(n) {
-                let wire = encoder.encode_packet(chunk)?;
-                if tx.send(wire).is_err() {
+                if tx.send(encoder.encode_packet(chunk)?.to_bytes()).is_err() {
                     break; // consumer hung up after an error
                 }
             }
             Ok(())
         });
 
-        // Consumer: the coordinator. Decodes and "displays".
-        let mut delivered = 0usize;
-        let mut total = Duration::ZERO;
-        let mut max = Duration::ZERO;
-        let mut consumer_err = None;
-        for wire in rx.iter() {
-            match decoder.decode_packet(&wire) {
-                Ok(decoded) => {
-                    total += decoded.solve_time;
-                    max = max.max(decoded.solve_time);
-                    delivered += 1;
-                    on_packet(&decoded);
-                }
-                Err(e) => {
-                    consumer_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let producer_result = producer.join().expect("producer thread panicked");
-        if let Some(e) = consumer_err {
-            return Err(e);
-        }
-        producer_result?;
-        Ok(StreamingReport {
-            packets_delivered: delivered,
-            total_decode_time: total,
-            max_decode_time: max,
+        // Consumer: the coordinator. Decodes and "displays", in order.
+        let mut report = StreamingReport {
+            packets_delivered: 0,
+            total_decode_time: Duration::ZERO,
+            max_decode_time: Duration::ZERO,
             packet_period,
-            real_time: max <= packet_period,
-        })
-    });
-    result
+            real_time: true,
+        };
+        let mut display = |pushed: Result<(), PipelineError>, out: &mut Vec<Emission<T>>| {
+            for Emission { packet, .. } in out.drain(..) {
+                report.packets_delivered += 1;
+                report.total_decode_time += packet.solve_time;
+                report.max_decode_time = report.max_decode_time.max(packet.solve_time);
+                on_packet(&packet);
+            }
+            pushed
+        };
+        // Owning iteration: stopping early drops the buffer's receiving
+        // end, so a producer blocked on a full buffer wakes and stops.
+        let mut out = Vec::new();
+        let consumed = rx
+            .into_iter()
+            .try_for_each(|frame| display(core.push(0, &frame, 0, &mut out), &mut out))
+            .and_then(|()| display(core.flush(0, &mut out), &mut out));
+        let produced = producer.join().expect("producer thread panicked");
+        consumed?;
+        produced?;
+        report.real_time = report.max_decode_time <= packet_period;
+        Ok(report)
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Mutation properties of [`parse_frame`], the first code that reads the
-//! bytes a socket or a disk delivers, and of the two stages it feeds:
-//! [`Reassembler::push`] and [`Decoder::decode_packet_with`].
+//! bytes a socket or a disk delivers, and of the decode path it feeds:
+//! [`WireCore`], which reassembles, decodes, conceals and quarantines.
 //!
 //! The CRC stops random damage; these properties are about what gets past
 //! it. Arbitrary bytes — sealed with a valid CRC or not — and encoder-made
@@ -11,15 +11,15 @@
 //! * parse to a typed [`PipelineError`], or to a frame whose fields
 //!   round-trip: re-serialized, it is the same bytes, and its bit count
 //!   fits its payload;
-//! * once accepted, go through the reassembler and the decoder between
-//!   the stream's true frames without a panic: delivered windows decode or
-//!   are refused and concealed, lost ones are concealed, and every
-//!   emission is a whole window.
+//! * once accepted, go through the core between the stream's true frames
+//!   without a panic: delivered windows decode or are refused and
+//!   concealed (the core debug-asserts that a refused decode wrote no
+//!   output), lost ones are concealed, and every emission is a whole
+//!   window.
 
 use cs_core::{
-    packetize, parse_frame, train_codebook, DecodeWorkspace, DecodedPacket, Decoder,
-    EncodedPacket, Encoder, Reassembler, SequencedEvent, SolverPolicy, SystemConfig,
-    HEADER_BYTES, TRAILER_BYTES,
+    packetize, parse_frame, train_codebook, EncodedPacket, Encoder, FleetConfig, PacketOutcome,
+    SolverPolicy, SystemConfig, WireCore, HEADER_BYTES, TRAILER_BYTES,
 };
 use cs_codec::Codebook;
 use cs_ecg_data::{resample_360_to_256, AdcModel, EcgModel, EcgModelConfig};
@@ -64,14 +64,13 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// A decoder with concealment on and a short solve: nothing here needs a
-/// converged one.
-fn decoder(fx: &Fixture) -> Decoder<f32> {
+/// A core with a three-frame reorder window and a short solve: nothing
+/// here needs a converged one.
+fn core(fx: &Fixture) -> WireCore<'_, f32> {
     let policy = SolverPolicy { max_iterations: 25, ..SolverPolicy::default() };
-    let mut decoder =
-        Decoder::with_cache(&fx.config, Arc::clone(&fx.codebook), policy, &fx.cache).unwrap();
-    decoder.set_concealment(true);
-    decoder
+    let fleet = FleetConfig { reorder_window: 3, ..FleetConfig::default() };
+    let telemetry = cs_telemetry::TelemetryRegistry::disabled();
+    WireCore::new(&fx.config, Arc::clone(&fx.codebook), policy, &fleet, &fx.cache, telemetry)
 }
 
 /// Re-seals `frame`'s CRC over its (possibly rewritten) body.
@@ -109,12 +108,12 @@ fn mutate(frame: &mut Vec<u8>, field: u8, pick: u64) {
     seal(frame);
 }
 
-/// A parsed frame's owning form, and the check that an accepted frame is
+/// Whether `bytes` parse, and the check that an accepted frame is
 /// self-consistent: re-serialized it is `bytes` again, and its bit count
 /// fits its payload.
-fn accepted(bytes: &[u8]) -> Result<Option<(u8, EncodedPacket)>, TestCaseError> {
+fn accepted(bytes: &[u8]) -> Result<bool, TestCaseError> {
     let Ok((info, payload)) = parse_frame(bytes) else {
-        return Ok(None);
+        return Ok(false);
     };
     prop_assert!(
         info.payload_bits <= 8 * payload.len(),
@@ -129,8 +128,8 @@ fn accepted(bytes: &[u8]) -> Result<Option<(u8, EncodedPacket)>, TestCaseError> 
         payload_bits: info.payload_bits,
     };
     prop_assert_eq!(packet.to_bytes_tagged(info.lane), bytes);
-    prop_assert_eq!(EncodedPacket::from_bytes(bytes).ok(), Some(packet.clone()));
-    Ok(Some((info.lane, packet)))
+    prop_assert_eq!(EncodedPacket::from_bytes(bytes).ok(), Some(packet));
+    Ok(true)
 }
 
 proptest! {
@@ -160,7 +159,7 @@ proptest! {
 
     /// Every header field of every kind of frame, rewritten and
     /// re-sealed, then the whole stream — the mutant in its true frame's
-    /// place — through the reassembler and the decoder.
+    /// place — through the decode core.
     #[test]
     fn resealed_header_mutations_are_refused_or_survived(
         target in 0_usize..3,
@@ -170,51 +169,27 @@ proptest! {
         let fx = fixture();
         let mut mutant = fx.frames[target].clone();
         mutate(&mut mutant, field, pick);
-        let Some((lane, packet)) = accepted(&mutant)? else {
+        if !accepted(&mutant)? {
             return Ok(());
-        };
-        // The lane byte routes: a frame re-tagged for another lane meets
-        // that lane's decoder, fresh, on its own.
-        let stream: Vec<EncodedPacket> = if lane == LANE {
-            let mut stream: Vec<EncodedPacket> =
-                fx.frames.iter().map(|f| EncodedPacket::from_bytes(f).unwrap()).collect();
-            stream[target] = packet;
-            stream
-        } else {
-            vec![packet]
-        };
-        let n = fx.config.packet_len();
-        let mut decoder = decoder(fx);
-        let mut ws = DecodeWorkspace::for_config(&fx.config);
-        let mut reassembler = Reassembler::new(3);
-        let mut events = Vec::new();
-        for packet in stream {
-            let seq = packet.index;
-            // Duplicates and stragglers are the reassembler's to refuse.
-            let _ = reassembler.push(seq, packet, &mut events);
         }
-        reassembler.flush(&mut events);
-        for event in events.drain(..) {
-            let mut out = DecodedPacket::default();
-            match event {
-                SequencedEvent::Deliver(seq, packet) => {
-                    if decoder.decode_packet_with(&packet, &mut ws, &mut out).is_err() {
-                        prop_assert!(out.samples.is_empty(), "a refused decode wrote output");
-                        decoder.conceal_packet_with(seq, &mut ws, &mut out);
-                        prop_assert!(out.concealed);
-                    }
-                }
-                SequencedEvent::Lost(seq) => {
-                    decoder.conceal_packet_with(seq, &mut ws, &mut out);
-                }
-                // A jump past the loss-burst limit emits nothing: the
-                // DPCM loop waits for the next reference.
-                SequencedEvent::Resync { .. } => {
-                    decoder.desynchronize();
-                    continue;
-                }
-            }
-            prop_assert_eq!(out.samples.len(), n);
+        // The mutant in its true frame's place. The lane byte routes: a
+        // frame re-tagged for another lane meets that lane's decoder,
+        // fresh, on its own, and leaves a loss behind in this one.
+        let n = fx.config.packet_len();
+        let mut core = core(fx);
+        let mut out = Vec::new();
+        for (k, frame) in fx.frames.iter().enumerate() {
+            let frame = if k == target { &mutant } else { frame };
+            // Duplicates and stragglers are the reassembler's to refuse.
+            core.push(0, frame, 0, &mut out).unwrap();
+        }
+        // A jump past the loss-burst limit emits nothing: the DPCM loop
+        // waits for the next reference.
+        core.flush(0, &mut out).unwrap();
+        for emission in &out {
+            let decoded = emission.outcome == PacketOutcome::Decoded;
+            prop_assert_eq!(emission.packet.concealed, !decoded, "{:?}", emission.outcome);
+            prop_assert_eq!(emission.packet.samples.len(), n);
         }
     }
 }

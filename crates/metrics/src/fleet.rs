@@ -1,10 +1,9 @@
 //! Per-stream and fleet-wide solver statistics.
 //!
 //! The fleet decode engine reports raw per-packet numbers (iterations,
-//! solve time, warm-start usage). These types turn them into the
+//! solve time, end-to-end latency). These types turn them into the
 //! summaries the `fleet_report` harness prints: per-stream distributions
-//! plus a fleet aggregate with worker-balance and warm-start-saving
-//! figures.
+//! plus a fleet aggregate with a worker-balance figure.
 
 use crate::aggregate::Summary;
 use cs_telemetry::HistogramSnapshot;
@@ -28,8 +27,6 @@ pub struct StreamStats {
     pub e2e_hist: HistogramSnapshot,
     /// Packets whose end-to-end latency exceeded the SLO deadline.
     pub deadline_misses: u64,
-    /// Packets whose solve was seeded from the previous estimate.
-    pub warm_started: u64,
 }
 
 impl StreamStats {
@@ -39,12 +36,10 @@ impl StreamStats {
     }
 
     /// Adds one packet's observation.
-    pub fn record(&mut self, iterations: usize, solve_time_secs: f64, warm_started: bool) {
+    pub fn record(&mut self, iterations: usize, solve_time_secs: f64) {
         self.iterations.push(iterations as f64);
         self.solve_time.push(solve_time_secs);
-        self.solve_hist
-            .record_ns((solve_time_secs * NS_PER_SEC) as u64);
-        self.warm_started += u64::from(warm_started);
+        self.solve_hist.record_ns((solve_time_secs * NS_PER_SEC) as u64);
     }
 
     /// Adds one packet's end-to-end observation (additive to [`record`]:
@@ -95,14 +90,13 @@ impl StreamStats {
 /// use cs_metrics::{FleetStats, StreamStats};
 ///
 /// let mut a = StreamStats::new();
-/// a.record(100, 0.010, false);
-/// a.record(60, 0.006, true);
+/// a.record(100, 0.010);
+/// a.record(60, 0.006);
 /// let mut b = StreamStats::new();
-/// b.record(80, 0.008, false);
+/// b.record(80, 0.008);
 ///
 /// let fleet = FleetStats::from_streams(&[a, b]);
 /// assert_eq!(fleet.packets(), 3);
-/// assert_eq!(fleet.warm_started, 1);
 /// assert!((fleet.iterations.mean() - 80.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -129,8 +123,6 @@ pub struct FleetStats {
     pub degraded: u64,
     /// Patients currently Stalled (no emission within the stall window).
     pub stalled: u64,
-    /// Warm-started packets across the fleet.
-    pub warm_started: u64,
 }
 
 impl FleetStats {
@@ -146,7 +138,6 @@ impl FleetStats {
             fleet.solve_hist.merge(&s.solve_hist);
             fleet.e2e_hist.merge(&s.e2e_hist);
             fleet.deadline_misses += s.deadline_misses;
-            fleet.warm_started += s.warm_started;
         }
         fleet
     }
@@ -187,16 +178,6 @@ impl FleetStats {
     pub fn solve_time_p99(&self) -> f64 {
         self.solve_hist.quantile(0.99) as f64 / NS_PER_SEC
     }
-
-    /// The relative iteration saving of this (warm-started) fleet against
-    /// a cold baseline: `1 − mean_warm / mean_cold`, in [0, 1] when warm
-    /// starts help. Returns 0 for an empty baseline.
-    pub fn iteration_saving_vs(&self, cold: &FleetStats) -> f64 {
-        if cold.packets() == 0 || cold.iterations.mean() == 0.0 {
-            return 0.0;
-        }
-        1.0 - self.iterations.mean() / cold.iterations.mean()
-    }
 }
 
 /// How evenly packets landed on the pool's workers: the ratio of the
@@ -219,10 +200,9 @@ mod tests {
     #[test]
     fn stream_stats_accumulate() {
         let mut s = StreamStats::new();
-        s.record(10, 0.001, true);
-        s.record(30, 0.003, false);
+        s.record(10, 0.001);
+        s.record(30, 0.003);
         assert_eq!(s.packets(), 2);
-        assert_eq!(s.warm_started, 1);
         assert_eq!(s.iterations.mean(), 20.0);
         assert!((s.solve_time.max() - 0.003).abs() < 1e-12);
     }
@@ -231,10 +211,10 @@ mod tests {
     fn solve_time_quantiles_track_the_histogram() {
         let mut s = StreamStats::new();
         for _ in 0..95 {
-            s.record(10, 0.001, false);
+            s.record(10, 0.001);
         }
         for _ in 0..5 {
-            s.record(10, 0.100, false);
+            s.record(10, 0.100);
         }
         assert_eq!(s.solve_hist.count(), 100);
         // p50 sits in the 1 ms cohort, p99 in the 100 ms tail; log2
@@ -252,7 +232,7 @@ mod tests {
     #[test]
     fn e2e_observations_ride_separately_from_solve_stats() {
         let mut s = StreamStats::new();
-        s.record(10, 0.001, false);
+        s.record(10, 0.001);
         assert_eq!(s.e2e_hist.count(), 0, "untraced run leaves e2e empty");
         s.record_e2e(0.004, false);
         s.record_e2e(3.000, true);
@@ -271,26 +251,13 @@ mod tests {
         let mut a = StreamStats::new();
         let mut b = StreamStats::new();
         for i in 0..4 {
-            a.record(100 + i, 0.01, false);
-            b.record(50, 0.005, true);
+            a.record(100 + i, 0.01);
+            b.record(50, 0.005);
         }
         let fleet = FleetStats::from_streams(&[a, b]);
         assert_eq!(fleet.streams, 2);
         assert_eq!(fleet.packets(), 8);
-        assert_eq!(fleet.warm_started, 4);
         assert!(fleet.iterations.min() == 50.0 && fleet.iterations.max() == 103.0);
-    }
-
-    #[test]
-    fn iteration_saving_is_relative() {
-        let mut warm = StreamStats::new();
-        let mut cold = StreamStats::new();
-        warm.record(60, 0.006, true);
-        cold.record(100, 0.010, false);
-        let w = FleetStats::from_streams(&[warm]);
-        let c = FleetStats::from_streams(&[cold]);
-        assert!((w.iteration_saving_vs(&c) - 0.4).abs() < 1e-12);
-        assert_eq!(w.iteration_saving_vs(&FleetStats::default()), 0.0);
     }
 
     #[test]

@@ -142,18 +142,6 @@ fn soft_one_branchless<T: Real>(u: T, t: T) -> T {
     (u.abs() - t).max(T::ZERO).copysign(u)
 }
 
-/// `out[i] = soft(u[i], thr(i))`: the paper's branches in scalar mode,
-/// the if-converted form otherwise.
-#[inline(always)]
-fn soft_each<T: Real>(u: &[T], out: &mut [T], mode: KernelMode, thr: impl Fn(usize) -> T) {
-    for (i, (o, &ui)) in out.iter_mut().zip(u).enumerate() {
-        *o = match mode {
-            KernelMode::Scalar => soft_one_branchy(ui, thr(i)),
-            KernelMode::Unrolled4 => soft_one_branchless(ui, thr(i)),
-        };
-    }
-}
-
 /// Soft thresholding `out[i] = sign(u[i]) · max(|u[i]| − t, 0)` — the prox
 /// operator of `λ‖·‖₁` and the kernel the paper if-converts (Fig. 4).
 ///
@@ -166,31 +154,12 @@ fn soft_each<T: Real>(u: &[T], out: &mut [T], mode: KernelMode, thr: impl Fn(usi
 pub fn soft_threshold<T: Real>(u: &[T], t: T, out: &mut [T], mode: KernelMode) {
     assert_eq!(u.len(), out.len(), "soft_threshold: length mismatch");
     assert!(t >= T::ZERO, "soft_threshold: negative threshold");
-    soft_each(u, out, mode, |_| t);
-}
-
-/// Weighted soft thresholding: `out[i] = sign(u[i]) · max(|u[i]| − t·w[i], 0)`,
-/// the prox of the weighted norm `λ·Σ wᵢ|αᵢ|`. Setting `w = 0` on a
-/// subband exempts it from shrinkage — the standard CS-ECG refinement for
-/// the coarse approximation band, whose coefficients are large and *not*
-/// sparse, so an unweighted ℓ1 penalty biases the baseline.
-///
-/// # Panics
-///
-/// Panics if slice lengths differ, `t` is negative, or any weight is
-/// negative.
-pub fn soft_threshold_weighted<T: Real>(
-    u: &[T],
-    t: T,
-    weights: &[T],
-    out: &mut [T],
-    mode: KernelMode,
-) {
-    assert_eq!(u.len(), out.len(), "soft_threshold_weighted: length mismatch");
-    assert_eq!(u.len(), weights.len(), "soft_threshold_weighted: weight length mismatch");
-    assert!(t >= T::ZERO, "soft_threshold_weighted: negative threshold");
-    debug_assert!(weights.iter().all(|&w| w >= T::ZERO));
-    soft_each(u, out, mode, |i| t * weights[i]);
+    for (o, &ui) in out.iter_mut().zip(u) {
+        *o = match mode {
+            KernelMode::Scalar => soft_one_branchy(ui, t),
+            KernelMode::Unrolled4 => soft_one_branchless(ui, t),
+        };
+    }
 }
 
 /// Width of the groups the optimized group prox shrinks four at a time.
@@ -360,19 +329,14 @@ pub fn squared_distance<T: Real>(a: &[T], b: &[T], mode: KernelMode) -> T {
 /// Which proximal operator a solve applies each iteration — the penalty
 /// side of Eq. (3), generalized.
 ///
-/// `L1` is the paper's plain soft threshold. `WeightedL1` carries
-/// per-coefficient weights (support priors, subband exemptions).
-/// `Group` carries a contiguous partition of the coefficient vector and
+/// `L1` is the paper's plain soft threshold. `Group` carries a contiguous partition of the coefficient vector and
 /// applies the group-ℓ1 prox of [`group_soft_threshold`] — size-1 groups
 /// degrade bit-exactly to the plain soft threshold, so an all-singleton
 /// partition reproduces `L1` to the bit.
 #[derive(Debug, Clone, Copy)]
-pub enum ProxSpec<'a, T: Real> {
+pub enum ProxSpec<'a> {
     /// Plain ℓ1: `λ‖α‖₁`.
     L1,
-    /// Weighted ℓ1: `λ·Σ wᵢ|αᵢ|` (weights must be non-negative, length
-    /// `op.cols()`).
-    WeightedL1(&'a [T]),
     /// Group ℓ1 over contiguous groups: `λ·Σ_g √|g|·‖α_g‖₂` (sizes must
     /// tile `op.cols()` exactly).
     Group(&'a [usize]),
@@ -415,9 +379,8 @@ pub struct TailSums<T: Real> {
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length, `threshold` is negative, a
-/// weight vector has the wrong length, or group sizes do not tile the
-/// vector. Negative weights are the caller's to reject.
+/// Panics if the slices differ in length, `threshold` is negative, or
+/// group sizes do not tile the vector.
 ///
 /// Always inlined: the solver runs its whole loop inside the CPU's widest
 /// instantiation, and only code inlined into it runs at that width.
@@ -429,7 +392,7 @@ pub fn fista_tail<T: Real>(
     alpha: &mut [T],
     step: T,
     threshold: T,
-    prox: ProxSpec<'_, T>,
+    prox: ProxSpec<'_>,
     beta: T,
     scratch: &mut Vec<T>,
     mode: KernelMode,
@@ -438,16 +401,12 @@ pub fn fista_tail<T: Real>(
     assert_eq!(grad.len(), n, "fista_tail: length mismatch");
     assert_eq!(alpha.len(), n, "fista_tail: length mismatch");
     assert!(threshold >= T::ZERO, "fista_tail: negative threshold");
-    if let ProxSpec::WeightedL1(w) = prox {
-        assert_eq!(w.len(), n, "fista_tail: weight length mismatch");
-    }
     if mode == KernelMode::Scalar {
         return tail_unfused(point, grad, alpha, step, threshold, prox, beta, scratch);
     }
     let mut acc = TailAcc::new(beta);
     match prox {
-        ProxSpec::L1 => acc.separable(point, grad, alpha, step, |_| threshold),
-        ProxSpec::WeightedL1(w) => acc.separable(point, grad, alpha, step, |i| threshold * w[i]),
+        ProxSpec::L1 => acc.separable(point, grad, alpha, step, threshold),
         ProxSpec::Group(sizes) => acc.grouped(point, grad, alpha, step, threshold, sizes),
     }
     acc.sums()
@@ -507,22 +466,22 @@ impl<T: Real> TailAcc<T> {
         TailSums { step_sq: fold(0), norm_sq: fold(1), restart: fold(2) }
     }
 
-    /// The sweep for a separable prox: soft threshold at `thr(i)`, whole
+    /// The sweep for the plain ℓ1 prox: soft threshold at `t`, whole
     /// chunks first, leftovers one by one.
     #[inline(always)]
-    fn separable(&mut self, point: &mut [T], grad: &[T], alpha: &mut [T], step: T, thr: impl Fn(usize) -> T) {
+    fn separable(&mut self, point: &mut [T], grad: &[T], alpha: &mut [T], step: T, t: T) {
         let body = point.len() - point.len() % LANES;
-        let shrunk = |i: usize, p: T, g: T| soft_one_branchless(p - step * g, thr(i));
+        let shrunk = |p: T, g: T| soft_one_branchless(p - step * g, t);
         for base in (0..body).step_by(LANES) {
             let (ps, gs) = (&mut point[base..base + LANES], &grad[base..base + LANES]);
             let mut s = [T::ZERO; LANES];
             for (w, s) in s.iter_mut().enumerate() {
-                *s = shrunk(base + w, ps[w], gs[w]);
+                *s = shrunk(ps[w], gs[w]);
             }
             self.chunk(ps, &mut alpha[base..base + LANES], &s);
         }
         for i in body..point.len() {
-            let s = shrunk(i, point[i], grad[i]);
+            let s = shrunk(point[i], grad[i]);
             self.one(&mut point[i], &mut alpha[i], s);
         }
     }
@@ -586,7 +545,7 @@ fn tail_unfused<T: Real>(
     alpha: &mut [T],
     step: T,
     threshold: T,
-    prox: ProxSpec<'_, T>,
+    prox: ProxSpec<'_>,
     beta: T,
     scratch: &mut Vec<T>,
 ) -> TailSums<T> {
@@ -605,7 +564,6 @@ fn tail_unfused<T: Real>(
     }
     match prox {
         ProxSpec::L1 => soft_threshold(point, threshold, next, mode),
-        ProxSpec::WeightedL1(w) => soft_threshold_weighted(point, threshold, w, next, mode),
         ProxSpec::Group(sizes) => group_soft_threshold(point, threshold, sizes, norms, next, mode),
     }
     let mut restart = T::ZERO;
@@ -699,27 +657,6 @@ mod tests {
             for x in [-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, u, v[0]] {
                 assert!(obj(v[0]) <= obj(x) + 1e-12, "u={u}, v={}, x={x}", v[0]);
             }
-        }
-    }
-
-    #[test]
-    fn weighted_threshold_modes_agree_and_respect_weights() {
-        let u: Vec<f64> = (0..37).map(|i| (i as f64 - 18.0) * 0.3).collect();
-        let w: Vec<f64> = (0..37).map(|i| if i < 8 { 0.0 } else { 1.0 }).collect();
-        let mut a = vec![0.0; 37];
-        let mut b = vec![0.0; 37];
-        soft_threshold_weighted(&u, 1.0, &w, &mut a, KernelMode::Scalar);
-        soft_threshold_weighted(&u, 1.0, &w, &mut b, KernelMode::Unrolled4);
-        assert_eq!(a, b);
-        // Zero-weight coefficients pass through untouched.
-        for i in 0..8 {
-            assert_eq!(a[i], u[i]);
-        }
-        // Unit-weight coefficients match the unweighted kernel.
-        let mut c = vec![0.0; 37];
-        soft_threshold(&u, 1.0, &mut c, KernelMode::Unrolled4);
-        for i in 8..37 {
-            assert_eq!(a[i], c[i]);
         }
     }
 
@@ -901,7 +838,7 @@ mod tests {
         alpha: &[T],
         step: T,
         t: T,
-        prox: ProxSpec<'_, T>,
+        prox: ProxSpec<'_>,
         beta: T,
     ) -> (Vec<T>, Vec<T>) {
         let mode = KernelMode::Unrolled4;
@@ -910,7 +847,6 @@ mod tests {
         let mut s = vec![T::ZERO; n];
         match prox {
             ProxSpec::L1 => soft_threshold(&u, t, &mut s, mode),
-            ProxSpec::WeightedL1(w) => soft_threshold_weighted(&u, t, w, &mut s, mode),
             ProxSpec::Group(sizes) => {
                 group_soft_threshold(&u, t, sizes, &mut vec![T::ZERO; sizes.len()], &mut s, mode)
             }
@@ -964,12 +900,7 @@ mod tests {
             }
             start += len;
         }
-        let weights: Vec<T> = (0..n).map(|_| T::from_f64(rng.next_below(4) as f64 * 0.7)).collect();
-        let prox = match which {
-            0 => ProxSpec::L1,
-            1 => ProxSpec::WeightedL1(&weights),
-            _ => ProxSpec::Group(&sizes),
-        };
+        let prox = if which == 0 { ProxSpec::L1 } else { ProxSpec::Group(&sizes) };
         let (step, t, beta) = (T::from_f64(0.37), T::from_f64(t), T::from_f64(beta));
 
         let (want_alpha, want_point) = separate_kernels(&point, &grad, &alpha, step, t, prox, beta);
@@ -987,7 +918,7 @@ mod tests {
 
         let step_sq = squared_distance(&want_alpha, &alpha, KernelMode::Unrolled4);
         let norm_sq = dot(&want_alpha, &want_alpha, KernelMode::Unrolled4);
-        if which < 2 {
+        if which == 0 {
             // A separable prox sums in exactly the standalone order.
             prop_assert_eq!(sums.step_sq.to_f64().to_bits(), step_sq.to_f64().to_bits());
             prop_assert_eq!(sums.norm_sq.to_f64().to_bits(), norm_sq.to_f64().to_bits());
@@ -1040,7 +971,7 @@ mod tests {
         fn prop_fused_tail_is_the_unfused_sequence(
             n in 0_usize..=150,
             seed in any::<u64>(),
-            which in 0_u32..3,
+            which in 0_u32..2,
             t in -8.0_f64..40.0,
             beta in -0.25_f64..1.0,
         ) {

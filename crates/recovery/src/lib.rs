@@ -67,7 +67,7 @@ pub use cache::{SpectralCache, SpectralEstimate};
 pub use workspace::{FistaWorkspace, Workspace};
 pub use kernels::{
     axpy, dot, fista_tail, group_soft_threshold, momentum_combine, soft_threshold,
-    soft_threshold_weighted, squared_distance, KernelMode, TailSums,
+    squared_distance, KernelMode, TailSums,
 };
 pub use lipschitz::{lipschitz_constant, operator_norm, top_singular_pair};
 pub use operator::{DeflatedOperator, DenseOperator, LinearOperator, SynthesisOperator};

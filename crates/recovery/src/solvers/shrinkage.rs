@@ -79,20 +79,13 @@ pub struct SolverResult<T: Real> {
     pub residual_norm: T,
 }
 
-fn validate_prox<T: Real>(cols: usize, prox: &ProxSpec<'_, T>) {
-    match prox {
-        ProxSpec::L1 => {}
-        ProxSpec::WeightedL1(w) => {
-            assert_eq!(w.len(), cols, "prior solve: weight length mismatch");
-            assert!(w.iter().all(|&x| x >= T::ZERO), "prior solve: negative weight");
-        }
-        ProxSpec::Group(sizes) => {
-            assert_eq!(
-                sizes.iter().sum::<usize>(),
-                cols,
-                "prior solve: group sizes do not tile the coefficient vector"
-            );
-        }
+fn validate_prox(cols: usize, prox: &ProxSpec<'_>) {
+    if let ProxSpec::Group(sizes) = prox {
+        assert_eq!(
+            sizes.iter().sum::<usize>(),
+            cols,
+            "prior solve: group sizes do not tile the coefficient vector"
+        );
     }
 }
 
@@ -252,10 +245,8 @@ pub fn fista<T: Real, A: LinearOperator<T>>(
 /// is carved from the workspace's recycled slot and moves out in the
 /// result).
 ///
-/// `ProxSpec::L1` is Eq. (3). `ProxSpec::WeightedL1` solves
-/// `min_α ‖Aα − y‖² + λ·Σ wᵢ|αᵢ|`, where a zero weight exempts its
-/// coefficient from shrinkage entirely; `ProxSpec::Group` puts the ℓ2,1
-/// norm over a partition of the coefficients in place of the ℓ1 norm.
+/// `ProxSpec::L1` is Eq. (3); `ProxSpec::Group` puts the ℓ2,1 norm over a
+/// partition of the coefficients in place of the ℓ1 norm.
 ///
 /// `adjoint_y` hands a cold start the `Aᴴy` its caller already has
 /// ([`lambda_max_with`] leaves it in its `grad` buffer): at `α₀ = 0` the
@@ -286,15 +277,15 @@ pub fn fista<T: Real, A: LinearOperator<T>>(
 /// # Panics
 ///
 /// Panics under [`ista`]'s conditions, if the warm-start or `adjoint_y`
-/// length is not `op.cols()`, or if the prox spec is inconsistent with `op.cols()`
-/// (weight length / group tiling) or carries a negative weight.
+/// length is not `op.cols()`, or if the group sizes do not tile
+/// `op.cols()`.
 #[allow(clippy::too_many_arguments)]
 pub fn fista_prior_warm_ws<T: Real, A: LinearOperator<T>>(
     op: &A,
     y: &[T],
     config: &ShrinkageConfig<T>,
     lipschitz: Option<T>,
-    prox: ProxSpec<'_, T>,
+    prox: ProxSpec<'_>,
     adaptive: bool,
     warm_start: Option<&[T]>,
     adjoint_y: Option<&[T]>,
@@ -313,7 +304,7 @@ fn shrinkage_loop<T: Real, A: LinearOperator<T>>(
     lipschitz: Option<T>,
     accelerate: bool,
     adaptive: bool,
-    prox: ProxSpec<'_, T>,
+    prox: ProxSpec<'_>,
     warm_start: Option<&[T]>,
     cold_adjoint_y: Option<&[T]>,
     ws: Option<&mut FistaWorkspace<T>>,
@@ -331,7 +322,7 @@ struct Solve<'a, T: Real, A> {
     lipschitz: Option<T>,
     accelerate: bool,
     adaptive: bool,
-    prox: ProxSpec<'a, T>,
+    prox: ProxSpec<'a>,
     warm_start: Option<&'a [T]>,
     /// `Aᴴy`, on a cold start whose caller has it already.
     cold_adjoint_y: Option<&'a [T]>,
@@ -469,9 +460,8 @@ fn iterate<T: Real, A: LinearOperator<T>>(
         let t_next = next_momentum(t);
         let beta = if accelerate { (t - T::ONE) / t_next } else { T::ZERO };
         // α_{k+1} = prox (Eq. 4) of the gradient step — soft threshold at
-        // λ/L, optionally weighted per coefficient or grouped over a
-        // wavelet-tree partition — the stop test's norms and the
-        // extrapolation, in one sweep.
+        // λ/L, optionally grouped over a wavelet-tree partition — the stop
+        // test's norms and the extrapolation, in one sweep.
         let sums = fista_tail(
             &mut point,
             &grad_point,
@@ -747,20 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_workspace_solve_bitwise_matches_allocating() {
-        let (op, _, y) = instance(48, 96, 5, 37);
-        let cfg = ShrinkageConfig::new(1e-3);
-        let weights: Vec<f64> = (0..96).map(|i| if i < 12 { 0.0 } else { 1.0 }).collect();
-        let prox = ProxSpec::WeightedL1(&weights);
-        let mut grown = FistaWorkspace::new(); // grows on first use
-        let mut sized = FistaWorkspace::for_operator(&op);
-        let plain = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, None, &mut grown);
-        let with_ws = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, None, &mut sized);
-        assert_eq!(plain.solution, with_ws.solution);
-        assert_eq!(plain.iterations, with_ws.iterations);
-    }
-
-    #[test]
     fn lambda_max_with_matches_allocating() {
         let (op, _, y) = instance(32, 64, 4, 41);
         let mut grad = vec![0.0; 64];
@@ -792,11 +768,9 @@ mod tests {
             kernel: KernelMode::Unrolled4,
             record_objective: false,
         };
-        let weights: Vec<f64> = (0..96).map(|i| 0.25 + (i % 4) as f64 * 0.25).collect();
         let seed = fista(&op, &y, &ShrinkageConfig { max_iterations: 10, ..cfg }, Some(9.0)).solution;
         let l = Some(9.0);
         let seeded = Some(&seed[..]);
-        let weighted = ProxSpec::WeightedL1(&weights);
         let mut ws = FistaWorkspace::new();
         let got = [
             digest(&ista(&op, &y, &cfg, l)),
@@ -804,19 +778,17 @@ mod tests {
             digest(&shrinkage_loop(&op, &y, &cfg, l, false, false, ProxSpec::L1, seeded, None, None)),
             digest(&fista(&op, &y, &cfg, l)),
             digest(&fista_prior_warm_ws(&op, &y, &cfg, l, ProxSpec::L1, false, seeded, None, &mut ws)),
-            digest(&fista_prior_warm_ws(&op, &y, &cfg, l, weighted, false, None, None, &mut ws)),
         ];
         let pinned = [
             0x72cb_3b41_08a8_8b48_u64,
             0x1966_4663_0927_c8ac,
             0x3286_c62f_ee97_03bb,
             0x5f20_6824_7730_150f,
-            0xc1ef_63dc_0bbf_aab7,
         ];
         assert_eq!(
             got.map(|h| format!("{h:#018x}")),
             pinned.map(|h| format!("{h:#018x}")),
-            "[ista, ista warm, fista, fista warm, fista weighted]"
+            "[ista, ista warm, fista, fista warm]"
         );
     }
 
@@ -1007,7 +979,6 @@ mod prior_tests {
     use crate::kernels::{squared_distance, KernelMode};
     use crate::operator::DenseOperator;
     use cs_sensing::MotePrng;
-    use proptest::prelude::*;
 
     fn instance(seed: u64, m: usize, n: usize, sparsity: usize) -> (DenseOperator<f64>, Vec<f64>) {
         let mut rng = MotePrng::new(seed);
@@ -1069,10 +1040,9 @@ mod prior_tests {
         let (op, x) = instance(43, 64, 128, 6);
         let y = op.apply(&x);
         let cfg = ShrinkageConfig { tolerance: 1e-9, max_iterations: 20_000, ..config() };
-        let weights: Vec<f64> = (0..op.cols()).map(|i| 0.25 + (i % 4) as f64 * 0.25).collect();
         let sizes = vec![4_usize; op.cols() / 4];
         let mut ws = FistaWorkspace::for_operator(&op);
-        for prox in [ProxSpec::L1, ProxSpec::WeightedL1(&weights), ProxSpec::Group(&sizes)] {
+        for prox in [ProxSpec::L1, ProxSpec::Group(&sizes)] {
             let paper = fista_prior_warm_ws(&op, &y, &cfg, None, prox, false, None, None, &mut ws);
             let adaptive = fista_prior_warm_ws(&op, &y, &cfg, None, prox, true, None, None, &mut ws);
             assert!(paper.converged && adaptive.converged, "{prox:?}");
@@ -1311,54 +1281,6 @@ mod prior_tests {
     }
 
     #[test]
-    fn zero_weight_coordinate_is_never_shrunk_away() {
-        // With a crushing lambda the all-ones weighted solve collapses to
-        // zero, but a zero-weight coordinate feels no shrinkage and must
-        // survive.
-        let (op, x) = instance(44, 64, 128, 6);
-        let y = op.apply(&x);
-        let cfg = ShrinkageConfig {
-            lambda: lambda_max(&op, &y) * 2.0,
-            ..config()
-        };
-        let ones = vec![1.0; op.cols()];
-        let mut weights = ones.clone();
-        let free = x.iter().position(|&v| v != 0.0).unwrap();
-        weights[free] = 0.0;
-        let mut ws = FistaWorkspace::for_operator(&op);
-        let all = ProxSpec::WeightedL1(&ones);
-        let crushed = fista_prior_warm_ws(&op, &y, &cfg, None, all, false, None, None, &mut ws);
-        assert!(crushed.solution.iter().all(|&v| v == 0.0));
-        let spared = ProxSpec::WeightedL1(&weights);
-        let freed = fista_prior_warm_ws(&op, &y, &cfg, None, spared, false, None, None, &mut ws);
-        assert!(
-            freed.solution[free] != 0.0,
-            "zero-weight coordinate was shrunk away"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "negative weight")]
-    fn negative_weight_panics_via_prior_entry() {
-        let (op, x) = instance(45, 64, 128, 6);
-        let y = op.apply(&x);
-        let mut w = vec![1.0; op.cols()];
-        w[3] = -0.5;
-        let mut ws = FistaWorkspace::for_operator(&op);
-        let _ = fista_prior_warm_ws(
-            &op,
-            &y,
-            &config(),
-            None,
-            ProxSpec::WeightedL1(&w),
-            false,
-            None,
-            None,
-            &mut ws,
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "group sizes do not tile")]
     fn bad_group_tiling_panics_via_prior_entry() {
         let (op, x) = instance(46, 64, 128, 6);
@@ -1376,55 +1298,6 @@ mod prior_tests {
             None,
             &mut ws,
         );
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// All-ones weights are bit-for-bit the unweighted solver: the
-        /// weighted threshold `t * 1.0` is exactly `t` in IEEE arithmetic,
-        /// so every iterate matches.
-        #[test]
-        fn prop_all_ones_weights_bitwise_unweighted(seed in 1_u64..10_000) {
-            let (op, x) = instance(seed, 64, 128, 6);
-            let y = op.apply(&x);
-            let cfg = config();
-            let ones = vec![1.0; op.cols()];
-            let mut ws_a = FistaWorkspace::for_operator(&op);
-            let mut ws_b = FistaWorkspace::for_operator(&op);
-            let plain =
-                fista_prior_warm_ws(&op, &y, &cfg, None, ProxSpec::L1, false, None, None, &mut ws_a);
-            let weighted = fista_prior_warm_ws(
-                &op, &y, &cfg, None, ProxSpec::WeightedL1(&ones), false, None, None, &mut ws_b,
-            );
-            prop_assert_eq!(bits(&plain.solution), bits(&weighted.solution));
-            prop_assert_eq!(plain.iterations, weighted.iterations);
-        }
-
-        /// Zero-weight coordinates are exempt from shrinkage for every
-        /// instance, warm or cold.
-        #[test]
-        fn prop_zero_weight_survives_crushing_lambda(seed in 1_u64..10_000) {
-            let (op, x) = instance(seed, 64, 128, 6);
-            let y = op.apply(&x);
-            let cfg = ShrinkageConfig {
-                lambda: lambda_max(&op, &y) * 2.0,
-                ..config()
-            };
-            let mut weights = vec![1.0; op.cols()];
-            let free = x.iter().position(|&v| v != 0.0).unwrap();
-            weights[free] = 0.0;
-            let mut ws = FistaWorkspace::for_operator(&op);
-            let sol = fista_prior_warm_ws(
-                &op, &y, &cfg, None, ProxSpec::WeightedL1(&weights), false, None, None, &mut ws,
-            );
-            prop_assert!(sol.solution[free] != 0.0);
-            for (i, &v) in sol.solution.iter().enumerate() {
-                if i != free {
-                    prop_assert!(v == 0.0, "coordinate {i} escaped full shrinkage");
-                }
-            }
-        }
     }
 }
 

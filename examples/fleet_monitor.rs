@@ -2,12 +2,11 @@
 //! the worker-pool engine — the ward-server generalization of the
 //! paper's one-patient iPhone demo.
 //!
-//! Runs the same traffic twice, cold and warm-started, and reports
-//! per-patient quality, worker balance, the shared spectral cache, and
-//! the warm-start iteration saving. Both passes decode against a live
-//! telemetry registry; a JSON-Lines snapshot of it is emitted every
-//! `SNAPSHOT_EVERY` packets. Exits non-zero if any stream comes up
-//! short of its expected packets (a decode error upstream).
+//! Reports per-patient quality, worker balance and the shared spectral
+//! cache. The run decodes against a live telemetry registry; a
+//! JSON-Lines snapshot of it is emitted every `SNAPSHOT_EVERY` packets.
+//! Exits non-zero if any stream comes up short of its expected packets
+//! (a decode error upstream).
 //!
 //! ## JSONL schema
 //!
@@ -75,94 +74,77 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|l| FleetStream { leads: vec![l, l] })
         .collect();
 
-    // Every packet of both passes records into this live registry; the
-    // JSONL lines below are its rolling state, not a post-hoc summary.
+    // Every packet records into this live registry; the JSONL lines below
+    // are its rolling state, not a post-hoc summary.
     let registry = TelemetryRegistry::new();
     let mut every = Every::new(SNAPSHOT_EVERY);
-    let mut short_streams = Vec::new();
-    let mut results = Vec::new();
     let deadline = registry.slo_config().deadline;
-    for warm_start in [false, true] {
-        let fleet = FleetConfig { warm_start, ..FleetConfig::default() };
-        let mut stats = vec![StreamStats::new(); patients];
-        let mut worst_prd = vec![0.0_f64; patients];
-        let report = run_fleet::<f32, _>(
-            &config,
-            Arc::clone(&codebook),
-            FleetSource::Leads(&streams),
-            SolverPolicy::default(),
-            &fleet,
-            &registry,
-            None,
-            |p| {
-                stats[p.stream].record(
-                    p.packet.iterations,
-                    p.packet.solve_time.as_secs_f64(),
-                    p.packet.warm_started,
-                );
-                if let Some(e2e) = p.e2e {
-                    stats[p.stream].record_e2e(e2e.as_secs_f64(), e2e > deadline);
-                }
-                let frame = p.packet.index as usize;
-                let truth: Vec<f64> = leads[p.stream][frame * n..(frame + 1) * n]
-                    .iter()
-                    .map(|&v| v as f64)
-                    .collect();
-                let recon: Vec<f64> = p.packet.samples.iter().map(|&v| v as f64).collect();
-                // `try_prd`: a silent window (zero signal energy) reports
-                // no quality figure instead of aborting the monitor.
-                if let Some(prd) = try_prd(&truth, &recon) {
-                    worst_prd[p.stream] = worst_prd[p.stream].max(prd);
-                }
-                if every.tick() {
-                    println!("{}", registry.json_line());
-                }
-            },
-        )?;
-
-        // Each patient stream is two leads of `frames` packets; anything
-        // less means a packet was lost to a decode error.
-        let frames = leads[0].len() / n;
-        for (i, s) in report.streams.iter().enumerate() {
-            if s.packets < 2 * frames {
-                short_streams.push((warm_start, i, s.packets, 2 * frames));
+    let mut stats = vec![StreamStats::new(); patients];
+    let mut worst_prd = vec![0.0_f64; patients];
+    let report = run_fleet::<f32, _>(
+        &config,
+        Arc::clone(&codebook),
+        FleetSource::Leads(&streams),
+        SolverPolicy::default(),
+        &FleetConfig::default(),
+        &registry,
+        None,
+        |p| {
+            stats[p.stream].record(p.packet.iterations, p.packet.solve_time.as_secs_f64());
+            if let Some(e2e) = p.e2e {
+                stats[p.stream].record_e2e(e2e.as_secs_f64(), e2e > deadline);
             }
-        }
+            let frame = p.packet.index as usize;
+            let truth: Vec<f64> = leads[p.stream][frame * n..(frame + 1) * n]
+                .iter()
+                .map(|&v| v as f64)
+                .collect();
+            let recon: Vec<f64> = p.packet.samples.iter().map(|&v| v as f64).collect();
+            // `try_prd`: a silent window (zero signal energy) reports
+            // no quality figure instead of aborting the monitor.
+            if let Some(prd) = try_prd(&truth, &recon) {
+                worst_prd[p.stream] = worst_prd[p.stream].max(prd);
+            }
+            if every.tick() {
+                println!("{}", registry.json_line());
+            }
+        },
+    )?;
 
+    // Each patient stream is two leads of `frames` packets; anything
+    // less means a packet was lost to a decode error.
+    let frames = leads[0].len() / n;
+    let short_streams: Vec<(usize, usize)> = report
+        .streams
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.packets < 2 * frames)
+        .map(|(i, s)| (i, s.packets))
+        .collect();
+
+    println!("== {} patients × 2 leads on {} workers ==", patients, report.workers);
+    for (i, s) in stats.iter().enumerate() {
         println!(
-            "== {} fleet: {} patients × 2 leads on {} workers ==",
-            if warm_start { "warm" } else { "cold" },
-            patients,
-            report.workers
+            "patient {i}: {:3} packets, mean {:6.1} iterations, worst PRD {:5.1} % ({})",
+            s.packets(),
+            s.iterations.mean(),
+            worst_prd[i],
+            DiagnosticQuality::from_prd(worst_prd[i]),
         );
-        for (i, s) in stats.iter().enumerate() {
-            println!(
-                "patient {i}: {:3} packets, mean {:6.1} iterations, worst PRD {:5.1} % ({})",
-                s.packets(),
-                s.iterations.mean(),
-                worst_prd[i],
-                DiagnosticQuality::from_prd(worst_prd[i]),
-            );
-        }
-        println!(
-            "worker balance {:.2}, {} backpressure stalls, spectral cache {} miss / {} hits",
-            worker_imbalance(&report.worker_packets),
-            report.backpressure_stalls,
-            report.spectral_misses,
-            report.spectral_hits,
-        );
-        println!(
-            "decoded {} packets in {:.2?} (solver total {:.2?})\n",
-            report.packets_decoded, report.wall_time, report.total_decode_time
-        );
-        results.push(FleetStats::from_streams(&stats));
     }
-
-    let saving = results[1].iteration_saving_vs(&results[0]) * 100.0;
     println!(
-        "warm start: {:5.1} → {:5.1} mean iterations ({saving:.1} % saved)",
-        results[0].iterations.mean(),
-        results[1].iterations.mean()
+        "worker balance {:.2}, {} backpressure stalls, spectral cache {} miss / {} hits",
+        worker_imbalance(&report.worker_packets),
+        report.backpressure_stalls,
+        report.spectral_misses,
+        report.spectral_hits,
+    );
+    println!(
+        "decoded {} packets in {:.2?} (solver total {:.2?}, {:.1} mean iterations)\n",
+        report.packets_decoded,
+        report.wall_time,
+        report.total_decode_time,
+        FleetStats::from_streams(&stats).iterations.mean()
     );
     let slo = registry.slo_snapshot();
     println!(
@@ -175,11 +157,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("final telemetry: {}", registry.json_line());
 
     if !short_streams.is_empty() {
-        for (warm, stream, got, expected) in &short_streams {
-            eprintln!(
-                "decode errors: {} fleet stream {stream} delivered {got} of {expected} packets",
-                if *warm { "warm" } else { "cold" }
-            );
+        for (stream, got) in &short_streams {
+            eprintln!("decode errors: stream {stream} delivered {got} of {} packets", 2 * frames);
         }
         std::process::exit(1);
     }

@@ -98,7 +98,7 @@ for name in new_rows:
 # production schedule (gradient restart + λ-continuation) decodes the cold
 # fleet in ≤ 60 % of the mean iterations of the paper's verbatim schedule
 # at equal PRD (≤ +0.05 pp), and the block prior solves in fewer mean
-# iterations than the plain warm baseline at equal-or-better PRD
+# iterations than the plain cold fleet at equal-or-better PRD
 # (≤ +0.5 pp). Both are checked *within* the baseline document, so they
 # never wobble with host noise. The quick run's iteration means are
 # compared against the baseline only advisorily (quick uses a smaller
@@ -127,20 +127,19 @@ if (v := fleet("cold_mean_iterations", "paper_mean_iterations",
     if cold_prd > paper_prd + 0.05:
         solver_failures.append(
             f"baseline cold PRD {cold_prd} % worse than the paper schedule's {paper_prd} % by > 0.05 pp")
-if (v := fleet("block_mean_iterations", "warm_mean_iterations",
-               "block_prd_percent", "warm_prd_percent")):
-    block_it, warm_it, block_prd, warm_prd = v
-    if block_it >= warm_it:
+if (v := fleet("block_mean_iterations", "cold_mean_iterations",
+               "block_prd_percent", "cold_prd_percent")):
+    block_it, cold_it, block_prd, cold_prd = v
+    if block_it >= cold_it:
         solver_failures.append(
-            f"baseline block mean iterations {block_it} not below warm {warm_it}")
-    if block_prd > warm_prd + 0.5:
+            f"baseline block mean iterations {block_it} not below cold {cold_it}")
+    if block_prd > cold_prd + 0.5:
         solver_failures.append(
-            f"baseline block PRD {block_prd} % worse than warm {warm_prd} % by > 0.5 pp")
+            f"baseline block PRD {block_prd} % worse than cold {cold_prd} % by > 0.5 pp")
 
 print("\nbench_check: fleet solver iterations "
       f"(advisory drift band ±{ITER_DRIFT_PCT:.0f} %; baseline invariant is hard)")
-for field in ("cold_mean_iterations", "warm_mean_iterations",
-              "block_mean_iterations", "paper_mean_iterations"):
+for field in ("cold_mean_iterations", "block_mean_iterations", "paper_mean_iterations"):
     b, c = base_fleet.get(field), cur_fleet.get(field)
     if b is None or c is None:
         print(f"  {field:<26} baseline={b} current={c}  (incomparable)")

@@ -86,11 +86,9 @@ fleet_json="$(awk '
   }
   /cold solve p50\/p95\/p99/  { p50 = $5; p95 = $7; p99 = $9 }
   /cold mean iterations/      { cold_it = $5 }
-  /warm mean iterations/      { warm_it = $5 }
   /block mean iterations/     { block_it = $5 }
   /paper mean iterations/     { paper_it = $5 }
   /cold PRD/                  { cold_prd = $4 }
-  /warm PRD/                  { warm_prd = $4 }
   /block PRD/                 { block_prd = $4 }
   /paper PRD/                 { paper_prd = $4 }
   END {
@@ -98,9 +96,9 @@ fleet_json="$(awk '
       workers, seq, fleet
     printf "\"cold_solve_p50_ms\": %s, \"cold_solve_p95_ms\": %s, \"cold_solve_p99_ms\": %s, ",
       p50, p95, p99
-    printf "\"cold_mean_iterations\": %s, \"warm_mean_iterations\": %s, ", cold_it, warm_it
+    printf "\"cold_mean_iterations\": %s, ", cold_it
     printf "\"block_mean_iterations\": %s, \"paper_mean_iterations\": %s, ", block_it, paper_it
-    printf "\"cold_prd_percent\": %s, \"warm_prd_percent\": %s, ", cold_prd, warm_prd
+    printf "\"cold_prd_percent\": %s, ", cold_prd
     printf "\"block_prd_percent\": %s, \"paper_prd_percent\": %s", block_prd, paper_prd
   }
 ' <<<"$report")"

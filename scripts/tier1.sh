@@ -49,7 +49,8 @@ cargo test -q --release -p cs-core --test zero_alloc_prior
 cargo test -q --release -p cs-ingest --test zero_alloc_ingest
 
 # Prior-driven solver guarantees under the optimizer: the block prior
-# holds PRD against the plain warm solve at fewer iterations.
+# holds PRD against plain ℓ1 at fewer iterations (the test decodes both
+# with the decoder-level warm start, which no production path enables).
 cargo test -q --release --test solver_priors
 
 # Bit-exactness under the optimizer: the golden decode digest (production
@@ -61,6 +62,10 @@ cargo test -q --release --test solver_priors
 # the lane reductions and the fused iteration tail of cs-recovery differ
 # from their oracles *only* under the optimizer, hence its.
 cargo test -q --release --test numerical_equivalence
+# The wire decode core against a seeded fault schedule, with no threads:
+# every frame and window accounted for, each lane in wire order, and
+# run_fleet at one and two workers emitting the bare core's windows.
+cargo test -q --release --test wire_core
 cargo test -q --release -p cs-dsp -p cs-sensing -p cs-recovery
 
 # Every committed results/*.txt is what this tree produces, outside the

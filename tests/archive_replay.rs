@@ -92,7 +92,7 @@ fn run_and_capture(
 fn replayed_session_matches_live_decode_bit_for_bit() {
     let config = SystemConfig::paper_default();
     let traffic = fleet_traffic(&config, 3, 12.0);
-    let fleet = FleetConfig { workers: 3, warm_start: true, ..FleetConfig::default() };
+    let fleet = FleetConfig { workers: 3, ..FleetConfig::default() };
 
     let root = tmp_root("bitexact");
     let sink = Mutex::new(ArchiveSink::create(&root, ArchiveConfig::default()).unwrap());

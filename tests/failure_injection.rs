@@ -270,7 +270,7 @@ fn fleet_chaos_drops_reorder_duplicates() {
         gilbert_elliott: None,
     };
     let (traffic, link_delivered) = mangle_traffic(&clean, spec, 0xFA11);
-    let fleet = FleetConfig { workers: 4, warm_start: true, ..FleetConfig::default() };
+    let fleet = FleetConfig { workers: 4, ..FleetConfig::default() };
     let (f, _) =
         run_chaos_fleet(&config, &traffic, &fleet, &TelemetryRegistry::disabled());
 
@@ -300,7 +300,7 @@ fn fleet_chaos_gilbert_elliott_burst_errors() {
         gilbert_elliott: Some(GilbertElliottParams::for_mean_ber(2e-3)),
     };
     let (traffic, link_delivered) = mangle_traffic(&clean, spec, 0xB52);
-    let fleet = FleetConfig { workers: 4, warm_start: true, ..FleetConfig::default() };
+    let fleet = FleetConfig { workers: 4, ..FleetConfig::default() };
     let registry = TelemetryRegistry::new();
     let (f, _) = run_chaos_fleet(&config, &traffic, &fleet, &registry);
 

@@ -1,7 +1,6 @@
 //! Integration tests for the fleet decode engine: bit-exactness against
 //! the single-stream pipeline and against the golden `Leads` digests,
-//! per-stream ordering, warm-start iteration savings, and sink-failure
-//! propagation without deadlock.
+//! per-stream ordering, and sink-failure propagation without deadlock.
 
 use cs_core::{DecodedPacket, FleetPacket, FleetReport, FrameSink, MultiChannelEncoder, PipelineError};
 use cs_ecg_monitor::dsp::Real;
@@ -118,41 +117,6 @@ fn per_stream_order_is_preserved() {
     assert!(report.backpressure_stalls > 0, "expected backpressure stalls");
 }
 
-/// Warm starts must reduce the fleet's mean iteration count on two-lead
-/// streams (the sibling lead is a near-perfect seed) and must never
-/// change the packet count or ordering.
-#[test]
-fn warm_start_reduces_mean_iterations() {
-    let inputs: Vec<Vec<i16>> = (0..2).map(|s| ecg_like(3, s as f64 * 0.03)).collect();
-    let streams: Vec<FleetStream<'_>> = inputs
-        .iter()
-        .map(|i| FleetStream { leads: vec![i, i] })
-        .collect();
-
-    let run = |warm_start: bool| {
-        let fleet = FleetConfig { workers: 1, warm_start, ..FleetConfig::default() };
-        let mut iterations = Vec::new();
-        let report = run::<f64>(FleetSource::Leads(&streams), &fleet, None, |p| {
-            iterations.push(p.packet.iterations)
-        })
-        .unwrap();
-        (report, iterations)
-    };
-    let (cold_report, cold_iters) = run(false);
-    let (warm_report, warm_iters) = run(true);
-
-    assert_eq!(cold_iters.len(), warm_iters.len());
-    assert_eq!(cold_report.streams[0].warm_started, 0);
-    assert!(warm_report.streams[0].warm_started > 0, "no packet warm-started");
-    let mean = |v: &[usize]| v.iter().sum::<usize>() as f64 / v.len() as f64;
-    assert!(
-        mean(&warm_iters) < mean(&cold_iters),
-        "warm {} >= cold {}",
-        mean(&warm_iters),
-        mean(&cold_iters)
-    );
-}
-
 /// A sink whose third append fails, or whose mutex a dead thread poisoned.
 struct FailingSink {
     appended: usize,
@@ -262,7 +226,7 @@ fn report_accounting_is_consistent() {
 /// samples.to_bits())` of a 2-stream × 2-lead × 3-frame `Leads` run:
 /// streams in index order (they interleave arbitrarily on the wire), each
 /// stream in emission order.
-fn leads_digest<T: Real>(workers: usize, warm_start: bool) -> u64 {
+fn leads_digest<T: Real>(workers: usize) -> u64 {
     let inputs: Vec<[Vec<i16>; 2]> = (0..2)
         .map(|s| [ecg_like(3, s as f64 * 0.03), ecg_like(3, s as f64 * 0.03 + 0.01)])
         .collect();
@@ -270,7 +234,7 @@ fn leads_digest<T: Real>(workers: usize, warm_start: bool) -> u64 {
         .iter()
         .map(|[a, b]| FleetStream { leads: vec![a, b] })
         .collect();
-    let fleet = FleetConfig { workers, warm_start, ..FleetConfig::default() };
+    let fleet = FleetConfig { workers, ..FleetConfig::default() };
     let mut words: Vec<Vec<u64>> = vec![Vec::new(); inputs.len()];
     let report = run::<T>(FleetSource::Leads(&streams), &fleet, None, |p| {
         let w = &mut words[p.stream];
@@ -304,25 +268,16 @@ fn leads_digest<T: Real>(workers: usize, warm_start: bool) -> u64 {
 /// and re-pinned once, when `SolverPolicy::default()`'s stop rule became a
 /// function of the CR (1.5·10⁻⁴ at this geometry, from 5·10⁻⁵: the same
 /// iterates, ended earlier); with an explicit `StopRule::RelativeStep(5e-5)`
-/// the engine still produces the four above. Stream affinity makes the
-/// worker count invisible.
+/// the engine still produces the four above. The fleet's warm start, pinned
+/// beside them at `0xc976_1170_8dc6_ea39` (f32) and `0x8f26_814f_1f04_f084`
+/// (f64), was deleted. Stream affinity makes the worker count invisible.
 #[test]
 fn leads_source_matches_the_golden_digests() {
     for workers in [1, 2] {
-        let got = [
-            leads_digest::<f32>(workers, false),
-            leads_digest::<f32>(workers, true),
-            leads_digest::<f64>(workers, false),
-            leads_digest::<f64>(workers, true),
-        ];
+        let got = [leads_digest::<f32>(workers), leads_digest::<f64>(workers)];
         assert_eq!(
             got,
-            [
-                0x600a_e958_3dab_03dd,
-                0xc976_1170_8dc6_ea39,
-                0x8cd4_f6b1_9689_32a5,
-                0x8f26_814f_1f04_f084,
-            ],
+            [0x600a_e958_3dab_03dd, 0x8cd4_f6b1_9689_32a5],
             "workers {workers}: {got:#018x?}"
         );
     }
