@@ -244,28 +244,30 @@ impl ArchiveWriter {
         if needs_rotation {
             Self::seal_lane(writer, &config, &mut self.scratch)?;
         }
-        if writer.current.is_none() {
-            fs::create_dir_all(&writer.dir)?;
-            let path = segment_path(&writer.dir, writer.next_index);
-            let mut file = File::create(&path)?;
-            let header = SegmentHeader {
-                patient,
-                lane,
-                base_seq: seq,
-                capacity: config.segment_bytes,
-            };
-            file.write_all(&header.encode())?;
-            writer.current = Some(OpenSegment {
-                file,
-                bytes: crate::segment::SEGMENT_HEADER_BYTES as u64,
-                records: 0,
-                min_seq: u64::MAX,
-                max_seq: 0,
-                index: Vec::new(),
-                appends_since_sync: 0,
-            });
-        }
-        let seg = writer.current.as_mut().expect("segment just ensured");
+        let seg = match &mut writer.current {
+            Some(seg) => seg,
+            vacant @ None => {
+                fs::create_dir_all(&writer.dir)?;
+                let path = segment_path(&writer.dir, writer.next_index);
+                let mut file = File::create(&path)?;
+                let header = SegmentHeader {
+                    patient,
+                    lane,
+                    base_seq: seq,
+                    capacity: config.segment_bytes,
+                };
+                file.write_all(&header.encode())?;
+                vacant.insert(OpenSegment {
+                    file,
+                    bytes: crate::segment::SEGMENT_HEADER_BYTES as u64,
+                    records: 0,
+                    min_seq: u64::MAX,
+                    max_seq: 0,
+                    index: Vec::new(),
+                    appends_since_sync: 0,
+                })
+            }
+        };
 
         let index_every = config.index_every.max(1) as u64;
         if seg.records > 0 && seg.records.is_multiple_of(index_every) {

@@ -1,14 +1,14 @@
 //! Criterion bench for the fleet decode engine: packets/second for one
-//! stream through the paper's single-coordinator pipeline vs 2/4/8
-//! concurrent streams through the worker pool. On a multi-core host the
-//! fleet figures scale with the worker count; on one core they document
-//! the engine's overhead. Both rows run the same synchronous decode core
-//! behind their threads, so both include framing, frame parse and
-//! reassembly; the fleet rows add the dispatcher and collector hops.
+//! stream through the paper's coordinator (one worker) vs 2/4/8
+//! concurrent streams through the default worker pool. On a multi-core
+//! host the fleet figures scale with the worker count; on one core they
+//! document the pool's overhead. Every row is one `run_fleet` call, so
+//! each includes encoding, framing, the queue hop, frame parse,
+//! reassembly and the delivery lock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cs_core::{
-    run_fleet, run_streaming, uniform_codebook, FleetConfig, FleetSource, FleetStream,
+    run_fleet, uniform_codebook, FleetConfig, FleetSource, FleetStream,
     SolverPolicy, SystemConfig,
 };
 use cs_telemetry::TelemetryRegistry;
@@ -38,15 +38,17 @@ fn bench_fleet(c: &mut Criterion) {
     let single = ecg_like(0.0);
     group.bench_function("single_stream", |b| {
         b.iter(|| {
-            run_streaming::<f32, _>(
+            run_fleet::<f32, _>(
                 &config,
                 Arc::clone(&codebook),
-                &single,
+                FleetSource::Leads(&[FleetStream::single(&single)]),
                 policy,
+                &FleetConfig { workers: 1, ..FleetConfig::default() },
                 &telemetry,
+                None,
                 |_| {},
             )
-            .expect("streaming run")
+            .expect("coordinator run")
         })
     });
 

@@ -15,8 +15,10 @@
 //! cargo bench -p cs-bench --bench telemetry_overhead
 //! ```
 
-use cs_core::{run_streaming, uniform_codebook, SolverPolicy, SystemConfig};
-use cs_telemetry::{TelemetryRegistry, TraceContext};
+use cs_core::{
+    run_fleet, uniform_codebook, FleetConfig, FleetSource, FleetStream, SolverPolicy, SystemConfig,
+};
+use cs_telemetry::TelemetryRegistry;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,8 +37,10 @@ fn ecg_like() -> Vec<i16> {
         .collect()
 }
 
-/// Runs the streaming pipeline `ITERS_PER_ROUND` times against the given
-/// registry and returns the wall time in seconds.
+/// Runs the paper's coordinator (one stream, one worker) `ITERS_PER_ROUND`
+/// times against the given registry and returns the wall time in seconds.
+/// With a live registry the engine itself stamps each frame's arrival and
+/// feeds every emission to the SLO/e2e accounting.
 fn round(
     config: &SystemConfig,
     codebook: &Arc<cs_codec::Codebook>,
@@ -45,21 +49,17 @@ fn round(
 ) -> f64 {
     let started = Instant::now();
     for _ in 0..ITERS_PER_ROUND {
-        run_streaming::<f32, _>(
+        run_fleet::<f32, _>(
             config,
             Arc::clone(codebook),
-            samples,
+            FleetSource::Leads(&[FleetStream::single(samples)]),
             SolverPolicy::default(),
+            &FleetConfig { workers: 1, ..FleetConfig::default() },
             telemetry,
-            // The fleet collector's per-emission work, mirrored here so
-            // the budget covers the trace path: capture stamp (skipped
-            // when disabled, like the producers) + SLO/e2e accounting.
-            |p| {
-                let captured = if telemetry.is_enabled() { telemetry.now_ns() } else { 0 };
-                let _ = telemetry.record_emit(&TraceContext::new(0, 0, p.index, captured));
-            },
+            None,
+            |_| {},
         )
-        .expect("streaming run");
+        .expect("coordinator run");
     }
     started.elapsed().as_secs_f64()
 }

@@ -35,7 +35,7 @@ use cs_archive::Archive;
 use cs_bench::{banner, RunSettings};
 use cs_clinical::{ClinicalConfig, ClinicalEngine, ClinicalEvent};
 use cs_core::{
-    packetize, run_fleet, run_streaming, train_codebook, FleetConfig, FleetReport, FleetSource,
+    packetize, run_fleet, train_codebook, FleetConfig, FleetReport, FleetSource,
     FleetStream, MultiChannelEncoder, SolverPolicy, SystemConfig,
 };
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, Record, SyntheticDatabase};
@@ -450,21 +450,24 @@ fn main() {
         })
         .collect();
 
-    // Sequential baseline: the paper's one-patient pipeline, one lead,
-    // stream after stream.
+    // Sequential baseline: the paper's one-patient coordinator (one
+    // lead, one worker), stream after stream.
     let started = Instant::now();
     let mut sequential_packets = 0usize;
+    let coordinator = FleetConfig { workers: 1, ..FleetConfig::default() };
     for (lead0, _) in &patients {
-        let report = run_streaming::<f32, _>(
+        let report = run_fleet::<f32, _>(
             &config,
             Arc::clone(&codebook),
-            lead0,
+            FleetSource::Leads(&[FleetStream::single(lead0)]),
             SolverPolicy::default(),
+            &coordinator,
             &TelemetryRegistry::disabled(),
+            None,
             |_| {},
         )
-        .expect("streaming run");
-        sequential_packets += report.packets_delivered;
+        .expect("coordinator run");
+        sequential_packets += report.packets_decoded;
     }
     let sequential_wall = started.elapsed();
     let sequential_rate = sequential_packets as f64 / sequential_wall.as_secs_f64();

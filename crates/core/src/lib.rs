@@ -19,18 +19,17 @@
 //!   returning per-packet CR/PRD/SNR and solver statistics.
 //! * [`WireCore`] — the one decode path behind every wire, synchronous:
 //!   frames in, windows out, each with its [`PacketOutcome`].
-//! * [`run_streaming`] — the two-thread producer–consumer structure of the
-//!   iPhone app, a core behind the 6-second shared buffer.
-//! * [`run_fleet`] — the multi-patient generalization: M workers each
-//!   driving a core, per-stream in-order delivery, shared spectral setup
-//!   and an optional write-before-decode [`FrameSink`], fed by one of three
-//!   [`FleetSource`]s — raw leads, materialized wire frames, or a live
-//!   channel.
+//! * [`run_fleet`] — the coordinator: the calling thread drains one of
+//!   three [`FleetSource`]s (raw leads, materialized wire frames or a live
+//!   channel) into M workers, each driving a core and delivering its own
+//!   windows, with per-stream in-order delivery, shared spectral setup and
+//!   an optional write-before-decode [`FrameSink`]. One stream on one
+//!   worker is the iPhone app's two-thread structure around the 6-second
+//!   ([`SHARED_BUFFER_PACKETS`]) shared buffer.
 //!
-//! `run_streaming` and `run_fleet` take a
-//! `cs_telemetry::TelemetryRegistry` and record per-stage latency
-//! histograms, worker counters and solve traces into it; the disabled
-//! registry costs one atomic load per span.
+//! `run_fleet` takes a `cs_telemetry::TelemetryRegistry` and records
+//! per-stage latency histograms, worker counters and solve traces into it;
+//! the disabled registry costs one atomic load per span.
 //!
 //! ## Quickstart
 //!
@@ -67,7 +66,6 @@ mod ingest;
 mod multichannel;
 mod packet;
 mod pipeline;
-mod stream;
 mod wire;
 
 pub use adaptive::{
@@ -84,7 +82,7 @@ pub use encoder::Encoder;
 pub use error::PipelineError;
 pub use fleet::{
     run_fleet, run_fleet_wire_stream_archived, FleetConfig, FleetPacket, FleetReport, FleetSource,
-    FleetStream, FrameSink, StreamSummary, WireFrame,
+    FleetStream, FrameSink, StreamSummary, WireFrame, SHARED_BUFFER_PACKETS,
 };
 pub use ingest::{
     ConcealmentReason, FaultStats, PacketOutcome, PushReject, QuarantineRecord,
@@ -97,7 +95,6 @@ pub use packet::{
     HEADER_BYTES, QUARANTINE_LANE, TRAILER_BYTES,
 };
 pub use pipeline::{evaluate_stream, packetize, train_and_evaluate, PacketReport, StreamReport};
-pub use stream::{run_streaming, StreamingReport, SHARED_BUFFER_PACKETS};
 pub use wire::{Emission, WireCore};
 /// Which vector-kernel arm the decoder runs on this CPU (re-exported from
 /// `cs-dsp` for services that report it).

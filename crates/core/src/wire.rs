@@ -5,10 +5,10 @@
 //! panic supervision and conceals or quarantines what cannot be decoded.
 //! It owns no thread, channel, lock or clock: what a sequence of pushes
 //! releases is a function of the frames alone. [`run_fleet`](crate::run_fleet)
-//! runs one core per worker, [`run_streaming`](crate::run_streaming) one
-//! behind the paper's three-packet buffer. Every frame of a stream must
-//! go to one core, in arrival order. Lanes decode independently, except
-//! that a supervised panic rebuilds all of a core's lanes.
+//! runs one core per worker, behind the paper's three-packet buffer.
+//! Every frame of a stream must go to one core, in arrival order. Lanes
+//! decode independently, except that a supervised panic rebuilds all of a
+//! core's lanes.
 
 use crate::config::SystemConfig;
 use crate::decoder::{DecodeWorkspace, DecodedPacket, Decoder, SolverPolicy};
@@ -165,7 +165,11 @@ impl<'a, T: Real> WireCore<'a, T> {
         let window = self.fleet.reorder_window;
         let lane = self.seqs.entry((stream, info.lane)).or_insert_with(|| Reassembler::new(window));
         let mut events = Vec::new();
-        match lane.push(info.index, (packet, captured_ns), &mut events) {
+        let pushed = {
+            let _span = self.spec.telemetry.span(Stage::Reassembly);
+            lane.push(info.index, (packet, captured_ns), &mut events)
+        };
+        match pushed {
             Ok(()) => return self.release((stream, info.lane), events, captured_ns, out),
             Err(PushReject::Duplicate) => self.fault(FaultKind::Duplicate),
             Err(PushReject::Late) => self.fault(FaultKind::Late),
@@ -182,11 +186,14 @@ impl<'a, T: Real> WireCore<'a, T> {
     ///
     /// Same contract as [`WireCore::push`].
     pub fn flush(&mut self, fallback_ns: u64, out: &mut Vec<Emission<T>>) -> Result<(), PipelineError> {
-        let mut lanes: Vec<Lane> = self.seqs.keys().copied().collect();
+        // A lane with nothing staged has nothing to flush.
+        let mut lanes: Vec<Lane> =
+            self.seqs.iter().filter(|(_, seq)| seq.pending() > 0).map(|(&lane, _)| lane).collect();
         lanes.sort_unstable();
         for lane in lanes {
             let mut events = Vec::new();
             if let Some(seq) = self.seqs.get_mut(&lane) {
+                let _span = self.spec.telemetry.span(Stage::Reassembly);
                 seq.flush(&mut events);
             }
             self.release(lane, events, fallback_ns, out)?;

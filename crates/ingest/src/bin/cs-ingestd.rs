@@ -1,7 +1,8 @@
 //! cs-ingestd — the socket ingest service in front of a live decode fleet.
 //!
 //! Binds the ingest listener, spins up the fleet engine ([`run_fleet`]
-//! over a [`FleetSource::Channel`]) with a worker pool, and serves telemetry
+//! over a [`FleetSource::Channel`], on a thread of its own that drains the
+//! feed into a worker pool), and serves telemetry
 //! (`/metrics`, `/healthz`, `/tracez`) next door. Runs until stdin
 //! closes or a line reading `drain` arrives, then drains gracefully:
 //! stop accepting, see every session out, flush the engine's staged
@@ -33,6 +34,11 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+const USAGE: &str = "usage: cs-ingestd [--listen ADDR] [--metrics ADDR] [--workers N] \
+[--feed-capacity N] [--max-sessions N] [--shed-backlog N] [--handshake-ms MS] [--idle-ms MS] \
+[--archive DIR]";
+
+#[derive(Debug)]
 struct Settings {
     listen: String,
     metrics: String,
@@ -43,7 +49,12 @@ struct Settings {
 }
 
 impl Settings {
-    fn from_args() -> Settings {
+    /// Parses the command line (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, or a flag whose value is missing or unparsable.
+    fn from_args(args: impl IntoIterator<Item = String>) -> Result<Settings, String> {
         let mut s = Settings {
             listen: "127.0.0.1:7411".to_string(),
             metrics: "127.0.0.1:9464".to_string(),
@@ -52,42 +63,44 @@ impl Settings {
             archive: None,
             ingest: IngestConfig::default(),
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next().unwrap_or_else(|| panic!("{name} requires a value"))
-            };
+            let mut value = || args.next().ok_or_else(|| format!("{flag} requires a value"));
             match flag.as_str() {
-                "--listen" => s.listen = value("--listen"),
-                "--metrics" => s.metrics = value("--metrics"),
-                "--workers" => s.workers = value("--workers").parse().expect("--workers"),
-                "--feed-capacity" => {
-                    s.feed_capacity = value("--feed-capacity").parse().expect("--feed-capacity")
-                }
-                "--archive" => s.archive = Some(value("--archive").into()),
-                "--max-sessions" => {
-                    s.ingest.max_sessions = value("--max-sessions").parse().expect("--max-sessions")
-                }
-                "--shed-backlog" => {
-                    s.ingest.shed_backlog = value("--shed-backlog").parse().expect("--shed-backlog")
-                }
+                "--listen" => s.listen = value()?,
+                "--metrics" => s.metrics = value()?,
+                "--workers" => s.workers = number(&flag, value()?)?,
+                "--feed-capacity" => s.feed_capacity = number(&flag, value()?)?,
+                "--archive" => s.archive = Some(value()?.into()),
+                "--max-sessions" => s.ingest.max_sessions = number(&flag, value()?)?,
+                "--shed-backlog" => s.ingest.shed_backlog = number(&flag, value()?)?,
                 "--handshake-ms" => {
-                    s.ingest.handshake_deadline =
-                        Duration::from_millis(value("--handshake-ms").parse().expect("--handshake-ms"))
+                    s.ingest.handshake_deadline = Duration::from_millis(number(&flag, value()?)?)
                 }
-                "--idle-ms" => {
-                    s.ingest.idle_timeout =
-                        Duration::from_millis(value("--idle-ms").parse().expect("--idle-ms"))
-                }
-                other => panic!("unknown flag {other}; see the module doc for usage"),
+                "--idle-ms" => s.ingest.idle_timeout = Duration::from_millis(number(&flag, value()?)?),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        s
+        Ok(s)
     }
 }
 
+/// `value` as the number `flag` takes.
+fn number<V: std::str::FromStr>(flag: &str, value: String) -> Result<V, String>
+where
+    V::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag} {value}: {e}"))
+}
+
 fn main() -> ExitCode {
-    let settings = Settings::from_args();
+    let settings = match Settings::from_args(std::env::args().skip(1)) {
+        Ok(settings) => settings,
+        Err(e) => {
+            eprintln!("cs-ingestd: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let config = SystemConfig::paper_default();
     let codebook = match uniform_codebook(config.alphabet()) {
         Ok(cb) => Arc::new(cb),
@@ -215,4 +228,33 @@ fn main() -> ExitCode {
         report.packets_decoded,
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Settings, String> {
+        Settings::from_args(args.iter().map(|&a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_into_settings() {
+        let s = parse(&["--workers", "3", "--idle-ms", "1500", "--listen", "0.0.0.0:1"]).unwrap();
+        assert_eq!((s.workers, s.listen.as_str()), (3, "0.0.0.0:1"));
+        assert_eq!(s.ingest.idle_timeout, Duration::from_millis(1500));
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error() {
+        let err = parse(&["--workers", "2", "--feed-capacity"]).unwrap_err();
+        assert_eq!(err, "--feed-capacity requires a value");
+    }
+
+    #[test]
+    fn an_unparsable_value_is_an_error() {
+        let err = parse(&["--handshake-ms", "soon"]).unwrap_err();
+        assert!(err.starts_with("--handshake-ms soon: "), "{err}");
+        assert!(parse(&["--bogus", "1"]).is_err());
+    }
 }

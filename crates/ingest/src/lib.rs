@@ -30,6 +30,8 @@
 //! let telemetry = TelemetryRegistry::new();
 //! let (feed, source) = crossbeam::channel::bounded::<WireFrame>(256);
 //!
+//! // `run_fleet`'s calling thread drains the feed into its decode workers,
+//! // which run the callback: the engine gets a thread of its own.
 //! let engine = {
 //!     let (config, codebook, telemetry) = (config.clone(), Arc::clone(&codebook), telemetry.clone());
 //!     std::thread::spawn(move || {

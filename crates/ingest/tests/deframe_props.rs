@@ -10,6 +10,9 @@
 //! length-prefix corruption costs bounded, fully-accounted bytes and
 //! never desyncs the rest of the session.
 //!
+//! Arbitrary bytes — no valid stream underneath at all — must still cost
+//! nothing but bounded, fully-accounted records and skipped bytes.
+//!
 //! The handshake and control records (`cs_ingest::proto`) are the other
 //! bytes a socket hands this crate before any frame: the last property
 //! mutates them every way a hostile or broken peer can and requires a
@@ -20,7 +23,7 @@ use cs_core::{crc16, parse_frame, FRAME_MAGIC, FRAME_VERSION, HEADER_BYTES};
 use cs_ingest::{
     encode_control, encode_hello, encode_record, hello_len, parse_control, parse_hello, Control,
     ControlCode, Deframer, Hello, LaneResume, ProtoError, CONTROL_BYTES, HELLO_FIXED_BYTES,
-    HELLO_LANE_BYTES, MAX_HELLO_BYTES, RECORD_PREFIX_BYTES,
+    HELLO_LANE_BYTES, MAX_FRAME_BYTES, MAX_HELLO_BYTES, MIN_FRAME_BYTES, RECORD_PREFIX_BYTES,
 };
 use proptest::prelude::*;
 
@@ -52,6 +55,7 @@ fn reassemble(bytes: &[u8], chunks: &[usize]) -> (Vec<Vec<u8>>, Deframer) {
         chunk_idx += 1;
         let spare = deframer.spare();
         let n = want.min(spare.len()).min(bytes.len() - offset);
+        assert!(n > 0, "a drained deframer always has spare room");
         spare[..n].copy_from_slice(&bytes[offset..offset + n]);
         deframer.commit(n);
         offset += n;
@@ -185,6 +189,43 @@ proptest! {
         for (record, frame) in records.iter().zip(&frames).take(victim) {
             prop_assert_eq!(record, frame, "records before the victim must be untouched");
         }
+    }
+
+    /// Arbitrary bytes, not a mutated valid stream, in arbitrary chunkings.
+    /// Plausible-looking boundaries (a length, then the frame magic) are
+    /// planted at arbitrary offsets so that records do come out, with
+    /// lengths on both sides of the limits: nothing panics, every record
+    /// is within the record-length limits, and every committed byte is
+    /// yielded (with its prefix), skipped or pending.
+    #[test]
+    fn arbitrary_bytes_are_bounded_and_accounted(
+        bytes in proptest::collection::vec(any::<u8>(), 0..12_000),
+        plants in proptest::collection::vec((any::<u16>(), 0u16..5000), 0..16),
+        chunks in proptest::collection::vec(1usize..1500, 1..40),
+    ) {
+        let mut bytes = bytes;
+        for (at, len) in plants {
+            let at = at as usize % bytes.len().max(1);
+            if at + RECORD_PREFIX_BYTES < bytes.len() {
+                bytes[at..at + RECORD_PREFIX_BYTES].copy_from_slice(&len.to_le_bytes());
+                bytes[at + RECORD_PREFIX_BYTES] = FRAME_MAGIC;
+            }
+        }
+        let (records, deframer) = reassemble(&bytes, &chunks);
+        for record in &records {
+            prop_assert!(
+                (MIN_FRAME_BYTES..=MAX_FRAME_BYTES).contains(&record.len()),
+                "record of {} bytes", record.len()
+            );
+        }
+        let stats = deframer.stats();
+        prop_assert_eq!(stats.records, records.len() as u64);
+        let yielded: usize = records.iter().map(|r| r.len() + RECORD_PREFIX_BYTES).sum();
+        prop_assert_eq!(
+            yielded as u64 + stats.skipped_bytes + deframer.pending() as u64,
+            bytes.len() as u64,
+            "every byte must be yielded, skipped, or pending"
+        );
     }
 
     /// Handshake and control records under mutation: arbitrary bytes, and

@@ -27,7 +27,7 @@
 //!
 //! Everything on the recording path is relaxed atomics — no locks, no
 //! allocation — so [`record_emit`](SloEngine::record_emit) is safe to
-//! call from every collector emission. Bucket-epoch races under
+//! call from every fleet delivery. Bucket-epoch races under
 //! concurrent recording are benign: at worst an observation lands in a
 //! just-recycled bucket, perturbing a 16-bucket window by one slot.
 

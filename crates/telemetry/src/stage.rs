@@ -1,7 +1,7 @@
 //! The pipeline stage taxonomy.
 //!
 //! One label per distinct unit of work in the encode → transport → decode
-//! path (Fig. 1 of the paper plus the fleet collector). The set is closed
+//! path (Fig. 1 of the paper plus the fleet's hand-offs). The set is closed
 //! and small on purpose: per-stage storage in the registry is a fixed
 //! array indexed by [`Stage::index`], so adding a stage is one line in
 //! the declaration below and costs one histogram.
@@ -33,8 +33,9 @@ label_set! {
         /// Coordinator: the inverse wavelet transform `x̂ = Ψᵀα` back to
         /// samples.
         WaveletSynthesis => "wavelet_synthesis",
-        /// Collector: per-stream in-order reassembly and delivery in the
-        /// fleet engine.
+        /// Ingest: putting a frame back in its lane's wire order — one
+        /// reorder-buffer push per frame, and the end-of-input flush of a
+        /// lane that still has frames staged.
         Reassembly => "reassembly",
         /// Ingest: frame validation (magic/version/CRC/kind) before any
         /// payload byte is interpreted.
@@ -53,9 +54,8 @@ label_set! {
         /// packetize/ingest and the moment a worker dequeued it — queue
         /// pressure, as distinct from solver cost.
         QueueWait => "queue_wait",
-        /// Collector: time between a worker finishing a packet and the
-        /// collector delivering it to the consumer — the wait in the
-        /// results channel.
+        /// Fleet: a worker's emission → `on_packet` entry (the wait for the
+        /// delivery lock).
         EmitDeliver => "emit_deliver",
     }
 }

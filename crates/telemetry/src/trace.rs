@@ -4,7 +4,7 @@
 //! queue dwell between stages is invisible to spans that only bracket
 //! work. The [`TraceContext`] closes the gap: a packetize-time monotonic
 //! timestamp rides alongside the packet identity through every queue
-//! and reorder buffer, and the collector turns it into
+//! and reorder buffer, and the delivering worker turns it into
 //! one `cs_e2e_latency_seconds` observation at emit time via
 //! [`TelemetryRegistry::record_emit`](crate::TelemetryRegistry::record_emit).
 //!

@@ -66,6 +66,10 @@ cargo test -q --release --test numerical_equivalence
 # every frame and window accounted for, each lane in wire order, and
 # run_fleet at one and two workers emitting the bare core's windows.
 cargo test -q --release --test wire_core
+# The fleet engine under the optimizer, where thread timing differs: the
+# golden `Leads` digests, per-stream order under backpressure, and
+# teardown without deadlock after a sink failure or a consumer's panic.
+cargo test -q --release --test fleet_engine
 cargo test -q --release -p cs-dsp -p cs-sensing -p cs-recovery
 
 # Every committed results/*.txt is what this tree produces, outside the

@@ -73,8 +73,8 @@ pub mod prelude {
     pub use cs_clinical::StreamingQrsDetector;
     pub use cs_codec::Codebook;
     pub use cs_core::{
-        evaluate_stream, packetize, run_fleet, run_streaming, train_and_evaluate, train_codebook,
-        uniform_codebook, Decoder, Encoder, FleetConfig, FleetSource, FleetStream, PacketOutcome,
+        evaluate_stream, packetize, run_fleet, train_and_evaluate, train_codebook, uniform_codebook,
+        Decoder, Encoder, FleetConfig, FleetSource, FleetStream, PacketOutcome,
         SolverPolicy, SystemConfig,
     };
     pub use cs_ecg_data::{

@@ -1,10 +1,15 @@
 //! Integration tests for the fleet decode engine: bit-exactness against
-//! the single-stream pipeline and against the golden `Leads` digests,
-//! per-stream ordering, and sink-failure propagation without deadlock.
+//! single-stream runs and against the golden `Leads` digests, per-stream
+//! ordering, and sink-failure and consumer-panic propagation without
+//! deadlock.
 
-use cs_core::{DecodedPacket, FleetPacket, FleetReport, FrameSink, MultiChannelEncoder, PipelineError};
+use cs_core::{
+    DecodedPacket, FleetPacket, FleetReport, FrameSink, MultiChannelEncoder, PipelineError, WireFrame,
+};
 use cs_ecg_monitor::dsp::Real;
 use cs_ecg_monitor::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -45,26 +50,21 @@ fn run<T: Real>(
     )
 }
 
-/// Every stream decoded by the fleet must be bit-exact against the same
-/// stream pushed through the paper's single-stream `run_streaming`
-/// pipeline (warm starts off — that is the documented equivalence).
+/// Every stream decoded by a four-stream fleet on two workers must be
+/// bit-exact against the same stream alone through the paper's
+/// coordinator: one stream, one worker.
 #[test]
-fn fleet_output_bit_exact_vs_run_streaming() {
-    let (config, codebook) = setup();
+fn fleet_output_bit_exact_vs_single_stream_runs() {
     let inputs: Vec<Vec<i16>> = (0..4).map(|s| ecg_like(3, s as f64 * 0.03)).collect();
 
-    // Reference: one run_streaming per stream.
+    // Reference: one single-stream, one-worker run per stream.
+    let coordinator = FleetConfig { workers: 1, ..FleetConfig::default() };
     let mut reference: Vec<Vec<Vec<f64>>> = Vec::new();
     for input in &inputs {
         let mut packets = Vec::new();
-        run_streaming::<f64, _>(
-            &config,
-            Arc::clone(&codebook),
-            input,
-            SolverPolicy::default(),
-            &TelemetryRegistry::disabled(),
-            |p| packets.push(p.samples.clone()),
-        )
+        run::<f64>(FleetSource::Leads(&[FleetStream::single(input)]), &coordinator, None, |p| {
+            packets.push(p.packet.samples.clone())
+        })
         .unwrap();
         reference.push(packets);
     }
@@ -112,7 +112,7 @@ fn per_stream_order_is_preserved() {
     for (stream, order) in seen.iter().enumerate() {
         assert_eq!(order, &expected, "stream {stream} out of order");
     }
-    // With tiny queues and more streams than workers, the dispatcher must
+    // With tiny queues and more streams than workers, the caller must
     // have hit backpressure at least once.
     assert!(report.backpressure_stalls > 0, "expected backpressure stalls");
 }
@@ -134,7 +134,7 @@ impl FrameSink for FailingSink {
 
 /// The one run-ending path left: a sink that cannot persist must abort the
 /// run with a stream-attributed fleet error — and the run must terminate
-/// (no deadlocked producer, dispatcher or worker) even with minimal queue
+/// (no deadlocked caller or worker) even with minimal queue
 /// capacity. A sink mutex poisoned by its owner is the same failure, not
 /// a panic inside the engine.
 #[test]
@@ -168,6 +168,69 @@ fn decode_error_propagates_and_run_terminates() {
         }
     }
     assert_eq!(failing.lock().unwrap().appended, 3, "nothing is appended after the failure");
+}
+
+/// Two single-lead streams a test thread encodes and sends for as long as
+/// the engine receives; returns once the receiving end is gone.
+fn feed_until_closed(feed: crossbeam::channel::Sender<WireFrame>) {
+    let (config, codebook) = setup();
+    let window = ecg_like(1, 0.0);
+    let mut motes: Vec<Encoder> =
+        (0..2).map(|_| Encoder::new(&config, Arc::clone(&codebook)).unwrap()).collect();
+    for stream in (0..motes.len()).cycle() {
+        let bytes = motes[stream].encode_packet(&window).unwrap().to_bytes();
+        if feed.send(WireFrame { stream, bytes }).is_err() {
+            return;
+        }
+    }
+}
+
+/// `on_packet` runs on the workers, so a consumer that panics must still
+/// end the run — at one and two workers, with single-packet queues, over
+/// raw leads and over a live channel whose sender never stops on its own
+/// — and no window may reach it after the panic. The run ends in the
+/// consumer's own panic, re-raised on the calling thread once every worker
+/// has stopped (not in a `PipelineError::Fleet`). A hang fails at the
+/// watchdog instead of stalling the suite.
+#[test]
+fn panicking_consumer_ends_the_run() {
+    const WATCHDOG: Duration = Duration::from_secs(60);
+    const MESSAGE: &str = "consumer fails on its second window";
+    for workers in [1, 2] {
+        for live in [false, true] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let (done, outcome) = std::sync::mpsc::channel();
+            let seen = Arc::clone(&calls);
+            std::thread::spawn(move || {
+                let fleet = FleetConfig { workers, channel_capacity: 1, ..FleetConfig::default() };
+                let on_packet = |_: &FleetPacket<f32>| {
+                    if seen.fetch_add(1, Ordering::SeqCst) == 1 {
+                        panic!("{MESSAGE}");
+                    }
+                };
+                let inputs: Vec<Vec<i16>> = (0..2).map(|s| ecg_like(4, s as f64 * 0.03)).collect();
+                let streams: Vec<FleetStream<'_>> =
+                    inputs.iter().map(|i| FleetStream::single(i)).collect();
+                let ended = std::thread::scope(|scope| {
+                    let source = if live {
+                        let (feed, source) = crossbeam::channel::bounded(4);
+                        scope.spawn(move || feed_until_closed(feed));
+                        FleetSource::Channel(source)
+                    } else {
+                        FleetSource::Leads(&streams)
+                    };
+                    catch_unwind(AssertUnwindSafe(|| run::<f32>(source, &fleet, None, on_packet)))
+                });
+                let panic = ended.err().and_then(|p| p.downcast_ref::<String>().cloned());
+                let _ = done.send(panic);
+            });
+            let panic = outcome
+                .recv_timeout(WATCHDOG)
+                .unwrap_or_else(|_| panic!("workers {workers}, live {live}: run_fleet hung"));
+            assert_eq!(panic.as_deref(), Some(MESSAGE), "workers {workers}, live {live}");
+            assert_eq!(calls.load(Ordering::SeqCst), 2, "workers {workers}, live {live}: a window after the panic");
+        }
+    }
 }
 
 /// Deterministic replay: the same stream as pre-encoded wire frames and

@@ -3,8 +3,9 @@
 //! per-worker counters that sum to the packet count, and a solve trace per
 //! decode — while changing nothing about the reconstruction itself.
 
+use cs_ecg_monitor::dsp::Real;
 use cs_ecg_monitor::prelude::*;
-use cs_ecg_monitor::system::{DecodeWorkspace, DecodedPacket};
+use cs_ecg_monitor::system::{DecodeWorkspace, DecodedPacket, FleetPacket};
 use std::sync::Arc;
 
 const N: usize = 512;
@@ -22,6 +23,28 @@ fn setup() -> (SystemConfig, Arc<Codebook>) {
     let config = SystemConfig::paper_default();
     let codebook = Arc::new(uniform_codebook(config.alphabet()).unwrap());
     (config, codebook)
+}
+
+/// The paper's coordinator over `samples`: one stream, one worker.
+fn coordinator<T: Real>(
+    samples: &[i16],
+    telemetry: &TelemetryRegistry,
+    on_packet: impl FnMut(&FleetPacket<T>) + Send,
+) {
+    let (config, codebook) = setup();
+    let fleet = FleetConfig { workers: 1, ..FleetConfig::default() };
+    let streams = [FleetStream::single(samples)];
+    run_fleet(
+        &config,
+        codebook,
+        FleetSource::Leads(&streams),
+        SolverPolicy::default(),
+        &fleet,
+        telemetry,
+        None,
+        on_packet,
+    )
+    .unwrap();
 }
 
 /// A fleet run against a live registry records every pipeline stage the
@@ -82,7 +105,7 @@ fn observed_fleet_populates_every_stage() {
         assert!(!trace.warm_started, "cold fleet must not warm-start");
     }
 
-    // Trace context rode every packet: the collector fed the SLO engine
+    // Trace context rode every packet: delivery fed the SLO engine
     // one emission per packet, per patient, and the e2e histograms and
     // freshness watermarks are live.
     let slo = registry.slo_snapshot();
@@ -113,31 +136,16 @@ fn observed_fleet_populates_every_stage() {
 /// is bit-exact against the unobserved default path.
 #[test]
 fn observation_does_not_change_reconstruction() {
-    let (config, codebook) = setup();
     let samples = ecg_like(3, 0.0);
 
     let mut plain = Vec::new();
-    run_streaming::<f64, _>(
-        &config,
-        Arc::clone(&codebook),
-        &samples,
-        SolverPolicy::default(),
-        &TelemetryRegistry::disabled(),
-        |p| plain.push(p.samples.clone()),
-    )
-    .unwrap();
+    coordinator::<f64>(&samples, &TelemetryRegistry::disabled(), |p| {
+        plain.push(p.packet.samples.clone())
+    });
 
     let registry = TelemetryRegistry::new();
     let mut observed = Vec::new();
-    run_streaming::<f64, _>(
-        &config,
-        codebook,
-        &samples,
-        SolverPolicy::default(),
-        &registry,
-        |p| observed.push(p.samples.clone()),
-    )
-    .unwrap();
+    coordinator::<f64>(&samples, &registry, |p| observed.push(p.packet.samples.clone()));
 
     assert_eq!(plain, observed);
     assert_eq!(
@@ -220,11 +228,9 @@ fn stage_histograms_account_for_the_calls_that_record_them() {
 /// much traffic passes through it.
 #[test]
 fn disabled_registry_records_nothing() {
-    let (config, codebook) = setup();
     let samples = ecg_like(2, 0.01);
     let disabled = TelemetryRegistry::disabled();
-    run_streaming::<f32, _>(&config, codebook, &samples, SolverPolicy::default(), &disabled, |_| {})
-        .unwrap();
+    coordinator::<f32>(&samples, &disabled, |_| {});
 
     assert!(!disabled.is_enabled());
     let snapshot = disabled.snapshot();
