@@ -255,7 +255,6 @@ fn round(
     let cb = Arc::new(uniform_codebook(config.alphabet()).expect("codebook"));
     let fleet = FleetConfig {
         workers: settings.workers,
-        solve_budget: Some(400),
         chaos_panic,
         ..FleetConfig::default()
     };
@@ -300,7 +299,9 @@ fn round(
         config,
         cb,
         FleetSource::Frames(&traffic),
-        SolverPolicy::default(),
+        // A solve that hits the cap is emitted best-effort (counted
+        // deadline-degraded) instead of stalling its lane.
+        SolverPolicy { max_iterations: 400, ..SolverPolicy::default() },
         &fleet,
         registry,
         sink.as_ref().map(|sink| sink as &Mutex<dyn FrameSink>),

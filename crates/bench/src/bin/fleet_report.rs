@@ -3,13 +3,16 @@
 //!
 //! Extends the single-coordinator real-time analysis (Fig. 8 / §V) to a
 //! monitoring service: throughput against the sequential single-stream
-//! decoder, worker balance, backpressure, the shared spectral cache, and
+//! decoder, per-worker load, backpressure, the shared spectral cache, and
 //! the solver priors (plain ℓ1, the block prior and the paper's schedule
 //! over the same traffic).
 //!
-//! Every run decodes against a live [`TelemetryRegistry`]: per-stage
-//! latency quantiles and per-worker packet counters come from the
-//! registry the workers recorded into, not from post-hoc aggregates.
+//! The books are kept once. Solve-time and end-to-end quantiles, deadline
+//! misses and patient health come from the live [`TelemetryRegistry`] the
+//! workers recorded into; the counts only the engine knows (per-worker
+//! packets, stalls, the spectral cache, faults) from its [`FleetReport`];
+//! and the consumer callbacks keep only what neither can know — PRD
+//! against the ground-truth leads and the exact iteration samples.
 //! `--telemetry` additionally dumps the Prometheus scrape text and a
 //! JSON-Lines snapshot.
 //!
@@ -39,11 +42,11 @@ use cs_core::{
     FleetStream, MultiChannelEncoder, SolverPolicy, SystemConfig,
 };
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, Record, SyntheticDatabase};
-use cs_metrics::{exact_percentile, worker_imbalance, FleetStats, StreamStats};
-use cs_platform::{
-    analyze_fleet, CoordinatorSpec, FaultSpec, GilbertElliottParams, LossyLink, SolveSample,
+use cs_metrics::exact_percentile;
+use cs_platform::{FaultSpec, GilbertElliottParams, LossyLink};
+use cs_telemetry::{
+    HealthState, HistogramSnapshot, MetricsServer, Stage, TelemetryRegistry, TelemetrySnapshot,
 };
-use cs_telemetry::{MetricsServer, TelemetryRegistry};
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -105,12 +108,9 @@ fn run(
     policy: SolverPolicy<f32>,
     fleet: &FleetConfig,
     telemetry: &TelemetryRegistry,
-) -> (FleetReport, Vec<StreamStats>, Vec<Vec<SolveSample>>, RunQuality) {
-    let mut stats = vec![StreamStats::new(); streams.len()];
-    let mut solves = vec![Vec::new(); streams.len()];
+) -> (FleetReport, RunQuality) {
     let mut quality = RunQuality::default();
     let n = config.packet_len();
-    let deadline = telemetry.slo_config().deadline;
     let report = run_fleet::<f32, _>(
         config,
         Arc::clone(codebook),
@@ -120,14 +120,6 @@ fn run(
         telemetry,
         None,
         |p| {
-            stats[p.stream].record(p.packet.iterations, p.packet.solve_time.as_secs_f64());
-            if let Some(e2e) = p.e2e {
-                stats[p.stream].record_e2e(e2e.as_secs_f64(), e2e > deadline);
-            }
-            solves[p.stream].push(SolveSample {
-                iterations: p.packet.iterations,
-                solve_time: p.packet.solve_time,
-            });
             quality.iterations.push(p.packet.iterations as f64);
             if !p.packet.concealed {
                 let lead = streams[p.stream].leads[p.channel as usize];
@@ -143,7 +135,25 @@ fn run(
         },
     )
     .expect("fleet run");
-    (report, stats, solves, quality)
+    (report, quality)
+}
+
+/// Solve-time p50/p95/p99 in milliseconds, from the registry's
+/// `fista_solve` stage.
+fn solve_ms(snapshot: &TelemetrySnapshot) -> [f64; 3] {
+    let solves = snapshot.stage(Stage::FistaSolve);
+    [0.50, 0.95, 0.99].map(|p| solves.quantile(p) as f64 / 1e6)
+}
+
+/// End-to-end p50/p99 in milliseconds over every patient's histogram, and
+/// the deadline misses the SLO engine counted.
+fn e2e_ms(snapshot: &TelemetrySnapshot) -> ([f64; 2], u64) {
+    let mut e2e = HistogramSnapshot::new();
+    for (_, patient) in &snapshot.e2e {
+        e2e.merge(patient);
+    }
+    let misses = snapshot.slo.patients.iter().map(|p| p.deadline_misses).sum();
+    ([0.50, 0.99].map(|p| e2e.quantile(p) as f64 / 1e6), misses)
 }
 
 /// The fault-accounting panel shared by the live lossy-wire section and
@@ -348,8 +358,6 @@ fn replay_report(
         .iter()
         .map(|&p| archive.replay_stream(p).expect("replay stream"))
         .collect();
-    let mut stats = vec![StreamStats::new(); traffic.len()];
-    let deadline = registry.slo_config().deadline;
     let wire_report = run_fleet::<f32, _>(
         config,
         Arc::clone(codebook),
@@ -358,30 +366,24 @@ fn replay_report(
         &FleetConfig::default(),
         &registry,
         None,
-        |p| {
-            stats[p.stream].record(p.packet.iterations, p.packet.solve_time.as_secs_f64());
-            if let Some(e2e) = p.e2e {
-                stats[p.stream].record_e2e(e2e.as_secs_f64(), e2e > deadline);
-            }
-        },
+        |_| {},
     )
     .expect("replay fleet run");
     fault_panel("decode-on-read from archive", &wire_report);
-    let fleet = FleetStats::from_streams(&stats);
+    let snapshot = registry.snapshot();
+    // The iteration histograms record raw counts: their mean is exact.
+    let mut iterations = HistogramSnapshot::new();
+    for (_, mode) in &snapshot.solver_iterations {
+        iterations.merge(mode);
+    }
+    let [p50, p95, p99] = solve_ms(&snapshot);
+    let ([e2e_p50, e2e_p99], misses) = e2e_ms(&snapshot);
     println!("== Replay solves ==");
     println!(
-        "solve p50/p95/p99       : {:>8.2} / {:.2} / {:.2} ms  (mean {:.1} iterations)",
-        fleet.solve_time_p50() * 1e3,
-        fleet.solve_time_p95() * 1e3,
-        fleet.solve_time_p99() * 1e3,
-        fleet.iterations.mean()
+        "solve p50/p95/p99       : {p50:>8.2} / {p95:.2} / {p99:.2} ms  (mean {:.1} iterations)",
+        iterations.mean_ns()
     );
-    println!(
-        "e2e p50/p99             : {:>8.2} / {:.2} ms  ({} deadline misses)",
-        fleet.e2e_p50() * 1e3,
-        fleet.e2e_p99() * 1e3,
-        fleet.deadline_misses
-    );
+    println!("e2e p50/p99             : {e2e_p50:>8.2} / {e2e_p99:.2} ms  ({misses} deadline misses)");
     slo_panel(&registry);
     println!("== Telemetry (live registry) ==");
     stage_table(&registry);
@@ -472,10 +474,11 @@ fn main() {
     let sequential_wall = started.elapsed();
     let sequential_rate = sequential_packets as f64 / sequential_wall.as_secs_f64();
 
-    // The cold run decodes against the live registry; the stage table and
-    // per-worker counts below come from it, not from the callbacks.
+    // The cold run decodes against the live registry; its solve and e2e
+    // quantiles, deadline misses and health below come from it, not from
+    // the callbacks.
     let fleet_cfg = FleetConfig::default();
-    let (cold_report, cold_stats, solves, cold_q) = run(
+    let (cold_report, cold_q) = run(
         &streams,
         &config,
         &codebook,
@@ -483,31 +486,22 @@ fn main() {
         &fleet_cfg,
         &registry,
     );
+    // Before the wire run below records into the same registry.
+    let cold = registry.snapshot();
     // The same traffic with the block-sparse proximal step, and on the
     // paper's verbatim schedule: the baseline the production schedule's
     // iteration count is gated against.
     let [block_q, paper_q] = [SolverPolicy::block_prior(), SolverPolicy::paper()].map(|policy| {
-        run(&streams, &config, &codebook, policy, &fleet_cfg, &TelemetryRegistry::disabled()).3
+        run(&streams, &config, &codebook, policy, &fleet_cfg, &TelemetryRegistry::disabled()).1
     });
-
-    let mut cold = FleetStats::from_streams(&cold_stats);
-    {
-        let slo = registry.slo_snapshot();
-        cold.set_health_counts(
-            slo.count_in(cs_telemetry::HealthState::Healthy),
-            slo.count_in(cs_telemetry::HealthState::Degraded),
-            slo.count_in(cs_telemetry::HealthState::Stalled),
-        );
-    }
     let fleet_rate = cold_report.packets_decoded as f64 / cold_report.wall_time.as_secs_f64();
 
     println!("== Fleet topology ==");
     println!("streams                 : {:>6}  (× 2 leads)", streams.len());
     println!("workers                 : {:>6}", cold_report.workers);
-    println!(
-        "worker imbalance        : {:>6.2}  (busiest / ideal share)",
-        worker_imbalance(&cold_report.worker_packets)
-    );
+    let per_worker: Vec<String> =
+        cold_report.worker_packets.iter().enumerate().map(|(w, n)| format!("w{w}={n}")).collect();
+    println!("worker packets          : {}", per_worker.join("  "));
     println!("backpressure stalls     : {:>6}", cold_report.backpressure_stalls);
     println!(
         "spectral cache          : {:>6} miss, {} hits (power iterations avoided)",
@@ -524,25 +518,20 @@ fn main() {
         cold_report.workers, fleet_rate, cold_report.packets_decoded, cold_report.wall_time
     );
     println!("speedup                 : {:>8.2} ×", fleet_rate / sequential_rate);
-    println!(
-        "e2e p50/p99 (cold)      : {:>8.2} / {:.2} ms  ({} deadline misses)",
-        cold.e2e_p50() * 1e3,
-        cold.e2e_p99() * 1e3,
-        cold.deadline_misses
-    );
+    let ([e2e_p50, e2e_p99], misses) = e2e_ms(&cold);
+    println!("e2e p50/p99 (cold)      : {e2e_p50:>8.2} / {e2e_p99:.2} ms  ({misses} deadline misses)");
+    let health = |state| cold.slo.count_in(state);
     println!(
         "patient health          : {:>6} healthy, {} degraded, {} stalled",
-        cold.healthy, cold.degraded, cold.stalled
+        health(HealthState::Healthy),
+        health(HealthState::Degraded),
+        health(HealthState::Stalled)
     );
 
     println!("== FISTA solves ==");
-    println!(
-        "cold solve p50/p95/p99  : {:>8.2} / {:.2} / {:.2} ms",
-        cold.solve_time_p50() * 1e3,
-        cold.solve_time_p95() * 1e3,
-        cold.solve_time_p99() * 1e3
-    );
-    println!("cold mean iterations    : {:>8.1}", cold.iterations.mean());
+    let [p50, p95, p99] = solve_ms(&cold);
+    println!("cold solve p50/p95/p99  : {p50:>8.2} / {p95:.2} / {p99:.2} ms");
+    println!("cold mean iterations    : {:>8.1}", cold_q.iterations_mean());
 
     // Prior-driven solve paths over the same traffic, and the paper's
     // schedule under them: per-mode iteration quantiles at integer
@@ -639,33 +628,9 @@ fn main() {
     alarm_panel(&registry, &clinical, &events);
     slo_panel(&registry);
 
-    let capacity = analyze_fleet(&CoordinatorSpec::iphone_3gs(), cold_report.workers, &solves);
-    println!("== Pool capacity (iPhone-3GS budget model) ==");
-    println!("mean solve per packet   : {:>8.2?}", capacity.mean_solve);
-    println!("streams per worker      : {:>8}", capacity.streams_per_worker);
-    println!(
-        "pool capacity           : {:>8}  (serving {})",
-        capacity.max_streams, capacity.streams
-    );
-    println!("per-worker CPU usage    : {:>8.2} %", capacity.cpu_usage_percent);
-    println!(
-        "real-time verdict       : {:>8}",
-        if capacity.real_time { "yes" } else { "NO" }
-    );
-
     let snapshot = registry.snapshot();
-    println!("== Telemetry (live registry, cold run) ==");
+    println!("== Telemetry (live registry, cold and wire runs) ==");
     stage_table(&registry);
-    let per_worker = registry.worker_packets(cold_report.workers);
-    println!(
-        "worker packets          : {}",
-        per_worker
-            .iter()
-            .enumerate()
-            .map(|(w, n)| format!("w{w}={n}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    );
     println!(
         "solve traces            : {:>6} buffered, {} pushed, {} dropped",
         snapshot.journal_len, snapshot.journal_pushed, snapshot.journal_dropped

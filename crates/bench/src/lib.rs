@@ -130,51 +130,46 @@ impl RunSettings {
     }
 
     /// Parses `--records N`, `--seconds S`, `--full`, `--telemetry`,
-    /// `--replay DIR` and `--serve ADDR` from process arguments, starting
-    /// from the quick defaults.
-    pub fn from_args() -> Self {
+    /// `--replay DIR` and `--serve ADDR` (without the program name),
+    /// starting from the quick defaults. `--full` sets the record count
+    /// and length only, so a later `--records` or `--seconds` still wins.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, or a flag whose value is missing or unparsable.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut settings = RunSettings::quick();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} requires a value"));
+            match flag.as_str() {
                 "--full" => {
-                    let quick = settings;
-                    settings = RunSettings::full();
-                    settings.telemetry = quick.telemetry;
-                    settings.replay = quick.replay;
-                    settings.serve = quick.serve;
+                    let RunSettings { records, seconds, .. } = RunSettings::full();
+                    settings = RunSettings { records, seconds, ..settings };
                 }
                 "--telemetry" => settings.telemetry = true,
-                "--replay" => {
-                    if let Some(dir) = args.get(i + 1) {
-                        settings.replay = Some(dir.clone());
-                        i += 1;
-                    }
-                }
-                "--serve" => {
-                    if let Some(addr) = args.get(i + 1) {
-                        settings.serve = Some(addr.clone());
-                        i += 1;
-                    }
-                }
-                "--records" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        settings.records = v;
-                        i += 1;
-                    }
-                }
-                "--seconds" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        settings.seconds = v;
-                        i += 1;
-                    }
-                }
-                other => eprintln!("ignoring unknown argument `{other}`"),
+                "--replay" => settings.replay = Some(value()?),
+                "--serve" => settings.serve = Some(value()?),
+                "--records" => settings.records = number(&flag, value()?)?,
+                "--seconds" => settings.seconds = number(&flag, value()?)?,
+                other => return Err(format!("unknown flag {other}")),
             }
-            i += 1;
         }
-        settings
+        Ok(settings)
+    }
+
+    /// [`RunSettings::parse`] over the process arguments. On an error it
+    /// prints the error and the usage, and exits with status 2.
+    pub fn from_args() -> Self {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        RunSettings::parse(args).unwrap_or_else(|e| {
+            eprintln!(
+                "{program}: {e}\nusage: {program} [--records N] [--seconds S] [--full] \
+                 [--telemetry] [--replay DIR] [--serve ADDR]"
+            );
+            std::process::exit(2)
+        })
     }
 
     /// Prepares the corpus for these settings.
@@ -271,6 +266,14 @@ pub fn host(figure: impl std::fmt::Display) -> String {
     format!("[{figure}]")
 }
 
+/// `value` as the number `flag` takes.
+fn number<V: std::str::FromStr>(flag: &str, value: String) -> Result<V, String>
+where
+    V::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag} {value}: {e}"))
+}
+
 /// Prints the standard harness banner so outputs are self-describing.
 pub fn banner(name: &str, paper_ref: &str, settings: &RunSettings) {
     println!("# {name} — reproduces {paper_ref}");
@@ -307,5 +310,33 @@ mod tests {
     fn settings_defaults() {
         assert_eq!(RunSettings::quick().records, 8);
         assert_eq!(RunSettings::full().records, 48);
+    }
+
+    fn parse(args: &[&str]) -> Result<RunSettings, String> {
+        RunSettings::parse(args.iter().map(|&a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_into_settings() {
+        let s = parse(&["--telemetry", "--full", "--seconds", "2.5", "--serve", "127.0.0.1:0"]).unwrap();
+        assert_eq!((s.records, s.seconds, s.telemetry), (48, 2.5, true));
+        assert_eq!(s.serve.as_deref(), Some("127.0.0.1:0"));
+        let s = parse(&["--records", "2", "--replay", "dir"]).unwrap();
+        assert_eq!((s.records, s.seconds, s.replay.as_deref()), (2, 16.0, Some("dir")));
+        assert_eq!(parse(&[]).unwrap(), RunSettings::quick());
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error() {
+        assert_eq!(parse(&["--records", "2", "--replay"]).unwrap_err(), "--replay requires a value");
+        assert_eq!(parse(&["--seconds"]).unwrap_err(), "--seconds requires a value");
+    }
+
+    #[test]
+    fn an_unparsable_value_or_unknown_flag_is_an_error() {
+        let err = parse(&["--records", "two"]).unwrap_err();
+        assert!(err.starts_with("--records two: "), "{err}");
+        assert!(parse(&["--records", "-1"]).is_err());
+        assert_eq!(parse(&["--record", "2"]).unwrap_err(), "unknown flag --record");
     }
 }

@@ -337,7 +337,6 @@ pub struct Decoder<T: Real> {
     /// last good window, which is exactly what a concealed gap should
     /// replay.
     conceal: Option<Vec<T>>,
-    concealment: bool,
     /// Lazily created workspace backing [`Decoder::decode_packet`]; stays
     /// `None` when the owner supplies its own (the fleet's per-worker
     /// workspace) via [`Decoder::decode_packet_with`].
@@ -478,7 +477,6 @@ impl<T: Real> Decoder<T> {
             warm: None,
             warm_start: false,
             conceal: None,
-            concealment: false,
             scratch: None,
             telemetry: TelemetryRegistry::disabled(),
             telemetry_labels: (0, 0),
@@ -517,22 +515,6 @@ impl<T: Real> Decoder<T> {
     /// Whether warm starts are enabled.
     pub fn warm_start_enabled(&self) -> bool {
         self.warm_start
-    }
-
-    /// Enables or disables loss concealment. While enabled, each decode
-    /// retains a copy of its coefficient estimate so
-    /// [`Decoder::conceal_packet_with`] can re-synthesize a lost window.
-    /// Off by default; disabling drops the retained window.
-    pub fn set_concealment(&mut self, enabled: bool) {
-        self.concealment = enabled;
-        if !enabled {
-            self.conceal = None;
-        }
-    }
-
-    /// Whether loss concealment is enabled.
-    pub fn concealment_enabled(&self) -> bool {
-        self.concealment
     }
 
     /// The retained coefficient estimate, if any (present only while warm
@@ -796,13 +778,9 @@ impl<T: Real> Decoder<T> {
         // the solution vector continues into the warm-start ping-pong
         // below. One allocation on the first retained window, then
         // steady-state free.
-        if self.concealment {
-            match &mut self.conceal {
-                Some(c) if c.len() == result.solution.len() => {
-                    c.copy_from_slice(&result.solution)
-                }
-                c => *c = Some(result.solution.clone()),
-            }
+        match &mut self.conceal {
+            Some(c) if c.len() == result.solution.len() => c.copy_from_slice(&result.solution),
+            c => *c = Some(result.solution.clone()),
         }
 
         // Ping-pong the solution vectors: the new estimate replaces the
@@ -848,9 +826,9 @@ impl<T: Real> Decoder<T> {
     /// estimate, writing the result into `out` with `out.concealed` set.
     ///
     /// Returns `true` when a retained window was replayed, `false` when
-    /// no history existed (stream head or concealment disabled) and the
-    /// samples were zero-filled instead. Either way `out` is a fully
-    /// formed packet so downstream accounting stays uniform. Does **not**
+    /// no history existed (stream head) and the samples were zero-filled
+    /// instead. Either way `out` is a fully formed packet so downstream
+    /// accounting stays uniform. Does **not**
     /// touch the DPCM state — the caller decides whether the loss also
     /// desynchronizes the lane (it does for real losses; call
     /// [`Decoder::desynchronize`] first).
@@ -1058,7 +1036,6 @@ mod tests {
     fn concealment_replays_last_window() {
         let config = SystemConfig::paper_default();
         let (mut enc, mut dec) = pair(&config);
-        dec.set_concealment(true);
         let x = synthetic_packet(512, 0.0);
         let wire = enc.encode_packet(&x).unwrap();
         let decoded = dec.decode_packet(&wire).unwrap();
@@ -1086,7 +1063,6 @@ mod tests {
     fn concealment_without_history_zero_fills() {
         let config = SystemConfig::paper_default();
         let (_, mut dec) = pair(&config);
-        dec.set_concealment(true);
         let mut ws = DecodeWorkspace::for_config(&config);
         let mut out = DecodedPacket::default();
         assert!(!dec.conceal_packet_with(0, &mut ws, &mut out));

@@ -73,11 +73,6 @@ pub struct FleetConfig {
     /// Reorder window per (stream, lane): how many out-of-order frames to
     /// buffer before declaring the gap lost.
     pub reorder_window: usize,
-    /// Per-solve FISTA iteration deadline. A solve that hits the budget is
-    /// emitted best-effort (and counted as deadline-degraded) instead of
-    /// stalling its lane. `None` leaves the solver policy's own cap in
-    /// force.
-    pub solve_budget: Option<usize>,
     /// Test hook: panic inside the decode of `(stream, wire seq)` once,
     /// to exercise the supervisor. `None` in production.
     pub chaos_panic: Option<(usize, u64)>,
@@ -89,7 +84,6 @@ impl Default for FleetConfig {
             workers: 0,
             channel_capacity: SHARED_BUFFER_PACKETS,
             reorder_window: DEFAULT_REORDER_WINDOW,
-            solve_budget: None,
             chaos_panic: None,
         }
     }
@@ -141,24 +135,14 @@ pub struct FleetPacket<T: Real> {
     pub packet: DecodedPacket<T>,
 }
 
-/// Per-stream accounting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Packets delivered for this stream (all leads).
-    pub packets: usize,
-    /// Sum of solver wall-clock across the stream's packets.
-    pub total_decode_time: Duration,
-    /// Longest single solve.
-    pub max_decode_time: Duration,
-    /// Sum of FISTA iterations.
-    pub total_iterations: u64,
-}
-
-/// Outcome of a fleet run.
+/// Outcome of a fleet run: what only the engine knows. Distributions —
+/// solve time, end-to-end latency, deadline misses — live in the run's
+/// [`TelemetryRegistry`], and each [`FleetPacket`] carries its own solve
+/// statistics for a consumer that wants more.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Per-stream accounting, indexed by stream.
-    pub streams: Vec<StreamSummary>,
+    /// Windows delivered per stream (all leads), indexed by stream.
+    pub stream_packets: Vec<usize>,
     /// Worker threads used.
     pub workers: usize,
     /// Packets decoded per worker (stream-affinity load picture).
@@ -171,14 +155,8 @@ pub struct FleetReport {
     pub spectral_misses: u64,
     /// Decoder constructions served from the shared spectral cache.
     pub spectral_hits: u64,
-    /// The packet period implied by the configuration (N / 256 Hz).
-    pub packet_period: Duration,
     /// End-to-end wall-clock for the whole run.
     pub wall_time: Duration,
-    /// Sum of solver wall-clock across all packets and streams.
-    pub total_decode_time: Duration,
-    /// Longest single solve anywhere in the fleet.
-    pub max_decode_time: Duration,
     /// Ingest/supervision accounting.
     pub faults: FaultStats,
     /// Quarantined frames held for postmortem, oldest first (bounded;
@@ -331,7 +309,7 @@ where
         ));
     }
     // `min_streams` pre-sizes the per-stream delivery state (and the
-    // report's `streams` vector); a channel announces no width, and
+    // report's `stream_packets`); a channel announces no width, and
     // indices at or above it grow the state on first sight.
     let min_streams = match &source {
         FleetSource::Channel(_) => 0,
@@ -344,15 +322,10 @@ where
     };
 
     let workers = fleet.effective_workers();
-    let packet_period = Duration::from_secs_f64(config.packet_len() as f64 / 256.0);
     let cache: SpectralCache<T> = SpectralCache::new();
     let delivery = Mutex::new(Delivery {
         on_packet,
-        next_seq: vec![0; min_streams],
-        summaries: vec![StreamSummary::default(); min_streams],
-        packets: 0,
-        total_decode: Duration::ZERO,
-        max_decode: Duration::ZERO,
+        stream_packets: vec![0; min_streams],
         failure: None,
     });
     let (jobs, queues): (Vec<_>, Vec<_>) = (0..workers)
@@ -402,34 +375,28 @@ where
         return Err(e);
     }
     Ok(FleetReport {
-        streams: delivery.summaries,
+        packets_decoded: delivery.stream_packets.iter().sum(),
+        stream_packets: delivery.stream_packets,
         workers,
         worker_packets,
-        packets_decoded: delivery.packets,
         backpressure_stalls: stalls,
         spectral_misses: cache.misses(),
         spectral_hits: cache.hits(),
-        packet_period,
         wall_time: started.elapsed(),
-        total_decode_time: delivery.total_decode,
-        max_decode_time: delivery.max_decode,
         faults,
         quarantine: quarantine.into_records(),
     })
 }
 
 /// Everything delivery touches, behind the one lock the workers share:
-/// the consumer, per-stream numbering and summaries, the totals, and the
-/// run's first failure — once one is recorded, nothing more is delivered.
+/// the consumer, per-stream window counts, and the run's first
+/// failure — once one is recorded, nothing more is delivered.
 struct Delivery<F> {
     on_packet: F,
-    /// Wire sequence numbers have gaps where frames were lost; this only
-    /// numbers a stream's windows for its trace context.
-    next_seq: Vec<u64>,
-    summaries: Vec<StreamSummary>,
-    packets: usize,
-    total_decode: Duration,
-    max_decode: Duration,
+    /// Windows delivered per stream, which also numbers a stream's windows
+    /// for its trace context: wire sequence numbers have gaps where frames
+    /// were lost.
+    stream_packets: Vec<usize>,
     failure: Option<PipelineError>,
 }
 
@@ -442,20 +409,11 @@ impl<F> Delivery<F> {
     {
         let Emission { stream, channel, outcome, captured_ns, packet } = emission;
         // A channel source can introduce streams mid-run.
-        if stream >= self.next_seq.len() {
-            self.next_seq.resize(stream + 1, 0);
-            self.summaries.resize_with(stream + 1, StreamSummary::default);
+        if stream >= self.stream_packets.len() {
+            self.stream_packets.resize(stream + 1, 0);
         }
-        let seq = self.next_seq[stream];
-        self.next_seq[stream] += 1;
-        let summary = &mut self.summaries[stream];
-        summary.packets += 1;
-        summary.total_decode_time += packet.solve_time;
-        summary.max_decode_time = summary.max_decode_time.max(packet.solve_time);
-        summary.total_iterations += packet.iterations as u64;
-        self.packets += 1;
-        self.total_decode += packet.solve_time;
-        self.max_decode = self.max_decode.max(packet.solve_time);
+        let seq = self.stream_packets[stream] as u64;
+        self.stream_packets[stream] += 1;
         let mut e2e = None;
         if telemetry.is_enabled() {
             telemetry.record_stage_ns(Stage::EmitDeliver, telemetry.now_ns().saturating_sub(emitted_ns));
@@ -718,8 +676,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(report.packets_decoded, 4);
-        assert_eq!(report.streams[0].packets, 2);
-        assert_eq!(report.streams[1].packets, 2);
+        assert_eq!(report.stream_packets, [2, 2]);
         // Identical configurations must share one spectral computation.
         assert_eq!(report.spectral_misses, 1);
         assert_eq!(report.spectral_hits, 1);
@@ -764,22 +721,18 @@ mod tests {
         let mut seen = Vec::new();
         let report = paper_coordinator::<f64>(&samples, |p| seen.push(p.packet.index));
         assert_eq!(report.packets_decoded, 6);
+        assert_eq!(report.stream_packets, [6]);
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]); // in order
-        assert!(report.max_decode_time >= Duration::ZERO);
-        assert_eq!(report.packet_period, Duration::from_secs(2));
     }
 
     #[test]
     fn decoder_is_real_time_on_this_host() {
         // A release-mode claim tested loosely in debug: each 2 s packet
         // must decode in far less than 2 s even unoptimized.
-        let report = paper_coordinator::<f32>(&ecg_like(3, 512, 0.0), |_| {});
-        assert!(
-            report.max_decode_time <= report.packet_period,
-            "max decode {:?} exceeded period {:?}",
-            report.max_decode_time,
-            report.packet_period
-        );
+        let period = Duration::from_secs(2); // N / 256 Hz
+        let mut worst = Duration::ZERO;
+        paper_coordinator::<f32>(&ecg_like(3, 512, 0.0), |p| worst = worst.max(p.packet.solve_time));
+        assert!(worst <= period, "max decode {worst:?} exceeded period {period:?}");
     }
 
     #[test]
@@ -882,7 +835,7 @@ mod tests {
         .unwrap();
 
         assert_eq!(report.packets_decoded, 6);
-        assert_eq!(report.streams.len(), 2);
+        assert_eq!(report.stream_packets, [3, 3]);
         assert_eq!(report.faults.frames, 6);
         assert_eq!(report.faults.decoded, 6);
         for stream in 0..2 {

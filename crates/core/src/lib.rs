@@ -82,7 +82,7 @@ pub use encoder::Encoder;
 pub use error::PipelineError;
 pub use fleet::{
     run_fleet, run_fleet_wire_stream_archived, FleetConfig, FleetPacket, FleetReport, FleetSource,
-    FleetStream, FrameSink, StreamSummary, WireFrame, SHARED_BUFFER_PACKETS,
+    FleetStream, FrameSink, WireFrame, SHARED_BUFFER_PACKETS,
 };
 pub use ingest::{
     ConcealmentReason, FaultStats, PacketOutcome, PushReject, QuarantineRecord,

@@ -71,7 +71,6 @@ impl<T: Real> LaneSpec<'_, T> {
         let codebook = Arc::clone(&self.codebook);
         let mut decoder = Decoder::with_cache(self.config, codebook, self.policy, self.cache)
             .map_err(|e| PipelineError::Fleet { stream: Some(stream), cause: e.to_string() })?;
-        decoder.set_concealment(true);
         decoder.set_telemetry(self.telemetry.clone());
         decoder.set_telemetry_labels(u32::try_from(stream).unwrap_or(u32::MAX), channel);
         Ok(slot.insert(decoder))
@@ -96,23 +95,17 @@ pub struct WireCore<'a, T: Real> {
 }
 
 impl<'a, T: Real> WireCore<'a, T> {
-    /// A core with no lanes yet. Of `fleet` it reads `reorder_window`,
-    /// `solve_budget` (which caps `policy.max_iterations`) and
+    /// A core with no lanes yet. Of `fleet` it reads `reorder_window` and
     /// `chaos_panic`. Lane decoders share `cache` and record into
     /// `telemetry`.
     pub fn new(
         config: &'a SystemConfig,
         codebook: Arc<Codebook>,
-        mut policy: SolverPolicy<T>,
+        policy: SolverPolicy<T>,
         fleet: &FleetConfig,
         cache: &'a SpectralCache<T>,
         telemetry: TelemetryRegistry,
     ) -> Self {
-        // A solve that hits the budget is emitted best-effort instead of
-        // stalling its lane.
-        if let Some(budget) = fleet.solve_budget {
-            policy.max_iterations = policy.max_iterations.min(budget.max(1));
-        }
         WireCore {
             spec: LaneSpec { config, codebook, policy, cache, telemetry },
             fleet: *fleet,
@@ -285,8 +278,9 @@ impl<'a, T: Real> WireCore<'a, T> {
         let outcome = match attempt {
             Ok(Ok(())) => {
                 self.faults.decoded += 1;
-                let budget = self.fleet.solve_budget;
-                if budget.is_some_and(|b| !decoded.converged && decoded.iterations >= b) {
+                // Stopped at `policy.max_iterations`: emitted best-effort
+                // instead of stalling its lane.
+                if !decoded.converged {
                     self.fault(FaultKind::DeadlineDegraded);
                 }
                 let outcome = PacketOutcome::Decoded;

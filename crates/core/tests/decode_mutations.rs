@@ -68,12 +68,8 @@ fn fixture(seed: u64) -> Fixture {
         ..SolverPolicy::default()
     };
     let cache = SpectralCache::new();
-    let decoders = std::array::from_fn(|_| {
-        let mut decoder =
-            Decoder::with_cache(&config, Arc::clone(&codebook), policy, &cache).unwrap();
-        decoder.set_concealment(true);
-        decoder
-    });
+    let decoders =
+        std::array::from_fn(|_| Decoder::with_cache(&config, Arc::clone(&codebook), policy, &cache).unwrap());
     Fixture {
         config,
         wire,

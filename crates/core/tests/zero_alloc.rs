@@ -71,7 +71,6 @@ fn steady_state_decode_allocates_nothing() {
     let mut decoder: Decoder<f32> =
         Decoder::new(&config, codebook, SolverPolicy::default()).unwrap();
     decoder.set_warm_start(true);
-    decoder.set_concealment(true);
 
     // Trace the steady state: a live registry (journal ring preallocated
     // at construction) observing every stage span and solve trace.

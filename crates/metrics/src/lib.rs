@@ -25,11 +25,9 @@
 #![forbid(unsafe_code)]
 
 mod aggregate;
-mod fleet;
 mod quality;
 
 pub use aggregate::{exact_percentile, Summary, SweepPoint, SweepSeries};
-pub use fleet::{worker_imbalance, FleetStats, StreamStats};
 pub use quality::{
     compression_ratio, output_snr, prd, snr_from_prd, try_prd, DiagnosticQuality,
 };

@@ -110,84 +110,6 @@ pub fn iteration_budget_ratio(optimized: &RealTimeReport, baseline: &RealTimeRep
     optimized.max_iterations_in_budget as f64 / baseline.max_iterations_in_budget as f64
 }
 
-/// Real-time capacity of a decode worker pool serving many streams.
-///
-/// The single-coordinator analysis asks "does one packet fit one budget";
-/// a fleet asks "how many patients fit this pool". Each worker has one
-/// decode budget per packet period, so its capacity is
-/// `budget / mean-per-packet-solve` streams, and the pool scales that by
-/// the worker count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetCapacityReport {
-    /// Streams actually served.
-    pub streams: usize,
-    /// Workers in the pool.
-    pub workers: usize,
-    /// Mean solve time per packet across the fleet.
-    pub mean_solve: Duration,
-    /// Streams one worker can sustain within its budget.
-    pub streams_per_worker: usize,
-    /// Streams the whole pool can sustain (`workers × streams_per_worker`).
-    pub max_streams: usize,
-    /// Mean per-worker CPU usage over the packet period, display overhead
-    /// included, as a percentage.
-    pub cpu_usage_percent: f64,
-    /// Whether the served load fits the pool's aggregate budget.
-    pub real_time: bool,
-}
-
-/// Derives pool capacity from per-stream observed solves.
-///
-/// `streams` holds one sample set per served stream (every packet of that
-/// stream, all leads).
-///
-/// # Panics
-///
-/// Panics if there are no workers, no streams, or any stream has no
-/// samples (same contract as [`analyze_solves`]).
-pub fn analyze_fleet(
-    spec: &CoordinatorSpec,
-    workers: usize,
-    streams: &[Vec<SolveSample>],
-) -> FleetCapacityReport {
-    assert!(workers > 0, "analyze_fleet: zero workers");
-    assert!(!streams.is_empty(), "analyze_fleet: no streams");
-    let mut total_time = 0.0_f64;
-    let mut packets = 0_u64;
-    for samples in streams {
-        assert!(!samples.is_empty(), "analyze_fleet: stream with no samples");
-        for s in samples {
-            total_time += s.solve_time.as_secs_f64();
-            packets += 1;
-        }
-    }
-    let mean_solve = total_time / packets as f64;
-    let budget = spec.decode_budget().as_secs_f64();
-    let streams_per_worker = if mean_solve > 0.0 {
-        (budget / mean_solve + 1e-9).floor() as usize
-    } else {
-        usize::MAX
-    };
-    let max_streams = streams_per_worker.saturating_mul(workers);
-    // Per frame, each worker decodes streams/workers packets on average.
-    let frames = streams
-        .iter()
-        .map(Vec::len)
-        .max()
-        .expect("non-empty streams") as f64;
-    let per_worker_time = total_time / workers as f64 / frames;
-    let cpu = per_worker_time / spec.packet_period.as_secs_f64() + spec.display_overhead_fraction;
-    FleetCapacityReport {
-        streams: streams.len(),
-        workers,
-        mean_solve: Duration::from_secs_f64(mean_solve),
-        streams_per_worker,
-        max_streams,
-        cpu_usage_percent: cpu * 100.0,
-        real_time: streams.len() <= max_streams,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,38 +164,5 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn empty_samples_panic() {
         let _ = analyze_solves(&CoordinatorSpec::iphone_3gs(), &[]);
-    }
-
-    #[test]
-    fn fleet_capacity_scales_with_workers() {
-        let spec = CoordinatorSpec::iphone_3gs();
-        // 100 ms mean solve against a 1 s budget → 10 streams per worker.
-        let streams: Vec<Vec<SolveSample>> =
-            (0..4).map(|_| vec![sample(500, 100); 3]).collect();
-        let one = analyze_fleet(&spec, 1, &streams);
-        assert_eq!(one.streams_per_worker, 10);
-        assert_eq!(one.max_streams, 10);
-        assert!(one.real_time);
-        let four = analyze_fleet(&spec, 4, &streams);
-        assert_eq!(four.max_streams, 40);
-        assert!(four.cpu_usage_percent < one.cpu_usage_percent);
-    }
-
-    #[test]
-    fn fleet_overload_detected() {
-        let spec = CoordinatorSpec::iphone_3gs();
-        // 600 ms mean solve → 1 stream per worker; 3 streams on 2 workers
-        // exceed the pool.
-        let streams: Vec<Vec<SolveSample>> =
-            (0..3).map(|_| vec![sample(800, 600); 2]).collect();
-        let report = analyze_fleet(&spec, 2, &streams);
-        assert_eq!(report.streams_per_worker, 1);
-        assert!(!report.real_time);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero workers")]
-    fn fleet_zero_workers_panics() {
-        let _ = analyze_fleet(&CoordinatorSpec::iphone_3gs(), 0, &[vec![sample(1, 1)]]);
     }
 }

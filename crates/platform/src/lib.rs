@@ -46,8 +46,7 @@ mod mote;
 
 pub use chaos_tcp::{TcpChaosProxy, TcpChaosSpec, TcpChaosStats};
 pub use coordinator::{
-    analyze_fleet, analyze_solves, iteration_budget_ratio, CoordinatorSpec, FleetCapacityReport,
-    RealTimeReport, SolveSample,
+    analyze_solves, iteration_budget_ratio, CoordinatorSpec, RealTimeReport, SolveSample,
 };
 pub use energy::{compare_lifetime, EnergyModel, LifetimeComparison, RadioSpec};
 pub use link::{

@@ -148,8 +148,8 @@ impl Histogram {
 }
 
 /// A plain-value log2 histogram: the owned counterpart of [`Histogram`]
-/// for aggregation (`cs_metrics::FleetStats` embeds one per stream) and
-/// export.
+/// for snapshots, aggregation (merging per-patient end-to-end histograms
+/// into a fleet-wide one) and export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts; bucket `i` covers `[2^i, 2^{i+1})`.

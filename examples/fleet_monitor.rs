@@ -2,9 +2,11 @@
 //! the worker-pool engine — the ward-server generalization of the
 //! paper's one-patient iPhone demo.
 //!
-//! Reports per-patient quality, worker balance and the shared spectral
-//! cache. The run decodes against a live telemetry registry; a
-//! JSON-Lines snapshot of it is emitted every `SNAPSHOT_EVERY` packets.
+//! Reports per-patient quality, per-worker load and the shared spectral
+//! cache. The run decodes against a live telemetry registry, which keeps
+//! the solve and latency distributions; the callback keeps only the PRD
+//! against the input leads. A JSON-Lines snapshot of the registry is
+//! emitted every `SNAPSHOT_EVERY` packets.
 //! Exits non-zero if any stream comes up short of its expected packets
 //! (a decode error upstream).
 //!
@@ -78,8 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // are its rolling state, not a post-hoc summary.
     let registry = TelemetryRegistry::new();
     let mut every = Every::new(SNAPSHOT_EVERY);
-    let deadline = registry.slo_config().deadline;
-    let mut stats = vec![StreamStats::new(); patients];
     let mut worst_prd = vec![0.0_f64; patients];
     let report = run_fleet::<f32, _>(
         &config,
@@ -90,10 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &registry,
         None,
         |p| {
-            stats[p.stream].record(p.packet.iterations, p.packet.solve_time.as_secs_f64());
-            if let Some(e2e) = p.e2e {
-                stats[p.stream].record_e2e(e2e.as_secs_f64(), e2e > deadline);
-            }
             let frame = p.packet.index as usize;
             let truth: Vec<f64> = leads[p.stream][frame * n..(frame + 1) * n]
                 .iter()
@@ -115,36 +111,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // less means a packet was lost to a decode error.
     let frames = leads[0].len() / n;
     let short_streams: Vec<(usize, usize)> = report
-        .streams
+        .stream_packets
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.packets < 2 * frames)
-        .map(|(i, s)| (i, s.packets))
+        .filter(|&(_, &packets)| packets < 2 * frames)
+        .map(|(i, &packets)| (i, packets))
         .collect();
 
     println!("== {} patients × 2 leads on {} workers ==", patients, report.workers);
-    for (i, s) in stats.iter().enumerate() {
+    for (i, packets) in report.stream_packets.iter().enumerate() {
         println!(
-            "patient {i}: {:3} packets, mean {:6.1} iterations, worst PRD {:5.1} % ({})",
-            s.packets(),
-            s.iterations.mean(),
+            "patient {i}: {packets:3} packets, worst PRD {:5.1} % ({})",
             worst_prd[i],
             DiagnosticQuality::from_prd(worst_prd[i]),
         );
     }
     println!(
-        "worker balance {:.2}, {} backpressure stalls, spectral cache {} miss / {} hits",
-        worker_imbalance(&report.worker_packets),
-        report.backpressure_stalls,
-        report.spectral_misses,
-        report.spectral_hits,
+        "worker packets {:?}, {} backpressure stalls, spectral cache {} miss / {} hits",
+        report.worker_packets, report.backpressure_stalls, report.spectral_misses, report.spectral_hits,
     );
+    let solves = registry.stage(Stage::FistaSolve).snapshot();
     println!(
-        "decoded {} packets in {:.2?} (solver total {:.2?}, {:.1} mean iterations)\n",
+        "decoded {} packets in {:.2?} (solve p50 {:.2} ms, p99 {:.2} ms)\n",
         report.packets_decoded,
         report.wall_time,
-        report.total_decode_time,
-        FleetStats::from_streams(&stats).iterations.mean()
+        solves.quantile(0.50) as f64 / 1e6,
+        solves.quantile(0.99) as f64 / 1e6,
     );
     let slo = registry.slo_snapshot();
     println!(

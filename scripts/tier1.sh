@@ -29,6 +29,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # still forbids it outright.
 scripts/unsafe_check.sh
 
+# Non-test lines per crate and in total, printed for the reader and never
+# a gate: the figure a deletion reports against its parent
+# (`scripts/loc.sh DIR` counts another checkout).
+scripts/loc.sh
+
 # The same two modules under AddressSanitizer. It needs the nightly
 # toolchain; where there is none, say so and go on (CI runs it nightly).
 if cargo +nightly --version >/dev/null 2>&1; then

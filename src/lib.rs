@@ -81,9 +81,7 @@ pub mod prelude {
         resample_360_to_256, score_detections, AdcModel, BeatType, DatabaseConfig, EcgModel,
         EcgModelConfig, QrsDetectorConfig, Record, SyntheticDatabase,
     };
-    pub use cs_metrics::{
-        prd, try_prd, worker_imbalance, DiagnosticQuality, FleetStats, StreamStats,
-    };
+    pub use cs_metrics::{prd, try_prd, DiagnosticQuality};
     pub use cs_platform::{
         analyze_solves, compare_lifetime, encode_cost, encoder_footprint, CoordinatorSpec,
         EnergyModel, FaultSpec, GilbertElliottParams, LossyLink, MoteSpec,

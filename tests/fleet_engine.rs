@@ -272,15 +272,13 @@ fn report_accounting_is_consistent() {
     let fleet = FleetConfig { workers: 3, ..FleetConfig::default() };
     let report = run::<f32>(FleetSource::Leads(&streams), &fleet, None, |_| {}).unwrap();
 
-    let per_stream: usize = report.streams.iter().map(|s| s.packets).sum();
+    assert_eq!(report.stream_packets, [2, 2, 2]);
+    let per_stream: usize = report.stream_packets.iter().sum();
     assert_eq!(per_stream, report.packets_decoded);
     let per_worker: usize = report.worker_packets.iter().sum();
     assert_eq!(per_worker, report.packets_decoded);
     // Stream affinity: equal-length streams split evenly over the workers.
     assert_eq!(report.worker_packets, [2, 2, 2]);
-    let stream_total: Duration = report.streams.iter().map(|s| s.total_decode_time).sum();
-    assert_eq!(stream_total, report.total_decode_time);
-    assert!(report.packet_period == Duration::from_secs(2));
     assert_eq!(report.spectral_misses, 1);
     assert_eq!(report.spectral_hits as usize, inputs.len() - 1);
 }

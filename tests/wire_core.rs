@@ -180,6 +180,10 @@ proptest! {
         prop_assert_eq!(count(PacketOutcome::Concealed(ConcealmentReason::Loss)), f.concealed_loss);
         prop_assert_eq!(count(PacketOutcome::Concealed(ConcealmentReason::Desync)), f.concealed_desync);
         prop_assert_eq!(count(PacketOutcome::Quarantined), f.quarantined);
+        // A decoded window that did not converge stopped at the policy's
+        // iteration cap, and is counted as such.
+        let capped = emitted.iter().filter(|e| e.outcome == PacketOutcome::Decoded && !e.packet.converged);
+        prop_assert_eq!(capped.count() as u64, f.deadline_degraded);
 
         // Each lane comes out in contiguous wire order from its first slot.
         let mut expected: Vec<Vec<Window>> = vec![Vec::new(); STREAMS];
