@@ -224,14 +224,14 @@ impl ArchiveWriter {
     /// Appends one wire frame for `(patient, lane)` under sequence
     /// number `seq`, rotating the segment when full.
     pub fn append(&mut self, patient: u32, lane: u8, seq: u64, frame: &[u8]) -> io::Result<()> {
-        let _span = self.config.telemetry.span(Stage::ArchiveAppend);
-        let config = self.config.clone();
-        let root = self.root.clone();
+        let config = &self.config;
+        let _span = config.telemetry.span(Stage::ArchiveAppend);
+        let root = &self.root;
         let writer = self
             .lanes
             .entry((patient, lane))
             .or_insert_with(|| LaneWriter {
-                dir: lane_dir(&root, patient, lane),
+                dir: lane_dir(root, patient, lane),
                 next_index: 0,
                 current: None,
             });
@@ -242,7 +242,7 @@ impl ArchiveWriter {
             .as_ref()
             .is_some_and(|seg| seg.records > 0 && seg.bytes + record_len > config.segment_bytes as u64);
         if needs_rotation {
-            Self::seal_lane(writer, &config, &mut self.scratch)?;
+            Self::seal_lane(writer, config, &mut self.scratch)?;
         }
         let seg = match &mut writer.current {
             Some(seg) => seg,
@@ -335,9 +335,8 @@ impl ArchiveWriter {
     /// Seals every open segment and consumes the writer. Archives closed
     /// this way reopen without any recovery scan.
     pub fn finish(mut self) -> io::Result<()> {
-        let config = self.config.clone();
         for writer in self.lanes.values_mut() {
-            Self::seal_lane(writer, &config, &mut self.scratch)?;
+            Self::seal_lane(writer, &self.config, &mut self.scratch)?;
         }
         Ok(())
     }

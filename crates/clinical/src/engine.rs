@@ -10,10 +10,12 @@
 //!     None, |pkt| engine.on_packet(pkt, &mut events))?;
 //! ```
 //!
-//! Every lead runs its own [`StreamingQrsDetector`] (detection quality
-//! is per-lead), but rhythm interpretation — classification, alarms,
-//! adaptive-compression feedback — runs on the configured primary lead
-//! only, mirroring how single-lead arbitration works on real monitors.
+//! Each patient runs one [`StreamingQrsDetector`], on the configured
+//! primary lead: detection, classification, alarms and
+//! adaptive-compression feedback all read that lead only, mirroring how
+//! single-lead arbitration works on real monitors. A window on any other
+//! lead is not analysed; it only counts towards the patient's start
+//! (analysis begins at the first decoded window on any lead).
 //!
 //! ## Concealment-aware suppression
 //!
@@ -44,7 +46,7 @@ use crate::detector::{QrsDetection, StreamingQrsDetector};
 /// Everything the engine needs to know about the fleet and thresholds.
 #[derive(Debug, Clone, Copy)]
 pub struct ClinicalConfig {
-    /// Streaming detector configuration (shared by every lead).
+    /// Streaming detector configuration (the primary lead's detector).
     pub detector: QrsDetectorConfig,
     /// Beat classifier thresholds.
     pub classifier: BeatClassifierConfig,
@@ -184,21 +186,19 @@ impl TruthScorer {
 /// Per-patient analysis state.
 #[derive(Debug)]
 struct PatientAnalyzer {
-    /// One detector per lead.
-    detectors: Vec<StreamingQrsDetector>,
+    /// The primary lead's detector.
+    detector: StreamingQrsDetector,
     classifier: BeatClassifier,
     alarms: AlarmEngine,
-    /// Whether the first decoded window has arrived. Until it does,
-    /// emissions are ignored entirely: a leading concealment has nothing
-    /// to hold, and letting the detector seed its warm-up thresholds on
-    /// interpolated silence leaves them trigger-happy for the rest of
-    /// the session.
+    /// Whether the first decoded window, on any lead, has arrived. Until
+    /// it does, emissions are ignored entirely: a leading concealment has
+    /// nothing to hold, and letting the detector seed its warm-up
+    /// thresholds on interpolated silence leaves them trigger-happy for
+    /// the rest of the session.
     started: bool,
     /// Absolute sample before which alarm evaluation is suppressed
     /// (end of the most recent concealed/quarantined window).
     conceal_until: usize,
-    /// Signal clock (samples seen on the primary lead).
-    clock: usize,
     /// Sample at which routine fidelity may be restored; `usize::MAX`
     /// while any alarm is active.
     restore_at: Option<usize>,
@@ -223,6 +223,7 @@ pub struct ClinicalEngine {
 
 impl ClinicalEngine {
     /// Builds an engine for `patients` streams of `channels` leads each.
+    /// Only `primary_lead` (which must be below `channels`) is analysed.
     pub fn new(
         config: ClinicalConfig,
         patients: usize,
@@ -238,14 +239,11 @@ impl ClinicalEngine {
         );
         let analyzers = (0..patients)
             .map(|_| PatientAnalyzer {
-                detectors: (0..channels)
-                    .map(|_| StreamingQrsDetector::new(config.detector))
-                    .collect(),
+                detector: StreamingQrsDetector::new(config.detector),
                 classifier: BeatClassifier::new(config.classifier),
                 alarms: AlarmEngine::new(config.alarm),
                 started: false,
                 conceal_until: 0,
-                clock: 0,
                 restore_at: None,
                 truth: None,
             })
@@ -322,22 +320,16 @@ impl ClinicalEngine {
                 return;
             }
         }
-        let lead = pkt.channel as usize;
-        let Some(detector) = patient.detectors.get_mut(lead) else {
-            return;
-        };
-        let base = detector.samples_seen();
-
-        self.scratch.clear();
-        self.scratch.extend(pkt.packet.samples.iter().map(|&v| v.to_f64()));
-        self.detections.clear();
-        detector.push_window(&self.scratch, &mut self.detections);
-
         if pkt.channel != self.config.primary_lead {
             return;
         }
+        // The signal clock: samples seen on the primary lead.
+        let base = patient.detector.samples_seen();
+        self.scratch.clear();
+        self.scratch.extend(pkt.packet.samples.iter().map(|&v| v.to_f64()));
+        self.detections.clear();
+        patient.detector.push_window(&self.scratch, &mut self.detections);
         let now = base + self.scratch.len();
-        patient.clock = now;
 
         let trusted = matches!(pkt.outcome, PacketOutcome::Decoded);
         if !trusted {
@@ -397,27 +389,19 @@ impl ClinicalEngine {
         }
     }
 
-    /// Flushes every detector (end of record) and settles truth
-    /// scorers. Call once after the fleet drains.
+    /// Flushes every patient's detector (end of record) and settles
+    /// truth scorers. Call once after the fleet drains.
     pub fn finish(&mut self, out: &mut Vec<ClinicalEvent>) {
-        for stream in 0..self.patients.len() {
-            let patient = &mut self.patients[stream];
-            let primary = self.config.primary_lead as usize;
-            for lead in 0..patient.detectors.len() {
-                self.detections.clear();
-                patient.detectors[lead].flush(&mut self.detections);
-                if lead != primary {
-                    continue;
+        for (stream, patient) in self.patients.iter_mut().enumerate() {
+            self.detections.clear();
+            patient.detector.flush(&mut self.detections);
+            for det in &self.detections {
+                if let Some(scorer) = patient.truth.as_mut() {
+                    scorer.record(det.sample, &self.telemetry);
                 }
-                for i in 0..self.detections.len() {
-                    let det = self.detections[i];
-                    if let Some(scorer) = patient.truth.as_mut() {
-                        scorer.record(det.sample, &self.telemetry);
-                    }
-                    if let Some(beat) = patient.classifier.classify(det.sample, det.crest) {
-                        self.telemetry.record_beat(beat.class);
-                        out.push(ClinicalEvent::Beat { stream, beat });
-                    }
+                if let Some(beat) = patient.classifier.classify(det.sample, det.crest) {
+                    self.telemetry.record_beat(beat.class);
+                    out.push(ClinicalEvent::Beat { stream, beat });
                 }
             }
             if let Some(scorer) = patient.truth.as_mut() {

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //!   FleetPacket ─▶ StreamingQrsDetector ─▶ BeatClassifier ─▶ AlarmEngine
-//!        │              (per lead)          (primary lead)       │
+//!        │            (primary lead only)                        │
 //!        │                                                       ▼
 //!        └──────────◀── TierController ◀── ClinicalEngine ── transitions
 //!                     (Routine ⇄ Diagnostic)
@@ -22,10 +22,11 @@
 //! * [`AlarmEngine`] — per-patient alarm state machine with onset
 //!   hysteresis, immediate escalation, latched criticals, and an
 //!   asystole silence timeout.
-//! * [`ClinicalEngine`] — the fleet-wide assembly: per-lead detectors,
-//!   concealment-aware alarm suppression, live sensitivity/PPV scoring
-//!   against registered ground truth, and closed-loop fidelity control
-//!   through `cs_core::TierController`.
+//! * [`ClinicalEngine`] — the fleet-wide assembly: one detector per
+//!   patient, on the primary lead (other leads' windows are not
+//!   analysed), concealment-aware alarm suppression, live
+//!   sensitivity/PPV scoring against registered ground truth, and
+//!   closed-loop fidelity control through `cs_core::TierController`.
 //!
 //! Steady-state analysis performs no heap allocation: detectors use
 //! fixed rings sized at construction, and every event buffer is reused.

@@ -7,6 +7,9 @@
 //! alarm evaluation, truth scoring, telemetry — must perform **zero**
 //! heap allocations. The analysis path runs on the decode side's hot
 //! loop; an allocation there stalls the very stream being monitored.
+//! A four-lead patient is held to the same bound, so the early return
+//! that leaves the other leads' windows unanalysed allocates nothing
+//! either.
 //!
 //! Single `#[test]` in its own binary so no concurrent test pollutes
 //! the counter.
@@ -100,6 +103,32 @@ fn steady_state_analysis_allocates_nothing() {
     assert!(beats > 40, "only {beats} events in the measured window");
     let (tp, _, _) = telemetry.qrs_confusion();
     assert!(tp > 40, "truth scorer matched only {tp} peaks");
+
+    // A four-lead patient: every window reaches the engine, only lead 0
+    // is analysed, and the other three return early — allocation-free.
+    let telemetry = TelemetryRegistry::new();
+    let mut engine = ClinicalEngine::new(ClinicalConfig::at_256_hz(), 1, 4, telemetry.clone());
+    engine.set_tier_controller(TierController::new(1));
+    let leads: Vec<FleetPacket<f64>> = packets
+        .iter()
+        .flat_map(|pkt| {
+            (0..4u8).map(move |channel| FleetPacket { channel, ..pkt.clone() })
+        })
+        .collect();
+    for pkt in &leads[..16 * 4] {
+        events.clear();
+        engine.on_packet(pkt, &mut events);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut beats = 0;
+    for pkt in &leads[16 * 4..] {
+        events.clear();
+        engine.on_packet(pkt, &mut events);
+        beats += events.len();
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "a four-lead patient allocated {} times", after - before);
+    assert!(beats > 40, "only {beats} events from the four-lead patient");
 
     // Nor does the window's length matter: the detector band-passes in
     // fixed blocks it owns, so 2 000 samples at once — longer than any of

@@ -53,6 +53,11 @@ cargo test -q --release -p cs-core --test zero_alloc_prior
 # and the decode-queue handoff costs exactly one buffer per frame.
 cargo test -q --release -p cs-ingest --test zero_alloc_ingest
 
+# The clinical crate under the optimizer: the detector's bit-exact
+# band-pass and split parity, the primary-lead and alarm-model
+# properties, and the zero-allocation analysis path.
+cargo test -q --release -p cs-clinical
+
 # Prior-driven solver guarantees under the optimizer: the block prior
 # holds PRD against plain ℓ1 at fewer iterations (the test decodes both
 # with the decoder-level warm start, which no production path enables).
