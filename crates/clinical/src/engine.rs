@@ -11,11 +11,11 @@
 //! ```
 //!
 //! Each patient runs one [`StreamingQrsDetector`], on the configured
-//! primary lead: detection, classification, alarms and
-//! adaptive-compression feedback all read that lead only, mirroring how
-//! single-lead arbitration works on real monitors. A window on any other
-//! lead is not analysed; it only counts towards the patient's start
-//! (analysis begins at the first decoded window on any lead).
+//! primary lead: detection, classification and alarms all read that
+//! lead only, mirroring how single-lead arbitration works on real
+//! monitors. A window on any other lead is not analysed; it only counts
+//! towards the patient's start (analysis begins at the first decoded
+//! window on any lead).
 //!
 //! ## Concealment-aware suppression
 //!
@@ -25,16 +25,8 @@
 //! the signal clock passes the end of the concealed region, and the
 //! asystole silence floor is moved there: concealed silence is a
 //! telemetry problem, not a cardiac event.
-//!
-//! ## Closed-loop fidelity
-//!
-//! When any alarm on a patient is active the engine escalates that
-//! patient's stream to [`FidelityTier::Diagnostic`] through the shared
-//! [`TierController`]; once every alarm has cleared and a holdoff has
-//! passed it restores [`FidelityTier::Routine`]. This is the first
-//! place decode-side results steer encode-side configuration.
 
-use cs_core::{ClinicalFeedback, FidelityTier, FleetPacket, PacketOutcome, TierController};
+use cs_core::{FleetPacket, PacketOutcome};
 use cs_dsp::Real;
 use cs_ecg_data::QrsDetectorConfig;
 use cs_telemetry::{AlarmSeverity, TelemetryRegistry};
@@ -54,9 +46,6 @@ pub struct ClinicalConfig {
     pub alarm: AlarmConfig,
     /// The lead whose detections drive rhythm interpretation.
     pub primary_lead: u8,
-    /// Quiet time after the last active alarm before the patient's
-    /// stream is restored to the routine fidelity tier.
-    pub restore_holdoff_s: f64,
 }
 
 impl ClinicalConfig {
@@ -67,7 +56,6 @@ impl ClinicalConfig {
             classifier: BeatClassifierConfig::default(),
             alarm: AlarmConfig::at_256_hz(),
             primary_lead: 0,
-            restore_holdoff_s: 8.0,
         }
     }
 }
@@ -89,8 +77,6 @@ pub enum ClinicalEvent {
         /// The severity transition.
         transition: AlarmTransition,
     },
-    /// The adaptive-compression loop changed a patient's fidelity tier.
-    Tier(ClinicalFeedback),
 }
 
 /// Incremental scorer matching monotonic detections against a sorted
@@ -199,9 +185,6 @@ struct PatientAnalyzer {
     /// Absolute sample before which alarm evaluation is suppressed
     /// (end of the most recent concealed/quarantined window).
     conceal_until: usize,
-    /// Sample at which routine fidelity may be restored; `usize::MAX`
-    /// while any alarm is active.
-    restore_at: Option<usize>,
     truth: Option<TruthScorer>,
 }
 
@@ -211,8 +194,6 @@ pub struct ClinicalEngine {
     config: ClinicalConfig,
     patients: Vec<PatientAnalyzer>,
     telemetry: TelemetryRegistry,
-    controller: Option<TierController>,
-    feedback: Option<crossbeam::channel::Sender<ClinicalFeedback>>,
     /// Reused f64 conversion buffer.
     scratch: Vec<f64>,
     /// Reused detection buffer.
@@ -244,7 +225,6 @@ impl ClinicalEngine {
                 alarms: AlarmEngine::new(config.alarm),
                 started: false,
                 conceal_until: 0,
-                restore_at: None,
                 truth: None,
             })
             .collect();
@@ -252,25 +232,10 @@ impl ClinicalEngine {
             config,
             patients: analyzers,
             telemetry,
-            controller: None,
-            feedback: None,
             scratch: Vec::new(),
             detections: Vec::new(),
             transitions: Vec::new(),
         }
-    }
-
-    /// Attaches the shared fidelity controller: active alarms escalate
-    /// the patient's stream to the diagnostic tier, quiet restores it.
-    pub fn set_tier_controller(&mut self, controller: TierController) {
-        self.controller = Some(controller);
-    }
-
-    /// Attaches an out-of-band feedback channel mirroring tier changes
-    /// (e.g. for a remote mote uplink). Sends never block; a full or
-    /// disconnected channel is ignored.
-    pub fn set_feedback(&mut self, sender: crossbeam::channel::Sender<ClinicalFeedback>) {
-        self.feedback = Some(sender);
     }
 
     /// Registers ground-truth R-peak annotations for one patient's
@@ -364,28 +329,6 @@ impl ClinicalEngine {
                 self.telemetry.record_alarm_cleared(t.kind);
             }
             out.push(ClinicalEvent::Alarm { stream, transition: t });
-        }
-
-        // Closed-loop fidelity.
-        let holdoff = (self.config.restore_holdoff_s * self.config.alarm.sample_rate_hz) as usize;
-        let desired = if patient.alarms.any_active() {
-            patient.restore_at = Some(now + holdoff);
-            Some(FidelityTier::Diagnostic)
-        } else if patient.restore_at.is_some_and(|at| now >= at) {
-            patient.restore_at = None;
-            Some(FidelityTier::Routine)
-        } else {
-            None
-        };
-        if let (Some(tier), Some(ctl)) = (desired, self.controller.as_ref()) {
-            if ctl.tier(stream) != tier {
-                ctl.set_tier(stream, tier);
-                let notice = ClinicalFeedback { stream, tier };
-                out.push(ClinicalEvent::Tier(notice));
-                if let Some(tx) = self.feedback.as_ref() {
-                    let _ = tx.try_send(notice);
-                }
-            }
         }
     }
 

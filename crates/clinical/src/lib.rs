@@ -2,15 +2,13 @@
 //!
 //! Everything downstream of reconstruction: the decode side hands this
 //! crate in-order per-lead sample windows (via `cs_core::FleetPacket`
-//! emissions) and gets back beats, alarms, and adaptive-compression
-//! feedback.
+//! emissions) and gets back beats and alarms.
 //!
 //! ```text
 //!   FleetPacket ─▶ StreamingQrsDetector ─▶ BeatClassifier ─▶ AlarmEngine
-//!        │            (primary lead only)                        │
-//!        │                                                       ▼
-//!        └──────────◀── TierController ◀── ClinicalEngine ── transitions
-//!                     (Routine ⇄ Diagnostic)
+//!                     (primary lead only)                        │
+//!                                                                ▼
+//!                                   ClinicalEvent ◀── ClinicalEngine
 //! ```
 //!
 //! * [`StreamingQrsDetector`] — an incremental port of
@@ -24,9 +22,8 @@
 //!   asystole silence timeout.
 //! * [`ClinicalEngine`] — the fleet-wide assembly: one detector per
 //!   patient, on the primary lead (other leads' windows are not
-//!   analysed), concealment-aware alarm suppression, live
-//!   sensitivity/PPV scoring against registered ground truth, and
-//!   closed-loop fidelity control through `cs_core::TierController`.
+//!   analysed), concealment-aware alarm suppression, and live
+//!   sensitivity/PPV scoring against registered ground truth.
 //!
 //! Steady-state analysis performs no heap allocation: detectors use
 //! fixed rings sized at construction, and every event buffer is reused.

@@ -4,14 +4,12 @@
 //! A four-lead engine (primary lead 0 or 2) is fed each patient's
 //! primary windows with any number of other-lead windows — any outcome,
 //! any samples — interleaved between them; a one-lead engine is fed the
-//! primary windows alone. Events, the QRS confusion counts,
-//! `cs_alarm_suppressed_total` and the fidelity tiers must agree after
-//! every packet and after `finish`.
+//! primary windows alone. Events, the QRS confusion counts and
+//! `cs_alarm_suppressed_total` must agree after every packet and after
+//! `finish`.
 
 use cs_clinical::{ClinicalConfig, ClinicalEngine, ClinicalEvent};
-use cs_core::{
-    ConcealmentReason, DecodedPacket, FidelityTier, FleetPacket, PacketOutcome, TierController,
-};
+use cs_core::{ConcealmentReason, DecodedPacket, FleetPacket, PacketOutcome};
 use cs_telemetry::{FamilyId, TelemetryRegistry};
 use proptest::prelude::*;
 
@@ -82,7 +80,6 @@ fn other_samples(seed: u64) -> Vec<f64> {
 struct Side {
     engine: ClinicalEngine,
     telemetry: TelemetryRegistry,
-    tiers: TierController,
     events: Vec<ClinicalEvent>,
 }
 
@@ -90,19 +87,16 @@ impl Side {
     fn new(primary_lead: u8, channels: usize) -> Self {
         let telemetry = TelemetryRegistry::new();
         let config = ClinicalConfig { primary_lead, ..ClinicalConfig::at_256_hz() };
-        let mut engine = ClinicalEngine::new(config, PATIENTS, channels, telemetry.clone());
-        let tiers = TierController::new(PATIENTS);
-        engine.set_tier_controller(tiers.clone());
-        Side { engine, telemetry, tiers, events: Vec::new() }
+        let engine = ClinicalEngine::new(config, PATIENTS, channels, telemetry.clone());
+        Side { engine, telemetry, events: Vec::new() }
     }
 
     /// What the property compares.
-    fn observed(&self) -> (Vec<ClinicalEvent>, (u64, u64, u64), u64, Vec<FidelityTier>) {
+    fn observed(&self) -> (Vec<ClinicalEvent>, (u64, u64, u64), u64) {
         (
             self.events.clone(),
             self.telemetry.qrs_confusion(),
             self.telemetry.snapshot().total(FamilyId::AlarmSuppressed),
-            (0..PATIENTS).map(|p| self.tiers.tier(p)).collect(),
         )
     }
 }

@@ -15,7 +15,7 @@
 //! the counter.
 
 use cs_clinical::{ClinicalConfig, ClinicalEngine, StreamingQrsDetector};
-use cs_core::{DecodedPacket, FleetPacket, PacketOutcome, TierController};
+use cs_core::{DecodedPacket, FleetPacket, PacketOutcome};
 use cs_ecg_data::QrsDetectorConfig;
 use cs_telemetry::TelemetryRegistry;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,7 +60,6 @@ fn window(k: usize) -> Vec<f64> {
 fn steady_state_analysis_allocates_nothing() {
     let telemetry = TelemetryRegistry::new();
     let mut engine = ClinicalEngine::new(ClinicalConfig::at_256_hz(), 1, 1, telemetry.clone());
-    engine.set_tier_controller(TierController::new(1));
     // Live truth scoring rides the hot path too.
     let rr = 213;
     let truth: Vec<usize> = (0..(64 * 512) / rr).map(|k| k * rr + 18).collect();
@@ -108,7 +107,6 @@ fn steady_state_analysis_allocates_nothing() {
     // is analysed, and the other three return early — allocation-free.
     let telemetry = TelemetryRegistry::new();
     let mut engine = ClinicalEngine::new(ClinicalConfig::at_256_hz(), 1, 4, telemetry.clone());
-    engine.set_tier_controller(TierController::new(1));
     let leads: Vec<FleetPacket<f64>> = packets
         .iter()
         .flat_map(|pkt| {

@@ -64,8 +64,8 @@ pub enum StopRule<T: Real> {
     /// The tolerance measured for the configuration's compression ratio,
     /// resolved once when the decoder is built ([`Decoder::tolerance`]
     /// reads it back): a CR with measurements to spare stops earlier at
-    /// equal PRD, so one policy gives each tier of an
-    /// [`AdaptiveDecoder`](crate::AdaptiveDecoder) its own figure.
+    /// equal PRD, so one policy gives decoders at different CRs their
+    /// own figures (`calibrated_tolerance`).
     Calibrated,
     /// This relative step at every CR, honoured verbatim; `ZERO` disables
     /// the test and runs `max_iterations`.
@@ -1030,6 +1030,36 @@ mod tests {
         let config = SystemConfig::paper_default();
         let (_, dec) = pair(&config);
         assert!(dec.lipschitz() > 0.0);
+    }
+
+    /// One policy, two stop tolerances: each decoder resolves
+    /// `StopRule::Calibrated` at its own CR. At CR 75 % it keeps 5·10⁻⁵
+    /// and decodes to the bits an explicit 5·10⁻⁵ gives; at CR 50 % it
+    /// stops at 1.5·10⁻⁴, sooner than 5·10⁻⁵ would.
+    #[test]
+    fn calibrated_stop_resolves_per_compression_ratio() {
+        let x = synthetic_packet(512, 0.0);
+        let decode = |cr: f64, tolerance: StopRule<f64>| {
+            let config = SystemConfig::builder().compression_ratio(cr).build().unwrap();
+            let cb = Arc::new(Codebook::from_counts(&vec![1; 512], 512).unwrap());
+            let mut enc = Encoder::new(&config, Arc::clone(&cb)).unwrap();
+            let policy = SolverPolicy { tolerance, ..SolverPolicy::default() };
+            let mut dec = Decoder::new(&config, cb, policy).unwrap();
+            let out = dec.decode_packet(&enc.encode_packet(&x).unwrap()).unwrap();
+            (dec.tolerance(), out.iterations, out.samples)
+        };
+
+        let (tolerance, iterations, samples) = decode(75.0, StopRule::Calibrated);
+        assert_eq!(tolerance, 5e-5);
+        let (_, pinned_iterations, pinned) = decode(75.0, StopRule::RelativeStep(5e-5));
+        assert_eq!((iterations, &samples), (pinned_iterations, &pinned));
+
+        let (tolerance, iterations, samples) = decode(50.0, StopRule::Calibrated);
+        assert_eq!(tolerance, 1.5e-4);
+        let (_, loose_iterations, loose) = decode(50.0, StopRule::RelativeStep(1.5e-4));
+        assert_eq!((iterations, &samples), (loose_iterations, &loose));
+        let (_, tight_iterations, _) = decode(50.0, StopRule::RelativeStep(5e-5));
+        assert!(iterations < tight_iterations, "{iterations} vs {tight_iterations}");
     }
 
     #[test]

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod adaptive;
 mod baseline;
 mod codebook;
 mod config;
@@ -68,10 +67,6 @@ mod packet;
 mod pipeline;
 mod wire;
 
-pub use adaptive::{
-    AdaptiveDecoder, AdaptiveEncoder, ClinicalFeedback, FidelitySchedule, FidelityTier,
-    TierController,
-};
 pub use baseline::{BaselinePacket, DwtThresholdCodec};
 pub use codebook::{train_codebook, uniform_codebook};
 pub use config::{SystemConfig, SystemConfigBuilder};

@@ -5,16 +5,18 @@
 #   scripts/arrhythmia_soak.sh                  # full profile (nightly)
 #   SOAK_SHORT=1 scripts/arrhythmia_soak.sh     # short CI profile
 #
-# Runs the seeded arrhythmia_soak harness — four phases, every failure
-# an Err and a non-zero exit:
+# Runs the seeded arrhythmia_soak harness. Every record is encoded,
+# framed and decoded by a bare WireCore, the shipped decode path; a
+# dropped window is a frame never pushed. Four phases, every failure an
+# Err and a non-zero exit:
 #
 #   1. detection accuracy: >= 95 % QRS sensitivity and PPV against the
 #      synthesizer's beat annotations, after decode, across CR 50-75 %,
-#   2. the same floor under seeded wire chaos (dropped windows, forced
-#      concealment) at CR 2:1,
+#   2. the same floor under seeded wire chaos (dropped windows the core
+#      conceals) at CR 2:1,
 #   3. alarm latency: tachy / brady / PVC-run episodes must alarm within
-#      10 s of annotated onset, escalate the compression tier, and
-#      restore it after the quiet holdoff,
+#      10 s of annotated onset, never before it, and every alarm must
+#      be clear by the end of the record,
 #   4. false-alarm control: a clean sinus record raises nothing, clean
 #      or behind the chaos profile (concealment-aware suppression).
 #

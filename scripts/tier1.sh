@@ -153,7 +153,7 @@ CRASH_ROUNDS="${CRASH_ROUNDS:-2}" scripts/archive_crash.sh
 SWARM_MOTES="${SWARM_MOTES:-200}" scripts/ingest_soak.sh
 
 # Clinical smoke: the short-profile arrhythmia soak — detection accuracy
-# on reconstructed signals, alarm latency, adaptive-CR escalation and
+# on signals decoded through WireCore, alarm latency and clearing, and
 # the false-alarm controls (the full profile runs out of band; see
 # scripts/arrhythmia_soak.sh).
 SOAK_SHORT=1 scripts/arrhythmia_soak.sh

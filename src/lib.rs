@@ -23,9 +23,8 @@
 //!   Prometheus / JSON-Lines exporters ([`cs_telemetry`])
 //! * [`archive`] — durable segmented packet store with crash recovery
 //!   and decode-on-read fleet replay ([`cs_archive`])
-//! * [`clinical`] — streaming QRS detection, beat classification,
-//!   per-patient alarms and closed-loop adaptive compression
-//!   ([`cs_clinical`])
+//! * [`clinical`] — streaming QRS detection, beat classification and
+//!   per-patient alarms ([`cs_clinical`])
 //!
 //! ## Quickstart
 //!
