@@ -31,7 +31,7 @@
 //! cargo run --release -p cs-bench --bin mote_swarm -- \
 //!     [--motes 200] [--frames 6] [--lanes 1] [--workers 4] [--seed 7] \
 //!     [--concurrency 128] [--max-sessions 256] [--shed-backlog 512] \
-//!     [--chaos] [--telemetry-dump]
+//!     [--chaos] [--connect HOST:PORT]
 //! ```
 //!
 //! With `--connect HOST:PORT` the binary is a pure load generator
@@ -53,7 +53,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Clone, Copy)]
+const USAGE: &str = "usage: mote_swarm [--motes N] [--frames N] [--lanes N] [--workers N] \
+[--concurrency N] [--max-sessions N] [--shed-backlog N] [--seed N] [--chaos] [--connect HOST:PORT]";
+
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SwarmSettings {
     motes: usize,
     frames: usize,
@@ -64,7 +67,6 @@ struct SwarmSettings {
     shed_backlog: usize,
     seed: u64,
     chaos: bool,
-    telemetry_dump: bool,
     /// Drive an external `cs-ingestd` instead of an in-process stack.
     /// Client-side load generation only: the server-side invariants are
     /// that process's to check (it prints its own accounting at drain).
@@ -83,47 +85,54 @@ impl Default for SwarmSettings {
             shed_backlog: 512,
             seed: 7,
             chaos: false,
-            telemetry_dump: false,
             connect: None,
         }
     }
 }
 
 impl SwarmSettings {
-    fn from_args() -> Self {
+    /// Parses the command line (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a flag whose value is missing or unparsable, an
+    /// empty swarm, or more lanes than the protocol carries.
+    fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut s = SwarmSettings::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(flag) = args.next() {
-            let mut value = |name: &str| {
-                args.next().unwrap_or_else(|| panic!("{name} requires a value"))
-            };
+            let mut value = || args.next().ok_or_else(|| format!("{flag} requires a value"));
             match flag.as_str() {
-                "--motes" => s.motes = value("--motes").parse().expect("--motes"),
-                "--frames" => s.frames = value("--frames").parse().expect("--frames"),
-                "--lanes" => s.lanes = value("--lanes").parse().expect("--lanes"),
-                "--workers" => s.workers = value("--workers").parse().expect("--workers"),
-                "--concurrency" => {
-                    s.concurrency = value("--concurrency").parse().expect("--concurrency")
-                }
-                "--max-sessions" => {
-                    s.max_sessions = value("--max-sessions").parse().expect("--max-sessions")
-                }
-                "--shed-backlog" => {
-                    s.shed_backlog = value("--shed-backlog").parse().expect("--shed-backlog")
-                }
-                "--seed" => s.seed = value("--seed").parse().expect("--seed"),
-                "--connect" => {
-                    s.connect = Some(value("--connect").parse().expect("--connect"))
-                }
+                "--motes" => s.motes = number(&flag, value()?)?,
+                "--frames" => s.frames = number(&flag, value()?)?,
+                "--lanes" => s.lanes = number(&flag, value()?)?,
+                "--workers" => s.workers = number(&flag, value()?)?,
+                "--concurrency" => s.concurrency = number(&flag, value()?)?,
+                "--max-sessions" => s.max_sessions = number(&flag, value()?)?,
+                "--shed-backlog" => s.shed_backlog = number(&flag, value()?)?,
+                "--seed" => s.seed = number(&flag, value()?)?,
+                "--connect" => s.connect = Some(number(&flag, value()?)?),
                 "--chaos" => s.chaos = true,
-                "--telemetry-dump" => s.telemetry_dump = true,
-                other => panic!("unknown flag {other}; see the module doc for usage"),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        assert!(s.motes > 0 && s.frames > 0 && s.lanes > 0, "swarm must be non-empty");
-        assert!(s.lanes <= cs_ingest::MAX_HELLO_LANES, "--lanes exceeds the protocol limit");
-        s
+        if s.motes == 0 || s.frames == 0 || s.lanes == 0 {
+            return Err("--motes, --frames and --lanes must be positive".into());
+        }
+        if s.lanes > cs_ingest::MAX_HELLO_LANES {
+            let limit = cs_ingest::MAX_HELLO_LANES;
+            return Err(format!("--lanes {} exceeds the protocol limit {limit}", s.lanes));
+        }
+        Ok(s)
     }
+}
+
+/// `value` as the type `flag` takes.
+fn number<V: std::str::FromStr>(flag: &str, value: String) -> Result<V, String>
+where
+    V::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag} {value}: {e}"))
 }
 
 fn synthetic_packet(n: usize, phase: f64) -> Vec<i16> {
@@ -363,7 +372,13 @@ fn http_get(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
 }
 
 fn main() -> ExitCode {
-    let settings = SwarmSettings::from_args();
+    let settings = match SwarmSettings::from_args(std::env::args().skip(1)) {
+        Ok(settings) => settings,
+        Err(e) => {
+            eprintln!("mote_swarm: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let config = SystemConfig::paper_default();
     let schedule = Arc::new(mote_schedule(&config, &settings));
     let per_mote_frames = schedule.len() as u64;
@@ -597,10 +612,6 @@ fn main() -> ExitCode {
             stats.aborts,
         );
     }
-    if settings.telemetry_dump {
-        println!("{}", telemetry.prometheus());
-    }
-
     if violations.is_empty() {
         println!("mote_swarm: all invariants held");
         ExitCode::SUCCESS
@@ -609,5 +620,45 @@ fn main() -> ExitCode {
             eprintln!("FAIL: {v}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<SwarmSettings, String> {
+        SwarmSettings::from_args(args.iter().map(|&a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_into_settings() {
+        assert_eq!(parse(&[]).unwrap(), SwarmSettings::default());
+        let args = ["--motes", "3", "--chaos", "--seed", "9", "--connect", "127.0.0.1:7411"];
+        let s = parse(&args).unwrap();
+        assert_eq!((s.motes, s.seed, s.chaos), (3, 9, true));
+        assert_eq!(s.connect, Some("127.0.0.1:7411".parse().unwrap()));
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error() {
+        assert_eq!(parse(&["--chaos", "--frames"]).unwrap_err(), "--frames requires a value");
+    }
+
+    #[test]
+    fn an_unparsable_value_or_unknown_flag_is_an_error() {
+        let err = parse(&["--workers", "many"]).unwrap_err();
+        assert!(err.starts_with("--workers many: "), "{err}");
+        let err = parse(&["--connect", "nowhere"]).unwrap_err();
+        assert!(err.starts_with("--connect nowhere: "), "{err}");
+        assert_eq!(parse(&["--telemetry-dump"]).unwrap_err(), "unknown flag --telemetry-dump");
+    }
+
+    #[test]
+    fn an_empty_or_too_wide_swarm_is_an_error() {
+        assert!(parse(&["--motes", "0"]).is_err());
+        assert!(parse(&["--lanes", "0"]).is_err());
+        let lanes = (cs_ingest::MAX_HELLO_LANES + 1).to_string();
+        assert!(parse(&["--lanes", &lanes]).unwrap_err().contains("protocol limit"));
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests for [`score_detections`], the scoring primitive every
-//! accuracy gate in the workspace leans on (`arrhythmia_soak`, the
+//! accuracy gate in the workspace leans on (`tests/system_sim.rs`, the
 //! `arrhythmia_monitor` example, the clinical parity suite).
 //!
 //! The properties pin the scorer's edge behaviour: empty inputs,

@@ -9,20 +9,14 @@
 //! annotations. This is the clinical-relevance angle of the paper's
 //! intro: compression is only useful if the diagnosis survives.
 //!
-//! The example doubles as a regression gate: at the diagnostic CRs
-//! (≤ 75 %) it exits non-zero if sensitivity or precision falls below
-//! 95 %, so CI catches a detector or solver regression the moment it
-//! lands.
+//! The ≥ 95 % sensitivity and precision bound on this record at the
+//! diagnostic CRs is asserted by `tests/system_sim.rs`, through the wire.
 //!
 //! ```text
 //! cargo run --release --example arrhythmia_monitor
 //! ```
 
 use cs_ecg_monitor::prelude::*;
-
-/// Accuracy floor enforced at the diagnostic CRs (≤ `GATED_CR_MAX`).
-const FLOOR: f64 = 0.95;
-const GATED_CR_MAX: f64 = 75.0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A record with forced heavy ectopy.
@@ -55,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{:>5} {:>8} {:>8} {:>12} {:>12} {:>12}",
         "CR %", "PRD %", "SNR dB", "detected", "sensitivity", "precision"
     );
-    let mut regressions = Vec::new();
     for cr in [30.0, 50.0, 70.0, 85.0] {
         let config = SystemConfig::builder().compression_ratio(cr).build()?;
         let report = train_and_evaluate::<f64>(&config, &samples, 3, SolverPolicy::default())?;
@@ -74,24 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sens * 100.0,
             prec * 100.0
         );
-        if cr <= GATED_CR_MAX {
-            if sens < FLOOR {
-                regressions.push(format!("CR {cr:.0} %: sensitivity {:.1} %", sens * 100.0));
-            }
-            if prec < FLOOR {
-                regressions.push(format!("CR {cr:.0} %: precision {:.1} %", prec * 100.0));
-            }
-        }
     }
     println!("\n(sensitivity/precision vs ground-truth R peaks, ±50 ms window)");
-    if !regressions.is_empty() {
-        eprintln!("REGRESSION: detection fell below {:.0} %:", FLOOR * 100.0);
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-    println!("gate: all CRs ≤ {GATED_CR_MAX:.0} % held ≥ {:.0} % sensitivity and precision", FLOOR * 100.0);
     Ok(())
 }
 

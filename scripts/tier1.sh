@@ -8,10 +8,9 @@
 # make the plain `cargo build` / `cargo test` cover every crate, not just
 # the umbrella package), clippy with warnings denied, the
 # steady-state zero-allocation guarantee under the optimizer, the
-# committed results regenerated, short live-telemetry, chaos, crash,
-# ingest and clinical smokes, and last an advisory quick benchmark
-# snapshot (exercises the parse + report plumbing, not the committed
-# numbers).
+# committed results regenerated, short live-telemetry, crash and ingest
+# smokes, and last an advisory quick benchmark snapshot (exercises the
+# parse + report plumbing, not the committed numbers).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -138,10 +137,6 @@ kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
 rm -f "$serve_log"
 
-# Chaos smoke: a short seeded soak of the lossy-wire fleet (the 60 s
-# profile runs out of band; see scripts/chaos.sh).
-CHAOS_SECONDS="${CHAOS_SECONDS:-5}" scripts/chaos.sh
-
 # Crash-recovery smoke: SIGKILL the archive writer mid-append and
 # require a lossless recovery scan (the 8-round profile runs out of
 # band; see scripts/archive_crash.sh).
@@ -152,11 +147,11 @@ CRASH_ROUNDS="${CRASH_ROUNDS:-2}" scripts/archive_crash.sh
 # 1000-mote profile runs out of band; see scripts/ingest_soak.sh).
 SWARM_MOTES="${SWARM_MOTES:-200}" scripts/ingest_soak.sh
 
-# Clinical smoke: the short-profile arrhythmia soak — detection accuracy
-# on signals decoded through WireCore, alarm latency and clearing, and
-# the false-alarm controls (the full profile runs out of band; see
-# scripts/arrhythmia_soak.sh).
-SOAK_SHORT=1 scripts/arrhythmia_soak.sh
+# The one-patient system simulation and the fleet under a hostile wire,
+# under the optimizer: detection accuracy and alarm latency on signals
+# decoded through WireCore, the false-alarm controls, and the fleet's
+# accounting, ordering, supervision and lossless archive tap.
+cargo test -q --release --test system_sim --test failure_injection
 
 # Bench table, last and advisory (as CI's `bench-check` job is): the quick
 # snapshot's per-row min_ns deltas against the committed BENCH_decode.json

@@ -2,11 +2,15 @@
 //! never panics, never silently wrong state — under corruption, loss and
 //! adversarial inputs.
 
+use cs_ecg_monitor::archive::{Archive, ArchiveConfig, ArchiveSink};
 use cs_ecg_monitor::platform::ChannelModel;
 use cs_ecg_monitor::prelude::*;
-use cs_ecg_monitor::system::{EncodedPacket, FaultStats, MultiChannelEncoder};
+use cs_ecg_monitor::system::{
+    parse_frame, EncodedPacket, FaultStats, FrameSink, MultiChannelEncoder, QUARANTINE_LANE,
+};
 use cs_ecg_monitor::telemetry::{FamilyId, FaultKind, TelemetryRegistry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 fn stream(seconds: f64) -> Vec<i16> {
@@ -200,15 +204,17 @@ fn mangle_traffic(clean: &[Vec<Vec<u8>>], spec: FaultSpec, seed: u64) -> (Vec<Ve
     (traffic, delivered)
 }
 
-/// Runs the wire fleet and checks the invariants every chaos test shares:
-/// per-lane strictly increasing window indices, emitted == delivered()
-/// accounting, and the ingest partition identity. Returns the fault stats
-/// and the per-slot outcomes.
+/// Runs the wire fleet, tapping every frame into `sink` if given, and
+/// checks the invariants every chaos test shares: per-lane strictly
+/// increasing window indices, emitted == delivered() accounting, and the
+/// ingest partition identity. Returns the fault stats and the per-slot
+/// outcomes.
 fn run_chaos_fleet(
     config: &SystemConfig,
     traffic: &[Vec<Vec<u8>>],
     fleet: &FleetConfig,
     registry: &TelemetryRegistry,
+    sink: Option<&Mutex<dyn FrameSink>>,
 ) -> (FaultStats, Vec<(usize, u8, PacketOutcome)>) {
     let cb = Arc::new(uniform_codebook(config.alphabet()).unwrap());
     let last_index = Mutex::new(HashMap::<(usize, u8), u64>::new());
@@ -220,7 +226,7 @@ fn run_chaos_fleet(
         SolverPolicy::default(),
         fleet,
         registry,
-        None,
+        sink,
         |p| {
             let mut last = last_index.lock().unwrap();
             if let Some(&prev) = last.get(&(p.stream, p.channel)) {
@@ -272,7 +278,7 @@ fn fleet_chaos_drops_reorder_duplicates() {
     let (traffic, link_delivered) = mangle_traffic(&clean, spec, 0xFA11);
     let fleet = FleetConfig { workers: 4, ..FleetConfig::default() };
     let (f, _) =
-        run_chaos_fleet(&config, &traffic, &fleet, &TelemetryRegistry::disabled());
+        run_chaos_fleet(&config, &traffic, &fleet, &TelemetryRegistry::disabled(), None);
 
     assert_eq!(f.frames, link_delivered);
     assert_eq!(f.frame_rejects, 0, "clean payloads must never be rejected");
@@ -302,7 +308,10 @@ fn fleet_chaos_gilbert_elliott_burst_errors() {
     let (traffic, link_delivered) = mangle_traffic(&clean, spec, 0xB52);
     let fleet = FleetConfig { workers: 4, ..FleetConfig::default() };
     let registry = TelemetryRegistry::new();
-    let (f, _) = run_chaos_fleet(&config, &traffic, &fleet, &registry);
+    let root = std::env::temp_dir().join(format!("cs-chaos-archive-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let sink = Mutex::new(ArchiveSink::create(&root, ArchiveConfig::default()).unwrap());
+    let (f, _) = run_chaos_fleet(&config, &traffic, &fleet, &registry, Some(&sink));
 
     assert_eq!(f.frames, link_delivered);
     assert!(f.frame_rejects > 0, "burst errors at BER 2e-3 must trip the CRC");
@@ -312,6 +321,44 @@ fn fleet_chaos_gilbert_elliott_burst_errors() {
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.count(FamilyId::Fault, FaultKind::FrameRejected), f.frame_rejects);
     assert_eq!(snapshot.count(FamilyId::Fault, FaultKind::ConcealedLoss), f.concealed_loss);
+    // The write-before-decode tap is lossless under the same traffic.
+    sink.into_inner().unwrap().finish().unwrap();
+    assert_archive_holds_the_wire(&root, &traffic);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Reopens the archive at `root` and checks that it stores every
+/// delivered frame byte for byte: per stream, the arrival order split by
+/// destination lane (the parsed lane, or [`QUARANTINE_LANE`] for anything
+/// unparseable) is what each lane replays.
+fn assert_archive_holds_the_wire(root: &Path, traffic: &[Vec<Vec<u8>>]) {
+    let (archive, _) = Archive::open(root).unwrap();
+    for (stream, frames) in traffic.iter().enumerate() {
+        let mut expect: BTreeMap<u8, Vec<&[u8]>> = BTreeMap::new();
+        for bytes in frames {
+            let lane = match parse_frame(bytes) {
+                Ok((info, _)) => info.lane,
+                Err(_) => QUARANTINE_LANE,
+            };
+            expect.entry(lane).or_default().push(bytes);
+        }
+        let patient = stream as u32;
+        let lanes: Vec<u8> = expect.keys().copied().collect();
+        assert_eq!(archive.lanes_of(patient), lanes, "stream {stream}: archived lanes");
+        for (lane, want) in expect {
+            let got: Vec<Vec<u8>> = archive
+                .replay_range(patient, lane, 0..u64::MAX)
+                .unwrap()
+                .map(|frame| frame.unwrap().bytes)
+                .collect();
+            assert!(
+                got == want,
+                "stream {stream} lane {lane}: {} frames archived, {} delivered",
+                got.len(),
+                want.len()
+            );
+        }
+    }
 }
 
 /// A worker panic mid-decode is contained by the supervisor: the packet is
@@ -332,7 +379,7 @@ fn worker_panic_recovered_by_supervisor() {
         ..FleetConfig::default()
     };
     let registry = TelemetryRegistry::new();
-    let (f, emitted) = run_chaos_fleet(&config, &traffic, &fleet, &registry);
+    let (f, emitted) = run_chaos_fleet(&config, &traffic, &fleet, &registry, None);
 
     assert_eq!(f.worker_restarts, 1);
     assert_eq!(f.quarantined, 1);
