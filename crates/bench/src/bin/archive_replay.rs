@@ -8,7 +8,7 @@
 //! live output and works **only from disk**. Point `--replay DIR` at an
 //! existing archive (e.g. one left behind by a crashed writer) to skip
 //! the recording step; point it at a *missing* directory to record the
-//! session there and keep it for later `fleet_report --replay` runs.
+//! session there and keep it for later `archive_replay --replay` runs.
 //! Decoding uses the codebook trained from the same
 //! `--records/--seconds` corpus, so replay a session with the settings
 //! it was recorded under.
@@ -82,8 +82,8 @@ fn main() {
 
     let scratch = std::env::temp_dir().join(format!("cs-archive-replay-{}", std::process::id()));
     // `--replay DIR` on an existing directory replays it; on a missing
-    // one, the recorded session is written there and kept — a convenient
-    // way to produce an archive for `fleet_report --replay`.
+    // one, the recorded session is written there and kept, so a second
+    // run replays it from disk alone.
     let (dir, record_into) = match settings.replay.clone() {
         Some(dir) if std::path::Path::new(&dir).exists() => (dir, None),
         Some(dir) => (dir.clone(), Some(std::path::PathBuf::from(dir))),
@@ -248,11 +248,5 @@ fn main() {
 
     if settings.replay.is_none() {
         let _ = std::fs::remove_dir_all(&scratch);
-    }
-    if settings.telemetry {
-        println!("== Prometheus scrape ==");
-        print!("{}", registry.prometheus());
-        println!("== JSONL snapshot ==");
-        println!("{}", registry.json_line());
     }
 }

@@ -96,7 +96,8 @@ impl SwarmSettings {
     /// # Errors
     ///
     /// An unknown flag, a flag whose value is missing or unparsable, an
-    /// empty swarm, or more lanes than the protocol carries.
+    /// empty swarm, a zero admission limit (it would shed every mote), or
+    /// more lanes than the protocol carries.
     fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut s = SwarmSettings::default();
         let mut args = args.into_iter();
@@ -118,6 +119,9 @@ impl SwarmSettings {
         }
         if s.motes == 0 || s.frames == 0 || s.lanes == 0 {
             return Err("--motes, --frames and --lanes must be positive".into());
+        }
+        if s.max_sessions == 0 || s.shed_backlog == 0 {
+            return Err("--max-sessions and --shed-backlog must be positive".into());
         }
         if s.lanes > cs_ingest::MAX_HELLO_LANES {
             let limit = cs_ingest::MAX_HELLO_LANES;
@@ -660,5 +664,17 @@ mod tests {
         assert!(parse(&["--lanes", "0"]).is_err());
         let lanes = (cs_ingest::MAX_HELLO_LANES + 1).to_string();
         assert!(parse(&["--lanes", &lanes]).unwrap_err().contains("protocol limit"));
+    }
+
+    #[test]
+    fn a_zero_session_limit_is_an_error() {
+        let err = parse(&["--max-sessions", "0"]).unwrap_err();
+        assert_eq!(err, "--max-sessions and --shed-backlog must be positive");
+    }
+
+    #[test]
+    fn a_zero_shed_backlog_is_an_error() {
+        let err = parse(&["--shed-backlog", "0"]).unwrap_err();
+        assert_eq!(err, "--max-sessions and --shed-backlog must be positive");
     }
 }

@@ -92,16 +92,9 @@ pub struct RunSettings {
     pub records: usize,
     /// Seconds per record.
     pub seconds: f64,
-    /// Emit live telemetry (Prometheus scrape + JSON-Lines snapshot) in
-    /// binaries that support it.
-    pub telemetry: bool,
     /// Drive the run from an archived session (`--replay <dir>`) instead
     /// of a freshly synthesized corpus, in binaries that support it.
     pub replay: Option<String>,
-    /// Serve the live registry over HTTP (`--serve ADDR`, e.g.
-    /// `--serve 127.0.0.1:0`) in binaries that support it: `GET /metrics`
-    /// (Prometheus), `/healthz` (SLO verdict), `/tracez` (solve traces).
-    pub serve: Option<String>,
 }
 
 impl RunSettings {
@@ -110,9 +103,7 @@ impl RunSettings {
         RunSettings {
             records: 8,
             seconds: 16.0,
-            telemetry: false,
             replay: None,
-            serve: None,
         }
     }
 
@@ -123,16 +114,14 @@ impl RunSettings {
         RunSettings {
             records: 48,
             seconds: 60.0,
-            telemetry: false,
             replay: None,
-            serve: None,
         }
     }
 
-    /// Parses `--records N`, `--seconds S`, `--full`, `--telemetry`,
-    /// `--replay DIR` and `--serve ADDR` (without the program name),
-    /// starting from the quick defaults. `--full` sets the record count
-    /// and length only, so a later `--records` or `--seconds` still wins.
+    /// Parses `--records N`, `--seconds S`, `--full` and `--replay DIR`
+    /// (without the program name), starting from the quick defaults.
+    /// `--full` sets the record count and length only, so a later
+    /// `--records` or `--seconds` still wins.
     ///
     /// # Errors
     ///
@@ -147,9 +136,7 @@ impl RunSettings {
                     let RunSettings { records, seconds, .. } = RunSettings::full();
                     settings = RunSettings { records, seconds, ..settings };
                 }
-                "--telemetry" => settings.telemetry = true,
                 "--replay" => settings.replay = Some(value()?),
-                "--serve" => settings.serve = Some(value()?),
                 "--records" => settings.records = number(&flag, value()?)?,
                 "--seconds" => settings.seconds = number(&flag, value()?)?,
                 other => return Err(format!("unknown flag {other}")),
@@ -166,7 +153,7 @@ impl RunSettings {
         RunSettings::parse(args).unwrap_or_else(|e| {
             eprintln!(
                 "{program}: {e}\nusage: {program} [--records N] [--seconds S] [--full] \
-                 [--telemetry] [--replay DIR] [--serve ADDR]"
+                 [--replay DIR]"
             );
             std::process::exit(2)
         })
@@ -318,9 +305,8 @@ mod tests {
 
     #[test]
     fn flags_parse_into_settings() {
-        let s = parse(&["--telemetry", "--full", "--seconds", "2.5", "--serve", "127.0.0.1:0"]).unwrap();
-        assert_eq!((s.records, s.seconds, s.telemetry), (48, 2.5, true));
-        assert_eq!(s.serve.as_deref(), Some("127.0.0.1:0"));
+        let s = parse(&["--full", "--seconds", "2.5"]).unwrap();
+        assert_eq!((s.records, s.seconds), (48, 2.5));
         let s = parse(&["--records", "2", "--replay", "dir"]).unwrap();
         assert_eq!((s.records, s.seconds, s.replay.as_deref()), (2, 16.0, Some("dir")));
         assert_eq!(parse(&[]).unwrap(), RunSettings::quick());

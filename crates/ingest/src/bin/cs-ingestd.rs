@@ -53,7 +53,8 @@ impl Settings {
     ///
     /// # Errors
     ///
-    /// An unknown flag, or a flag whose value is missing or unparsable.
+    /// An unknown flag, a flag whose value is missing or unparsable, or a
+    /// zero admission limit (it would shed every session).
     fn from_args(args: impl IntoIterator<Item = String>) -> Result<Settings, String> {
         let mut s = Settings {
             listen: "127.0.0.1:7411".to_string(),
@@ -80,6 +81,9 @@ impl Settings {
                 "--idle-ms" => s.ingest.idle_timeout = Duration::from_millis(number(&flag, value()?)?),
                 other => return Err(format!("unknown flag {other}")),
             }
+        }
+        if s.ingest.max_sessions == 0 || s.ingest.shed_backlog == 0 {
+            return Err("--max-sessions and --shed-backlog must be positive".into());
         }
         Ok(s)
     }
@@ -256,5 +260,17 @@ mod tests {
         let err = parse(&["--handshake-ms", "soon"]).unwrap_err();
         assert!(err.starts_with("--handshake-ms soon: "), "{err}");
         assert!(parse(&["--bogus", "1"]).is_err());
+    }
+
+    #[test]
+    fn a_zero_session_limit_is_an_error() {
+        let err = parse(&["--max-sessions", "0"]).unwrap_err();
+        assert_eq!(err, "--max-sessions and --shed-backlog must be positive");
+    }
+
+    #[test]
+    fn a_zero_shed_backlog_is_an_error() {
+        let err = parse(&["--shed-backlog", "0"]).unwrap_err();
+        assert_eq!(err, "--max-sessions and --shed-backlog must be positive");
     }
 }

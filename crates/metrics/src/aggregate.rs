@@ -144,38 +144,6 @@ impl Extend<f64> for Summary {
     }
 }
 
-/// Exact percentile of a sample by linear interpolation between closest
-/// ranks (`q` in `[0, 1]`, clamped). Sorts a copy of the data, so it
-/// belongs in report-time summaries, not hot paths — the telemetry
-/// histograms stay log2-bucketed for the live exporters, but the
-/// `fleet_report` solver panel wants iteration quantiles at integer
-/// resolution, where a 2× bucket would swallow the effect being measured.
-/// Returns 0 for an empty sample; non-finite observations are ignored.
-///
-/// # Examples
-///
-/// ```
-/// use cs_metrics::exact_percentile;
-///
-/// let iters = [100.0, 200.0, 300.0, 400.0];
-/// assert_eq!(exact_percentile(&iters, 0.0), 100.0);
-/// assert_eq!(exact_percentile(&iters, 0.5), 250.0);
-/// assert_eq!(exact_percentile(&iters, 1.0), 400.0);
-/// ```
-pub fn exact_percentile(values: &[f64], q: f64) -> f64 {
-    let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    let q = q.clamp(0.0, 1.0);
-    let rank = q * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
 /// One point of a parameter sweep: an x-value (e.g. compression ratio) and
 /// the summary of the metric measured there across the corpus.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -301,31 +269,7 @@ mod tests {
         assert_eq!(t.lines().count(), 4);
     }
 
-    #[test]
-    fn exact_percentile_interpolates_between_ranks() {
-        assert_eq!(exact_percentile(&[], 0.5), 0.0);
-        assert_eq!(exact_percentile(&[7.0], 0.95), 7.0);
-        let unsorted = [3.0, 1.0, 2.0];
-        assert_eq!(exact_percentile(&unsorted, 0.5), 2.0);
-        let hundred: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert!((exact_percentile(&hundred, 0.95) - 95.05).abs() < 1e-9);
-        // Out-of-range q clamps; NaNs are ignored rather than poisoning
-        // the sort.
-        assert_eq!(exact_percentile(&hundred, 2.0), 100.0);
-        assert_eq!(exact_percentile(&[f64::NAN, 5.0], 0.5), 5.0);
-    }
-
     proptest! {
-        #[test]
-        fn prop_exact_percentile_is_monotone(
-            values in proptest::collection::vec(-50.0_f64..50.0, 1..40),
-            qa in 0.0_f64..1.0,
-            qb in 0.0_f64..1.0,
-        ) {
-            let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
-            prop_assert!(exact_percentile(&values, lo) <= exact_percentile(&values, hi) + 1e-12);
-        }
-
         #[test]
         fn prop_merge_equals_sequential(split in 1_usize..19) {
             let data: Vec<f64> = (0..20).map(|i| (i as f64 - 9.5) * 1.3).collect();

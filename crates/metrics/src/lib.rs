@@ -27,7 +27,7 @@
 mod aggregate;
 mod quality;
 
-pub use aggregate::{exact_percentile, Summary, SweepPoint, SweepSeries};
+pub use aggregate::{Summary, SweepPoint, SweepSeries};
 pub use quality::{
     compression_ratio, output_snr, prd, snr_from_prd, try_prd, DiagnosticQuality,
 };

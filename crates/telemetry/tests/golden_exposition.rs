@@ -1,7 +1,7 @@
 //! Golden exposition: both exporters, byte for byte.
 //!
-//! `cs-ingestd`'s `/metrics`, `fleet_report --telemetry`, `fleet_monitor`'s
-//! JSONL and tier-1's greps all read what `prometheus()` and `json_line()`
+//! `cs-ingestd`'s `/metrics`, the `cs-ingest` daemon test that scrapes it
+//! and `fleet_monitor`'s JSONL all read what `prometheus()` and `json_line()`
 //! write, so a refactor of the registry or the exporters may not move a
 //! byte of either. The two fixtures under `tests/fixtures/` were captured
 //! from this very snapshot **at the commit before the family table

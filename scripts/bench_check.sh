@@ -92,72 +92,6 @@ for name in missing:
 for name in new_rows:
     print(f"{name:<{width}}  {'—':>12}  {fmt_ns(current[name]['min_ns'])}  {'new':>8}  not in baseline")
 
-# ── Fleet solver gate: what the production schedule earns.
-#
-# The committed (full) baseline must uphold two invariants: the
-# production schedule (gradient restart + λ-continuation) decodes the cold
-# fleet in ≤ 60 % of the mean iterations of the paper's verbatim schedule
-# at equal PRD (≤ +0.05 pp), and the block prior solves in fewer mean
-# iterations than the plain cold fleet at equal-or-better PRD
-# (≤ +0.5 pp). Both are checked *within* the baseline document, so they
-# never wobble with host noise. The quick run's iteration means are
-# compared against the baseline only advisorily (quick uses a smaller
-# corpus, so the workload itself shifts); a gross drift past the generous
-# band warns.
-ITER_DRIFT_PCT = 40.0
-solver_failures = []
-base_fleet = baseline_doc.get("fleet_report", {})
-cur_fleet = current_doc.get("fleet_report", {})
-
-def fleet(*fields):
-    values = [base_fleet.get(f) for f in fields]
-    if any(v is None for v in values):
-        solver_failures.append(
-            f"baseline fleet_report lacks {' / '.join(fields)} — "
-            "refresh with scripts/bench_snapshot.sh")
-        return None
-    return values
-
-if (v := fleet("cold_mean_iterations", "paper_mean_iterations",
-               "cold_prd_percent", "paper_prd_percent")):
-    cold_it, paper_it, cold_prd, paper_prd = v
-    if cold_it > 0.6 * paper_it:
-        solver_failures.append(
-            f"baseline cold mean iterations {cold_it} > 60 % of the paper schedule's {paper_it}")
-    if cold_prd > paper_prd + 0.05:
-        solver_failures.append(
-            f"baseline cold PRD {cold_prd} % worse than the paper schedule's {paper_prd} % by > 0.05 pp")
-if (v := fleet("block_mean_iterations", "cold_mean_iterations",
-               "block_prd_percent", "cold_prd_percent")):
-    block_it, cold_it, block_prd, cold_prd = v
-    if block_it >= cold_it:
-        solver_failures.append(
-            f"baseline block mean iterations {block_it} not below cold {cold_it}")
-    if block_prd > cold_prd + 0.5:
-        solver_failures.append(
-            f"baseline block PRD {block_prd} % worse than cold {cold_prd} % by > 0.5 pp")
-
-print("\nbench_check: fleet solver iterations "
-      f"(advisory drift band ±{ITER_DRIFT_PCT:.0f} %; baseline invariant is hard)")
-for field in ("cold_mean_iterations", "block_mean_iterations", "paper_mean_iterations"):
-    b, c = base_fleet.get(field), cur_fleet.get(field)
-    if b is None or c is None:
-        print(f"  {field:<26} baseline={b} current={c}  (incomparable)")
-        continue
-    delta = (c - b) / b * 100.0 if b else 0.0
-    note = "ok" if abs(delta) <= ITER_DRIFT_PCT else "warn (smaller quick corpus shifts the workload)"
-    print(f"  {field:<26} {b:>8.1f} -> {c:>8.1f}  {delta:+6.1f}%  {note}")
-cc, cp = cur_fleet.get("cold_mean_iterations"), cur_fleet.get("paper_mean_iterations")
-if cc is not None and cp is not None and cc > 0.6 * cp:
-    print(f"  note: current quick run cold {cc} > 60 % of the paper schedule's {cp} "
-          "(advisory; the gate reads the committed baseline)")
-
-if solver_failures:
-    print(f"\nbench_check: {len(solver_failures)} fleet solver gate failure(s):")
-    for msg in solver_failures:
-        print(f"  {msg}")
-    sys.exit(1)
-
 if drifts:
     print(f"\nbench_check: {len(drifts)} row(s) drifted past ±{warn_pct:.0f} % (advisory)")
 if missing:

@@ -6,15 +6,13 @@
 #
 # Runs the five hot-path Criterion benches (solver_iteration,
 # sensing_apply, transform_throughput, fleet_throughput,
-# ingest_throughput) plus a seeded fleet_report pass, parses
-# the vendored-criterion `time: [min median mean max]` lines and the
-# report's throughput/latency summary, and emits one JSON document. The
+# ingest_throughput), parses the vendored-criterion
+# `time: [min median mean max]` lines, and emits one JSON document. The
 # `min` statistic is the one to compare across commits: these benches run
 # on small shared hosts where median and mean absorb scheduler steal.
 #
-# All inputs are deterministic (fixed RNG seeds in the benches, synthetic
-# database in fleet_report), so run-to-run differences are machine noise,
-# not workload drift.
+# All inputs are deterministic (fixed RNG seeds in the benches), so
+# run-to-run differences are machine noise, not workload drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,16 +26,12 @@ if [[ $QUICK -eq 1 ]]; then
   # baseline's min-of-10⁴ floor no matter what, but below ~500 ms the
   # gap swings wildly run-to-run and trips bench_check's fail band.
   MEASURE_MS=500
-  RECORDS=1
-  SECONDS_PER_RECORD=4
   OUT=target/BENCH_decode_quick.json
   mkdir -p target
 else
   # 4 s windows: the fleet rows differ by single-digit percent, and on a
   # shared host the min of a 2 s window still wobbles by more than that.
   MEASURE_MS=4000
-  RECORDS=4
-  SECONDS_PER_RECORD=16
   OUT=BENCH_decode.json
 fi
 
@@ -51,8 +45,6 @@ bench_lines="$(
   cargo bench -p cs-bench --bench fleet_throughput 2>/dev/null
   cargo bench -p cs-bench --bench ingest_throughput 2>/dev/null
 )"
-
-report="$(target/release/fleet_report --records "$RECORDS" --seconds "$SECONDS_PER_RECORD")"
 
 # ── Parse criterion lines: "<name>  time: [min median mean max] (N samples)"
 bench_json="$(awk '
@@ -76,33 +68,6 @@ bench_json="$(awk '
   }
 ' <<<"$bench_lines")"
 
-# ── Parse fleet_report summary lines.
-fleet_json="$(awk '
-  /sequential \(1 stream\)/   { seq = $5 }
-  /fleet \([0-9]+ workers\)/  {
-    match($0, /\([0-9]+ workers\)/)
-    workers = substr($0, RSTART + 1, RLENGTH - 2) + 0
-    fleet = $5
-  }
-  /cold solve p50\/p95\/p99/  { p50 = $5; p95 = $7; p99 = $9 }
-  /cold mean iterations/      { cold_it = $5 }
-  /block mean iterations/     { block_it = $5 }
-  /paper mean iterations/     { paper_it = $5 }
-  /cold PRD/                  { cold_prd = $4 }
-  /block PRD/                 { block_prd = $4 }
-  /paper PRD/                 { paper_prd = $4 }
-  END {
-    printf "\"workers\": %d, \"sequential_packets_per_s\": %s, \"fleet_packets_per_s\": %s, ",
-      workers, seq, fleet
-    printf "\"cold_solve_p50_ms\": %s, \"cold_solve_p95_ms\": %s, \"cold_solve_p99_ms\": %s, ",
-      p50, p95, p99
-    printf "\"cold_mean_iterations\": %s, ", cold_it
-    printf "\"block_mean_iterations\": %s, \"paper_mean_iterations\": %s, ", block_it, paper_it
-    printf "\"cold_prd_percent\": %s, ", cold_prd
-    printf "\"block_prd_percent\": %s, \"paper_prd_percent\": %s", block_prd, paper_prd
-  }
-' <<<"$report")"
-
 cat >"$OUT" <<EOF
 {
   "snapshot": "decode hot path",
@@ -113,11 +78,6 @@ cat >"$OUT" <<EOF
   "criterion_measurement_ms": $MEASURE_MS,
   "benches": {
 $bench_json
-  },
-  "fleet_report": {
-    "records": $RECORDS,
-    "seconds_per_record": $SECONDS_PER_RECORD,
-    $fleet_json
   }
 }
 EOF

@@ -2,8 +2,8 @@
 # Ingest gate: the socket-fed service must survive a hostile TCP path
 # at swarm scale, with the books balanced.
 #
-#   scripts/ingest_soak.sh                 # 1000-mote soak (nightly)
-#   SWARM_MOTES=200 scripts/ingest_soak.sh # short CI profile
+#   scripts/ingest_soak.sh                 # 1000 motes (run by hand; no CI job does)
+#   SWARM_MOTES=200 scripts/ingest_soak.sh # the profile tier1.sh and CI's ingest-soak job run
 #
 # Runs mote_swarm twice — once clean (admission shedding and graceful
 # drain under a straight loopback), once through the seeded TcpChaosProxy

@@ -8,9 +8,11 @@
 # make the plain `cargo build` / `cargo test` cover every crate, not just
 # the umbrella package), clippy with warnings denied, the
 # steady-state zero-allocation guarantee under the optimizer, the
-# committed results regenerated, short live-telemetry, crash and ingest
-# smokes, and last an advisory quick benchmark snapshot (exercises the
-# parse + report plumbing, not the committed numbers).
+# committed results regenerated, crash and ingest smokes, and last an
+# advisory quick benchmark snapshot (exercises the parse + report
+# plumbing, not the committed numbers). The shipped daemon's `/metrics`
+# and `/healthz` are checked by `crates/ingest/tests/daemon.rs`, which
+# runs `cs-ingestd` itself, in the suite and again under the optimizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +53,8 @@ cargo test -q --release -p cs-core --test zero_alloc_prior
 # session setup, deframe + validate + control encode allocate nothing,
 # and the decode-queue handoff costs exactly one buffer per frame.
 cargo test -q --release -p cs-ingest --test zero_alloc_ingest
+# The release daemon as it ships: streamed to, scraped, drained, archived.
+cargo test -q --release -p cs-ingest --test daemon
 
 # The clinical crate under the optimizer: the detector's bit-exact
 # band-pass and split parity, the primary-lead and alarm-model
@@ -98,53 +102,15 @@ cargo test -q --release --test platform_reports
 # workloads, three passes each, with their correctness gates (~12 s).
 cargo run --release --offline --manifest-path pipebench/Cargo.toml -- --smoke
 
-# Telemetry smoke: one tiny fleet (~2 s of signal) with the live
-# registry and both exporters; fails if the scrape comes out empty.
-# (Captured first: grep -q on a pipe would SIGPIPE the report binary.)
-smoke="$(target/release/fleet_report --records 1 --seconds 2 --telemetry)"
-grep -q 'cs_stage_latency_ns_bucket{stage="fista_solve"' <<<"$smoke"
-grep -q 'cs_fault_total{kind="concealed_loss"' <<<"$smoke"
-
-# HTTP serve smoke: the same short run behind the live /metrics
-# endpoint. The report announces its ephemeral port on stdout before
-# decoding and parks after the report, so scrape it over real TCP with
-# a hard timeout, then kill the parked process.
-serve_log="$(mktemp)"
-target/release/fleet_report --records 1 --seconds 2 --serve 127.0.0.1:0 >"$serve_log" 2>&1 &
-serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$serve_log"' EXIT
-for _ in $(seq 50); do
-  grep -q '^serving http://' "$serve_log" && break
-  kill -0 "$serve_pid" 2>/dev/null || { cat "$serve_log" >&2; exit 1; }
-  sleep 0.2
-done
-serve_addr="$(sed -n 's|^serving http://\([^/]*\)/metrics.*|\1|p' "$serve_log" | head -1)"
-[[ -n "$serve_addr" ]] || { echo "tier1: fleet_report --serve never announced its port" >&2; cat "$serve_log" >&2; exit 1; }
-# The e2e gauges only populate once the traced run has emitted packets;
-# poll until the decode finishes (bounded by the loop, 5 s per scrape).
-for i in $(seq 60); do
-  scrape="$(curl -sS --max-time 5 "http://$serve_addr/metrics")"
-  grep -q 'cs_e2e_latency_seconds_bucket{patient="0"' <<<"$scrape" && break
-  [[ "$i" == 60 ]] && { echo "tier1: /metrics never showed e2e latency rows" >&2; exit 1; }
-  sleep 0.5
-done
-grep -q 'cs_patient_health{patient="0",state="healthy"} 1' <<<"$scrape"
-grep -q 'cs_slo_burn_rate{patient="0",window="fast"' <<<"$scrape"
-grep -q 'cs_lane_freshness_seconds{patient="0"' <<<"$scrape"
-health="$(curl -sS --max-time 5 -o /dev/null -w '%{http_code}' "http://$serve_addr/healthz")"
-[[ "$health" == 200 ]] || { echo "tier1: /healthz returned $health for a healthy run" >&2; exit 1; }
-kill "$serve_pid" 2>/dev/null || true
-trap - EXIT
-rm -f "$serve_log"
-
 # Crash-recovery smoke: SIGKILL the archive writer mid-append and
 # require a lossless recovery scan (the 8-round profile runs out of
 # band; see scripts/archive_crash.sh).
 CRASH_ROUNDS="${CRASH_ROUNDS:-2}" scripts/archive_crash.sh
 
 # Ingest smoke: a 200-mote swarm through the socket service, clean and
-# behind the chaos proxy, with every lifecycle invariant checked (the
-# 1000-mote profile runs out of band; see scripts/ingest_soak.sh).
+# behind the chaos proxy, with every lifecycle invariant checked (CI's
+# `ingest-soak` job runs the same 200-mote profile; see
+# scripts/ingest_soak.sh).
 SWARM_MOTES="${SWARM_MOTES:-200}" scripts/ingest_soak.sh
 
 # The one-patient system simulation and the fleet under a hostile wire,
