@@ -9,9 +9,10 @@
 //! existing archive (e.g. one left behind by a crashed writer) to skip
 //! the recording step; point it at a *missing* directory to record the
 //! session there and keep it for later `archive_replay --replay` runs.
-//! Decoding uses the codebook trained from the same
-//! `--records/--seconds` corpus, so replay a session with the settings
-//! it was recorded under.
+//! Recording and replay both use `uniform_codebook`, the codebook the
+//! motes and `cs-ingestd` use, so an archive the daemon wrote replays
+//! here too. PRD is measured against the `--records/--seconds` corpus,
+//! so give a self-recorded session the settings it was recorded under.
 //!
 //! Panels: archive geometry and recovery stats, decode-on-read fault
 //! accounting, per-stream reconstruction PRD against the deterministic
@@ -26,8 +27,8 @@
 use cs_archive::{Archive, ArchiveConfig, ArchiveSink};
 use cs_bench::{banner, RunSettings};
 use cs_core::{
-    packetize, run_fleet, train_codebook, FleetConfig, FleetSource, FleetStream, SolverPolicy,
-    SystemConfig, QUARANTINE_LANE,
+    run_fleet, uniform_codebook, FleetConfig, FleetSource, FleetStream, SolverPolicy, SystemConfig,
+    QUARANTINE_LANE,
 };
 use cs_ecg_data::{resample_360_to_256, DatabaseConfig, Record, SyntheticDatabase};
 use cs_metrics::try_prd;
@@ -58,10 +59,9 @@ fn main() {
     let settings = RunSettings::from_args();
     banner("archive_replay", "durable store + decode-on-read replay", &settings);
     let config = SystemConfig::paper_default();
-    let n = config.packet_len();
 
-    // The deterministic two-lead corpus: ground truth for PRD, training
-    // set for the codebook, and (when recording) the session source.
+    // The deterministic two-lead corpus: ground truth for PRD and (when
+    // recording) the session source.
     let db = SyntheticDatabase::new(DatabaseConfig {
         num_records: settings.records,
         duration_s: settings.seconds,
@@ -73,11 +73,7 @@ fn main() {
             (prepare(&record, 0), prepare(&record, 1))
         })
         .collect();
-    let training = patients
-        .iter()
-        .flat_map(|(lead0, _)| packetize(lead0, n).take(3))
-        .map(|p| p.to_vec());
-    let codebook = Arc::new(train_codebook(&config, training).expect("training succeeds"));
+    let codebook = Arc::new(uniform_codebook(config.alphabet()).expect("uniform codebook"));
     let fleet = FleetConfig::default();
 
     let scratch = std::env::temp_dir().join(format!("cs-archive-replay-{}", std::process::id()));

@@ -6,7 +6,10 @@
 //! (`/metrics`, `/healthz`, `/tracez`) next door. Runs until stdin
 //! closes or a line reading `drain` arrives, then drains gracefully:
 //! stop accepting, see every session out, flush the engine's staged
-//! windows, and print final accounting as one JSON object.
+//! windows, and print final accounting as one JSON object. Its books
+//! balance from outside the process: the listener's `frames` equal the
+//! engine's `ingested`, which equal `rejected + duplicates + late +
+//! decoded + desync + quarantined`.
 //!
 //! ```text
 //! cargo run --release -p cs-ingest --bin cs-ingestd -- \
@@ -18,9 +21,13 @@
 //!
 //! With `--archive DIR` every accepted wire frame is also appended to a
 //! durable [`ArchiveSink`] under `DIR` before decode, so an operator can
-//! replay the exact ingested traffic later (`archive_replay`). The sink
-//! is flushed and sealed during drain; a sink failure fails the daemon
+//! replay the exact ingested traffic later (`archive_replay --replay
+//! DIR`, which decodes with the same `uniform_codebook`). The sink is
+//! flushed and sealed during drain; a sink failure fails the daemon
 //! rather than silently dropping history.
+//!
+//! `mote_swarm --connect` is its load generator; `tests/daemon.rs` runs
+//! the two together, straight and through a chaos proxy.
 
 use cs_archive::{ArchiveConfig, ArchiveSink};
 use cs_core::{
@@ -215,16 +222,18 @@ fn main() -> ExitCode {
     }
     let faults = &report.faults;
     println!(
-        "{{\"sessions\":{},\"patients\":{},\"frames\":{},\"bytes\":{},\"sheds\":{},\
-         \"decoded\":{},\"concealed\":{},\"quarantined\":{},\"rejected\":{},\
-         \"duplicates\":{},\"late\":{},\"windows\":{}}}",
+        "{{\"sessions\":{},\"patients\":{},\"frames\":{},\"ingested\":{},\"bytes\":{},\
+         \"sheds\":{},\"decoded\":{},\"concealed\":{},\"desync\":{},\"quarantined\":{},\
+         \"rejected\":{},\"duplicates\":{},\"late\":{},\"windows\":{}}}",
         summary.sessions,
         summary.patients,
         summary.frames,
+        faults.frames,
         summary.bytes,
         summary.sheds,
         faults.decoded,
         faults.concealed(),
+        faults.concealed_desync,
         faults.quarantined,
         faults.frame_rejects,
         faults.duplicates,

@@ -1,6 +1,6 @@
 //! The mote side of the ingest protocol.
 //!
-//! Used by the load generator, the soak harness, and the integration
+//! Used by the load generator (`mote_swarm`) and the integration
 //! tests; a firmware port would follow the same shape. The client owns
 //! the hello/accept exchange, length-prefixes outgoing frames, keeps a
 //! bounded **replay tail** of recently sent records, and surfaces server
@@ -41,8 +41,6 @@ pub struct IngestClient {
     tail_cap: usize,
     ctrl_buf: [u8; CONTROL_BYTES],
     ctrl_filled: usize,
-    /// Frames written this session (replays included).
-    pub frames_sent: u64,
 }
 
 impl IngestClient {
@@ -76,7 +74,6 @@ impl IngestClient {
             tail_cap,
             ctrl_buf: [0u8; CONTROL_BYTES],
             ctrl_filled: 0,
-            frames_sent: 0,
         }))
     }
 
@@ -91,13 +88,7 @@ impl IngestClient {
         self.record_buf.clear();
         encode_record(frame, &mut self.record_buf);
         self.stream.write_all(&self.record_buf)?;
-        self.frames_sent += 1;
-        if self.tail_cap > 0 {
-            if self.tail.len() == self.tail_cap {
-                self.tail.pop_front();
-            }
-            self.tail.push_back(self.record_buf.clone());
-        }
+        remember(&mut self.tail, self.tail_cap, &self.record_buf);
         Ok(())
     }
 
@@ -113,7 +104,8 @@ impl IngestClient {
     }
 
     /// Replays a saved tail (already length-prefixed records) from a
-    /// previous session, oldest first.
+    /// previous session, oldest first. Each replayed record joins this
+    /// session's tail too, so a second tear still carries it forward.
     ///
     /// # Errors
     ///
@@ -121,7 +113,7 @@ impl IngestClient {
     pub fn replay(&mut self, tail: &VecDeque<Vec<u8>>) -> std::io::Result<()> {
         for record in tail {
             self.stream.write_all(record)?;
-            self.frames_sent += 1;
+            remember(&mut self.tail, self.tail_cap, record);
         }
         Ok(())
     }
@@ -199,6 +191,16 @@ impl IngestClient {
                 _ => return Ok(control),
             }
         }
+    }
+}
+
+/// Keeps `record` in a replay tail of at most `cap` records, oldest out.
+fn remember(tail: &mut VecDeque<Vec<u8>>, cap: usize, record: &[u8]) {
+    if cap > 0 {
+        if tail.len() == cap {
+            tail.pop_front();
+        }
+        tail.push_back(record.to_vec());
     }
 }
 

@@ -1,13 +1,16 @@
 //! The shipped daemon end to end: `cs-ingestd` as a child process on
-//! ephemeral ports, fed over TCP by [`IngestClient`], scraped over HTTP,
-//! drained through stdin, with its archive read back from disk.
+//! ephemeral ports, fed over TCP by [`IngestClient`] or by the shipped
+//! `mote_swarm` load generator (straight, or through a seeded
+//! [`TcpChaosProxy`]), scraped over HTTP, drained through stdin, with
+//! its archive read back from disk.
 //!
-//! Every wait is bounded: a daemon that stalls is killed and the test
+//! Every wait is bounded: a child that stalls is killed and the test
 //! fails instead of hanging the suite.
 
 use cs_archive::Archive;
 use cs_core::{uniform_codebook, Encoder, SystemConfig};
 use cs_ingest::{Connect, ControlCode, IngestClient, LaneResume};
+use cs_platform::{TcpChaosProxy, TcpChaosSpec, TcpChaosStats};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -17,6 +20,14 @@ use std::time::{Duration, Instant};
 
 /// How long any one step may take before the daemon counts as stalled.
 const STALL: Duration = Duration::from_secs(10);
+
+/// How long a whole swarm run, or the drain after it, may take. A debug
+/// decoder runs at about 50 frames/s on two cores, so this is a hang
+/// detector, not a pace-setter.
+const SOAK_STALL: Duration = Duration::from_secs(300);
+
+/// Frames each swarm mote streams on its one lane.
+const SOAK_FRAMES: u64 = 6;
 
 /// The six `/metrics` rows a live decode must populate.
 const ROWS: [&str; 6] = [
@@ -28,8 +39,8 @@ const ROWS: [&str; 6] = [
     "cs_lane_freshness_seconds{patient=\"0\"",
 ];
 
-/// A running `cs-ingestd`, killed on drop so a failed assertion never
-/// leaves it behind.
+/// A running child (`cs-ingestd` or `mote_swarm`), killed on drop so a
+/// failed assertion never leaves it behind.
 struct Daemon {
     child: Child,
     stderr: Receiver<String>,
@@ -37,13 +48,17 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(args: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_cs-ingestd"))
+        Daemon::run(env!("CARGO_BIN_EXE_cs-ingestd"), args)
+    }
+
+    fn run(program: &str, args: &[&str]) -> Daemon {
+        let mut child = Command::new(program)
             .args(args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
-            .expect("spawn cs-ingestd");
+            .unwrap_or_else(|e| panic!("spawn {program}: {e}"));
         let (tx, stderr) = mpsc::channel();
         let pipe = child.stderr.take().unwrap();
         std::thread::spawn(move || {
@@ -56,16 +71,40 @@ impl Daemon {
         Daemon { child, stderr }
     }
 
-    /// Waits for the exit, killing the daemon and failing if it does not come.
-    fn wait(&mut self) -> ExitStatus {
-        let deadline = Instant::now() + STALL;
-        loop {
+    /// The ingest and metrics addresses from the start-up announcement,
+    /// "cs-ingestd: ingest on A, metrics on B, <arm> kernels; …".
+    fn addresses(&self) -> (String, String) {
+        let announce = self.stderr.recv_timeout(STALL).expect("cs-ingestd announced nothing");
+        let (ingest, metrics) = announce
+            .strip_prefix("cs-ingestd: ingest on ")
+            .and_then(|rest| rest.split_once(", metrics on "))
+            .and_then(|(ingest, rest)| Some((ingest, rest.split_once(',')?.0)))
+            .unwrap_or_else(|| panic!("unexpected announcement: {announce}"));
+        (ingest.to_string(), metrics.to_string())
+    }
+
+    /// Waits up to `limit` for the exit, killing the child and failing
+    /// if it does not come; returns the status and stdout.
+    fn wait(&mut self, limit: Duration) -> (ExitStatus, String) {
+        let deadline = Instant::now() + limit;
+        let status = loop {
             if let Some(status) = self.child.try_wait().unwrap() {
-                return status;
+                break status;
             }
-            assert!(Instant::now() < deadline, "cs-ingestd did not exit within {STALL:?}");
+            assert!(Instant::now() < deadline, "child did not exit within {limit:?}");
             std::thread::sleep(Duration::from_millis(10));
-        }
+        };
+        let mut stdout = String::new();
+        self.child.stdout.take().unwrap().read_to_string(&mut stdout).unwrap();
+        (status, stdout)
+    }
+
+    /// Writes `drain` and waits up to `limit` for the accounting JSON.
+    fn drain(&mut self, limit: Duration) -> String {
+        writeln!(self.child.stdin.as_mut().unwrap(), "drain").unwrap();
+        let (status, summary) = self.wait(limit);
+        assert!(status.success(), "cs-ingestd exited {status}: {summary}");
+        summary
     }
 }
 
@@ -130,14 +169,7 @@ fn streams_scrapes_drains_and_archives() {
         "--archive",
         archive.to_str().unwrap(),
     ]);
-    // "cs-ingestd: ingest on A, metrics on B, <arm> kernels; …"
-    let announce = daemon.stderr.recv_timeout(STALL).expect("cs-ingestd announced nothing");
-    let (ingest, metrics) = announce
-        .strip_prefix("cs-ingestd: ingest on ")
-        .and_then(|rest| rest.split_once(", metrics on "))
-        .and_then(|(ingest, rest)| Some((ingest, rest.split_once(',')?.0)))
-        .unwrap_or_else(|| panic!("unexpected announcement: {announce}"));
-    let (ingest, metrics) = (ingest.to_string(), metrics.to_string());
+    let (ingest, metrics) = daemon.addresses();
 
     let sent = frames(K);
     let lanes = [LaneResume { lane: 0, resume_from: 0 }];
@@ -166,11 +198,7 @@ fn streams_scrapes_drains_and_archives() {
     }
     assert_eq!(get(&metrics, "/healthz").0, 200, "a healthy run is live");
 
-    writeln!(daemon.child.stdin.as_mut().unwrap(), "drain").unwrap();
-    let status = daemon.wait();
-    let mut summary = String::new();
-    daemon.child.stdout.take().unwrap().read_to_string(&mut summary).unwrap();
-    assert!(status.success(), "cs-ingestd exited {status}: {summary}");
+    let summary = daemon.drain(STALL);
     for key in ["frames", "decoded", "windows"] {
         assert_eq!(field(&summary, key), K as u64, "{key} in {summary}");
     }
@@ -183,10 +211,104 @@ fn streams_scrapes_drains_and_archives() {
     let _ = std::fs::remove_dir_all(&archive);
 }
 
+/// The sum of every `/metrics` sample whose line starts with `prefix`.
+fn samples(body: &str, prefix: &str) -> u64 {
+    body.lines()
+        .filter(|line| line.starts_with(prefix))
+        .filter_map(|line| line.rsplit_once(' ')?.1.parse::<u64>().ok())
+        .sum()
+}
+
+/// One swarm soak against a fresh daemon, straight or through a seeded
+/// hostile proxy: checks the books from outside both processes and
+/// returns the drain JSON, the swarm's JSON, and the proxy's tallies.
+fn soak(motes: u64, chaos: Option<u64>) -> (String, String, Option<TcpChaosStats>) {
+    let mut daemon = Daemon::spawn(&[
+        "--listen", "127.0.0.1:0", "--metrics", "127.0.0.1:0",
+        "--workers", "4", "--feed-capacity", "512", "--shed-backlog", "512",
+        "--handshake-ms", "2000", "--idle-ms", "10000", "--max-sessions", "8",
+    ]);
+    let (ingest, metrics) = daemon.addresses();
+    let proxy = chaos.map(|seed| {
+        let upstream = ingest.parse().unwrap();
+        TcpChaosProxy::bind("127.0.0.1:0", upstream, TcpChaosSpec::hostile(seed)).unwrap()
+    });
+    let target = proxy.as_ref().map_or(ingest, |p| p.local_addr().to_string());
+    let (motes_arg, frames_arg) = (motes.to_string(), SOAK_FRAMES.to_string());
+    let mut swarm = Daemon::run(
+        env!("CARGO_BIN_EXE_mote_swarm"),
+        &["--connect", &target, "--motes", &motes_arg, "--frames", &frames_arg],
+    );
+    let (status, swarm_json) = swarm.wait(SOAK_STALL);
+    let errors: Vec<String> = swarm.stderr.try_iter().collect();
+    assert!(status.success(), "mote_swarm exited {status}: {swarm_json} {errors:?}");
+    assert_eq!(field(&swarm_json, "failed"), 0, "{swarm_json}");
+
+    // Telemetry balance: every session has left the gauge, and each one
+    // admitted or shed ended in exactly one typed disconnect. The server
+    // answers a peer before it books the session, so poll.
+    let deadline = Instant::now() + STALL;
+    loop {
+        let body = get(&metrics, "/metrics").1;
+        let live = samples(&body, "cs_ingest_sessions{");
+        let disconnects = samples(&body, "cs_ingest_disconnect_total{");
+        let sessions = samples(&body, "cs_ingest_sessions_total ")
+            + samples(&body, "cs_ingest_shed_total ");
+        if live == 0 && disconnects == sessions {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{live} sessions still live; {disconnects} disconnects for {sessions} sessions"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let deadline = Instant::now() + STALL;
+    while get(&metrics, "/healthz").0 != 200 {
+        assert!(Instant::now() < deadline, "/healthz never recovered after the swarm");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+
+    let json = daemon.drain(SOAK_STALL);
+    let at = |key| field(&json, key);
+    // Exact accounting: the server forwarded every frame it counted, and
+    // the engine put each one it ingested in exactly one bucket.
+    assert_eq!(at("frames"), at("ingested"), "server and engine disagree: {json}");
+    let buckets = ["rejected", "duplicates", "late", "decoded", "desync", "quarantined"];
+    assert_eq!(at("ingested"), buckets.map(at).iter().sum::<u64>(), "a frame leaked: {json}");
+    assert!(at("windows") <= motes * SOAK_FRAMES, "more windows than sent: {json}");
+    (json, swarm_json, proxy.map(|p| p.stats()))
+}
+
+#[test]
+fn swarm_soak_balances_the_books_clean_and_under_chaos() {
+    // The optimizer's profile, and half of it for a debug decoder (about
+    // 50 frames/s on two cores). Either makes at least 100 connections,
+    // and the seed-7 proxy truncates the 31st one's first chunk and flips
+    // a bit in the 88th one's, so the coverage asserts below hold by
+    // construction, not by luck.
+    let motes = if cfg!(debug_assertions) { 100 } else { 200 };
+    let expected = motes * SOAK_FRAMES;
+
+    let (json, swarm, _) = soak(motes, None);
+    let at = |key| field(&json, key);
+    // Clean delivery: every window once, every sent frame accounted for.
+    assert_eq!((at("decoded"), at("windows")), (expected, expected), "{json}");
+    let landed = at("decoded") + at("duplicates") + at("late");
+    assert_eq!(landed, field(&swarm, "sent"), "{json} {swarm}");
+    assert!(at("sheds") > 0, "admission never shed, so shedding went untested: {json}");
+
+    let (json, swarm, stats) = soak(motes, Some(7));
+    let stats = stats.unwrap();
+    assert!(field(&swarm, "reconnects") > 0, "no mote reconnected: {swarm}");
+    assert!(stats.aborts + stats.truncated_closes > 0, "no connection was torn: {stats:?}");
+    assert!(stats.bit_flips > 0, "no bit was flipped: {stats:?} {json}");
+}
+
 /// Runs the daemon to its exit with `args` and returns the code and stderr.
 fn refused(args: &[&str]) -> (Option<i32>, String) {
     let mut daemon = Daemon::spawn(args);
-    let code = daemon.wait().code();
+    let code = daemon.wait(STALL).0.code();
     // The reader hangs up at the pipe's end, right after the exit.
     let stderr: Vec<String> =
         std::iter::from_fn(|| daemon.stderr.recv_timeout(STALL).ok()).collect();

@@ -296,31 +296,45 @@ fn resume_replays_tail_without_double_emission() {
     let tail = first.into_tail();
     assert_eq!(tail.len(), 4);
 
-    // Resume: same patient, replay the whole unacked tail, then new data.
-    let Connect::Accepted(mut second) = IngestClient::connect(
-        addr,
-        42,
-        &[LaneResume { lane: 0, resume_from: 2 }],
-        8,
-        Duration::from_secs(2),
-    )
-    .unwrap() else {
-        panic!("reconnect accepts")
+    // Resume: same patient, replay the whole unacked tail, send one new
+    // frame, and tear again. The second tail must still hold the replayed
+    // records: they were never acknowledged either.
+    let resume = |from| {
+        let lanes = [LaneResume { lane: 0, resume_from: from }];
+        match IngestClient::connect(addr, 42, &lanes, 8, Duration::from_secs(2)).unwrap() {
+            Connect::Accepted(client) => client,
+            Connect::Refused(control) => panic!("reconnect refused with {:?}", control.code),
+        }
     };
+    let mut second = resume(2);
     second.replay(&tail).unwrap();
-    for frame in &frames[4..] {
-        second.send_frame(frame).unwrap();
-    }
-    let goodbye = second.finish(Duration::from_secs(5)).unwrap();
+    second.send_frame(&frames[4]).unwrap();
+    let tail = second.into_tail();
+    let records: Vec<Vec<u8>> = frames[..5]
+        .iter()
+        .map(|frame| {
+            let mut record = Vec::new();
+            cs_ingest::encode_record(frame, &mut record);
+            record
+        })
+        .collect();
+    assert!(tail.iter().eq(&records), "a second tear keeps the replayed records");
+
+    // Third session: replay that tail, then the last frame.
+    let mut third = resume(4);
+    third.replay(&tail).unwrap();
+    third.send_frame(&frames[5]).unwrap();
+    let goodbye = third.finish(Duration::from_secs(5)).unwrap();
     assert_eq!(goodbye.code, ControlCode::Goodbye);
 
     let summary = stack.server.drain();
     let report = stack.engine.join().unwrap().unwrap();
-    // 4 + (4 replayed) + 2 arrived; the replays dedup inside the engine.
-    assert_eq!(summary.frames, 10);
+    // 4 + (4 replayed + 1) + (5 replayed + 1) arrived; the replays dedup
+    // inside the engine.
+    assert_eq!(summary.frames, 15);
     assert_eq!(summary.patients, 1, "same patient resumes onto the same slot");
-    assert_eq!(report.faults.frames, 10);
-    assert_eq!(report.faults.duplicates + report.faults.late, 4, "replayed tail dedups");
+    assert_eq!(report.faults.frames, 15);
+    assert_eq!(report.faults.duplicates + report.faults.late, 9, "replayed tails dedup");
     assert_eq!(report.faults.decoded, 6);
     assert_eq!(
         stack.emitted.load(Ordering::Relaxed),

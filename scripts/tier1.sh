@@ -8,11 +8,12 @@
 # make the plain `cargo build` / `cargo test` cover every crate, not just
 # the umbrella package), clippy with warnings denied, the
 # steady-state zero-allocation guarantee under the optimizer, the
-# committed results regenerated, crash and ingest smokes, and last an
-# advisory quick benchmark snapshot (exercises the parse + report
-# plumbing, not the committed numbers). The shipped daemon's `/metrics`
-# and `/healthz` are checked by `crates/ingest/tests/daemon.rs`, which
-# runs `cs-ingestd` itself, in the suite and again under the optimizer.
+# committed results regenerated, a crash smoke, and last an advisory
+# quick benchmark snapshot (exercises the parse + report plumbing, not
+# the committed numbers). The shipped daemon is checked by
+# `crates/ingest/tests/daemon.rs`, which runs `cs-ingestd` itself — its
+# `/metrics`, `/healthz` and archive, and a `mote_swarm` soak clean and
+# through a chaos proxy — in the suite and again under the optimizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,7 +54,9 @@ cargo test -q --release -p cs-core --test zero_alloc_prior
 # session setup, deframe + validate + control encode allocate nothing,
 # and the decode-queue handoff costs exactly one buffer per frame.
 cargo test -q --release -p cs-ingest --test zero_alloc_ingest
-# The release daemon as it ships: streamed to, scraped, drained, archived.
+# The release daemon as it ships: streamed to, scraped, drained, archived,
+# and soaked by a 200-mote `mote_swarm`, clean and behind the chaos proxy,
+# with the books checked from outside the process.
 cargo test -q --release -p cs-ingest --test daemon
 
 # The clinical crate under the optimizer: the detector's bit-exact
@@ -106,12 +109,6 @@ cargo run --release --offline --manifest-path pipebench/Cargo.toml -- --smoke
 # require a lossless recovery scan (the 8-round profile runs out of
 # band; see scripts/archive_crash.sh).
 CRASH_ROUNDS="${CRASH_ROUNDS:-2}" scripts/archive_crash.sh
-
-# Ingest smoke: a 200-mote swarm through the socket service, clean and
-# behind the chaos proxy, with every lifecycle invariant checked (CI's
-# `ingest-soak` job runs the same 200-mote profile; see
-# scripts/ingest_soak.sh).
-SWARM_MOTES="${SWARM_MOTES:-200}" scripts/ingest_soak.sh
 
 # The one-patient system simulation and the fleet under a hostile wire,
 # under the optimizer: detection accuracy and alarm latency on signals
