@@ -6,10 +6,11 @@
 //!
 //! The two arms run interleaved (disabled, enabled, disabled, ...) so
 //! slow drift on the host hits both equally, and the verdict compares
-//! the **minimum** round of each arm — the same statistic
-//! `BENCH_decode.json` pins, because on small shared hosts median and
-//! mean absorb scheduler steal that dwarfs a 2 % effect. Exits
-//! non-zero over budget.
+//! the **minimum** round of each arm, because on small shared hosts
+//! median and mean absorb scheduler steal that dwarfs a 2 % effect.
+//! Exits non-zero over budget, but nothing runs it (`scripts/tier1.sh`
+//! only lints it): the budget row is pipebench's
+//! `telemetry.overhead_share`.
 //!
 //! ```text
 //! cargo bench -p cs-bench --bench telemetry_overhead

@@ -35,7 +35,7 @@ pub enum PriorMode {
     #[default]
     None,
     /// Block-sparse group-ℓ1 over wavelet-tree groups: detail subbands
-    /// shrink in blocks of [`SolverPolicy::block_size`], the coarse
+    /// shrink in blocks of four coefficients, the coarse
     /// approximation band coefficient-wise (Zhang et al.,
     /// arXiv:1309.7843 motivate block structure for telemonitored
     /// physiological signals).
@@ -113,20 +113,12 @@ pub struct SolverPolicy<T: Real> {
     /// Residual-based stopping relative to `‖y‖₂` (the paper's Eq. 2
     /// criterion); `ZERO` disables. Fig. 7 uses this rule.
     pub residual_tolerance: T,
-    /// Rank-one spectral deflation factor `c` applied to the top
-    /// measurement-space direction of `ΦΨᵀ` (see
-    /// [`cs_recovery::DeflatedOperator`]); `1.0` disables. Sparse binary
-    /// sensing needs this to reach Gaussian-parity convergence (Fig. 2).
-    pub deflation_factor: T,
     /// Which prior drives the proximal step (default [`PriorMode::None`]).
     pub prior: PriorMode,
     /// How the solver walks to the minimiser (default
     /// [`Schedule::Adaptive`]; [`SolverPolicy::paper`] selects the verbatim
     /// one).
     pub schedule: Schedule,
-    /// Detail-subband group width for [`PriorMode::Block`] (the coarse
-    /// approximation band always shrinks coefficient-wise).
-    pub block_size: usize,
 }
 
 impl<T: Real> Default for SolverPolicy<T> {
@@ -137,10 +129,8 @@ impl<T: Real> Default for SolverPolicy<T> {
             max_iterations: 2000,
             kernel: KernelMode::Unrolled4,
             residual_tolerance: T::ZERO,
-            deflation_factor: T::from_f64(0.15),
             prior: PriorMode::None,
             schedule: Schedule::Adaptive,
-            block_size: 4,
         }
     }
 }
@@ -167,6 +157,15 @@ impl<T: Real> SolverPolicy<T> {
         }
     }
 }
+
+/// Rank-one spectral deflation factor `c` applied to the top
+/// measurement-space direction of `ΦΨᵀ` (see
+/// [`cs_recovery::DeflatedOperator`]). Sparse binary sensing needs it to
+/// reach Gaussian-parity convergence (Fig. 2).
+const DEFLATION_FACTOR: f64 = 0.15;
+
+/// Detail-subband group width for [`PriorMode::Block`].
+const BLOCK_SIZE: usize = 4;
 
 /// Builds the block-prior group partition over the wavelet tree: the
 /// coarse approximation band (the first `n >> levels` coefficients, not
@@ -384,8 +383,8 @@ impl<T: Real> Decoder<T> {
 
     /// The cache key for this decoder's spectral estimate: a hash of every
     /// input the power iteration depends on (sensing shape and seed,
-    /// wavelet plan, deflation factor).
-    pub fn spectral_key(config: &SystemConfig, policy: &SolverPolicy<T>) -> u64 {
+    /// wavelet plan).
+    pub fn spectral_key(config: &SystemConfig) -> u64 {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         config.measurements().hash(&mut hasher);
         config.packet_len().hash(&mut hasher);
@@ -393,7 +392,6 @@ impl<T: Real> Decoder<T> {
         config.seed().hash(&mut hasher);
         format!("{:?}", config.wavelet_family()).hash(&mut hasher);
         config.levels().hash(&mut hasher);
-        policy.deflation_factor.to_f64().to_bits().hash(&mut hasher);
         hasher.finish()
     }
 
@@ -410,9 +408,6 @@ impl<T: Real> Decoder<T> {
                 config.alphabet()
             )));
         }
-        if policy.prior == PriorMode::Block && policy.block_size == 0 {
-            return Err(PipelineError::InvalidConfig("block_size must be at least 1".into()));
-        }
         let phi = SparseBinarySensing::new(
             config.measurements(),
             config.packet_len(),
@@ -423,25 +418,18 @@ impl<T: Real> Decoder<T> {
         let dwt = Dwt::new(&wavelet, config.packet_len(), config.levels())?;
         let spectral = |phi: &SparseBinarySensing, dwt: &Dwt<T>| {
             let op = SynthesisOperator::new(phi, dwt);
-            if policy.deflation_factor < T::ONE {
-                let (sigma, u) = top_singular_pair(&op, 120);
-                let u = if sigma == T::ZERO { Vec::new() } else { u };
-                let deflated =
-                    DeflatedOperator::with_direction(&op, u.clone(), policy.deflation_factor);
-                SpectralEstimate {
-                    lipschitz: lipschitz_constant(&deflated, 120),
-                    deflation_u: u,
-                }
-            } else {
-                SpectralEstimate {
-                    lipschitz: lipschitz_constant(&op, 80),
-                    deflation_u: Vec::new(),
-                }
+            let (sigma, u) = top_singular_pair(&op, 120);
+            let u = if sigma == T::ZERO { Vec::new() } else { u };
+            let deflated =
+                DeflatedOperator::with_direction(&op, u.clone(), T::from_f64(DEFLATION_FACTOR));
+            SpectralEstimate {
+                lipschitz: lipschitz_constant(&deflated, 120),
+                deflation_u: u,
             }
         };
         let (lipschitz, deflation_u) = match cache {
             Some(cache) => {
-                let key = Self::spectral_key(config, &policy);
+                let key = Self::spectral_key(config);
                 let estimate = cache.get_or_compute(key, || spectral(&phi, &dwt));
                 (estimate.lipschitz, estimate.deflation_u.clone())
             }
@@ -456,7 +444,7 @@ impl<T: Real> Decoder<T> {
             alphabet: config.alphabet(),
         });
         let groups = if policy.prior == PriorMode::Block {
-            wavelet_tree_groups(config.packet_len(), config.levels(), policy.block_size)
+            wavelet_tree_groups(config.packet_len(), config.levels(), BLOCK_SIZE)
         } else {
             Vec::new()
         };
@@ -675,7 +663,7 @@ impl<T: Real> Decoder<T> {
         let deflated = DeflatedOperator::with_direction_borrowed(
             &op,
             &self.deflation_u,
-            self.policy.deflation_factor,
+            T::from_f64(DEFLATION_FACTOR),
         );
         ws.yd.resize(m, T::ZERO);
         deflated.transform_measurements_into(&ws.y, &mut ws.yd);
@@ -1002,18 +990,6 @@ mod tests {
         let (_, plain_prd) = totals[0];
         let (_, block_prd) = totals[1];
         assert!(block_prd < plain_prd + 5.0, "block PRD {block_prd} vs plain {plain_prd}");
-    }
-
-    #[test]
-    fn prior_policy_validation_rejects_bad_parameters() {
-        let config = SystemConfig::paper_default();
-        let cb = Arc::new(Codebook::from_counts(&vec![1; 512], 512).unwrap());
-        let policy = SolverPolicy {
-            block_size: 0,
-            ..SolverPolicy::block_prior()
-        };
-        let dec: Result<Decoder<f64>, _> = Decoder::new(&config, cb, policy);
-        assert!(dec.is_err(), "policy {policy:?} should be rejected");
     }
 
     #[test]

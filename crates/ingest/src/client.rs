@@ -128,11 +128,12 @@ impl IngestClient {
     ///
     /// # Errors
     ///
-    /// Propagates socket failures and malformed control records.
+    /// Propagates socket failures and malformed control records;
+    /// `UnexpectedEof` once the server has closed the connection.
     pub fn poll_control(&mut self) -> std::io::Result<Option<Control>> {
         self.stream.set_read_timeout(Some(Duration::from_millis(1)))?;
         match self.stream.read(&mut self.ctrl_buf[self.ctrl_filled..]) {
-            Ok(0) => return Ok(None),
+            Ok(0) => return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "server closed")),
             Ok(n) => self.ctrl_filled += n,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) => return Err(e),

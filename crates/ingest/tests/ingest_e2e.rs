@@ -11,10 +11,13 @@ use cs_core::{
     run_fleet, uniform_codebook, Encoder, FleetConfig, FleetReport, FleetSource, SolverPolicy,
     SystemConfig, WireFrame,
 };
-use cs_ingest::{Connect, ControlCode, IngestClient, IngestConfig, IngestServer, LaneResume};
+use cs_ingest::{
+    encode_control, hello_len, Connect, Control, ControlCode, IngestClient, IngestConfig,
+    IngestServer, LaneResume, CONTROL_BYTES, HELLO_FIXED_BYTES, MAX_HELLO_BYTES,
+};
 use cs_telemetry::{FamilyId, IngestDisconnect, IngestState, TelemetryRegistry};
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -273,6 +276,44 @@ fn trickling_session_is_evicted_as_slow_loris() {
     assert_eq!(snap.count(FamilyId::IngestDisconnects, IngestDisconnect::SlowLoris), 1);
     stack.server.drain();
     drop(stack.engine.join().unwrap().unwrap());
+}
+
+#[test]
+fn poll_control_reports_a_server_that_hung_up() {
+    // A bare server: read the whole hello, admit, close.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut hello = [0u8; MAX_HELLO_BYTES];
+        stream.read_exact(&mut hello[..HELLO_FIXED_BYTES]).unwrap();
+        let len = hello_len(&hello).unwrap();
+        stream.read_exact(&mut hello[HELLO_FIXED_BYTES..len]).unwrap();
+        let mut accept = [0u8; CONTROL_BYTES];
+        encode_control(
+            Control { code: ControlCode::Accept, retry_after_secs: 0, count: 1 },
+            &mut accept,
+        );
+        stream.write_all(&accept).unwrap();
+    });
+    let lanes = [LaneResume { lane: 0, resume_from: 0 }];
+    let Connect::Accepted(mut client) =
+        IngestClient::connect(addr, 5, &lanes, 0, Duration::from_secs(2)).unwrap()
+    else {
+        panic!("the bare server accepts")
+    };
+    server.join().unwrap();
+    // A caller polling for `Draining` or `Evicted` must learn of the
+    // hang-up, not spin on "nothing yet" until its own deadline.
+    let start = std::time::Instant::now();
+    let err = loop {
+        match client.poll_control() {
+            Err(e) => break e,
+            Ok(control) => assert_eq!(control, None, "the server sent nothing after Accept"),
+        }
+        assert!(start.elapsed() < Duration::from_secs(2), "poll_control never saw the close");
+    };
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
 }
 
 #[test]

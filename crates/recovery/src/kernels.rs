@@ -15,8 +15,8 @@
 //! every reduction has **one shape** ([`lane_sum`]: 16 partial sums, a
 //! fixed pairwise fold, leftovers last — the portable form of the paper's
 //! `vmlaq_f32` accumulators); and the solver's whole per-iteration tail
-//! is **one sweep** ([`fista_tail`]) instead of five. The `kernel_speedup`
-//! bench reproduces the paper's optimized-vs-unoptimized comparison from
+//! is **one sweep** ([`fista_tail`]) instead of five. The `table_speedup`
+//! binary reproduces the paper's optimized-vs-unoptimized comparison from
 //! the two paths, and the scalar one is the differential oracle the
 //! optimized one is tested against.
 

@@ -2,8 +2,8 @@
 //! hold PRD against the plain warm solve at fewer iterations.
 //!
 //! CI runs this suite in release (`solver-priors` job): iteration counts
-//! are what the real-time budget pays for, and the release-codegen
-//! numbers are the ones BENCH_decode.json commits to.
+//! are what the real-time budget pays for, and release codegen is what
+//! ships.
 
 use cs_ecg_monitor::prelude::*;
 use std::sync::Arc;
