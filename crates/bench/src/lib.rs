@@ -1,7 +1,8 @@
 //! # cs-bench — the figure/table reproduction harness
 //!
-//! One binary per published result (see `DESIGN.md` §3 and
-//! `EXPERIMENTS.md`):
+//! One binary per published result, and nothing else: each writes the
+//! `results/<binary>.txt` of its name, which `scripts/results_check.sh`
+//! regenerates (see `DESIGN.md` §3 and `EXPERIMENTS.md`):
 //!
 //! | binary              | paper result                                    |
 //! |---------------------|-------------------------------------------------|
@@ -13,6 +14,8 @@
 //! | `table_speedup`     | §V 2.43× optimized-kernel speedup, 800→2000     |
 //! | `table_lifetime`    | §V 12.9 % node-lifetime extension               |
 //! | `ablation_d`        | §IV-A d = 12 trade-off knee                     |
+//! | `ablation_wavelet`  | sparsifying basis: wavelet family and depth     |
+//! | `ablation_analog`   | §II-A analog CS: measurement ADC resolution     |
 //! | `solver_comparison` | FISTA vs ISTA vs OMP design ablation            |
 //! | `baseline_dwt`      | CS vs classical DWT transform coding            |
 //! | `entropy_stage`     | Huffman (paper) vs Golomb–Rice entropy coder    |
@@ -92,9 +95,6 @@ pub struct RunSettings {
     pub records: usize,
     /// Seconds per record.
     pub seconds: f64,
-    /// Drive the run from an archived session (`--replay <dir>`) instead
-    /// of a freshly synthesized corpus, in binaries that support it.
-    pub replay: Option<String>,
 }
 
 impl RunSettings {
@@ -103,7 +103,6 @@ impl RunSettings {
         RunSettings {
             records: 8,
             seconds: 16.0,
-            replay: None,
         }
     }
 
@@ -114,14 +113,12 @@ impl RunSettings {
         RunSettings {
             records: 48,
             seconds: 60.0,
-            replay: None,
         }
     }
 
-    /// Parses `--records N`, `--seconds S`, `--full` and `--replay DIR`
-    /// (without the program name), starting from the quick defaults.
-    /// `--full` sets the record count and length only, so a later
-    /// `--records` or `--seconds` still wins.
+    /// Parses `--records N`, `--seconds S` and `--full` (without the
+    /// program name), starting from the quick defaults. A later
+    /// `--records` or `--seconds` overrides `--full`.
     ///
     /// # Errors
     ///
@@ -132,11 +129,7 @@ impl RunSettings {
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or_else(|| format!("{flag} requires a value"));
             match flag.as_str() {
-                "--full" => {
-                    let RunSettings { records, seconds, .. } = RunSettings::full();
-                    settings = RunSettings { records, seconds, ..settings };
-                }
-                "--replay" => settings.replay = Some(value()?),
+                "--full" => settings = RunSettings::full(),
                 "--records" => settings.records = number(&flag, value()?)?,
                 "--seconds" => settings.seconds = number(&flag, value()?)?,
                 other => return Err(format!("unknown flag {other}")),
@@ -151,10 +144,7 @@ impl RunSettings {
         let mut args = std::env::args();
         let program = args.next().unwrap_or_default();
         RunSettings::parse(args).unwrap_or_else(|e| {
-            eprintln!(
-                "{program}: {e}\nusage: {program} [--records N] [--seconds S] [--full] \
-                 [--replay DIR]"
-            );
+            eprintln!("{program}: {e}\nusage: {program} [--records N] [--seconds S] [--full]");
             std::process::exit(2)
         })
     }
@@ -307,14 +297,14 @@ mod tests {
     fn flags_parse_into_settings() {
         let s = parse(&["--full", "--seconds", "2.5"]).unwrap();
         assert_eq!((s.records, s.seconds), (48, 2.5));
-        let s = parse(&["--records", "2", "--replay", "dir"]).unwrap();
-        assert_eq!((s.records, s.seconds, s.replay.as_deref()), (2, 16.0, Some("dir")));
+        let s = parse(&["--records", "2", "--full", "--records", "3"]).unwrap();
+        assert_eq!((s.records, s.seconds), (3, 60.0));
         assert_eq!(parse(&[]).unwrap(), RunSettings::quick());
     }
 
     #[test]
     fn a_flag_without_its_value_is_an_error() {
-        assert_eq!(parse(&["--records", "2", "--replay"]).unwrap_err(), "--replay requires a value");
+        assert_eq!(parse(&["--full", "--records"]).unwrap_err(), "--records requires a value");
         assert_eq!(parse(&["--seconds"]).unwrap_err(), "--seconds requires a value");
     }
 

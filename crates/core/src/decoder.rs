@@ -500,11 +500,6 @@ impl<T: Real> Decoder<T> {
         }
     }
 
-    /// Whether warm starts are enabled.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.warm_start
-    }
-
     /// The retained coefficient estimate, if any (present only while warm
     /// starts are enabled and at least one packet has decoded since the
     /// last desync).

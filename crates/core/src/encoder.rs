@@ -120,11 +120,6 @@ impl Encoder {
         &self.config
     }
 
-    /// Number of packets encoded so far.
-    pub fn packets_encoded(&self) -> u64 {
-        self.next_index
-    }
-
     /// Encodes one packet of signed, midscale-removed ADC samples.
     ///
     /// # Errors
@@ -208,16 +203,6 @@ impl Encoder {
     pub fn reset(&mut self) {
         self.diff.reset();
         self.next_index = 0;
-    }
-
-    /// Forces the next packet to be a reference **without** resetting the
-    /// sequence index. This is the adaptive-fidelity hand-off primitive:
-    /// when a tier switch re-routes a lead to a different encoder lane,
-    /// the receiving lane must re-anchor its differencing (the decoder has
-    /// no delta base at the new measurement size) while the wire sequence
-    /// keeps climbing monotonically for reassembly dedup.
-    pub fn force_reference(&mut self) {
-        self.diff.reset();
     }
 }
 

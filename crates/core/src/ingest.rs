@@ -53,14 +53,6 @@ pub enum ConcealmentReason {
     Desync,
 }
 
-impl PacketOutcome {
-    /// `true` for both concealment variants and quarantine placeholders —
-    /// i.e. the emitted samples are synthetic, not decoded from the wire.
-    pub fn is_synthetic(self) -> bool {
-        !matches!(self, PacketOutcome::Decoded)
-    }
-}
-
 /// Event stream out of the [`Reassembler`], in emission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SequencedEvent<P> {

@@ -82,15 +82,6 @@ impl SyntheticDatabase {
         SyntheticDatabase { config }
     }
 
-    /// A corpus mirroring the paper's evaluation shape (48 records × 2
-    /// channels at 360 Hz) with the given per-record duration.
-    pub fn mit_bih_like(duration_s: f64) -> Self {
-        SyntheticDatabase::new(DatabaseConfig {
-            duration_s,
-            ..DatabaseConfig::default()
-        })
-    }
-
     /// The corpus configuration.
     pub fn config(&self) -> &DatabaseConfig {
         &self.config

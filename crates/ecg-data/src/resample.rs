@@ -81,11 +81,6 @@ impl Resampler {
         self.down
     }
 
-    /// Number of prototype filter taps.
-    pub fn taps_len(&self) -> usize {
-        self.taps.len()
-    }
-
     /// Resamples a whole signal, compensating the filter's group delay so
     /// output sample `k` aligns with input time `k·M/L`.
     pub fn resample(&self, x: &[f64]) -> Vec<f64> {

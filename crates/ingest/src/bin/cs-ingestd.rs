@@ -21,13 +21,14 @@
 //!
 //! With `--archive DIR` every accepted wire frame is also appended to a
 //! durable [`ArchiveSink`] under `DIR` before decode, so an operator can
-//! replay the exact ingested traffic later (`archive_replay --replay
-//! DIR`, which decodes with the same `uniform_codebook`). The sink is
-//! flushed and sealed during drain; a sink failure fails the daemon
-//! rather than silently dropping history.
+//! replay the exact ingested traffic later (`archive_replay DIR`, the
+//! binary beside this one, decodes it with the same `uniform_codebook`).
+//! The sink is flushed and sealed during drain; a sink failure fails the
+//! daemon rather than silently dropping history.
 //!
 //! `mote_swarm --connect` is its load generator; `tests/daemon.rs` runs
-//! the two together, straight and through a chaos proxy.
+//! the two together, straight and through a chaos proxy, and replays the
+//! daemon's archive with `archive_replay`.
 
 use cs_archive::{ArchiveConfig, ArchiveSink};
 use cs_core::{
@@ -60,8 +61,10 @@ impl Settings {
     ///
     /// # Errors
     ///
-    /// An unknown flag, a flag whose value is missing or unparsable, or a
-    /// zero admission limit (it would shed every session).
+    /// An unknown flag, a flag whose value is missing or unparsable, a
+    /// zero admission limit (it would shed every session), or a shed
+    /// backlog above the feed capacity (the backlog is the feed's length,
+    /// so it could never reach the limit and nothing would ever shed).
     fn from_args(args: impl IntoIterator<Item = String>) -> Result<Settings, String> {
         let mut s = Settings {
             listen: "127.0.0.1:7411".to_string(),
@@ -91,6 +94,12 @@ impl Settings {
         }
         if s.ingest.max_sessions == 0 || s.ingest.shed_backlog == 0 {
             return Err("--max-sessions and --shed-backlog must be positive".into());
+        }
+        if s.ingest.shed_backlog > s.feed_capacity {
+            let (shed, feed) = (s.ingest.shed_backlog, s.feed_capacity);
+            return Err(format!(
+                "--shed-backlog {shed} exceeds --feed-capacity {feed}: nothing would shed"
+            ));
         }
         Ok(s)
     }
@@ -281,5 +290,12 @@ mod tests {
     fn a_zero_shed_backlog_is_an_error() {
         let err = parse(&["--shed-backlog", "0"]).unwrap_err();
         assert_eq!(err, "--max-sessions and --shed-backlog must be positive");
+    }
+
+    #[test]
+    fn a_shed_backlog_above_the_feed_capacity_is_an_error() {
+        let err = parse(&["--feed-capacity", "128"]).unwrap_err();
+        assert_eq!(err, "--shed-backlog 256 exceeds --feed-capacity 128: nothing would shed");
+        assert!(parse(&["--feed-capacity", "128", "--shed-backlog", "128"]).is_ok());
     }
 }

@@ -2,7 +2,8 @@
 //! ephemeral ports, fed over TCP by [`IngestClient`] or by the shipped
 //! `mote_swarm` load generator (straight, or through a seeded
 //! [`TcpChaosProxy`]), scraped over HTTP, drained through stdin, with
-//! its archive read back from disk.
+//! its archive read back from disk and decoded by the shipped
+//! `archive_replay`.
 //!
 //! Every wait is bounded: a child that stalls is killed and the test
 //! fails instead of hanging the suite.
@@ -39,8 +40,8 @@ const ROWS: [&str; 6] = [
     "cs_lane_freshness_seconds{patient=\"0\"",
 ];
 
-/// A running child (`cs-ingestd` or `mote_swarm`), killed on drop so a
-/// failed assertion never leaves it behind.
+/// A running child (`cs-ingestd`, `mote_swarm` or `archive_replay`),
+/// killed on drop so a failed assertion never leaves it behind.
 struct Daemon {
     child: Child,
     stderr: Receiver<String>,
@@ -208,6 +209,16 @@ fn streams_scrapes_drains_and_archives() {
     let replayed = stored.replay_stream(0).unwrap();
     assert_eq!(replayed.len(), K, "the archive holds every frame");
     assert!(replayed == sent, "the archive holds the frames byte for byte");
+
+    // The replay tool decodes the archive as the daemon decoded the wire.
+    let mut replay =
+        Daemon::run(env!("CARGO_BIN_EXE_archive_replay"), &[archive.to_str().unwrap()]);
+    let (status, json) = replay.wait(STALL);
+    assert!(status.success(), "archive_replay exited {status}: {json}");
+    for key in ["frames", "decoded"] {
+        assert_eq!(field(&json, key), K as u64, "{key} in {json}");
+    }
+    assert_eq!(field(&json, "quarantined"), 0, "{json}");
     let _ = std::fs::remove_dir_all(&archive);
 }
 
@@ -305,9 +316,9 @@ fn swarm_soak_balances_the_books_clean_and_under_chaos() {
     assert!(stats.bit_flips > 0, "no bit was flipped: {stats:?} {json}");
 }
 
-/// Runs the daemon to its exit with `args` and returns the code and stderr.
-fn refused(args: &[&str]) -> (Option<i32>, String) {
-    let mut daemon = Daemon::spawn(args);
+/// Runs `program` to its exit with `args` and returns the code and stderr.
+fn refused(program: &str, args: &[&str]) -> (Option<i32>, String) {
+    let mut daemon = Daemon::run(program, args);
     let code = daemon.wait(STALL).0.code();
     // The reader hangs up at the pipe's end, right after the exit.
     let stderr: Vec<String> =
@@ -317,13 +328,33 @@ fn refused(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_flags_exit_2_with_usage() {
-    let (code, stderr) = refused(&["--max-sessions", "0"]);
+    let daemon = env!("CARGO_BIN_EXE_cs-ingestd");
+    let (code, stderr) = refused(daemon, &["--max-sessions", "0"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--max-sessions and --shed-backlog must be positive"), "{stderr}");
     assert!(stderr.contains("usage: cs-ingestd"), "{stderr}");
 
-    let (code, stderr) = refused(&["--bogus"]);
+    let (code, stderr) = refused(daemon, &["--bogus"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
     assert!(stderr.contains("usage: cs-ingestd"), "{stderr}");
+}
+
+#[test]
+fn archive_replay_refuses_a_bad_flag_a_missing_dir_and_an_empty_archive() {
+    let replay = env!("CARGO_BIN_EXE_archive_replay");
+    let empty = std::env::temp_dir().join(format!("cs-archive-replay-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&empty).unwrap();
+    let missing = empty.join("missing");
+    for (args, error) in [
+        (vec!["--bogus"], "unknown flag --bogus".to_string()),
+        (vec![missing.to_str().unwrap()], format!("no archive directory at {}", missing.display())),
+        (vec![empty.to_str().unwrap()], format!("{} holds no records", empty.display())),
+    ] {
+        let (code, stderr) = refused(replay, &args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&error) && stderr.contains("usage: archive_replay"), "{stderr}");
+    }
+    assert!(!missing.exists(), "a missing directory stays missing");
+    std::fs::remove_dir_all(&empty).unwrap();
 }

@@ -219,11 +219,14 @@ impl<T: Real, S: Sensing<T>> LinearOperator<T> for SynthesisOperator<'_, T, S> {
 /// # Examples
 ///
 /// ```
-/// use cs_recovery::{DeflatedOperator, DenseOperator, KernelMode, LinearOperator, operator_norm};
+/// use cs_recovery::{
+///     operator_norm, top_singular_pair, DeflatedOperator, DenseOperator, KernelMode, LinearOperator,
+/// };
 ///
 /// // diag(10, 1): deflating the top direction at c = 0.1 leaves norm 1.
 /// let a = DenseOperator::from_row_major(2, 2, vec![10.0, 0.0, 0.0, 1.0], KernelMode::Scalar);
-/// let deflated = DeflatedOperator::deflate_top(&a, 100, 0.1);
+/// let (_, u) = top_singular_pair(&a, 100);
+/// let deflated = DeflatedOperator::with_direction(&a, u, 0.1);
 /// let norm: f64 = operator_norm(&deflated, 100);
 /// assert!((norm - 1.0).abs() < 1e-3);
 /// ```
@@ -238,19 +241,6 @@ pub struct DeflatedOperator<'a, T: Real, A: LinearOperator<T>> {
 }
 
 impl<'a, T: Real, A: LinearOperator<T>> DeflatedOperator<'a, T, A> {
-    /// Finds the top left singular vector by power iteration and deflates
-    /// it by factor `c` (`1` disables deflation; typical values are
-    /// 0.1–0.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not in `(0, 1]` or `sweeps` is zero.
-    pub fn deflate_top(inner: &'a A, sweeps: usize, c: T) -> Self {
-        let (sigma, u) = crate::lipschitz::top_singular_pair(inner, sweeps);
-        let u = if sigma == T::ZERO { Vec::new() } else { u };
-        Self::with_direction(inner, u, c)
-    }
-
     /// Wraps an operator with an explicit (already computed) direction.
     ///
     /// # Panics

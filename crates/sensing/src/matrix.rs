@@ -440,12 +440,6 @@ impl SparseBinarySensing {
         }
         y
     }
-
-    /// Number of gather-add operations one application costs — `N·d`
-    /// additions. The mote cycle model in `cs-platform` prices this.
-    pub fn op_count(&self) -> u64 {
-        (self.n as u64) * (self.d as u64)
-    }
 }
 
 impl<T: Real> Sensing<T> for SparseBinarySensing {

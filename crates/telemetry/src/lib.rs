@@ -9,8 +9,9 @@
 //! The design center is "default-on but cheap": instrumented code paths
 //! hold a [`TelemetryRegistry`] unconditionally, and the shared
 //! [`TelemetryRegistry::disabled`] handle reduces every span to a single
-//! relaxed atomic load. The `telemetry_overhead` bench in `cs-bench`
-//! holds the *enabled* registry to < 2 % of fleet decode throughput.
+//! relaxed atomic load. The *enabled* registry's budget, < 2 % of
+//! throughput, is read from pipebench's `telemetry.overhead_share` row
+//! (`--trace 1`) at full run length; at `--smoke` length it is noise.
 //!
 //! ```
 //! use cs_telemetry::{Stage, TelemetryRegistry};

@@ -8,9 +8,10 @@
 //! Instrumented code paths hold a registry unconditionally — the
 //! **disabled** registry is a process-wide shared handle whose every
 //! recording operation is gated on a single relaxed `AtomicBool` load, so
-//! un-observed pipelines pay one atomic load per span and nothing else
-//! (measured < 2 % of fleet throughput by the `telemetry_overhead` bench
-//! even when *enabled*).
+//! un-observed pipelines pay one atomic load per span and nothing else.
+//! Even *enabled*, the registry's budget is < 2 % of throughput, read
+//! from pipebench's `telemetry.overhead_share` row at full run length
+//! (its `--smoke` reading is noise).
 
 use crate::archive::ArchiveOp;
 use crate::clinical::{AlarmKind, BeatClass};

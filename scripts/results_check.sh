@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
-# Results check: every committed results/*.txt is what the tree produces.
+# Results check: every committed results/*.txt is what the tree produces,
+# and every cs-bench binary has one.
 #
 #   scripts/results_check.sh
+#
+# cs-bench holds one binary per published result and nothing else, so
+# the check goes both ways: a results/<name>.txt without a
+# crates/bench/src/bin/<name>.rs fails, and so does a binary without a
+# results file.
 #
 # Rebuilds the binary behind each results/<name>.txt, runs it with the
 # settings the committed file was made with (the default quick corpus)
@@ -22,6 +28,10 @@ for file in results/*.txt; do
   bin="$(basename "$file" .txt)"
   [[ -f "crates/bench/src/bin/$bin.rs" ]] || { echo "results_check: $file has no binary" >&2; exit 1; }
   BINS+=("$bin")
+done
+for src in crates/bench/src/bin/*.rs; do
+  bin="$(basename "$src" .rs)"
+  [[ -f "results/$bin.txt" ]] || { echo "results_check: $src has no results/$bin.txt" >&2; exit 1; }
 done
 
 cargo build --release --quiet -p cs-bench "${BINS[@]/#/--bin=}"

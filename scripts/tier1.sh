@@ -8,12 +8,15 @@
 # `cargo build` / `cargo test` cover every crate, not just the umbrella
 # package), clippy with warnings denied (the criterion benches too: they
 # are compiled here and never run), the steady-state zero-allocation
-# guarantee under the optimizer, the committed results regenerated, the
-# end-to-end benchmark's smoke pass and a crash smoke. Timing is judged
-# by `pipebench` alone. The shipped daemon is checked by
-# `crates/ingest/tests/daemon.rs`, which runs `cs-ingestd` itself — its
-# `/metrics`, `/healthz` and archive, and a `mote_swarm` soak clean and
-# through a chaos proxy — in the suite and again under the optimizer.
+# guarantee under the optimizer, the committed results regenerated and
+# the end-to-end benchmark's smoke pass. Timing is judged by `pipebench`
+# alone. The shipped daemon is checked by `crates/ingest/tests/daemon.rs`,
+# which runs `cs-ingestd` itself — its `/metrics`, `/healthz` and archive,
+# which `archive_replay` must decode whole, and a `mote_swarm` soak clean
+# and through a chaos proxy — in the suite and again under the optimizer,
+# and archive crash recovery by `crates/archive/tests/crash_recovery.rs`,
+# which SIGKILLs a writer mid-append, likewise. CI runs this script as
+# its one gate, plus a nightly AddressSanitizer job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,10 +109,10 @@ cargo test -q --release --test platform_reports
 # workloads, three passes each, with their correctness gates (~12 s).
 cargo run --release --offline --manifest-path pipebench/Cargo.toml -- --smoke
 
-# Crash-recovery smoke: SIGKILL the archive writer mid-append and
-# require a lossless recovery scan (the 8-round profile runs out of
-# band; see scripts/archive_crash.sh).
-CRASH_ROUNDS="${CRASH_ROUNDS:-2}" scripts/archive_crash.sh
+# Crash recovery under the optimizer, where the writer appends fastest:
+# eight rounds of SIGKILLing a writer mid-append, each followed by a
+# read-only scan that must find every completed record, byte for byte.
+cargo test -q --release -p cs-archive --test crash_recovery
 
 # The one-patient system simulation and the fleet under a hostile wire,
 # under the optimizer: detection accuracy and alarm latency on signals
