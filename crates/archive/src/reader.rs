@@ -51,8 +51,11 @@ pub struct SegmentInfo {
 ///
 /// `open` never fails on a torn tail: an unsealed segment (crashed
 /// writer) is scanned and its incomplete trailing record is simply
-/// excluded from what replay yields. The on-disk file is left untouched
-/// — truncation is the *writer's* job on resume ([`crate::ArchiveWriter::open`]).
+/// excluded from what replay yields, and a newest segment shorter than
+/// its header (a writer killed while creating it) is skipped. Both count
+/// as torn tails. The on-disk files are left untouched — truncation and
+/// removal are the *writer's* job on resume ([`crate::ArchiveWriter::open`]).
+/// A short header in any older segment is an error.
 pub struct Archive {
     telemetry: TelemetryRegistry,
     lanes: BTreeMap<(u32, u8), Vec<SegmentInfo>>,
@@ -76,9 +79,18 @@ impl Archive {
         let mut stats = RecoveryStats::default();
         for (patient, lane, dir, segments) in walk_lanes(root)? {
             let mut infos = Vec::with_capacity(segments.len());
+            let newest = segments.last().copied();
             for index in segments {
                 let path = segment_path(&dir, index);
                 let buf = fs::read(&path)?;
+                if Some(index) == newest && buf.len() < SEGMENT_HEADER_BYTES {
+                    // A writer killed between creating its newest segment
+                    // and writing the header: nothing to replay.
+                    telemetry.record_archive_op(ArchiveOp::TornTail);
+                    stats.torn_tails += 1;
+                    stats.torn_bytes += buf.len() as u64;
+                    continue;
+                }
                 let info = if let Some((footer, footer_off)) = parse_sealed_footer(&buf) {
                     SegmentInfo {
                         path,

@@ -4,7 +4,7 @@
 use crate::layout::{lane_dir, segment_path, walk_lanes};
 use crate::segment::{
     encode_frame_record, encode_record, encode_seal_marker, frame_record_len, scan_segment,
-    Footer, SegmentHeader, TAG_FOOTER,
+    Footer, SegmentHeader, SEGMENT_HEADER_BYTES, TAG_FOOTER,
 };
 use cs_telemetry::{ArchiveOp, Stage, TelemetryRegistry};
 use std::fs::{self, File, OpenOptions};
@@ -138,7 +138,9 @@ impl ArchiveWriter {
     /// sealed segment stays immutable (appends rotate past it); an
     /// unsealed one — the signature of a crashed or killed writer — is
     /// recovery-scanned, **truncated to its last complete record**, and
-    /// resumed in place.
+    /// resumed in place. A newest segment shorter than its header — a
+    /// writer killed between creating the file and writing the header —
+    /// is removed and counted as a torn tail; its index is reused.
     pub fn open(root: impl Into<PathBuf>, config: ArchiveConfig) -> io::Result<(Self, RecoveryStats)> {
         let root = root.into();
         fs::create_dir_all(&root)?;
@@ -155,6 +157,24 @@ impl ArchiveWriter {
             };
             let path = segment_path(&dir, last_index);
             let buf = fs::read(&path)?;
+            if buf.len() < SEGMENT_HEADER_BYTES {
+                // Killed between creating the newest segment and writing
+                // its header: it never held a record. Drop it and create
+                // it afresh on the lane's next append.
+                writer.config.telemetry.record_archive_op(ArchiveOp::TornTail);
+                stats.torn_tails += 1;
+                stats.torn_bytes += buf.len() as u64;
+                fs::remove_file(&path)?;
+                writer.lanes.insert(
+                    (patient, lane),
+                    LaneWriter {
+                        dir,
+                        next_index: last_index,
+                        current: None,
+                    },
+                );
+                continue;
+            }
             let scan = scan_segment(&buf).map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -259,7 +279,7 @@ impl ArchiveWriter {
                 file.write_all(&header.encode())?;
                 vacant.insert(OpenSegment {
                     file,
-                    bytes: crate::segment::SEGMENT_HEADER_BYTES as u64,
+                    bytes: SEGMENT_HEADER_BYTES as u64,
                     records: 0,
                     min_seq: u64::MAX,
                     max_seq: 0,
@@ -441,6 +461,54 @@ mod tests {
             .collect::<io::Result<Vec<_>>>()
             .unwrap();
         assert_eq!(frames.len(), 6);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn torn_segment_creation_is_dropped_on_open() {
+        let root = tmp_root("torn-create");
+        let config = ArchiveConfig {
+            segment_bytes: 256,
+            ..ArchiveConfig::default()
+        };
+        let mut w = ArchiveWriter::create(&root, config.clone()).unwrap();
+        for seq in 0..3 {
+            w.append(4, 2, seq, &frame(seq)).unwrap();
+        }
+        w.finish().unwrap();
+        // A writer killed after `File::create` and before the header write
+        // leaves the next segment empty.
+        let (_, _, dir, segments) = walk_lanes(&root).unwrap().pop().unwrap();
+        assert_eq!(segments, vec![0]);
+        let torn = segment_path(&dir, 1);
+        File::create(&torn).unwrap();
+
+        let (archive, stats) = Archive::open(&root).unwrap();
+        assert_eq!((stats.torn_tails, stats.torn_bytes), (1, 0));
+        assert_eq!(archive.segments(4, 2).len(), 1);
+        assert_eq!(archive.total_records(), 3);
+        assert!(torn.exists(), "the reader leaves the files as they are");
+
+        let (mut w, stats) = ArchiveWriter::open(&root, config).unwrap();
+        assert_eq!((stats.torn_tails, stats.torn_bytes), (1, 0));
+        assert!(!torn.exists(), "the writer removes the torn segment");
+        w.append(4, 2, 3, &frame(3)).unwrap();
+        w.finish().unwrap();
+        let (_, _, _, segments) = walk_lanes(&root).unwrap().pop().unwrap();
+        assert_eq!(segments, vec![0, 1], "the torn index is reused");
+        let (archive, stats) = Archive::open(&root).unwrap();
+        assert_eq!(stats, RecoveryStats::default());
+        let seqs: Vec<u64> = archive
+            .replay_range(4, 2, 0..u64::MAX)
+            .unwrap()
+            .map(|f| f.unwrap().seq)
+            .collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+
+        // Only the newest segment may be torn this way: a short header
+        // anywhere before it is damage, not a crash.
+        fs::write(segment_path(&dir, 0), [0u8; 5]).unwrap();
+        assert!(Archive::open(&root).is_err());
         fs::remove_dir_all(&root).unwrap();
     }
 

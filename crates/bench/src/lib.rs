@@ -53,8 +53,11 @@ impl Corpus {
     /// seconds each: generate at 360 Hz, resample to 256 Hz, quantize to
     /// the encoder's signed 16-bit representation.
     pub fn prepare(num_records: usize, duration_s: f64) -> Self {
+        // Only channel 0 is read, and its samples do not depend on the
+        // channel count.
         let db = SyntheticDatabase::new(DatabaseConfig {
             num_records,
+            num_channels: 1,
             duration_s,
             ..DatabaseConfig::default()
         });

@@ -51,17 +51,22 @@ pub fn convolve<T: Real>(x: &[T], kernel: &[T], mode: ConvMode) -> Vec<T> {
             full[i + j] += xi * kj;
         }
     }
-    match mode {
-        ConvMode::Full => full,
+    // The trimmed modes cut the full result down in place rather than
+    // copying it out, so a long signal never holds a second output.
+    let keep = match mode {
+        ConvMode::Full => 0..full_len,
         ConvMode::Same => {
             let start = (l - 1) / 2;
-            full[start..start + n].to_vec()
+            start..start + n
         }
         ConvMode::Valid => {
             assert!(l <= n, "convolve: kernel longer than signal in Valid mode");
-            full[l - 1..n].to_vec()
+            l - 1..n
         }
-    }
+    };
+    full.truncate(keep.end);
+    full.drain(..keep.start);
+    full
 }
 
 /// A streaming FIR filter with persistent state, suitable for processing a

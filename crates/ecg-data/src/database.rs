@@ -8,10 +8,16 @@
 //! content (a subset of records carries PVCs/APCs, as in the original).
 //! Records are generated deterministically on demand from a corpus seed, so
 //! the full 30-minute corpus never has to be resident in memory at once.
+//!
+//! The channels of a record observe one heart: one rhythm seed, one θ
+//! trajectory of the model per record, whatever the channel count.
+//! Channel 0 is the morphology's identity projection; channels 1.. share
+//! one second projection, so they carry the same clean trace, each under
+//! its own independent noise.
 
 use crate::adc::AdcModel;
 use crate::model::{EcgModel, EcgModelConfig};
-use crate::noise::{contaminate, noise_trace, NoiseConfig};
+use crate::noise::{noise_trace, NoiseConfig};
 use crate::record::Record;
 
 /// Corpus-level configuration.
@@ -148,29 +154,43 @@ impl SyntheticDatabase {
         let adc = AdcModel::mit_bih();
         let n = (self.config.duration_s * self.config.sample_rate_hz).round() as usize;
 
-        let mut channels = Vec::with_capacity(self.config.num_channels);
-        let mut annotations = Vec::new();
-        for ch in 0..self.config.num_channels {
-            // Same rhythm seed per channel (leads observe the same heart),
-            // different projection and independent noise.
-            let gains = if ch == 0 {
-                [1.0, 1.0, 1.0, 1.0, 1.0]
-            } else {
-                [0.55, -0.35, 0.85, -0.55, 1.25]
-            };
-            let mut model = EcgModel::with_lead_gains(cfg.clone(), seed, gains);
-            let (clean, beats) = model.synthesize(self.config.duration_s);
-            if ch == 0 {
-                annotations = beats;
-            }
-            let noise = noise_trace(
+        // Leads observe one heart: one rhythm seed and one θ trajectory,
+        // projected twice — identity for channel 0, one shared set of gains
+        // for every channel after it. Each channel then gets its own noise,
+        // added and quantized on the fly. Channel 0's noise is drawn before
+        // the model runs and channel 0's clean trace is dropped once it is
+        // quantized, so at most one clean trace is alive while noise is
+        // generated.
+        let noise = |ch: usize| {
+            noise_trace(
                 &noise_cfg,
                 self.config.sample_rate_hz,
                 n,
                 seed ^ (0xA5A5 + ch as u64),
-            );
-            let noisy = contaminate(&clean[..n.min(clean.len())], &noise[..n.min(clean.len())]);
-            channels.push(adc.quantize_trace(&noisy));
+            )
+        };
+        let quantize = |clean: &[f64], noise: &[f64]| -> Vec<u16> {
+            clean
+                .iter()
+                .zip(noise)
+                .map(|(&c, &w)| adc.quantize(c + w))
+                .collect()
+        };
+        let projections: &[[f64; 5]] = if self.config.num_channels > 1 {
+            &[[1.0; 5], [0.55, -0.35, 0.85, -0.55, 1.25]]
+        } else {
+            &[[1.0; 5]]
+        };
+        let first_noise = noise(0);
+        let mut model = EcgModel::new(cfg, seed);
+        let (clean, annotations) = model.synthesize_leads(self.config.duration_s, projections);
+        let mut clean = clean.into_iter();
+        let lead0 = clean.next().expect("one trace per projection");
+        let mut channels = vec![quantize(&lead0, &first_noise)];
+        drop(lead0);
+        drop(first_noise);
+        if let Some(shared) = clean.next() {
+            channels.extend((1..self.config.num_channels).map(|ch| quantize(&shared, &noise(ch))));
         }
 
         Record::new(

@@ -19,6 +19,14 @@
 //! original database. What matters for compressed sensing — the sharp QRS
 //! support, the smooth P/T lobes, the quasi-periodicity the inter-packet
 //! differencing exploits — is all reproduced by this construction.
+//!
+//! Leads are projections of one trajectory: a lead scales each event's
+//! aᵢ by its own gain, and nothing else differs. A multi-lead record
+//! therefore costs one θ trajectory and one rhythm draw; the per-event
+//! Gaussians are evaluated once per RK4 stage and shared by every lead,
+//! and each lead integrates only its own `z`. The database projects
+//! twice — identity for channel 0, one shared set of gains for channels
+//! 1.., which thus carry the same clean trace (with independent noise).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -266,21 +274,56 @@ impl EcgModel {
     ///
     /// Panics if `duration_s` is not positive.
     pub fn synthesize(&mut self, duration_s: f64) -> (Vec<f64>, Vec<BeatAnnotation>) {
+        let gains = [self.lead_gains];
+        let (mut leads, beats) = self.synthesize_leads(duration_s, &gains);
+        (leads.swap_remove(0), beats)
+    }
+
+    /// Synthesizes one lead per entry of `gains` from a single θ trajectory
+    /// and rhythm draw: every lead sees the same beats, each through its
+    /// own projection of the morphology, with its own `z` and its own
+    /// peak-to-peak normalisation. Each lead's samples are bit-identical
+    /// to what [`EcgModel::synthesize`] gives a model with those lead gains
+    /// and this seed.
+    ///
+    /// Per step and per event, the wrapped offset `Δθᵢ` and the Gaussian
+    /// `exp(−Δθᵢ²/(2bᵢ²))` are evaluated once and shared by every lead.
+    /// The RK4 stages share them too: the right-hand side's event terms
+    /// depend on θ alone, so k2 and k3 use one set (both sit at the half
+    /// step), and k4's set is the next step's k1 set unless θ wraps and the
+    /// next beat brings a new ω and morphology.
+    pub(crate) fn synthesize_leads(
+        &mut self,
+        duration_s: f64,
+        gains: &[[f64; 5]],
+    ) -> (Vec<Vec<f64>>, Vec<BeatAnnotation>) {
         assert!(duration_s > 0.0, "synthesize: duration must be positive");
         let fs = self.config.sample_rate_hz;
         let n = (duration_s * fs).round() as usize;
         let dt = 1.0 / fs;
         let two_pi = 2.0 * std::f64::consts::PI;
 
-        let mut samples = Vec::with_capacity(n);
+        let mut leads: Vec<Lead> = gains
+            .iter()
+            .map(|&gains| Lead {
+                gains,
+                a: [0.0; 5],
+                z: 0.0,
+                samples: Vec::with_capacity(n),
+            })
+            .collect();
         let mut beats = Vec::new();
 
         // Integration state.
         let mut theta = -std::f64::consts::PI; // start mid-diastole
-        let mut z = 0.0_f64;
-        let (mut rr, mut beat) = self.next_beat(0.0);
-        let mut morph = Morphology::for_beat(beat).project(&self.lead_gains);
-        let mut omega = two_pi / rr;
+        let (rr, beat) = self.next_beat(0.0);
+        let mut shape = BeatShape::new(beat, two_pi / rr, &mut leads);
+
+        // Event terms of every lead at the step's start, half step and end.
+        let mut start = vec![[0.0; 5]; leads.len()];
+        let mut mid = start.clone();
+        let mut end = start.clone();
+        shape.terms(theta, &leads, &mut start);
 
         for i in 0..n {
             let t = i as f64 * dt;
@@ -289,52 +332,49 @@ impl EcgModel {
                 * (two_pi * self.config.rhythm.respiration_hz * t).sin();
 
             // RK4 on ż; θ advances linearly within a beat.
-            let f = |th: f64, zz: f64| -> f64 {
-                let mut dz = -(zz - z0);
-                for e in &morph.events {
-                    if e.a == 0.0 {
-                        continue;
-                    }
-                    let mut dth = th - e.theta;
-                    // Wrap to (−π, π].
-                    while dth > std::f64::consts::PI {
-                        dth -= two_pi;
-                    }
-                    while dth <= -std::f64::consts::PI {
-                        dth += two_pi;
-                    }
-                    dz -= e.a * omega * dth * (-dth * dth / (2.0 * e.b * e.b)).exp();
-                }
-                dz
-            };
-            let k1 = f(theta, z);
-            let k2 = f(theta + 0.5 * dt * omega, z + 0.5 * dt * k1);
-            let k3 = f(theta + 0.5 * dt * omega, z + 0.5 * dt * k2);
-            let k4 = f(theta + dt * omega, z + dt * k3);
-            z += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+            let omega = shape.omega;
+            let next_theta = theta + dt * omega;
+            shape.terms(theta + 0.5 * dt * omega, &leads, &mut mid);
+            shape.terms(next_theta, &leads, &mut end);
+            for (l, lead) in leads.iter_mut().enumerate() {
+                let z = lead.z;
+                let k1 = lead.dz(z, z0, &start[l]);
+                let k2 = lead.dz(z + 0.5 * dt * k1, z0, &mid[l]);
+                let k3 = lead.dz(z + 0.5 * dt * k2, z0, &mid[l]);
+                let k4 = lead.dz(z + dt * k3, z0, &end[l]);
+                lead.z += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+                lead.samples.push(lead.z);
+            }
 
             let prev_theta = theta;
-            theta += dt * omega;
+            theta = next_theta;
 
             // R-peak annotation: θ crosses 0 upward.
             if prev_theta < 0.0 && theta >= 0.0 {
-                beats.push(BeatAnnotation { sample: i, beat });
+                beats.push(BeatAnnotation { sample: i, beat: shape.beat });
             }
 
-            // Beat boundary: θ wraps at +π → start next cycle at −π.
+            // Beat boundary: θ wraps at +π → start next cycle at −π, with a
+            // new ω and morphology, so the next k1 terms are fresh.
             if theta >= std::f64::consts::PI {
                 theta -= two_pi;
                 let (next_rr, next_beat) = self.next_beat(t);
-                rr = next_rr;
-                beat = next_beat;
-                omega = two_pi / rr;
-                morph = Morphology::for_beat(beat).project(&self.lead_gains);
+                shape = BeatShape::new(next_beat, two_pi / next_rr, &mut leads);
+                shape.terms(theta, &leads, &mut start);
+            } else {
+                std::mem::swap(&mut start, &mut end);
             }
-
-            samples.push(z);
         }
 
-        // Normalize peak-to-peak to the configured amplitude.
+        let samples = leads
+            .into_iter()
+            .map(|lead| self.normalize(lead.samples))
+            .collect();
+        (samples, beats)
+    }
+
+    /// Normalizes peak-to-peak to the configured amplitude.
+    fn normalize(&self, mut samples: Vec<f64>) -> Vec<f64> {
         let (min, max) = samples
             .iter()
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
@@ -348,7 +388,96 @@ impl EcgModel {
                 *v = (*v - mid) * scale;
             }
         }
-        (samples, beats)
+        samples
+    }
+}
+
+/// One lead of a joint synthesis: its projection, the projected event
+/// amplitudes of the beat in progress, and its integration state.
+struct Lead {
+    gains: [f64; 5],
+    /// Event magnitudes aᵢ of the current beat, projected onto this lead.
+    a: [f64; 5],
+    z: f64,
+    samples: Vec<f64>,
+}
+
+impl Lead {
+    /// `ż` at `z`, given this lead's event terms at the stage's θ: the
+    /// baseline pull minus each term in event order, skipping the events
+    /// this lead does not carry.
+    #[inline]
+    fn dz(&self, z: f64, z0: f64, terms: &[f64; 5]) -> f64 {
+        let mut dz = -(z - z0);
+        for (&a, &term) in self.a.iter().zip(terms) {
+            if a != 0.0 {
+                dz -= term;
+            }
+        }
+        dz
+    }
+}
+
+/// The beat in progress: its class, angular velocity and the event
+/// geometry every lead shares.
+struct BeatShape {
+    beat: BeatType,
+    omega: f64,
+    /// Event angles θᵢ.
+    theta: [f64; 5],
+    /// Gaussian denominators 2bᵢ².
+    width: [f64; 5],
+    /// Whether any lead carries event i.
+    live: [bool; 5],
+}
+
+impl BeatShape {
+    /// Starts a beat of class `beat` at angular velocity `omega`, and
+    /// projects its morphology onto every lead.
+    fn new(beat: BeatType, omega: f64, leads: &mut [Lead]) -> Self {
+        let morph = Morphology::for_beat(beat);
+        let mut shape = BeatShape {
+            beat,
+            omega,
+            theta: [0.0; 5],
+            width: [0.0; 5],
+            live: [false; 5],
+        };
+        for (i, e) in morph.events.iter().enumerate() {
+            shape.theta[i] = e.theta;
+            shape.width[i] = 2.0 * e.b * e.b;
+        }
+        for lead in leads {
+            lead.a = morph.project(&lead.gains).events.map(|e| e.a);
+            for (live, &a) in shape.live.iter_mut().zip(&lead.a) {
+                *live |= a != 0.0;
+            }
+        }
+        shape
+    }
+
+    /// Every lead's event terms `aᵢ·ω·Δθᵢ·exp(−Δθᵢ²/(2bᵢ²))` at angle
+    /// `th`, with `Δθᵢ` wrapped to (−π, π]. The offset and the Gaussian
+    /// are computed once per event; each lead scales them by its own aᵢ.
+    #[inline]
+    fn terms(&self, th: f64, leads: &[Lead], out: &mut [[f64; 5]]) {
+        let pi = std::f64::consts::PI;
+        for i in 0..5 {
+            if !self.live[i] {
+                continue;
+            }
+            let mut dth = th - self.theta[i];
+            while dth > pi {
+                dth -= 2.0 * pi;
+            }
+            while dth <= -pi {
+                dth += 2.0 * pi;
+            }
+            let gaussian = (-dth * dth / self.width[i]).exp();
+            for (terms, lead) in out.iter_mut().zip(leads) {
+                terms[i] = lead.a[i] * self.omega * dth * gaussian;
+            }
+        }
     }
 }
 
@@ -434,6 +563,28 @@ mod tests {
             EcgModel::with_lead_gains(cfg, 7, [0.6, -0.4, 0.9, -0.6, 1.3]).synthesize(5.0);
         let diff: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
         assert!(diff > 1.0, "leads are identical");
+    }
+
+    #[test]
+    fn joint_leads_match_single_lead_synthesis_bit_for_bit() {
+        let mut cfg = EcgModelConfig::default();
+        cfg.rhythm.pvc_probability = 0.2;
+        cfg.rhythm.apc_probability = 0.1;
+        // The third projection zeroes the Q wave and the PVC's P is absent
+        // in all three, so events carried by some leads only are covered.
+        let gains = [[1.0; 5], [0.6, -0.4, 0.9, -0.6, 1.3], [1.1, 0.0, 0.7, -0.2, 0.9]];
+        let (joint, joint_beats) =
+            EcgModel::new(cfg.clone(), 9).synthesize_leads(20.0, &gains);
+        assert_eq!(joint.len(), gains.len());
+        for (lead, g) in joint.iter().zip(gains) {
+            let (alone, beats) = EcgModel::with_lead_gains(cfg.clone(), 9, g).synthesize(20.0);
+            assert_eq!(beats, joint_beats);
+            assert!(
+                lead.iter().zip(&alone).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "lead {g:?} moved under joint synthesis"
+            );
+            assert_eq!(lead.len(), alone.len());
+        }
     }
 
     #[test]

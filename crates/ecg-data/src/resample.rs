@@ -98,14 +98,16 @@ impl Resampler {
             // j ranges over taps with (i_base − j) divisible by up.
             let phase = i_base % self.up;
             let mut j = phase;
+            // Input sample under tap j: (i_base − j) / up, exact at every
+            // visited j, so one step of j by `up` is one step of src by 1.
+            let mut src = (i_base - phase) / self.up;
             // j may not exceed i_base (the stream is causal and starts at 0).
             while j < self.taps.len() && j <= i_base {
-                let up_idx = i_base - j;
-                let src = up_idx / self.up;
                 if src < n {
                     acc += self.taps[j] * x[src];
                 }
                 j += self.up;
+                src = src.wrapping_sub(1);
             }
             out.push(acc);
         }

@@ -14,6 +14,8 @@ use cs_ingest::{Connect, ControlCode, IngestClient, LaneResume};
 use cs_platform::{TcpChaosProxy, TcpChaosSpec, TcpChaosStats};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
@@ -39,6 +41,32 @@ const ROWS: [&str; 6] = [
     "cs_slo_burn_rate{patient=\"0\",window=\"fast\"",
     "cs_lane_freshness_seconds{patient=\"0\"",
 ];
+
+/// A fresh directory under `temp_dir()`, removed on drop so a failed
+/// assertion never leaves it behind.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// A running child (`cs-ingestd`, `mote_swarm` or `archive_replay`),
 /// killed on drop so a failed assertion never leaves it behind.
@@ -158,8 +186,9 @@ fn field(json: &str, key: &str) -> u64 {
 #[test]
 fn streams_scrapes_drains_and_archives() {
     const K: usize = 4;
-    let archive = std::env::temp_dir().join(format!("cs-ingestd-daemon-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&archive);
+    // Declared before the daemon, so the daemon is killed before its
+    // archive is removed.
+    let archive = ScratchDir::new("cs-ingestd-daemon");
     let mut daemon = Daemon::spawn(&[
         "--listen",
         "127.0.0.1:0",
@@ -205,7 +234,7 @@ fn streams_scrapes_drains_and_archives() {
     }
     assert_eq!(field(&summary, "quarantined"), 0, "{summary}");
 
-    let (stored, _) = Archive::open(&archive).unwrap();
+    let (stored, _) = Archive::open(&*archive).unwrap();
     let replayed = stored.replay_stream(0).unwrap();
     assert_eq!(replayed.len(), K, "the archive holds every frame");
     assert!(replayed == sent, "the archive holds the frames byte for byte");
@@ -219,7 +248,6 @@ fn streams_scrapes_drains_and_archives() {
         assert_eq!(field(&json, key), K as u64, "{key} in {json}");
     }
     assert_eq!(field(&json, "quarantined"), 0, "{json}");
-    let _ = std::fs::remove_dir_all(&archive);
 }
 
 /// The sum of every `/metrics` sample whose line starts with `prefix`.
@@ -343,8 +371,8 @@ fn bad_flags_exit_2_with_usage() {
 #[test]
 fn archive_replay_refuses_a_bad_flag_a_missing_dir_and_an_empty_archive() {
     let replay = env!("CARGO_BIN_EXE_archive_replay");
-    let empty = std::env::temp_dir().join(format!("cs-archive-replay-empty-{}", std::process::id()));
-    std::fs::create_dir_all(&empty).unwrap();
+    let empty = ScratchDir::new("cs-archive-replay-empty");
+    std::fs::create_dir_all(&*empty).unwrap();
     let missing = empty.join("missing");
     for (args, error) in [
         (vec!["--bogus"], "unknown flag --bogus".to_string()),
@@ -356,5 +384,4 @@ fn archive_replay_refuses_a_bad_flag_a_missing_dir_and_an_empty_archive() {
         assert!(stderr.contains(&error) && stderr.contains("usage: archive_replay"), "{stderr}");
     }
     assert!(!missing.exists(), "a missing directory stays missing");
-    std::fs::remove_dir_all(&empty).unwrap();
 }
