@@ -259,7 +259,7 @@ pub fn score_detections(
 mod tests {
     use super::*;
     use crate::model::{EcgModel, EcgModelConfig};
-    use crate::noise::{contaminate, noise_trace, NoiseConfig};
+    use crate::noise::{noise_trace, NoiseConfig};
 
     #[test]
     fn clean_ecg_detected_nearly_perfectly() {
@@ -276,7 +276,7 @@ mod tests {
         let mut model = EcgModel::new(EcgModelConfig::default(), 4);
         let (clean, beats) = model.synthesize(30.0);
         let noise = noise_trace(&NoiseConfig::default(), 360.0, clean.len(), 9);
-        let noisy = contaminate(&clean, &noise);
+        let noisy: Vec<f64> = clean.iter().zip(&noise).map(|(c, n)| c + n).collect();
         let detected = detect_r_peaks(&noisy, &QrsDetectorConfig::at_360_hz());
         let (se, ppv) = score_detections(&beats, &detected, 18);
         assert!(se > 0.9, "sensitivity {se}");

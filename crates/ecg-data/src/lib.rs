@@ -53,6 +53,6 @@ pub use adc::AdcModel;
 pub use database::{DatabaseConfig, SyntheticDatabase};
 pub use detect::{detect_r_peaks, score_detections, QrsDetectorConfig, SEARCHBACK_RR_FACTOR};
 pub use model::{BeatAnnotation, BeatType, EcgModel, EcgModelConfig, RhythmConfig};
-pub use noise::{contaminate, noise_trace, NoiseConfig};
+pub use noise::{noise_trace, NoiseConfig};
 pub use record::Record;
 pub use resample::{resample_360_to_256, Resampler};

@@ -127,16 +127,6 @@ pub fn noise_trace(config: &NoiseConfig, fs: f64, n: usize, seed: u64) -> Vec<f6
     out
 }
 
-/// Adds a noise trace to a clean signal, returning the contaminated copy.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn contaminate(clean: &[f64], noise: &[f64]) -> Vec<f64> {
-    assert_eq!(clean.len(), noise.len(), "contaminate: length mismatch");
-    clean.iter().zip(noise).map(|(a, b)| a + b).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,17 +178,5 @@ mod tests {
         let span = tr.iter().cloned().fold(f64::MIN, f64::max)
             - tr.iter().cloned().fold(f64::MAX, f64::min);
         assert!(max_step < span * 0.05, "step {max_step} vs span {span}");
-    }
-
-    #[test]
-    fn contaminate_adds_elementwise() {
-        let y = contaminate(&[1.0, 2.0], &[0.5, -0.5]);
-        assert_eq!(y, vec![1.5, 1.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn contaminate_length_mismatch_panics() {
-        let _ = contaminate(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -36,7 +36,7 @@ use cs_core::{
     SystemConfig, WireFrame,
 };
 use cs_ingest::{IngestConfig, IngestServer};
-use cs_telemetry::{MetricsServer, TelemetryRegistry};
+use cs_telemetry::{MetricsServer, TelemetryRegistry, MAX_WORKERS};
 use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -61,10 +61,12 @@ impl Settings {
     ///
     /// # Errors
     ///
-    /// An unknown flag, a flag whose value is missing or unparsable, a
-    /// zero admission limit (it would shed every session), or a shed
-    /// backlog above the feed capacity (the backlog is the feed's length,
-    /// so it could never reach the limit and nothing would ever shed).
+    /// An unknown flag, a flag whose value is missing or unparsable, more
+    /// workers than the registry has per-worker counters (ids past
+    /// [`MAX_WORKERS`] would fold into another worker's series), a zero
+    /// admission limit (it would shed every session), or a shed backlog
+    /// above the feed capacity (the backlog is the feed's length, so it
+    /// could never reach the limit and nothing would ever shed).
     fn from_args(args: impl IntoIterator<Item = String>) -> Result<Settings, String> {
         let mut s = Settings {
             listen: "127.0.0.1:7411".to_string(),
@@ -91,6 +93,10 @@ impl Settings {
                 "--idle-ms" => s.ingest.idle_timeout = Duration::from_millis(number(&flag, value()?)?),
                 other => return Err(format!("unknown flag {other}")),
             }
+        }
+        if s.workers > MAX_WORKERS {
+            let workers = s.workers;
+            return Err(format!("--workers {workers} exceeds the {MAX_WORKERS} counted workers"));
         }
         if s.ingest.max_sessions == 0 || s.ingest.shed_backlog == 0 {
             return Err("--max-sessions and --shed-backlog must be positive".into());
@@ -297,5 +303,12 @@ mod tests {
         let err = parse(&["--feed-capacity", "128"]).unwrap_err();
         assert_eq!(err, "--shed-backlog 256 exceeds --feed-capacity 128: nothing would shed");
         assert!(parse(&["--feed-capacity", "128", "--shed-backlog", "128"]).is_ok());
+    }
+
+    #[test]
+    fn more_workers_than_counted_is_an_error() {
+        let err = parse(&["--workers", "65"]).unwrap_err();
+        assert_eq!(err, "--workers 65 exceeds the 64 counted workers");
+        assert_eq!(parse(&["--workers", "64"]).unwrap().workers, 64);
     }
 }

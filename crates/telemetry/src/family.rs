@@ -2,10 +2,9 @@
 //! once.
 //!
 //! [`FAMILIES`] is the single description of the exposition — name, type,
-//! label keys, help, when the family is present, where it sits in a
-//! JSON-Lines record. The Prometheus exporter, the JSON exporter's label
-//! maps, the conformance validator, the JSONL schema test and the
-//! reference table in `DESIGN.md` §7 iterate it; none names a family.
+//! label keys, help, when the family is present. The Prometheus exporter,
+//! the conformance validator and the reference table in `DESIGN.md` §7
+//! iterate it; none names a family.
 //!
 //! A row is **stored** (`stored`, `scalar`) — a counter or gauge the
 //! registry keeps itself, in cells this table lays out (`FamilyId::cells`,
@@ -53,8 +52,7 @@ impl Kind {
 
 /// The part of the system a family reports on: decides whether its
 /// [`Presence::WhenActive`] families are exported at all
-/// ([`TelemetrySnapshot::layer_active`]) and which JSON object its keys
-/// live in ([`Layer::json_object`]).
+/// ([`TelemetrySnapshot::layer_active`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layer {
     /// Stages, workers, faults, archive, journal — always active.
@@ -70,18 +68,6 @@ pub enum Layer {
     Exporter,
 }
 
-impl Layer {
-    /// The JSON object the layer's keys are nested in; `None` for the
-    /// record's top level.
-    pub fn json_object(self) -> Option<&'static str> {
-        match self {
-            Layer::Clinical => Some("clinical"),
-            Layer::Ingest => Some("ingest"),
-            Layer::Pipeline | Layer::Slo | Layer::Exporter => None,
-        }
-    }
-}
-
 /// When a family's `# HELP`/`# TYPE` header and samples are exported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Presence {
@@ -91,19 +77,6 @@ pub enum Presence {
     /// with no clinical tap exports no `cs_alarm_*` rows at all rather
     /// than rows of zeros.
     WhenActive,
-}
-
-/// Where a family appears in a JSON-Lines record, under its layer's
-/// [`Layer::json_object`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Json {
-    /// Written from this row by the generic writer: `"key":n` for an
-    /// unlabelled family, `"key":{"label":n,…}` for a labelled one (zero
-    /// counters elided, every gauge value kept).
-    Key(&'static str),
-    /// Part of the hand-written block at this key (`stages`, `e2e`,
-    /// `slo`, `alarms`, …), whose shape the table does not describe.
-    Within(&'static str),
 }
 
 /// One metric family: a row of [`FAMILIES`].
@@ -121,8 +94,6 @@ pub struct Family {
     pub layer: Layer,
     /// When the family is exported.
     pub presence: Presence,
-    /// Where the family sits in a JSON-Lines record.
-    pub json: Json,
     /// The `# HELP` text.
     pub help: &'static str,
     source: Source,
@@ -173,9 +144,9 @@ const fn derived(
 
 /// Declares [`FamilyId`] and [`FAMILIES`] together, so a row's
 /// identifier is its position by construction. Columns: name, type,
-/// layer, presence, JSON key, help, then the row's [`Shape`].
+/// layer, presence, help, then the row's [`Shape`].
 macro_rules! families {
-    ($( $id:ident = $name:literal: $kind:expr, $layer:expr, $presence:expr, $json:expr,
+    ($( $id:ident = $name:literal: $kind:expr, $layer:expr, $presence:expr,
         $help:literal, $shape:expr; )+) => {
         /// Identifies one row of [`FAMILIES`] — what a stored family's
         /// `record_*` method and a snapshot lookup name it by.
@@ -194,7 +165,6 @@ macro_rules! families {
                 labels,
                 layer: $layer,
                 presence: $presence,
-                json: $json,
                 help: $help,
                 source,
             }
@@ -202,90 +172,89 @@ macro_rules! families {
     };
 }
 
-use Json::{Key, Within};
 use Kind::{Counter, Gauge, Histogram};
 use Layer::{Clinical, Exporter, Ingest, Pipeline, Slo};
 use Presence::{Always, WhenActive};
 
 families! {
-    StageLatency = "cs_stage_latency_ns": Histogram { seconds: false }, Pipeline, Always, Within("stages"),
+    StageLatency = "cs_stage_latency_ns": Histogram { seconds: false }, Pipeline, Always,
         "Per-stage pipeline latency in nanoseconds",
         derived(&["stage"], |snap, out| {
             snap.stages.iter().for_each(|(stage, hist)| out.histogram(&[stage], hist));
         });
-    StageQuantile = "cs_stage_latency_quantile_ns": Gauge, Pipeline, Always, Within("stages"),
+    StageQuantile = "cs_stage_latency_quantile_ns": Gauge, Pipeline, Always,
         "Per-stage latency quantiles (log2-bucket resolution)",
         derived(&["stage", "quantile"], |snap, out| {
-            for (stage, hist) in observed(&snap.stages) {
+            for (stage, hist) in snap.stages.iter().filter(|(_, hist)| hist.count() > 0) {
                 for (p, quantile) in REPORT_QUANTILES {
                     out.put(&[stage, &quantile], hist.quantile(p));
                 }
             }
         });
     SolverIterations = "cs_solver_iterations": Histogram { seconds: false }, Pipeline, WhenActive,
-        Within("solver_iterations"), "FISTA iterations per solve by solver mode",
+        "FISTA iterations per solve by solver mode",
         derived(&["mode"], |snap, out| {
             snap.solver_iterations.iter().for_each(|(mode, hist)| out.histogram(&[mode], hist));
         });
-    WorkerPackets = "cs_worker_packets_total": Counter, Pipeline, Always, Within("worker_packets"),
+    WorkerPackets = "cs_worker_packets_total": Counter, Pipeline, Always,
         "Packets decoded per fleet worker",
         derived(&["worker"], |snap, out| {
             let busy = snap.worker_packets.iter().enumerate().filter(|(_, &packets)| packets > 0);
             busy.for_each(|(worker, packets)| out.put(&[&worker], packets));
         });
-    Fault = "cs_fault_total": Counter, Pipeline, Always, Key("faults"),
+    Fault = "cs_fault_total": Counter, Pipeline, Always,
         "Fault and recovery events by kind", stored::<FaultKind>();
-    Archive = "cs_archive_total": Counter, Pipeline, Always, Key("archive"),
+    Archive = "cs_archive_total": Counter, Pipeline, Always,
         "Durable-store operations by kind", stored::<ArchiveOp>();
-    KernelArm = "cs_kernel_arm_info": Gauge, Pipeline, Always, Key("kernel_arm"),
+    KernelArm = "cs_kernel_arm_info": Gauge, Pipeline, Always,
         "Vector-kernel arm this host's decoder runs (1 on that arm)",
         stored_names(&["arm"], &KERNEL_ARMS);
-    Beat = "cs_beat_total": Counter, Clinical, WhenActive, Key("beats"),
+    Beat = "cs_beat_total": Counter, Clinical, WhenActive,
         "Classified beats by class", stored::<BeatClass>();
-    AlarmRaised = "cs_alarm_raised_total": Counter, Clinical, WhenActive, Within("alarms"),
+    AlarmRaised = "cs_alarm_raised_total": Counter, Clinical, WhenActive,
         "Alarm activations by kind", stored::<AlarmKind>();
-    AlarmCleared = "cs_alarm_cleared_total": Counter, Clinical, WhenActive, Within("alarms"),
+    AlarmCleared = "cs_alarm_cleared_total": Counter, Clinical, WhenActive,
         "Alarm clearances by kind", stored::<AlarmKind>();
-    AlarmActive = "cs_alarm_active": Gauge, Clinical, WhenActive, Within("alarms"),
+    AlarmActive = "cs_alarm_active": Gauge, Clinical, WhenActive,
         "Currently active alarms by kind", stored::<AlarmKind>();
-    AlarmSuppressed = "cs_alarm_suppressed_total": Counter, Clinical, WhenActive, Key("suppressed"),
+    AlarmSuppressed = "cs_alarm_suppressed_total": Counter, Clinical, WhenActive,
         "Alarm evaluations suppressed over concealed windows", scalar();
-    QrsSensitivity = "cs_qrs_sensitivity": Gauge, Clinical, WhenActive, Within("qrs"),
+    QrsSensitivity = "cs_qrs_sensitivity": Gauge, Clinical, WhenActive,
         "Streaming QRS detection sensitivity vs annotations",
         derived(&[], |snap, out| snap.qrs_sensitivity().into_iter().for_each(|r| out.put(&[], r)));
-    QrsPpv = "cs_qrs_ppv": Gauge, Clinical, WhenActive, Within("qrs"),
+    QrsPpv = "cs_qrs_ppv": Gauge, Clinical, WhenActive,
         "Streaming QRS detection positive predictive value vs annotations",
         derived(&[], |snap, out| snap.qrs_ppv().into_iter().for_each(|r| out.put(&[], r)));
-    JournalTraces = "cs_journal_traces": Gauge, Pipeline, Always, Within("journal"),
+    JournalTraces = "cs_journal_traces": Gauge, Pipeline, Always,
         "Event-journal accounting",
         derived(&["state"], |snap, out| {
             out.put(&[&"buffered"], snap.journal_len);
             out.put(&[&"pushed"], snap.journal_pushed);
             out.put(&[&"dropped"], snap.journal_dropped);
         });
-    E2eLatency = "cs_e2e_latency_seconds": Histogram { seconds: true }, Slo, WhenActive, Within("e2e"),
+    E2eLatency = "cs_e2e_latency_seconds": Histogram { seconds: true }, Slo, WhenActive,
         "Capture-to-emit latency per patient",
         derived(&["patient"], |snap, out| {
             snap.e2e.iter().for_each(|(patient, hist)| out.histogram(&[patient], hist));
         });
-    DeadlineMiss = "cs_deadline_miss_total": Counter, Slo, WhenActive, Within("slo"),
+    DeadlineMiss = "cs_deadline_miss_total": Counter, Slo, WhenActive,
         "Emissions that exceeded the end-to-end deadline budget",
         derived(&["patient"], |snap, out| {
             snap.slo.patients.iter().for_each(|p| out.put(&[&p.patient], p.deadline_misses));
         });
-    LaneFreshness = "cs_lane_freshness_seconds": Gauge, Slo, WhenActive, Within("slo"),
+    LaneFreshness = "cs_lane_freshness_seconds": Gauge, Slo, WhenActive,
         "Age of the newest emission per patient lane",
         derived(&["patient", "lane"], |snap, out| {
             for (p, lane) in lanes(snap) {
                 out.put(&[&p.patient, &lane.lane], lane.age_ns as f64 / 1e9);
             }
         });
-    LaneNewestSeq = "cs_lane_newest_seq": Gauge, Slo, WhenActive, Within("slo"),
+    LaneNewestSeq = "cs_lane_newest_seq": Gauge, Slo, WhenActive,
         "Newest emitted sequence number per patient lane",
         derived(&["patient", "lane"], |snap, out| {
             lanes(snap).for_each(|(p, lane)| out.put(&[&p.patient, &lane.lane], lane.newest_seq));
         });
-    SloBurnRate = "cs_slo_burn_rate": Gauge, Slo, WhenActive, Within("slo"),
+    SloBurnRate = "cs_slo_burn_rate": Gauge, Slo, WhenActive,
         "Error-budget burn rate per patient and window",
         derived(&["patient", "window"], |snap, out| {
             for p in &snap.slo.patients {
@@ -293,7 +262,7 @@ families! {
                 out.put(&[&p.patient, &"slow"], p.slow_burn);
             }
         });
-    PatientHealth = "cs_patient_health": Gauge, Slo, WhenActive, Within("slo"),
+    PatientHealth = "cs_patient_health": Gauge, Slo, WhenActive,
         "Derived SLO health (one-hot over states)",
         derived(&["patient", "state"], |snap, out| {
             for p in &snap.slo.patients {
@@ -302,35 +271,28 @@ families! {
                 }
             }
         });
-    IngestSessions = "cs_ingest_sessions": Gauge, Ingest, WhenActive, Key("sessions"),
+    IngestSessions = "cs_ingest_sessions": Gauge, Ingest, WhenActive,
         "Live ingest sessions by lifecycle state", stored::<IngestState>();
-    IngestAccepted = "cs_ingest_sessions_total": Counter, Ingest, WhenActive, Key("accepted"),
+    IngestAccepted = "cs_ingest_sessions_total": Counter, Ingest, WhenActive,
         "Sessions ever admitted to handshaking", scalar();
-    IngestShed = "cs_ingest_shed_total": Counter, Ingest, WhenActive, Key("shed"),
+    IngestShed = "cs_ingest_shed_total": Counter, Ingest, WhenActive,
         "Sessions refused by the admission controller", scalar();
-    IngestDisconnects = "cs_ingest_disconnect_total": Counter, Ingest, WhenActive, Key("disconnects"),
+    IngestDisconnects = "cs_ingest_disconnect_total": Counter, Ingest, WhenActive,
         "Session terminations by reason", stored::<IngestDisconnect>();
-    IngestFrames = "cs_ingest_frames_total": Counter, Ingest, WhenActive, Key("frames"),
+    IngestFrames = "cs_ingest_frames_total": Counter, Ingest, WhenActive,
         "Frames accepted off ingest sockets", scalar();
-    IngestBytes = "cs_ingest_bytes_total": Counter, Ingest, WhenActive, Key("bytes"),
+    IngestBytes = "cs_ingest_bytes_total": Counter, Ingest, WhenActive,
         "Wire bytes accepted off ingest sockets", scalar();
-    Scrapes = "cs_telemetry_scrapes_total": Counter, Exporter, Always, Key("scrapes"),
+    Scrapes = "cs_telemetry_scrapes_total": Counter, Exporter, Always,
         "HTTP scrape requests by endpoint", stored::<ScrapeEndpoint>();
     RenderSeconds = "cs_exporter_render_seconds": Histogram { seconds: true }, Exporter, WhenActive,
-        Within("render"), "Exporter render time (lags the current render by one scrape)",
+        "Exporter render time (lags the current render by one scrape)",
         derived(&[], |snap, out| out.histogram(&[], &snap.render_ns));
 }
 
 /// Every lane watermark of every active patient, with its patient.
 fn lanes(snap: &TelemetrySnapshot) -> impl Iterator<Item = (&PatientSlo, &LaneWatermark)> {
     snap.slo.patients.iter().flat_map(|p| p.lanes.iter().map(move |lane| (p, lane)))
-}
-
-/// The labelled histograms that have at least one observation.
-pub(crate) fn observed<L>(
-    histograms: &[(L, HistogramSnapshot)],
-) -> impl Iterator<Item = &(L, HistogramSnapshot)> {
-    histograms.iter().filter(|(_, hist)| hist.count() > 0)
 }
 
 /// First cell of every family, plus the total as the last entry.
@@ -387,37 +349,6 @@ impl Family {
         if self.presence == Presence::WhenActive && !(sampled && snap.layer_active(self.layer)) {
             out.truncate(start);
         }
-    }
-
-    /// Appends `"key":value` for a stored family with a [`Json::Key`]:
-    /// a bare number when unlabelled, else a `{"label":n,…}` map that
-    /// keeps every value of a gauge and elides a counter's zeros.
-    pub(crate) fn write_json(&self, snap: &TelemetrySnapshot, out: &mut String) {
-        let (Json::Key(key), Source::Cells(names)) = (self.json, self.source) else {
-            unreachable!("{} has no generic JSON form", self.name);
-        };
-        let _ = write!(out, "\"{key}\":");
-        if names.is_empty() {
-            let _ = write!(out, "{}", snap.total(self.id));
-            return;
-        }
-        let keep_zeros = self.kind == Kind::Gauge;
-        out.push('{');
-        let kept = names.iter().zip(snap.cells(self.id)).filter(|(_, n)| keep_zeros || *n > 0);
-        crate::export::joined(out, kept, |out, (name, n)| {
-            let _ = write!(out, "\"{name}\":{n}");
-        });
-        out.push('}');
-    }
-
-    /// The stored families of `layer` that the generic JSON writer
-    /// handles, unlabelled ones or label maps, in table order.
-    pub(crate) fn json_keys(layer: Layer, labelled: bool) -> impl Iterator<Item = &'static Family> {
-        FAMILIES.iter().filter(move |f| {
-            f.layer == layer
-                && matches!(f.json, Json::Key(_))
-                && matches!(f.source, Source::Cells(names) if names.is_empty() != labelled)
-        })
     }
 }
 

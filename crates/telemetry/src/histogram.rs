@@ -229,15 +229,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Mean observation (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `p`-quantile (`p ∈ [0, 1]`, clamped) at bucket resolution.
     ///
     /// Guarantees, tested by property in `tests/histogram_props.rs`:
@@ -311,7 +302,6 @@ mod tests {
         let h = h.snapshot();
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 0);
-        assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.quantile(0.5), 0);
     }
 

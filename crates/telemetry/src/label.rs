@@ -55,8 +55,7 @@ macro_rules! label_set {
                 self as usize
             }
 
-            /// Stable snake_case wire name: the Prometheus label value
-            /// and the JSON-Lines key.
+            /// Stable snake_case wire name: the Prometheus label value.
             pub const fn name(self) -> &'static str {
                 <$name as $crate::label::Label>::NAMES[self as usize]
             }

@@ -2,9 +2,11 @@
 //!
 //! Lock-free counters, fixed-bucket log2 latency histograms, RAII span
 //! guards over every pipeline stage, a bounded convergence-trace journal,
-//! and Prometheus/JSON-Lines exporters — with **no dependencies outside
-//! `std`**, so the crate sits below every other workspace crate without
-//! widening the build surface.
+//! and one exposition format — Prometheus text, rendered from the
+//! [`FAMILIES`] table and served on `/metrics` beside the `/healthz` and
+//! `/tracez` JSON bodies — with **no dependencies outside `std`**, so the
+//! crate sits below every other workspace crate without widening the
+//! build surface.
 //!
 //! The design center is "default-on but cheap": instrumented code paths
 //! hold a [`TelemetryRegistry`] unconditionally, and the shared
@@ -49,8 +51,8 @@ pub mod trace;
 
 pub use archive::ArchiveOp;
 pub use clinical::{AlarmKind, AlarmSeverity, BeatClass};
-pub use export::{escape_label, json_line, prometheus, Every, REPORT_QUANTILES};
-pub use family::{Family, FamilyId, Json, Kind, Layer, Presence, FAMILIES};
+pub use export::{escape_label, prometheus, REPORT_QUANTILES};
+pub use family::{Family, FamilyId, Kind, Layer, Presence, FAMILIES};
 pub use fault::FaultKind;
 pub use histogram::{bucket_upper, Histogram, HistogramSnapshot, BUCKETS};
 pub use ingest::{IngestDisconnect, IngestState};

@@ -28,7 +28,7 @@ use crate::stage::Stage;
 use crate::trace::{EmitRecord, TraceContext};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// Per-worker counter slots. Worker ids beyond this fold back modulo
 /// `MAX_WORKERS`; at the paper's per-stream decode costs a single host
@@ -155,9 +155,9 @@ impl TelemetryRegistry {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off at runtime. Spans already entered keep
-    /// the decision made at entry.
-    pub fn set_enabled(&self, enabled: bool) {
+    /// Turns recording on or off; [`TelemetryRegistry::disabled`] builds
+    /// its handle with this.
+    fn set_enabled(&self, enabled: bool) {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
@@ -173,8 +173,7 @@ impl TelemetryRegistry {
     }
 
     /// Decrements one gauge cell (no-op when disabled). Saturating: an
-    /// unpaired decrement (telemetry toggled mid-session or mid-episode)
-    /// clamps at zero rather than wrapping the gauge.
+    /// unpaired decrement clamps at zero rather than wrapping the gauge.
     fn decrement(&self, family: FamilyId, index: usize) {
         if self.is_enabled() {
             let cell = &self.inner.cells[family.cells().start + index];
@@ -405,10 +404,6 @@ impl TelemetryRegistry {
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let inner = &*self.inner;
         TelemetrySnapshot {
-            uptime: self.uptime(),
-            unix_time_s: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map_or(0.0, |d| d.as_secs_f64()),
             cells: std::array::from_fn(|i| inner.cells[i].load(Ordering::Relaxed)),
             stages: Stage::ALL.map(|s| (s, inner.stages[s.index()].snapshot())),
             worker_packets: self.worker_packets(MAX_WORKERS),
@@ -437,11 +432,6 @@ impl TelemetryRegistry {
 /// public field.
 #[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
-    /// Time since registry creation.
-    pub uptime: Duration,
-    /// Absolute wall-clock seconds since the Unix epoch at snapshot
-    /// time (0.0 if the system clock predates the epoch).
-    pub unix_time_s: f64,
     /// Every stored family's cells, laid out like the registry's.
     cells: [u64; CELLS],
     /// Per-stage latency histograms, in [`Stage::ALL`] order.
@@ -666,13 +656,6 @@ mod tests {
         assert_eq!(reg.snapshot().count(FamilyId::Scrapes, ScrapeEndpoint::Metrics), 0);
         assert_eq!(reg.snapshot().render_ns.count(), 0);
         assert!(reg.slo_snapshot().patients.is_empty());
-    }
-
-    #[test]
-    fn snapshot_stamps_wall_clock_time() {
-        let snap = TelemetryRegistry::new().snapshot();
-        // Any plausible current date is far past 2020-01-01.
-        assert!(snap.unix_time_s > 1_577_836_800.0, "{}", snap.unix_time_s);
     }
 
     #[test]

@@ -195,7 +195,7 @@ fn route(head: &[u8]) -> (ScrapeEndpoint, u16) {
 
 /// The `/healthz` verdict: `(200, …)` while no patient is Stalled,
 /// `(503, …)` otherwise.
-pub fn healthz_body(registry: &TelemetryRegistry) -> (u16, String) {
+fn healthz_body(registry: &TelemetryRegistry) -> (u16, String) {
     use std::fmt::Write as _;
     let slo = registry.slo_snapshot();
     let stalled = slo.any_stalled();

@@ -250,8 +250,12 @@ impl SloEngine {
             if emits == 0 {
                 continue;
             }
+            // `record_emit` counts the emission before it writes the
+            // watermarks, so a concurrent snapshot can see the count alone.
+            let Some(last) = slot.last_emit.load(Ordering::Relaxed).checked_sub(1) else {
+                continue;
+            };
             let misses = slot.misses.load(Ordering::Relaxed);
-            let last = slot.last_emit.load(Ordering::Relaxed) - 1;
             let freshness_ns = now_ns.saturating_sub(last);
             let (fe, fm) = slot.fast.totals(now_ns);
             let (se, sm) = slot.slow.totals(now_ns);
@@ -268,14 +272,11 @@ impl SloEngine {
             };
             let lanes = (0..MAX_LANES)
                 .filter_map(|lane| {
-                    let seq = slot.lane_seq[lane].load(Ordering::Relaxed);
-                    if seq == 0 {
-                        return None;
-                    }
-                    let lane_last = slot.lane_last[lane].load(Ordering::Relaxed) - 1;
+                    let newest_seq = slot.lane_seq[lane].load(Ordering::Relaxed).checked_sub(1)?;
+                    let lane_last = slot.lane_last[lane].load(Ordering::Relaxed).checked_sub(1)?;
                     Some(LaneWatermark {
                         lane,
-                        newest_seq: seq - 1,
+                        newest_seq,
                         age_ns: now_ns.saturating_sub(lane_last),
                     })
                 })
@@ -450,6 +451,21 @@ mod tests {
         let snap = e.snapshot(7200 * S);
         assert_eq!(snap.patients[0].fast_burn, 0.0);
         assert_eq!(snap.patients[0].slow_burn, 0.0);
+    }
+
+    #[test]
+    fn a_snapshot_between_count_and_watermarks_skips_the_unwritten() {
+        let e = engine();
+        let slot = &e.slots[4];
+        // What a scrape sees mid-`record_emit`: the emission and the
+        // lane's sequence are counted, neither time watermark is written.
+        slot.emits.store(1, Ordering::Relaxed);
+        slot.lane_seq[0].store(1, Ordering::Relaxed);
+        assert!(e.snapshot(S).patients.is_empty());
+        slot.last_emit.store(S / 2 + 1, Ordering::Relaxed);
+        let snap = e.snapshot(S);
+        assert_eq!(snap.patients[0].freshness_ns, S / 2);
+        assert!(snap.patients[0].lanes.is_empty(), "the lane's time is not written yet");
     }
 
     #[test]

@@ -65,13 +65,16 @@ pub const TRACEZ_LIMIT: usize = 256;
 pub fn tracez_json(traces: &[SolveTrace]) -> String {
     let start = traces.len().saturating_sub(TRACEZ_LIMIT);
     let mut out = String::from("{\"traces\":[");
-    crate::export::joined(&mut out, &traces[start..], |out, t| {
+    for (i, t) in traces[start..].iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
         let _ = write!(
             out,
             "{{\"stream\":{},\"lane\":{},\"seq\":{},\"iterations\":{},\"residual\":{:.6e},\"solve_ns\":{},\"warm_started\":{},\"converged\":{}}}",
             t.stream, t.channel, t.seq, t.iterations, t.residual, t.solve_ns, t.warm_started, t.converged
         );
-    });
+    }
     let _ = write!(out, "],\"total\":{}}}", traces.len());
     out
 }

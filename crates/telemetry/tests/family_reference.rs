@@ -1,11 +1,11 @@
 //! `DESIGN.md` §7 carries the operator's reference for the exposition —
 //! one row per metric family: name, type, labels, when it is present,
-//! where it sits in a JSON-Lines record, help. The table is not
+//! help. The table is not
 //! hand-kept: this test renders it from `FAMILIES` and requires the
 //! committed rows to match, so a new row in the family table fails here
 //! until the document gains it (the failure prints the rows to paste).
 
-use cs_telemetry::{Family, Json, Kind, Layer, Presence, FAMILIES};
+use cs_telemetry::{Family, Kind, Layer, Presence, FAMILIES};
 
 fn reference_row(family: &Family) -> String {
     let kind = match family.kind {
@@ -23,12 +23,7 @@ fn reference_row(family: &Family) -> String {
         (Presence::WhenActive, Layer::Slo) => "a packet emitted",
         (Presence::WhenActive, Layer::Ingest) => "ingest layer active",
     };
-    let object = family.layer.json_object().map_or(String::new(), |object| format!("{object}."));
-    let json = match family.json {
-        Json::Key(key) => format!("`{object}{key}`"),
-        Json::Within(key) => format!("`{object}{key}` †"),
-    };
-    format!("| `{}` | {kind} | {labels} | {present} | {json} | {} |", family.name, family.help)
+    format!("| `{}` | {kind} | {labels} | {present} | {} |", family.name, family.help)
 }
 
 #[test]

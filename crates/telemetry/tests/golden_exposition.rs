@@ -1,31 +1,29 @@
-//! Golden exposition: both exporters, byte for byte.
+//! Golden exposition: the Prometheus exporter, byte for byte.
 //!
-//! `cs-ingestd`'s `/metrics`, the `cs-ingest` daemon test that scrapes it
-//! and `fleet_monitor`'s JSONL all read what `prometheus()` and `json_line()`
-//! write, so a refactor of the registry or the exporters may not move a
-//! byte of either. The two fixtures under `tests/fixtures/` were captured
-//! from this very snapshot **at the commit before the family table
-//! existed** (PR 20's tree, hand-written exporters); the test rebuilds the
-//! snapshot through the public recording API and requires equality.
+//! `cs-ingestd`'s `/metrics` and the `cs-ingest` daemon test that scrapes
+//! it read what `prometheus()` writes, so a refactor of the registry or
+//! the exporter may not move a byte of it. The fixture under
+//! `tests/fixtures/` was captured from this very snapshot **at the commit
+//! before the family table existed** (hand-written exporters); the test
+//! rebuilds the snapshot through the public recording API and requires
+//! equality.
 //!
-//! The snapshot is deterministic: everything a clock would touch
-//! (`uptime`, `unix_time_s`, the end-to-end and render histograms, the
-//! SLO ages and burn rates, the journal accounting) is overwritten with
-//! constants through the snapshot's public fields. Every family is
-//! populated, and within each label set at least one value is left at
-//! zero so both elision rules (zero series dropped vs. written as an
-//! explicit `0`) are pinned too.
+//! The snapshot is deterministic: everything a clock would touch (the
+//! end-to-end and render histograms, the SLO ages and burn rates, the
+//! journal accounting) is overwritten with constants through the
+//! snapshot's public fields. Every family is populated, and within each
+//! label set at least one value is left at zero so both elision rules
+//! (zero series dropped vs. written as an explicit `0`) are pinned too.
 //!
 //! If this test fails the output format changed. That is a breaking
-//! change for every scraper; do not re-capture the fixtures to make it
-//! pass unless the change is the point of the PR.
+//! change for every scraper; do not re-capture the fixture to make it
+//! pass unless changing the format is the point of the change.
 
 use cs_telemetry::{
-    json_line, prometheus, AlarmKind, ArchiveOp, BeatClass, FaultKind, HealthState,
-    HistogramSnapshot, IngestDisconnect, IngestState, LaneWatermark, PatientSlo, ScrapeEndpoint,
-    SloSnapshot, SolveTrace, SolverMode, Stage, TelemetryRegistry, TelemetrySnapshot,
+    prometheus, AlarmKind, ArchiveOp, BeatClass, FaultKind, HealthState, HistogramSnapshot,
+    IngestDisconnect, IngestState, LaneWatermark, PatientSlo, ScrapeEndpoint, SloSnapshot,
+    SolveTrace, SolverMode, Stage, TelemetryRegistry, TelemetrySnapshot,
 };
-use std::time::Duration;
 
 fn histogram(values: &[u64]) -> HistogramSnapshot {
     let mut hist = HistogramSnapshot::new();
@@ -39,7 +37,7 @@ fn golden_snapshot() -> TelemetrySnapshot {
     let registry = TelemetryRegistry::new();
     for (i, stage) in Stage::ALL.iter().enumerate() {
         if *stage == Stage::ArchiveReplay {
-            continue; // an unobserved stage is elided from both formats
+            continue; // an unobserved stage is elided
         }
         let i = i as u64 + 1;
         registry.record_stage_ns(*stage, 1_000 * i);
@@ -100,8 +98,6 @@ fn golden_snapshot() -> TelemetrySnapshot {
     registry.record_scrape(ScrapeEndpoint::Healthz);
 
     let mut snap = registry.snapshot();
-    snap.uptime = Duration::from_millis(12_345);
-    snap.unix_time_s = 1_700_000_000.25;
     snap.journal_len = 3;
     snap.journal_pushed = 5;
     snap.journal_dropped = 2;
@@ -146,11 +142,4 @@ fn prometheus_matches_the_parent_commit_byte_for_byte() {
     let expected = include_str!("fixtures/golden.prom");
     let actual = prometheus(&golden_snapshot());
     assert!(actual == expected, "Prometheus exposition moved:\n{actual}");
-}
-
-#[test]
-fn json_line_matches_the_parent_commit_byte_for_byte() {
-    let expected = include_str!("fixtures/golden.jsonl");
-    let actual = json_line(&golden_snapshot());
-    assert!(actual == expected.trim_end_matches('\n'), "JSONL record moved:\n{actual}");
 }

@@ -2,41 +2,13 @@
 //! the worker-pool engine — the ward-server generalization of the
 //! paper's one-patient iPhone demo.
 //!
-//! Reports per-patient quality, per-worker load and the shared spectral
-//! cache. The run decodes against a live telemetry registry, which keeps
-//! the solve and latency distributions; the callback keeps only the PRD
-//! against the input leads. A JSON-Lines snapshot of the registry is
-//! emitted every `SNAPSHOT_EVERY` packets.
+//! Reports per-patient quality, per-worker load, the shared spectral
+//! cache and patient health. The run decodes against a live telemetry
+//! registry, which keeps the solve and latency distributions; the
+//! callback keeps only the PRD against the input leads. `cs-ingestd`
+//! serves such a registry on `/metrics`.
 //! Exits non-zero if any stream comes up short of its expected packets
 //! (a decode error upstream).
-//!
-//! ## JSONL schema
-//!
-//! Each emitted line is one self-contained JSON object (no trailing
-//! comma, LF-terminated), so `fleet_monitor | jq` works line by line:
-//!
-//! * `uptime_s` — seconds since the registry was created (monotonic);
-//! * `ts_unix_s` — absolute wall-clock seconds since the Unix epoch at
-//!   snapshot time, for correlating lines across hosts and restarts;
-//! * `stages`, `solver_iterations`, `e2e`, `render` — latency (or
-//!   iteration) summaries: `count` plus quantiles (`p50_ns`/`p95_ns`/…);
-//! * `slo` — per-patient health: `health` (healthy/degraded/stalled),
-//!   `emits`, `deadline_misses`, `freshness_s` (age of the newest
-//!   emission), burn rates, and per-lane `{lane, newest_seq, age_s}`
-//!   freshness watermarks;
-//! * `worker_packets`, `journal` — per-worker load and trace-journal
-//!   accounting;
-//! * every counter and gauge family — `faults`, `archive`, `scrapes`,
-//!   and, once their layer is active, the `ingest` and `clinical`
-//!   objects — as a number or a `{"label": n}` map under the key
-//!   DESIGN.md §7's family reference lists for it (zero counters
-//!   elided). `clinical` also carries `alarms` (per-kind
-//!   `{raised, cleared, active}`) and `qrs` (`{tp, fp, fn}` plus
-//!   `sensitivity`/`ppv` once annotated beats have been scored).
-//!
-//! The repo-level `jsonl_schema` test parses these lines back and holds
-//! them to the family table; extend it when a hand-written block gains
-//! a field.
 //!
 //! ```text
 //! cargo run --release --example fleet_monitor
@@ -44,9 +16,6 @@
 
 use cs_ecg_monitor::prelude::*;
 use std::sync::Arc;
-
-/// Emit one telemetry JSONL snapshot per this many delivered packets.
-const SNAPSHOT_EVERY: u64 = 16;
 
 fn prepare(record: &Record) -> Vec<i16> {
     let at256 = resample_360_to_256(&record.signal_mv(0));
@@ -76,10 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|l| FleetStream { leads: vec![l, l] })
         .collect();
 
-    // Every packet records into this live registry; the JSONL lines below
-    // are its rolling state, not a post-hoc summary.
+    // Every packet records into this live registry; the solve quantiles
+    // and patient health below read it.
     let registry = TelemetryRegistry::new();
-    let mut every = Every::new(SNAPSHOT_EVERY);
     let mut worst_prd = vec![0.0_f64; patients];
     let report = run_fleet::<f32, _>(
         &config,
@@ -100,9 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // no quality figure instead of aborting the monitor.
             if let Some(prd) = try_prd(&truth, &recon) {
                 worst_prd[p.stream] = worst_prd[p.stream].max(prd);
-            }
-            if every.tick() {
-                println!("{}", registry.json_line());
             }
         },
     )?;
@@ -132,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let solves = registry.stage(Stage::FistaSolve).snapshot();
     println!(
-        "decoded {} packets in {:.2?} (solve p50 {:.2} ms, p99 {:.2} ms)\n",
+        "decoded {} packets in {:.2?} (solve p50 {:.2} ms, p99 {:.2} ms)",
         report.packets_decoded,
         report.wall_time,
         solves.quantile(0.50) as f64 / 1e6,
@@ -146,7 +111,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         slo.count_in(HealthState::Stalled),
         slo.patients.len()
     );
-    println!("final telemetry: {}", registry.json_line());
 
     if !short_streams.is_empty() {
         for (stream, got) in &short_streams {

@@ -20,7 +20,7 @@
 //! * [`system`] — the end-to-end encoder/decoder pipeline ([`cs_core`])
 //! * [`platform`] — mote / coordinator / energy models ([`cs_platform`])
 //! * [`telemetry`] — zero-dependency tracing, latency histograms and
-//!   Prometheus / JSON-Lines exporters ([`cs_telemetry`])
+//!   the Prometheus exporter ([`cs_telemetry`])
 //! * [`archive`] — durable segmented packet store with crash recovery
 //!   and decode-on-read fleet replay ([`cs_archive`])
 //! * [`clinical`] — streaming QRS detection, beat classification and
@@ -88,6 +88,6 @@ pub mod prelude {
     pub use cs_recovery::{KernelMode, SynthesisOperator};
     pub use cs_sensing::{Sensing, SparseBinarySensing};
     pub use cs_telemetry::{
-        Every, HealthState, MetricsServer, SloConfig, Stage, TelemetryRegistry, TraceContext,
+        HealthState, MetricsServer, SloConfig, Stage, TelemetryRegistry, TraceContext,
     };
 }
