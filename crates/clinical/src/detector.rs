@@ -557,8 +557,8 @@ mod tests {
     #[test]
     fn flat_line_emits_nothing() {
         let config = QrsDetectorConfig::at_256_hz();
-        assert!(streamed(&vec![0.0; 2000], config, 512).is_empty());
-        assert!(streamed(&vec![0.0; 10], config, 512).is_empty());
+        assert!(streamed(&[0.0; 2000], config, 512).is_empty());
+        assert!(streamed(&[0.0; 10], config, 512).is_empty());
     }
 
     #[test]

@@ -71,9 +71,11 @@ fn streaming_matches_offline_on_reconstructed_signal() {
 
 /// Wraps raw sample windows as fleet emissions for the engine.
 fn emit(stream: usize, outcome: PacketOutcome, index: u64, window: &[f64]) -> FleetPacket<f64> {
-    let mut packet = DecodedPacket::default();
-    packet.index = index;
-    packet.samples = window.to_vec();
+    let packet = DecodedPacket {
+        index,
+        samples: window.to_vec(),
+        ..DecodedPacket::default()
+    };
     FleetPacket { stream, channel: 0, outcome, e2e: None, packet }
 }
 

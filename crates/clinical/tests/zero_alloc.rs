@@ -68,9 +68,11 @@ fn steady_state_analysis_allocates_nothing() {
     // Pre-build the emissions so the measured loop is analysis only.
     let packets: Vec<FleetPacket<f64>> = (0..64)
         .map(|k| {
-            let mut packet = DecodedPacket::default();
-            packet.index = k as u64;
-            packet.samples = window(k);
+            let packet = DecodedPacket {
+                index: k as u64,
+                samples: window(k),
+                ..DecodedPacket::default()
+            };
             FleetPacket { stream: 0, channel: 0, outcome: PacketOutcome::Decoded, e2e: None, packet }
         })
         .collect();

@@ -2,7 +2,12 @@
 //!
 //! The Huffman coder emits variable-length codes (up to 16 bits in this
 //! system); [`BitWriter`] packs them into bytes for the radio and
-//! [`BitReader`] unpacks them on the coordinator.
+//! [`BitReader`] unpacks them on the coordinator. Both work a word at a
+//! time: the writer gathers bits in a 64-bit accumulator and appends them
+//! four bytes at once, and the reader serves every read from one
+//! big-endian 8-byte load at the cursor's byte, zero-padded past the end.
+//! Away from the end that load holds at least 57 unread bits, room for
+//! three 16-bit codewords.
 
 use crate::error::CodecError;
 
@@ -27,9 +32,10 @@ use crate::error::CodecError;
 pub struct BitWriter {
     /// Whole bytes emitted so far.
     bytes: Vec<u8>,
-    /// The bits not yet emitted: the low `pending` bits of `acc`.
+    /// The bits not yet emitted: the low `pending` bits of `acc` (the
+    /// bits above them are stale).
     acc: u64,
-    /// Always below 8 between calls.
+    /// Always below 32 between calls.
     pending: u8,
 }
 
@@ -37,6 +43,15 @@ impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         BitWriter::default()
+    }
+
+    /// Creates an empty writer whose buffer holds `bytes` bytes before it
+    /// grows — a writer sized for the largest packet never reallocates.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bytes),
+            ..BitWriter::default()
+        }
     }
 
     /// Appends the low `count` bits of `value`, most significant first.
@@ -51,13 +66,14 @@ impl BitWriter {
             count == 32 || value < (1u32 << count),
             "write_bits: value {value} wider than {count} bits"
         );
-        // At most 7 + 32 live bits: the shift cannot lose one.
+        // At most 31 + 32 live bits: the shift cannot lose one.
         let mask = (1u64 << count) - 1;
         self.acc = (self.acc << count) | (u64::from(value) & mask);
         self.pending += count;
-        while self.pending >= 8 {
-            self.pending -= 8;
-            self.bytes.push((self.acc >> self.pending) as u8);
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let word = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
         }
     }
 
@@ -68,6 +84,10 @@ impl BitWriter {
 
     /// Pads the final byte with zero bits and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.bytes.push((self.acc >> self.pending) as u8);
+        }
         if self.pending > 0 {
             self.bytes.push((self.acc << (8 - self.pending)) as u8);
         }
@@ -150,8 +170,25 @@ impl<'a> BitReader<'a> {
     /// The next 16 bits without consuming them, zero-padded past the end
     /// of the stream — the Huffman decoder's table index.
     #[inline]
-    pub(crate) fn peek_16(&self) -> u32 {
-        (self.window() >> 48) as u32
+    pub(crate) fn peek_16(&self) -> u16 {
+        (self.window() >> 48) as u16
+    }
+
+    /// The next 64 − (cursor mod 8) bits, left-aligned as in
+    /// [`BitReader::window`], while eight whole bytes remain from the
+    /// cursor's byte; `None` nearer the end. At least 57 of the returned
+    /// bits are stream bits, never padding.
+    #[inline]
+    pub(crate) fn peek_word(&self) -> Option<u64> {
+        let word = self.bytes.get(self.cursor / 8..)?.first_chunk::<8>()?;
+        Some(u64::from_be_bytes(*word) << (self.cursor % 8))
+    }
+
+    /// Consumes `count` bits of a word [`BitReader::peek_word`] returned.
+    #[inline]
+    pub(crate) fn advance(&mut self, count: u8) {
+        debug_assert!(count as usize <= self.remaining_bits());
+        self.cursor += count as usize;
     }
 
     /// Consumes `count` bits a [`BitReader::peek_16`] already looked at.

@@ -9,10 +9,12 @@
 //!   Huffman tree over 512 skewed symbols can exceed 16 bits);
 //! * codewords are assigned **canonically**, so the codebook serializes as
 //!   just the 512 length bytes and both sides rebuild identical tables;
-//! * the decoder is table-driven, like the one on the iPhone: it peeks 16
-//!   bits, and one lookup in a 2¹¹-entry `(symbol, length)` table resolves
-//!   every codeword of up to 11 bits; only the rare longer ones walk the
-//!   canonical first-code table.
+//! * the decoder is table-driven, like the one on the iPhone: one lookup in
+//!   a 2¹¹-entry `(symbol, length)` table resolves every codeword of up to
+//!   11 bits, and only the rare longer ones walk the canonical first-code
+//!   table. While eight whole bytes remain it resolves up to three
+//!   codewords from one 64-bit load of the stream and moves the reader
+//!   once; the last few bytes, and every error, go one codeword at a time.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
@@ -69,7 +71,7 @@ pub struct Codebook {
     /// Symbols sorted by (length, symbol).
     sorted_symbols: Vec<u16>,
     /// Indexed by the next [`TABLE_BITS`] bits of the stream.
-    table: Vec<TableEntry>,
+    table: Box<[TableEntry; 1 << TABLE_BITS]>,
 }
 
 impl Codebook {
@@ -168,7 +170,7 @@ impl Codebook {
 
         // A codeword of ℓ ≤ TABLE_BITS bits owns the 2^(TABLE_BITS − ℓ)
         // slots it prefixes; prefix-freedom makes the runs disjoint.
-        let mut table = vec![TableEntry::default(); 1 << TABLE_BITS];
+        let mut table = Box::new([TableEntry::default(); 1 << TABLE_BITS]);
         for (symbol, (&code, &len)) in codes.iter().zip(lengths).enumerate() {
             if len <= TABLE_BITS {
                 let span = 1usize << (TABLE_BITS - len);
@@ -277,7 +279,10 @@ impl Codebook {
 
     /// Decodes exactly `count` symbols into `out` (cleared first). The
     /// buffer's capacity is reused, so a caller that decodes packets in a
-    /// loop allocates at most once.
+    /// loop allocates at most once. While eight whole bytes remain it takes
+    /// up to three codewords from each 64-bit load of the stream; the rest
+    /// go one at a time through [`Codebook::decode_symbol`], which also
+    /// reports every error, so the result is a codeword-at-a-time decode's.
     ///
     /// # Errors
     ///
@@ -291,7 +296,24 @@ impl Codebook {
     ) -> Result<(), CodecError> {
         out.clear();
         out.reserve(count);
-        for _ in 0..count {
+        // Three codewords of at most 16 bits fit the ≥ 57 stream bits of a
+        // word, so none of them can run off the end; a corrupt codeword
+        // stops the word and is left for `decode_symbol` to report.
+        'words: while out.len() < count {
+            let Some(mut word) = r.peek_word() else { break };
+            let mut used = 0;
+            for _ in 0..(count - out.len()).min(3) {
+                let Some((symbol, len)) = self.lookup((word >> 48) as u16) else {
+                    r.advance(used);
+                    break 'words;
+                };
+                out.push(symbol);
+                word <<= len;
+                used += len;
+            }
+            r.advance(used);
+        }
+        while out.len() < count {
             out.push(self.decode_symbol(r)?);
         }
         Ok(())
@@ -305,20 +327,35 @@ impl Codebook {
     /// a codeword leaves the reader exhausted.
     #[inline]
     pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
-        let peek = r.peek_16();
-        let entry = self.table[(peek >> (MAX_CODE_LEN - TABLE_BITS)) as usize];
-        if entry.len != 0 {
+        match self.lookup(r.peek_16()) {
             // Zero padding past the end can only complete a codeword
             // longer than what remains, which `consume` refuses.
-            return r.consume(entry.len).map(|()| entry.symbol);
-        }
-        for len in TABLE_BITS + 1..=MAX_CODE_LEN {
-            if let Some(symbol) = self.symbol_at(peek >> (MAX_CODE_LEN - len), len) {
-                return r.consume(len).map(|()| symbol);
+            Some((symbol, len)) => r.consume(len).map(|()| symbol),
+            None => {
+                r.consume(MAX_CODE_LEN)?;
+                Err(CodecError::InvalidCodeword)
             }
         }
-        r.consume(MAX_CODE_LEN)?;
-        Err(CodecError::InvalidCodeword)
+    }
+
+    /// The symbol and length of the codeword that prefixes the 16-bit
+    /// `peek`: one table lookup, or for a codeword longer than
+    /// [`TABLE_BITS`] the canonical walk. `None` if no codeword does.
+    #[inline(always)]
+    fn lookup(&self, peek: u16) -> Option<(u16, u8)> {
+        let entry = self.table[usize::from(peek >> (MAX_CODE_LEN - TABLE_BITS))];
+        if entry.len != 0 {
+            return Some((entry.symbol, entry.len));
+        }
+        self.walk(peek)
+    }
+
+    /// [`Codebook::lookup`] for a `peek` no table slot resolves.
+    #[inline(never)]
+    fn walk(&self, peek: u16) -> Option<(u16, u8)> {
+        let peek = u32::from(peek);
+        (TABLE_BITS + 1..=MAX_CODE_LEN)
+            .find_map(|len| Some((self.symbol_at(peek >> (MAX_CODE_LEN - len), len)?, len)))
     }
 
     /// The symbol whose canonical codeword is the `len`-bit `code`.

@@ -4,7 +4,10 @@
 //! that hold the production code to them: the same bytes out, and on any
 //! bytes in — valid, truncated, flipped, extended or plain garbage — the
 //! same symbols or the same error at the same bit, with the reader left
-//! at the same place.
+//! at the same place. The damaged streams run past a whole delta payload
+//! (M = 256 codewords), so every cut, flip and extension crosses from
+//! [`Codebook::decode_into`]'s three-codewords-per-load loop to its
+//! one-at-a-time tail.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
@@ -103,6 +106,15 @@ fn random_symbols(rng: &mut Rng, cb: &Codebook, count: usize) -> Vec<u16> {
         .collect()
 }
 
+/// The first `cut` bits of `valid`, zero-padded to a whole byte.
+fn cut_at(valid: &[u8], cut: usize) -> Vec<u8> {
+    let mut bytes = valid[..cut.div_ceil(8)].to_vec();
+    if !cut.is_multiple_of(8) {
+        bytes[cut / 8] &= 0xFF << (8 - cut % 8);
+    }
+    bytes
+}
+
 /// Decodes `count` symbols from `bytes` both ways and compares the lot.
 fn decoders_agree(cb: &Codebook, bytes: &[u8], count: usize) -> Result<(), TestCaseError> {
     let mut fast = BitReader::new(bytes);
@@ -127,16 +139,21 @@ proptest! {
     #[test]
     fn writer_matches_the_serial_writer(
         writes in proptest::collection::vec((any::<u32>(), 1u8..=32), 0..96),
+        capacity in 0usize..64,
     ) {
         let mut fast = BitWriter::new();
+        let mut sized = BitWriter::with_capacity(capacity);
         let mut slow = SerialWriter::default();
         for &(value, count) in &writes {
             let value = if count == 32 { value } else { value & ((1 << count) - 1) };
             fast.write_bits(value, count);
+            sized.write_bits(value, count);
             slow.write_bits(value, count);
             prop_assert_eq!(fast.bit_len(), slow.bit_len());
+            prop_assert_eq!(sized.bit_len(), slow.bit_len());
         }
-        prop_assert_eq!(fast.finish(), slow.bytes);
+        prop_assert_eq!(&fast.finish(), &slow.bytes);
+        prop_assert_eq!(sized.finish(), slow.bytes);
     }
 
     #[test]
@@ -184,7 +201,7 @@ proptest! {
     #[test]
     fn decoder_matches_the_serial_decoder_on_damaged_streams(
         seed in any::<u64>(),
-        count in 1usize..48,
+        count in 1usize..300,
         garbage in proptest::collection::vec(any::<u8>(), 0..24),
     ) {
         let mut rng = Rng(seed | 1);
@@ -197,11 +214,7 @@ proptest! {
         decoders_agree(&cb, &valid, count)?;
 
         for cut in 0..bits {
-            let mut bytes = valid[..cut.div_ceil(8)].to_vec();
-            if cut % 8 != 0 {
-                bytes[cut / 8] &= 0xFF << (8 - cut % 8);
-            }
-            decoders_agree(&cb, &bytes, count)?;
+            decoders_agree(&cb, &cut_at(&valid, cut), count)?;
         }
 
         let mut flipped = valid.clone();
@@ -212,6 +225,52 @@ proptest! {
         let mut extended = valid;
         extended.extend_from_slice(&garbage);
         decoders_agree(&cb, &extended, count + garbage.len())?;
+    }
+}
+
+/// Codewords longer than the 11-bit table in every slot of a load: all
+/// of them long, then long in one slot of three, at every length from 12
+/// to 16 bits — whole, cut at every bit and with one bit flipped.
+#[test]
+fn long_codewords_fill_every_slot_of_a_load() {
+    let counts: Vec<u64> = (0..512u32)
+        .map(|i| 1 + ((1u64 << 40) >> (i / 8).min(40)))
+        .collect();
+    let cb = Codebook::from_counts(&counts, 512).unwrap();
+    let long: Vec<u16> = (12..=MAX_CODE_LEN)
+        .filter_map(|len| (0..512u16).find(|&s| cb.codeword(s).1 == len))
+        .collect();
+    assert_eq!(
+        long.len(),
+        5,
+        "the ladder must use every length from 12 to 16"
+    );
+    let short = (0..512u16).min_by_key(|&s| cb.codeword(s).1).unwrap();
+    for slot in [None, Some(0), Some(1), Some(2)] {
+        let symbols: Vec<u16> = (0..90)
+            .map(|i| match slot {
+                Some(slot) if i % 3 != slot => short,
+                _ => long[i % long.len()],
+            })
+            .collect();
+        let mut w = BitWriter::new();
+        cb.encode(&symbols, &mut w).unwrap();
+        let bits = w.bit_len();
+        let valid = w.finish();
+        assert_eq!(
+            cb.decode(&mut BitReader::new(&valid), symbols.len())
+                .unwrap(),
+            symbols
+        );
+        decoders_agree(&cb, &valid, symbols.len()).unwrap();
+        for cut in 0..bits {
+            decoders_agree(&cb, &cut_at(&valid, cut), symbols.len()).unwrap();
+        }
+        for at in (0..bits).step_by(7) {
+            let mut flipped = valid.clone();
+            flipped[at / 8] ^= 0x80 >> (at % 8);
+            decoders_agree(&cb, &flipped, symbols.len()).unwrap();
+        }
     }
 }
 

@@ -149,7 +149,7 @@ impl Encoder {
 
         // Stage 3: entropy coding.
         let entropy_span = self.telemetry.span(Stage::HuffmanEncode);
-        let mut writer = BitWriter::new();
+        let mut writer = BitWriter::with_capacity(2 * self.config.measurements() + 1);
         let kind = match &diff_packet {
             DiffPacket::Reference(values) => {
                 for &v in values {

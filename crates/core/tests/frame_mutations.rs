@@ -74,7 +74,7 @@ fn core(fx: &Fixture) -> WireCore<'_, f32> {
 }
 
 /// Re-seals `frame`'s CRC over its (possibly rewritten) body.
-fn seal(frame: &mut Vec<u8>) {
+fn seal(frame: &mut [u8]) {
     let body = frame.len() - TRAILER_BYTES;
     let crc = cs_core::crc16(&frame[..body]);
     frame[body..].copy_from_slice(&crc.to_le_bytes());
@@ -92,7 +92,7 @@ fn mutate(frame: &mut Vec<u8>, field: u8, pick: u64) {
         2 => frame[4..8].copy_from_slice(&(pick as u32).to_le_bytes()),
         3 => {
             let bits = (payload.len() as u64 * 8).wrapping_add(pick % 17).wrapping_sub(8) as u32;
-            let bits = if pick % 5 == 0 { pick as u32 } else { bits };
+            let bits = if pick.is_multiple_of(5) { pick as u32 } else { bits };
             frame[8..11].copy_from_slice(&bits.to_le_bytes()[..3]);
         }
         4 => frame[HEADER_BYTES] = (frame[HEADER_BYTES] & 0x0F) | ((pick as u8) << 4),

@@ -395,11 +395,8 @@ mod tests {
                     row_cols[i] = (n + next(3) as usize) as u32;
                 }
             }
-            3 => {
-                if col_rows.pop().is_none() {
-                    col_rows.push(0);
-                }
-            }
+            // The guard pops; only an empty list gets an entry instead.
+            3 if col_rows.pop().is_none() => col_rows.push(0),
             4 => {
                 row_ptr.pop();
             }

@@ -51,7 +51,7 @@ struct Sample {
 /// way; panics with the offending line on any violation.
 fn parse_sample(line: &str) -> Sample {
     let name_end = line
-        .find(|c| c == '{' || c == ' ')
+        .find(['{', ' '])
         .unwrap_or_else(|| panic!("no value on sample line: {line}"));
     let name = &line[..name_end];
     assert!(valid_metric_name(name), "invalid metric name `{name}` in: {line}");

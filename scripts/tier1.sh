@@ -6,11 +6,12 @@
 # Release build (the report binaries only make sense optimized), the
 # full test suite (the root manifest's `default-members` make the plain
 # `cargo build` / `cargo test` cover every crate, not just the umbrella
-# package), clippy with warnings denied (the criterion benches too: they
-# are compiled here and never run), the steady-state zero-allocation
-# guarantee under the optimizer, the committed results regenerated and
-# the end-to-end benchmark's smoke pass. Timing is judged by `pipebench`
-# alone. The shipped daemon is checked by `crates/ingest/tests/daemon.rs`,
+# package), clippy with warnings denied on every target (tests, examples
+# and the criterion benches too, which are compiled here and never run),
+# the steady-state zero-allocation guarantee under the optimizer, the
+# committed results regenerated and the end-to-end benchmark's smoke
+# pass. Timing is judged by `pipebench` alone. The shipped daemon is
+# checked by `crates/ingest/tests/daemon.rs`,
 # which runs `cs-ingestd` itself — its `/metrics`, `/healthz` and archive,
 # which `archive_replay` must decode whole, and a `mote_swarm` soak clean
 # and through a chaos proxy — in the suite and again under the optimizer,
@@ -22,8 +23,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo clippy --workspace -- -D warnings
-cargo clippy -p cs-bench --benches -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Intra-doc links are the only check that a renamed or deleted item is
 # gone from the prose too.
