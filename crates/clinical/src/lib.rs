@@ -35,6 +35,8 @@ mod alarm;
 mod classifier;
 mod detector;
 mod engine;
+#[cfg(test)]
+mod reference;
 
 pub use alarm::{AlarmConfig, AlarmEngine, AlarmTransition};
 pub use classifier::{BeatClassifier, BeatClassifierConfig, ClassifiedBeat};

@@ -1,17 +1,22 @@
 //! The detector's output must not depend on how its input is cut.
 //!
-//! `push_window` band-passes a block at a time and scans once per block;
-//! a window of one sample, of exactly the FIR's reach, of a packet ± 1,
-//! or longer than every ring the detector owns must all yield the same
-//! detections — the same sample indices *and* the same crest bits — as
-//! feeding the record one `push` at a time, and the same indices as the
-//! offline `detect_r_peaks` over the whole record.
+//! `push_window` runs the pipeline a block at a time and scans once per
+//! block; a window of one sample, of exactly the FIR's reach, of a packet
+//! ± 1, or longer than every ring the detector owns must all yield the
+//! same detections — the same sample indices *and* the same crest bits —
+//! as the per-sample detector it replaced (kept as a reference model in
+//! `src/reference.rs`, included here), as feeding the record one `push`
+//! at a time, and the same indices as the offline `detect_r_peaks` over
+//! the whole record.
 
 use cs_clinical::{QrsDetection, StreamingQrsDetector};
 use cs_ecg_data::{
     detect_r_peaks, resample_360_to_256, EcgModel, EcgModelConfig, QrsDetectorConfig,
 };
 use proptest::prelude::*;
+
+#[path = "../src/reference.rs"]
+mod reference;
 
 /// Window lengths that sit on an edge: one sample, the FIR's 31 taps and
 /// its neighbours, the block size and its neighbours, a packet ± 1, and
@@ -53,17 +58,20 @@ proptest! {
             false => (at_360, QrsDetectorConfig::at_360_hz()),
         };
 
+        let expected = reference::detect(&signal, config).beats;
+        // (An early PVC can leave the thresholds high for the whole
+        // record; parity holds for those too, so they stay in.)
+        prop_assert!(!expected.is_empty(), "nothing detected");
+
         let mut per_sample = StreamingQrsDetector::new(config);
         let mut out = Vec::new();
         for &x in &signal {
             per_sample.push(x, &mut out);
         }
         per_sample.flush(&mut out);
-        let expected: Vec<(usize, u64)> =
+        let pushed: Vec<(usize, u64)> =
             out.iter().map(|d| (d.sample, d.crest.to_bits())).collect();
-        // (An early PVC can leave the thresholds high for the whole
-        // record; parity holds for those too, so they stay in.)
-        prop_assert!(!expected.is_empty(), "nothing detected");
+        prop_assert_eq!(&pushed, &expected);
 
         let offline = detect_r_peaks(&signal, &config);
         let samples: Vec<usize> = expected.iter().map(|&(sample, _)| sample).collect();

@@ -21,6 +21,7 @@
 //!   reference so a lost packet cannot poison the stream forever.
 
 use crate::error::CodecError;
+use crate::huffman::Codebook;
 
 /// Largest supported binary gain (4 bits on the wire).
 pub const MAX_DELTA_SHIFT: u8 = 15;
@@ -105,6 +106,20 @@ impl DiffPacket {
     }
 }
 
+/// What [`DiffEncoder::begin`] decided for the next measurement vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffStep {
+    /// A raw reference: the vector itself is sent, and is now the state
+    /// the deltas after it track.
+    Reference,
+    /// Differences against the tracked state, sent as `round(diff /
+    /// 2^shift)`.
+    Delta {
+        /// The packet's binary gain `g`.
+        shift: u8,
+    },
+}
+
 /// Encoder side of the differencing stage.
 ///
 /// # Examples
@@ -154,26 +169,40 @@ impl DiffEncoder {
         &self.config
     }
 
-    /// Encodes the next measurement vector.
+    /// Encodes the next measurement vector: [`DiffEncoder::begin`], then
+    /// for a delta the scaled differences as values.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::LengthMismatch`] if `y` has the wrong length.
     pub fn encode(&mut self, y: &[i32]) -> Result<DiffPacket, CodecError> {
-        if y.len() != self.config.vector_len {
-            return Err(CodecError::LengthMismatch {
-                expected: self.config.vector_len,
-                actual: y.len(),
-            });
+        match self.begin(y)? {
+            DiffStep::Reference => Ok(DiffPacket::Reference(y.to_vec())),
+            DiffStep::Delta { shift } => {
+                let mut values = Vec::with_capacity(y.len());
+                self.track(y, shift, |d| values.push(d));
+                Ok(DiffPacket::Delta(DeltaBlock { shift, values }))
+            }
         }
+    }
+
+    /// Starts the next packet: counts it and decides whether it is a
+    /// reference — which makes `y` the tracked state — or a delta, and at
+    /// which gain: the smallest that brings every difference into the
+    /// alphabet. A delta's differences are then taken by
+    /// [`DiffEncoder::code_delta`] (or inside [`DiffEncoder::encode`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::LengthMismatch`] if `y` has the wrong length.
+    pub fn begin(&mut self, y: &[i32]) -> Result<DiffStep, CodecError> {
+        self.check_len(y)?;
         let is_reference = self.packets_sent.is_multiple_of(self.config.reference_interval);
         self.packets_sent += 1;
         if is_reference {
             self.state.copy_from_slice(y);
-            return Ok(DiffPacket::Reference(y.to_vec()));
+            return Ok(DiffStep::Reference);
         }
-
-        // Smallest binary gain that brings every difference in range.
         let half = self.config.half();
         let max_abs = self
             .state
@@ -186,14 +215,89 @@ impl DiffEncoder {
         while shift < MAX_DELTA_SHIFT && scaled(max_abs as i32, shift) >= half {
             shift += 1;
         }
+        Ok(DiffStep::Delta { shift })
+    }
 
-        let mut values = Vec::with_capacity(y.len());
+    /// Codes the delta packet [`DiffEncoder::begin`] started for `y`
+    /// straight to bits, appended to `out`: the 4-bit gain, then each
+    /// scaled difference's codeword in `codebook`, MSB first and the last
+    /// byte zero-padded — the bytes [`DiffEncoder::encode`],
+    /// [`value_to_symbol`](crate::value_to_symbol),
+    /// [`Codebook::codeword`] and a [`BitWriter`](crate::BitWriter) give
+    /// together, from one pass with the bit accumulator in registers and
+    /// no intermediate vector. Returns the payload's length in bits. A
+    /// gain above [`MAX_DELTA_SHIFT`] is taken as that.
+    ///
+    /// # Errors
+    ///
+    /// * [`CodecError::LengthMismatch`] if `y` has the wrong length.
+    /// * [`CodecError::SymbolOutOfRange`] if `codebook` is smaller than
+    ///   the configured alphabet (nothing is written or tracked then).
+    pub fn code_delta(
+        &mut self,
+        y: &[i32],
+        shift: u8,
+        codebook: &Codebook,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, CodecError> {
+        self.check_len(y)?;
+        let shift = shift.min(MAX_DELTA_SHIFT);
+        let alphabet = self.config.alphabet;
+        if codebook.alphabet_size() < alphabet {
+            return Err(CodecError::SymbolOutOfRange {
+                symbol: alphabet as i32 - 1,
+                alphabet: codebook.alphabet_size(),
+            });
+        }
+        // Room for the gain and a longest codeword per value, written a
+        // big-endian word at a time and cut to the bytes used at the end.
+        let start = out.len();
+        out.resize(start + (4 + y.len() * crate::MAX_CODE_LEN as usize).div_ceil(32) * 4, 0);
+        let mut at = start;
+        let mut acc = u64::from(shift);
+        // Bits of `acc` not yet in `out`: always below 32 after a flush.
+        let mut pending = 4u32;
+        let half = self.config.half();
+        self.track(y, shift, |d| {
+            // Clamped into the alphabet, so a codeword exists.
+            let (code, len) = codebook.codeword((i32::from(d) + half) as u16);
+            acc = (acc << len) | u64::from(code);
+            pending += u32::from(len);
+            if pending >= 32 {
+                pending -= 32;
+                out[at..at + 4].copy_from_slice(&((acc >> pending) as u32).to_be_bytes());
+                at += 4;
+            }
+        });
+        let bits = (at - start) * 8 + pending as usize;
+        let tail = ((acc << (32 - pending)) as u32).to_be_bytes();
+        let tail_len = (pending as usize).div_ceil(8);
+        out[at..at + tail_len].copy_from_slice(&tail[..tail_len]);
+        out.truncate(at + tail_len);
+        Ok(bits)
+    }
+
+    /// Quantizes each difference of `y` from the tracked state at `shift`,
+    /// hands it to `emit` in order, and tracks the decoder's
+    /// reconstruction exactly (the closed loop).
+    #[inline(always)]
+    fn track(&mut self, y: &[i32], shift: u8, mut emit: impl FnMut(i16)) {
+        let half = self.config.half();
         for (s, &yi) in self.state.iter_mut().zip(y) {
             let d = quantize_diff(yi - *s, shift, half);
-            *s += (d as i32) << shift; // track the decoder exactly
-            values.push(d);
+            *s += (d as i32) << shift;
+            emit(d);
         }
-        Ok(DiffPacket::Delta(DeltaBlock { shift, values }))
+    }
+
+    fn check_len(&self, y: &[i32]) -> Result<(), CodecError> {
+        if y.len() != self.config.vector_len {
+            return Err(CodecError::LengthMismatch {
+                expected: self.config.vector_len,
+                actual: y.len(),
+            });
+        }
+        Ok(())
     }
 
     /// Resets the stream (next packet becomes a reference).
@@ -212,19 +316,14 @@ fn scaled(v: i32, shift: u8) -> i32 {
     }
 }
 
-/// Rounds `diff / 2^shift` to nearest and clamps into the alphabet.
+/// Rounds `diff / 2^shift` to nearest, halves away from zero, and
+/// clamps into the alphabet. The magnitude rounds and the sign comes back
+/// after, with no branch on it: differences change sign at random, so a
+/// branch on the sign mispredicts about every other value.
 fn quantize_diff(diff: i32, shift: u8, half: i32) -> i16 {
-    let q = if shift == 0 {
-        diff
-    } else {
-        // Round-to-nearest for signed values.
-        let bias = 1 << (shift - 1);
-        if diff >= 0 {
-            (diff + bias) >> shift
-        } else {
-            -((-diff + bias) >> shift)
-        }
-    };
+    let bias = (1u32 << shift) >> 1;
+    let magnitude = ((diff.unsigned_abs() + bias) >> shift) as i32;
+    let q = if diff < 0 { magnitude.wrapping_neg() } else { magnitude };
     q.clamp(-half, half - 1) as i16
 }
 
@@ -386,6 +485,54 @@ mod tests {
         // Next packet at the same value is exact (gain drops back to 0).
         let p2 = enc.encode(&[10_000]).unwrap();
         assert_eq!(dec.decode(&p2).unwrap(), vec![10_000]);
+    }
+
+    /// The branch-free rounding against the branching form it replaced,
+    /// at every gain, around zero, on and beside the halfway points and
+    /// near the extremes of what a measurement difference can be.
+    #[test]
+    fn quantize_diff_matches_the_branching_form() {
+        let branching = |diff: i32, shift: u8, half: i32| {
+            let q = if shift == 0 {
+                diff
+            } else {
+                let bias = 1 << (shift - 1);
+                if diff >= 0 {
+                    (diff + bias) >> shift
+                } else {
+                    -((-diff + bias) >> shift)
+                }
+            };
+            q.clamp(-half, half - 1) as i16
+        };
+        for shift in 0..=MAX_DELTA_SHIFT {
+            let ties = (-4..=4)
+                .map(|k: i32| ((2 * k + 1) << shift) >> 1)
+                .flat_map(|t| [t - 1, t, t + 1]);
+            let edges = [1 << 30, -(1 << 30), i32::MAX - (1 << 15), i32::MIN + (1 << 15)];
+            for diff in (-3000..=3000).chain(ties).chain(edges) {
+                for half in [8, 256] {
+                    assert_eq!(
+                        quantize_diff(diff, shift, half),
+                        branching(diff, shift, half),
+                        "diff {diff}, shift {shift}, half {half}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn code_delta_refuses_a_codebook_short_of_the_alphabet() {
+        let mut enc = DiffEncoder::new(cfg(2, 4));
+        let small = Codebook::from_counts(&[1; 256], 256).unwrap();
+        assert!(enc.begin(&[0, 0]).unwrap() == DiffStep::Reference);
+        let mut out = Vec::new();
+        assert_eq!(
+            enc.code_delta(&[1, 1], 0, &small, &mut out),
+            Err(CodecError::SymbolOutOfRange { symbol: 511, alphabet: 256 })
+        );
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -266,11 +266,16 @@ impl Codebook {
 
     /// Decodes exactly `count` symbols from the reader.
     ///
+    /// Every codebook is Kraft-complete ([`Codebook::from_lengths`]
+    /// refuses any other), so every run of 16 bits starts with a codeword:
+    /// a corrupt stream decodes to other symbols or ends early, and never
+    /// fails to match.
+    ///
     /// # Errors
     ///
-    /// * [`CodecError::UnexpectedEndOfStream`] if the stream is exhausted.
-    /// * [`CodecError::InvalidCodeword`] if the accumulated bits exceed the
-    ///   longest codeword without matching (corrupt stream).
+    /// [`CodecError::UnexpectedEndOfStream`] if the stream ends inside the
+    /// `count` symbols. [`CodecError::InvalidCodeword`] is reserved for a
+    /// codeword that matches nothing, which a complete code never meets.
     pub fn decode(&self, r: &mut BitReader<'_>, count: usize) -> Result<Vec<u16>, CodecError> {
         let mut out = Vec::with_capacity(count);
         self.decode_into(r, count, &mut out)?;
@@ -303,6 +308,7 @@ impl Codebook {
             let Some(mut word) = r.peek_word() else { break };
             let mut used = 0;
             for _ in 0..(count - out.len()).min(3) {
+                // Defensive: a complete code always resolves the peek.
                 let Some((symbol, len)) = self.lookup((word >> 48) as u16) else {
                     r.advance(used);
                     break 'words;
@@ -331,6 +337,9 @@ impl Codebook {
             // Zero padding past the end can only complete a codeword
             // longer than what remains, which `consume` refuses.
             Some((symbol, len)) => r.consume(len).map(|()| symbol),
+            // Defensive: a complete code always resolves the peek. The
+            // error stays a return, not a panic, should a later codebook
+            // format admit incomplete codes.
             None => {
                 r.consume(MAX_CODE_LEN)?;
                 Err(CodecError::InvalidCodeword)

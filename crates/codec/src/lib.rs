@@ -53,7 +53,9 @@ mod reference;
 mod rice;
 
 pub use bitstream::{BitReader, BitWriter};
-pub use diff::{DeltaBlock, DiffConfig, DiffDecoder, DiffEncoder, DiffPacket, MAX_DELTA_SHIFT};
+pub use diff::{
+    DeltaBlock, DiffConfig, DiffDecoder, DiffEncoder, DiffPacket, DiffStep, MAX_DELTA_SHIFT,
+};
 pub use error::CodecError;
 pub use huffman::{symbol_to_value, value_to_symbol, Codebook, MAX_CODE_LEN};
 pub use rice::{

@@ -7,11 +7,15 @@
 //! at the same place. The damaged streams run past a whole delta payload
 //! (M = 256 codewords), so every cut, flip and extension crosses from
 //! [`Codebook::decode_into`]'s three-codewords-per-load loop to its
-//! one-at-a-time tail.
+//! one-at-a-time tail. [`DiffEncoder::code_delta`]'s one fused pass is
+//! held the same way to the staged composition it replaced:
+//! [`DiffEncoder::encode`], [`value_to_symbol`], [`Codebook::codeword`]
+//! and the serial writer.
 
 use crate::bitstream::{BitReader, BitWriter};
+use crate::diff::{DiffConfig, DiffEncoder, DiffPacket, DiffStep, MAX_DELTA_SHIFT};
 use crate::error::CodecError;
-use crate::huffman::{Codebook, MAX_CODE_LEN};
+use crate::huffman::{value_to_symbol, Codebook, MAX_CODE_LEN};
 use proptest::prelude::*;
 
 /// The writer as it was: one bounds-checked `Vec` index per bit.
@@ -126,6 +130,10 @@ fn decoders_agree(cb: &Codebook, bytes: &[u8], count: usize) -> Result<(), TestC
         want.push(cb.decode_symbol_serial(|| slow.read_bit())?);
         Ok(())
     });
+    // `from_lengths` holds every codebook to Kraft equality, so every
+    // 16-bit peek starts with a codeword: damage can only end the stream
+    // early or decode other symbols, never miss the code.
+    prop_assert_ne!(&fast_end, &Err(CodecError::InvalidCodeword));
     prop_assert_eq!(fast_end, slow_end);
     // On error both hold the symbols decoded so far.
     prop_assert_eq!(got, want);
@@ -272,6 +280,87 @@ fn long_codewords_fill_every_slot_of_a_load() {
             decoders_agree(&cb, &flipped, symbols.len()).unwrap();
         }
     }
+}
+
+/// Measurement vectors for the differencing stage: quiet drift that
+/// needs no gain, jumps that need some, and leaps of up to 2²⁶ that clamp
+/// at the alphabet's edge even at gain 15.
+fn random_measurements(rng: &mut Rng, len: usize) -> Vec<i32> {
+    let reach = match rng.below(4) {
+        0 => 8,
+        1 => 1 << 12,
+        2 => 1 << 20,
+        _ => 1 << 26,
+    };
+    (0..len)
+        .map(|_| rng.below(2 * reach) as i32 - reach as i32)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Packet after packet — references, deltas at every gain, clamped
+    /// differences — the fused coder writes the staged coder's bytes and
+    /// tracks the same state.
+    #[test]
+    fn code_delta_matches_the_staged_encoder(
+        seed in any::<u64>(),
+        len in 1usize..300,
+        packets in 1usize..24,
+    ) {
+        let mut rng = Rng(seed | 1);
+        let cb = random_codebook(&mut rng);
+        // The alphabet must be even; an odd codebook leaves one symbol spare.
+        let alphabet = cb.alphabet_size() & !1;
+        let config = DiffConfig { vector_len: len, reference_interval: 1 + rng.below(8), alphabet };
+        let mut fused = DiffEncoder::new(config);
+        let mut staged = DiffEncoder::new(config);
+        for _ in 0..packets {
+            let y = random_measurements(&mut rng, len);
+            let step = fused.begin(&y).unwrap();
+            match staged.encode(&y).unwrap() {
+                DiffPacket::Reference(values) => {
+                    prop_assert_eq!(step, DiffStep::Reference);
+                    prop_assert_eq!(values, y);
+                }
+                DiffPacket::Delta(block) => {
+                    prop_assert_eq!(step, DiffStep::Delta { shift: block.shift });
+                    let mut slow = SerialWriter::default();
+                    slow.write_bits(u32::from(block.shift), 4);
+                    for &d in &block.values {
+                        let (code, len) = cb.codeword(value_to_symbol(i32::from(d), alphabet).unwrap());
+                        slow.write_bits(u32::from(code), len);
+                    }
+                    let mut out = vec![0xA5];
+                    let bits = fused.code_delta(&y, block.shift, &cb, &mut out).unwrap();
+                    prop_assert_eq!(bits, slow.bit_len());
+                    prop_assert_eq!(out[0], 0xA5, "the bytes before the packet stay");
+                    prop_assert_eq!(&out[1..], &slow.bytes[..]);
+                }
+            }
+        }
+    }
+}
+
+/// The generator above does reach a clamped difference at gain 15.
+#[test]
+fn measurements_reach_the_largest_gain_and_clamp() {
+    let config = DiffConfig {
+        vector_len: 64,
+        reference_interval: 64,
+        alphabet: 512,
+    };
+    let (mut clamped, mut rng) = (0, Rng(7));
+    for _ in 0..16 {
+        let mut enc = DiffEncoder::new(config);
+        enc.encode(&random_measurements(&mut rng, 64)).unwrap();
+        if let DiffPacket::Delta(block) = enc.encode(&random_measurements(&mut rng, 64)).unwrap() {
+            let edge = |d: &i16| *d == -256 || *d == 255;
+            clamped += usize::from(block.shift == MAX_DELTA_SHIFT && block.values.iter().any(edge));
+        }
+    }
+    assert!(clamped >= 2, "{clamped} of 16 packets clamp at gain 15");
 }
 
 /// The skewed arm of [`random_codebook`] reaches the cap, so the

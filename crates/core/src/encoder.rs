@@ -9,9 +9,7 @@
 use crate::config::SystemConfig;
 use crate::error::PipelineError;
 use crate::packet::{EncodedPacket, PacketKind};
-use cs_codec::{
-    value_to_symbol, BitWriter, CodecError, Codebook, DiffConfig, DiffEncoder, DiffPacket,
-};
+use cs_codec::{BitWriter, CodecError, Codebook, DiffConfig, DiffEncoder, DiffStep};
 use cs_sensing::SparseBinarySensing;
 use cs_telemetry::{Stage, TelemetryRegistry};
 use std::sync::Arc;
@@ -41,6 +39,8 @@ const REFERENCE_VALUE_BITS: u8 = 16;
 pub struct Encoder {
     config: SystemConfig,
     phi: SparseBinarySensing,
+    /// The measurement vector of the packet being encoded.
+    y: Vec<i32>,
     diff: DiffEncoder,
     codebook: Arc<Codebook>,
     next_index: u64,
@@ -90,6 +90,7 @@ impl Encoder {
         });
         Ok(Encoder {
             config: config.clone(),
+            y: vec![0; phi.rows()],
             phi,
             diff,
             codebook,
@@ -136,23 +137,25 @@ impl Encoder {
             });
         }
         // Stage 1: linear CS measurement (integer gather-add, no multiply).
-        let y = {
+        {
             let _span = self.telemetry.span(Stage::SensingProjection);
-            self.phi.apply_unscaled_i32(samples)
-        };
+            self.phi.apply_unscaled_i32_into(samples, &mut self.y);
+        }
 
-        // Stage 2: inter-packet redundancy removal.
-        let diff_packet = {
+        // Stage 2: inter-packet redundancy removal — the packet's kind
+        // and gain.
+        let step = {
             let _span = self.telemetry.span(Stage::DiffEncode);
-            self.diff.encode(&y)?
+            self.diff.begin(&self.y)?
         };
 
-        // Stage 3: entropy coding.
+        // Stage 3: entropy coding, straight into the payload: a delta's
+        // differences are quantized, coded and packed in one pass.
         let entropy_span = self.telemetry.span(Stage::HuffmanEncode);
-        let mut writer = BitWriter::with_capacity(2 * self.config.measurements() + 1);
-        let kind = match &diff_packet {
-            DiffPacket::Reference(values) => {
-                for &v in values {
+        let (kind, payload, payload_bits) = match step {
+            DiffStep::Reference => {
+                let mut writer = BitWriter::with_capacity(2 * self.y.len());
+                for &v in &self.y {
                     // A row of Φ may hold several times `d` ones, so
                     // near-full-scale input can sum past 16 bits. Such a
                     // window is refused, not wrapped, and the differencing
@@ -167,31 +170,26 @@ impl Encoder {
                     };
                     writer.write_bits(raw as u16 as u32, REFERENCE_VALUE_BITS);
                 }
-                PacketKind::Reference
+                let bits = writer.bit_len();
+                (PacketKind::Reference, writer.finish(), bits)
             }
-            DiffPacket::Delta(block) => {
-                // 4-bit adaptive gain, then the Huffman-coded symbols.
-                writer.write_bits(block.shift as u32, 4);
-                // `new` matched the codebook's alphabet to the
-                // configured one, so every mapped symbol has a codeword.
-                let alphabet = self.config.alphabet();
-                for &d in &block.values {
-                    let (code, len) = self.codebook.codeword(value_to_symbol(d as i32, alphabet)?);
-                    writer.write_bits(code as u32, len);
-                }
-                PacketKind::Delta
+            DiffStep::Delta { shift } => {
+                // 4-bit adaptive gain, then the Huffman-coded symbols;
+                // `new` matched the codebook's alphabet to the configured
+                // one, so every difference has a codeword.
+                let mut payload = Vec::new();
+                let bits = self.diff.code_delta(&self.y, shift, &self.codebook, &mut payload)?;
+                (PacketKind::Delta, payload, bits)
             }
         };
-
         drop(entropy_span);
 
         // Stage 4: wire assembly.
         let _span = self.telemetry.span(Stage::Packetize);
-        let payload_bits = writer.bit_len();
         let packet = EncodedPacket {
             index: self.next_index,
             kind,
-            payload: writer.finish(),
+            payload,
             payload_bits,
         };
         self.next_index += 1;

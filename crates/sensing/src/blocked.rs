@@ -33,8 +33,8 @@ use std::arch::x86_64::{
     __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_ps, _mm256_cmpgt_epi32,
     _mm256_cvtepi16_epi32, _mm256_i32gather_ps, _mm256_mask_i32gather_epi32,
     _mm256_mask_i32gather_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256,
-    _mm_loadu_si128,
+    _mm256_setzero_ps, _mm256_setzero_si256, _mm256_srai_epi32, _mm256_storeu_ps,
+    _mm256_storeu_si256, _mm_loadu_si128,
 };
 
 /// Outputs per block: the `f32` lanes of a 256-bit vector.
@@ -71,6 +71,9 @@ pub(crate) struct BlockedGather {
     /// Rows by ascending length (stable): lane `l` of block `b` computes
     /// row `row_order[8b + l]`; the last block may be short.
     row_order: Vec<u16>,
+    /// The rows of column 0, which the integer product adds on its own
+    /// (see [`BlockedGather::apply_i32`]).
+    first_rows: Vec<u16>,
 }
 
 impl BlockedGather {
@@ -141,6 +144,10 @@ impl BlockedGather {
                 }));
             }
         }
+        let first_rows = col_rows[..d.min(col_rows.len())]
+            .iter()
+            .map(|&row| row as u16)
+            .collect();
         Some(BlockedGather {
             m,
             n,
@@ -149,6 +156,7 @@ impl BlockedGather {
             row_slots,
             row_blocks,
             row_order,
+            first_rows,
         })
     }
 
@@ -165,22 +173,28 @@ impl BlockedGather {
         unsafe { self.apply_avx2(x, y, scale) }
     }
 
-    /// `y = Φx` in integers, unscaled — the mote's measurement. Integer
-    /// sums do not depend on their order, so walking the row tables gives
-    /// exactly what scattering each sample down its column does.
+    /// `y = Φx` in integers, unscaled — the mote's measurement — over all
+    /// `m` rows of `y`. Integer sums do not depend on their order, so
+    /// walking the row tables gives exactly what scattering each sample
+    /// down its column does. The gathers read the `i16` samples where they
+    /// are: the 32-bit load ending at sample `c` holds `x[c]` in its high
+    /// half, which one arithmetic shift brings down sign-extended, and
+    /// `x[c − 1]`, which the shift drops, in its low one. Sample 0 has no
+    /// neighbour before it, so its lanes stay masked and its column is
+    /// added afterwards.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != n`.
-    pub(crate) fn apply_i32(&self, x: &[i16]) -> Vec<i32> {
+    /// Panics if `x.len() != n` or `y.len() != m`.
+    pub(crate) fn apply_i32(&self, x: &[i16], y: &mut [i32]) {
         assert_eq!(x.len(), self.n, "BlockedGather::apply_i32: x length mismatch");
-        // The gather loads 32-bit lanes: widen once, up front.
-        let wide: Vec<i32> = x.iter().map(|&v| i32::from(v)).collect();
-        let mut y = vec![0_i32; self.m];
+        assert_eq!(y.len(), self.m, "BlockedGather::apply_i32: y length mismatch");
         // SAFETY: `self` exists only if `new` saw AVX2 on this CPU, and
-        // `wide.len() == x.len() == n` was asserted just above.
-        unsafe { self.apply_i32_avx2(&wide, &mut y) };
-        y
+        // `x.len() == n` was asserted just above.
+        unsafe { self.apply_i32_avx2(x, y) };
+        for &row in &self.first_rows {
+            y[usize::from(row)] += i32::from(x[0]);
+        }
     }
 
     /// `x[..done] = Φᵀy · scale` for the `done = n − n mod 8` columns that
@@ -264,22 +278,31 @@ impl BlockedGather {
         }
     }
 
+    /// Every row, but without column 0's contribution.
+    ///
     /// # Safety
     ///
     /// The CPU must support AVX2, and `x.len()` must be `self.n`.
     #[target_feature(enable = "avx2")]
-    unsafe fn apply_i32_avx2(&self, x: &[i32], y: &mut [i32]) {
+    unsafe fn apply_i32_avx2(&self, x: &[i16], y: &mut [i32]) {
         let zero = _mm256_setzero_si256();
-        let minus_one = _mm256_set1_epi32(-1);
+        // Sample `c`'s load starts a sample early, at `x[c − 1]`. The
+        // address is only computed here; no lane reads through it below
+        // sample 1.
+        let base = x.as_ptr().wrapping_sub(1).cast::<i32>();
         let gather = |slot: &[i16]| -> __m256i {
             debug_assert_eq!(slot.len(), LANES);
-            // SAFETY: as in `apply_avx2` — 16 readable bytes of indices,
-            // every gathered lane's index `< n = x.len()`, and a padding
-            // lane takes `zero` without touching memory.
+            // SAFETY: 16 readable bytes of indices, as in `apply_avx2`. A
+            // lane loads only if its index `c` has `0 < c < n` (padding is
+            // negative, every other index `< n`), so its four bytes,
+            // `x[c − 1]` and `x[c]`, lie inside `x`; padding and column 0
+            // take `zero` without touching memory. The gather needs no
+            // alignment.
             unsafe {
                 let idx = _mm256_cvtepi16_epi32(_mm_loadu_si128(slot.as_ptr().cast()));
-                let live = _mm256_cmpgt_epi32(idx, minus_one);
-                _mm256_mask_i32gather_epi32::<4>(zero, x.as_ptr(), idx, live)
+                let live = _mm256_cmpgt_epi32(idx, zero);
+                let pairs = _mm256_mask_i32gather_epi32::<2>(zero, base, idx, live);
+                _mm256_srai_epi32::<16>(pairs)
             }
         };
         let mut slots = self.row_slots.chunks_exact(LANES);

@@ -423,12 +423,26 @@ impl SparseBinarySensing {
     /// eight at a time; otherwise each sample is scattered down its
     /// column. Integer sums are order-free, so the two agree exactly.
     pub fn apply_unscaled_i32(&self, x: &[i16]) -> Vec<i32> {
+        let mut y = vec![0_i32; self.m];
+        self.apply_unscaled_i32_into(x, &mut y);
+        y
+    }
+
+    /// [`SparseBinarySensing::apply_unscaled_i32`] into a caller's buffer,
+    /// which it overwrites — the allocation-free form a mote encoder
+    /// calls once per packet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols()` or `y.len() != rows()`.
+    pub fn apply_unscaled_i32_into(&self, x: &[i16], y: &mut [i32]) {
         assert_eq!(x.len(), self.n, "apply_unscaled_i32: x length mismatch");
+        assert_eq!(y.len(), self.m, "apply_unscaled_i32: y length mismatch");
         #[cfg(target_arch = "x86_64")]
         if let Some(blocked) = &self.blocked {
-            return blocked.apply_i32(x);
+            return blocked.apply_i32(x, y);
         }
-        let mut y = vec![0_i32; self.m];
+        y.fill(0);
         for (j, &xj) in x.iter().enumerate() {
             if xj == 0 {
                 continue;
@@ -438,7 +452,6 @@ impl SparseBinarySensing {
                 y[row as usize] += xj;
             }
         }
-        y
     }
 }
 
@@ -857,7 +870,10 @@ mod tests {
                             r => (r as i16 - 6) * 1000 + i as i16,
                         })
                         .collect();
-                    prop_assert_eq!(blocked.apply_i32(&xi), portable.apply_unscaled_i32(&xi));
+                    // Stale values, which every row must overwrite.
+                    let mut y = vec![12_345; m];
+                    blocked.apply_i32(&xi, &mut y);
+                    prop_assert_eq!(y, portable.apply_unscaled_i32(&xi));
                     prop_assert_eq!(phi.apply_unscaled_i32(&xi), portable.apply_unscaled_i32(&xi));
                 }
             }

@@ -12,11 +12,12 @@ label_set! {
         /// Mote: the sparse binary CS projection `y = Φx` (integer
         /// gather-add).
         SensingProjection => "sensing_projection",
-        /// Mote: inter-packet redundancy removal (DPCM differencing and the
-        /// adaptive gain shift).
+        /// Mote: inter-packet redundancy removal — the packet's kind and
+        /// its adaptive gain shift.
         DiffEncode => "diff_encode",
-        /// Mote: entropy coding of the difference symbols (Huffman) or the
-        /// raw reference write.
+        /// Mote: entropy coding — a delta's differences quantized (DPCM),
+        /// Huffman-coded and packed in one pass — or the raw reference
+        /// write.
         HuffmanEncode => "huffman_encode",
         /// Mote: wire assembly — header, payload finalization, lane tagging
         /// and frame windowing.

@@ -7,7 +7,7 @@
 # full test suite (the root manifest's `default-members` make the plain
 # `cargo build` / `cargo test` cover every crate, not just the umbrella
 # package), clippy with warnings denied on every target (tests, examples
-# and the criterion benches too, which are compiled here and never run),
+# and the one bench, `telemetry_overhead`, compiled here and never run),
 # the steady-state zero-allocation guarantee under the optimizer, the
 # committed results regenerated and the end-to-end benchmark's smoke
 # pass. Timing is judged by `pipebench` alone. The shipped daemon is
